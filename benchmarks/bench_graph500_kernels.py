@@ -12,7 +12,7 @@ import numpy as np
 from conftest import emit
 
 from repro.analysis.reporting import ascii_table, format_seconds
-from repro.core.algorithms import generate_weights, sssp
+from repro.core.programs import generate_weights, sssp
 from repro.core.preprocessing import preprocess
 from repro.graph500.driver import run_graph500
 from repro.graph500.rmat import generate_edges

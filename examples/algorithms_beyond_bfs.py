@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.analysis.reporting import ascii_table, format_seconds
 from repro.core import partition_graph
-from repro.core.algorithms import generate_weights, pagerank, sssp
+from repro.core.programs import generate_weights, pagerank, sssp
 from repro.graph500.rmat import generate_edges
 from repro.machine.network import MachineSpec
 from repro.runtime.mesh import ProcessMesh

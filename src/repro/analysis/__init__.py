@@ -19,10 +19,9 @@ from repro.analysis.reporting import (
     format_seconds,
     write_csv,
 )
-from repro.analysis.timeline import iteration_component_seconds, render_timeline
+from repro.analysis.timeline import render_timeline
 
 __all__ = [
-    "iteration_component_seconds",
     "render_timeline",
     "ascii_table",
     "ascii_bar_chart",

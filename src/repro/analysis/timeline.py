@@ -15,14 +15,11 @@ One cell per (iteration, component): the direction (upper-case when the
 component dominated that iteration) and a density glyph for its share of
 the iteration's compute+message time.
 
-Two data paths feed the matrix.  Without a trace, per-iteration seconds
-are *apportioned* from the ledger's phase totals by scanned-arc weight
-(:func:`iteration_component_seconds` — the historical ad-hoc
-accounting).  With a :class:`~repro.obs.tracer.Tracer` from a traced run,
-the seconds are *exact*: every ledger charge is a leaf span under its
-iteration/component span, so :func:`iteration_component_seconds_from_trace`
-just sums subtrees.  The same span tree also reproduces the figure
-aggregates — :func:`phase_seconds_from_trace` (Fig. 10) and
+The seconds come from the traced run's spans and are *exact*: every
+ledger charge is a leaf span under its iteration/component span, so
+:func:`iteration_component_seconds_from_trace` just sums subtrees.  The
+same span tree also reproduces the figure aggregates —
+:func:`phase_seconds_from_trace` (Fig. 10) and
 :func:`category_seconds_from_trace` (Fig. 11) match the ledger's
 ``seconds_by_phase`` / ``time_by_category`` groupings.
 """
@@ -36,7 +33,6 @@ from repro.core.metrics import BFSRunResult
 from repro.core.subgraphs import COMPONENT_ORDER
 
 __all__ = [
-    "iteration_component_seconds",
     "iteration_component_seconds_from_trace",
     "phase_seconds_from_trace",
     "category_seconds_from_trace",
@@ -47,54 +43,6 @@ __all__ = [
 _LEAF_CATEGORIES = ("collective", "kernel")
 
 _GLYPHS = " .:=#"
-
-
-def iteration_component_seconds(result: BFSRunResult) -> list[dict[str, float]]:
-    """Seconds per component per iteration, reconstructed from the ledger.
-
-    Ledger events are appended in execution order, so they are replayed
-    against the iteration trace: each iteration consumes the events its
-    sub-iterations generated (delegate syncs and the final reduction are
-    assigned to ``other``/``reduce`` buckets of the nearest iteration).
-    """
-    per_iter: list[dict[str, float]] = [
-        defaultdict(float) for _ in result.iterations
-    ]
-    if not result.iterations:
-        return []
-    # Walk compute and comm events in order; iteration boundaries are
-    # inferred from the per-iteration scanned-arc trace: every component
-    # event belongs to the iteration whose record mentions it next.
-    events = [
-        (e.phase, e.seconds) for e in result.ledger.compute_events
-    ] + [(e.phase, e.seconds) for e in result.ledger.comm_events]
-    # Without per-event iteration tags we apportion each phase's total
-    # over iterations by that phase's scanned-arc (or message) weight.
-    phase_totals: dict[str, float] = defaultdict(float)
-    for phase, seconds in events:
-        phase_totals[phase] += seconds
-    for phase, total in phase_totals.items():
-        if phase in ("other", "reduce"):
-            # spread uniformly (sync happens every iteration; the final
-            # reduce is charged to the last)
-            if phase == "reduce":
-                per_iter[-1][phase] += total
-            else:
-                share = total / len(per_iter)
-                for row in per_iter:
-                    row[phase] += share
-            continue
-        weights = []
-        for rec in result.iterations:
-            w = rec.scanned_arcs.get(phase, 0) + rec.messages.get(phase, 0)
-            weights.append(float(w))
-        wsum = sum(weights)
-        if wsum <= 0:
-            weights = [1.0] * len(per_iter)
-            wsum = float(len(per_iter))
-        for row, w in zip(per_iter, weights):
-            row[phase] += total * w / wsum
-    return [dict(row) for row in per_iter]
 
 
 def _ledger_leaves(tracer):
@@ -152,8 +100,8 @@ def iteration_component_seconds_from_trace(tracer) -> list[dict[str, float]]:
     under (or, for delegate syncs and reductions, to its phase bucket
     within the enclosing iteration).  End-of-run charges outside any
     iteration — the §5 delayed parent reduction — land on the last
-    iteration, matching :func:`iteration_component_seconds`.  When the
-    tracer holds several BFS runs, iterations concatenate in run order.
+    iteration.  When the tracer holds several BFS runs, iterations
+    concatenate in run order.
     """
     iteration_index: dict[int, int] = {}  # iteration span sid -> row
     rows: list[dict[str, float]] = []
@@ -178,28 +126,26 @@ def iteration_component_seconds_from_trace(tracer) -> list[dict[str, float]]:
     return [dict(row) for row in rows]
 
 
-def render_timeline(result: BFSRunResult, tracer=None) -> str:
+def render_timeline(result: BFSRunResult, tracer) -> str:
     """Text matrix: iterations x components with direction + time share.
 
-    With ``tracer`` from the traced run, cell times are exact span sums;
-    otherwise they are apportioned from the ledger (the pre-trace
-    behaviour).  A tracer whose iteration count disagrees with the
-    result (e.g. it traced other runs too) falls back to apportioning.
+    ``tracer`` is the :class:`~repro.obs.tracer.Tracer` the run was
+    traced with; cell times are exact span sums.  Rows are matched to
+    the result by iteration index, so an iteration replayed after an
+    injected crash supersedes its abandoned first attempt.
     """
-    rows = None
-    if tracer is not None:
-        traced = iteration_component_seconds_from_trace(tracer)
-        if len(traced) == len(result.iterations):
-            rows = traced
-    if rows is None:
-        rows = iteration_component_seconds(result)
+    indices = [
+        sp.attrs["index"] for sp in tracer.spans if sp.category == "iteration"
+    ]
+    latest = dict(zip(indices, iteration_component_seconds_from_trace(tracer)))
     header = (
         "iter  frontier  "
         + "  ".join(f"{name:>7s}" for name in COMPONENT_ORDER)
         + "  | iteration total"
     )
     out = [header, "-" * len(header)]
-    for rec, row in zip(result.iterations, rows):
+    for rec in result.iterations:
+        row = latest[rec.index]
         total = sum(row.values()) or 1e-30
         cells = []
         for name in COMPONENT_ORDER:

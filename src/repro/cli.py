@@ -581,7 +581,9 @@ def _cmd_bfs_impl(args, backend) -> int:
     from repro.analysis.reporting import ascii_table, format_seconds
     from repro.obs.tracer import Tracer
 
-    tracer = Tracer() if (args.trace or args.flame) else None
+    tracer = (
+        Tracer() if (args.trace or args.flame or args.timeline) else None
+    )
     rows, cols = args.mesh
     setup = build_setup(args.scale, rows, cols, seed=args.seed)
     if args.root is not None:
@@ -617,7 +619,7 @@ def _cmd_bfs_impl(args, backend) -> int:
         from repro.analysis.timeline import render_timeline
 
         print()
-        print(render_timeline(res, tracer=tracer))
+        print(render_timeline(res, tracer))
     if args.flame:
         from repro.obs.export import render_flame
 

@@ -10,7 +10,7 @@ Open-loop diurnal workloads drive it (:mod:`~repro.cluster.workload`).
 """
 
 from .router import ClusterRouter, QueueFull
-from .service import ClusterIngestReport, ClusterService, ReplicaDown
+from .service import ClusterService, ReplicaDown
 from .tenants import (
     SLO_CLASSES,
     Tenant,
@@ -24,7 +24,6 @@ from .workload import run_cluster_session, run_cluster_workload
 
 __all__ = [
     "SLO_CLASSES",
-    "ClusterIngestReport",
     "ClusterRouter",
     "ClusterService",
     "QueueFull",

@@ -10,14 +10,19 @@ MSBFS batch at a time — packed from exactly one tenant, so lanes never
 mix graphs and every lane's parent tree stays bit-identical to a
 sequential run on that tenant's graph.
 
-Failover reuses the batch-replay machinery: a replica that takes a
+Admission bookkeeping, batch execution and metering are the shared
+:mod:`repro.serve.core` (a tenant is a
+:class:`~repro.serve.core.ResidentGraph`); this module owns the queue
+discipline (router pick → one batching window → ``pop_extra``) and the
+crash policy.  Failover reuses the per-request replay budget: a
+replica that takes a
 :class:`~repro.resilience.faults.RankCrashError` (or is killed via
 :meth:`ClusterService.kill_replica` mid-batch) is marked down, its
 in-flight batch is re-queued at the **front** of the owning tenant's
 queue with submit times and trace ids intact, and a surviving replica
 re-runs it — the re-routed batch's parents are bit-identical to a
-crash-free run.  Requests whose batch crashed more than ``max_replays``
-times fail with a typed :class:`~repro.serve.service.TraversalError`;
+crash-free run.  Requests that rode more than ``max_replays`` crashes
+fail with a typed :class:`~repro.serve.service.TraversalError`;
 when no live replica remains, queued and incoming requests fail with a
 typed :class:`ReplicaDown`.  Every transition is metered:
 ``cluster_failovers{replica=...}`` counts detections and
@@ -35,29 +40,24 @@ histograms.
 from __future__ import annotations
 
 import asyncio
-import functools
 import time
-from collections import OrderedDict
-
-import numpy as np
 
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.slo import SLOMonitor
-from repro.resilience.faults import RankCrashError
-from repro.serve.service import (
-    LATENCY_BUCKETS,
-    Overloaded,
+from repro.serve.core import (
+    IngestReport,
     RequestTimeline,
+    ServeScope,
     ServeStats,
-    TraversalError,
+    ServingCore,
     TraversalResponse,
-    _Request,
+    attribution,
 )
 
 from .router import ClusterRouter
-from .tenants import Tenant, TenantRegistry
+from .tenants import TenantRegistry
 
-__all__ = ["ClusterService", "ReplicaDown", "ClusterIngestReport"]
+__all__ = ["ClusterService", "ReplicaDown"]
 
 
 class ReplicaDown(RuntimeError):
@@ -66,34 +66,13 @@ class ReplicaDown(RuntimeError):
     def __init__(
         self, *, tenant: str = "", trace_id: str = "", replicas: int = 0
     ) -> None:
-        detail = ""
-        if tenant:
-            detail += f" tenant={tenant}"
-        if trace_id:
-            detail += f" trace={trace_id}"
         super().__init__(
             f"no live service replica ({replicas} configured)"
-            + (f" [{detail.strip()}]" if detail else "")
+            + attribution(tenant, trace_id)
         )
         self.tenant = tenant
         self.trace_id = trace_id
         self.replicas = replicas
-
-
-class ClusterIngestReport:
-    """Outcome of one per-tenant :meth:`ClusterService.ingest_updates`."""
-
-    def __init__(self, tenant: str, reports, *, num_updates: int,
-                 cache_evicted: int, cache_rekeyed: int,
-                 old_fingerprint: str, new_fingerprint: str) -> None:
-        self.tenant = tenant
-        self.reports = list(reports)
-        self.num_batches = len(self.reports)
-        self.num_updates = num_updates
-        self.cache_evicted = cache_evicted
-        self.cache_rekeyed = cache_rekeyed
-        self.old_fingerprint = old_fingerprint
-        self.new_fingerprint = new_fingerprint
 
 
 class _Replica:
@@ -139,21 +118,28 @@ class ClusterService:
         self.batch_size = int(batch_size)
         self.batch_window = float(batch_window)
         self.max_replays = int(max_replays)
-        self._faults = faults
-        self._metrics = metrics
-        self._clock = clock
+        self.metrics = metrics
+        self._core = ServingCore(
+            clock=clock, timeline_capacity=timeline_capacity, faults=faults
+        )
         self._replicas: dict[str, _Replica] = {
             f"r{i}": _Replica(f"r{i}") for i in range(int(replicas))
         }
         self._wake = asyncio.Event()
         self._closed = True
-        self._trace_seq = 0
-        self._timeline_capacity = int(timeline_capacity)
-        self._timelines: "OrderedDict[str, RequestTimeline]" = OrderedDict()
         #: Cluster-aggregate counters (per-tenant counters live on the
-        #: Tenant objects); both are updated on the serving path so the
-        #: telemetry /healthz view and per-tenant views reconcile.
+        #: Tenant objects); both are sinks of every tenant's scope, so
+        #: the telemetry /healthz view and per-tenant views reconcile.
         self.stats = ServeStats()
+        self._scopes: dict[str, ServeScope] = {
+            tenant.tenant_id: ServeScope(
+                metrics,
+                "cluster",
+                (tenant.stats, self.stats),
+                tenant=tenant.tenant_id,
+            )
+            for tenant in registry
+        }
         self._inflight = 0
         self._ingest_lock = asyncio.Lock()
         #: One burn-rate monitor per tenant, narrowed to that tenant's
@@ -168,8 +154,8 @@ class ClusterService:
             )
             for tenant in registry
         }
-        self._metrics.gauge("cluster_replicas_live").set(len(self._replicas))
-        self._metrics.gauge("cluster_tenants").set(len(registry))
+        self.metrics.gauge("cluster_replicas_live").set(len(self._replicas))
+        self.metrics.gauge("cluster_tenants").set(len(registry))
 
     # ------------------------------------------------------------------
     # introspection (TelemetryServer-compatible surface)
@@ -188,10 +174,7 @@ class ClusterService:
         return [r.replica_id for r in self._replicas.values() if not r.down]
 
     def request_timeline(self, trace_id: str) -> RequestTimeline | None:
-        return self._timelines.get(trace_id)
-
-    def tenant_stats(self, tenant_id: str) -> ServeStats:
-        return self.registry[tenant_id].stats
+        return self._core.request_timeline(trace_id)
 
     def slo_status(self) -> dict:
         """Per-tenant SLO evaluation documents (the /slo/<tenant> view)."""
@@ -229,15 +212,6 @@ class ClusterService:
             "pending": self.pending,
         }
 
-    def _next_trace_id(self) -> str:
-        self._trace_seq += 1
-        return f"req-{self._trace_seq:06d}"
-
-    def _record_timeline(self, timeline: RequestTimeline) -> None:
-        self._timelines[timeline.trace_id] = timeline
-        while len(self._timelines) > self._timeline_capacity:
-            self._timelines.popitem(last=False)
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -260,15 +234,7 @@ class ClusterService:
                 replica.task = None
         # Anything still queued had no live replica to drain it.
         for tenant_id, request in self.router.drain():
-            self._fail_request(
-                request,
-                self.registry[tenant_id],
-                ReplicaDown(
-                    tenant=tenant_id,
-                    trace_id=request.trace_id,
-                    replicas=len(self._replicas),
-                ),
-            )
+            self._fail_down(self._scopes[tenant_id], request)
 
     async def __aenter__(self) -> "ClusterService":
         await self.start()
@@ -310,71 +276,26 @@ class ClusterService:
         if self._closed:
             raise RuntimeError("cluster is not running")
         tenant = self.registry[tenant_id]
+        scope = self._scopes[tenant_id]
         root = int(root)
         if not 0 <= root < tenant.num_vertices:
             raise ValueError(
                 f"root {root} out of range for tenant {tenant_id!r}"
             )
-        t0 = self._clock()
-        trace_id = self._next_trace_id()
-        tenant.stats.requests += 1
-        self.stats.requests += 1
-        if tenant.cache is not None:
-            parent = tenant.cache.get(tenant.fingerprint, root)
-            if parent is not None:
-                total = self._clock() - t0
-                tenant.stats.cache_hits += 1
-                tenant.stats.total_latencies.append(total)
-                self.stats.cache_hits += 1
-                self.stats.total_latencies.append(total)
-                self._count(tenant_id, "cached")
-                self._observe(tenant_id, "total", total)
-                self._record_timeline(
-                    RequestTimeline(
-                        trace_id=trace_id,
-                        root=root,
-                        status="cached",
-                        total_seconds=total,
-                    )
-                )
-                return TraversalResponse(
-                    root=root,
-                    trace_id=trace_id,
-                    tenant=tenant_id,
-                    parent=parent,
-                    cached=True,
-                    total_seconds=total,
-                )
+        request = self._core.begin(scope, root)
+        hit = self._core.lookup(tenant, scope, request)
+        if hit is not None:
+            return hit
         if not self.live_replicas:
-            tenant.stats.failed += 1
-            self.stats.failed += 1
-            self._count(tenant_id, "failed")
-            raise ReplicaDown(
-                tenant=tenant_id,
-                trace_id=trace_id,
-                replicas=len(self._replicas),
-            )
+            raise self._fail_down(scope, request)
         depth = self.router.depth(tenant_id)
         if depth >= self.router.quota(tenant_id):
-            tenant.stats.shed += 1
-            self.stats.shed += 1
-            self._count(tenant_id, "shed")
-            raise Overloaded(
-                depth,
-                self.router.quota(tenant_id),
-                tenant=tenant_id,
-                trace_id=trace_id,
+            raise self._core.shed(
+                scope, request, depth, self.router.quota(tenant_id)
             )
-        future = asyncio.get_running_loop().create_future()
-        request = _Request(
-            root=root, future=future, submitted_at=t0, trace_id=trace_id
-        )
+        future = self._core.admit(scope, request)
         self.router.push(tenant_id, request)
-        tenant.stats.admitted += 1
-        self.stats.admitted += 1
-        self._metrics.gauge("cluster_queue_depth", tenant=tenant_id).set(
-            self.router.depth(tenant_id)
-        )
+        scope.gauge("queue_depth").set(self.router.depth(tenant_id))
         self._wake.set()
         return await future
 
@@ -414,9 +335,6 @@ class ClusterService:
                         tenant_id, self.batch_size - len(batch)
                     )
                 )
-            self._metrics.gauge("cluster_queue_depth", tenant=tenant_id).set(
-                self.router.depth(tenant_id)
-            )
             await self._execute_batch(replica, tenant_id, batch)
 
     # ------------------------------------------------------------------
@@ -427,106 +345,26 @@ class ClusterService:
         self, replica: _Replica, tenant_id: str, batch: list
     ) -> None:
         tenant = self.registry[tenant_id]
-        now = self._clock()
+        scope = self._scopes[tenant_id]
+        scope.gauge("queue_depth").set(self.router.depth(tenant_id))
+        now = self._core.clock()
         for request in batch:
             request.popped_at = now
-        t_exec = self._clock()
-        # Captured before the executor hop: an ingestion may swap the
-        # tenant's engine mid-flight; results cache under the
-        # generation they were computed on.
-        engine = tenant.batched
-        fingerprint = tenant.fingerprint
-        by_root: dict[int, list] = {}
-        for request in batch:
-            by_root.setdefault(request.root, []).append(request)
-        roots = np.array(sorted(by_root), dtype=np.int64)
-        loop = asyncio.get_running_loop()
         self._inflight += len(batch)
-        try:
-            result = await loop.run_in_executor(
-                None,
-                functools.partial(
-                    engine.run_batch, roots, faults=self._faults
-                ),
-            )
-        except RankCrashError:
-            self._inflight -= len(batch)
-            self._metrics.counter(
-                "cluster_batches", tenant=tenant_id, outcome="crashed"
-            ).inc()
-            self._mark_down(replica)
-            self._reroute(replica, tenant, batch)
-            return
+        run = await self._core.run(tenant, scope, batch)
         self._inflight -= len(batch)
-        if replica.kill_requested and not replica.down:
+        if run is not None and replica.kill_requested:
             # Killed mid-batch: the replica is gone as far as clients
             # are concerned, so its computed results are discarded and
             # the batch re-routed like a crash.
-            self._metrics.counter(
-                "cluster_batches", tenant=tenant_id, outcome="crashed"
-            ).inc()
+            scope.counter("batches", outcome="crashed").inc()
+            run = None
+        if run is None:
             self._mark_down(replica)
-            self._reroute(replica, tenant, batch)
+            self._reroute(replica, scope, batch)
             return
-        t_done = self._clock()
-        traversal = t_done - t_exec
         replica.batches += 1
-        tenant.stats.batches += 1
-        tenant.stats.batched_lanes += result.num_lanes
-        self.stats.batches += 1
-        self.stats.batched_lanes += result.num_lanes
-        self._metrics.counter(
-            "cluster_batches", tenant=tenant_id, outcome="completed"
-        ).inc()
-        self._metrics.histogram(
-            "cluster_batch_size", tenant=tenant_id
-        ).observe(result.num_lanes)
-        self._observe(tenant_id, "traversal", traversal)
-        lane_of = {int(r): lane for lane, r in enumerate(result.roots)}
-        for root, requests in by_root.items():
-            parent = result.lane_parent(lane_of[root])
-            if tenant.cache is not None:
-                tenant.cache.put(fingerprint, root, parent)
-            for request in requests:
-                queue_wait = request.popped_at - request.submitted_at
-                batch_wait = t_exec - request.popped_at
-                total = t_done - request.submitted_at
-                self._observe(tenant_id, "queue", queue_wait)
-                self._observe(tenant_id, "batch", batch_wait)
-                self._observe(tenant_id, "total", total)
-                tenant.stats.completed += 1
-                tenant.stats.sim_seconds_total += result.amortized_seconds
-                tenant.stats.total_latencies.append(total)
-                self.stats.completed += 1
-                self.stats.sim_seconds_total += result.amortized_seconds
-                self.stats.total_latencies.append(total)
-                self._count(tenant_id, "completed")
-                self._record_timeline(
-                    RequestTimeline(
-                        trace_id=request.trace_id,
-                        root=root,
-                        batch_lanes=result.num_lanes,
-                        queue_seconds=queue_wait,
-                        batch_seconds=batch_wait,
-                        traversal_seconds=traversal,
-                        total_seconds=total,
-                    )
-                )
-                if not request.future.done():
-                    request.future.set_result(
-                        TraversalResponse(
-                            root=root,
-                            trace_id=request.trace_id,
-                            tenant=tenant_id,
-                            parent=parent,
-                            batch_lanes=result.num_lanes,
-                            queue_wait=queue_wait,
-                            batch_wait=batch_wait,
-                            traversal_seconds=traversal,
-                            total_seconds=total,
-                            sim_seconds=result.amortized_seconds,
-                        )
-                    )
+        self._core.resolve(tenant, scope, run)
 
     # ------------------------------------------------------------------
     # failover
@@ -537,149 +375,61 @@ class ClusterService:
             return
         replica.down = True
         replica.kill_requested = False
-        self._metrics.counter(
+        self.metrics.counter(
             "cluster_failovers", replica=replica.replica_id
         ).inc()
-        self._metrics.gauge("cluster_replicas_live").set(
+        self.metrics.gauge("cluster_replicas_live").set(
             len(self.live_replicas)
         )
 
-    def _reroute(self, replica: _Replica, tenant: Tenant, batch: list) -> None:
-        """Re-queue a down replica's in-flight batch for a survivor.
+    def _reroute(self, replica: _Replica, scope: ServeScope, batch: list) -> None:
+        """Crash policy: re-queue a down replica's in-flight batch for a
+        survivor.
 
         Requests keep their submit times and trace ids — latency
         accounting spans the failover.  Requests over the replay budget
         fail typed; with no survivors everything fails
         :class:`ReplicaDown`.
         """
-        tenant_id = tenant.tenant_id
-        for request in batch:
-            request.attempts += 1
         if not self.live_replicas:
             for request in batch:
-                self._fail_request(
-                    request,
-                    tenant,
-                    ReplicaDown(
-                        tenant=tenant_id,
-                        trace_id=request.trace_id,
-                        replicas=len(self._replicas),
-                    ),
-                )
+                self._fail_down(scope, request)
             return
-        survivors = []
-        for request in batch:
-            if request.attempts > self.max_replays:
-                self._fail_request(
-                    request,
-                    tenant,
-                    TraversalError(
-                        f"batch of {len(batch)} requests failed after "
-                        f"{self.max_replays} replays (replica "
-                        f"{replica.replica_id} down)",
-                        tenant=tenant_id,
-                        trace_id=request.trace_id,
-                    ),
-                )
-            else:
-                survivors.append(request)
+        survivors = self._core.charge_replay(
+            scope,
+            batch,
+            self.max_replays,
+            f"replica {replica.replica_id} down",
+        )
         if survivors:
-            tenant.stats.replays += 1
-            self.stats.replays += 1
-            self._metrics.counter(
-                "cluster_batch_replays", tenant=tenant_id
-            ).inc()
-            self.router.push_front(tenant_id, survivors)
+            self.router.push_front(scope.tenant, survivors)
             self._wake.set()
 
-    def _fail_request(self, request, tenant: Tenant, error) -> None:
-        tenant.stats.failed += 1
-        self.stats.failed += 1
-        self._count(tenant.tenant_id, "failed")
-        self._record_timeline(
-            RequestTimeline(
-                trace_id=request.trace_id,
-                root=request.root,
-                status="failed",
-            )
+    def _fail_down(self, scope: ServeScope, request) -> ReplicaDown:
+        """Fail ``request`` for want of a live replica; returns the
+        error so admission can raise it."""
+        error = ReplicaDown(
+            tenant=scope.tenant,
+            trace_id=request.trace_id,
+            replicas=len(self._replicas),
         )
-        if not request.future.done():
-            request.future.set_exception(error)
+        self._core.fail(scope, request, error)
+        return error
 
     # ------------------------------------------------------------------
     # streaming ingestion (per tenant)
     # ------------------------------------------------------------------
 
-    async def ingest_updates(self, tenant_id: str, batches):
+    async def ingest_updates(self, tenant_id: str, batches) -> IngestReport:
         """Apply edge-update batches to one tenant's resident graph.
 
         Requires the tenant to have been built with ``dynamic=True``.
-        The repair runs on the executor; the engine swap, fingerprint
-        bump, and partial cache invalidation are atomic between query
-        batches.  Other tenants are completely unaffected — their
-        fingerprints and caches don't move.
+        See :meth:`~repro.serve.core.ResidentGraph.ingest`: the repair
+        runs on the executor; the engine swap, fingerprint bump, and
+        partial cache invalidation are atomic between query batches.
+        Other tenants are completely unaffected — their fingerprints
+        and caches don't move.
         """
         tenant = self.registry[tenant_id]
-        if tenant.dynamic is None:
-            raise RuntimeError(
-                f"tenant {tenant_id!r} was not built with dynamic ingest"
-            )
-        loop = asyncio.get_running_loop()
         async with self._ingest_lock:
-            reports = []
-            num_updates = 0
-            for batch in batches:
-                report = await loop.run_in_executor(
-                    None, tenant.dynamic.apply_batch, batch
-                )
-                reports.append(report)
-                num_updates += batch.size
-                self._metrics.counter(
-                    "cluster_ingest_batches", tenant=tenant_id
-                ).inc()
-                self._metrics.counter(
-                    "cluster_ingest_updates", tenant=tenant_id
-                ).inc(batch.size)
-            part = await loop.run_in_executor(None, tenant.dynamic.graph)
-            touched = (
-                np.unique(np.concatenate([r.delta.touched for r in reports]))
-                if reports
-                else np.array([], dtype=np.int64)
-            )
-            old_fp = tenant.fingerprint
-            # Atomic from here: no awaits between swap and cache delta.
-            tenant.swap_graph(part)
-            evicted = rekeyed = 0
-            if tenant.cache is not None:
-                if hasattr(tenant.cache, "apply_delta"):
-                    evicted, rekeyed = tenant.cache.apply_delta(
-                        old_fp, tenant.fingerprint, touched
-                    )
-                else:
-                    evicted = tenant.cache.invalidate(old_fp)
-            return ClusterIngestReport(
-                tenant_id,
-                reports,
-                num_updates=num_updates,
-                cache_evicted=evicted,
-                cache_rekeyed=rekeyed,
-                old_fingerprint=old_fp,
-                new_fingerprint=tenant.fingerprint,
-            )
-
-    # ------------------------------------------------------------------
-    # metrics plumbing
-    # ------------------------------------------------------------------
-
-    def _count(self, tenant_id: str, outcome: str) -> None:
-        self._metrics.counter(
-            "cluster_requests", tenant=tenant_id, outcome=outcome
-        ).inc()
-
-    def _observe(self, tenant_id: str, stage: str, seconds: float) -> None:
-        self._metrics.histogram(
-            "cluster_latency_seconds",
-            buckets=LATENCY_BUCKETS,
-            tenant=tenant_id,
-            stage=stage,
-        ).observe(max(seconds, 0.0))
+            return await tenant.ingest(batches, self._scopes[tenant_id])

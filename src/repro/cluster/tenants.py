@@ -26,11 +26,11 @@ source of truth the router and replicas read tenants from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.obs.slo import SLOSpec
-from repro.serve.cache import ResultCache, fingerprint_graph
-from repro.serve.service import ServeStats
+from repro.serve.cache import ResultCache
+from repro.serve.core import ResidentGraph
 
 __all__ = [
     "SLO_CLASSES",
@@ -121,9 +121,8 @@ class TenantSpec:
         return tuple(SLO_CLASSES[self.slo_class]["slos"])
 
 
-@dataclass
-class Tenant:
-    """One resident graph and its serving state.
+class Tenant(ResidentGraph):
+    """One resident graph, its serving state, and its :class:`TenantSpec`.
 
     ``sequential`` is the single-root engine (validation, program
     serving); ``batched`` is the MSBFS engine replicas run query
@@ -131,43 +130,31 @@ class Tenant:
     keys both the cache and result attribution.
     """
 
-    spec: TenantSpec
-    sequential: object = field(repr=False, default=None)
-    batched: object = field(repr=False, default=None)
-    cache: ResultCache | None = field(repr=False, default=None)
-    fingerprint: str = ""
-    #: Optional streaming-ingest wrapper over the same edge set.
-    dynamic: object = field(repr=False, default=None)
-    #: Per-tenant service-lifetime counters.
-    stats: ServeStats = field(default_factory=ServeStats, repr=False)
+    def __init__(
+        self,
+        spec: TenantSpec,
+        sequential=None,
+        batched=None,
+        cache: ResultCache | None = None,
+        fingerprint: str = "",
+        dynamic=None,
+    ) -> None:
+        super().__init__(
+            batched,
+            sequential=sequential,
+            cache=cache,
+            fingerprint=fingerprint,
+            dynamic=dynamic,
+        )
+        self.spec = spec
 
     @property
     def tenant_id(self) -> str:
         return self.spec.tenant_id
 
     @property
-    def num_vertices(self) -> int:
-        return int(self.batched.num_vertices)
-
-    @property
     def degrees(self):
         return self.batched.part.degrees
-
-    def swap_graph(self, part) -> None:
-        """Rebuild both engines over a repaired partition (streaming
-        ingest); the fingerprint moves with the graph."""
-        from repro.core.engine import DistributedBFS
-        from repro.serve.msbfs import MultiSourceBFS
-
-        src = self.batched
-        kwargs = dict(
-            machine=getattr(src, "machine", None),
-            config=src.config,
-            backend=getattr(getattr(src, "scheduler", None), "backend", None),
-        )
-        self.batched = MultiSourceBFS(part, **kwargs)
-        self.sequential = DistributedBFS(part, **kwargs)
-        self.fingerprint = fingerprint_graph(part)
 
 
 class TenantRegistry:
@@ -236,7 +223,6 @@ def build_tenant(spec: TenantSpec, *, backend=None, dynamic: bool = False) -> Te
         sequential=sequential,
         batched=batched,
         cache=ResultCache(capacity=spec.cache_capacity),
-        fingerprint=fingerprint_graph(batched.part),
     )
     if dynamic:
         from repro.analysis.experiments import tuned_thresholds

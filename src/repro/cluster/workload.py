@@ -22,11 +22,16 @@ was silently dropped — the gate the benchmark enforces.
 from __future__ import annotations
 
 import asyncio
+import functools
 
-import numpy as np
-
-from repro.serve.service import Overloaded, TraversalError
-from repro.serve.workload import ClusterWorkload, QueryOutcome, WorkloadReport
+from repro.serve.service import TraversalError
+from repro.serve.workload import (
+    ClusterWorkload,
+    QueryOutcome,
+    WorkloadReport,
+    record_query,
+    run_session,
+)
 
 from .service import ClusterService, ReplicaDown
 
@@ -54,55 +59,21 @@ async def run_cluster_workload(
     if time_scale <= 0:
         raise ValueError("time_scale must be > 0")
     loop = asyncio.get_running_loop()
+    expected = expected or {}
     outcomes: list[QueryOutcome] = []
 
     async def one(query) -> None:
-        retries = 0
-        while True:
-            try:
-                response = await cluster.submit(query.tenant, query.root)
-            except Overloaded as exc:
-                if retries >= max_shed_retries:
-                    outcomes.append(
-                        QueryOutcome(
-                            root=query.root,
-                            tenant=query.tenant,
-                            shed=True,
-                            shed_retries=retries,
-                            error=str(exc),
-                        )
-                    )
-                    return
-                retries += 1
-                await asyncio.sleep(shed_backoff)
-                continue
-            except (TraversalError, ReplicaDown) as exc:
-                outcomes.append(
-                    QueryOutcome(
-                        root=query.root,
-                        tenant=query.tenant,
-                        shed_retries=retries,
-                        error=str(exc),
-                    )
-                )
-                return
-            correct = None
-            if expected is not None:
-                want = expected.get(query.tenant, {}).get(query.root)
-                if want is not None:
-                    correct = bool(np.array_equal(response.parent, want))
-            outcomes.append(
-                QueryOutcome(
-                    root=query.root,
-                    tenant=query.tenant,
-                    cached=response.cached,
-                    correct=correct,
-                    total_seconds=response.total_seconds,
-                    batch_lanes=response.batch_lanes,
-                    shed_retries=retries,
-                )
+        outcomes.append(
+            await record_query(
+                functools.partial(cluster.submit, query.tenant, query.root),
+                query.root,
+                tenant=query.tenant,
+                want=expected.get(query.tenant, {}).get(query.root),
+                failures=(TraversalError, ReplicaDown),
+                shed_backoff=shed_backoff,
+                max_shed_retries=max_shed_retries,
             )
-            return
+        )
 
     t0 = loop.time()
     tasks = []
@@ -149,69 +120,18 @@ def run_cluster_session(
         cluster = ClusterService(
             registry, replicas=replicas, **cluster_kwargs
         )
-        if telemetry is None:
-            async with cluster:
-                report = await run_cluster_workload(
-                    cluster,
-                    workload,
-                    time_scale=time_scale,
-                    expected=expected,
-                    max_shed_retries=max_shed_retries,
-                    kill_at=kill_at,
-                )
-            return report, cluster
-
-        from repro.obs.timeline import TelemetrySampler
-        from repro.serve.telemetry import TelemetryServer
-        from repro.serve.workload import TelemetrySummary, _scrape_loop
-
-        metrics = cluster_kwargs.get("metrics")
-        if metrics is None or not getattr(metrics, "enabled", False):
-            raise ValueError(
-                "telemetry requires metrics= a real MetricsRegistry"
-            )
-        interval = float(telemetry.get("interval", 0.05))
-        sampler = TelemetrySampler(metrics, interval=interval)
-        server = TelemetryServer(
+        return await run_session(
             cluster,
-            metrics,
-            port=int(telemetry.get("port", 0)),
-            sampler=sampler,
+            lambda: run_cluster_workload(
+                cluster,
+                workload,
+                time_scale=time_scale,
+                expected=expected,
+                max_shed_retries=max_shed_retries,
+                kill_at=kill_at,
+            ),
+            telemetry=telemetry,
             cluster=cluster,
         )
-        summary = TelemetrySummary()
-        async with cluster:
-            async with server:
-                summary.port = server.port
-                await sampler.start()
-                scraper = None
-                if telemetry.get("scrape", True):
-                    scraper = asyncio.create_task(
-                        _scrape_loop(
-                            summary, "127.0.0.1", server.port, interval
-                        )
-                    )
-                try:
-                    report = await run_cluster_workload(
-                        cluster,
-                        workload,
-                        time_scale=time_scale,
-                        expected=expected,
-                        max_shed_retries=max_shed_retries,
-                        kill_at=kill_at,
-                    )
-                    await asyncio.sleep(interval)
-                finally:
-                    if scraper is not None:
-                        scraper.cancel()
-                        try:
-                            await scraper
-                        except asyncio.CancelledError:
-                            pass
-                    await sampler.stop()
-                sampler.sample()
-                summary.slo = cluster.slo_status()
-        summary.samples = sampler.taken
-        return report, cluster, summary
 
     return asyncio.run(main())

@@ -504,7 +504,7 @@ def report_from_serve(
         fingerprint=config_fingerprint(ctx),
         context=ctx,
         metrics=metrics,
-        summaries=_registry_summaries(service._metrics),
+        summaries=_registry_summaries(service.metrics),
     )
 
 

@@ -8,6 +8,8 @@ Layers (each usable on its own):
   sequential :class:`~repro.core.engine.DistributedBFS` runs.
 - :mod:`repro.serve.cache` — the (graph fingerprint, root) result cache
   with LRU + TTL eviction and hit/miss/eviction metrics.
+- :mod:`repro.serve.core` — what both service planes share: the
+  resident-graph type, the batch executor and the metric scope.
 - :mod:`repro.serve.service` — the asyncio-fronted
   :class:`~repro.serve.service.TraversalService`: bounded queue,
   batching window, typed ``Overloaded`` shedding, latency histograms,

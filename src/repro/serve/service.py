@@ -16,25 +16,22 @@ engine, run on an executor thread) behind an asyncio front:
 3. **Traversal.**  The batch runs as one multi-source wave sequence on
    the executor; every lane's parent tree is bit-identical to a
    sequential run, so serving batched is *not* an approximation.
-4. **Resilience.**  A mid-batch injected rank crash fails only that
-   batch: its requests are replayed from the front of the queue (up to
-   ``max_replays`` times), after which they fail with a typed
-   :class:`TraversalError`.  Other batches are untouched.
+4. **Resilience.**  A mid-batch injected rank crash affects only that
+   batch: its requests are replayed from the front of the queue, each
+   charged one attempt, and a request fails with a typed
+   :class:`TraversalError` once *its own* attempts exceed
+   ``max_replays``.  Other batches are untouched.
 
-Latency is observed per request into ``serve_latency_seconds`` — one
-histogram per ``stage`` label: ``queue`` (submit → popped into a forming
-batch), ``batch`` (popped → traversal start, the batching-window cost),
-``traversal`` (engine wall time), ``total`` (submit → resolve).
-
-Every request is also assigned a **trace id** (``req-000001``, ...) at
-admission.  The id rides on the response, keys a bounded ring of
-:class:`RequestTimeline` records retrievable via
-:meth:`TraversalService.request_timeline`, and — when the service was
-built with a ``tracer`` — is merged into the scheduler's ``msbfs`` span
-attrs, so the Chrome trace renders each served batch on a per-request
-track.  A timeline's ``total_seconds`` is the *same float* observed
-into ``serve_latency_seconds{stage="total"}``, so the two surfaces
-always reconcile.
+Everything after a batch is picked — the executor hop, staged latency
+observation into ``serve_latency_seconds``, cache fill, future
+resolution, the per-request trace ids and :class:`RequestTimeline` ring
+— is :mod:`repro.serve.core`, shared with the multi-tenant
+:class:`~repro.cluster.service.ClusterService`.  What this module owns
+is the queue discipline (one FIFO, wait-for-fill up to
+``batch_window``), the crash policy (replay in place) and vertex-program
+serving.  When the service was built with a ``tracer`` the trace ids
+are merged into the scheduler's ``msbfs`` span attrs, so the Chrome
+trace renders each served batch on a per-request track.
 """
 
 from __future__ import annotations
@@ -43,14 +40,25 @@ import asyncio
 import functools
 import time
 from collections import OrderedDict, deque
-from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
-from repro.obs.metrics import NULL_METRICS, exponential_buckets
+from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 from repro.resilience.faults import RankCrashError
-from repro.serve.cache import ResultCache, fingerprint_graph
+from repro.serve.cache import ResultCache
+from repro.serve.core import (
+    LATENCY_BUCKETS,
+    IngestReport,
+    LatencyReservoir,
+    Overloaded,
+    Request,
+    RequestTimeline,
+    ResidentGraph,
+    ServeScope,
+    ServeStats,
+    ServingCore,
+    TraversalError,
+    TraversalResponse,
+)
 
 __all__ = [
     "IngestReport",
@@ -63,243 +71,6 @@ __all__ = [
     "RequestTimeline",
     "LATENCY_BUCKETS",
 ]
-
-#: Sub-microsecond to ~9-minute wall-latency buckets.
-LATENCY_BUCKETS = exponential_buckets(1e-6, 2.0, 40)
-
-
-class LatencyReservoir:
-    """Fixed-size uniform sample of an unbounded latency stream.
-
-    Vitter's Algorithm R: the first ``capacity`` values are kept, after
-    which each new value replaces a random slot with probability
-    ``capacity / seen`` — at any point the kept set is a uniform sample
-    of everything appended, so percentiles stay stable under sustained
-    traffic while memory stays O(capacity).  The RNG is seeded, so a
-    replayed request sequence samples identically.
-    """
-
-    __slots__ = ("capacity", "_values", "_seen", "_rng")
-
-    def __init__(self, capacity: int = 4096, *, seed: int = 0x5EED) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = int(capacity)
-        self._values: list[float] = []
-        self._seen = 0
-        self._rng = np.random.default_rng(seed)
-
-    def append(self, value: float) -> None:
-        self._seen += 1
-        if len(self._values) < self.capacity:
-            self._values.append(float(value))
-            return
-        slot = int(self._rng.integers(0, self._seen))
-        if slot < self.capacity:
-            self._values[slot] = float(value)
-
-    @property
-    def seen(self) -> int:
-        """Values ever appended (``>= len(self)``)."""
-        return self._seen
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __iter__(self):
-        return iter(self._values)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self._values, dtype=dtype)
-
-
-class Overloaded(RuntimeError):
-    """Typed admission-control rejection: the request queue is full.
-
-    Clients treat this as backpressure — back off and retry; the request
-    was never enqueued.  The rejection is *attributable*: it carries the
-    tenant id (multi-tenant serving; ``""`` for a single-graph service)
-    and the shed request's trace id, so shed counts in logs and workload
-    reports can be pinned to a tenant and a specific request.
-    """
-
-    def __init__(
-        self,
-        queue_depth: int,
-        limit: int,
-        *,
-        tenant: str = "",
-        trace_id: str = "",
-    ) -> None:
-        detail = ""
-        if tenant:
-            detail += f" tenant={tenant}"
-        if trace_id:
-            detail += f" trace={trace_id}"
-        super().__init__(
-            f"request queue full ({queue_depth}/{limit}); request shed"
-            + (f" [{detail.strip()}]" if detail else "")
-        )
-        self.queue_depth = queue_depth
-        self.limit = limit
-        self.tenant = tenant
-        self.trace_id = trace_id
-
-
-class TraversalError(RuntimeError):
-    """A batch exhausted its replay budget; its requests failed.
-
-    Like :class:`Overloaded`, the failure carries the tenant id and the
-    failed request's trace id for attribution.
-    """
-
-    def __init__(
-        self, message: str, *, tenant: str = "", trace_id: str = ""
-    ) -> None:
-        detail = ""
-        if tenant:
-            detail += f" tenant={tenant}"
-        if trace_id:
-            detail += f" trace={trace_id}"
-        super().__init__(message + (f" [{detail.strip()}]" if detail else ""))
-        self.tenant = tenant
-        self.trace_id = trace_id
-
-
-@dataclass
-class RequestTimeline:
-    """Staged wall-clock breakdown of one served request, by trace id.
-
-    ``total_seconds`` is exactly the value observed into
-    ``serve_latency_seconds{stage="total"}`` for this request (cache
-    hits observe only ``total``; failed requests observe nothing and
-    record zeros here).
-    """
-
-    trace_id: str
-    root: int
-    program: str = "bfs"
-    #: ``completed`` | ``cached`` | ``failed``
-    status: str = "completed"
-    batch_lanes: int = 0
-    queue_seconds: float = 0.0
-    batch_seconds: float = 0.0
-    traversal_seconds: float = 0.0
-    total_seconds: float = 0.0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass
-class TraversalResponse:
-    """One served query."""
-
-    root: int
-    #: Request-scoped trace id (keys :meth:`TraversalService.request_timeline`).
-    trace_id: str = ""
-    #: Owning tenant in multi-tenant serving ("" for a single-graph service).
-    tenant: str = ""
-    parent: np.ndarray | None = field(repr=False, default=None)
-    cached: bool = False
-    #: Lanes in the batch that served it (0 for cache hits).
-    batch_lanes: int = 0
-    #: Wall-clock stage latencies (seconds).
-    queue_wait: float = 0.0
-    batch_wait: float = 0.0
-    traversal_seconds: float = 0.0
-    total_seconds: float = 0.0
-    #: Amortized *simulated* machine cost of the query (0 for cache hits).
-    sim_seconds: float = 0.0
-    #: Which registered program served the query ("bfs" for traversals).
-    program: str = "bfs"
-    #: Non-BFS programs: the program's state arrays and info scalars.
-    state: dict | None = field(repr=False, default=None)
-    info: dict | None = None
-    iterations: int = 0
-    converged: bool = True
-
-
-@dataclass
-class ServeStats:
-    """Service-lifetime counters (wall latencies in seconds)."""
-
-    requests: int = 0
-    admitted: int = 0
-    completed: int = 0
-    cache_hits: int = 0
-    shed: int = 0
-    failed: int = 0
-    replays: int = 0
-    batches: int = 0
-    batched_lanes: int = 0
-    #: Non-BFS vertex-program queries served (subset of ``completed``).
-    program_runs: int = 0
-    sim_seconds_total: float = 0.0
-    #: Bounded uniform sample of per-request total latencies — the
-    #: percentile source.  Appends like a list; never grows past its
-    #: capacity under sustained traffic.
-    total_latencies: LatencyReservoir = field(
-        default_factory=LatencyReservoir, repr=False
-    )
-
-    @property
-    def mean_batch_size(self) -> float:
-        return self.batched_lanes / self.batches if self.batches else 0.0
-
-    @property
-    def sim_seconds_per_query(self) -> float:
-        return (
-            self.sim_seconds_total / self.completed if self.completed else 0.0
-        )
-
-    def latency_percentile(self, q: float) -> float:
-        """Percentile ``q`` of sampled total latencies, or ``nan`` when
-        the reservoir is empty (an idle tenant has no latencies; report
-        builders render ``nan`` rather than crash or fake a zero)."""
-        if not len(self.total_latencies):
-            return float("nan")
-        return float(np.percentile(np.asarray(self.total_latencies), q))
-
-    @property
-    def p50_seconds(self) -> float:
-        return self.latency_percentile(50)
-
-    @property
-    def p99_seconds(self) -> float:
-        return self.latency_percentile(99)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        served = self.cache_hits + self.completed
-        return self.cache_hits / served if served else 0.0
-
-
-@dataclass
-class IngestReport:
-    """Outcome of one :meth:`TraversalService.ingest_updates` call."""
-
-    #: Per-batch :class:`~repro.dynamic.repair.RepairReport` objects.
-    reports: list = field(repr=False, default_factory=list)
-    num_batches: int = 0
-    num_updates: int = 0
-    #: Cache entries evicted because the delta touched their tree.
-    cache_evicted: int = 0
-    #: Cache entries carried over to the repaired graph's fingerprint.
-    cache_rekeyed: int = 0
-    old_fingerprint: str = ""
-    new_fingerprint: str = ""
-
-
-@dataclass
-class _Request:
-    root: int
-    future: asyncio.Future = field(repr=False)
-    submitted_at: float
-    trace_id: str = ""
-    popped_at: float = 0.0
-    attempts: int = 0
-
 
 _DEFAULT_CACHE = object()
 
@@ -331,61 +102,58 @@ class TraversalService:
             raise ValueError("queue_depth must be >= 1")
         if batch_window < 0:
             raise ValueError("batch_window must be >= 0")
-        self.engine = engine
         self.queue_depth = int(queue_depth)
         self.batch_size = int(batch_size)
         self.batch_window = float(batch_window)
         self.max_replays = int(max_replays)
-        self._faults = faults
-        self._metrics = metrics
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._clock = clock
-        # Request-scoped tracing: a monotonic trace-id sequence and a
-        # bounded (oldest-evicted) trace_id -> RequestTimeline ring.
-        self._trace_seq = 0
-        self._timeline_capacity = int(timeline_capacity)
-        self._timelines: "OrderedDict[str, RequestTimeline]" = OrderedDict()
-        self._cache = (
-            ResultCache(metrics=metrics) if cache is _DEFAULT_CACHE else cache
+        #: The served graph.  ``dynamic`` is an IncrementalGraph over
+        #: the engine's edge set; batches applied through
+        #: ingest_updates() repair it, swap in a rebuilt engine and
+        #: partially invalidate the cache.
+        self.graph = ResidentGraph(
+            engine,
+            cache=(
+                ResultCache(metrics=metrics)
+                if cache is _DEFAULT_CACHE
+                else cache
+            ),
+            dynamic=dynamic,
         )
-        self._fingerprint = fingerprint_graph(engine.part)
-        self._queue: deque[_Request] = deque()
+        self.stats = self.graph.stats
+        self.metrics = metrics
+        self._scope = ServeScope(metrics, "serve", (self.stats,))
+        self._core = ServingCore(
+            clock=clock,
+            timeline_capacity=timeline_capacity,
+            faults=faults,
+            tracer=tracer,
+        )
+        self._queue: deque[Request] = deque()
         self._wake = asyncio.Event()
         self._flusher: asyncio.Task | None = None
         self._closed = True
-        self.stats = ServeStats()
-        # Non-BFS program serving: single executions bypass the MSBFS
-        # batcher but share the admission bound (queue + in-flight) and
-        # get their own result cache (program outputs are state dicts,
-        # not parent arrays).
+        # Non-BFS program serving: single executions on the graph's
+        # sequential engine bypass the MSBFS batcher but share the
+        # admission bound (queue + in-flight) and get their own result
+        # cache (program outputs are state dicts, not parent arrays).
         self._inflight_programs = 0
-        self._program_engine = None
         self._program_cache: "OrderedDict[tuple, dict]" = OrderedDict()
         self._program_cache_capacity = 256
-        # Streaming ingestion: an IncrementalGraph whose live edge set
-        # this service serves.  Update batches applied through
-        # ingest_updates() repair it in place, rebuild the engine over
-        # the repaired partition, and partially invalidate the cache.
-        self._dynamic = dynamic
         self._ingest_lock = asyncio.Lock()
 
     @property
+    def engine(self):
+        """The batched engine of the generation being served."""
+        return self.graph.batched
+
+    @property
     def graph_fingerprint(self) -> str:
-        return self._fingerprint
-
-    def _next_trace_id(self) -> str:
-        self._trace_seq += 1
-        return f"req-{self._trace_seq:06d}"
-
-    def _record_timeline(self, timeline: RequestTimeline) -> None:
-        self._timelines[timeline.trace_id] = timeline
-        while len(self._timelines) > self._timeline_capacity:
-            self._timelines.popitem(last=False)
+        return self.graph.fingerprint
 
     def request_timeline(self, trace_id: str) -> RequestTimeline | None:
         """The staged timeline of a recently served request, or ``None``
         once it aged out of the bounded ring (or never existed)."""
-        return self._timelines.get(trace_id)
+        return self._core.request_timeline(trace_id)
 
     @property
     def pending(self) -> int:
@@ -420,107 +188,33 @@ class TraversalService:
     def reload_graph(self, engine) -> None:
         """Swap the served graph; cached results of the old generation
         are invalidated (the fingerprint changes with the graph)."""
-        old = self._fingerprint
-        self.engine = engine
-        self._fingerprint = fingerprint_graph(engine.part)
-        if self._cache is not None:
-            self._cache.invalidate(old)
-        self._program_engine = None
+        self.graph.swap(engine)
         self._program_cache.clear()
 
     # ------------------------------------------------------------------
     # streaming ingestion
     # ------------------------------------------------------------------
 
-    @property
-    def dynamic(self):
-        """The attached :class:`~repro.dynamic.repair.IncrementalGraph`
-        (``None`` for statically served graphs)."""
-        return self._dynamic
-
-    def _rebuild_engine(self, part):
-        """A fresh MSBFS engine over a repaired partition, mirroring the
-        current engine's machine/config/metrics/backend."""
-        from repro.serve.msbfs import MultiSourceBFS
-
-        src = self.engine
-        return MultiSourceBFS(
-            part,
-            machine=getattr(src, "machine", None),
-            config=src.config,
-            tracer=getattr(src, "tracer", None),
-            metrics=getattr(src, "metrics", None),
-            backend=getattr(getattr(src, "scheduler", None), "backend", None),
-        )
-
     async def ingest_updates(self, batches) -> IngestReport:
         """Apply edge-update batches to the served graph, live.
 
         Requires the service to have been built with
         ``dynamic=IncrementalGraph(...)`` over the same edge set as the
-        engine.  Each batch is repaired incrementally on the executor —
-        in-flight query batches keep running against the old engine
-        while repair proceeds — then the engine swap, fingerprint bump
-        and cache delta are applied atomically between query batches
-        (no awaits once the new engine exists).  The cache is *partially*
-        invalidated: only entries whose parent tree intersects the
-        delta's touched vertices are evicted; the rest are re-keyed to
-        the repaired graph and keep serving.
+        engine.  See :meth:`~repro.serve.core.ResidentGraph.ingest`: the
+        repair runs on the executor while queries keep flowing, then
+        engine, fingerprint and cache delta move atomically between
+        query batches.  The cache is *partially* invalidated: only
+        entries whose parent tree intersects the delta's touched
+        vertices are evicted; the rest are re-keyed to the repaired
+        graph and keep serving.
 
         Ingestions are serialized by an internal lock; queries are not
         blocked by it.
         """
-        if self._dynamic is None:
-            raise RuntimeError(
-                "service was not built with a dynamic graph "
-                "(pass dynamic=IncrementalGraph(...))"
-            )
-        loop = asyncio.get_running_loop()
         async with self._ingest_lock:
-            reports = []
-            num_updates = 0
-            for batch in batches:
-                report = await loop.run_in_executor(
-                    None, self._dynamic.apply_batch, batch
-                )
-                reports.append(report)
-                num_updates += batch.size
-                self._metrics.counter("serve_ingest_batches").inc()
-                self._metrics.counter("serve_ingest_updates").inc(batch.size)
-            # graph() compacts pending overlays into the packed arrays.
-            part = await loop.run_in_executor(None, self._dynamic.graph)
-            engine = await loop.run_in_executor(
-                None, self._rebuild_engine, part
-            )
-            touched = (
-                np.unique(np.concatenate([r.delta.touched for r in reports]))
-                if reports
-                else np.array([], dtype=np.int64)
-            )
-            old_fp = self._fingerprint
-            new_fp = fingerprint_graph(part)
-            # Atomic from here: no awaits between swap and cache delta.
-            self.engine = engine
-            self._fingerprint = new_fp
-            self._program_engine = None
+            report = await self.graph.ingest(batches, self._scope)
             self._program_cache.clear()
-            evicted = rekeyed = 0
-            if self._cache is not None:
-                if hasattr(self._cache, "apply_delta"):
-                    evicted, rekeyed = self._cache.apply_delta(
-                        old_fp, new_fp, touched
-                    )
-                else:
-                    evicted = self._cache.invalidate(old_fp)
-            return IngestReport(
-                reports=reports,
-                num_batches=len(reports),
-                num_updates=num_updates,
-                cache_evicted=evicted,
-                cache_rekeyed=rekeyed,
-                old_fingerprint=old_fp,
-                new_fingerprint=new_fp,
-            )
+            return report
 
     # ------------------------------------------------------------------
     # request path
@@ -539,8 +233,8 @@ class TraversalService:
         served with unit weights; the service holds no weight table).
 
         Raises :class:`Overloaded` when the queue is full (admission
-        control) and :class:`TraversalError` when the query's batch
-        exhausted its crash-replay budget.
+        control) and :class:`TraversalError` when the query exhausted
+        its crash-replay budget.
         """
         if self._closed:
             raise RuntimeError("service is not running")
@@ -553,47 +247,19 @@ class TraversalService:
         if root is None:
             raise ValueError("bfs queries require a root")
         root = int(root)
-        if not 0 <= root < self.engine.num_vertices:
+        if not 0 <= root < self.graph.num_vertices:
             raise ValueError(f"root {root} out of range")
-        t0 = self._clock()
-        trace_id = self._next_trace_id()
-        self.stats.requests += 1
-        if self._cache is not None:
-            parent = self._cache.get(self._fingerprint, root)
-            if parent is not None:
-                self.stats.cache_hits += 1
-                total = self._clock() - t0
-                self.stats.total_latencies.append(total)
-                self._metrics.counter("serve_requests", outcome="cached").inc()
-                self._observe("total", total)
-                self._record_timeline(
-                    RequestTimeline(
-                        trace_id=trace_id,
-                        root=root,
-                        status="cached",
-                        total_seconds=total,
-                    )
-                )
-                return TraversalResponse(
-                    root=root,
-                    trace_id=trace_id,
-                    parent=parent,
-                    cached=True,
-                    total_seconds=total,
-                )
+        request = self._core.begin(self._scope, root)
+        hit = self._core.lookup(self.graph, self._scope, request)
+        if hit is not None:
+            return hit
         if len(self._queue) >= self.queue_depth:
-            self.stats.shed += 1
-            self._metrics.counter("serve_requests", outcome="shed").inc()
-            raise Overloaded(
-                len(self._queue), self.queue_depth, trace_id=trace_id
+            raise self._core.shed(
+                self._scope, request, len(self._queue), self.queue_depth
             )
-        future = asyncio.get_running_loop().create_future()
-        request = _Request(
-            root=root, future=future, submitted_at=t0, trace_id=trace_id
-        )
+        future = self._core.admit(self._scope, request)
         self._queue.append(request)
-        self.stats.admitted += 1
-        self._metrics.gauge("serve_queue_depth").set(len(self._queue))
+        self._scope.gauge("queue_depth").set(len(self._queue))
         self._wake.set()
         return await future
 
@@ -601,21 +267,8 @@ class TraversalService:
     # vertex-program serving (single execution, no batching)
     # ------------------------------------------------------------------
 
-    def _resolve_program_engine(self):
-        """The sequential 1.5D engine non-BFS programs run on, built
-        lazily over the served graph (the MSBFS engine only knows the
-        batched wave path)."""
-        if self._program_engine is None:
-            from repro.core.engine import DistributedBFS
-
-            src = self.engine
-            self._program_engine = DistributedBFS(
-                src.part,
-                machine=getattr(src, "machine", None),
-                metrics=getattr(src, "metrics", None),
-                backend=getattr(src.scheduler, "backend", None),
-            )
-        return self._program_engine
+    def _count_program(self, program: str, outcome: str) -> None:
+        self._scope.counter("programs", program=program, outcome=outcome).inc()
 
     async def _submit_program(
         self, program: str, root: int | None, params: dict
@@ -642,74 +295,41 @@ class TraversalService:
             if root is None:
                 raise ValueError(f"program {program!r} requires a root")
             root = int(root)
-            if not 0 <= root < self.engine.num_vertices:
+            if not 0 <= root < self.graph.num_vertices:
                 raise ValueError(f"root {root} out of range")
         elif root is not None:
             raise ValueError(f"program {program!r} does not take a root")
 
-        t0 = self._clock()
-        trace_id = self._next_trace_id()
-        self.stats.requests += 1
+        core, scope = self._core, self._scope
+        request = core.begin(scope, -1 if root is None else root, program)
         cacheable = not params
-        key = (self._fingerprint, program, -1 if root is None else root)
+        key = (self.graph.fingerprint, program, request.root)
         if cacheable:
             hit = self._program_cache.get(key)
             if hit is not None:
                 self._program_cache.move_to_end(key)
-                self.stats.cache_hits += 1
-                total = self._clock() - t0
-                self.stats.total_latencies.append(total)
-                self._metrics.counter("serve_requests", outcome="cached").inc()
-                self._metrics.counter(
-                    "serve_programs", program=program, outcome="cached"
-                ).inc()
-                self._observe("total", total)
-                self._record_timeline(
-                    RequestTimeline(
-                        trace_id=trace_id,
-                        root=-1 if root is None else root,
-                        program=program,
-                        status="cached",
-                        total_seconds=total,
-                    )
-                )
-                return TraversalResponse(
-                    root=-1 if root is None else root,
-                    trace_id=trace_id,
-                    parent=hit["state"].get("parent"),
-                    cached=True,
-                    total_seconds=total,
-                    program=program,
-                    state=hit["state"],
-                    info=hit["info"],
-                    iterations=hit["iterations"],
-                    converged=hit["converged"],
+                self._count_program(program, "cached")
+                return core.cached(
+                    scope, request, parent=hit["state"].get("parent"), **hit
                 )
         if self.pending >= self.queue_depth:
-            self.stats.shed += 1
-            self._metrics.counter("serve_requests", outcome="shed").inc()
-            self._metrics.counter(
-                "serve_programs", program=program, outcome="shed"
-            ).inc()
-            raise Overloaded(
-                self.pending, self.queue_depth, trace_id=trace_id
-            )
+            self._count_program(program, "shed")
+            raise core.shed(scope, request, self.pending, self.queue_depth)
 
-        engine = self._resolve_program_engine()
+        engine = self.graph.sequential
         run_params = dict(params)
         if spec.needs_root:
             run_params["root"] = root
         loop = asyncio.get_running_loop()
         self._inflight_programs += 1
-        self.stats.admitted += 1
-        attempts = 0
-        run_kwargs = {"faults": self._faults}
-        if self._tracer.enabled:
-            run_kwargs["span_attrs"] = {"trace_id": trace_id}
+        scope.bump("admitted")
+        run_kwargs = {"faults": core.faults}
+        if core.tracer.enabled:
+            run_kwargs["span_attrs"] = {"trace_id": request.trace_id}
         try:
             while True:
                 prog = build_program(program, engine.part, **run_params)
-                t_exec = self._clock()
+                t_exec = self._core.clock()
                 try:
                     result = await loop.run_in_executor(
                         None,
@@ -719,40 +339,26 @@ class TraversalService:
                     )
                     break
                 except RankCrashError:
-                    attempts += 1
-                    self._metrics.counter(
-                        "serve_programs", program=program, outcome="crashed"
-                    ).inc()
-                    if attempts > self.max_replays:
-                        self.stats.failed += 1
-                        self._metrics.counter(
-                            "serve_requests", outcome="failed"
-                        ).inc()
-                        self._metrics.counter(
-                            "serve_programs", program=program, outcome="failed"
-                        ).inc()
-                        self._record_timeline(
-                            RequestTimeline(
-                                trace_id=trace_id,
-                                root=-1 if root is None else root,
-                                program=program,
-                                status="failed",
-                            )
-                        )
-                        raise TraversalError(
+                    request.attempts += 1
+                    self._count_program(program, "crashed")
+                    if request.attempts > self.max_replays:
+                        self._count_program(program, "failed")
+                        error = TraversalError(
                             f"program {program!r} query failed after "
                             f"{self.max_replays} replays (injected rank "
                             "crash)",
-                            trace_id=trace_id,
-                        ) from None
-                    self.stats.replays += 1
-                    self._metrics.counter("serve_batch_replays").inc()
+                            trace_id=request.trace_id,
+                        )
+                        core.fail(scope, request, error)
+                        raise error from None
+                    scope.bump("replays")
+                    scope.counter("batch_replays").inc()
         finally:
             self._inflight_programs -= 1
 
-        t_done = self._clock()
+        t_done = self._core.clock()
         traversal = t_done - t_exec
-        total = t_done - t0
+        total = t_done - request.submitted_at
         payload = {
             "state": result.state,
             "info": result.info,
@@ -764,50 +370,37 @@ class TraversalService:
             self._program_cache.move_to_end(key)
             while len(self._program_cache) > self._program_cache_capacity:
                 self._program_cache.popitem(last=False)
-        self.stats.completed += 1
-        self.stats.program_runs += 1
-        self.stats.sim_seconds_total += result.total_seconds
-        self.stats.total_latencies.append(total)
-        self._metrics.counter("serve_requests", outcome="completed").inc()
-        self._metrics.counter(
-            "serve_programs", program=program, outcome="completed"
-        ).inc()
-        self._observe("traversal", traversal)
-        self._observe("total", total)
-        self._record_timeline(
-            RequestTimeline(
-                trace_id=trace_id,
-                root=-1 if root is None else root,
-                program=program,
-                traversal_seconds=traversal,
-                total_seconds=total,
-            )
-        )
+        scope.bump("completed")
+        scope.bump("program_runs")
+        scope.bump("sim_seconds_total", result.total_seconds)
+        scope.latency(total)
+        scope.counter("requests", outcome="completed").inc()
+        self._count_program(program, "completed")
+        scope.observe("traversal", traversal)
+        scope.observe("total", total)
+        core.record(request, traversal_seconds=traversal, total_seconds=total)
         return TraversalResponse(
-            root=-1 if root is None else root,
-            trace_id=trace_id,
+            root=request.root,
+            trace_id=request.trace_id,
             parent=result.state.get("parent"),
             traversal_seconds=traversal,
             total_seconds=total,
             sim_seconds=result.total_seconds,
             program=program,
-            state=result.state,
-            info=result.info,
-            iterations=result.num_iterations,
-            converged=result.converged,
+            **payload,
         )
 
     # ------------------------------------------------------------------
-    # batching core
+    # queue discipline: one FIFO, wait-for-fill up to the batch window
     # ------------------------------------------------------------------
 
     async def _next_request(self, timeout: float | None = None):
-        deadline = None if timeout is None else self._clock() + timeout
+        deadline = None if timeout is None else self._core.clock() + timeout
         while True:
             if self._queue:
                 request = self._queue.popleft()
-                request.popped_at = self._clock()
-                self._metrics.gauge("serve_queue_depth").set(len(self._queue))
+                request.popped_at = self._core.clock()
+                self._scope.gauge("queue_depth").set(len(self._queue))
                 return request
             if self._closed:
                 return None
@@ -815,7 +408,7 @@ class TraversalService:
             if deadline is None:
                 await self._wake.wait()
                 continue
-            remaining = deadline - self._clock()
+            remaining = deadline - self._core.clock()
             if remaining <= 0:
                 return None
             try:
@@ -830,9 +423,9 @@ class TraversalService:
                 return
             batch = [first]
             roots = {first.root}
-            deadline = self._clock() + self.batch_window
+            deadline = self._core.clock() + self.batch_window
             while len(roots) < self.batch_size:
-                remaining = deadline - self._clock()
+                remaining = deadline - self._core.clock()
                 if remaining <= 0:
                     break
                 nxt = await self._next_request(timeout=remaining)
@@ -840,118 +433,20 @@ class TraversalService:
                     break
                 batch.append(nxt)
                 roots.add(nxt.root)
-            await self._execute_batch(batch)
+            run = await self._core.run(self.graph, self._scope, batch)
+            if run is not None:
+                self._core.resolve(self.graph, self._scope, run)
+            else:
+                self._replay(batch)
 
-    async def _execute_batch(self, batch: list[_Request]) -> None:
-        t_exec = self._clock()
-        # Captured before the executor hop: if an ingestion swaps the
-        # engine mid-flight, this batch's results must be cached under
-        # the generation they were computed on, not the new one.
-        engine = self.engine
-        fingerprint = self._fingerprint
-        by_root: dict[int, list[_Request]] = {}
-        for request in batch:
-            by_root.setdefault(request.root, []).append(request)
-        roots = np.array(sorted(by_root), dtype=np.int64)
-        loop = asyncio.get_running_loop()
-        run_kwargs = {"faults": self._faults}
-        if self._tracer.enabled:
-            trace_ids = sorted(r.trace_id for r in batch if r.trace_id)
-            run_kwargs["span_attrs"] = {"trace_id": ",".join(trace_ids)}
-        try:
-            result = await loop.run_in_executor(
-                None,
-                functools.partial(engine.run_batch, roots, **run_kwargs),
-            )
-        except RankCrashError:
-            self._metrics.counter("serve_batches", outcome="crashed").inc()
-            for request in batch:
-                request.attempts += 1
-            if batch[0].attempts <= self.max_replays:
-                # Replay the affected batch from the front of the queue;
-                # requests keep their original submit time.
-                self.stats.replays += 1
-                self._metrics.counter("serve_batch_replays").inc()
-                self._queue.extendleft(reversed(batch))
-                self._metrics.gauge("serve_queue_depth").set(len(self._queue))
-                self._wake.set()
-                return
-            self.stats.failed += len(batch)
-            self._metrics.counter("serve_requests", outcome="failed").inc(
-                len(batch)
-            )
-            for request in batch:
-                self._record_timeline(
-                    RequestTimeline(
-                        trace_id=request.trace_id,
-                        root=request.root,
-                        status="failed",
-                    )
-                )
-                if not request.future.done():
-                    # One error per request so each carries its own
-                    # trace id for attribution.
-                    request.future.set_exception(
-                        TraversalError(
-                            f"batch of {len(batch)} requests failed after "
-                            f"{self.max_replays} replays (injected rank "
-                            "crash)",
-                            trace_id=request.trace_id,
-                        )
-                    )
-            return
-        t_done = self._clock()
-        traversal = t_done - t_exec
-        self.stats.batches += 1
-        self.stats.batched_lanes += result.num_lanes
-        self._metrics.counter("serve_batches", outcome="completed").inc()
-        self._metrics.histogram("serve_batch_size").observe(result.num_lanes)
-        self._observe("traversal", traversal)
-        lane_of = {int(r): lane for lane, r in enumerate(result.roots)}
-        for root, requests in by_root.items():
-            parent = result.lane_parent(lane_of[root])
-            if self._cache is not None:
-                self._cache.put(fingerprint, root, parent)
-            for request in requests:
-                queue_wait = request.popped_at - request.submitted_at
-                batch_wait = t_exec - request.popped_at
-                total = t_done - request.submitted_at
-                self._observe("queue", queue_wait)
-                self._observe("batch", batch_wait)
-                self._observe("total", total)
-                self.stats.completed += 1
-                self.stats.sim_seconds_total += result.amortized_seconds
-                self.stats.total_latencies.append(total)
-                self._metrics.counter(
-                    "serve_requests", outcome="completed"
-                ).inc()
-                self._record_timeline(
-                    RequestTimeline(
-                        trace_id=request.trace_id,
-                        root=root,
-                        batch_lanes=result.num_lanes,
-                        queue_seconds=queue_wait,
-                        batch_seconds=batch_wait,
-                        traversal_seconds=traversal,
-                        total_seconds=total,
-                    )
-                )
-                if not request.future.done():
-                    request.future.set_result(
-                        TraversalResponse(
-                            root=root,
-                            trace_id=request.trace_id,
-                            parent=parent,
-                            batch_lanes=result.num_lanes,
-                            queue_wait=queue_wait,
-                            batch_wait=batch_wait,
-                            traversal_seconds=traversal,
-                            total_seconds=total,
-                            sim_seconds=result.amortized_seconds,
-                        )
-                    )
-
-    def _observe(self, stage: str, seconds: float) -> None:
-        self._metrics.histogram(
-            "serve_latency_seconds", buckets=LATENCY_BUCKETS, stage=stage
-        ).observe(max(seconds, 0.0))
+    def _replay(self, batch: list[Request]) -> None:
+        """Crash policy: replay in place.  Requests still within their
+        budget go back to the *front* of the queue, original submit
+        times intact; the rest have already failed typed."""
+        survivors = self._core.charge_replay(
+            self._scope, batch, self.max_replays, "injected rank crash"
+        )
+        if survivors:
+            self._queue.extendleft(reversed(survivors))
+            self._scope.gauge("queue_depth").set(len(self._queue))
+            self._wake.set()

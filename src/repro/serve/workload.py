@@ -36,6 +36,7 @@ write.
 from __future__ import annotations
 
 import asyncio
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -51,7 +52,9 @@ __all__ = [
     "make_workload_roots",
     "pareto_popularity",
     "make_diurnal_workload",
+    "record_query",
     "run_workload",
+    "run_session",
     "run_serving_session",
     "QueryOutcome",
     "WorkloadReport",
@@ -350,6 +353,55 @@ class WorkloadReport:
         return split
 
 
+async def record_query(
+    submit,
+    root: int,
+    *,
+    tenant: str = "",
+    want=None,
+    failures: tuple = (TraversalError,),
+    shed_backoff: float,
+    max_shed_retries: int,
+) -> QueryOutcome:
+    """Await ``submit()`` to a terminal, *accounted* outcome.
+
+    An :class:`Overloaded` rejection backs off ``shed_backoff`` seconds
+    and retries up to ``max_shed_retries`` times, after which the shed
+    itself is the (typed) outcome; any of ``failures`` is recorded as a
+    failed query.  ``want`` is the expected parent array, checked bit
+    for bit when given.
+    """
+    retries = 0
+    while True:
+        try:
+            response = await submit()
+        except Overloaded as exc:
+            if retries >= max_shed_retries:
+                return QueryOutcome(
+                    root=root, tenant=tenant, shed=True,
+                    shed_retries=retries, error=str(exc),
+                )
+            retries += 1
+            await asyncio.sleep(shed_backoff)
+            continue
+        except failures as exc:
+            return QueryOutcome(
+                root=root, tenant=tenant, shed_retries=retries, error=str(exc)
+            )
+        correct = None
+        if want is not None:
+            correct = bool(np.array_equal(response.parent, want))
+        return QueryOutcome(
+            root=root,
+            tenant=tenant,
+            cached=response.cached,
+            correct=correct,
+            total_seconds=response.total_seconds,
+            batch_lanes=response.batch_lanes,
+            shed_retries=retries,
+        )
+
+
 async def run_workload(
     service: TraversalService,
     roots,
@@ -369,51 +421,21 @@ async def run_workload(
     if clients < 1:
         raise ValueError("clients must be >= 1")
     pending = deque(int(r) for r in roots)
+    expected = expected or {}
     outcomes: list[QueryOutcome] = []
 
     async def client() -> None:
         while pending:
             root = pending.popleft()
-            retries = 0
-            while True:
-                try:
-                    response = await service.submit(root)
-                except Overloaded:
-                    retries += 1
-                    if retries > max_shed_retries:
-                        outcomes.append(
-                            QueryOutcome(
-                                root=root,
-                                shed_retries=retries,
-                                error="shed retry budget exhausted",
-                            )
-                        )
-                        break
-                    await asyncio.sleep(shed_backoff)
-                    continue
-                except TraversalError as exc:
-                    outcomes.append(
-                        QueryOutcome(
-                            root=root, shed_retries=retries, error=str(exc)
-                        )
-                    )
-                    break
-                correct = None
-                if expected is not None and root in expected:
-                    correct = bool(
-                        np.array_equal(response.parent, expected[root])
-                    )
-                outcomes.append(
-                    QueryOutcome(
-                        root=root,
-                        cached=response.cached,
-                        correct=correct,
-                        total_seconds=response.total_seconds,
-                        batch_lanes=response.batch_lanes,
-                        shed_retries=retries,
-                    )
+            outcomes.append(
+                await record_query(
+                    functools.partial(service.submit, root),
+                    root,
+                    want=expected.get(root),
+                    shed_backoff=shed_backoff,
+                    max_shed_retries=max_shed_retries,
                 )
-                break
+            )
 
     await asyncio.gather(*(client() for _ in range(clients)))
     return WorkloadReport(outcomes=outcomes)
@@ -486,6 +508,71 @@ async def _scrape_loop(
         await asyncio.sleep(interval)
 
 
+async def run_session(service, drive, *, telemetry, cluster=None):
+    """Start ``service``, await ``drive()`` against it, stop it.
+
+    Returns ``(report, service)``, or with ``telemetry`` (a dict, see
+    :func:`run_serving_session`) brings the live plane up for the
+    session and returns ``(report, service, TelemetrySummary)``.
+    ``cluster`` is the multi-tenant service whose per-tenant SLO
+    monitors back the ``/slo`` views in place of ``telemetry["slos"]``.
+    """
+    if telemetry is None:
+        async with service:
+            return await drive(), service
+
+    from repro.obs.slo import SLOMonitor
+    from repro.obs.timeline import TelemetrySampler
+    from repro.serve.telemetry import TelemetryServer
+
+    metrics = service.metrics
+    if not metrics.enabled:
+        raise ValueError("telemetry requires metrics= a real MetricsRegistry")
+    interval = float(telemetry.get("interval", 0.05))
+    sampler = TelemetrySampler(metrics, interval=interval)
+    slos = tuple(telemetry.get("slos", ()))
+    monitor = SLOMonitor(metrics, slos) if slos else None
+    server = TelemetryServer(
+        service,
+        metrics,
+        port=int(telemetry.get("port", 0)),
+        sampler=sampler,
+        slo_monitor=monitor,
+        cluster=cluster,
+    )
+    summary = TelemetrySummary()
+    async with service:
+        async with server:
+            summary.port = server.port
+            if monitor is not None:
+                monitor.observe()  # zero baseline for the window delta
+            await sampler.start()
+            scraper = None
+            if telemetry.get("scrape", True):
+                scraper = asyncio.create_task(
+                    _scrape_loop(summary, "127.0.0.1", server.port, interval)
+                )
+            try:
+                report = await drive()
+                # One settled pass so the final state is observable.
+                await asyncio.sleep(interval)
+            finally:
+                if scraper is not None:
+                    scraper.cancel()
+                    try:
+                        await scraper
+                    except asyncio.CancelledError:
+                        pass
+                await sampler.stop()
+            sampler.sample()
+            if cluster is not None:
+                summary.slo = cluster.slo_status()
+            elif monitor is not None:
+                summary.slo = monitor.evaluate()
+    summary.samples = sampler.taken
+    return report, service, summary
+
+
 def run_serving_session(
     engine,
     roots,
@@ -510,65 +597,12 @@ def run_serving_session(
 
     async def main():
         service = TraversalService(engine, **service_kwargs)
-        if telemetry is None:
-            async with service:
-                report = await run_workload(
-                    service, roots, clients=clients, expected=expected
-                )
-            return report, service
-
-        from repro.obs.slo import SLOMonitor
-        from repro.obs.timeline import TelemetrySampler
-        from repro.serve.telemetry import TelemetryServer
-
-        registry = service_kwargs.get("metrics")
-        if registry is None or not getattr(registry, "enabled", False):
-            raise ValueError(
-                "telemetry requires metrics= a real MetricsRegistry"
-            )
-        interval = float(telemetry.get("interval", 0.05))
-        sampler = TelemetrySampler(registry, interval=interval)
-        slos = tuple(telemetry.get("slos", ()))
-        monitor = SLOMonitor(registry, slos) if slos else None
-        server = TelemetryServer(
+        return await run_session(
             service,
-            registry,
-            port=int(telemetry.get("port", 0)),
-            sampler=sampler,
-            slo_monitor=monitor,
+            lambda: run_workload(
+                service, roots, clients=clients, expected=expected
+            ),
+            telemetry=telemetry,
         )
-        summary = TelemetrySummary()
-        async with service:
-            async with server:
-                summary.port = server.port
-                if monitor is not None:
-                    monitor.observe()  # zero baseline for the window delta
-                await sampler.start()
-                scraper = None
-                if telemetry.get("scrape", True):
-                    scraper = asyncio.create_task(
-                        _scrape_loop(
-                            summary, "127.0.0.1", server.port, interval
-                        )
-                    )
-                try:
-                    report = await run_workload(
-                        service, roots, clients=clients, expected=expected
-                    )
-                    # One settled pass so the final state is observable.
-                    await asyncio.sleep(interval)
-                finally:
-                    if scraper is not None:
-                        scraper.cancel()
-                        try:
-                            await scraper
-                        except asyncio.CancelledError:
-                            pass
-                    await sampler.stop()
-                sampler.sample()
-                if monitor is not None:
-                    summary.slo = monitor.evaluate()
-        summary.samples = sampler.taken
-        return report, service, summary
 
     return asyncio.run(main())

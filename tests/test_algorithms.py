@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.algorithms import (
+from repro.core.programs import (
     PageRankResult,
     SSSPResult,
     generate_weights,

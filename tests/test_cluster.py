@@ -31,6 +31,7 @@ from repro.obs.slo import SLOMonitor, SLOSpec
 from repro.resilience.faults import FaultInjector
 from repro.serve.service import (
     LATENCY_BUCKETS,
+    IngestReport,
     Overloaded,
     ServeStats,
     TraversalError,
@@ -476,7 +477,7 @@ class TestIngestIsolation:
                 return report, resp
 
         report, resp = run_async(scenario())
-        assert report.tenant == "t0"
+        assert isinstance(report, IngestReport) and report.tenant == "t0"
         assert report.num_updates == 3
         assert report.old_fingerprint == before["t0"]
         assert report.new_fingerprint == registry["t0"].fingerprint
@@ -484,7 +485,7 @@ class TestIngestIsolation:
         # The other tenant's generation never moved.
         assert registry["t1"].fingerprint == before["t1"]
         # Post-ingest serving matches a sequential run on the repaired
-        # graph (swap_graph rebuilt both engines together).
+        # graph (the sequential sibling follows the swapped generation).
         want = registry["t0"].sequential.run(1).parent
         np.testing.assert_array_equal(resp.parent, want)
 

@@ -16,7 +16,6 @@ from repro.analysis.timeline import (
     category_seconds_from_trace,
     iteration_component_seconds_from_trace,
     phase_seconds_from_trace,
-    render_timeline,
 )
 from repro.core import BFSConfig, DistributedBFS, partition_graph
 from repro.graph500.rmat import generate_edges
@@ -193,14 +192,6 @@ class TestEngineIntegration:
         assert len(rows) == len(res.iterations)
         total = sum(sum(r.values()) for r in rows)
         assert total == pytest.approx(res.ledger.total_seconds, rel=1e-12)
-
-    def test_render_timeline_uses_exact_trace(self):
-        res, tracer, *_ = build_traced_run()
-        exact = render_timeline(res, tracer=tracer)
-        apportioned = render_timeline(res)
-        # Same shape either way; the traced path must include every
-        # iteration row.
-        assert len(exact.splitlines()) == len(apportioned.splitlines())
 
 
 class TestDriverIntegration:

@@ -306,6 +306,43 @@ class TestTraversalService:
         assert svc.stats.completed == 1
         assert ok.parent is not None
 
+    def test_replay_budget_is_per_request(self, engines):
+        """A fresh request that joins a replayed batch head keeps its
+        own budget: the head fails typed, the newcomer is replayed."""
+        sequential, batched, _ = engines
+        roots = np.flatnonzero(batched.part.degrees > 0)
+        a, b = int(roots[0]), int(roots[1])
+        injector = FaultInjector(
+            "crash:rank=1,iter=1;crash:rank=0,iter=1",
+            rng=np.random.default_rng(0),
+        )
+
+        async def main():
+            svc = TraversalService(
+                batched, batch_window=0.05, faults=injector, max_replays=1,
+                cache=None,
+            )
+            async with svc:
+                first = asyncio.ensure_future(svc.submit(a))
+                while svc.stats.replays < 1:
+                    await asyncio.sleep(0.001)
+                # A is back at the queue head (one attempt spent), its
+                # batch window open: B rides the second crash with it.
+                second = asyncio.ensure_future(svc.submit(b))
+                done = await asyncio.wait_for(
+                    asyncio.gather(first, second, return_exceptions=True),
+                    timeout=30,
+                )
+            return svc, done
+
+        svc, (first, second) = run_async(main())
+        assert isinstance(first, TraversalError)
+        assert first.trace_id == "req-000001"
+        assert np.array_equal(second.parent, sequential.run(b).parent)
+        assert svc.stats.failed == 1 and svc.stats.completed == 1
+        assert svc.stats.replays == 2
+        assert svc.request_timeline(first.trace_id).status == "failed"
+
     def test_latency_histograms_populated(self, engines):
         _, batched, _ = engines
         metrics = MetricsRegistry()
@@ -348,7 +385,7 @@ class TestTraversalService:
             return svc, response
 
         svc, response = run_async(main())
-        assert svc._cache.stats.evicted_invalidation >= 1
+        assert svc.graph.cache.stats.evicted_invalidation >= 1
         assert not response.cached
 
     def test_submit_validates_inputs(self, engines):
