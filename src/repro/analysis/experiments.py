@@ -155,27 +155,16 @@ def run_15d(
     if faults is None and not checkpoint_every:
         return part, engine.run(setup.root)
 
-    from repro.resilience import (
-        FaultInjector,
-        LevelCheckpointer,
-        RecoveryPolicy,
-        run_with_recovery,
-    )
+    from repro.resilience import build_resilience, run_with_recovery
 
-    injector = None
-    if faults is not None:
-        injector = (
-            faults
-            if isinstance(faults, FaultInjector)
-            else FaultInjector(faults, rng=np.random.default_rng(setup.scale))
-        )
-        injector.plan.validate(setup.mesh.num_ranks)
+    injector, checkpointer, policy = build_resilience(
+        faults, checkpoint_every=checkpoint_every, max_restarts=max_restarts,
+        recovery_mode=recovery_mode, mesh=setup.mesh,
+        rng=np.random.default_rng(setup.scale),
+    )
     recovered = run_with_recovery(
-        engine,
-        setup.root,
-        faults=injector if injector is not None else None,
-        checkpointer=LevelCheckpointer(every=checkpoint_every, mesh=setup.mesh),
-        policy=RecoveryPolicy(max_restarts=max_restarts, mode=recovery_mode),
+        engine, setup.root, faults=injector, checkpointer=checkpointer,
+        policy=policy,
     )
     result = recovered.result
     result.resilient = recovered

@@ -518,17 +518,7 @@ def _write_trace(tracer, path) -> bool:
     return True
 
 
-def _cmd_graph500(args) -> int:
-    from repro.runtime.backends import create_backend
-
-    backend = create_backend(args.backend, workers=args.workers)
-    try:
-        return _cmd_graph500_impl(args, backend)
-    finally:
-        backend.close()
-
-
-def _cmd_graph500_impl(args, backend) -> int:
+def _cmd_graph500(args, backend) -> int:
     from repro.graph500.driver import run_graph500
     from repro.obs.tracer import Tracer
 
@@ -566,17 +556,7 @@ def _cmd_graph500_impl(args, backend) -> int:
     return 0 if report.validated and wrote else 1
 
 
-def _cmd_bfs(args) -> int:
-    from repro.runtime.backends import create_backend
-
-    backend = create_backend(args.backend, workers=args.workers)
-    try:
-        return _cmd_bfs_impl(args, backend)
-    finally:
-        backend.close()
-
-
-def _cmd_bfs_impl(args, backend) -> int:
+def _cmd_bfs(args, backend) -> int:
     from repro.analysis.experiments import build_setup, run_15d
     from repro.analysis.reporting import ascii_table, format_seconds
     from repro.obs.tracer import Tracer
@@ -827,17 +807,7 @@ def _cmd_sssp(args) -> int:
     return 0
 
 
-def _cmd_algo(args) -> int:
-    from repro.runtime.backends import create_backend
-
-    backend = create_backend(args.backend, workers=args.workers)
-    try:
-        return _cmd_algo_impl(args, backend)
-    finally:
-        backend.close()
-
-
-def _cmd_algo_impl(args, backend) -> int:
+def _cmd_algo(args, backend) -> int:
     from repro.core.programs import PROGRAM_REGISTRY, available_programs
 
     if args.list:
@@ -949,30 +919,21 @@ def _cmd_algo_impl(args, backend) -> int:
             print("usage: see `repro algo --help`", file=sys.stderr)
             return 2
 
-        resilience: dict = {}
         if args.faults is not None or args.checkpoint_every:
             from repro.resilience import (
-                FaultInjector,
-                LevelCheckpointer,
-                RecoveryPolicy,
+                build_resilience,
                 run_program_with_recovery,
             )
 
-            injector = None
-            if args.faults is not None:
-                injector = FaultInjector(
-                    args.faults, rng=np.random.default_rng(args.scale)
-                )
-                injector.plan.validate(setup.mesh.num_ranks)
+            injector, checkpointer, policy = build_resilience(
+                args.faults, checkpoint_every=args.checkpoint_every,
+                max_restarts=args.max_restarts,
+                recovery_mode=args.recovery_mode, mesh=setup.mesh,
+                rng=np.random.default_rng(args.scale),
+            )
             recovered = run_program_with_recovery(
-                engine, program,
-                faults=injector,
-                checkpointer=LevelCheckpointer(
-                    every=args.checkpoint_every, mesh=setup.mesh
-                ),
-                policy=RecoveryPolicy(
-                    max_restarts=args.max_restarts, mode=args.recovery_mode
-                ),
+                engine, program, faults=injector, checkpointer=checkpointer,
+                policy=policy,
             )
             res = recovered.result
         else:
@@ -1170,16 +1131,6 @@ def _cmd_chaos(args) -> int:
     ))
     print("chaos gate:", "PASS" if all_ok else "FAIL")
     return 0 if all_ok else 1
-
-
-def _cmd_serve(args) -> int:
-    from repro.runtime.backends import create_backend
-
-    backend = create_backend(args.backend, workers=args.workers)
-    try:
-        return _cmd_serve_impl(args, backend)
-    finally:
-        backend.close()
 
 
 class _StragglerEngine:
@@ -1396,7 +1347,7 @@ def _cmd_serve_cluster(args, backend) -> int:
     return 0 if ok else 1
 
 
-def _cmd_serve_impl(args, backend) -> int:
+def _cmd_serve(args, backend) -> int:
     if args.tenants is not None or args.smoke:
         return _cmd_serve_cluster(args, backend)
     from repro.analysis.reporting import ascii_table, format_seconds
@@ -1532,17 +1483,7 @@ def _cmd_serve_impl(args, backend) -> int:
     return 0 if ok else 1
 
 
-def _cmd_bench_serve(args) -> int:
-    from repro.runtime.backends import create_backend
-
-    backend = create_backend(args.backend, workers=args.workers)
-    try:
-        return _cmd_bench_serve_impl(args, backend)
-    finally:
-        backend.close()
-
-
-def _cmd_bench_serve_impl(args, backend) -> int:
+def _cmd_bench_serve(args, backend) -> int:
     from repro.analysis.reporting import ascii_table
     from repro.graph500.driver import sample_roots
     from repro.serve.bench import (
@@ -1640,8 +1581,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     from repro.resilience import CheckpointError, FaultSpecError, RecoveryError
 
+    command = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        if not hasattr(args, "backend"):
+            return command(args)
+        # Commands that declare --backend get it opened (and closed —
+        # worker processes, /dev/shm segments) around the whole command.
+        from repro.runtime.backends import create_backend
+
+        with create_backend(args.backend, workers=args.workers) as backend:
+            return command(args, backend)
     except (FaultSpecError, CheckpointError, RecoveryError) as exc:
         # Resilience misconfiguration (bad spec, rank out of range,
         # corrupt snapshot, restart budget exhausted) is a usage-class

@@ -353,7 +353,7 @@ class ClusterService:
         self._inflight += len(batch)
         run = await self._core.run(tenant, scope, batch)
         self._inflight -= len(batch)
-        if run is not None and replica.kill_requested:
+        if run is not None and run.result is not None and replica.kill_requested:
             # Killed mid-batch: the replica is gone as far as clients
             # are concerned, so its computed results are discarded and
             # the batch re-routed like a crash.

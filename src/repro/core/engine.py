@@ -67,11 +67,14 @@ from repro.core.subgraphs import COMPONENT_ORDER
 from repro.machine.network import MachineSpec
 from repro.obs.tracer import Tracer
 
-__all__ = ["DistributedBFS"]
+__all__ = ["DistributedBFS", "FifteenDHost"]
 
 
-class DistributedBFS(SchedulerHost):
-    """BFS over a 1.5D-partitioned graph on a simulated machine."""
+class FifteenDHost(SchedulerHost):
+    """What every 1.5D engine is built from: a partition on a machine,
+    the kernel context, and the six component kernels mounted densest
+    first on one scheduler.  :class:`DistributedBFS` adds the sequential
+    hooks, :class:`~repro.serve.msbfs.MultiSourceBFS` the batched ones."""
 
     def __init__(
         self,
@@ -104,11 +107,15 @@ class DistributedBFS(SchedulerHost):
         self.num_vertices = part.num_vertices
         self.num_input_edges = part.total_arcs // 2
 
-    # Convenience views onto the kernel context (public API of old).
     @property
     def cost(self):
         return self.ctx.cost
 
+
+class DistributedBFS(FifteenDHost):
+    """BFS over a 1.5D-partitioned graph on a simulated machine."""
+
+    # Convenience views onto the kernel context (public API of old).
     @property
     def rates(self):
         return self.ctx.rates

@@ -1,22 +1,31 @@
 """The shared level-synchronous scheduler.
 
 Every traversal engine in the repo — the 1.5D ``DistributedBFS``, the
-rank-explicit ``ReplayBFS``, and the 1D/2D baselines — executes through
-one :class:`LevelSyncScheduler`.  The scheduler owns the only
-sub-iteration loop: per BFS level it prices the engine's frontier sync,
+rank-explicit ``ReplayBFS``, the 1D/2D baselines and the 64-lane
+``MultiSourceBFS`` — executes through one :class:`LevelSyncScheduler`,
+and the scheduler owns exactly one level loop
+(:meth:`LevelSyncScheduler._drive`): per level it consults the fault
+injector, stops on an empty frontier, prices the engine's frontier sync,
 resolves each component's direction (whole-iteration or fresh
-per-component), runs the mounted :class:`~repro.core.kernels.base.ComponentKernel`
-set densest-first inside ``component`` tracer spans, and commits
-activations so later sub-iterations of the same level see the fresh
-visited state (§4.2's freshness rule).
+per-component), runs the mounted
+:class:`~repro.core.kernels.base.ComponentKernel` set densest-first
+inside ``component`` tracer spans, commits activations so later
+sub-iterations of the same level see the fresh state (§4.2's freshness
+rule), and snapshots at the checkpoint cadence.
+
+What *differs* between a single-root BFS, a vertex program and a batched
+wave — the traversal state, a component's direction(s), what one
+sub-iteration executes and commits — lives in a small per-mode state
+object (:class:`_LevelMode`) that ``run``, ``run_program`` and
+``run_batch`` build and hand to the drive loop.
 
 Engines differ only through the :class:`SchedulerHost` hooks they
 implement: what a frontier sync costs, how directions are chosen, how
 activations are recorded, and what happens at iteration/run end (eager
 vs §5-delayed parent reduction, the replay's message routing and
 delegate seeding).  One loop, one frontier/visited/parent semantics,
-one tracing shape (``bfs`` → ``iteration`` → ``component`` → charge
-leaves) for every engine.
+one tracing shape (``bfs``/``program``/``msbfs`` → ``iteration``/``wave``
+→ ``component`` → charge leaves) for every engine and mode.
 
 Because the loop is shared, so is the metrics surface: pass ``metrics=``
 a :class:`~repro.obs.metrics.MetricsRegistry` and every engine emits the
@@ -45,8 +54,6 @@ __all__ = [
     "LevelSyncScheduler",
     "SchedulerHost",
     "BatchRunState",
-    "ResumePoint",
-    "ProgramResumePoint",
 ]
 
 
@@ -68,53 +75,6 @@ class BatchRunState:
     lane_frontiers: list[np.ndarray] = field(default_factory=list)
     #: Per wave: ``{component: (push_lane_mask, pull_lane_mask)}``.
     lane_directions: list[dict] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class ResumePoint:
-    """A synthetic mid-traversal entry point for :meth:`LevelSyncScheduler.run`.
-
-    Structurally identical to a
-    :class:`~repro.resilience.checkpoint.Checkpoint` (the ``resume=``
-    parameter is duck-typed on exactly these fields) but constructed
-    from *derived* state rather than captured live state — no sha256
-    fingerprint, no persistence.  The incremental result patcher
-    (:mod:`repro.dynamic.patch`) builds one from a repaired result's
-    unaffected level prefix and re-enters the level loop at the first
-    iteration the graph delta can influence: the scheduler resumes at
-    ``iteration + 1``, so ``iteration = k - 1`` re-runs levels ``k``
-    onward.  ``parent``/``visited``/``active`` must be the exact state
-    a fresh run would hold after completing iteration ``iteration``.
-    """
-
-    root: int
-    #: Last completed iteration index (state is *after* this level).
-    iteration: int
-    parent: np.ndarray
-    visited: np.ndarray
-    active: np.ndarray
-    #: Per-iteration records of the kept prefix.
-    records: tuple = ()
-
-
-@dataclass(frozen=True)
-class ProgramResumePoint:
-    """Synthetic resume for :meth:`LevelSyncScheduler.run_program`.
-
-    The vertex-program sibling of :class:`ResumePoint` (duck-typed like
-    a :class:`~repro.resilience.checkpoint.ProgramCheckpoint`): restores
-    the program's ``state`` dict and re-enters the iteration loop with
-    ``active`` as the frontier.  With ``iteration = -1`` the loop starts
-    at 0, i.e. a fresh run seeded with arbitrary prior state — how the
-    dynamic layer re-converges SSSP from patched distances instead of
-    recomputing from the root.
-    """
-
-    program: str
-    iteration: int
-    active: np.ndarray
-    state: dict
-    records: tuple = ()
 
 
 class SchedulerHost:
@@ -234,6 +194,10 @@ class LevelSyncScheduler:
         if self.tracer.enabled or self.metrics.enabled:
             backend.attach_telemetry(self.tracer, self.metrics)
 
+    # ------------------------------------------------------------------
+    # entry points: build the mode, hand it to the one drive loop
+    # ------------------------------------------------------------------
+
     def run(
         self,
         root: int,
@@ -268,168 +232,21 @@ class LevelSyncScheduler:
         resume:
             A :class:`~repro.resilience.checkpoint.Checkpoint` to
             continue from instead of seeding from scratch: the scheduler
-            restores the snapshot's arrays and records, charges the
+            restores the snapshot's state and records, charges the
             restore broadcast, asks the host to
             :meth:`~SchedulerHost.restore` its private state, and
-            re-enters the level loop at the snapshot's next iteration.
+            re-enters the level loop at the snapshot's next iteration
+            (``iteration = k - 1`` re-runs levels ``k`` onward).  The
+            snapshot need not have been captured live: the incremental
+            patcher (:mod:`repro.dynamic.patch`) builds one from a
+            repaired result's unaffected level prefix.
         """
-        host = self.host
-        n = host.num_vertices
+        n = self.host.num_vertices
         if not 0 <= root < n:
             raise ValueError(f"root {root} out of range for n={n}")
-
-        tracer = self.tracer
-        metrics = self.metrics
-        ledger = host.make_ledger(tracer, metrics)
-        if faults is not None and faults.enabled:
-            ledger.faults = faults
-
-        if resume is None:
-            parent = np.full(n, -1, dtype=np.int64)
-            visited = np.zeros(n, dtype=bool)
-            active = np.zeros(n, dtype=bool)
-            parent[root] = root
-            visited[root] = True
-            active[root] = True
-            iterations: list[IterationRecord] = []
-            start_it = 0
-            host.seed(root)
-            metrics.counter("bfs_runs").inc()
-        else:
-            if resume.root != root:
-                raise ValueError(
-                    f"resume snapshot is for root {resume.root}, not {root}"
-                )
-            parent = resume.parent.copy()
-            visited = resume.visited.copy()
-            active = resume.active.copy()
-            iterations = list(resume.records)
-            start_it = resume.iteration + 1
-            host.restore(root, parent, visited, active)
-            if checkpointer is not None and resume.iteration >= 0:
-                checkpointer.charge_restore(ledger, resume)
-            metrics.counter("bfs_resumes").inc()
-
-        with tracer.span("bfs", category="bfs", root=root, **(span_attrs or {})):
-            try:
-                self._level_loop(
-                    host, ledger, parent, visited, active, iterations,
-                    start_it, root, faults, checkpointer,
-                )
-            except Exception as exc:
-                # Annotate a simulated crash with what the aborted
-                # attempt cost, then let the recovery policy take over.
-                from repro.resilience.faults import RankCrashError
-
-                if isinstance(exc, RankCrashError):
-                    exc.ledger = ledger
-                    exc.completed_iterations = len(iterations)
-                if faults is not None:
-                    faults.end_run()
-                raise
-            host.end_run(ledger, tracer, parent)
-        if faults is not None:
-            faults.end_run()
-
-        return BFSRunResult(
-            root=root,
-            parent=parent,
-            iterations=iterations,
-            ledger=ledger,
-            total_seconds=ledger.total_seconds,
-            num_input_edges=host.num_input_edges,
-            metrics=metrics,
+        return self._drive(
+            _BFSMode(self, root), faults, checkpointer, resume, span_attrs
         )
-
-    def _level_loop(
-        self, host, ledger, parent, visited, active, iterations,
-        start_it, root, faults, checkpointer,
-    ) -> None:
-        """The shared per-level loop (see :meth:`run` for the contract)."""
-        n = host.num_vertices
-        tracer = self.tracer
-        metrics = self.metrics
-        for it in range(start_it, host.config.max_iterations):
-            if faults is not None:
-                faults.begin_iteration(it)
-            if not active.any():
-                break
-            frontier = int(np.count_nonzero(active))
-            metrics.counter("iterations").inc()
-            metrics.histogram("frontier_size").observe(frontier)
-            with tracer.span(
-                "iteration", category="iteration", index=it, frontier=frontier
-            ):
-                host.begin_iteration(ledger, active, visited)
-                record = IterationRecord(index=it, frontier_size=frontier)
-                next_active = np.zeros(n, dtype=bool)
-                global_dir = host.iteration_direction(active, visited)
-                metrics.counter(
-                    "direction_mode",
-                    mode="fresh" if global_dir is None else "whole",
-                ).inc()
-
-                for name, kernel in self.kernels.items():
-                    if kernel.num_arcs == 0:
-                        record.directions[name] = "-"
-                        metrics.counter(
-                            "subiteration_skips", component=name
-                        ).inc()
-                        continue
-                    if global_dir is None:
-                        direction = host.component_direction(
-                            name, active, visited
-                        )
-                    else:
-                        direction = global_dir
-                    record.directions[name] = direction
-                    with tracer.span(
-                        name,
-                        category="component",
-                        iteration=it,
-                        direction=direction,
-                    ) as csp:
-                        newly, parents = self.backend.execute(
-                            kernel, direction, active, visited, ledger, record
-                        )
-                        csp.add_counter(
-                            "edges", record.scanned_arcs.get(name, 0)
-                        )
-                        if record.messages.get(name, 0):
-                            csp.add_counter("messages", record.messages[name])
-                        csp.add_counter("activated", newly.size)
-                    labels = dict(component=name, direction=direction)
-                    metrics.counter("subiterations", **labels).inc()
-                    metrics.counter("edges_scanned", **labels).inc(
-                        record.scanned_arcs.get(name, 0)
-                    )
-                    metrics.counter("messages", **labels).inc(
-                        record.messages.get(name, 0)
-                    )
-                    metrics.counter("activated", **labels).inc(newly.size)
-                    if newly.size:
-                        parent[newly] = parents
-                        visited[newly] = True
-                        next_active[newly] = True
-
-                host.record_activation(record, next_active)
-                host.end_iteration(
-                    ledger, record, active, visited, parent, next_active
-                )
-                iterations.append(record)
-                active = next_active
-
-            # Level committed: snapshot at the consistency point the
-            # level-synchronous structure guarantees.
-            if checkpointer is not None and checkpointer.due(it):
-                checkpointer.save(
-                    ledger=ledger, root=root, iteration=it, parent=parent,
-                    visited=visited, active=active, records=iterations,
-                )
-
-    # ------------------------------------------------------------------
-    # vertex programs
-    # ------------------------------------------------------------------
 
     def run_program(
         self,
@@ -448,173 +265,18 @@ class LevelSyncScheduler:
         selected arcs to the program's gather → combine → apply and the
         union of activations feeds ``program.end_iteration``, which
         returns the next frontier (or ``None`` when converged).  Faults,
-        checkpointing (via
-        :meth:`~repro.resilience.checkpoint.LevelCheckpointer.save_program`),
-        spans (``program`` → ``iteration`` → ``component``), and the
-        per-component metric families all come from the shared loop —
-        zero per-algorithm glue.
+        checkpointing (the snapshot's state is whatever
+        ``program.snapshot()`` declares), spans (``program`` →
+        ``iteration`` → ``component``), and the per-component metric
+        families all come from the shared loop — zero per-algorithm
+        glue.  A ``resume`` with ``iteration = -1`` is a fresh run seeded
+        with arbitrary prior state — how the dynamic layer re-converges
+        SSSP from patched distances instead of recomputing from the root.
         """
-        from repro.core.programs.base import ProgramRunResult
-
-        host = self.host
-        tracer = self.tracer
-        metrics = self.metrics
-        for name, kernel in self.kernels.items():
-            if kernel.num_arcs and not kernel.supports_programs:
-                raise NotImplementedError(
-                    f"kernel {name} does not support vertex programs"
-                )
-        ledger = host.make_ledger(tracer, metrics)
-        if faults is not None and faults.enabled:
-            ledger.faults = faults
-
-        if resume is None:
-            active = program.initial_frontier()
-            records: list[IterationRecord] = []
-            start_it = 0
-            metrics.counter("program_runs", program=program.name).inc()
-        else:
-            if resume.program != program.name:
-                raise ValueError(
-                    f"resume snapshot is for program {resume.program!r}, "
-                    f"not {program.name!r}"
-                )
-            program.restore(resume.state)
-            active = resume.active.copy()
-            records = list(resume.records)
-            start_it = resume.iteration + 1
-            if checkpointer is not None and resume.iteration >= 0:
-                checkpointer.charge_restore(ledger, resume)
-            metrics.counter("program_resumes", program=program.name).inc()
-
-        with tracer.span(
-            "program", category="bfs", program=program.name,
-            **(span_attrs or {}),
-        ):
-            try:
-                self._program_loop(
-                    program, host, ledger, active, records, start_it,
-                    faults, checkpointer,
-                )
-            except Exception as exc:
-                from repro.resilience.faults import RankCrashError
-
-                if isinstance(exc, RankCrashError):
-                    exc.ledger = ledger
-                    exc.completed_iterations = len(records)
-                if faults is not None:
-                    faults.end_run()
-                raise
-            host.end_run(ledger, tracer, None)
-            program.end_run()
-        if faults is not None:
-            faults.end_run()
-
-        return ProgramRunResult(
-            program=program.name,
-            state=program.state_arrays(),
-            iterations=records,
-            ledger=ledger,
-            num_input_edges=host.num_input_edges,
-            converged=program.converged,
-            info=program.info(),
+        self._require("supports_programs", "vertex programs")
+        return self._drive(
+            _ProgramMode(self, program), faults, checkpointer, resume, span_attrs
         )
-
-    def _program_loop(
-        self, program, host, ledger, active, records, start_it,
-        faults, checkpointer,
-    ) -> None:
-        """The shared per-iteration program loop (see :meth:`run_program`)."""
-        n = host.num_vertices
-        tracer = self.tracer
-        metrics = self.metrics
-        pname = program.name
-        for it in range(start_it, program.max_iterations):
-            if faults is not None:
-                faults.begin_iteration(it)
-            if active is None or not active.any():
-                break
-            frontier = int(np.count_nonzero(active))
-            metrics.counter("program_iterations", program=pname).inc()
-            metrics.histogram("frontier_size").observe(frontier)
-            with tracer.span(
-                "iteration", category="iteration", index=it, frontier=frontier
-            ):
-                settled = program.settled_mask()
-                host.begin_iteration(ledger, active, settled)
-                program.begin_iteration(it, active)
-                record = IterationRecord(index=it, frontier_size=frontier)
-                touched = np.zeros(n, dtype=bool)
-                free_choice = (
-                    program.forced_direction is None and program.supports_pull
-                )
-                metrics.counter(
-                    "direction_mode", mode="fresh" if free_choice else "forced"
-                ).inc()
-
-                for name, kernel in self.kernels.items():
-                    if kernel.num_arcs == 0:
-                        record.directions[name] = "-"
-                        metrics.counter(
-                            "subiteration_skips", component=name
-                        ).inc()
-                        continue
-                    if free_choice:
-                        direction = host.component_direction(
-                            name, active, settled
-                        )
-                    else:
-                        direction = program.forced_direction or "push"
-                    record.directions[name] = direction
-                    with tracer.span(
-                        name,
-                        category="component",
-                        iteration=it,
-                        direction=direction,
-                    ) as csp:
-                        newly = self.backend.execute_program(
-                            kernel, program, direction, active, ledger, record
-                        )
-                        csp.add_counter(
-                            "edges", record.scanned_arcs.get(name, 0)
-                        )
-                        if record.messages.get(name, 0):
-                            csp.add_counter("messages", record.messages[name])
-                        csp.add_counter("activated", newly.size)
-                    labels = dict(component=name, direction=direction)
-                    metrics.counter("subiterations", **labels).inc()
-                    metrics.counter("edges_scanned", **labels).inc(
-                        record.scanned_arcs.get(name, 0)
-                    )
-                    metrics.counter("messages", **labels).inc(
-                        record.messages.get(name, 0)
-                    )
-                    metrics.counter("activated", **labels).inc(newly.size)
-                    if newly.size:
-                        touched[newly] = True
-
-                host.record_activation(record, touched)
-                metrics.counter("program_updates", program=pname).inc(
-                    int(np.count_nonzero(touched))
-                )
-                next_active = program.end_iteration(it, active, touched)
-                host.end_iteration(
-                    ledger, record, active, settled, None, next_active
-                )
-                records.append(record)
-                active = next_active
-
-            # Iteration committed — program state is the consistency
-            # point, exactly like the level commit in BFS.
-            if checkpointer is not None and active is not None and checkpointer.due(it):
-                checkpointer.save_program(
-                    ledger=ledger, program=program, iteration=it,
-                    active=active, records=records,
-                )
-
-    # ------------------------------------------------------------------
-    # batched (multi-source) waves
-    # ------------------------------------------------------------------
 
     def run_batch(self, roots, *, faults=None, span_attrs=None) -> BatchRunState:
         """Run up to 64 BFS lanes as one level-synchronous traversal.
@@ -633,131 +295,421 @@ class LevelSyncScheduler:
         (checkpoint/resume is per-root machinery and is not supported
         here).
         """
+        self._require("supports_lanes", "batched waves")
+        return self._drive(_WaveMode(self, roots), faults, None, None, span_attrs)
+
+    def _require(self, capability: str, what: str) -> None:
+        for name, kernel in self.kernels.items():
+            if kernel.num_arcs and not getattr(kernel, capability):
+                raise NotImplementedError(
+                    f"kernel {name} does not support {what}"
+                )
+
+    # ------------------------------------------------------------------
+    # the one level loop
+    # ------------------------------------------------------------------
+
+    def _drive(self, mode, faults, checkpointer, resume, span_attrs):
+        """Drive ``mode`` level by level (see :class:`_LevelMode`)."""
         host = self.host
         tracer = self.tracer
         metrics = self.metrics
-        for name, kernel in self.kernels.items():
-            if kernel.num_arcs and not kernel.supports_lanes:
-                raise NotImplementedError(
-                    f"kernel {name} does not support batched waves"
-                )
-        lanes = LaneState(host.num_vertices, roots)
         ledger = host.make_ledger(tracer, metrics)
         if faults is not None and faults.enabled:
             ledger.faults = faults
-        records: list[IterationRecord] = []
-        lane_frontiers: list[np.ndarray] = []
-        lane_directions: list[dict] = []
-        metrics.counter("msbfs_batches").inc()
-        metrics.histogram("msbfs_batch_lanes").observe(lanes.num_lanes)
+
+        if resume is None:
+            records: list[IterationRecord] = []
+            start_it = 0
+            mode.seed()
+        else:
+            if resume.key != mode.key:
+                raise ValueError(
+                    f"resume snapshot is for {resume.key!r}, not {mode.key!r}"
+                )
+            records = list(resume.records)
+            start_it = resume.iteration + 1
+            mode.restore(resume.state, resume.active.copy())
+            if checkpointer is not None and resume.iteration >= 0:
+                checkpointer.charge_restore(ledger, resume)
 
         with tracer.span(
-            "msbfs", category="bfs", lanes=lanes.num_lanes,
-            **(span_attrs or {}),
+            mode.span, category="bfs", **mode.span_attrs, **(span_attrs or {})
         ):
             try:
-                for it in range(host.config.max_iterations):
+                for it in range(start_it, mode.max_iterations):
                     if faults is not None:
                         faults.begin_iteration(it)
-                    per_lane = lanes.frontier_sizes()
-                    frontier = int(per_lane.sum())
+                    frontier = mode.frontier_size()
                     if frontier == 0:
                         break
-                    metrics.counter("msbfs_waves").inc()
+                    metrics.counter(mode.level_counter, **mode.labels).inc()
                     metrics.histogram("frontier_size").observe(frontier)
                     with tracer.span(
-                        "wave", category="iteration", index=it, frontier=frontier
+                        mode.level_span, category="iteration", index=it,
+                        frontier=frontier,
                     ):
-                        self._wave(
-                            host, ledger, lanes, it, records,
-                            lane_frontiers, lane_directions, per_lane,
-                        )
+                        record = IterationRecord(index=it, frontier_size=frontier)
+                        metrics.counter(
+                            "direction_mode", mode=mode.begin_level(it, ledger)
+                        ).inc()
+                        for name, kernel in self.kernels.items():
+                            if kernel.num_arcs == 0:
+                                record.directions[name] = "-"
+                                metrics.counter(
+                                    "subiteration_skips", component=name
+                                ).inc()
+                                continue
+                            self._component(mode, name, kernel, it, ledger, record)
+                        mode.end_level(it, ledger, record)
+                        records.append(record)
+
+                    # Level committed: snapshot at the consistency point
+                    # the level-synchronous structure guarantees.
+                    if checkpointer is not None and checkpointer.due(it):
+                        snapshot = mode.snapshot()
+                        if snapshot is not None:
+                            state, active = snapshot
+                            checkpointer.save(
+                                ledger=ledger, key=mode.key, iteration=it,
+                                state=state, active=active, records=records,
+                            )
+                mode.end_run(ledger, tracer)
             except Exception as exc:
+                # Annotate a simulated crash with what the aborted
+                # attempt cost, then let the recovery policy take over.
                 from repro.resilience.faults import RankCrashError
 
                 if isinstance(exc, RankCrashError):
                     exc.ledger = ledger
                     exc.completed_iterations = len(records)
+                raise
+            finally:
                 if faults is not None:
                     faults.end_run()
-                raise
-            host.end_batch_run(ledger, tracer, lanes)
-        if faults is not None:
-            faults.end_run()
-        return BatchRunState(
-            lanes=lanes,
-            records=records,
+        return mode.result(ledger, records)
+
+    def _component(self, mode, name, kernel, it, ledger, record) -> None:
+        """One component's sub-iteration(s): a span and a metrics block
+        per direction the mode asks for (one for a single traversal; up
+        to two lane groups for a wave)."""
+        metrics = self.metrics
+        ran = []
+        for direction, group in mode.directions(name):
+            ran.append(direction)
+            with self.tracer.span(
+                name, category="component", iteration=it, direction=direction
+            ) as csp:
+                activated = mode.execute(kernel, direction, group, ledger, record)
+                csp.add_counter("edges", record.scanned_arcs.get(name, 0))
+                if record.messages.get(name, 0):
+                    csp.add_counter("messages", record.messages[name])
+                csp.add_counter("activated", activated)
+            labels = dict(component=name, direction=direction)
+            metrics.counter("subiterations", **labels).inc()
+            metrics.counter("activated", **labels).inc(activated)
+        # A wave that ran both lane groups records "push|pull"; its
+        # arc/message totals are per component, not per group.
+        labels = dict(component=name, direction="|".join(ran) or "-")
+        record.directions[name] = labels["direction"]
+        metrics.counter("edges_scanned", **labels).inc(
+            record.scanned_arcs.get(name, 0)
+        )
+        metrics.counter("messages", **labels).inc(record.messages.get(name, 0))
+
+
+# ----------------------------------------------------------------------
+# traversal modes: what the drive loop is generic over
+# ----------------------------------------------------------------------
+
+
+class _LevelMode:
+    """Per-run state the drive loop is generic over.
+
+    A mode owns the traversal state (frontier, visited/parent arrays, a
+    program's values, lane words) and answers the questions the loop
+    cannot; the loop owns everything else — fault hooks, spans, the
+    shared metric families, skip handling, crash annotation, checkpoint
+    cadence.  The contract, in call order:
+
+    ``seed()`` / ``restore(state, active)``
+        Initialize state for a fresh run, or from a snapshot; count the
+        run (``*_runs`` / ``*_resumes``).
+    ``frontier_size()``
+        Current frontier population; 0 ends the run.
+    ``begin_level(it, ledger)``
+        Price the frontier sync through the host, reset per-level
+        scratch; returns the ``direction_mode`` label.
+    ``directions(name)``
+        The ``(direction, lane_group)`` pairs component ``name`` runs.
+    ``execute(kernel, direction, group, ledger, record)``
+        Run one sub-iteration through the backend and commit it so the
+        next one sees fresh state; returns the activation count.
+    ``end_level(it, ledger, record)``
+        Host end-of-level hooks; advance the frontier.
+    ``snapshot()``
+        ``(state, active)`` to checkpoint after a level, or ``None``.
+    ``end_run(ledger, tracer)`` / ``result(ledger, records)``
+        Run-end host hooks (inside the root span); the mode's result.
+    """
+
+    #: Root span name; ``span_attrs`` are its identifying attributes.
+    span: str
+    #: Per-level span name (``iteration`` or ``wave``).
+    level_span = "iteration"
+    #: Counter bumped once per executed level, with :attr:`labels`.
+    level_counter: str
+    labels: dict = {}
+    #: Identity a resume snapshot must match (root / program name).
+    key = None
+
+    def __init__(self, scheduler: LevelSyncScheduler) -> None:
+        self.host = scheduler.host
+        self.backend = scheduler.backend
+        self.metrics = scheduler.metrics
+        self.n = self.host.num_vertices
+        self.max_iterations = self.host.config.max_iterations
+
+    # Single-traversal defaults: one boolean frontier ``active``, one
+    # direction per component — the level's ``whole`` choice, or the
+    # host's fresh measurement against ``visited``.
+
+    def frontier_size(self) -> int:
+        return 0 if self.active is None else int(np.count_nonzero(self.active))
+
+    def directions(self, name):
+        direction = self.whole
+        if direction is None:
+            direction = self.host.component_direction(
+                name, self.active, self.visited
+            )
+        return ((direction, None),)
+
+    def snapshot(self):
+        return None
+
+
+class _BFSMode(_LevelMode):
+    """Single-root BFS: parent/visited arrays and a boolean frontier."""
+
+    span = "bfs"
+    level_counter = "iterations"
+
+    def __init__(self, scheduler, root: int) -> None:
+        super().__init__(scheduler)
+        self.key = root
+        self.span_attrs = {"root": root}
+
+    def seed(self) -> None:
+        root = self.key
+        self.parent = np.full(self.n, -1, dtype=np.int64)
+        self.visited = np.zeros(self.n, dtype=bool)
+        self.active = np.zeros(self.n, dtype=bool)
+        self.parent[root] = root
+        self.visited[root] = True
+        self.active[root] = True
+        self.host.seed(root)
+        self.metrics.counter("bfs_runs").inc()
+
+    def restore(self, state, active) -> None:
+        self.parent = state["parent"].copy()
+        self.visited = np.unpackbits(state["visited"], count=self.n).astype(bool)
+        self.active = active
+        self.host.restore(self.key, self.parent, self.visited, active)
+        self.metrics.counter("bfs_resumes").inc()
+
+    def begin_level(self, it, ledger) -> str:
+        self.host.begin_iteration(ledger, self.active, self.visited)
+        self.next_active = np.zeros(self.n, dtype=bool)
+        self.whole = self.host.iteration_direction(self.active, self.visited)
+        return "fresh" if self.whole is None else "whole"
+
+    def execute(self, kernel, direction, group, ledger, record) -> int:
+        newly, parents = self.backend.execute(
+            kernel, direction, self.active, self.visited, ledger, record
+        )
+        if newly.size:
+            self.parent[newly] = parents
+            self.visited[newly] = True
+            self.next_active[newly] = True
+        return newly.size
+
+    def end_level(self, it, ledger, record) -> None:
+        self.host.record_activation(record, self.next_active)
+        self.host.end_iteration(
+            ledger, record, self.active, self.visited, self.parent,
+            self.next_active,
+        )
+        self.active = self.next_active
+
+    def snapshot(self):
+        # Bit-packed visited: the snapshot charges what a rank persists.
+        state = {"parent": self.parent, "visited": np.packbits(self.visited)}
+        return state, self.active
+
+    def end_run(self, ledger, tracer) -> None:
+        self.host.end_run(ledger, tracer, self.parent)
+
+    def result(self, ledger, records) -> BFSRunResult:
+        return BFSRunResult(
+            root=self.key,
+            parent=self.parent,
+            iterations=records,
             ledger=ledger,
-            lane_frontiers=lane_frontiers,
-            lane_directions=lane_directions,
+            total_seconds=ledger.total_seconds,
+            num_input_edges=self.host.num_input_edges,
+            metrics=self.metrics,
         )
 
-    def _wave(
-        self, host, ledger, lanes, it, records,
-        lane_frontiers, lane_directions, per_lane,
-    ) -> None:
-        """One batched level: sync, per-component direction groups,
-        shared execution, commit (§4.2 freshness per sub-iteration)."""
-        tracer = self.tracer
-        metrics = self.metrics
-        host.begin_batch_iteration(ledger, lanes)
-        record = IterationRecord(
-            index=it, frontier_size=int(per_lane.sum())
+
+class _ProgramMode(_LevelMode):
+    """A vertex program: the program owns the values, the frontier is
+    whatever its ``end_iteration`` returns (``None`` = converged)."""
+
+    span = "program"
+    level_counter = "program_iterations"
+
+    def __init__(self, scheduler, program) -> None:
+        super().__init__(scheduler)
+        self.program = program
+        self.key = program.name
+        self.labels = self.span_attrs = {"program": program.name}
+        self.max_iterations = program.max_iterations
+
+    def seed(self) -> None:
+        self.active = self.program.initial_frontier()
+        self.metrics.counter("program_runs", **self.labels).inc()
+
+    def restore(self, state, active) -> None:
+        self.program.restore(state)
+        self.active = active
+        self.metrics.counter("program_resumes", **self.labels).inc()
+
+    def begin_level(self, it, ledger) -> str:
+        program = self.program
+        # The settled mask is the program's "visited" proxy for the
+        # direction heuristics and the delegate-sync pricing.
+        self.visited = program.settled_mask()
+        self.host.begin_iteration(ledger, self.active, self.visited)
+        program.begin_iteration(it, self.active)
+        self.touched = np.zeros(self.n, dtype=bool)
+        if program.forced_direction is None and program.supports_pull:
+            self.whole = None
+            return "fresh"
+        self.whole = program.forced_direction or "push"
+        return "forced"
+
+    def execute(self, kernel, direction, group, ledger, record) -> int:
+        newly = self.backend.execute_program(
+            kernel, self.program, direction, self.active, ledger, record
         )
-        whole = host.batch_iteration_directions(lanes)
-        metrics.counter(
-            "direction_mode", mode="fresh" if whole is None else "whole"
-        ).inc()
-        newly_total = np.zeros(host.num_vertices, dtype=np.uint64)
-        dirs_this = {}
-        for name, kernel in self.kernels.items():
-            if kernel.num_arcs == 0:
-                record.directions[name] = "-"
-                metrics.counter("subiteration_skips", component=name).inc()
-                continue
-            if whole is None:
-                push_mask, pull_mask = host.batch_component_directions(
-                    name, lanes
-                )
-            else:
-                push_mask, pull_mask = whole
-            dirs_this[name] = (int(push_mask), int(pull_mask))
-            ran = []
-            for direction, group in (("push", push_mask), ("pull", pull_mask)):
-                if not int(group):
-                    continue
-                ran.append(direction)
-                with tracer.span(
-                    name,
-                    category="component",
-                    iteration=it,
-                    direction=direction,
-                ) as csp:
-                    updates = self.backend.execute_lanes(
-                        kernel, direction, group, lanes, ledger, record
-                    )
-                    newly = lanes.commit(updates)
-                    newly_total |= newly
-                    activated = sum(int(d.size) for _, d, _ in updates)
-                    csp.add_counter(
-                        "edges", record.scanned_arcs.get(name, 0)
-                    )
-                    if record.messages.get(name, 0):
-                        csp.add_counter("messages", record.messages[name])
-                    csp.add_counter("activated", activated)
-                labels = dict(component=name, direction=direction)
-                metrics.counter("subiterations", **labels).inc()
-                metrics.counter("activated", **labels).inc(activated)
-            record.directions[name] = "|".join(ran) if ran else "-"
-            metrics.counter(
-                "edges_scanned", component=name, direction=record.directions[name]
-            ).inc(record.scanned_arcs.get(name, 0))
-            metrics.counter(
-                "messages", component=name, direction=record.directions[name]
-            ).inc(record.messages.get(name, 0))
-        host.record_batch_activation(record, newly_total)
-        host.end_batch_iteration(ledger, record, lanes, newly_total)
-        records.append(record)
-        lane_frontiers.append(per_lane)
-        lane_directions.append(dirs_this)
-        lanes.active = newly_total
+        if newly.size:
+            self.touched[newly] = True
+        return newly.size
+
+    def end_level(self, it, ledger, record) -> None:
+        touched = self.touched
+        self.host.record_activation(record, touched)
+        self.metrics.counter("program_updates", **self.labels).inc(
+            int(np.count_nonzero(touched))
+        )
+        next_active = self.program.end_iteration(it, self.active, touched)
+        self.host.end_iteration(
+            ledger, record, self.active, self.visited, None, next_active
+        )
+        self.active = next_active
+
+    def snapshot(self):
+        # Program state is the consistency point, exactly like the level
+        # commit in BFS; a converged program has nothing left to resume.
+        if self.active is None:
+            return None
+        return self.program.snapshot(), self.active
+
+    def end_run(self, ledger, tracer) -> None:
+        self.host.end_run(ledger, tracer, None)
+        self.program.end_run()
+
+    def result(self, ledger, records):
+        from repro.core.programs.base import ProgramRunResult
+
+        program = self.program
+        return ProgramRunResult(
+            program=program.name,
+            state=program.state_arrays(),
+            iterations=records,
+            ledger=ledger,
+            num_input_edges=self.host.num_input_edges,
+            converged=program.converged,
+            info=program.info(),
+        )
+
+
+class _WaveMode(_LevelMode):
+    """Up to 64 BFS lanes: lane words instead of booleans, and each
+    component runs once per non-empty direction group of lanes."""
+
+    span = "msbfs"
+    level_span = "wave"
+    level_counter = "msbfs_waves"
+
+    def __init__(self, scheduler, roots) -> None:
+        super().__init__(scheduler)
+        self.lanes = LaneState(self.n, roots)
+        self.span_attrs = {"lanes": self.lanes.num_lanes}
+        self.lane_frontiers: list[np.ndarray] = []
+        self.lane_directions: list[dict] = []
+
+    def seed(self) -> None:
+        self.metrics.counter("msbfs_batches").inc()
+        self.metrics.histogram("msbfs_batch_lanes").observe(self.lanes.num_lanes)
+
+    def frontier_size(self) -> int:
+        self.per_lane = self.lanes.frontier_sizes()
+        return int(self.per_lane.sum())
+
+    def begin_level(self, it, ledger) -> str:
+        self.host.begin_batch_iteration(ledger, self.lanes)
+        self.whole = self.host.batch_iteration_directions(self.lanes)
+        self.newly = np.zeros(self.n, dtype=np.uint64)
+        self.level_directions = {}
+        return "fresh" if self.whole is None else "whole"
+
+    def directions(self, name):
+        masks = self.whole
+        if masks is None:
+            masks = self.host.batch_component_directions(name, self.lanes)
+        push_mask, pull_mask = masks
+        self.level_directions[name] = (int(push_mask), int(pull_mask))
+        return [
+            (direction, group)
+            for direction, group in (("push", push_mask), ("pull", pull_mask))
+            if int(group)
+        ]
+
+    def execute(self, kernel, direction, group, ledger, record) -> int:
+        updates = self.backend.execute_lanes(
+            kernel, direction, group, self.lanes, ledger, record
+        )
+        self.newly |= self.lanes.commit(updates)
+        return sum(int(d.size) for _, d, _ in updates)
+
+    def end_level(self, it, ledger, record) -> None:
+        lanes, newly = self.lanes, self.newly
+        self.host.record_batch_activation(record, newly)
+        self.host.end_batch_iteration(ledger, record, lanes, newly)
+        self.lane_frontiers.append(self.per_lane)
+        self.lane_directions.append(self.level_directions)
+        lanes.active = newly
+
+    def end_run(self, ledger, tracer) -> None:
+        self.host.end_batch_run(ledger, tracer, self.lanes)
+
+    def result(self, ledger, records) -> BatchRunState:
+        return BatchRunState(
+            lanes=self.lanes,
+            records=records,
+            ledger=ledger,
+            lane_frontiers=self.lane_frontiers,
+            lane_directions=self.lane_directions,
+        )

@@ -39,9 +39,10 @@ Levels are unit-weight distances, so structure gives three facts:
      plus each vertex's winner component) and compared to the record.
 
   The run resumes through the shared
-  :class:`~repro.core.kernels.scheduler.LevelSyncScheduler` via a
-  synthetic :class:`~repro.core.kernels.scheduler.ResumePoint` at the
-  first affected level; iterations before it are kept verbatim.
+  :class:`~repro.core.kernels.scheduler.LevelSyncScheduler` via an
+  unfingerprinted :class:`~repro.resilience.checkpoint.Checkpoint` built
+  from the kept prefix, at the first affected level; iterations before
+  it are kept verbatim.
 
 SSSP (:func:`patch_sssp_result`)
 --------------------------------
@@ -51,7 +52,7 @@ distances are the unique min fixpoint over path sums — independent of
 relaxation order, placement, and direction.  So: deleting a non-tree
 edge (parent test) changes no distance; inserted edges re-converge from
 the old distances by activating the tails of improving inserted arcs
-through a :class:`~repro.core.kernels.scheduler.ProgramResumePoint`;
+through a :class:`~repro.resilience.checkpoint.Checkpoint` at iteration -1;
 deleting a tree edge recomputes the root.  The gate compares distances
 (parents may legitimately differ on equal-length ties).
 """
@@ -67,12 +68,12 @@ from repro.core.direction import (
     choose_component_direction,
     choose_whole_iteration_direction,
 )
-from repro.core.kernels.scheduler import ProgramResumePoint, ResumePoint
 from repro.core.partition import PartitionedGraph, place_arcs
 from repro.core.programs.sssp import BellmanFordProgram, SSSPResult
 from repro.core.subgraphs import COMPONENT_ORDER
 from repro.dynamic.repair import GraphDelta
 from repro.obs.metrics import NULL_METRICS
+from repro.resilience.checkpoint import Checkpoint
 
 __all__ = [
     "PatchOutcome",
@@ -284,12 +285,14 @@ def patch_bfs_result(old, engine, delta: GraphDelta, *, metrics=NULL_METRICS):
         )
 
     keep = (new_level >= 0) & (new_level <= k_star)
-    resume = ResumePoint(
-        root=root,
+    resume = Checkpoint(
+        key=root,
         iteration=k_star - 1,
-        parent=np.where(keep, old.parent, np.int64(-1)),
-        visited=keep,
         active=new_level == k_star,
+        state={
+            "parent": np.where(keep, old.parent, np.int64(-1)),
+            "visited": np.packbits(keep),
+        },
         records=tuple(old.iterations[:k_star]),
     )
     result = engine.run(root, resume=resume)
@@ -347,8 +350,8 @@ def patch_sssp_result(
         return PatchOutcome(old, "unchanged")
 
     program = BellmanFordProgram(root, weight_of)
-    resume = ProgramResumePoint(
-        program="sssp",
+    resume = Checkpoint(
+        key="sssp",
         iteration=-1,
         active=seed,
         state={

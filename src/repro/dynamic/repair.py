@@ -36,7 +36,7 @@ Metric families (all under the attached registry): ``dynamic_batches``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -210,10 +210,17 @@ class IncrementalGraph:
         return self._edge_lo.copy(), self._edge_hi.copy()
 
     def graph(self) -> PartitionedGraph:
-        """The current partition; forces a pending compaction first."""
+        """A frozen snapshot of the current partition (forces a pending
+        compaction first).
+
+        :meth:`apply_batch` replaces the live partition's arrays and
+        component entries — it never writes into them — so a shallow
+        copy per call keeps a handed-out generation intact while the
+        next batch is repaired (an engine may still be traversing it).
+        """
         if any(not o.is_empty() for o in self._overlays.values()):
             self._compact()
-        return self._part
+        return replace(self._part, components=dict(self._part.components))
 
     def rebuild_reference(self) -> PartitionedGraph:
         """From-scratch stable partition of the live edge set (the gate's

@@ -322,28 +322,16 @@ def run_graph500(
     # Resilience setup: the injector shares the run's one seeded rng
     # (the generator root sampling draws from next), so ``seed`` alone
     # makes an entire faulty run bit-reproducible.
-    injector = None
-    checkpointer = None
-    policy = None
+    registry = metrics if metrics is not None else NULL_METRICS
+    injector = checkpointer = policy = None
     if faults is not None or checkpoint_every:
-        from repro.resilience import (
-            FaultInjector,
-            LevelCheckpointer,
-            RecoveryPolicy,
-        )
+        from repro.resilience import build_resilience
 
-        registry = metrics if metrics is not None else NULL_METRICS
-        if faults is not None:
-            injector = (
-                faults
-                if isinstance(faults, FaultInjector)
-                else FaultInjector(faults, rng=rng, metrics=registry)
-            )
-            injector.plan.validate(p)
-        checkpointer = LevelCheckpointer(
-            every=checkpoint_every, mesh=mesh, metrics=registry
+        injector, checkpointer, policy = build_resilience(
+            faults, checkpoint_every=checkpoint_every,
+            max_restarts=max_restarts, recovery_mode=recovery_mode,
+            mesh=mesh, rng=rng, metrics=registry,
         )
-        policy = RecoveryPolicy(max_restarts=max_restarts, mode=recovery_mode)
 
     degrees = part.degrees
     roots = sample_roots(degrees, num_roots, rng=rng)
@@ -354,9 +342,7 @@ def run_graph500(
 
     times, teps, results = [], [], []
     all_valid = True
-    crashes = restarts = 0
-    wasted_seconds = 0.0
-    excised_total = 0
+    recoveries = []  # one ResilientRunResult per recovered traversal
     if batch_roots:
         from repro.serve.msbfs import (
             MAX_BATCH_ROOTS,
@@ -374,12 +360,10 @@ def run_graph500(
                 else:
                     recovered = run_batch_with_recovery(
                         engine, chunk, faults=injector, policy=policy,
-                        metrics=metrics if metrics is not None else NULL_METRICS,
+                        metrics=registry,
                     )
+                    recoveries.append(recovered)
                     batch = recovered.result
-                    crashes += recovered.crashes
-                    restarts += recovered.crashes
-                    wasted_seconds += recovered.wasted_seconds
             for lane in range(chunk.size):
                 # The batch ledger rides on exactly one lane so summing
                 # per-root ledgers counts the shared traversal once.
@@ -412,18 +396,11 @@ def run_graph500(
 
                 checkpointer.clear()  # snapshots never outlive their root
                 recovered = run_with_recovery(
-                    engine, int(root),
-                    faults=injector if injector is not None else None,
-                    checkpointer=checkpointer,
-                    policy=policy,
-                    metrics=metrics if metrics is not None else NULL_METRICS,
+                    engine, int(root), faults=injector,
+                    checkpointer=checkpointer, policy=policy, metrics=registry,
                 )
-                res = recovered.result
-                crashes += recovered.crashes
-                restarts += recovered.restarts
-                wasted_seconds += recovered.wasted_seconds
-                excised = recovered.excised
-                excised_total += int(excised.size)
+                recoveries.append(recovered)
+                res, excised = recovered.result, recovered.excised
             if validate:
                 with tracer.span("validate", category="phase", root=int(root)):
                     try:
@@ -447,10 +424,10 @@ def run_graph500(
     resilience = None
     if injector is not None or checkpoint_every:
         resilience = {
-            "crashes": crashes,
-            "restarts": restarts,
-            "wasted_seconds": wasted_seconds,
-            "excised_vertices": excised_total,
+            "crashes": sum(r.crashes for r in recoveries),
+            "restarts": sum(r.restarts for r in recoveries),
+            "wasted_seconds": sum((r.wasted_seconds for r in recoveries), 0.0),
+            "excised_vertices": sum(int(r.excised.size) for r in recoveries),
             "checkpoint_every": checkpoint_every,
             "recovery_mode": recovery_mode,
         }
@@ -467,7 +444,7 @@ def run_graph500(
             teps=np.array(teps),
             validated=all_valid,
             results=results,
-            metrics=metrics if metrics is not None else NULL_METRICS,
+            metrics=registry,
             resilience=resilience,
         )
 

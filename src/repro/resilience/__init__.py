@@ -6,11 +6,9 @@ format, and the recovery policies.
 
 from repro.resilience.checkpoint import (
     CHECKPOINT_SCHEMA,
-    PROGRAM_CHECKPOINT_SCHEMA,
     Checkpoint,
     CheckpointError,
     LevelCheckpointer,
-    ProgramCheckpoint,
 )
 from repro.resilience.faults import (
     NULL_FAULTS,
@@ -28,6 +26,8 @@ from repro.resilience.recovery import (
     RecoveryError,
     RecoveryPolicy,
     ResilientRunResult,
+    build_resilience,
+    recover,
     run_program_with_recovery,
     run_with_recovery,
     validate_partial,
@@ -44,15 +44,15 @@ __all__ = [
     "LevelCheckpointer",
     "NULL_FAULTS",
     "NullFaultInjector",
-    "PROGRAM_CHECKPOINT_SCHEMA",
     "PartialCoverage",
-    "ProgramCheckpoint",
     "RankCrashError",
     "RecoveryError",
     "RecoveryPolicy",
     "ResilientRunResult",
     "RetryBackoff",
+    "build_resilience",
     "parse_fault_spec",
+    "recover",
     "run_program_with_recovery",
     "run_with_recovery",
     "validate_partial",

@@ -1,15 +1,22 @@
-"""Level-synchronous checkpointing of BFS traversal state.
+"""Level-synchronous checkpointing of traversal state.
 
-A level-synchronous BFS has a natural consistency point: the iteration
-boundary, where every rank has committed its activations and the global
-``parent``/``visited``/``active`` arrays plus the per-iteration records
-fully determine the rest of the traversal.  :class:`LevelCheckpointer`
-snapshots exactly that state at a configurable cadence
-(``--checkpoint-every N``), fingerprints each snapshot with sha256, and
-can hand the latest one back to
-:meth:`~repro.core.kernels.scheduler.LevelSyncScheduler.run` as a
-``resume`` point so a crashed run re-executes only the levels after the
-last checkpoint.
+A level-synchronous traversal has a natural consistency point: the
+iteration boundary, where every rank has committed its activations and
+the global state plus the per-iteration records fully determine the rest
+of the run.  :class:`LevelCheckpointer` snapshots exactly that state at a
+configurable cadence (``--checkpoint-every N``), fingerprints each
+snapshot with sha256, and can hand the latest one back to
+:class:`~repro.core.kernels.scheduler.LevelSyncScheduler` as a ``resume``
+point so a crashed run re-executes only the levels after the last
+checkpoint.
+
+There is one snapshot type, :class:`Checkpoint`, for every traversal
+mode: a ``key`` (the BFS root, or a vertex program's name), the frontier
+``active``, and a ``state`` dict of named arrays.  BFS stores
+``{"parent": int64[n], "visited": packbits(bool[n])}``; a vertex program
+stores whatever its ``snapshot()`` declares — SSSP distances, PageRank
+ranks or delta-stepping bucket control all persist without
+per-algorithm code here.
 
 The *cost* of checkpointing is part of the experiment, not hidden
 bookkeeping: each save charges the :class:`~repro.runtime.ledger.TrafficLedger`
@@ -24,14 +31,6 @@ Snapshots live in memory by default (``keep`` most recent); pass
 ``dir=`` to also persist each one as a compressed ``.npz`` with an
 embedded JSON meta record (schema tag, fingerprint, iteration records)
 that :meth:`Checkpoint.load` round-trips exactly.
-
-Vertex programs (:mod:`repro.core.programs`) checkpoint through the
-same machinery: :class:`ProgramCheckpoint` snapshots whatever
-``program.snapshot()`` returns — the program declares its own state
-arrays, so SSSP distances, PageRank ranks or delta-stepping bucket
-control all persist without per-algorithm code here — and
-:meth:`LevelCheckpointer.save_program` charges the identical
-``checkpoint``-phase ALLGATHER sized at the snapshot's actual bytes.
 """
 
 from __future__ import annotations
@@ -52,73 +51,75 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "LevelCheckpointer",
-    "ProgramCheckpoint",
     "CHECKPOINT_SCHEMA",
-    "PROGRAM_CHECKPOINT_SCHEMA",
 ]
 
 #: Bump on incompatible snapshot layout changes.
-CHECKPOINT_SCHEMA = "repro.checkpoint/1"
-
-#: Vertex-program snapshots carry a program-declared state dict instead
-#: of the fixed parent/visited triple; separate schema tag.
-PROGRAM_CHECKPOINT_SCHEMA = "repro.program-checkpoint/1"
+CHECKPOINT_SCHEMA = "repro.checkpoint/2"
 
 
 class CheckpointError(RuntimeError):
     """A snapshot failed to verify or load."""
 
 
-def _fingerprint(root: int, iteration: int, parent, visited, active) -> str:
+def _fingerprint(key, iteration: int, state: dict, active) -> str:
     h = hashlib.sha256()
-    h.update(f"{CHECKPOINT_SCHEMA}:{root}:{iteration}".encode())
-    h.update(np.ascontiguousarray(parent).tobytes())
-    h.update(np.packbits(visited).tobytes())
+    h.update(f"{CHECKPOINT_SCHEMA}:{key}:{iteration}".encode())
+    for name in sorted(state):
+        arr = np.ascontiguousarray(state[name])
+        h.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
+        h.update(arr.tobytes())
     h.update(np.packbits(active).tobytes())
     return h.hexdigest()
 
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """One immutable snapshot of traversal state at an iteration boundary."""
+    """One immutable snapshot of traversal state at an iteration boundary.
 
-    root: int
+    :meth:`capture` deep-copies live state and fingerprints it.  A
+    snapshot may also be constructed directly from *derived* state with
+    no fingerprint — the incremental result patcher
+    (:mod:`repro.dynamic.patch`) and degraded recovery do — in which case
+    ``state``/``active`` must be exactly what a fresh run would hold
+    after completing ``iteration``.
+    """
+
+    #: BFS root (int) or vertex-program name (str).
+    key: int | str
     #: Last completed iteration index (state is *after* this level).
     iteration: int
-    parent: np.ndarray
-    visited: np.ndarray
     active: np.ndarray
+    state: dict[str, np.ndarray]
     #: Per-iteration records completed so far (restored onto the result).
     records: tuple[IterationRecord, ...] = ()
     fingerprint: str = ""
 
     @classmethod
-    def capture(cls, *, root, iteration, parent, visited, active, records=()):
+    def capture(cls, *, key, iteration, state, active, records=()):
         """Deep-copy live scheduler state into an immutable snapshot."""
-        parent = np.array(parent, dtype=np.int64, copy=True)
-        visited = np.array(visited, dtype=bool, copy=True)
+        key = key if isinstance(key, str) else int(key)
+        state = {k: np.array(v, copy=True) for k, v in state.items()}
         active = np.array(active, dtype=bool, copy=True)
         return cls(
-            root=int(root),
+            key=key,
             iteration=int(iteration),
-            parent=parent,
-            visited=visited,
             active=active,
+            state=state,
             records=tuple(records),
-            fingerprint=_fingerprint(root, iteration, parent, visited, active),
+            fingerprint=_fingerprint(key, iteration, state, active),
         )
 
     @property
     def nbytes(self) -> int:
-        """Persisted volume: 8 B/vertex parents + two packed bitmaps."""
-        n = self.parent.size
-        return 8 * n + 2 * ((n + 7) // 8)
+        """Persisted volume: every state array plus the packed frontier
+        (BFS: 8 B/vertex parents + two packed bitmaps)."""
+        state_bytes = sum(int(arr.nbytes) for arr in self.state.values())
+        return state_bytes + (self.active.size + 7) // 8
 
     def verify(self) -> "Checkpoint":
         """Recompute the sha256 fingerprint; raise on mismatch."""
-        actual = _fingerprint(
-            self.root, self.iteration, self.parent, self.visited, self.active
-        )
+        actual = _fingerprint(self.key, self.iteration, self.state, self.active)
         if actual != self.fingerprint:
             raise CheckpointError(
                 f"checkpoint fingerprint mismatch at iteration {self.iteration}: "
@@ -135,18 +136,18 @@ class Checkpoint:
         path.parent.mkdir(parents=True, exist_ok=True)
         meta = {
             "schema": CHECKPOINT_SCHEMA,
-            "root": self.root,
+            "key": self.key,
             "iteration": self.iteration,
             "fingerprint": self.fingerprint,
+            "state_keys": sorted(self.state),
             "records": [dataclasses.asdict(r) for r in self.records],
         }
         np.savez_compressed(
             path,
             meta=np.array([json.dumps(meta)]),
-            parent=self.parent,
-            visited=np.packbits(self.visited),
             active=np.packbits(self.active),
-            n=np.array([self.parent.size], dtype=np.int64),
+            n=np.array([self.active.size], dtype=np.int64),
+            **{f"state_{k}": v for k, v in self.state.items()},
         )
         return path
 
@@ -161,127 +162,7 @@ class Checkpoint:
                     )
                 n = int(data["n"][0])
                 snap = cls(
-                    root=int(meta["root"]),
-                    iteration=int(meta["iteration"]),
-                    parent=data["parent"].astype(np.int64),
-                    visited=np.unpackbits(data["visited"], count=n).astype(bool),
-                    active=np.unpackbits(data["active"], count=n).astype(bool),
-                    records=tuple(
-                        IterationRecord(**r) for r in meta["records"]
-                    ),
-                    fingerprint=meta["fingerprint"],
-                )
-        except (OSError, KeyError, ValueError) as exc:
-            raise CheckpointError(f"cannot load checkpoint {path}: {exc}") from exc
-        return snap.verify()
-
-
-def _program_fingerprint(
-    program: str, iteration: int, state: dict, active
-) -> str:
-    h = hashlib.sha256()
-    h.update(f"{PROGRAM_CHECKPOINT_SCHEMA}:{program}:{iteration}".encode())
-    for key in sorted(state):
-        arr = np.ascontiguousarray(state[key])
-        h.update(f"{key}:{arr.dtype.str}:{arr.shape}".encode())
-        h.update(arr.tobytes())
-    h.update(np.packbits(active).tobytes())
-    return h.hexdigest()
-
-
-@dataclass(frozen=True)
-class ProgramCheckpoint:
-    """One immutable snapshot of vertex-program state at an iteration
-    boundary.
-
-    The ``state`` dict is whatever the program's
-    :meth:`~repro.core.programs.base.VertexProgram.snapshot` returned —
-    per-vertex arrays plus any 0-d/1-d control scalars — so the same
-    class checkpoints every registered program.
-    """
-
-    program: str
-    #: Last completed iteration index (state is *after* this iteration).
-    iteration: int
-    active: np.ndarray
-    state: dict[str, np.ndarray]
-    records: tuple[IterationRecord, ...] = ()
-    fingerprint: str = ""
-
-    @classmethod
-    def capture(cls, *, program, iteration, active, records=()):
-        """Deep-copy a live program's state into an immutable snapshot."""
-        state = {
-            k: np.array(v, copy=True) for k, v in program.snapshot().items()
-        }
-        active = np.array(active, dtype=bool, copy=True)
-        return cls(
-            program=program.name,
-            iteration=int(iteration),
-            active=active,
-            state=state,
-            records=tuple(records),
-            fingerprint=_program_fingerprint(
-                program.name, iteration, state, active
-            ),
-        )
-
-    @property
-    def nbytes(self) -> int:
-        """Persisted volume: every state array plus the packed frontier."""
-        state_bytes = sum(int(arr.nbytes) for arr in self.state.values())
-        return state_bytes + (self.active.size + 7) // 8
-
-    def verify(self) -> "ProgramCheckpoint":
-        """Recompute the sha256 fingerprint; raise on mismatch."""
-        actual = _program_fingerprint(
-            self.program, self.iteration, self.state, self.active
-        )
-        if actual != self.fingerprint:
-            raise CheckpointError(
-                f"program checkpoint fingerprint mismatch at iteration "
-                f"{self.iteration}: expected {self.fingerprint[:12]}…, "
-                f"got {actual[:12]}…"
-            )
-        return self
-
-    # ------------------------------------------------------------------
-    # disk round-trip
-    # ------------------------------------------------------------------
-
-    def save_npz(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        meta = {
-            "schema": PROGRAM_CHECKPOINT_SCHEMA,
-            "program": self.program,
-            "iteration": self.iteration,
-            "fingerprint": self.fingerprint,
-            "state_keys": sorted(self.state),
-            "records": [dataclasses.asdict(r) for r in self.records],
-        }
-        arrays = {f"state_{k}": v for k, v in self.state.items()}
-        np.savez_compressed(
-            path,
-            meta=np.array([json.dumps(meta)]),
-            active=np.packbits(self.active),
-            n=np.array([self.active.size], dtype=np.int64),
-            **arrays,
-        )
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ProgramCheckpoint":
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                meta = json.loads(str(data["meta"][0]))
-                if meta.get("schema") != PROGRAM_CHECKPOINT_SCHEMA:
-                    raise CheckpointError(
-                        f"unsupported checkpoint schema {meta.get('schema')!r}"
-                    )
-                n = int(data["n"][0])
-                snap = cls(
-                    program=str(meta["program"]),
+                    key=meta["key"],
                     iteration=int(meta["iteration"]),
                     active=np.unpackbits(data["active"], count=n).astype(bool),
                     state={
@@ -343,37 +224,11 @@ class LevelCheckpointer:
         self.metrics.counter(counter).inc()
         self.metrics.counter("checkpoint_bytes", op=phase).inc(snap.nbytes)
 
-    def save(self, *, ledger, root, iteration, parent, visited, active,
+    def save(self, *, ledger, key, iteration, state, active,
              records=()) -> Checkpoint:
         """Snapshot state after ``iteration`` and charge the write cost."""
         snap = Checkpoint.capture(
-            root=root,
-            iteration=iteration,
-            parent=parent,
-            visited=visited,
-            active=active,
-            records=records,
-        )
-        self.snapshots.append(snap)
-        if self.dir is not None:
-            snap.save_npz(self._path(snap))
-        while len(self.snapshots) > self.keep:
-            evicted = self.snapshots.pop(0)
-            if self.dir is not None:
-                self._path(evicted).unlink(missing_ok=True)
-        self._charge(ledger, snap, "checkpoint", "checkpoints")
-        return snap
-
-    def save_program(self, *, ledger, program, iteration, active,
-                     records=()) -> ProgramCheckpoint:
-        """Snapshot a vertex program after ``iteration`` and charge the
-        write cost.  Same cadence, eviction, persistence and pricing as
-        :meth:`save` — the snapshot volume is just whatever state the
-        program declared instead of the fixed BFS triple."""
-        snap = ProgramCheckpoint.capture(
-            program=program,
-            iteration=iteration,
-            active=active,
+            key=key, iteration=iteration, state=state, active=active,
             records=records,
         )
         self.snapshots.append(snap)
@@ -387,13 +242,9 @@ class LevelCheckpointer:
         return snap
 
     def _path(self, snap) -> Path:
-        if isinstance(snap, ProgramCheckpoint):
-            tag = f"prog_{snap.program}"
-        else:
-            tag = f"root{snap.root}"
-        return Path(self.dir) / f"ckpt_{tag}_it{snap.iteration}.npz"
+        return Path(self.dir) / f"ckpt_{snap.key}_it{snap.iteration}.npz"
 
-    def latest(self) -> Checkpoint | ProgramCheckpoint | None:
+    def latest(self) -> Checkpoint | None:
         return self.snapshots[-1] if self.snapshots else None
 
     def charge_restore(self, ledger, snap) -> None:

@@ -1,4 +1,4 @@
-"""Crash recovery policies for interrupted BFS runs.
+"""Crash recovery for interrupted traversals.
 
 Two failure channels exist in the simulation and two mechanisms answer
 them:
@@ -10,15 +10,18 @@ them:
   successful transfer — retry-with-backoff priced, not just counted.
 - **Rank crashes** abort the whole attempt with a
   :class:`~repro.resilience.faults.RankCrashError`.  That is this
-  module's job: :func:`run_with_recovery` catches the crash, accounts
-  the wasted attempt's ledger, and applies a :class:`RecoveryPolicy` —
+  module's job: :func:`recover` — the one restart loop behind
+  :func:`run_with_recovery`, :func:`run_program_with_recovery` and
+  :func:`~repro.serve.msbfs.run_batch_with_recovery` — catches the
+  crash, accounts the wasted attempt's ledger, and applies a
+  :class:`RecoveryPolicy` —
 
   ``restart``
       restore from the newest :class:`~repro.resilience.checkpoint`
       snapshot (or from scratch when none exists) and re-execute the
       remaining levels; the snapshot's restore broadcast is charged to
       the recovered attempt's ledger.
-  ``degrade``
+  ``degrade`` (single-root BFS only)
       give up on the dead rank: excise the L-vertices it owned from the
       traversal (mark pre-visited with no parent) and finish on the
       surviving ranks.  The result no longer satisfies full Graph500
@@ -26,11 +29,11 @@ them:
       (tree edges are real, levels are consistent, and nothing *outside*
       the excised set was silently lost) and reports coverage.
 
-The returned :class:`ResilientRunResult` wraps the final
-:class:`~repro.core.metrics.BFSRunResult` with the recovery story: how
-many crashes were survived, what the wasted attempts cost (their events
-are merged into the final ledger so ``total_seconds`` is the true
-end-to-end cost including lost work), and which vertices were excised.
+The returned :class:`ResilientRunResult` wraps the mode's final result
+with the recovery story: how many crashes were survived, what the wasted
+attempts cost (their events are merged into the final ledger so
+``total_seconds`` is the true end-to-end cost including lost work), and
+which vertices were excised.
 """
 
 from __future__ import annotations
@@ -39,16 +42,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.metrics import BFSRunResult
 from repro.obs.metrics import NULL_METRICS
 from repro.resilience.checkpoint import Checkpoint, LevelCheckpointer
-from repro.resilience.faults import NULL_FAULTS, RankCrashError
+from repro.resilience.faults import NULL_FAULTS, FaultInjector, RankCrashError
 
 __all__ = [
     "RecoveryError",
     "RecoveryPolicy",
     "ResilientRunResult",
     "PartialCoverage",
+    "build_resilience",
+    "recover",
     "run_with_recovery",
     "run_program_with_recovery",
     "validate_partial",
@@ -78,9 +82,10 @@ class RecoveryPolicy:
 
 @dataclass
 class ResilientRunResult:
-    """A recovered BFS run plus its failure/recovery accounting."""
+    """A recovered run (BFS, program or batch result) plus its
+    failure/recovery accounting."""
 
-    result: BFSRunResult
+    result: object
     crashes: int = 0
     restarts: int = 0
     #: Iteration of the snapshot each restart resumed from (-1 = scratch).
@@ -104,6 +109,113 @@ class ResilientRunResult:
             "excised_vertices": int(self.excised.size),
             "degraded": self.degraded,
         }
+
+
+def build_resilience(
+    faults,
+    *,
+    checkpoint_every: int,
+    max_restarts: int,
+    recovery_mode: str,
+    mesh,
+    rng,
+    metrics=NULL_METRICS,
+) -> tuple[FaultInjector | None, LevelCheckpointer, RecoveryPolicy]:
+    """Turn a run's resilience options into the objects the recovery
+    entry points take: ``(injector, checkpointer, policy)``.
+
+    ``faults`` is a spec string, a :class:`~repro.resilience.faults.FaultPlan`,
+    a ready injector, or ``None`` (no injection — ``injector`` is then
+    ``None``).  The plan is validated against the mesh's rank count.
+    """
+    injector = None
+    if faults is not None:
+        injector = (
+            faults
+            if isinstance(faults, FaultInjector)
+            else FaultInjector(faults, rng=rng, metrics=metrics)
+        )
+        injector.plan.validate(mesh.num_ranks)
+    checkpointer = LevelCheckpointer(
+        every=checkpoint_every, mesh=mesh, metrics=metrics
+    )
+    policy = RecoveryPolicy(max_restarts=max_restarts, mode=recovery_mode)
+    return injector, checkpointer, policy
+
+
+def recover(
+    attempt,
+    *,
+    checkpointer: LevelCheckpointer | None = None,
+    policy: RecoveryPolicy = RecoveryPolicy(),
+    metrics=NULL_METRICS,
+    degrade=None,
+) -> ResilientRunResult:
+    """The one restart loop every traversal mode recovers through.
+
+    ``attempt(resume)`` runs the traversal (``resume`` is ``None`` or a
+    :class:`~repro.resilience.checkpoint.Checkpoint`) and returns its
+    result, or raises :class:`~repro.resilience.faults.RankCrashError`.
+    Each crash is counted against ``policy.max_restarts``
+    (:class:`RecoveryError` past it), the newest verified snapshot
+    becomes the next attempt's ``resume``, and the aborted attempts'
+    ledgers are merged into the final result's so its cost is the true
+    end-to-end cost including lost work.  ``degrade(snapshot)`` — BFS
+    only — rewrites the resume point to excise the dead ranks' vertices
+    and returns ``(resume, excised)``.
+    """
+    if policy.mode != "restart" and degrade is None:
+        raise RecoveryError(
+            "only single-root BFS supports degrade recovery; vertex "
+            f"programs and batches are restart-only (got mode={policy.mode!r})"
+        )
+    crashes = 0
+    wasted: list = []  # aborted attempts' ledgers
+    resumed_from: list[int] = []
+    excised = np.array([], dtype=np.int64)
+    resume = None
+
+    while True:
+        try:
+            result = attempt(resume)
+            break
+        except RankCrashError as crash:
+            crashes += 1
+            metrics.counter("rank_crashes").inc()
+            if crash.ledger is not None:
+                wasted.append(crash.ledger)
+            if crashes > policy.max_restarts:
+                raise RecoveryError(
+                    f"rank {crash.rank} crashed at iteration "
+                    f"{crash.iteration}; restart budget "
+                    f"({policy.max_restarts}) exhausted"
+                ) from crash
+            resume = checkpointer.latest() if checkpointer is not None else None
+            if resume is not None:
+                resume.verify()
+            if policy.mode == "degrade":
+                resume, excised = degrade(resume)
+                metrics.counter("degraded_runs").inc()
+            resumed_from.append(resume.iteration if resume is not None else -1)
+            metrics.counter("recoveries", mode=policy.mode).inc()
+
+    # Fold the lost work into the final accounting: the recovered run's
+    # true cost includes every second the aborted attempts burned.
+    wasted_seconds = 0.0
+    for ledger in wasted:
+        wasted_seconds += ledger.total_seconds
+        result.ledger.merge(ledger)
+    if wasted:
+        metrics.counter("recovery_time").inc(wasted_seconds)
+
+    return ResilientRunResult(
+        result=result,
+        crashes=crashes,
+        restarts=len(resumed_from),
+        resumed_from=resumed_from,
+        wasted_seconds=wasted_seconds,
+        excised=excised,
+    )
 
 
 def _degraded_resume(engine, root: int, snap: Checkpoint | None,
@@ -130,8 +242,8 @@ def _degraded_resume(engine, root: int, snap: Checkpoint | None,
             "cannot excise the search key"
         )
     if snap is not None:
-        parent = snap.parent.copy()
-        visited = snap.visited.copy()
+        parent = snap.state["parent"]
+        visited = np.unpackbits(snap.state["visited"], count=n).astype(bool)
         active = snap.active.copy()
         iteration = snap.iteration
         records = snap.records
@@ -149,9 +261,10 @@ def _degraded_resume(engine, root: int, snap: Checkpoint | None,
         records = ()
     visited[excise] = True
     active[excise] = False
-    resume = Checkpoint.capture(
-        root=root, iteration=iteration, parent=parent, visited=visited,
-        active=active, records=records,
+    resume = Checkpoint(
+        key=root, iteration=iteration, active=active,
+        state={"parent": parent, "visited": np.packbits(visited)},
+        records=records,
     )
     return resume, np.flatnonzero(excise).astype(np.int64)
 
@@ -172,63 +285,21 @@ def run_with_recovery(
     :class:`~repro.runtime.replay.ReplayBFS`); its ``run`` must accept
     the ``faults``/``checkpointer``/``resume`` keywords, which every
     host inherits from :class:`~repro.core.kernels.scheduler.LevelSyncScheduler`.
+    The only mode with ``degrade`` recovery: see :func:`_degraded_resume`.
     """
-    crashes = 0
-    wasted: list = []  # aborted attempts' ledgers
-    wasted_seconds = 0.0
-    resumed_from: list[int] = []
-    excised = np.array([], dtype=np.int64)
-    resume: Checkpoint | None = None
-
-    while True:
-        try:
-            result = engine.run(
-                root, faults=faults, checkpointer=checkpointer, resume=resume
-            )
-            break
-        except RankCrashError as crash:
-            crashes += 1
-            metrics.counter("rank_crashes").inc()
-            if crash.ledger is not None:
-                wasted.append(crash.ledger)
-                wasted_seconds += crash.ledger.total_seconds
-            if crashes > policy.max_restarts:
-                raise RecoveryError(
-                    f"rank {crash.rank} crashed at iteration "
-                    f"{crash.iteration}; restart budget "
-                    f"({policy.max_restarts}) exhausted"
-                ) from crash
-            snap = checkpointer.latest() if checkpointer is not None else None
-            if snap is not None:
-                snap.verify()
-            if policy.mode == "degrade":
-                resume, excised = _degraded_resume(
-                    engine, root, snap, faults.dead_ranks
-                )
-                metrics.counter("degraded_runs").inc()
-            else:
-                resume = snap
-            resumed_from.append(resume.iteration if resume is not None else -1)
-            metrics.counter("recoveries", mode=policy.mode).inc()
-
-    # Fold the lost work into the final accounting: the recovered run's
-    # true cost includes every second the aborted attempts burned.
-    recovery_seconds = 0.0
-    for ledger in wasted:
-        recovery_seconds += ledger.total_seconds
-        result.ledger.merge(ledger)
-    if wasted:
-        result.total_seconds = result.ledger.total_seconds
-        metrics.counter("recovery_time").inc(recovery_seconds)
-
-    return ResilientRunResult(
-        result=result,
-        crashes=crashes,
-        restarts=len(resumed_from),
-        resumed_from=resumed_from,
-        wasted_seconds=wasted_seconds,
-        excised=excised,
+    out = recover(
+        lambda resume: engine.run(
+            root, faults=faults, checkpointer=checkpointer, resume=resume
+        ),
+        checkpointer=checkpointer,
+        policy=policy,
+        metrics=metrics,
+        degrade=lambda snap: _degraded_resume(
+            engine, root, snap, faults.dead_ranks
+        ),
     )
+    out.result.total_seconds = out.result.ledger.total_seconds
+    return out
 
 
 def run_program_with_recovery(
@@ -239,69 +310,22 @@ def run_program_with_recovery(
     checkpointer: LevelCheckpointer | None = None,
     policy: RecoveryPolicy = RecoveryPolicy(),
     metrics=NULL_METRICS,
-):
+) -> ResilientRunResult:
     """Run one vertex program, surviving injected rank crashes.
 
-    The restart loop mirrors :func:`run_with_recovery`: each attempt
-    re-enters :meth:`~repro.core.engine.DistributedBFS.run_program`
-    (whose ``bind`` re-initializes program state before a
-    :class:`~repro.resilience.checkpoint.ProgramCheckpoint` resume
-    restores it), aborted attempts' ledgers are merged into the final
-    result so ``total_seconds`` includes the lost work, and the restore
-    broadcast is charged to the recovered attempt.  ``degrade`` mode is
-    BFS-specific (it excises a dead rank's L-vertices from a *visited*
-    set, which value programs do not have) and is rejected here.
+    Each attempt re-enters :meth:`~repro.core.engine.DistributedBFS.run_program`
+    (whose ``bind`` re-initializes program state before a resume
+    restores it).  ``degrade`` mode is BFS-specific (it excises a dead
+    rank's L-vertices from a *visited* set, which value programs do not
+    have) and is rejected.
     """
-    if policy.mode != "restart":
-        raise RecoveryError(
-            "vertex programs only support restart recovery "
-            f"(got mode={policy.mode!r})"
-        )
-    crashes = 0
-    wasted: list = []
-    wasted_seconds = 0.0
-    resumed_from: list[int] = []
-    resume = None
-
-    while True:
-        try:
-            result = engine.run_program(
-                program, faults=faults, checkpointer=checkpointer,
-                resume=resume,
-            )
-            break
-        except RankCrashError as crash:
-            crashes += 1
-            metrics.counter("rank_crashes").inc()
-            if crash.ledger is not None:
-                wasted.append(crash.ledger)
-                wasted_seconds += crash.ledger.total_seconds
-            if crashes > policy.max_restarts:
-                raise RecoveryError(
-                    f"rank {crash.rank} crashed at iteration "
-                    f"{crash.iteration}; restart budget "
-                    f"({policy.max_restarts}) exhausted"
-                ) from crash
-            snap = checkpointer.latest() if checkpointer is not None else None
-            if snap is not None:
-                snap.verify()
-            resume = snap
-            resumed_from.append(resume.iteration if resume is not None else -1)
-            metrics.counter("recoveries", mode=policy.mode).inc()
-
-    recovery_seconds = 0.0
-    for ledger in wasted:
-        recovery_seconds += ledger.total_seconds
-        result.ledger.merge(ledger)
-    if wasted:
-        metrics.counter("recovery_time").inc(recovery_seconds)
-
-    return ResilientRunResult(
-        result=result,
-        crashes=crashes,
-        restarts=len(resumed_from),
-        resumed_from=resumed_from,
-        wasted_seconds=wasted_seconds,
+    return recover(
+        lambda resume: engine.run_program(
+            program, faults=faults, checkpointer=checkpointer, resume=resume
+        ),
+        checkpointer=checkpointer,
+        policy=policy,
+        metrics=metrics,
     )
 
 

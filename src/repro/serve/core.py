@@ -147,7 +147,7 @@ class Overloaded(RuntimeError):
 
 
 class TraversalError(RuntimeError):
-    """A request exhausted its replay budget and failed.
+    """A request exhausted its replay budget, or its traversal raised.
 
     Like :class:`Overloaded`, the failure carries the tenant id and the
     failed request's trace id for attribution.
@@ -639,10 +639,43 @@ class ServingCore:
     # batch execution
     # ------------------------------------------------------------------
 
+    async def execute(self, scope: ServeScope, requests, fn):
+        """Run ``fn`` on the executor on behalf of ``requests``.
+
+        Returns ``(result, crashed)``.  An injected rank crash is
+        ``(None, True)`` — the owning service's crash policy decides.
+        Any other exception fails every request with a typed
+        :class:`TraversalError` and returns ``(None, False)``: a bug in
+        one traversal must not kill the serving loop and strand every
+        queued future.
+        """
+        try:
+            result = await asyncio.get_running_loop().run_in_executor(None, fn)
+            return result, False
+        except RankCrashError:
+            return None, True
+        except Exception as exc:
+            for request in requests:
+                self.fail(
+                    scope,
+                    request,
+                    TraversalError(
+                        f"traversal raised {type(exc).__name__}: {exc}",
+                        tenant=scope.tenant,
+                        trace_id=request.trace_id,
+                    ),
+                )
+            return None, False
+
     async def run(
         self, graph: ResidentGraph, scope: ServeScope, batch
     ) -> BatchRun | None:
-        """Traverse ``batch`` on the executor; ``None`` if a rank crashed."""
+        """Traverse ``batch`` on the executor; ``None`` if a rank crashed.
+
+        A batch that failed for any other reason comes back with
+        ``result=None``: its requests already failed typed (see
+        :meth:`execute`) and :meth:`resolve` ignores it.
+        """
         started_at = self.clock()
         # Captured before the executor hop: if an ingestion swaps the
         # engine mid-flight, this batch's results must be cached under
@@ -657,11 +690,10 @@ class ServingCore:
         if self.tracer.enabled:
             trace_ids = sorted(r.trace_id for r in batch)
             run_kwargs["span_attrs"] = {"trace_id": ",".join(trace_ids)}
-        try:
-            result = await asyncio.get_running_loop().run_in_executor(
-                None, functools.partial(engine.run_batch, roots, **run_kwargs)
-            )
-        except RankCrashError:
+        result, crashed = await self.execute(
+            scope, batch, functools.partial(engine.run_batch, roots, **run_kwargs)
+        )
+        if crashed:
             scope.counter("batches", outcome="crashed").inc()
             return None
         return BatchRun(by_root, result, fingerprint, started_at, self.clock())
@@ -671,6 +703,8 @@ class ServingCore:
     ) -> None:
         """Cache, meter and answer every request of a traversed batch."""
         result = run.result
+        if result is None:
+            return
         traversal = run.finished_at - run.started_at
         scope.bump("batches")
         scope.bump("batched_lanes", result.num_lanes)

@@ -38,12 +38,8 @@ import numpy as np
 
 from repro.core.config import BFSConfig
 from repro.core.direction import choose_whole_iteration_direction
-from repro.core.kernels.fifteend import FifteenDContext, build_fifteend_kernels
-from repro.core.kernels.scheduler import (
-    BatchRunState,
-    LevelSyncScheduler,
-    SchedulerHost,
-)
+from repro.core.engine import FifteenDHost
+from repro.core.kernels.scheduler import BatchRunState
 from repro.core.lanes import (
     MAX_LANES,
     LaneClassState,
@@ -56,18 +52,20 @@ from repro.core.partition import (
     NODE_LOCAL_COMPONENTS,
     PartitionedGraph,
 )
-from repro.core.subgraphs import COMPONENT_ORDER
 from repro.machine.network import MachineSpec
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import Tracer
-from repro.resilience.faults import NULL_FAULTS, RankCrashError
-from repro.resilience.recovery import RecoveryError, RecoveryPolicy
+from repro.resilience.faults import NULL_FAULTS
+from repro.resilience.recovery import (
+    RecoveryPolicy,
+    ResilientRunResult,
+    recover,
+)
 
 __all__ = [
     "MAX_BATCH_ROOTS",
     "MSBFSResult",
     "MultiSourceBFS",
-    "BatchRecovery",
     "run_batch_with_recovery",
 ]
 
@@ -176,7 +174,7 @@ class MSBFSResult:
         )
 
 
-class MultiSourceBFS(SchedulerHost):
+class MultiSourceBFS(FifteenDHost):
     """Multi-source 1.5D BFS host: the batched sibling of
     :class:`~repro.core.engine.DistributedBFS`, sharing its kernels,
     context, and config — differing only in the batched scheduler hooks."""
@@ -190,32 +188,8 @@ class MultiSourceBFS(SchedulerHost):
         metrics=None,
         backend=None,
     ) -> None:
-        self.part = part
-        self.mesh = part.mesh
-        self.config = config
-        self.tracer = tracer
-        self.metrics = metrics
-        if machine is None:
-            machine = self.mesh.machine or MachineSpec(
-                num_nodes=self.mesh.num_ranks
-            )
-        if machine.num_nodes < self.mesh.num_ranks:
-            raise ValueError("machine smaller than the mesh")
-        self.machine = machine
-
-        self.ctx = FifteenDContext(part, machine, config)
-        self.kernels = build_fifteend_kernels(self.ctx, COMPONENT_ORDER)
-        self.scheduler = LevelSyncScheduler(
-            self, self.kernels, tracer=tracer, metrics=metrics, backend=backend
-        )
+        super().__init__(part, machine, config, tracer, metrics, backend)
         self.lane_class_state = LaneClassState(self.ctx.masks)
-
-        self.num_vertices = part.num_vertices
-        self.num_input_edges = part.total_arcs // 2
-
-    @property
-    def cost(self):
-        return self.ctx.cost
 
     # ------------------------------------------------------------------
     # public API
@@ -312,15 +286,6 @@ class MultiSourceBFS(SchedulerHost):
                 self.ctx.charge_parent_reduction(ledger, lanes.num_lanes)
 
 
-@dataclass
-class BatchRecovery:
-    """A recovered batch plus its crash accounting."""
-
-    result: MSBFSResult
-    crashes: int = 0
-    wasted_seconds: float = 0.0
-
-
 def run_batch_with_recovery(
     engine: MultiSourceBFS,
     roots,
@@ -328,49 +293,21 @@ def run_batch_with_recovery(
     faults=NULL_FAULTS,
     policy: RecoveryPolicy = RecoveryPolicy(),
     metrics=NULL_METRICS,
-) -> BatchRecovery:
+) -> ResilientRunResult:
     """Run one batch, replaying it from scratch on injected rank crashes.
 
     A mid-batch crash fails only this batch: the whole batch is re-run
-    (there is no per-root checkpoint inside a shared wave), the aborted
-    attempts' ledgers are merged into the final result so
-    ``total_seconds`` reflects the true end-to-end cost, and the restart
-    budget is the policy's ``max_restarts``.  Only ``restart`` mode is
-    meaningful for a batch — ``degrade`` excision is per-root machinery.
+    (there is no per-root checkpoint inside a shared wave, so the shared
+    :func:`~repro.resilience.recovery.recover` loop always restarts from
+    scratch) and the aborted attempts' ledgers are merged into the final
+    result so ``total_seconds`` reflects the true end-to-end cost.  Only
+    ``restart`` mode is meaningful for a batch — ``degrade`` excision is
+    per-root machinery.
     """
-    if policy.mode != "restart":
-        raise RecoveryError(
-            "batched runs support restart recovery only "
-            f"(policy mode {policy.mode!r})"
-        )
-    crashes = 0
-    wasted: list = []
-    wasted_seconds = 0.0
-    while True:
-        try:
-            result = engine.run_batch(
-                roots, faults=faults if faults is not NULL_FAULTS else None
-            )
-            break
-        except RankCrashError as crash:
-            crashes += 1
-            metrics.counter("rank_crashes").inc()
-            if crash.ledger is not None:
-                wasted.append(crash.ledger)
-                wasted_seconds += crash.ledger.total_seconds
-            if crashes > policy.max_restarts:
-                raise RecoveryError(
-                    f"rank {crash.rank} crashed mid-batch; restart budget "
-                    f"({policy.max_restarts}) exhausted"
-                ) from crash
-            metrics.counter("recoveries", mode="restart").inc()
-    recovery_seconds = 0.0
-    for ledger in wasted:
-        recovery_seconds += ledger.total_seconds
-        result.ledger.merge(ledger)
-    if wasted:
-        result.total_seconds = result.ledger.total_seconds
-        metrics.counter("recovery_time").inc(recovery_seconds)
-    return BatchRecovery(
-        result=result, crashes=crashes, wasted_seconds=wasted_seconds
+    out = recover(
+        lambda resume: engine.run_batch(roots, faults=faults),
+        policy=policy,
+        metrics=metrics,
     )
+    out.result.total_seconds = out.result.ledger.total_seconds
+    return out

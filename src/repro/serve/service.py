@@ -43,7 +43,6 @@ from collections import OrderedDict, deque
 
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
-from repro.resilience.faults import RankCrashError
 from repro.serve.cache import ResultCache
 from repro.serve.core import (
     LATENCY_BUCKETS,
@@ -320,39 +319,35 @@ class TraversalService:
         run_params = dict(params)
         if spec.needs_root:
             run_params["root"] = root
-        loop = asyncio.get_running_loop()
         self._inflight_programs += 1
-        scope.bump("admitted")
+        future = core.admit(scope, request)
         run_kwargs = {"faults": core.faults}
         if core.tracer.enabled:
             run_kwargs["span_attrs"] = {"trace_id": request.trace_id}
         try:
             while True:
                 prog = build_program(program, engine.part, **run_params)
-                t_exec = self._core.clock()
-                try:
-                    result = await loop.run_in_executor(
-                        None,
-                        functools.partial(
-                            engine.run_program, prog, **run_kwargs
-                        ),
-                    )
+                t_exec = core.clock()
+                result, crashed = await core.execute(
+                    scope,
+                    [request],
+                    functools.partial(engine.run_program, prog, **run_kwargs),
+                )
+                if result is not None:
                     break
-                except RankCrashError:
-                    request.attempts += 1
+                if crashed:
                     self._count_program(program, "crashed")
-                    if request.attempts > self.max_replays:
-                        self._count_program(program, "failed")
-                        error = TraversalError(
-                            f"program {program!r} query failed after "
-                            f"{self.max_replays} replays (injected rank "
-                            "crash)",
-                            trace_id=request.trace_id,
-                        )
-                        core.fail(scope, request, error)
-                        raise error from None
-                    scope.bump("replays")
-                    scope.counter("batch_replays").inc()
+                    if core.charge_replay(
+                        scope,
+                        [request],
+                        self.max_replays,
+                        f"program {program!r}, injected rank crash",
+                    ):
+                        continue
+                # Failed typed (replay budget, or the program raised):
+                # the request's future carries the error.
+                self._count_program(program, "failed")
+                return await future
         finally:
             self._inflight_programs -= 1
 

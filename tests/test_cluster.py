@@ -302,6 +302,48 @@ class TestClusterService:
         assert metrics.counter_total("cluster_failovers") == 1
         assert metrics.counter_total("cluster_batch_replays", tenant="t0") >= 1
 
+    def test_non_crash_exception_fails_typed_and_keeps_replica(
+        self, registry_pair, monkeypatch
+    ):
+        """A traversal bug is not a dead replica: the batch's requests
+        fail typed, nobody fails over, the loop keeps serving."""
+        from repro.serve.msbfs import MultiSourceBFS
+
+        real_run_batch = MultiSourceBFS.run_batch
+        calls = []
+
+        def flaky(self, roots, **kwargs):
+            calls.append(len(roots))
+            if len(calls) == 1:
+                raise ValueError("boom")
+            return real_run_batch(self, roots, **kwargs)
+
+        monkeypatch.setattr(MultiSourceBFS, "run_batch", flaky)
+        metrics = MetricsRegistry()
+        tenant = registry_pair["t0"]
+        a, b = [
+            r for r in range(tenant.num_vertices)
+            if tenant.cache.get(tenant.fingerprint, r) is None
+        ][:2]  # the registry is shared: dodge earlier tests' cache hits
+
+        async def scenario():
+            async with ClusterService(
+                registry_pair, replicas=1, batch_window=0.0, metrics=metrics
+            ) as cluster:
+                doomed = await asyncio.gather(
+                    cluster.submit("t0", a), return_exceptions=True
+                )
+                ok = await asyncio.wait_for(cluster.submit("t0", b), 30)
+                return doomed, ok, len(cluster.live_replicas)
+
+        (doomed,), ok, live = run_async(scenario())
+        assert isinstance(doomed, TraversalError) and doomed.tenant == "t0"
+        assert "ValueError: boom" in str(doomed)
+        want = tenant.sequential.run(b).parent
+        np.testing.assert_array_equal(ok.parent, want)
+        assert live == 1
+        assert metrics.counter_total("cluster_failovers") == 0
+
     def test_kill_replica_mid_stream_is_transparent(self, registry_pair):
         async def scenario():
             async with ClusterService(

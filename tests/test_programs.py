@@ -8,8 +8,9 @@ Four contracts are pinned here:
 2. **External exactness** — CC/TC/SSSP agree with scipy's independent
    implementations on the same graph.
 3. **Engine-feature inheritance** — programs emit the documented
-   spans/metrics, checkpoint and recover from injected crashes, and are
-   servable through ``TraversalService``.
+   spans/metrics and are servable through ``TraversalService``
+   (checkpointing and crash recovery are pinned for every traversal
+   mode at once in ``test_level_loop.py``).
 4. **The documentation runs** — the ``docs/programs.md`` tutorial block
    executes verbatim, and the CLI error contract holds end to end.
 """
@@ -27,7 +28,6 @@ from repro.cli import main
 from repro.core import (
     DistributedBFS,
     connected_components,
-    generate_weights,
     partition_graph,
     triangle_count,
 )
@@ -45,15 +45,6 @@ from repro.graphs.csr import symmetrize_edges
 from repro.machine.network import MachineSpec
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.resilience import (
-    CheckpointError,
-    FaultInjector,
-    LevelCheckpointer,
-    ProgramCheckpoint,
-    RecoveryError,
-    RecoveryPolicy,
-    run_program_with_recovery,
-)
 from repro.runtime.mesh import ProcessMesh
 
 REPO = Path(__file__).parent.parent
@@ -247,101 +238,6 @@ class TestObservability:
 
 
 # ----------------------------------------------------------------------
-# 3b. checkpointing and crash recovery
-# ----------------------------------------------------------------------
-
-
-def delta_program(system, root):
-    src, dst, part, _, _ = system
-    w = generate_weights(src.size, seed=8)
-    return build_program(
-        "sssp-delta", part, root=root, weights=w, edge_src=src, edge_dst=dst
-    )
-
-
-class TestCheckpointRecovery:
-    def test_checkpoint_fingerprint_and_npz_roundtrip(self, system, tmp_path):
-        _, _, part, machine, mesh = system
-        hub = int(np.argmax(part.degrees))
-        ckpt = LevelCheckpointer(every=3, mesh=mesh)
-        engine = DistributedBFS(part, machine=machine)
-        engine.run_program(delta_program(system, hub), checkpointer=ckpt)
-
-        snap = ckpt.latest()
-        assert isinstance(snap, ProgramCheckpoint)
-        assert snap.program == "sssp-delta"
-        assert snap.verify() is snap
-        assert snap.nbytes > 0
-
-        loaded = ProgramCheckpoint.load(
-            snap.save_npz(tmp_path / "snap.npz")
-        )
-        assert loaded.fingerprint == snap.fingerprint
-        assert loaded.iteration == snap.iteration
-        assert np.array_equal(loaded.active, snap.active)
-        for key, arr in snap.state.items():
-            assert np.array_equal(loaded.state[key], arr)
-
-        # Tampered state must be rejected, not silently restored.
-        snap.state["distance"][0] += 1.0
-        with pytest.raises(CheckpointError, match="fingerprint mismatch"):
-            snap.verify()
-
-    def test_crash_recovery_matches_fault_free_run(self, system):
-        _, _, part, machine, mesh = system
-        hub = int(np.argmax(part.degrees))
-        reference = DistributedBFS(part, machine=machine).run_program(
-            delta_program(system, hub)
-        )
-        assert reference.num_iterations > 8, "crash site must be mid-run"
-
-        engine = DistributedBFS(part, machine=machine)
-        recovered = run_program_with_recovery(
-            engine,
-            delta_program(system, hub),
-            faults=FaultInjector(
-                "crash:rank=1,iter=8", rng=np.random.default_rng(0)
-            ),
-            checkpointer=LevelCheckpointer(every=3, mesh=mesh),
-            policy=RecoveryPolicy(max_restarts=2),
-        )
-        assert recovered.crashes == 1 and recovered.restarts == 1
-        assert recovered.resumed_from and recovered.resumed_from[0] >= 0
-        result = recovered.result
-        assert np.array_equal(
-            result.state["distance"], reference.state["distance"]
-        )
-        assert np.array_equal(
-            result.state["parent"], reference.state["parent"]
-        )
-        assert result.info == reference.info
-        # The recovered ledger includes the wasted attempt: strictly
-        # more expensive than the clean run, never cheaper.
-        assert result.total_seconds > reference.total_seconds
-
-    def test_degrade_mode_rejected_for_programs(self, system):
-        _, _, part, machine, _ = system
-        engine = DistributedBFS(part, machine=machine)
-        with pytest.raises(RecoveryError, match="restart"):
-            run_program_with_recovery(
-                engine,
-                ConnectedComponentsProgram(),
-                policy=RecoveryPolicy(mode="degrade"),
-            )
-
-    def test_restart_budget_exhaustion(self, system):
-        _, _, part, machine, _ = system
-        engine = DistributedBFS(part, machine=machine)
-        with pytest.raises(RecoveryError, match="budget"):
-            run_program_with_recovery(
-                engine,
-                ConnectedComponentsProgram(),
-                faults=FaultInjector("crash:rank=0,iter=0; crash:rank=1,iter=0"),
-                policy=RecoveryPolicy(max_restarts=1),
-            )
-
-
-# ----------------------------------------------------------------------
 # 3c. serving
 # ----------------------------------------------------------------------
 
@@ -402,6 +298,48 @@ class TestServicePrograms:
             response.state["labels"], direct.state["labels"]
         )
         assert response.info == direct.info
+
+    def test_program_crash_replay_shares_the_batch_budget_rule(
+        self, system, serving_engine
+    ):
+        """Served programs replay through ``ServingCore.charge_replay``:
+        one attempt per crash, typed failure past ``max_replays``."""
+        from repro.resilience import FaultInjector
+        from repro.serve import TraversalError, TraversalService
+
+        _, _, part, machine, _ = system
+        direct = connected_components(part, machine=machine)
+
+        async def main_(spec, max_replays):
+            registry = MetricsRegistry()
+            async with TraversalService(
+                serving_engine, batch_window=0.0, metrics=registry,
+                faults=FaultInjector(spec, rng=np.random.default_rng(0)),
+                max_replays=max_replays,
+            ) as svc:
+                try:
+                    outcome = await svc.submit(program="cc")
+                except TraversalError as exc:
+                    outcome = exc
+                return svc, registry, outcome
+
+        svc, registry, ok = run_async(main_("crash:rank=1,iter=1", 2))
+        assert np.array_equal(ok.state["labels"], direct.state["labels"])
+        assert (svc.stats.replays, svc.stats.failed) == (1, 0)
+        assert svc.pending == 0
+
+        svc, registry, err = run_async(
+            main_("crash:rank=1,iter=1;crash:rank=0,iter=1", 1)
+        )
+        assert isinstance(err, TraversalError)
+        assert err.trace_id == "req-000001" and "'cc'" in str(err)
+        assert (svc.stats.replays, svc.stats.failed) == (1, 1)
+        assert svc.pending == 0
+        assert svc.request_timeline(err.trace_id).status == "failed"
+        for outcome, count in (("crashed", 2), ("failed", 1)):
+            assert registry.counter_total(
+                "serve_programs", program="cc", outcome=outcome
+            ) == count
 
     def test_root_contract_per_program(self, serving_engine):
         from repro.serve import TraversalService

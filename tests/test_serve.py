@@ -343,6 +343,47 @@ class TestTraversalService:
         assert svc.stats.replays == 2
         assert svc.request_timeline(first.trace_id).status == "failed"
 
+    def test_non_crash_exception_fails_the_batch_typed(self, engines, monkeypatch):
+        """A traversal that raises anything but an injected crash used
+        to kill the flusher task, so every queued future waited for
+        ever.  Each request of the batch must fail with a typed
+        ``TraversalError`` and the next submit must still be served."""
+        sequential, batched, _ = engines
+        roots = np.flatnonzero(batched.part.degrees > 0)
+        a, b, c = (int(r) for r in roots[:3])
+        real_run_batch = MultiSourceBFS.run_batch
+        calls = []
+
+        def flaky(self, batch_roots, **kwargs):
+            calls.append(len(batch_roots))
+            if len(calls) == 1:
+                raise ValueError("half-repaired partition")
+            return real_run_batch(self, batch_roots, **kwargs)
+
+        monkeypatch.setattr(MultiSourceBFS, "run_batch", flaky)
+
+        async def main():
+            svc = TraversalService(batched, batch_window=0.05, cache=None)
+            async with svc:
+                doomed = await asyncio.wait_for(
+                    asyncio.gather(
+                        svc.submit(a), svc.submit(b), return_exceptions=True
+                    ),
+                    timeout=30,
+                )
+                ok = await asyncio.wait_for(svc.submit(c), timeout=30)
+            return svc, doomed, ok
+
+        svc, doomed, ok = run_async(main())
+        assert calls == [2, 1]
+        assert [type(e) for e in doomed] == [TraversalError, TraversalError]
+        assert sorted(e.trace_id for e in doomed) == ["req-000001", "req-000002"]
+        assert all("ValueError: half-repaired partition" in str(e) for e in doomed)
+        assert np.array_equal(ok.parent, sequential.run(c).parent)
+        assert svc.stats.failed == 2 and svc.stats.completed == 1
+        assert svc.stats.replays == 0  # not a crash: nothing is replayed
+        assert svc.request_timeline("req-000001").status == "failed"
+
     def test_latency_histograms_populated(self, engines):
         _, batched, _ = engines
         metrics = MetricsRegistry()

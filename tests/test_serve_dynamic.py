@@ -8,6 +8,7 @@ cached trees and carry the other component's across the generation.
 """
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -33,6 +34,12 @@ def _insert_batch(pairs):
         dst=np.array([p[1] for p in pairs], dtype=np.int64),
         op=np.ones(len(pairs), dtype=np.int8),
     )
+
+
+def _delete_batch(pairs):
+    batch = _insert_batch(pairs)
+    batch.op[:] = -1
+    return batch
 
 
 def two_rings(half=32):
@@ -223,3 +230,62 @@ class TestIngestion:
         assert metrics.counter_total("serve_ingest_batches") == 2
         assert metrics.counter_total("serve_ingest_updates") == 2
         assert metrics.counter_total("dynamic_batches") == 2
+
+
+def test_ingest_during_inflight_batch(dynamic_service, monkeypatch):
+    """A query batch already traversing generation N must not see the
+    repair of generation N+1.
+
+    ``IncrementalGraph.graph()`` used to hand the serving engine the one
+    live partition ``apply_batch`` rewrites, so a demotion (H -> L turns
+    ``eh_col`` to -1) under an in-flight batch raised inside the
+    traversal, the flusher task died, and the request never resolved.
+    """
+    service, inc, machine, config = dynamic_service
+    # Ring A lives on mesh row 0, so an L -> H message to a vertex whose
+    # ``eh_col`` turned -1 routes to rank -1 and ``np.bincount`` raises.
+    promote = _insert_batch([(1, 10), (1, 12)])   # 1: degree 4 -> H
+    demote = _delete_batch([(1, 10), (1, 12)])    # ...and back to L
+    in_flight, release = threading.Event(), threading.Event()
+    real_run_batch = MultiSourceBFS.run_batch
+
+    def gated(self, roots, **kwargs):
+        in_flight.set()
+        assert release.wait(10)
+        return real_run_batch(self, roots, **kwargs)
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        async with service as svc:
+            await svc.ingest_updates([promote])
+            expected = MultiSourceBFS(
+                inc.rebuild_reference(), machine=machine, config=config
+            ).run_batch(np.array([8], dtype=np.int64))
+            monkeypatch.setattr(MultiSourceBFS, "run_batch", gated)
+            query = asyncio.create_task(svc.submit(8))
+            assert await loop.run_in_executor(None, in_flight.wait, 10)
+            # The batch now sits on the executor holding generation 1;
+            # repair generation 2 underneath it, then let it traverse.
+            ingest = asyncio.create_task(svc.ingest_updates([demote]))
+            while inc.num_batches < 2:
+                await asyncio.sleep(0.005)
+            release.set()
+            response = await asyncio.wait_for(query, 10)
+            await ingest
+            monkeypatch.setattr(MultiSourceBFS, "run_batch", real_run_batch)
+            after = await svc.submit(8)
+            return expected, response, after
+
+    expected, response, after = run_async(main())
+    assert np.array_equal(response.parent, expected.lane_parent(0))
+    assert response.parent[1] >= 0
+    # ...and priced on generation 1 too (a half-repaired partition can
+    # also mis-route silently instead of raising).
+    assert response.sim_seconds == expected.amortized_seconds
+    # The next query is served from the repaired generation, not the
+    # in-flight batch's cache entry.
+    assert not after.cached
+    fresh = MultiSourceBFS(
+        inc.rebuild_reference(), machine=machine, config=config
+    ).run_batch(np.array([8], dtype=np.int64))
+    assert np.array_equal(after.parent, fresh.lane_parent(0))
