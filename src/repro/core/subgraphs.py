@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.lanes import iter_lanes, lane_bit
+
 __all__ = [
     "SubgraphComponent",
     "PushSelection",
@@ -157,6 +159,86 @@ class LanePullScan:
 # ----------------------------------------------------------------------
 
 
+#: Single-position rounds the first-hit scan runs before it expands what
+#: is left.  Pull is only chosen when the source class is dense, so most
+#: groups hit at position 0 or 1; at R-MAT scale 16 the body time is flat
+#: from four rounds on.
+_ROUNDS = 4
+
+
+def _expand_runs(starts, lens):
+    """Indices of the runs ``[starts[i], starts[i] + lens[i])``, run after
+    run."""
+    ends = np.cumsum(lens)
+    idx = np.repeat(starts - (ends - lens), lens)
+    idx += np.arange(idx.size, dtype=np.int64)
+    return idx
+
+
+def _first_of_run(keys):
+    """Mask of the first element of every run of equal adjacent keys."""
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
+def _first_hit_records(starts, lens, pull_src, active, need):
+    """Scan each group's arc run in order until every needed lane has hit.
+
+    ``need[i]`` holds the lanes group ``i`` is looking for and ``active``
+    the lanes each vertex offers — ``uint64`` lane words, or plain
+    booleans for the one-lane scan.  The first ``_ROUNDS`` positions are
+    read one per round over the groups still looking (work ∝ pending
+    groups, and a group leaves as soon as its last lane hits); only the
+    groups still looking after that have their remaining arcs expanded,
+    once.
+
+    Returns ``(grp, pos, bits, dry)``: a record per scanned arc whose
+    source offered a lane the group still needed — rounds first, then the
+    residual in ascending ``(grp, pos)`` order — and the mask of groups
+    with a lane that never hit.  A lane's first record in a group is its
+    first hit; the residual may also record its later ones.
+    """
+    empty = np.array([], dtype=np.int64)
+    rec_grp, rec_pos, rec_bits = [empty], [empty], [need[:0]]
+    dry = np.zeros(starts.size, dtype=bool)
+    pend = np.arange(starts.size, dtype=np.int64)
+    for j in range(_ROUNDS):
+        if pend.size == 0:
+            break
+        hit = active[pull_src[starts[pend] + j]] & need
+        at = np.flatnonzero(hit)
+        if at.size:
+            rec_grp.append(pend[at])
+            rec_pos.append(np.full(at.size, j, dtype=np.int64))
+            rec_bits.append(hit[at])
+            need = need ^ hit
+            left = np.flatnonzero(need)
+            pend, need = pend[left], need[left]
+        # Whoever is still looking at the end of its run ran dry.
+        more = lens[pend] > j + 1
+        dry[pend[~more]] = True
+        pend, need = pend[more], need[more]
+    if pend.size:
+        rest = lens[pend] - _ROUNDS
+        idx = _expand_runs(starts[pend] + _ROUNDS, rest)
+        run = np.repeat(np.arange(pend.size, dtype=np.int64), rest)
+        hit = active[pull_src[idx]] & need[run]
+        got = np.bitwise_or.reduceat(hit, np.cumsum(rest) - rest)
+        dry[pend[got != need]] = True
+        at = np.flatnonzero(hit)
+        grp = pend[run[at]]
+        rec_grp.append(grp)
+        rec_pos.append(idx[at] - starts[grp])
+        rec_bits.append(hit[at])
+    return (
+        np.concatenate(rec_grp),
+        np.concatenate(rec_pos),
+        np.concatenate(rec_bits),
+        dry,
+    )
+
+
 def push_select_range(
     src_ids, src_indptr, push_dst, push_rank, active, lo, hi
 ):
@@ -170,13 +252,8 @@ def push_select_range(
         return empty, empty, empty
     starts = src_indptr[sel_srcs]
     lens = src_indptr[sel_srcs + 1] - starts
-    total = int(lens.sum())
-    arc_src = np.repeat(src_ids[sel_srcs], lens)
-    offs = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lens) - lens, lens
-    )
-    idx = np.repeat(starts, lens) + offs
-    return arc_src, push_dst[idx], push_rank[idx]
+    idx = _expand_runs(starts, lens)
+    return np.repeat(src_ids[sel_srcs], lens), push_dst[idx], push_rank[idx]
 
 
 def pull_scan_range(
@@ -206,49 +283,34 @@ def pull_scan_range(
         return empty, empty, empty, no_scan
     starts = grp_ptr[cand_groups]
     lens = grp_ptr[cand_groups + 1] - starts
-    total = int(lens.sum())
-    offs = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lens) - lens, lens
+    grp, pos, _, dry = _first_hit_records(
+        starts, lens, pull_src, active_src, np.ones(starts.size, dtype=bool)
     )
-    idx = np.repeat(starts, lens) + offs
-    srcs = pull_src[idx]
-    grp_of_arc = np.repeat(np.arange(cand_groups.size, dtype=np.int64), lens)
-
-    hit = active_src[srcs]
-    # first hit position within each group
-    first_pos = np.full(cand_groups.size, -1, dtype=np.int64)
-    if np.any(hit):
-        hit_idx = np.flatnonzero(hit)
-        # reversed minimum trick: np.minimum.at
-        np.minimum.at(
-            first_pos_holder := np.full(cand_groups.size, total + 1, np.int64),
-            grp_of_arc[hit_idx],
-            offs[hit_idx],
-        )
-        found = first_pos_holder <= total
-        first_pos[found] = first_pos_holder[found]
-    scanned = np.where(first_pos >= 0, first_pos + 1, lens)
+    # One lane: a group's records are adjacent and the first is its hit.
+    first = _first_of_run(grp)
+    scanned = lens.copy()
+    scanned[grp[first]] = pos[first] + 1
     scanned_per_rank = np.bincount(
         grp_rank[cand_groups], weights=scanned, minlength=num_ranks
     ).astype(np.int64)
-
-    hit_groups = np.flatnonzero(first_pos >= 0)
-    if hit_groups.size == 0:
-        return empty, empty, empty, scanned_per_rank
-    g_dst = grp_dst[cand_groups[hit_groups]]
-    g_rank = grp_rank[cand_groups[hit_groups]]
-    g_src = pull_src[starts[hit_groups] + first_pos[hit_groups]]
-    return g_dst, g_src, g_rank, scanned_per_rank
+    hit_groups = np.flatnonzero(~dry)
+    hit_cand = cand_groups[hit_groups]
+    g_src = pull_src[starts[hit_groups] + scanned[hit_groups] - 1]
+    return grp_dst[hit_cand], g_src, grp_rank[hit_cand], scanned_per_rank
 
 
 def dedup_pull_hits(g_dst, g_src, g_rank):
-    """Deterministic cross-rank winner per destination: groups arrive in
-    ascending group (= (rank, dst)) order; reorder by (dst, rank) and keep
-    the first hit of each destination."""
-    order = np.lexsort((g_rank, g_dst))
-    g_dst, g_rank, g_src = g_dst[order], g_rank[order], g_src[order]
-    uniq, first = np.unique(g_dst, return_index=True)
-    return uniq, g_src[first], g_rank[first]
+    """Deterministic cross-rank winner per destination.
+
+    Precondition: the hits are in ascending group (= ``(rank, dst)``)
+    order, as :func:`pull_scan_range` returns them and as concatenating a
+    range partition's results in range order keeps them.  A stable sort
+    by destination then leaves each destination's hits in rank order, and
+    the first of each run is the lowest-rank winner.
+    """
+    order = np.argsort(g_dst, kind="stable")
+    order = order[_first_of_run(g_dst[order])]
+    return g_dst[order], g_src[order], g_rank[order]
 
 
 def pull_select_range(
@@ -275,12 +337,7 @@ def pull_select_range(
         return empty, empty, empty, no_scan
     starts = grp_ptr[cand_groups]
     lens = grp_ptr[cand_groups + 1] - starts
-    total = int(lens.sum())
-    offs = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lens) - lens, lens
-    )
-    idx = np.repeat(starts, lens) + offs
-    srcs = pull_src[idx]
+    srcs = pull_src[_expand_runs(starts, lens)]
     scanned_per_rank = np.bincount(
         grp_rank[cand_groups], weights=lens, minlength=num_ranks
     ).astype(np.int64)
@@ -311,69 +368,51 @@ def pull_scan_lanes_range(
     ascending lane order; feed it (or a per-lane concatenation over a
     range partition) to :func:`dedup_lane_hits`.
     """
-    from repro.core.lanes import iter_lanes, lane_bit
-
     no_scan = np.zeros(num_ranks, dtype=np.int64)
     if hi <= lo:
         return [], no_scan
     grp_cand_bits = candidate_bits[grp_dst[lo:hi]]
-    cand_rel = np.flatnonzero(grp_cand_bits != 0)
+    cand_rel = np.flatnonzero(grp_cand_bits)
     if cand_rel.size == 0:
         return [], no_scan
     cand_groups = cand_rel + lo
-    grp_cand_bits = grp_cand_bits[cand_rel]
     starts = grp_ptr[cand_groups]
     lens = grp_ptr[cand_groups + 1] - starts
-    total = int(lens.sum())
-    offs = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lens) - lens, lens
-    )
-    idx = np.repeat(starts, lens) + offs
-    srcs = pull_src[idx]
-    grp_of_arc = np.repeat(np.arange(cand_groups.size, dtype=np.int64), lens)
     # An arc hits for lane l iff its source is active in l AND the
     # group's destination is still a candidate in l.
-    hit_bits = active_bits[srcs] & grp_cand_bits[grp_of_arc]
+    grp, pos, bits, dry = _first_hit_records(
+        starts, lens, pull_src, active_bits, grp_cand_bits[cand_rel]
+    )
+    # The rounds' records are position-major; a stable sort by group puts
+    # all of them in (group, position) order.
+    order = np.argsort(grp, kind="stable")
+    grp, pos, bits = grp[order], pos[order], bits[order]
+    cand_dst = grp_dst[cand_groups]
+    cand_rank = grp_rank[cand_groups]
 
-    scanned_max = np.zeros(cand_groups.size, dtype=np.int64)
+    # Early exit per lane: its first hit + 1.  The shared scan stops at
+    # the deepest of them, or runs the full group when a lane scanned it
+    # dry.
+    depth = np.zeros(cand_groups.size, dtype=np.int64)
     lane_hits = []
     for lane in iter_lanes(group_lanes):
-        bit = lane_bit(lane)
-        lane_cand = (grp_cand_bits & bit) != 0
-        lane_hit = (hit_bits & bit) != 0
-        first_pos = np.full(cand_groups.size, -1, dtype=np.int64)
-        if np.any(lane_hit):
-            hit_idx = np.flatnonzero(lane_hit)
-            np.minimum.at(
-                holder := np.full(cand_groups.size, total + 1, np.int64),
-                grp_of_arc[hit_idx],
-                offs[hit_idx],
-            )
-            found = holder <= total
-            first_pos[found] = holder[found]
-        # Early exit per lane: first hit + 1, the full group when the
-        # lane scanned it dry, nothing when the lane wasn't pulling
-        # this destination at all.
-        scanned_lane = np.where(
-            first_pos >= 0,
-            first_pos + 1,
-            np.where(lane_cand, lens, 0),
-        )
-        np.maximum(scanned_max, scanned_lane, out=scanned_max)
-        hit_groups = np.flatnonzero(first_pos >= 0)
-        if hit_groups.size == 0:
+        recs = np.flatnonzero(bits & lane_bit(lane))
+        if recs.size == 0:
             continue
+        recs = recs[_first_of_run(grp[recs])]
+        hit_groups, first_pos = grp[recs], pos[recs]
+        depth[hit_groups] = np.maximum(depth[hit_groups], first_pos + 1)
         lane_hits.append(
             (
                 lane,
-                grp_dst[cand_groups[hit_groups]],
-                pull_src[starts[hit_groups] + first_pos[hit_groups]],
-                grp_rank[cand_groups[hit_groups]],
+                cand_dst[hit_groups],
+                pull_src[starts[hit_groups] + first_pos],
+                cand_rank[hit_groups],
             )
         )
 
     scanned_per_rank = np.bincount(
-        grp_rank[cand_groups], weights=scanned_max, minlength=num_ranks
+        cand_rank, weights=np.where(dry, lens, depth), minlength=num_ranks
     ).astype(np.int64)
     return lane_hits, scanned_per_rank
 
@@ -383,28 +422,24 @@ def dedup_lane_hits(lane_hits, num_ranks):
 
     ``lane_hits`` must hold one pre-dedup ``(lane, g_dst, g_src, g_rank)``
     tuple per lane in ascending lane order, each lane's hits in ascending
-    group order; returns ``(updates, msg_dst, msg_rank)`` exactly as the
-    sequential :meth:`SubgraphComponent.pull_scan_lanes` builds them.
+    group order (the :func:`dedup_pull_hits` precondition, per lane);
+    returns ``(updates, msg_dst, msg_rank)`` exactly as the sequential
+    :meth:`SubgraphComponent.pull_scan_lanes` builds them.
     """
     empty = np.array([], dtype=np.int64)
     updates = []
-    win_dst, win_rank = [], []
+    keys = []
     for lane, g_dst, g_src, g_rank in lane_hits:
-        order = np.lexsort((g_rank, g_dst))
-        g_dst, g_rank, g_src = g_dst[order], g_rank[order], g_src[order]
-        uniq, first = np.unique(g_dst, return_index=True)
-        updates.append((lane, uniq, g_src[first]))
-        win_dst.append(uniq)
-        win_rank.append(g_rank[first])
-    if not win_dst:
+        dst, src, rank = dedup_pull_hits(g_dst, g_src, g_rank)
+        updates.append((lane, dst, src))
+        keys.append(dst * np.int64(num_ranks) + rank)
+    if not keys:
         return updates, empty, empty
-    all_dst = np.concatenate(win_dst)
-    all_rank = np.concatenate(win_rank)
     # One wire message per unique (dst, rank) pair — the lane word
     # rides along, so overlapping lanes share the message.
-    key = all_dst * np.int64(num_ranks) + all_rank
-    _, first = np.unique(key, return_index=True)
-    return updates, all_dst[first], all_rank[first]
+    key = np.sort(np.concatenate(keys))
+    key = key[_first_of_run(key)]
+    return updates, key // num_ranks, key % num_ranks
 
 
 class SubgraphComponent:
@@ -550,9 +585,6 @@ class SubgraphComponent:
             self.num_groups,
             self.num_ranks,
         )
-        if g_dst.size == 0:
-            empty = np.array([], dtype=np.int64)
-            return PullScan(empty, empty, empty, scanned_per_rank)
         hit_dst, hit_src, hit_rank = dedup_pull_hits(g_dst, g_src, g_rank)
         return PullScan(hit_dst, hit_src, hit_rank, scanned_per_rank)
 

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.subgraphs import SubgraphComponent
+from repro.core.subgraphs import (
+    _ROUNDS,
+    SubgraphComponent,
+    dedup_lane_hits,
+    dedup_pull_hits,
+    pull_scan_lanes_range,
+    pull_scan_range,
+)
 
 
 def make_component(arcs, num_ranks=4, name="test"):
@@ -163,3 +170,326 @@ def test_property_push_pull_equivalence(seed, n, m, ranks):
     for d, s in zip(scan.hit_dst.tolist(), scan.hit_src.tolist()):
         assert active[s]
         assert any((a == s and b == d) for a, b in zip(src.tolist(), dst.tolist()))
+
+
+# ----------------------------------------------------------------------
+# the first-hit scans against a per-group Python loop
+# ----------------------------------------------------------------------
+
+
+def oracle_pull_scan(comp, candidate, active, lo, hi):
+    """``pull_scan_range`` as the plain loop it vectorises."""
+    g_dst, g_src, g_rank = [], [], []
+    scanned = [0] * comp.num_ranks
+    for g in range(lo, hi):
+        dst, rank = int(comp.grp_dst[g]), int(comp.grp_rank[g])
+        if not candidate[dst]:
+            continue
+        run = comp._pull_src[comp.grp_ptr[g] : comp.grp_ptr[g + 1]].tolist()
+        depth = len(run)
+        for pos, src in enumerate(run):
+            if active[src]:
+                g_dst.append(dst)
+                g_src.append(src)
+                g_rank.append(rank)
+                depth = pos + 1
+                break
+        scanned[rank] += depth
+    return g_dst, g_src, g_rank, scanned
+
+
+def oracle_pull_scan_lanes(comp, cand_bits, act_bits, lanes, lo, hi):
+    """``pull_scan_lanes_range`` lane by lane; a group is charged the
+    deepest scan any of its candidate lanes needed."""
+    hits = {lane: ([], [], []) for lane in lanes}
+    scanned = [0] * comp.num_ranks
+    for g in range(lo, hi):
+        dst, rank = int(comp.grp_dst[g]), int(comp.grp_rank[g])
+        run = comp._pull_src[comp.grp_ptr[g] : comp.grp_ptr[g + 1]].tolist()
+        depth = 0
+        for lane in lanes:
+            if not (int(cand_bits[dst]) >> lane) & 1:
+                continue
+            lane_depth = len(run)
+            for pos, src in enumerate(run):
+                if (int(act_bits[src]) >> lane) & 1:
+                    hits[lane][0].append(dst)
+                    hits[lane][1].append(src)
+                    hits[lane][2].append(rank)
+                    lane_depth = pos + 1
+                    break
+            depth = max(depth, lane_depth)
+        scanned[rank] += depth
+    lane_hits = [(lane, *hits[lane]) for lane in lanes if hits[lane][0]]
+    return lane_hits, scanned
+
+
+def oracle_dedup(g_dst, g_src, g_rank):
+    """Lowest-rank hit per destination, by destination."""
+    best = {}
+    for dst, src, rank in zip(g_dst, g_src, g_rank):
+        if dst not in best or rank < best[dst][1]:
+            best[dst] = (src, rank)
+    dsts = sorted(best)
+    return dsts, [best[d][0] for d in dsts], [best[d][1] for d in dsts]
+
+
+def scan_args(comp):
+    return comp.grp_ptr, comp.grp_dst, comp.grp_rank, comp._pull_src
+
+
+def assert_scan_matches(comp, candidate, active, lo, hi):
+    got = pull_scan_range(
+        *scan_args(comp), candidate, active, lo, hi, comp.num_ranks
+    )
+    want = oracle_pull_scan(comp, candidate, active, lo, hi)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64
+        assert g.tolist() == w
+    return got
+
+
+def assert_lane_scan_matches(comp, cand_bits, act_bits, lanes, lo, hi):
+    mask = sum(1 << lane for lane in lanes)
+    lane_hits, scanned = pull_scan_lanes_range(
+        *scan_args(comp), cand_bits, act_bits, np.uint64(mask), lo, hi,
+        comp.num_ranks,
+    )
+    want_hits, want_scanned = oracle_pull_scan_lanes(
+        comp, cand_bits, act_bits, lanes, lo, hi
+    )
+    assert scanned.tolist() == want_scanned
+    assert [
+        (lane, d.tolist(), s.tolist(), r.tolist()) for lane, d, s, r in lane_hits
+    ] == want_hits
+    return lane_hits, scanned
+
+
+def one_group(length, dst=100):
+    """A single pull group whose sources, in scan order, are 0..length-1."""
+    return make_component([(s, dst, 0) for s in range(length)], num_ranks=1)
+
+
+GROUP_LENGTHS = sorted({1, 2, _ROUNDS - 1, _ROUNDS, _ROUNDS + 1, _ROUNDS + 3})
+
+
+@pytest.mark.parametrize("length", GROUP_LENGTHS)
+def test_first_hit_at_every_position(length):
+    """Groups shorter than, equal to and longer than the round count, the
+    hit at every position — the last round and the first residual
+    position among them — and no hit at all."""
+    comp = one_group(length)
+    candidate = np.ones(101, dtype=bool)
+    for pos in list(range(length)) + [None]:
+        active = np.zeros(101, dtype=bool)
+        if pos is not None:
+            active[pos:length:2] = True  # later hits must not matter
+        assert_scan_matches(comp, candidate, active, 0, 1)
+        scan = comp.pull_scan(candidate, active)
+        assert scan.scanned_arcs == (length if pos is None else pos + 1)
+        assert scan.hit_src.tolist() == ([] if pos is None else [pos])
+
+
+@pytest.mark.parametrize("length", GROUP_LENGTHS)
+def test_lanes_charge_the_deeper_first_hit(length):
+    """Two lanes hitting at different depths of one group; a third lane
+    is candidate nowhere and must not appear."""
+    comp = one_group(length)
+    cand_bits = np.zeros(101, dtype=np.uint64)
+    cand_bits[100] = 0b011
+    for pos_a in range(length):
+        for pos_b in list(range(length)) + [None]:
+            act_bits = np.zeros(101, dtype=np.uint64)
+            act_bits[pos_a] |= np.uint64(0b101)
+            if pos_b is not None:
+                act_bits[pos_b] |= np.uint64(0b110)
+            assert_lane_scan_matches(comp, cand_bits, act_bits, [0, 1, 2], 0, 1)
+            scan = comp.pull_scan_lanes(cand_bits, act_bits, np.uint64(0b111))
+            deeper = length if pos_b is None else max(pos_a, pos_b) + 1
+            assert scan.scanned_arcs == deeper
+            assert [lane for lane, _, _ in scan.updates] == (
+                [0] if pos_b is None else [0, 1]
+            )
+
+
+@st.composite
+def scan_cases(draw):
+    """A small component with runs on both sides of the round count, and
+    masks from empty through sparse to full."""
+    seed = draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(2, 24))
+    ranks = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 160))
+    # Few distinct destinations -> long groups; many -> groups of length 1.
+    num_dsts = draw(st.integers(1, n))
+    src = rng.integers(0, n, size=m)
+    dst = rng.integers(0, num_dsts, size=m)
+    rank = rng.integers(0, ranks, size=m)
+    comp = SubgraphComponent("t", src, dst, rank, ranks)
+    active_p = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    cand_p = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    cuts = sorted(
+        draw(st.lists(st.integers(0, comp.num_groups), max_size=4))
+    )
+    bounds = [0, *cuts, comp.num_groups]
+    return comp, rng, n, active_p, cand_p, list(zip(bounds, bounds[1:]))
+
+
+@given(case=scan_cases())
+@settings(max_examples=150, deadline=None)
+def test_property_pull_scan_matches_oracle(case):
+    comp, rng, n, active_p, cand_p, ranges = case
+    active = rng.random(n) < active_p
+    candidate = rng.random(n) < cand_p
+    parts = [  # lo == hi whenever a cut repeats
+        assert_scan_matches(comp, candidate, active, lo, hi) for lo, hi in ranges
+    ]
+    # A range partition's hits, concatenated in range order, dedup to the
+    # full-range result (what the shmem backend relies on).
+    merged = [np.concatenate([p[i] for p in parts]) for i in range(3)]
+    scanned = np.sum([p[3] for p in parts], axis=0)
+    full = comp.pull_scan(candidate, active)
+    for got, want in zip(
+        dedup_pull_hits(*merged), (full.hit_dst, full.hit_src, full.hit_rank)
+    ):
+        assert got.tolist() == want.tolist()
+    assert scanned.tolist() == full.scanned_per_rank.tolist()
+    g_dst, g_src, g_rank, want_scanned = oracle_pull_scan(
+        comp, candidate, active, 0, comp.num_groups
+    )
+    assert [full.hit_dst.tolist(), full.hit_src.tolist(), full.hit_rank.tolist()] == list(
+        oracle_dedup(g_dst, g_src, g_rank)
+    )
+    assert full.scanned_per_rank.tolist() == want_scanned
+
+
+@given(case=scan_cases(), num_lanes=st.sampled_from([1, 2, 5, 64]))
+@settings(max_examples=150, deadline=None)
+def test_property_pull_scan_lanes_matches_oracle(case, num_lanes):
+    comp, rng, n, active_p, cand_p, ranges = case
+    lanes = list(range(num_lanes))
+
+    def lane_words(p):
+        bits = rng.random((n, num_lanes)) < p
+        words = np.zeros(n, dtype=np.uint64)
+        for lane in lanes:
+            words[bits[:, lane]] |= np.uint64(1 << lane)
+        return words
+
+    act_bits = lane_words(active_p)
+    cand_bits = lane_words(cand_p)
+    if num_lanes > 1:
+        cand_bits &= ~np.uint64(2)  # lane 1 is candidate nowhere
+    mask = np.uint64((1 << num_lanes) - 1)
+    parts = [
+        assert_lane_scan_matches(comp, cand_bits, act_bits, lanes, lo, hi)
+        for lo, hi in ranges
+    ]
+    # Per-lane concatenation over the partition, in range order.
+    by_lane = {}
+    for lane_hits, _ in parts:
+        for lane, *hit in lane_hits:
+            by_lane.setdefault(lane, []).append(hit)
+    merged = [
+        (lane, *(np.concatenate([h[i] for h in hits]) for i in range(3)))
+        for lane, hits in sorted(by_lane.items())
+    ]
+    updates, msg_dst, msg_rank = dedup_lane_hits(merged, comp.num_ranks)
+    full = comp.pull_scan_lanes(cand_bits, act_bits, mask)
+    assert np.sum([p[1] for p in parts], axis=0).tolist() == (
+        full.scanned_per_rank.tolist()
+    )
+    assert msg_dst.tolist() == full.msg_dst.tolist()
+    assert msg_rank.tolist() == full.msg_rank.tolist()
+    as_lists = lambda ups: [(lane, d.tolist(), s.tolist()) for lane, d, s in ups]
+    assert as_lists(updates) == as_lists(full.updates)
+
+    want_hits, want_scanned = oracle_pull_scan_lanes(
+        comp, cand_bits, act_bits, lanes, 0, comp.num_groups
+    )
+    assert full.scanned_per_rank.tolist() == want_scanned
+    want_updates, messages = [], set()
+    for lane, g_dst, g_src, g_rank in want_hits:
+        dsts, srcs, win_ranks = oracle_dedup(g_dst, g_src, g_rank)
+        want_updates.append((lane, dsts, srcs))
+        messages |= set(zip(dsts, win_ranks))
+    assert as_lists(full.updates) == want_updates
+    assert list(zip(full.msg_dst.tolist(), full.msg_rank.tolist())) == sorted(messages)
+
+
+# ----------------------------------------------------------------------
+# the early exit is real: count what the scan reads, not how long it takes
+# ----------------------------------------------------------------------
+
+
+class CountingArray(np.ndarray):
+    """``pull_src`` that counts the elements gathered out of it."""
+
+    def __getitem__(self, key):
+        out = np.asarray(super().__getitem__(key))
+        self.gathered[0] += out.size
+        return out
+
+
+def counted_scan_args(comp):
+    pull_src = comp._pull_src.view(CountingArray)
+    pull_src.gathered = [0]
+    return (comp.grp_ptr, comp.grp_dst, comp.grp_rank, pull_src), pull_src.gathered
+
+
+@pytest.fixture
+def long_groups():
+    """300 groups of 41 arcs; vertex 0 is the first source of each."""
+    groups, length = 300, 41
+    arcs = [
+        (s, 1000 + g, g % 4) for g in range(groups) for s in range(length)
+    ]
+    return make_component(arcs, num_ranks=4), groups
+
+
+def test_scan_reads_only_what_it_charges(long_groups):
+    comp, groups = long_groups
+    n = 1000 + groups
+    active = np.zeros(n, dtype=bool)
+    active[0] = True
+    args, gathered = counted_scan_args(comp)
+    g_dst, g_src, _, scanned = pull_scan_range(
+        *args, np.ones(n, dtype=bool), active, 0, comp.num_groups, 4
+    )
+    assert g_dst.size == groups and not g_src.any()
+    assert scanned.sum() == groups
+    assert gathered[0] <= groups * (_ROUNDS + 1) < comp.num_arcs
+
+    act_bits = np.zeros(n, dtype=np.uint64)
+    act_bits[0] = 0b11
+    args, gathered = counted_scan_args(comp)
+    lane_hits, scanned = pull_scan_lanes_range(
+        *args, np.full(n, 0b11, dtype=np.uint64), act_bits, np.uint64(0b11),
+        0, comp.num_groups, 4,
+    )
+    assert [hit[1].size for hit in lane_hits] == [groups, groups]
+    assert scanned.sum() == groups
+    assert gathered[0] <= groups * (_ROUNDS + 1) < comp.num_arcs
+
+
+def test_dry_scan_reads_every_arc_once(long_groups):
+    comp, groups = long_groups
+    n = 1000 + groups
+    args, gathered = counted_scan_args(comp)
+    g_dst, _, _, scanned = pull_scan_range(
+        *args, np.ones(n, dtype=bool), np.zeros(n, dtype=bool),
+        0, comp.num_groups, 4,
+    )
+    assert g_dst.size == 0
+    assert gathered[0] == comp.num_arcs
+    assert scanned.tolist() == comp.arcs_per_rank.tolist()
+
+    args, gathered = counted_scan_args(comp)
+    lane_hits, scanned = pull_scan_lanes_range(
+        *args, np.full(n, 0b11, dtype=np.uint64), np.zeros(n, dtype=np.uint64),
+        np.uint64(0b11), 0, comp.num_groups, 4,
+    )
+    assert lane_hits == []
+    assert gathered[0] == comp.num_arcs
+    assert scanned.tolist() == comp.arcs_per_rank.tolist()
