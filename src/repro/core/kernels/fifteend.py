@@ -312,6 +312,25 @@ class FifteenDContext:
                 )
 
 
+def _first_writer_per_lane(hit_bits, group, vertices, parents) -> list:
+    """Per-lane activations of a lane-shared arc selection.
+
+    ``hit_bits[a]`` holds the lanes of ``group`` in which arc ``a``
+    activates ``vertices[a]`` from ``parents[a]``.  Per lane with a hit:
+    ``(lane, distinct vertices ascending, parent of each vertex's first
+    arc in selection order)`` — the first writer per destination of that
+    lane's sequential commit.
+    """
+    updates = []
+    for lane in iter_lanes(group):
+        mask = (hit_bits & lane_bit(lane)) != 0
+        if not mask.any():
+            continue
+        uniq, first = np.unique(vertices[mask], return_index=True)
+        updates.append((lane, uniq, parents[mask][first]))
+    return updates
+
+
 class _FifteenDKernel(ComponentKernel):
     """Shared push/pull skeleton of the six 1.5D kernels."""
 
@@ -444,14 +463,7 @@ class _FifteenDKernel(ComponentKernel):
         hit_bits = act_bits[sel.src] & ~lanes.visited[sel.dst] & group
         if not hit_bits.any():
             return []
-        updates = []
-        for lane in iter_lanes(group):
-            mask = (hit_bits & lane_bit(lane)) != 0
-            if not mask.any():
-                continue
-            uniq, first = np.unique(sel.dst[mask], return_index=True)
-            updates.append((lane, uniq, sel.src[mask][first]))
-        return updates
+        return _first_writer_per_lane(hit_bits, group, sel.dst, sel.src)
 
     def commit_pull_lanes(self, scan, group_lanes, lanes, ledger, record):
         """Commit of the lane-shared bottom-up scan (the generic grouped
@@ -849,14 +861,7 @@ class L2LKernel(_FifteenDKernel):
         hit_bits = cand_bits[sel.src] & (lanes.active & group)[sel.dst]
         if not hit_bits.any():
             return []
-        updates = []
-        for lane in iter_lanes(group):
-            mask = (hit_bits & lane_bit(lane)) != 0
-            if not mask.any():
-                continue
-            uniq, first = np.unique(sel.src[mask], return_index=True)
-            updates.append((lane, uniq, sel.dst[mask][first]))
-        return updates
+        return _first_writer_per_lane(hit_bits, group, sel.src, sel.dst)
 
 
 def build_fifteend_kernels(ctx: FifteenDContext, order) -> dict[str, ComponentKernel]:

@@ -90,6 +90,9 @@ class SchedulerHost:
     num_vertices: int
     #: Undirected input edges, reported on the run result.
     num_input_edges: int
+    #: Per-vertex class codes a batched run keeps its running per-lane
+    #: counts by (only hosts that run batches set it).
+    vertex_classes: np.ndarray
 
     def make_ledger(self, tracer: Tracer, metrics=NULL_METRICS) -> TrafficLedger:
         return TrafficLedger(self.cost, tracer=tracer, metrics=metrics)
@@ -148,15 +151,19 @@ class SchedulerHost:
 
     def batch_component_directions(self, name, lanes) -> tuple:
         """``(push_mask, pull_mask)`` lane groups for one component,
-        measured per lane against the latest visited state — each lane
-        gets the direction its sequential run would have chosen."""
+        decided per lane from the latest running counts of ``lanes`` —
+        each lane gets the direction its sequential run would have
+        chosen."""
         raise NotImplementedError
 
     def record_batch_activation(self, record: IterationRecord, newly) -> None:
-        """Fill ``record.newly_activated`` from the wave's lane words."""
+        """Fill ``record.newly_activated`` from the wave's activation
+        counts ``newly[lane, class]`` (the lane words are
+        ``lanes.newly``)."""
 
     def end_batch_iteration(self, ledger, record, lanes, newly) -> None:
-        """Wave-end work (eager parent reductions, barriers)."""
+        """Wave-end work (eager parent reductions, barriers); ``newly``
+        as in :meth:`record_batch_activation`."""
 
     def end_batch_run(self, ledger, tracer: Tracer, lanes) -> None:
         """Batch-end work (the §5 delayed parent reduction, per lane)."""
@@ -655,7 +662,7 @@ class _WaveMode(_LevelMode):
 
     def __init__(self, scheduler, roots) -> None:
         super().__init__(scheduler)
-        self.lanes = LaneState(self.n, roots)
+        self.lanes = LaneState(self.n, roots, self.host.vertex_classes)
         self.span_attrs = {"lanes": self.lanes.num_lanes}
         self.lane_frontiers: list[np.ndarray] = []
         self.lane_directions: list[dict] = []
@@ -671,7 +678,6 @@ class _WaveMode(_LevelMode):
     def begin_level(self, it, ledger) -> str:
         self.host.begin_batch_iteration(ledger, self.lanes)
         self.whole = self.host.batch_iteration_directions(self.lanes)
-        self.newly = np.zeros(self.n, dtype=np.uint64)
         self.level_directions = {}
         return "fresh" if self.whole is None else "whole"
 
@@ -691,16 +697,15 @@ class _WaveMode(_LevelMode):
         updates = self.backend.execute_lanes(
             kernel, direction, group, self.lanes, ledger, record
         )
-        self.newly |= self.lanes.commit(updates)
-        return sum(int(d.size) for _, d, _ in updates)
+        return self.lanes.commit(updates)
 
     def end_level(self, it, ledger, record) -> None:
-        lanes, newly = self.lanes, self.newly
-        self.host.record_batch_activation(record, newly)
-        self.host.end_batch_iteration(ledger, record, lanes, newly)
+        lanes = self.lanes
+        self.host.record_batch_activation(record, lanes.newly_counts)
+        self.host.end_batch_iteration(ledger, record, lanes, lanes.newly_counts)
         self.lane_frontiers.append(self.per_lane)
         self.lane_directions.append(self.level_directions)
-        lanes.active = newly
+        lanes.advance()
 
     def end_run(self, ledger, tracer) -> None:
         self.host.end_batch_run(ledger, tracer, self.lanes)

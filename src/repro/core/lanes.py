@@ -15,8 +15,12 @@ select the same arcs in the same deterministic order per lane.  That is
 what lets the serving layer promise parent trees bit-identical to
 per-root runs.
 
-Everything here is engine-agnostic: plain bit plumbing plus the per-lane
-class population counters the §4.2 direction heuristics need.
+Everything here is engine-agnostic: plain bit plumbing, plus running
+per-lane population counts by vertex class — kept at commit time, the
+way the bitmask frontiers of Pan–Pearce–Owens and Bisson et al. are —
+so that the §4.2 direction heuristics, the frontier sizes and the
+activation records read ``num_lanes`` integers instead of re-counting
+``n`` lane words before every sub-iteration.
 """
 
 from __future__ import annotations
@@ -26,15 +30,17 @@ import numpy as np
 __all__ = [
     "MAX_LANES",
     "LaneState",
-    "LaneClassState",
     "lane_bit",
     "iter_lanes",
-    "lane_population",
     "all_lanes_mask",
 ]
 
 #: Width of the lane word: one bit per concurrent root.
 MAX_LANES = 64
+
+#: Vertex classes the running counts are kept by: the L, H, E codes of
+#: :class:`~repro.core.partition.VertexClass`.
+NUM_CLASSES = 3
 
 _ONE = np.uint64(1)
 
@@ -64,25 +70,18 @@ def iter_lanes(mask) -> list[int]:
     return lanes
 
 
-def lane_population(bits: np.ndarray, num_lanes: int = MAX_LANES) -> np.ndarray:
-    """Per-lane set-bit counts of a lane-word array.
-
-    One vectorized pass: explode each ``uint64`` into its 64 bits
-    (little-endian, so column ``l`` is lane ``l``) and sum columns.
-    """
-    if bits.size == 0:
-        return np.zeros(num_lanes, dtype=np.int64)
-    as_bytes = bits.view(np.uint8).reshape(bits.size, 8)
-    if not np.little_endian:  # pragma: no cover - big-endian hosts
-        as_bytes = as_bytes[:, ::-1]
-    cols = np.unpackbits(as_bytes, axis=1, bitorder="little")
-    return cols.sum(axis=0, dtype=np.int64)[:num_lanes]
-
-
 class LaneState:
-    """Frontier/visited/parent state of up to 64 concurrent BFS lanes."""
+    """Frontier/visited/parent state of up to 64 concurrent BFS lanes.
 
-    def __init__(self, num_vertices: int, roots) -> None:
+    ``vclass`` is the per-vertex class code
+    (:attr:`~repro.core.partition.PartitionedGraph.vclass`).  Beside the
+    lane words the state keeps ``[lane, class]`` population counts of
+    the frontier, the visited set and this level's activations; they are
+    the integers a popcount of lane ``l``'s bit over each class would
+    give, maintained by :meth:`commit` and :meth:`advance`.
+    """
+
+    def __init__(self, num_vertices: int, roots, vclass: np.ndarray) -> None:
         roots = np.asarray(roots, dtype=np.int64)
         if roots.ndim != 1 or not 1 <= roots.size <= MAX_LANES:
             raise ValueError(
@@ -90,84 +89,72 @@ class LaneState:
             )
         if np.unique(roots).size != roots.size:
             raise ValueError("batch roots must be distinct")
-        if roots.size and (roots.min() < 0 or roots.max() >= num_vertices):
+        if roots.min() < 0 or roots.max() >= num_vertices:
             raise ValueError(f"root out of range for n={num_vertices}")
+        if vclass.shape != (num_vertices,):
+            raise ValueError(f"vclass must hold one code per vertex, n={num_vertices}")
         self.num_vertices = int(num_vertices)
         self.num_lanes = int(roots.size)
         self.roots = roots
+        self.vclass = vclass
         self.lane_mask = all_lanes_mask(self.num_lanes)
         #: Lane membership bits of the current frontier, per vertex.
         self.active = np.zeros(num_vertices, dtype=np.uint64)
         #: Lane membership bits of the visited set, per vertex.
         self.visited = np.zeros(num_vertices, dtype=np.uint64)
+        #: Lane membership bits activated so far in this level.
+        self.newly = np.zeros(num_vertices, dtype=np.uint64)
         #: Per-lane parent trees, ``parent[lane, vertex]``.
         self.parent = np.full((self.num_lanes, num_vertices), -1, dtype=np.int64)
-        for lane, root in enumerate(roots):
-            bit = lane_bit(lane)
-            self.active[root] |= bit
-            self.visited[root] |= bit
-            self.parent[lane, root] = root
+        lane_ids = np.arange(self.num_lanes)
+        bits = _ONE << lane_ids.astype(np.uint64)
+        self.active[roots] = bits
+        self.visited[roots] = bits
+        self.parent[lane_ids, roots] = roots
+        #: ``[lane, class]`` populations of ``active`` / ``visited`` / ``newly``.
+        self.active_counts = np.zeros((self.num_lanes, NUM_CLASSES), dtype=np.int64)
+        self.active_counts[lane_ids, vclass[roots]] = 1
+        self.visited_counts = self.active_counts.copy()
+        self.newly_counts = np.zeros_like(self.active_counts)
 
     @property
     def active_lane_mask(self) -> np.uint64:
         """Bits of lanes whose frontier is non-empty."""
-        return np.bitwise_or.reduce(self.active) if self.active.size else np.uint64(0)
+        live = np.flatnonzero(self.active_counts.any(axis=1))
+        return np.bitwise_or.reduce(_ONE << live.astype(np.uint64))
 
     def frontier_sizes(self) -> np.ndarray:
         """Per-lane frontier vertex counts."""
-        return lane_population(self.active, self.num_lanes)
+        return self.active_counts.sum(axis=1)
 
-    def commit(self, updates) -> np.ndarray:
+    def commit(self, updates) -> int:
         """Apply a sub-iteration's per-lane activations.
 
         ``updates`` is a list of ``(lane, dsts, parents)`` triples; the
-        destinations of each lane must be fresh (unvisited in that lane).
-        Returns the lane-bit array of newly activated (vertex, lane)
-        pairs, already OR-ed into ``visited`` so the next sub-iteration
-        of the same wave sees it (§4.2 freshness).
+        destinations of each lane must be distinct and fresh (unvisited
+        in that lane).  Their bits go into ``visited`` at once, so the
+        next sub-iteration of the same wave sees them (§4.2 freshness),
+        and into this level's ``newly``; only the words of activated
+        vertices are touched.  Returns the number of (vertex, lane)
+        pairs activated.
         """
-        newly = np.zeros(self.num_vertices, dtype=np.uint64)
+        activated = 0
         for lane, dsts, parents in updates:
             if dsts.size == 0:
                 continue
             bit = lane_bit(lane)
             self.parent[lane, dsts] = parents
-            newly[dsts] |= bit
-        self.visited |= newly
-        return newly
+            self.visited[dsts] |= bit
+            self.newly[dsts] |= bit
+            counts = np.bincount(self.vclass[dsts], minlength=NUM_CLASSES)
+            self.visited_counts[lane] += counts
+            self.newly_counts[lane] += counts
+            activated += int(dsts.size)
+        return activated
 
-
-class LaneClassState:
-    """Per-lane active/unvisited ratios per degree class (§4.2 inputs).
-
-    The sequential engine measures ``(active_ratio, unvisited_ratio)``
-    per class as integer population counts divided by the class size;
-    this reproduces exactly those integers per lane, so per-lane
-    direction decisions are bit-equal to the decisions each sequential
-    run would have made at the same level.
-    """
-
-    def __init__(self, class_masks: dict[str, np.ndarray]) -> None:
-        self._indices = {
-            name: np.flatnonzero(mask) for name, mask in class_masks.items()
-        }
-        self.sizes = {name: int(idx.size) for name, idx in self._indices.items()}
-
-    def measure(self, lanes: LaneState) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """``{class: (active_ratio[num_lanes], unvisited_ratio[num_lanes])}``."""
-        out = {}
-        num_lanes = lanes.num_lanes
-        mask = lanes.lane_mask
-        for name, idx in self._indices.items():
-            size = self.sizes[name]
-            if size == 0:
-                zero = np.zeros(num_lanes, dtype=np.float64)
-                out[name] = (zero, zero.copy())
-                continue
-            act = lane_population(lanes.active[idx], num_lanes)
-            unvis = lane_population(~lanes.visited[idx] & mask, num_lanes)
-            out[name] = (
-                act.astype(np.float64) / size,
-                unvis.astype(np.float64) / size,
-            )
-        return out
+    def advance(self) -> None:
+        """End of a level: this level's activations become the frontier."""
+        self.active = self.newly
+        self.newly = np.zeros(self.num_vertices, dtype=np.uint64)
+        self.active_counts = self.newly_counts
+        self.newly_counts = np.zeros_like(self.active_counts)

@@ -40,17 +40,13 @@ from repro.core.config import BFSConfig
 from repro.core.direction import choose_whole_iteration_direction
 from repro.core.engine import FifteenDHost
 from repro.core.kernels.scheduler import BatchRunState
-from repro.core.lanes import (
-    MAX_LANES,
-    LaneClassState,
-    iter_lanes,
-    lane_bit,
-)
+from repro.core.lanes import MAX_LANES, iter_lanes, lane_bit
 from repro.core.metrics import BFSRunResult, IterationRecord
 from repro.core.partition import (
     COMPONENT_CLASSES,
     NODE_LOCAL_COMPONENTS,
     PartitionedGraph,
+    VertexClass,
 )
 from repro.machine.network import MachineSpec
 from repro.obs.metrics import NULL_METRICS
@@ -71,6 +67,20 @@ __all__ = [
 
 #: Lane-word width: roots per batch.
 MAX_BATCH_ROOTS = MAX_LANES
+
+#: Columns of a ``LaneState`` count array that make up each degree class.
+_CLASS_CODES = {
+    "E": [VertexClass.E],
+    "H": [VertexClass.H],
+    "L": [VertexClass.L],
+    "EH": [VertexClass.E, VertexClass.H],
+}
+
+
+def _class_counts(counts, cls) -> np.ndarray:
+    """Per-lane population of degree class ``cls`` in a ``LaneState``
+    ``[lane, class]`` count array."""
+    return counts[:, _CLASS_CODES[cls]].sum(axis=1)
 
 
 @dataclass
@@ -189,7 +199,9 @@ class MultiSourceBFS(FifteenDHost):
         backend=None,
     ) -> None:
         super().__init__(part, machine, config, tracer, metrics, backend)
-        self.lane_class_state = LaneClassState(self.ctx.masks)
+        # Held like ``ctx.masks``: a repair replaces ``part.vclass``, and
+        # this engine keeps serving the generation it was built over.
+        self.vertex_classes = part.vclass
 
     # ------------------------------------------------------------------
     # public API
@@ -249,12 +261,18 @@ class MultiSourceBFS(FifteenDHost):
         return push_mask, pull_mask
 
     def batch_component_directions(self, name, lanes):
-        # Fresh per-lane ratios (§4.2): the integer population counts and
-        # float comparisons match each lane's sequential decision exactly.
-        ratios = self.lane_class_state.measure(lanes)
+        # Fresh per-lane ratios (§4.2) from the run's running counts: the
+        # integers a popcount of each lane's class bits would give, so the
+        # floats and comparisons match each lane's sequential decision
+        # (a class without members reads 0, as in ``ClassState.measure``).
         src_cls, dst_cls = COMPONENT_CLASSES[name]
-        active_src = ratios[src_cls][0]
-        unvisited_dst = ratios[dst_cls][1]
+        sizes = self.ctx.class_state.sizes
+        active_src = _class_counts(lanes.active_counts, src_cls) / max(
+            sizes[src_cls], 1
+        )
+        unvisited_dst = (
+            sizes[dst_cls] - _class_counts(lanes.visited_counts, dst_cls)
+        ) / max(sizes[dst_cls], 1)
         if name in NODE_LOCAL_COMPONENTS:
             pull = active_src > self.config.local_pull_threshold
         else:
@@ -272,9 +290,7 @@ class MultiSourceBFS(FifteenDHost):
         # (vertex, lane) activation pairs per class — the batch analogue
         # of the sequential per-class counts.
         for cls in ("E", "H", "L"):
-            record.newly_activated[cls] = int(
-                np.bitwise_count(newly[self.ctx.masks[cls]]).sum()
-            )
+            record.newly_activated[cls] = int(_class_counts(newly, cls).sum())
 
     def end_batch_iteration(self, ledger, record, lanes, newly) -> None:
         if not self.config.delayed_reduction:

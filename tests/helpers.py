@@ -46,3 +46,17 @@ def star_graph(n: int) -> CSRGraph:
 def levels_agree(level_a: np.ndarray, level_b: np.ndarray) -> bool:
     """BFS trees are non-unique, but levels are; compare via levels."""
     return bool(np.array_equal(level_a, level_b))
+
+
+def lane_population(bits: np.ndarray, num_lanes: int = 64) -> np.ndarray:
+    """Per-lane set-bit counts of a lane-word array — the definition the
+    running counts of :class:`repro.core.lanes.LaneState` are tested
+    against: explode each ``uint64`` into its 64 bits (little-endian, so
+    column ``l`` is lane ``l``) and sum columns."""
+    if bits.size == 0:
+        return np.zeros(num_lanes, dtype=np.int64)
+    as_bytes = np.ascontiguousarray(bits).view(np.uint8).reshape(bits.size, 8)
+    if not np.little_endian:  # pragma: no cover - big-endian hosts
+        as_bytes = as_bytes[:, ::-1]
+    cols = np.unpackbits(as_bytes, axis=1, bitorder="little")
+    return cols.sum(axis=0, dtype=np.int64)[:num_lanes]

@@ -20,7 +20,6 @@ from repro.core.lanes import (
     all_lanes_mask,
     iter_lanes,
     lane_bit,
-    lane_population,
 )
 from repro.graph500.driver import run_graph500, sample_roots
 from repro.graph500.reference import bfs_levels_from_parents, serial_bfs
@@ -31,7 +30,7 @@ from repro.machine.network import MachineSpec
 from repro.runtime.mesh import ProcessMesh
 from repro.serve.msbfs import MAX_BATCH_ROOTS, MultiSourceBFS
 
-from helpers import random_edge_list
+from helpers import lane_population, random_edge_list
 
 GOLDEN = dict(scale=10, rows=2, cols=2, seed=7, e_thr=128, h_thr=16)
 
@@ -94,14 +93,24 @@ class TestLanePrimitives:
             assert pop[lane] == expect
 
     def test_lane_state_validates_roots(self):
-        with pytest.raises(ValueError):
-            LaneState(np.array([], dtype=np.int64), 16)
-        with pytest.raises(ValueError):
-            LaneState(np.arange(65), 100)
-        with pytest.raises(ValueError):
-            LaneState(np.array([1, 1]), 16)  # duplicates
-        with pytest.raises(ValueError):
-            LaneState(np.array([16]), 16)  # out of range
+        def state(n, roots):
+            return LaneState(n, roots, np.zeros(n, dtype=np.int8))
+
+        with pytest.raises(ValueError, match="1..64 roots"):
+            state(16, np.array([], dtype=np.int64))
+        with pytest.raises(ValueError, match="1..64 roots"):
+            state(100, np.arange(65))
+        with pytest.raises(ValueError, match="1..64 roots"):
+            state(16, 3)  # a bare root, not a batch
+        with pytest.raises(ValueError, match="distinct"):
+            state(16, np.array([1, 1]))
+        with pytest.raises(ValueError, match="out of range"):
+            state(16, np.array([16]))
+        with pytest.raises(ValueError, match="out of range"):
+            state(16, np.array([3, -1]))
+        with pytest.raises(ValueError, match="one code per vertex"):
+            LaneState(16, np.array([3]), np.zeros(15, dtype=np.int8))
+        assert state(16, np.arange(16)).num_lanes == 16
 
 
 class TestBitIdentity:
