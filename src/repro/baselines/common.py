@@ -114,7 +114,6 @@ class BaselineEngine(SchedulerHost):
         config: BFSConfig | None = None,
         tracer: Tracer | None = None,
         metrics=None,
-        backend=None,
     ) -> None:
         self.mesh = mesh
         self.num_vertices = int(num_vertices)
@@ -139,7 +138,7 @@ class BaselineEngine(SchedulerHost):
             for name, comp in self.components.items()
         }
         self.scheduler = LevelSyncScheduler(
-            self, self.kernels, tracer=tracer, metrics=metrics, backend=backend
+            self, self.kernels, tracer=tracer, metrics=metrics
         )
 
     # ------------------------------------------------------------------

@@ -72,11 +72,11 @@ class DelegatedOneDimBFS(BaselineEngine):
     scheme = "1D+delegates"
 
     def __init__(self, src, dst, num_vertices, mesh, machine=None, config=None,
-                 tracer=None, metrics=None, backend=None, *,
+                 tracer=None, metrics=None, *,
                  heavy_threshold: int | None = None):
         self.heavy_threshold = heavy_threshold
         super().__init__(src, dst, num_vertices, mesh, machine, config,
-                         tracer, metrics, backend)
+                         tracer, metrics)
 
     def _build_components(self, src, dst):
         if self.heavy_threshold is None:

@@ -98,17 +98,26 @@ def _damping_arg(value: str) -> float:
     return out
 
 
-def _workers_arg(value: str) -> int:
-    """Parse a positive worker count for ``--workers``."""
-    try:
-        out = int(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {value!r}"
-        ) from exc
-    if out < 1:
-        raise argparse.ArgumentTypeError(f"workers must be >= 1, got {value!r}")
-    return out
+def _int_arg(what: str, lo: int, hi: int | None = None):
+    """An argparse ``type=`` for an integer ``what`` in ``[lo, hi]``
+    (``hi=None``: unbounded above), so an out-of-range count exits 2 with
+    usage instead of reaching a library ``ValueError``."""
+    bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+
+    def parse(value: str) -> int:
+        try:
+            out = int(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {value!r}"
+            ) from exc
+        if out < lo or (hi is not None and out > hi):
+            raise argparse.ArgumentTypeError(
+                f"{what} must be {bounds}, got {value!r}"
+            )
+        return out
+
+    return parse
 
 
 def _slo_arg(value: str):
@@ -134,34 +143,6 @@ def _tenants_arg(value: str) -> str:
     return value
 
 
-def _replicas_arg(value: str) -> int:
-    """Parse a positive replica count for ``--replicas``."""
-    try:
-        out = int(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {value!r}"
-        ) from exc
-    if out < 1:
-        raise argparse.ArgumentTypeError(
-            f"replicas must be >= 1, got {value!r}"
-        )
-    return out
-
-
-def _quota_arg(value: str) -> int:
-    """Parse a positive per-tenant admission quota for ``--quota``."""
-    try:
-        out = int(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {value!r}"
-        ) from exc
-    if out < 1:
-        raise argparse.ArgumentTypeError(f"quota must be >= 1, got {value!r}")
-    return out
-
-
 def _faults_arg(value: str):
     """Parse and validate a ``--faults`` spec at argument time, so a
     malformed spec exits 2 with usage instead of a mid-run traceback."""
@@ -182,6 +163,21 @@ def _updates_arg(value: str):
         return parse_update_spec(value)
     except UpdateSpecError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+class _UsageError(Exception):
+    """An argument that parsed but cannot be used; :func:`main` reports
+    it like argparse does (message, usage pointer, exit 2)."""
+
+
+def _check_root(args) -> None:
+    """``--root`` must be one of the ``2**scale`` vertices it indexes."""
+    n = 1 << args.scale
+    if args.root is not None and not 0 <= args.root < n:
+        raise _UsageError(
+            f"--root {args.root} is not a vertex of a SCALE {args.scale} "
+            f"graph (0 <= root < {n})"
+        )
 
 
 #: The CI chaos gate's default scenarios: one of each recoverable
@@ -206,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scale", type=int, default=14, help="Graph500 SCALE")
+    common.add_argument(
+        "--scale", type=_int_arg("scale", 1), default=14, help="Graph500 SCALE"
+    )
     common.add_argument(
         "--mesh", type=_mesh_arg, default=(8, 8), help="process mesh, e.g. 16x16"
     )
@@ -216,19 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_help = "write a Chrome trace_event JSON of the run to PATH"
 
-    from repro.runtime.backends import BACKEND_NAMES
+    from repro.core.lanes import MAX_LANES
 
-    backend_p = argparse.ArgumentParser(add_help=False)
-    backend_p.add_argument(
-        "--backend", choices=BACKEND_NAMES, default="simulated",
-        help="where kernel bodies execute: the in-process simulated "
-             "ledger loop, or real shared-memory parallel workers "
-             "(bit-identical results)",
-    )
-    backend_p.add_argument(
-        "--workers", type=_workers_arg, default=1, metavar="N",
-        help="body worker processes for --backend shmem (>= 1)",
-    )
+    roots_arg = _int_arg("roots", 1)
+    queries_arg = _int_arg("queries", 1)
+    clients_arg = _int_arg("clients", 1)
+    checkpoint_arg = _int_arg("checkpoint-every", 0)
 
     resil = argparse.ArgumentParser(add_help=False)
     resil.add_argument(
@@ -236,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject faults, e.g. 'crash:rank=3,iter=2;drop:phase=L2L,count=2'",
     )
     resil.add_argument(
-        "--checkpoint-every", type=int, default=0, metavar="N",
+        "--checkpoint-every", type=checkpoint_arg, default=0, metavar="N",
         help="snapshot BFS state every N levels (0 = off)",
     )
     resil.add_argument("--max-restarts", type=int, default=3)
@@ -245,10 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     g5 = sub.add_parser(
-        "graph500", parents=[common, resil, backend_p],
-        help="official benchmark flow",
+        "graph500", parents=[common, resil], help="official benchmark flow"
     )
-    g5.add_argument("--roots", type=int, default=8, help="BFS roots (64 = conforming)")
+    g5.add_argument(
+        "--roots", type=roots_arg, default=8, help="BFS roots (64 = conforming)"
+    )
     g5.add_argument("--no-validate", action="store_true")
     g5.add_argument("--trace", metavar="PATH", default=None, help=trace_help)
     g5.add_argument(
@@ -258,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     bfs = sub.add_parser(
-        "bfs", parents=[common, resil, backend_p], help="one traced BFS run"
+        "bfs", parents=[common, resil], help="one traced BFS run"
     )
     bfs.add_argument("--root", type=int, default=None, help="default: max-degree hub")
     bfs.add_argument(
@@ -290,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report", parents=[common],
         help="metered benchmark run -> RunReport JSON artifact",
     )
-    rep.add_argument("--roots", type=int, default=8, help="BFS roots")
+    rep.add_argument("--roots", type=roots_arg, default=8, help="BFS roots")
     rep.add_argument("--out", metavar="PATH", default=None,
                      help="RunReport JSON destination (default: stdout render)")
     rep.add_argument("--prometheus", metavar="PATH", default=None,
@@ -316,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", parents=[common],
         help="fault matrix vs. the fault-free golden run (CI chaos gate)",
     )
-    chaos.add_argument("--roots", type=int, default=4, help="BFS roots per run")
+    chaos.add_argument(
+        "--roots", type=roots_arg, default=4, help="BFS roots per run"
+    )
     chaos.add_argument(
         "--smoke", action="store_true",
         help="use the pinned SCALE-10 smoke configuration "
@@ -328,23 +322,24 @@ def build_parser() -> argparse.ArgumentParser:
              "one straggler scenario)",
     )
     chaos.add_argument(
-        "--checkpoint-every", type=int, default=1, metavar="N",
+        "--checkpoint-every", type=checkpoint_arg, default=1, metavar="N",
         help="checkpoint cadence during faulty runs",
     )
 
     serve = sub.add_parser(
-        "serve", parents=[common, backend_p],
+        "serve", parents=[common],
         help="serve a seeded query workload through the batched "
              "traversal service",
     )
-    serve.add_argument("--queries", type=int, default=256,
+    serve.add_argument("--queries", type=queries_arg, default=256,
                        help="total queries in the workload")
-    serve.add_argument("--clients", type=int, default=32,
+    serve.add_argument("--clients", type=clients_arg, default=32,
                        help="concurrent closed-loop clients")
-    serve.add_argument("--batch-size", type=int, default=64,
-                       help="roots per batch (flush threshold, max 64)")
-    serve.add_argument("--queue-depth", type=int, default=256,
-                       help="admission-control queue bound")
+    serve.add_argument("--batch-size",
+                       type=_int_arg("batch-size", 1, MAX_LANES), default=64,
+                       help=f"roots per batch (flush threshold, max {MAX_LANES})")
+    serve.add_argument("--queue-depth", type=_int_arg("queue-depth", 1),
+                       default=256, help="admission-control queue bound")
     serve.add_argument("--batch-window", type=float, default=0.005,
                        metavar="SECONDS", help="batching window deadline")
     serve.add_argument("--hot-fraction", type=float, default=0.5,
@@ -365,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the serve.* RunReport JSON artifact")
     serve.add_argument("--trace", metavar="PATH", default=None,
                        help="write the session's Chrome trace (wall clock; "
-                            "per-request and per-worker tracks)")
+                            "per-request tracks)")
     serve.add_argument("--telemetry-port", type=int, default=None,
                        metavar="PORT",
                        help="start the live telemetry endpoint (/metrics, "
@@ -397,10 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "classes gold|silver|bronze set quota, weight "
                             "and SLOs; each tenant serves its own seeded "
                             "graph behind the cluster router")
-    serve.add_argument("--replicas", type=_replicas_arg, default=2,
+    serve.add_argument("--replicas", type=_int_arg("replicas", 1), default=2,
                        metavar="N",
                        help="service replicas in multi-tenant mode (>= 1)")
-    serve.add_argument("--quota", type=_quota_arg, default=None, metavar="N",
+    serve.add_argument("--quota", type=_int_arg("quota", 1), default=None,
+                       metavar="N",
                        help="override every tenant's admission quota "
                             "(default: the SLO class quota)")
     serve.add_argument("--duration", type=_positive_float_arg, default=0.5,
@@ -415,10 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "given)")
 
     bserve = sub.add_parser(
-        "bench-serve", parents=[common, backend_p],
+        "bench-serve", parents=[common],
         help="batched-serving benchmark: amortization + throughput sweep",
     )
-    bserve.add_argument("--queries", type=int, default=256)
+    bserve.add_argument("--queries", type=queries_arg, default=256)
     bserve.add_argument("--batch-sizes", default="1,4,16,64",
                         help="comma-separated batch sizes for the "
                              "amortization sweep")
@@ -427,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "service sweep")
     bserve.add_argument("--windows", default="0.005",
                         help="comma-separated batching windows (seconds)")
-    bserve.add_argument("--clients", type=int, default=None,
+    bserve.add_argument("--clients", type=clients_arg, default=None,
                         help="closed-loop clients (default: 2x batch size)")
     bserve.add_argument("--json", metavar="PATH", default=None,
                         help="write the sweep as a JSON artifact")
@@ -469,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     sssp_p.add_argument("--delta", type=_positive_float_arg, default=None)
 
     algo = sub.add_parser(
-        "algo", parents=[common, resil, backend_p],
+        "algo", parents=[common, resil],
         help="run a registered vertex program (sssp, pagerank, cc, ...)",
     )
     algo.add_argument(
@@ -518,7 +514,7 @@ def _write_trace(tracer, path) -> bool:
     return True
 
 
-def _cmd_graph500(args, backend) -> int:
+def _cmd_graph500(args) -> int:
     from repro.graph500.driver import run_graph500
     from repro.obs.tracer import Tracer
 
@@ -539,7 +535,6 @@ def _cmd_graph500(args, backend) -> int:
         max_restarts=args.max_restarts,
         recovery_mode=args.recovery_mode,
         batch_roots=args.batch_roots,
-        backend=backend,
     )
     print(report.render())
     print(f"harmonic_mean_GTEPS: {report.mean_gteps:.3f}")
@@ -556,7 +551,7 @@ def _cmd_graph500(args, backend) -> int:
     return 0 if report.validated and wrote else 1
 
 
-def _cmd_bfs(args, backend) -> int:
+def _cmd_bfs(args) -> int:
     from repro.analysis.experiments import build_setup, run_15d
     from repro.analysis.reporting import ascii_table, format_seconds
     from repro.obs.tracer import Tracer
@@ -565,6 +560,7 @@ def _cmd_bfs(args, backend) -> int:
         Tracer() if (args.trace or args.flame or args.timeline) else None
     )
     rows, cols = args.mesh
+    _check_root(args)
     setup = build_setup(args.scale, rows, cols, seed=args.seed)
     if args.root is not None:
         setup = type(setup)(
@@ -578,7 +574,6 @@ def _cmd_bfs(args, backend) -> int:
         checkpoint_every=args.checkpoint_every,
         max_restarts=args.max_restarts,
         recovery_mode=args.recovery_mode,
-        backend=backend,
     )
     print(f"classes: {part.class_sizes()}")
     print(ascii_table(
@@ -777,6 +772,7 @@ def _cmd_sssp(args) -> int:
     from repro.core import delta_stepping_sssp, generate_weights, sssp
 
     rows, cols = args.mesh
+    _check_root(args)
     setup = build_setup(args.scale, rows, cols, seed=args.seed)
     e_thr, h_thr = args.e_threshold, args.h_threshold
     if e_thr is None or h_thr is None:
@@ -807,7 +803,7 @@ def _cmd_sssp(args) -> int:
     return 0
 
 
-def _cmd_algo(args, backend) -> int:
+def _cmd_algo(args) -> int:
     from repro.core.programs import PROGRAM_REGISTRY, available_programs
 
     if args.list:
@@ -862,6 +858,7 @@ def _cmd_algo(args, backend) -> int:
     from repro.obs.report import report_from_bfs, report_from_program
 
     rows, cols = args.mesh
+    _check_root(args)
     setup = build_setup(args.scale, rows, cols, seed=args.seed)
     e_thr, h_thr = args.e_threshold, args.h_threshold
     if e_thr is None or h_thr is None:
@@ -876,8 +873,7 @@ def _cmd_algo(args, backend) -> int:
         e_threshold=e_thr, h_threshold=h_thr,
     )
     engine = DistributedBFS(
-        part, machine=setup.machine, tracer=tracer, metrics=registry,
-        backend=backend,
+        part, machine=setup.machine, tracer=tracer, metrics=registry
     )
 
     if spec.native_bfs:
@@ -888,7 +884,7 @@ def _cmd_algo(args, backend) -> int:
               f"({res.simulated_gteps():.1f} GTEPS)")
         report = report_from_bfs(
             res, name="program.bfs", context={**context, "root": root},
-            tracer=tracer, backend=backend,
+            tracer=tracer,
         )
     else:
         params: dict = {}
@@ -1152,7 +1148,7 @@ class _StragglerEngine:
         return self._engine.run_batch(roots, **kwargs)
 
 
-def _cmd_serve_cluster(args, backend) -> int:
+def _cmd_serve_cluster(args) -> int:
     from dataclasses import replace
 
     from repro.analysis.reporting import ascii_table, format_seconds
@@ -1186,7 +1182,7 @@ def _cmd_serve_cluster(args, backend) -> int:
     if args.quota is not None:
         specs = [replace(s, quota=args.quota) for s in specs]
     metrics = MetricsRegistry()
-    registry = build_registry(specs, backend=backend)
+    registry = build_registry(specs)
     workload = make_diurnal_workload(
         registry.degrees_map(), queries, seed=seed,
         duration_seconds=duration,
@@ -1347,9 +1343,9 @@ def _cmd_serve_cluster(args, backend) -> int:
     return 0 if ok else 1
 
 
-def _cmd_serve(args, backend) -> int:
+def _cmd_serve(args) -> int:
     if args.tenants is not None or args.smoke:
-        return _cmd_serve_cluster(args, backend)
+        return _cmd_serve_cluster(args)
     from repro.analysis.reporting import ascii_table, format_seconds
     from repro.obs.export import write_chrome_trace
     from repro.obs.metrics import MetricsRegistry
@@ -1365,7 +1361,7 @@ def _cmd_serve(args, backend) -> int:
     sequential, batched = build_serving_pair(
         args.scale, rows, cols, seed=args.seed,
         e_threshold=args.e_threshold, h_threshold=args.h_threshold,
-        backend=backend, tracer=tracer, metrics=metrics,
+        tracer=tracer, metrics=metrics,
     )
     roots = make_workload_roots(
         batched.part.degrees, args.queries, seed=args.seed,
@@ -1483,7 +1479,7 @@ def _cmd_serve(args, backend) -> int:
     return 0 if ok else 1
 
 
-def _cmd_bench_serve(args, backend) -> int:
+def _cmd_bench_serve(args) -> int:
     from repro.analysis.reporting import ascii_table
     from repro.graph500.driver import sample_roots
     from repro.serve.bench import (
@@ -1496,7 +1492,6 @@ def _cmd_bench_serve(args, backend) -> int:
     sequential, batched = build_serving_pair(
         args.scale, rows, cols, seed=args.seed,
         e_threshold=args.e_threshold, h_threshold=args.h_threshold,
-        backend=backend,
     )
     batch_sizes = [int(b) for b in args.batch_sizes.split(",") if b.strip()]
     roots = sample_roots(
@@ -1581,18 +1576,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     from repro.resilience import CheckpointError, FaultSpecError, RecoveryError
 
-    command = _COMMANDS[args.command]
     try:
-        if not hasattr(args, "backend"):
-            return command(args)
-        # Commands that declare --backend get it opened (and closed —
-        # worker processes, /dev/shm segments) around the whole command.
-        from repro.runtime.backends import create_backend
-
-        with create_backend(args.backend, workers=args.workers) as backend:
-            return command(args, backend)
-    except (FaultSpecError, CheckpointError, RecoveryError) as exc:
-        # Resilience misconfiguration (bad spec, rank out of range,
+        return _COMMANDS[args.command](args)
+    except (_UsageError, FaultSpecError, CheckpointError, RecoveryError) as exc:
+        # A bad argument found after parsing (a root outside the graph)
+        # or resilience misconfiguration (bad spec, rank out of range,
         # corrupt snapshot, restart budget exhausted) is a usage-class
         # error: report it and exit 2 like argparse does, no traceback.
         print(f"error: {exc}", file=sys.stderr)

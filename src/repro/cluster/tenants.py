@@ -203,7 +203,7 @@ class TenantRegistry:
 # ----------------------------------------------------------------------
 
 
-def build_tenant(spec: TenantSpec, *, backend=None, dynamic: bool = False) -> Tenant:
+def build_tenant(spec: TenantSpec, *, dynamic: bool = False) -> Tenant:
     """Build one tenant's engines and cache from its spec.
 
     ``dynamic=True`` additionally wraps the tenant's edge set in an
@@ -216,7 +216,6 @@ def build_tenant(spec: TenantSpec, *, backend=None, dynamic: bool = False) -> Te
         spec.scale, spec.rows, spec.cols,
         seed=spec.seed,
         e_threshold=spec.e_threshold, h_threshold=spec.h_threshold,
-        backend=backend,
     )
     tenant = Tenant(
         spec=spec,
@@ -242,12 +241,9 @@ def build_tenant(spec: TenantSpec, *, backend=None, dynamic: bool = False) -> Te
     return tenant
 
 
-def build_registry(specs, *, backend=None, dynamic: bool = False) -> TenantRegistry:
+def build_registry(specs, *, dynamic: bool = False) -> TenantRegistry:
     """Build a registry of tenants from an iterable of specs."""
-    return TenantRegistry(
-        build_tenant(spec, backend=backend, dynamic=dynamic)
-        for spec in specs
-    )
+    return TenantRegistry(build_tenant(spec, dynamic=dynamic) for spec in specs)
 
 
 # ----------------------------------------------------------------------

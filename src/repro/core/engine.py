@@ -115,27 +115,6 @@ class FifteenDHost(SchedulerHost):
 class DistributedBFS(FifteenDHost):
     """BFS over a 1.5D-partitioned graph on a simulated machine."""
 
-    # Convenience views onto the kernel context (public API of old).
-    @property
-    def rates(self):
-        return self.ctx.rates
-
-    @property
-    def masks(self):
-        return self.ctx.masks
-
-    @property
-    def class_state(self):
-        return self.ctx.class_state
-
-    @property
-    def seg_plan(self):
-        return self.ctx.seg_plan
-
-    @property
-    def use_segmenting(self):
-        return self.ctx.use_segmenting
-
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
@@ -195,13 +174,3 @@ class DistributedBFS(FifteenDHost):
         if self.config.delayed_reduction:
             with tracer.span("parent_reduction", category="phase"):
                 self.ctx.charge_parent_reduction(ledger)
-
-    # ------------------------------------------------------------------
-    # back-compat delegates (analytic charge paths, used by cross-checks)
-    # ------------------------------------------------------------------
-
-    def _charge_row_alltoallv(self, name, send_msgs_per_rank, ledger):
-        self.ctx.charge_row_alltoallv(name, send_msgs_per_rank, ledger)
-
-    def _charge_l2l_alltoallv(self, sender_rank, dest_rank, ledger):
-        self.ctx.charge_l2l_alltoallv(sender_rank, dest_rank, ledger)

@@ -36,22 +36,23 @@ EMPTY_ACTIVATION: tuple[np.ndarray, np.ndarray] = (
 
 @dataclass(frozen=True)
 class KernelBodySpec:
-    """How an execution backend may split a kernel's *body* off.
+    """How a kernel's sub-iteration splits into a *body* and a *commit*.
 
     A kernel that publishes a body spec promises its sub-iteration
-    factors into a pure traversal body (a range-parameterized selection
-    or scan over its component's frozen arrays — see the ``*_range``
-    functions in :mod:`repro.core.subgraphs`) followed by a commit
-    (``commit_push``/``commit_pull``/lane/program variants) that does all
-    ledger charging and activation dedup on the merged body result.  A
-    backend may then run the body in parallel worker processes over
-    shared-memory views of the arrays; kernels without a spec (returning
-    ``None`` from :meth:`ComponentKernel.body_spec`) always execute
-    in-process through their plain ``execute*`` methods.
+    factors into a pure traversal body (a selection or scan over its
+    component's frozen arrays — the
+    :class:`~repro.core.subgraphs.SubgraphComponent` methods) followed by
+    a commit (``commit_push``/``commit_pull``/lane/program variants) that
+    does all ledger charging and activation dedup on the body's result.
+    An :class:`~repro.runtime.backends.base.ExecutionBackend` may then
+    call the two halves itself — the layer bench's timing backend spans
+    each — instead of the kernel's monolithic ``execute*``; kernels
+    without a spec (returning ``None`` from
+    :meth:`ComponentKernel.body_spec`) only offer the latter.
     """
 
     #: The :class:`~repro.core.subgraphs.SubgraphComponent` whose frozen
-    #: arrays the body reads (the backend ships them to shared memory).
+    #: arrays the body reads.
     component: object
     #: How this kernel's bottom-up body selects arcs: ``"scan"`` runs the
     #: early-exit grouped pull scan over (candidate=unvisited, active);
@@ -170,7 +171,7 @@ class ComponentKernel(ABC):
         """The kernel's body/commit split, or ``None``.
 
         ``None`` (the default) means the kernel only offers the monolithic
-        ``execute*`` path and an execution backend must run it in-process.
+        ``execute*`` path.
         Kernels returning a :class:`KernelBodySpec` additionally implement
         the commit half of the contract:
 

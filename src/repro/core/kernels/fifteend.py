@@ -392,9 +392,9 @@ class _FifteenDKernel(ComponentKernel):
     # Every path below factors into a pure *body* (an arc selection or
     # scan over the component's frozen arrays — no ledger access) and a
     # *commit* that does all charging, routing, and activation dedup on
-    # the body's result.  The in-process ``execute*`` methods chain the
-    # two; a parallel backend computes the body chunked in workers and
-    # calls the same commit on the merged result, so the ledger sees an
+    # the body's result.  The ``execute*`` methods chain the two; a
+    # substituted backend (the layer bench's timing one) calls the same
+    # two halves with a span around each, so the ledger sees an
     # identical charge sequence either way.
 
     def body_spec(self):

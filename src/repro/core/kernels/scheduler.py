@@ -48,6 +48,7 @@ from repro.core.lanes import LaneState
 from repro.core.metrics import BFSRunResult, IterationRecord
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.runtime.backends.base import SimulatedBackend
 from repro.runtime.ledger import TrafficLedger
 
 __all__ = [
@@ -187,19 +188,9 @@ class LevelSyncScheduler:
         self.kernels = kernels
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        if backend is None:
-            from repro.runtime.backends.base import SimulatedBackend
-
-            backend = SimulatedBackend()
-        #: Where sub-iteration bodies run; the scheduler mounts its
-        #: kernels but never closes the backend (the creator owns it).
-        self.backend = backend
-        backend.mount(kernels)
-        # A traced scheduler pulls the backend's worker telemetry into
-        # its own sinks; untraced schedulers leave the backend alone so
-        # a shared backend keeps reporting to whoever wanted it.
-        if self.tracer.enabled or self.metrics.enabled:
-            backend.attach_telemetry(self.tracer, self.metrics)
+        #: The execution seam every sub-iteration goes through (tests
+        #: and benches substitute a timing one).
+        self.backend = backend if backend is not None else SimulatedBackend()
 
     # ------------------------------------------------------------------
     # entry points: build the mode, hand it to the one drive loop

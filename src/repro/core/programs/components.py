@@ -54,12 +54,12 @@ class ConnectedComponentsProgram(VertexProgram):
 
 
 def connected_components(
-    part: PartitionedGraph, *, machine: MachineSpec | None = None, backend=None
+    part: PartitionedGraph, *, machine: MachineSpec | None = None
 ):
     """Run min-label CC over the partitioned graph; returns the
     :class:`~repro.core.programs.base.ProgramRunResult` whose
     ``state["labels"]`` maps each vertex to its component's minimum ID."""
     from repro.core.engine import DistributedBFS
 
-    engine = DistributedBFS(part, machine=machine, backend=backend)
+    engine = DistributedBFS(part, machine=machine)
     return engine.run_program(ConnectedComponentsProgram())

@@ -123,7 +123,6 @@ def pagerank(
     tol: float = 1e-8,
     max_iterations: int = 100,
     machine: MachineSpec | None = None,
-    backend=None,
 ) -> PageRankResult:
     """Damped PageRank by power iteration over the six components."""
     from repro.core.engine import DistributedBFS
@@ -131,7 +130,7 @@ def pagerank(
     program = PageRankProgram(
         damping=damping, tol=tol, max_iterations=max_iterations
     )
-    engine = DistributedBFS(part, machine=machine, backend=backend)
+    engine = DistributedBFS(part, machine=machine)
     res = engine.run_program(program)
     return PageRankResult(
         ranks=res.state["ranks"],

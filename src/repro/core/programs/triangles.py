@@ -104,14 +104,12 @@ class TriangleCountingProgram(VertexProgram):
         return {"total_triangles": self.total_triangles}
 
 
-def triangle_count(
-    part: PartitionedGraph, *, machine: MachineSpec | None = None, backend=None
-):
+def triangle_count(part: PartitionedGraph, *, machine: MachineSpec | None = None):
     """Count triangles over the partitioned graph; returns the
     :class:`~repro.core.programs.base.ProgramRunResult` with per-vertex
     counts in ``state["triangles"]`` and the global count in
     ``info["total_triangles"]``."""
     from repro.core.engine import DistributedBFS
 
-    engine = DistributedBFS(part, machine=machine, backend=backend)
+    engine = DistributedBFS(part, machine=machine)
     return engine.run_program(TriangleCountingProgram())

@@ -41,10 +41,6 @@ __all__ = [
     "PullSelection",
     "LanePullScan",
     "COMPONENT_ORDER",
-    "push_select_range",
-    "pull_scan_range",
-    "pull_select_range",
-    "pull_scan_lanes_range",
     "dedup_pull_hits",
     "dedup_lane_hits",
     "arc_keys",
@@ -145,17 +141,8 @@ class LanePullScan:
 
 
 # ----------------------------------------------------------------------
-# Pure traversal bodies over explicit arrays.
-#
-# Each function computes one direction's arc selection / scan for a
-# contiguous *range* of push sources (slots ``[lo, hi)`` of the by-source
-# CSR) or pull groups.  They close over nothing: every input is an array
-# argument, so an execution backend can run them in worker processes over
-# shared-memory views of the same arrays.  The :class:`SubgraphComponent`
-# methods below are the ``lo=0, hi=size`` full-range calls — concatenating
-# the results of a range partition (in ascending range order) reproduces
-# the full-range result exactly, because selection order is slot/group
-# order and a slot/group lives in exactly one range.
+# Helpers of the traversal bodies (the :class:`SubgraphComponent` methods
+# below): run expansion, the first-hit scan and the two hit dedups.
 # ----------------------------------------------------------------------
 
 
@@ -239,182 +226,17 @@ def _first_hit_records(starts, lens, pull_src, active, need):
     )
 
 
-def push_select_range(
-    src_ids, src_indptr, push_dst, push_rank, active, lo, hi
-):
-    """Arcs of source slots ``[lo, hi)`` whose source is in ``active``.
-
-    Returns ``(src, dst, rank)`` arrays in slot order.
-    """
-    empty = np.array([], dtype=np.int64)
-    sel_srcs = np.flatnonzero(active[src_ids[lo:hi]]) + lo
-    if sel_srcs.size == 0:
-        return empty, empty, empty
-    starts = src_indptr[sel_srcs]
-    lens = src_indptr[sel_srcs + 1] - starts
-    idx = _expand_runs(starts, lens)
-    return np.repeat(src_ids[sel_srcs], lens), push_dst[idx], push_rank[idx]
-
-
-def pull_scan_range(
-    grp_ptr,
-    grp_dst,
-    grp_rank,
-    pull_src,
-    candidate_dst,
-    active_src,
-    lo,
-    hi,
-    num_ranks,
-):
-    """Early-exit scan of pull groups ``[lo, hi)``.
-
-    Returns the *pre-dedup* per-group hits ``(g_dst, g_src, g_rank)`` in
-    group order plus the exact ``scanned_per_rank`` load vector; feed the
-    hits (or a range-partition concatenation of them) to
-    :func:`dedup_pull_hits` for the deterministic cross-rank winners.
-    """
-    empty = np.array([], dtype=np.int64)
-    no_scan = np.zeros(num_ranks, dtype=np.int64)
-    if hi <= lo:
-        return empty, empty, empty, no_scan
-    cand_groups = np.flatnonzero(candidate_dst[grp_dst[lo:hi]]) + lo
-    if cand_groups.size == 0:
-        return empty, empty, empty, no_scan
-    starts = grp_ptr[cand_groups]
-    lens = grp_ptr[cand_groups + 1] - starts
-    grp, pos, _, dry = _first_hit_records(
-        starts, lens, pull_src, active_src, np.ones(starts.size, dtype=bool)
-    )
-    # One lane: a group's records are adjacent and the first is its hit.
-    first = _first_of_run(grp)
-    scanned = lens.copy()
-    scanned[grp[first]] = pos[first] + 1
-    scanned_per_rank = np.bincount(
-        grp_rank[cand_groups], weights=scanned, minlength=num_ranks
-    ).astype(np.int64)
-    hit_groups = np.flatnonzero(~dry)
-    hit_cand = cand_groups[hit_groups]
-    g_src = pull_src[starts[hit_groups] + scanned[hit_groups] - 1]
-    return grp_dst[hit_cand], g_src, grp_rank[hit_cand], scanned_per_rank
-
-
 def dedup_pull_hits(g_dst, g_src, g_rank):
     """Deterministic cross-rank winner per destination.
 
     Precondition: the hits are in ascending group (= ``(rank, dst)``)
-    order, as :func:`pull_scan_range` returns them and as concatenating a
-    range partition's results in range order keeps them.  A stable sort
-    by destination then leaves each destination's hits in rank order, and
-    the first of each run is the lowest-rank winner.
+    order, as :meth:`SubgraphComponent.pull_scan` finds them.  A stable
+    sort by destination then leaves each destination's hits in rank
+    order, and the first of each run is the lowest-rank winner.
     """
     order = np.argsort(g_dst, kind="stable")
     order = order[_first_of_run(g_dst[order])]
     return g_dst[order], g_src[order], g_rank[order]
-
-
-def pull_select_range(
-    grp_ptr,
-    grp_dst,
-    grp_rank,
-    pull_src,
-    candidate_dst,
-    active_src,
-    lo,
-    hi,
-    num_ranks,
-):
-    """Full-run (no early exit) arc selection of pull groups ``[lo, hi)``.
-
-    Returns ``(src, dst, rank, scanned_per_rank)`` in group order.
-    """
-    empty = np.array([], dtype=np.int64)
-    no_scan = np.zeros(num_ranks, dtype=np.int64)
-    if hi <= lo:
-        return empty, empty, empty, no_scan
-    cand_groups = np.flatnonzero(candidate_dst[grp_dst[lo:hi]]) + lo
-    if cand_groups.size == 0:
-        return empty, empty, empty, no_scan
-    starts = grp_ptr[cand_groups]
-    lens = grp_ptr[cand_groups + 1] - starts
-    srcs = pull_src[_expand_runs(starts, lens)]
-    scanned_per_rank = np.bincount(
-        grp_rank[cand_groups], weights=lens, minlength=num_ranks
-    ).astype(np.int64)
-    keep = active_src[srcs]
-    if not np.any(keep):
-        return empty, empty, empty, scanned_per_rank
-    dst_of_arc = np.repeat(grp_dst[cand_groups], lens)
-    rank_of_arc = np.repeat(grp_rank[cand_groups], lens)
-    return srcs[keep], dst_of_arc[keep], rank_of_arc[keep], scanned_per_rank
-
-
-def pull_scan_lanes_range(
-    grp_ptr,
-    grp_dst,
-    grp_rank,
-    pull_src,
-    candidate_bits,
-    active_bits,
-    group_lanes,
-    lo,
-    hi,
-    num_ranks,
-):
-    """Lane-shared early-exit scan of pull groups ``[lo, hi)``.
-
-    Returns ``(lane_hits, scanned_per_rank)`` where ``lane_hits`` is a
-    list of *pre-dedup* ``(lane, g_dst, g_src, g_rank)`` tuples in
-    ascending lane order; feed it (or a per-lane concatenation over a
-    range partition) to :func:`dedup_lane_hits`.
-    """
-    no_scan = np.zeros(num_ranks, dtype=np.int64)
-    if hi <= lo:
-        return [], no_scan
-    grp_cand_bits = candidate_bits[grp_dst[lo:hi]]
-    cand_rel = np.flatnonzero(grp_cand_bits)
-    if cand_rel.size == 0:
-        return [], no_scan
-    cand_groups = cand_rel + lo
-    starts = grp_ptr[cand_groups]
-    lens = grp_ptr[cand_groups + 1] - starts
-    # An arc hits for lane l iff its source is active in l AND the
-    # group's destination is still a candidate in l.
-    grp, pos, bits, dry = _first_hit_records(
-        starts, lens, pull_src, active_bits, grp_cand_bits[cand_rel]
-    )
-    # The rounds' records are position-major; a stable sort by group puts
-    # all of them in (group, position) order.
-    order = np.argsort(grp, kind="stable")
-    grp, pos, bits = grp[order], pos[order], bits[order]
-    cand_dst = grp_dst[cand_groups]
-    cand_rank = grp_rank[cand_groups]
-
-    # Early exit per lane: its first hit + 1.  The shared scan stops at
-    # the deepest of them, or runs the full group when a lane scanned it
-    # dry.
-    depth = np.zeros(cand_groups.size, dtype=np.int64)
-    lane_hits = []
-    for lane in iter_lanes(group_lanes):
-        recs = np.flatnonzero(bits & lane_bit(lane))
-        if recs.size == 0:
-            continue
-        recs = recs[_first_of_run(grp[recs])]
-        hit_groups, first_pos = grp[recs], pos[recs]
-        depth[hit_groups] = np.maximum(depth[hit_groups], first_pos + 1)
-        lane_hits.append(
-            (
-                lane,
-                cand_dst[hit_groups],
-                pull_src[starts[hit_groups] + first_pos],
-                cand_rank[hit_groups],
-            )
-        )
-
-    scanned_per_rank = np.bincount(
-        cand_rank, weights=np.where(dry, lens, depth), minlength=num_ranks
-    ).astype(np.int64)
-    return lane_hits, scanned_per_rank
 
 
 def dedup_lane_hits(lane_hits, num_ranks):
@@ -423,8 +245,8 @@ def dedup_lane_hits(lane_hits, num_ranks):
     ``lane_hits`` must hold one pre-dedup ``(lane, g_dst, g_src, g_rank)``
     tuple per lane in ascending lane order, each lane's hits in ascending
     group order (the :func:`dedup_pull_hits` precondition, per lane);
-    returns ``(updates, msg_dst, msg_rank)`` exactly as the sequential
-    :meth:`SubgraphComponent.pull_scan_lanes` builds them.
+    returns the ``(updates, msg_dst, msg_rank)`` of a
+    :class:`LanePullScan`.
     """
     empty = np.array([], dtype=np.int64)
     updates = []
@@ -517,44 +339,28 @@ class SubgraphComponent:
         src = np.repeat(self.src_ids, np.diff(self.src_indptr))
         return src, self._push_dst.copy(), self._push_rank.copy()
 
-    def body_arrays(self) -> dict[str, np.ndarray]:
-        """The frozen arrays a parallel backend ships to its substrate.
-
-        Exactly the inputs of the module-level range functions; treat the
-        returned arrays as immutable (they *are* the traversal state).
-        """
-        return {
-            "src_ids": self.src_ids,
-            "src_indptr": self.src_indptr,
-            "push_dst": self._push_dst,
-            "push_rank": self._push_rank,
-            "pull_src": self._pull_src,
-            "grp_ptr": self.grp_ptr,
-            "grp_dst": self.grp_dst,
-            "grp_rank": self.grp_rank,
-            "num_ranks": np.array([self.num_ranks], dtype=np.int64),
-        }
-
     # ------------------------------------------------------------------
     # push
     # ------------------------------------------------------------------
 
     def push_select(self, active: np.ndarray) -> PushSelection:
-        """Arcs whose source is in the frontier.
+        """Arcs whose source is in the frontier, in source-slot order.
 
         ``active`` is a boolean mask over all vertices.  Cost is
         O(unique sources + selected arcs) — the frontier's arcs only.
         """
-        src, dst, rank = push_select_range(
-            self.src_ids,
-            self.src_indptr,
-            self._push_dst,
-            self._push_rank,
-            active,
-            0,
-            self.src_ids.size,
+        sel_srcs = np.flatnonzero(active[self.src_ids])
+        if sel_srcs.size == 0:
+            empty = np.array([], dtype=np.int64)
+            return PushSelection(empty, empty, empty)
+        starts = self.src_indptr[sel_srcs]
+        lens = self.src_indptr[sel_srcs + 1] - starts
+        idx = _expand_runs(starts, lens)
+        return PushSelection(
+            np.repeat(self.src_ids[sel_srcs], lens),
+            self._push_dst[idx],
+            self._push_rank[idx],
         )
-        return PushSelection(src, dst, rank)
 
     # ------------------------------------------------------------------
     # pull
@@ -574,18 +380,31 @@ class SubgraphComponent:
         When several ranks hit the same destination, the winner is the
         lowest (rank, position) — deterministic.
         """
-        g_dst, g_src, g_rank, scanned_per_rank = pull_scan_range(
-            self.grp_ptr,
-            self.grp_dst,
-            self.grp_rank,
-            self._pull_src,
-            candidate_dst,
-            active_src,
-            0,
-            self.num_groups,
-            self.num_ranks,
+        cand_groups = np.flatnonzero(candidate_dst[self.grp_dst])
+        if cand_groups.size == 0:
+            empty = np.array([], dtype=np.int64)
+            no_scan = np.zeros(self.num_ranks, dtype=np.int64)
+            return PullScan(empty, empty, empty, no_scan)
+        pull_src = self._pull_src
+        starts = self.grp_ptr[cand_groups]
+        lens = self.grp_ptr[cand_groups + 1] - starts
+        grp, pos, _, dry = _first_hit_records(
+            starts, lens, pull_src, active_src, np.ones(starts.size, dtype=bool)
         )
-        hit_dst, hit_src, hit_rank = dedup_pull_hits(g_dst, g_src, g_rank)
+        # One lane: a group's records are adjacent and the first is its hit.
+        first = _first_of_run(grp)
+        scanned = lens.copy()
+        scanned[grp[first]] = pos[first] + 1
+        scanned_per_rank = np.bincount(
+            self.grp_rank[cand_groups], weights=scanned, minlength=self.num_ranks
+        ).astype(np.int64)
+        hit_groups = np.flatnonzero(~dry)
+        hit_cand = cand_groups[hit_groups]
+        hit_dst, hit_src, hit_rank = dedup_pull_hits(
+            self.grp_dst[hit_cand],
+            pull_src[starts[hit_groups] + scanned[hit_groups] - 1],
+            self.grp_rank[hit_cand],
+        )
         return PullScan(hit_dst, hit_src, hit_rank, scanned_per_rank)
 
     def pull_select(
@@ -595,24 +414,31 @@ class SubgraphComponent:
 
         Every (rank, dst) group whose destination satisfies
         ``candidate_dst`` is scanned end to end; arcs whose source
-        satisfies ``active_src`` are returned.  With ``candidate_dst``
-        all-true the selected arc *set* equals ``push_select(active_src)``
-        (ordering differs: pull order is grouped by (rank, dst)), which is
-        what makes direction choice value-neutral for commutative
-        combines.
+        satisfies ``active_src`` are returned in group order.  With
+        ``candidate_dst`` all-true the selected arc *set* equals
+        ``push_select(active_src)`` (ordering differs: pull order is
+        grouped by (rank, dst)), which is what makes direction choice
+        value-neutral for commutative combines.
         """
-        src, dst, rank, scanned_per_rank = pull_select_range(
-            self.grp_ptr,
-            self.grp_dst,
-            self.grp_rank,
-            self._pull_src,
-            candidate_dst,
-            active_src,
-            0,
-            self.num_groups,
-            self.num_ranks,
+        empty = np.array([], dtype=np.int64)
+        cand_groups = np.flatnonzero(candidate_dst[self.grp_dst])
+        if cand_groups.size == 0:
+            no_scan = np.zeros(self.num_ranks, dtype=np.int64)
+            return PullSelection(empty, empty, empty, no_scan)
+        starts = self.grp_ptr[cand_groups]
+        lens = self.grp_ptr[cand_groups + 1] - starts
+        srcs = self._pull_src[_expand_runs(starts, lens)]
+        scanned_per_rank = np.bincount(
+            self.grp_rank[cand_groups], weights=lens, minlength=self.num_ranks
+        ).astype(np.int64)
+        keep = active_src[srcs]
+        if not np.any(keep):
+            return PullSelection(empty, empty, empty, scanned_per_rank)
+        dst_of_arc = np.repeat(self.grp_dst[cand_groups], lens)
+        rank_of_arc = np.repeat(self.grp_rank[cand_groups], lens)
+        return PullSelection(
+            srcs[keep], dst_of_arc[keep], rank_of_arc[keep], scanned_per_rank
         )
-        return PullSelection(src, dst, rank, scanned_per_rank)
 
     def pull_scan_lanes(
         self, candidate_bits: np.ndarray, active_bits: np.ndarray, group_lanes
@@ -626,18 +452,51 @@ class SubgraphComponent:
         depth is the max over its participating lanes (the batched
         kernel scans once and every lane reads the shared stream).
         """
-        lane_hits, scanned_per_rank = pull_scan_lanes_range(
-            self.grp_ptr,
-            self.grp_dst,
-            self.grp_rank,
-            self._pull_src,
-            candidate_bits,
-            active_bits,
-            group_lanes,
-            0,
-            self.num_groups,
-            self.num_ranks,
+        grp_cand_bits = candidate_bits[self.grp_dst]
+        cand_groups = np.flatnonzero(grp_cand_bits)
+        if cand_groups.size == 0:
+            empty = np.array([], dtype=np.int64)
+            no_scan = np.zeros(self.num_ranks, dtype=np.int64)
+            return LanePullScan([], no_scan, empty, empty)
+        pull_src = self._pull_src
+        starts = self.grp_ptr[cand_groups]
+        lens = self.grp_ptr[cand_groups + 1] - starts
+        # An arc hits for lane l iff its source is active in l AND the
+        # group's destination is still a candidate in l.
+        grp, pos, bits, dry = _first_hit_records(
+            starts, lens, pull_src, active_bits, grp_cand_bits[cand_groups]
         )
+        # The rounds' records are position-major; a stable sort by group puts
+        # all of them in (group, position) order.
+        order = np.argsort(grp, kind="stable")
+        grp, pos, bits = grp[order], pos[order], bits[order]
+        cand_dst = self.grp_dst[cand_groups]
+        cand_rank = self.grp_rank[cand_groups]
+
+        # Early exit per lane: its first hit + 1.  The shared scan stops at
+        # the deepest of them, or runs the full group when a lane scanned it
+        # dry.
+        depth = np.zeros(cand_groups.size, dtype=np.int64)
+        lane_hits = []
+        for lane in iter_lanes(group_lanes):
+            recs = np.flatnonzero(bits & lane_bit(lane))
+            if recs.size == 0:
+                continue
+            recs = recs[_first_of_run(grp[recs])]
+            hit_groups, first_pos = grp[recs], pos[recs]
+            depth[hit_groups] = np.maximum(depth[hit_groups], first_pos + 1)
+            lane_hits.append(
+                (
+                    lane,
+                    cand_dst[hit_groups],
+                    pull_src[starts[hit_groups] + first_pos],
+                    cand_rank[hit_groups],
+                )
+            )
+
+        scanned_per_rank = np.bincount(
+            cand_rank, weights=np.where(dry, lens, depth), minlength=self.num_ranks
+        ).astype(np.int64)
         updates, msg_dst, msg_rank = dedup_lane_hits(lane_hits, self.num_ranks)
         return LanePullScan(updates, scanned_per_rank, msg_dst, msg_rank)
 

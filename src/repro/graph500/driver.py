@@ -213,7 +213,6 @@ def run_graph500(
     max_restarts: int = 3,
     recovery_mode: str = "restart",
     batch_roots: bool = False,
-    backend=None,
 ) -> Graph500Report:
     """Run the full Graph500 benchmark flow on the simulated machine.
 
@@ -311,12 +310,12 @@ def run_graph500(
 
         engine = MultiSourceBFS(
             part, machine=machine, config=config, tracer=tracer,
-            metrics=metrics, backend=backend,
+            metrics=metrics,
         )
     else:
         engine = DistributedBFS(
             part, machine=machine, config=config, tracer=tracer,
-            metrics=metrics, backend=backend,
+            metrics=metrics,
         )
 
     # Resilience setup: the injector shares the run's one seeded rng
@@ -461,7 +460,6 @@ def run_graph500_sssp(
     machine: MachineSpec | None = None,
     validate: bool = True,
     algorithm: str = "delta-stepping",
-    backend=None,
 ) -> Graph500Report:
     """The benchmark's SSSP kernel over sampled roots.
 
@@ -504,13 +502,12 @@ def run_graph500_sssp(
     for root in roots:
         if algorithm == "delta-stepping":
             res = delta_stepping_sssp(
-                part, int(root), weights, src, dst, machine=machine,
-                backend=backend,
+                part, int(root), weights, src, dst, machine=machine
             )
         else:
             res = bellman_ford(
                 part, int(root), weights, edge_src=src, edge_dst=dst,
-                machine=machine, backend=backend,
+                machine=machine,
             )
         if validate:
             try:

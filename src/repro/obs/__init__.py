@@ -22,7 +22,7 @@ from the host), with per-span counters for bytes, messages, and edges.
   perf-regression gate behind ``python -m repro compare``.
 - :mod:`repro.obs.timeline` — the live plane's ring-buffer sampler:
   periodic registry snapshots (queue depth, batch occupancy, cache hit
-  rate, worker utilization) for mid-run time-series.
+  rate) for mid-run time-series.
 - :mod:`repro.obs.slo` — rolling-window burn-rate monitoring of the
   staged serving-latency histograms, with typed alert records.
 

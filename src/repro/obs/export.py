@@ -62,17 +62,14 @@ def _span_path(tracer: "Tracer") -> dict[int, str]:
 
 
 #: Track groups (Chrome ``pid``) in fixed order: the main process, one
-#: lane per mesh rank, one lane per backend worker, one lane per served
-#: request.  A span lands in the most specific group its attrs name.
-_TRACK_GROUPS = ("main", "rank", "worker", "request")
-_TRACK_ATTRS = {"rank": "rank", "worker": "worker", "request": "trace_id"}
+#: lane per mesh rank, one lane per served request.  A span lands in the
+#: most specific group its attrs name.
+_TRACK_GROUPS = ("main", "rank", "request")
 
 
 def _track_key(span: "Span") -> tuple[str, object]:
     """(group, lane value) a span renders on, from its attrs."""
     attrs = span.attrs
-    if "worker" in attrs:
-        return ("worker", attrs["worker"])
     if "rank" in attrs:
         return ("rank", attrs["rank"])
     if "trace_id" in attrs:
@@ -137,11 +134,11 @@ def to_chrome_trace(tracer: "Tracer", *, clock: str = "sim") -> dict:
     carries its attrs and counters in ``args`` (plus the other clock's
     duration), so nothing recorded is lost in export.
 
-    Tracks: spans tagged with a ``worker``/``rank``/``trace_id`` attr
-    render on their own lane (one Chrome thread per worker, rank, or
-    request) via :func:`build_track_table`, so concurrent work shows
-    side by side instead of stacked on one row.  Untagged spans stay on
-    the main track.
+    Tracks: spans tagged with a ``rank``/``trace_id`` attr render on
+    their own lane (one Chrome thread per rank or request) via
+    :func:`build_track_table`, so concurrent work shows side by side
+    instead of stacked on one row.  Untagged spans stay on the main
+    track.
     """
     if clock not in ("sim", "wall"):
         raise ValueError(f"clock must be 'sim' or 'wall', got {clock!r}")

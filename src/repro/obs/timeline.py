@@ -4,10 +4,10 @@ A :class:`TelemetrySampler` periodically reduces a
 :class:`~repro.obs.metrics.MetricsRegistry` to one flat snapshot —
 per-family counter totals, gauge values, histogram count/sum — plus a
 small set of *derived* serving signals (queue depth, batch occupancy,
-cache hit rate, per-worker utilization since the previous sample) and
-keeps the last ``capacity`` snapshots in a deque.  This is the substrate
-the ROADMAP's "online self-tuning from the metrics feedback loop" item
-needs: a mid-run time-series instead of a single end-of-run export.
+cache hit rate) and keeps the last ``capacity`` snapshots in a deque.
+This is the substrate the ROADMAP's "online self-tuning from the metrics
+feedback loop" item needs: a mid-run time-series instead of a single
+end-of-run export.
 
 Sampling is read-only and lock-free: registries are only ever mutated by
 monotone increments from the serving loop, so a snapshot taken mid-update
@@ -54,9 +54,6 @@ class TelemetrySampler:
         self._clock = clock
         self._ring: deque[dict] = deque(maxlen=self.capacity)
         self._seq = 0
-        #: (t, {worker: busy_seconds}) of the previous sample, for
-        #: utilization deltas.
-        self._prev_busy: tuple[float, dict] | None = None
         self._task: asyncio.Task | None = None
 
     # ------------------------------------------------------------------
@@ -87,43 +84,23 @@ class TelemetrySampler:
             "counters": counters,
             "gauges": gauges,
             "histograms": histograms,
-            "derived": self._derive(now, gauges, histograms),
+            "derived": self._derive(gauges, histograms),
         }
         self._seq += 1
         self._ring.append(snap)
         return snap
 
-    def _derive(self, now: float, gauges: dict, histograms: dict) -> dict:
+    def _derive(self, gauges: dict, histograms: dict) -> dict:
         reg = self.registry
         cached = reg.counter_total("serve_requests", outcome="cached")
         completed = reg.counter_total("serve_requests", outcome="completed")
         served = cached + completed
         batch = histograms.get("serve_batch_size", {"count": 0, "sum": 0.0})
-        busy = {
-            labels.get("worker", "?"): float(inst.value)
-            for labels, inst in reg.samples("worker_busy_seconds")
-        }
-        utilization: dict[str, float] = {}
-        if self._prev_busy is not None:
-            prev_t, prev = self._prev_busy
-            dt = now - prev_t
-            if dt > 0:
-                utilization = {
-                    wid: max(0.0, (b - prev.get(wid, 0.0)) / dt)
-                    for wid, b in sorted(busy.items())
-                }
-        self._prev_busy = (now, busy)
         return {
             "queue_depth": gauges.get("serve_queue_depth", 0.0),
             "cache_hit_rate": cached / served if served else 0.0,
             "batch_occupancy": (
                 batch["sum"] / batch["count"] if batch["count"] else 0.0
-            ),
-            "worker_utilization": utilization,
-            "worker_utilization_mean": (
-                sum(utilization.values()) / len(utilization)
-                if utilization
-                else 0.0
             ),
         }
 

@@ -172,42 +172,6 @@ class Tracer:
         if self._stack:
             self._stack[-1].add_counter(key, value)
 
-    def record_external(
-        self,
-        name: str,
-        *,
-        category: str = "worker",
-        wall_start: float,
-        wall_end: float,
-        counters: dict[str, float] | None = None,
-        **attrs,
-    ) -> Span:
-        """Record a closed span whose wall clock was measured elsewhere.
-
-        Worker processes time their own chunk bodies with
-        ``perf_counter`` (comparable across processes on one host) and
-        ship the stamps back; the parent replays them here.  The span
-        nests under the innermost open span but never advances the
-        simulated clock — external work is real time, not modeled time.
-        """
-        if wall_end < wall_start:
-            raise ValueError("wall_end must not precede wall_start")
-        sp = Span(
-            sid=len(self.spans),
-            parent=self._stack[-1].sid if self._stack else None,
-            name=name,
-            category=category,
-            depth=len(self._stack),
-            sim_start=self._sim_now,
-            wall_start=float(wall_start),
-            sim_end=self._sim_now,
-            wall_end=float(wall_end),
-            attrs=dict(attrs),
-            counters={k: float(v) for k, v in (counters or {}).items()},
-        )
-        self.spans.append(sp)
-        return sp
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -293,9 +257,6 @@ class NullTracer:
         return _NULL_CTX
 
     def charge(self, name: str, **kwargs) -> _NullSpan:
-        return _NULL_SPAN
-
-    def record_external(self, name: str, **kwargs) -> _NullSpan:
         return _NULL_SPAN
 
     def add_counter(self, key: str, value: float) -> None:

@@ -1,28 +1,8 @@
-"""Pluggable execution backends for kernel sub-iterations.
+"""The execution seam between the scheduler and its kernels.
 
-*How* a sub-iteration runs is a backend decision, not a kernel one: the
-kernels expose a pure body (arc selection / scan) plus a commit (ledger
-charges, routing, activation dedup), and a backend decides where the
-body executes.  :class:`SimulatedBackend` is the in-process rank-by-rank
-loop every engine always used; :class:`SharedMemoryBackend` runs the
-bodies chunked across ``multiprocessing`` workers over shared-memory
-views of the component arrays and commits the merged result through the
-same kernel code — bit-identical outputs, real wall-clock parallelism.
+See :mod:`repro.runtime.backends.base`.
 """
 
-from repro.runtime.backends.base import (
-    BACKEND_NAMES,
-    ExecutionBackend,
-    SimulatedBackend,
-    create_backend,
-)
-from repro.runtime.backends.shmem import BackendWorkerError, SharedMemoryBackend
+from repro.runtime.backends.base import ExecutionBackend, SimulatedBackend
 
-__all__ = [
-    "BACKEND_NAMES",
-    "BackendWorkerError",
-    "ExecutionBackend",
-    "SharedMemoryBackend",
-    "SimulatedBackend",
-    "create_backend",
-]
+__all__ = ["ExecutionBackend", "SimulatedBackend"]

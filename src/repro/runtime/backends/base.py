@@ -1,61 +1,22 @@
-"""The :class:`ExecutionBackend` contract and the in-process backend.
+"""The execution seam: :class:`ExecutionBackend` and its in-process default.
 
-A backend owns *where* a kernel's sub-iteration body runs.  The
-scheduler routes its three kernel call sites (``execute``,
-``execute_program``, ``execute_lanes``) through the mounted backend; the
-simulated backend simply delegates to the kernel's own in-process
-methods, while parallel backends split the body off via
-:meth:`~repro.core.kernels.base.ComponentKernel.body_spec` and call the
-kernel's commit on the merged result.
-
-Backends are engine-independent: one instance may be mounted by several
-schedulers (e.g. the serving pair shares one backend over one graph) and
-must be closed by whoever created it — engines never close a backend
-they were handed.
+The scheduler routes its three kernel call sites (``execute``,
+``execute_program``, ``execute_lanes``) through one backend object.
+:class:`SimulatedBackend` — the only backend the program ships —
+delegates to the kernel's own methods.  The seam stays so a test or a
+bench can substitute its own: ``benchmarks/layers/seams.py`` times a
+kernel's body and commit halves separately through it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-__all__ = [
-    "BACKEND_NAMES",
-    "ExecutionBackend",
-    "SimulatedBackend",
-    "create_backend",
-]
+__all__ = ["ExecutionBackend", "SimulatedBackend"]
 
 
 class ExecutionBackend(ABC):
-    """Executes kernel sub-iteration bodies on some substrate."""
-
-    #: Registry key (``"simulated"``, ``"shmem"``, ...).
-    name: str = "abstract"
-
-    @property
-    def workers(self) -> int:
-        """Parallel workers the backend computes bodies with (1 = serial)."""
-        return 1
-
-    def mount(self, kernels: dict) -> None:
-        """Prepare to execute ``kernels`` (a name -> kernel mapping).
-
-        Called by every scheduler at construction; parallel backends use
-        it to ship component arrays to their substrate.  Mounting is
-        additive — a backend may serve several kernel sets at once.
-        """
-
-    def attach_telemetry(self, tracer, metrics) -> None:
-        """Hand the backend a tracer/registry to report worker work into.
-
-        Default: ignore — the simulated backend runs in-process, so the
-        scheduler's own spans already cover its work.  Parallel backends
-        override this to merge worker-measured wall-clock spans and
-        ``worker_*`` metric families into the given sinks.  Schedulers
-        call it at construction whenever they were built with telemetry
-        enabled; the latest attach wins (a backend shared by several
-        engines reports into whichever traced engine mounted last).
-        """
+    """Executes one kernel sub-iteration on behalf of the scheduler."""
 
     @abstractmethod
     def execute(self, kernel, direction, active, visited, ledger, record):
@@ -72,33 +33,9 @@ class ExecutionBackend(ABC):
         """Run one batched-wave sub-iteration; same contract as
         :meth:`~repro.core.kernels.base.ComponentKernel.execute_lanes`."""
 
-    def close(self) -> None:
-        """Release backend resources (worker pools, shared segments).
-
-        Idempotent; the backend must leave nothing behind (no processes,
-        no ``/dev/shm`` segments) once this returns.
-        """
-
-    def describe(self) -> dict:
-        """Config-fingerprint payload: what ran and how parallel."""
-        return {"backend": self.name, "workers": self.workers}
-
-    def __enter__(self) -> "ExecutionBackend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 class SimulatedBackend(ExecutionBackend):
-    """The in-process rank-by-rank loop plus ledger pricing.
-
-    Pure delegation to the kernel's own ``execute*`` methods — this is
-    exactly the execution path every engine had before backends existed,
-    so all golden records hold bit-for-bit.
-    """
-
-    name = "simulated"
+    """Pure delegation to the kernel's own ``execute*`` methods."""
 
     def execute(self, kernel, direction, active, visited, ledger, record):
         return kernel.execute(direction, active, visited, ledger, record)
@@ -108,24 +45,3 @@ class SimulatedBackend(ExecutionBackend):
 
     def execute_lanes(self, kernel, direction, group_lanes, lanes, ledger, record):
         return kernel.execute_lanes(direction, group_lanes, lanes, ledger, record)
-
-
-#: Names :func:`create_backend` accepts (the CLI's ``--backend`` choices).
-BACKEND_NAMES = ("simulated", "shmem")
-
-
-def create_backend(name: str, *, workers: int = 1) -> ExecutionBackend:
-    """Build a backend by registry name.
-
-    ``workers`` only applies to parallel backends; the simulated backend
-    ignores it (it is single-process by definition).
-    """
-    if name == "simulated":
-        return SimulatedBackend()
-    if name == "shmem":
-        from repro.runtime.backends.shmem import SharedMemoryBackend
-
-        return SharedMemoryBackend(workers=workers)
-    raise ValueError(
-        f"unknown backend {name!r}; choose from {', '.join(BACKEND_NAMES)}"
-    )

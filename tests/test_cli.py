@@ -215,44 +215,35 @@ class TestMainEntryPoint:
         assert "expected key=value" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_unknown_backend_exits_two_with_usage(self):
+    def test_backend_flag_is_gone(self):
         proc = self._run("bfs", "--scale", "10", "--mesh", "2x2",
-                         "--backend", "cuda")
+                         "--backend", "simulated")
         assert proc.returncode == 2
         assert "usage:" in proc.stderr
-        assert "invalid choice" in proc.stderr
+        assert "unrecognized arguments: --backend" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_nonpositive_workers_exits_two_with_usage(self):
-        proc = self._run("bfs", "--scale", "10", "--mesh", "2x2",
-                         "--backend", "shmem", "--workers", "0")
+    @pytest.mark.parametrize("argv", [
+        ("bfs", "--root", "-5"),
+        ("bfs", "--root", "999999"),
+        ("sssp", "--root", "1024"),
+        ("algo", "bfs", "--root", "-1"),
+        ("bfs", "--scale", "0"),
+        ("bfs", "--checkpoint-every", "-1"),
+        ("graph500", "--roots", "0"),
+        ("bench-serve", "--queries", "0"),
+        ("serve", "--clients", "0"),
+        ("serve", "--batch-size", "0"),
+        ("serve", "--batch-size", "65"),
+        ("serve", "--queue-depth", "0"),
+        ("serve", "--replicas", "0"),
+    ], ids=lambda argv: "_".join(a.replace("--", "") for a in argv))
+    def test_out_of_range_number_exits_two_with_usage(self, argv):
+        command, *rest = argv
+        proc = self._run(command, "--scale", "10", "--mesh", "2x2", *rest)
         assert proc.returncode == 2
         assert "usage:" in proc.stderr
-        assert "workers must be >= 1" in proc.stderr
         assert "Traceback" not in proc.stderr
-
-
-class TestBackendFlags:
-    """--backend/--workers wiring on the in-process entry point."""
-
-    def test_bfs_shmem_backend_runs(self, capsys):
-        rc = main(["bfs", "--scale", "10", "--mesh", "2x2",
-                   "--backend", "shmem", "--workers", "2"])
-        assert rc == 0
-        assert "visited" in capsys.readouterr().out
-
-    def test_shmem_matches_simulated_output(self, capsys):
-        argv = ["bfs", "--scale", "10", "--mesh", "2x2", "--seed", "7"]
-        assert main(argv) == 0
-        sim_out = capsys.readouterr().out
-        assert main(argv + ["--backend", "shmem", "--workers", "2"]) == 0
-        assert capsys.readouterr().out == sim_out
-
-    def test_graph500_accepts_backend(self, capsys):
-        rc = main(["graph500", "--scale", "10", "--mesh", "2x2",
-                   "--roots", "2", "--backend", "shmem", "--workers", "2"])
-        assert rc == 0
-        assert "validation: PASSED" in capsys.readouterr().out
 
 
 class TestReportAndCompare:

@@ -61,7 +61,7 @@ class TestRowMessagingVolumes:
 
         # analytic charge
         ledger = TrafficLedger(CostModel(machine))
-        engine._charge_row_alltoallv(
+        engine.ctx.charge_row_alltoallv(
             "H2L", np.bincount(sel.rank, minlength=mesh.num_ranks), ledger
         )
         analytic = ledger.comm_events[0]
@@ -112,7 +112,7 @@ class TestL2LForwardingVolumes:
         sel = comp.push_select(active)
         ledger = TrafficLedger(CostModel(machine))
         o_dst = mesh.owner_of(sel.dst, part.num_vertices)
-        engine._charge_l2l_alltoallv(sel.rank, o_dst, ledger)
+        engine.ctx.charge_l2l_alltoallv(sel.rank, o_dst, ledger)
         a2a = [e for e in ledger.comm_events if e.kind is CollectiveKind.ALLTOALLV]
         assert len(a2a) == 2
         assert a2a[0].total_bytes == pytest.approx(sel.num_arcs * 8)

@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.subgraphs import (
-    _ROUNDS,
-    SubgraphComponent,
-    dedup_lane_hits,
-    dedup_pull_hits,
-    pull_scan_lanes_range,
-    pull_scan_range,
-)
+from repro.core.subgraphs import _ROUNDS, SubgraphComponent
 
 
 def make_component(arcs, num_ranks=4, name="test"):
@@ -177,11 +170,12 @@ def test_property_push_pull_equivalence(seed, n, m, ranks):
 # ----------------------------------------------------------------------
 
 
-def oracle_pull_scan(comp, candidate, active, lo, hi):
-    """``pull_scan_range`` as the plain loop it vectorises."""
+def oracle_pull_scan(comp, candidate, active):
+    """The per-group hits ``pull_scan`` finds (before the cross-rank
+    dedup) and what it charges, as the plain loop it vectorises."""
     g_dst, g_src, g_rank = [], [], []
     scanned = [0] * comp.num_ranks
-    for g in range(lo, hi):
+    for g in range(comp.num_groups):
         dst, rank = int(comp.grp_dst[g]), int(comp.grp_rank[g])
         if not candidate[dst]:
             continue
@@ -198,12 +192,12 @@ def oracle_pull_scan(comp, candidate, active, lo, hi):
     return g_dst, g_src, g_rank, scanned
 
 
-def oracle_pull_scan_lanes(comp, cand_bits, act_bits, lanes, lo, hi):
-    """``pull_scan_lanes_range`` lane by lane; a group is charged the
-    deepest scan any of its candidate lanes needed."""
+def oracle_pull_scan_lanes(comp, cand_bits, act_bits, lanes):
+    """``pull_scan_lanes``' per-group hits lane by lane; a group is
+    charged the deepest scan any of its candidate lanes needed."""
     hits = {lane: ([], [], []) for lane in lanes}
     scanned = [0] * comp.num_ranks
-    for g in range(lo, hi):
+    for g in range(comp.num_groups):
         dst, rank = int(comp.grp_dst[g]), int(comp.grp_rank[g])
         run = comp._pull_src[comp.grp_ptr[g] : comp.grp_ptr[g + 1]].tolist()
         depth = 0
@@ -234,35 +228,37 @@ def oracle_dedup(g_dst, g_src, g_rank):
     return dsts, [best[d][0] for d in dsts], [best[d][1] for d in dsts]
 
 
-def scan_args(comp):
-    return comp.grp_ptr, comp.grp_dst, comp.grp_rank, comp._pull_src
-
-
-def assert_scan_matches(comp, candidate, active, lo, hi):
-    got = pull_scan_range(
-        *scan_args(comp), candidate, active, lo, hi, comp.num_ranks
-    )
-    want = oracle_pull_scan(comp, candidate, active, lo, hi)
-    for g, w in zip(got, want):
+def assert_scan_matches(comp, candidate, active):
+    scan = comp.pull_scan(candidate, active)
+    g_dst, g_src, g_rank, want_scanned = oracle_pull_scan(comp, candidate, active)
+    got = (scan.hit_dst, scan.hit_src, scan.hit_rank)
+    for g, w in zip(got, oracle_dedup(g_dst, g_src, g_rank)):
         assert g.dtype == np.int64
         assert g.tolist() == w
-    return got
+    assert scan.scanned_per_rank.dtype == np.int64
+    assert scan.scanned_per_rank.tolist() == want_scanned
+    return scan
 
 
-def assert_lane_scan_matches(comp, cand_bits, act_bits, lanes, lo, hi):
+def assert_lane_scan_matches(comp, cand_bits, act_bits, lanes):
     mask = sum(1 << lane for lane in lanes)
-    lane_hits, scanned = pull_scan_lanes_range(
-        *scan_args(comp), cand_bits, act_bits, np.uint64(mask), lo, hi,
-        comp.num_ranks,
-    )
+    scan = comp.pull_scan_lanes(cand_bits, act_bits, np.uint64(mask))
     want_hits, want_scanned = oracle_pull_scan_lanes(
-        comp, cand_bits, act_bits, lanes, lo, hi
+        comp, cand_bits, act_bits, lanes
     )
-    assert scanned.tolist() == want_scanned
+    assert scan.scanned_per_rank.tolist() == want_scanned
+    want_updates, messages = [], set()
+    for lane, g_dst, g_src, g_rank in want_hits:
+        dsts, srcs, win_ranks = oracle_dedup(g_dst, g_src, g_rank)
+        want_updates.append((lane, dsts, srcs))
+        messages |= set(zip(dsts, win_ranks))
     assert [
-        (lane, d.tolist(), s.tolist(), r.tolist()) for lane, d, s, r in lane_hits
-    ] == want_hits
-    return lane_hits, scanned
+        (lane, d.tolist(), s.tolist()) for lane, d, s in scan.updates
+    ] == want_updates
+    assert list(zip(scan.msg_dst.tolist(), scan.msg_rank.tolist())) == sorted(
+        messages
+    )
+    return scan
 
 
 def one_group(length, dst=100):
@@ -284,8 +280,7 @@ def test_first_hit_at_every_position(length):
         active = np.zeros(101, dtype=bool)
         if pos is not None:
             active[pos:length:2] = True  # later hits must not matter
-        assert_scan_matches(comp, candidate, active, 0, 1)
-        scan = comp.pull_scan(candidate, active)
+        scan = assert_scan_matches(comp, candidate, active)
         assert scan.scanned_arcs == (length if pos is None else pos + 1)
         assert scan.hit_src.tolist() == ([] if pos is None else [pos])
 
@@ -303,8 +298,7 @@ def test_lanes_charge_the_deeper_first_hit(length):
             act_bits[pos_a] |= np.uint64(0b101)
             if pos_b is not None:
                 act_bits[pos_b] |= np.uint64(0b110)
-            assert_lane_scan_matches(comp, cand_bits, act_bits, [0, 1, 2], 0, 1)
-            scan = comp.pull_scan_lanes(cand_bits, act_bits, np.uint64(0b111))
+            scan = assert_lane_scan_matches(comp, cand_bits, act_bits, [0, 1, 2])
             deeper = length if pos_b is None else max(pos_a, pos_b) + 1
             assert scan.scanned_arcs == deeper
             assert [lane for lane, _, _ in scan.updates] == (
@@ -329,45 +323,22 @@ def scan_cases(draw):
     comp = SubgraphComponent("t", src, dst, rank, ranks)
     active_p = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
     cand_p = draw(st.sampled_from([0.0, 0.5, 1.0]))
-    cuts = sorted(
-        draw(st.lists(st.integers(0, comp.num_groups), max_size=4))
-    )
-    bounds = [0, *cuts, comp.num_groups]
-    return comp, rng, n, active_p, cand_p, list(zip(bounds, bounds[1:]))
+    return comp, rng, n, active_p, cand_p
 
 
 @given(case=scan_cases())
 @settings(max_examples=150, deadline=None)
 def test_property_pull_scan_matches_oracle(case):
-    comp, rng, n, active_p, cand_p, ranges = case
+    comp, rng, n, active_p, cand_p = case
     active = rng.random(n) < active_p
     candidate = rng.random(n) < cand_p
-    parts = [  # lo == hi whenever a cut repeats
-        assert_scan_matches(comp, candidate, active, lo, hi) for lo, hi in ranges
-    ]
-    # A range partition's hits, concatenated in range order, dedup to the
-    # full-range result (what the shmem backend relies on).
-    merged = [np.concatenate([p[i] for p in parts]) for i in range(3)]
-    scanned = np.sum([p[3] for p in parts], axis=0)
-    full = comp.pull_scan(candidate, active)
-    for got, want in zip(
-        dedup_pull_hits(*merged), (full.hit_dst, full.hit_src, full.hit_rank)
-    ):
-        assert got.tolist() == want.tolist()
-    assert scanned.tolist() == full.scanned_per_rank.tolist()
-    g_dst, g_src, g_rank, want_scanned = oracle_pull_scan(
-        comp, candidate, active, 0, comp.num_groups
-    )
-    assert [full.hit_dst.tolist(), full.hit_src.tolist(), full.hit_rank.tolist()] == list(
-        oracle_dedup(g_dst, g_src, g_rank)
-    )
-    assert full.scanned_per_rank.tolist() == want_scanned
+    assert_scan_matches(comp, candidate, active)
 
 
 @given(case=scan_cases(), num_lanes=st.sampled_from([1, 2, 5, 64]))
 @settings(max_examples=150, deadline=None)
 def test_property_pull_scan_lanes_matches_oracle(case, num_lanes):
-    comp, rng, n, active_p, cand_p, ranges = case
+    comp, rng, n, active_p, cand_p = case
     lanes = list(range(num_lanes))
 
     def lane_words(p):
@@ -381,41 +352,7 @@ def test_property_pull_scan_lanes_matches_oracle(case, num_lanes):
     cand_bits = lane_words(cand_p)
     if num_lanes > 1:
         cand_bits &= ~np.uint64(2)  # lane 1 is candidate nowhere
-    mask = np.uint64((1 << num_lanes) - 1)
-    parts = [
-        assert_lane_scan_matches(comp, cand_bits, act_bits, lanes, lo, hi)
-        for lo, hi in ranges
-    ]
-    # Per-lane concatenation over the partition, in range order.
-    by_lane = {}
-    for lane_hits, _ in parts:
-        for lane, *hit in lane_hits:
-            by_lane.setdefault(lane, []).append(hit)
-    merged = [
-        (lane, *(np.concatenate([h[i] for h in hits]) for i in range(3)))
-        for lane, hits in sorted(by_lane.items())
-    ]
-    updates, msg_dst, msg_rank = dedup_lane_hits(merged, comp.num_ranks)
-    full = comp.pull_scan_lanes(cand_bits, act_bits, mask)
-    assert np.sum([p[1] for p in parts], axis=0).tolist() == (
-        full.scanned_per_rank.tolist()
-    )
-    assert msg_dst.tolist() == full.msg_dst.tolist()
-    assert msg_rank.tolist() == full.msg_rank.tolist()
-    as_lists = lambda ups: [(lane, d.tolist(), s.tolist()) for lane, d, s in ups]
-    assert as_lists(updates) == as_lists(full.updates)
-
-    want_hits, want_scanned = oracle_pull_scan_lanes(
-        comp, cand_bits, act_bits, lanes, 0, comp.num_groups
-    )
-    assert full.scanned_per_rank.tolist() == want_scanned
-    want_updates, messages = [], set()
-    for lane, g_dst, g_src, g_rank in want_hits:
-        dsts, srcs, win_ranks = oracle_dedup(g_dst, g_src, g_rank)
-        want_updates.append((lane, dsts, srcs))
-        messages |= set(zip(dsts, win_ranks))
-    assert as_lists(full.updates) == want_updates
-    assert list(zip(full.msg_dst.tolist(), full.msg_rank.tolist())) == sorted(messages)
+    assert_lane_scan_matches(comp, cand_bits, act_bits, lanes)
 
 
 # ----------------------------------------------------------------------
@@ -432,10 +369,12 @@ class CountingArray(np.ndarray):
         return out
 
 
-def counted_scan_args(comp):
-    pull_src = comp._pull_src.view(CountingArray)
-    pull_src.gathered = [0]
-    return (comp.grp_ptr, comp.grp_dst, comp.grp_rank, pull_src), pull_src.gathered
+def count_gathers(comp):
+    """Swap ``comp``'s pull sources for the counting view; returns the
+    one-element running count (reset it between scans)."""
+    comp._pull_src = comp._pull_src.view(CountingArray)
+    comp._pull_src.gathered = [0]
+    return comp._pull_src.gathered
 
 
 @pytest.fixture
@@ -453,43 +392,37 @@ def test_scan_reads_only_what_it_charges(long_groups):
     n = 1000 + groups
     active = np.zeros(n, dtype=bool)
     active[0] = True
-    args, gathered = counted_scan_args(comp)
-    g_dst, g_src, _, scanned = pull_scan_range(
-        *args, np.ones(n, dtype=bool), active, 0, comp.num_groups, 4
-    )
-    assert g_dst.size == groups and not g_src.any()
-    assert scanned.sum() == groups
+    gathered = count_gathers(comp)
+    scan = comp.pull_scan(np.ones(n, dtype=bool), active)
+    assert scan.num_hits == groups and not scan.hit_src.any()
+    assert scan.scanned_arcs == groups
     assert gathered[0] <= groups * (_ROUNDS + 1) < comp.num_arcs
 
     act_bits = np.zeros(n, dtype=np.uint64)
     act_bits[0] = 0b11
-    args, gathered = counted_scan_args(comp)
-    lane_hits, scanned = pull_scan_lanes_range(
-        *args, np.full(n, 0b11, dtype=np.uint64), act_bits, np.uint64(0b11),
-        0, comp.num_groups, 4,
+    gathered[0] = 0
+    scan = comp.pull_scan_lanes(
+        np.full(n, 0b11, dtype=np.uint64), act_bits, np.uint64(0b11)
     )
-    assert [hit[1].size for hit in lane_hits] == [groups, groups]
-    assert scanned.sum() == groups
+    assert [dst.size for _, dst, _ in scan.updates] == [groups, groups]
+    assert scan.scanned_arcs == groups
     assert gathered[0] <= groups * (_ROUNDS + 1) < comp.num_arcs
 
 
 def test_dry_scan_reads_every_arc_once(long_groups):
     comp, groups = long_groups
     n = 1000 + groups
-    args, gathered = counted_scan_args(comp)
-    g_dst, _, _, scanned = pull_scan_range(
-        *args, np.ones(n, dtype=bool), np.zeros(n, dtype=bool),
-        0, comp.num_groups, 4,
-    )
-    assert g_dst.size == 0
+    gathered = count_gathers(comp)
+    scan = comp.pull_scan(np.ones(n, dtype=bool), np.zeros(n, dtype=bool))
+    assert scan.num_hits == 0
     assert gathered[0] == comp.num_arcs
-    assert scanned.tolist() == comp.arcs_per_rank.tolist()
+    assert scan.scanned_per_rank.tolist() == comp.arcs_per_rank.tolist()
 
-    args, gathered = counted_scan_args(comp)
-    lane_hits, scanned = pull_scan_lanes_range(
-        *args, np.full(n, 0b11, dtype=np.uint64), np.zeros(n, dtype=np.uint64),
-        np.uint64(0b11), 0, comp.num_groups, 4,
+    gathered[0] = 0
+    scan = comp.pull_scan_lanes(
+        np.full(n, 0b11, dtype=np.uint64), np.zeros(n, dtype=np.uint64),
+        np.uint64(0b11),
     )
-    assert lane_hits == []
+    assert scan.updates == []
     assert gathered[0] == comp.num_arcs
-    assert scanned.tolist() == comp.arcs_per_rank.tolist()
+    assert scan.scanned_per_rank.tolist() == comp.arcs_per_rank.tolist()
