@@ -21,7 +21,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "layer_counts_tiny.json"
-WORKLOADS = ["bfs_rmat16", "msbfs_rmat16"]
+WORKLOADS = ["bfs_rmat16", "bfs_ring16", "msbfs_rmat16"]
 
 PINNED = (
     "ledger.charges", "ledger.sim_seconds", "ledger.sim_bytes",
