@@ -29,6 +29,7 @@ from repro.core.kernels.base import ComponentKernel, KernelBodySpec
 from repro.core.kernels.scheduler import LevelSyncScheduler, SchedulerHost
 from repro.core.metrics import BFSRunResult, IterationRecord
 from repro.core.subgraphs import SubgraphComponent
+from repro.core.vertexset import first_writers
 from repro.machine.costmodel import CollectiveKind, CostModel, NodeKernelRates
 from repro.machine.network import MachineSpec
 from repro.obs.tracer import Tracer
@@ -61,7 +62,7 @@ class BaselineComponentKernel(ComponentKernel):
         return KernelBodySpec(component=self.comp, pull_kind="scan")
 
     def pull_body(self, active, visited):
-        return self.comp.pull_scan(~visited, active)
+        return self.comp.pull_scan(~visited.mask, active.mask)
 
     def commit_push(self, sel, active, visited, ledger, record):
         eng, name = self.engine, self.name
@@ -73,10 +74,9 @@ class BaselineComponentKernel(ComponentKernel):
         ledger.charge_compute(name, f"push:{name}", per_rank, seconds)
         if sel.num_arcs:
             eng.charge_push_messages(name, sel, ledger)
-        fresh = ~visited[sel.dst]
-        src_f, dst_f = sel.src[fresh], sel.dst[fresh]
-        newly, first = np.unique(dst_f, return_index=True)
-        return newly, src_f[first]
+        at = np.flatnonzero(~visited.mask[sel.dst])
+        newly, first = first_writers(sel.dst[at], visited.scratch)
+        return newly, sel.src[at[first]]
 
     def commit_pull(self, scan, active, visited, ledger, record):
         eng, name = self.engine, self.name
@@ -183,11 +183,11 @@ class BaselineEngine(SchedulerHost):
 
     def iteration_direction(self, active, visited) -> str:
         return choose_whole_iteration_direction(
-            active, visited, self.degrees, self.config
+            active.mask, visited.mask, self.degrees, self.config
         )
 
     def record_activation(self, record: IterationRecord, next_active) -> None:
-        record.newly_activated["all"] = int(np.count_nonzero(next_active))
+        record.newly_activated["all"] = len(next_active)
 
     def end_run(self, ledger, tracer, parent) -> None:
         self.charge_parent_reduction(ledger)

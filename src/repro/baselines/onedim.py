@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.common import BaselineEngine
+from repro.core.partition import VertexClass, class_count
 from repro.core.subgraphs import SubgraphComponent
 from repro.graphs.csr import symmetrize_edges
 
@@ -36,7 +37,9 @@ class OneDimBFS(BaselineEngine):
         a_src, a_dst = symmetrize_edges(src, dst)
         rank = self.mesh.owner_of(a_src, self.num_vertices)
         return {
-            "ALL": SubgraphComponent("ALL", a_src, a_dst, rank, self._p)
+            "ALL": SubgraphComponent(
+                "ALL", a_src, a_dst, rank, self._p, self.num_vertices
+            )
         }
 
     def charge_iteration_sync(self, ledger, active, visited):
@@ -59,7 +62,7 @@ class OneDimBFS(BaselineEngine):
     def charge_pull_prereq(self, name, ledger, active, visited):
         # Bottom-up needs every rank to hold the full frontier set.
         self.charge_global_bitmap_allreduce(
-            name, ledger, self.num_vertices, int(np.count_nonzero(active))
+            name, ledger, self.num_vertices, len(active)
         )
 
     def charge_parent_reduction(self, ledger):
@@ -88,6 +91,8 @@ class DelegatedOneDimBFS(BaselineEngine):
         heavy = self.degrees >= self.heavy_threshold
         self.heavy_mask = heavy
         self.num_heavy = int(np.count_nonzero(heavy))
+        # The run's frontier sets count heavy vertices as H, the rest as L.
+        self.vertex_classes = np.where(heavy, VertexClass.H, VertexClass.L)
 
         a_src, a_dst = symmetrize_edges(src, dst)
         hs = heavy[a_src]
@@ -100,24 +105,27 @@ class DelegatedOneDimBFS(BaselineEngine):
         # expansion from a delegate is node-local (like the paper's E2L).
         sel = hs
         comps["H2X"] = SubgraphComponent(
-            "H2X", a_src[sel], a_dst[sel], o_dst[sel], self._p
+            "H2X", a_src[sel], a_dst[sel], o_dst[sel], self._p,
+            self.num_vertices,
         )
         # light -> heavy: the local delegate absorbs the update.
         sel = (~hs) & hd
         comps["L2H"] = SubgraphComponent(
-            "L2H", a_src[sel], a_dst[sel], o_src[sel], self._p
+            "L2H", a_src[sel], a_dst[sel], o_src[sel], self._p,
+            self.num_vertices,
         )
         # light -> light: plain 1D messaging.
         sel = (~hs) & (~hd)
         comps["L2L"] = SubgraphComponent(
-            "L2L", a_src[sel], a_dst[sel], o_src[sel], self._p
+            "L2L", a_src[sel], a_dst[sel], o_src[sel], self._p,
+            self.num_vertices,
         )
         return comps
 
     def charge_iteration_sync(self, ledger, active, visited):
         # Global allreduce of the heavy frontier: every node keeps every
         # heavy vertex's state — the delegate set that stops scaling.
-        active_heavy = int(np.count_nonzero(active & self.heavy_mask))
+        active_heavy = class_count(active.counts, "H")
         self.charge_global_bitmap_allreduce(
             "other", ledger, self.num_heavy, active_heavy
         )
@@ -137,7 +145,7 @@ class DelegatedOneDimBFS(BaselineEngine):
         if name == "L2L":
             # light frontier state must be everywhere for bottom-up.
             light = self.num_vertices - self.num_heavy
-            active_light = int(np.count_nonzero(active & ~self.heavy_mask))
+            active_light = class_count(active.counts, "L")
             self.charge_global_bitmap_allreduce(name, ledger, light, active_light)
         # H2X / L2H pulls read the replicated heavy bitmap: free beyond
         # the per-iteration sync.

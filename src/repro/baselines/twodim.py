@@ -18,8 +18,6 @@ reduction covers the whole vertex set.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.baselines.common import BaselineEngine
 from repro.core.subgraphs import SubgraphComponent
 from repro.graphs.csr import symmetrize_edges
@@ -38,7 +36,11 @@ class TwoDimBFS(BaselineEngine):
         o_src = self.mesh.owner_of(a_src, self.num_vertices)
         o_dst = self.mesh.owner_of(a_dst, self.num_vertices)
         rank = self.mesh.row_of(o_dst) * self.mesh.cols + self.mesh.col_of(o_src)
-        return {"2D": SubgraphComponent("2D", a_src, a_dst, rank, self._p)}
+        return {
+            "2D": SubgraphComponent(
+                "2D", a_src, a_dst, rank, self._p, self.num_vertices
+            )
+        }
 
     # ------------------------------------------------------------------
 
@@ -54,7 +56,7 @@ class TwoDimBFS(BaselineEngine):
     def charge_iteration_sync(self, ledger, active, visited):
         # Column allreduce of frontier bits (sources), row allreduce of
         # visited/next bits (destinations): the O(|V_local| * sqrt(P)) term.
-        active_per_col = -(-int(np.count_nonzero(active)) // self.mesh.cols)
+        active_per_col = -(-len(active) // self.mesh.cols)
         col_bytes = self.sync_bytes(self._col_vertex_bits(), active_per_col)
         intra_f, inter_f = self.mesh.group_traffic_split(self.mesh.col_ranks(0))
         for kind in (CollectiveKind.REDUCE_SCATTER, CollectiveKind.ALLGATHER):
@@ -66,7 +68,7 @@ class TwoDimBFS(BaselineEngine):
                 col_bytes * inter_f,
                 total_bytes=col_bytes * self.mesh.rows,
             )
-        active_per_row = -(-int(np.count_nonzero(active)) // self.mesh.rows)
+        active_per_row = -(-len(active) // self.mesh.rows)
         row_bytes = self.sync_bytes(self._row_vertex_bits(), active_per_row)
         intra_f, inter_f = self.mesh.group_traffic_split(self.mesh.row_ranks(0))
         for kind in (CollectiveKind.REDUCE_SCATTER, CollectiveKind.ALLGATHER):

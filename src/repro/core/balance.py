@@ -29,14 +29,25 @@ def edge_aware_cuts(frontier_degrees: np.ndarray, num_workers: int) -> np.ndarra
     if num_workers < 1:
         raise ValueError("num_workers must be >= 1")
     frontier_degrees = np.asarray(frontier_degrees, dtype=np.int64)
-    n = frontier_degrees.size
-    if n == 0:
+    if frontier_degrees.size == 0:
         return np.zeros(num_workers + 1, dtype=np.int64)
-    prefix = np.concatenate(([0], np.cumsum(frontier_degrees)))
+    return _cuts_from_prefix(_degree_prefix(frontier_degrees), num_workers)
+
+
+def _degree_prefix(frontier_degrees: np.ndarray) -> np.ndarray:
+    """``prefix[i]`` = degree sum of the first ``i`` frontier vertices."""
+    prefix = np.empty(frontier_degrees.size + 1, dtype=np.int64)
+    prefix[0] = 0
+    np.cumsum(frontier_degrees, out=prefix[1:])
+    return prefix
+
+
+def _cuts_from_prefix(prefix: np.ndarray, num_workers: int) -> np.ndarray:
+    """:func:`edge_aware_cuts` over a non-empty frontier's degree prefix."""
     targets = (np.arange(num_workers + 1, dtype=np.float64) / num_workers) * prefix[-1]
     cuts = np.searchsorted(prefix, targets, side="left")
     cuts[0] = 0
-    cuts[-1] = n
+    cuts[-1] = prefix.size - 1
     return np.maximum.accumulate(cuts).astype(np.int64)
 
 
@@ -52,14 +63,16 @@ def vertex_cut_imbalance(
     """
     frontier_degrees = np.asarray(frontier_degrees, dtype=np.int64)
     n = frontier_degrees.size
-    total = int(frontier_degrees.sum())
-    if n == 0 or total == 0 or num_workers < 2:
+    if n == 0 or num_workers < 2:
+        return 1.0
+    prefix = _degree_prefix(frontier_degrees)
+    total = int(prefix[-1])
+    if total == 0:
         return 1.0
     if edge_aware:
-        cuts = edge_aware_cuts(frontier_degrees, num_workers)
+        cuts = _cuts_from_prefix(prefix, num_workers)
     else:
         cuts = (np.arange(num_workers + 1, dtype=np.int64) * n) // num_workers
-    prefix = np.concatenate(([0], np.cumsum(frontier_degrees)))
     loads = prefix[cuts[1:]] - prefix[cuts[:-1]]
     active_workers = min(num_workers, n)
     mean = total / active_workers

@@ -26,7 +26,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import BFSConfig
-from repro.core.partition import COMPONENT_CLASSES, NODE_LOCAL_COMPONENTS
+from repro.core.partition import (
+    COMPONENT_CLASSES,
+    NODE_LOCAL_COMPONENTS,
+    class_count,
+)
 
 __all__ = ["ClassState", "choose_component_direction", "choose_whole_iteration_direction"]
 
@@ -42,7 +46,8 @@ class ClassState:
     def measure(
         self, active: np.ndarray, visited: np.ndarray
     ) -> dict[str, tuple[float, float]]:
-        """(active_ratio, unvisited_ratio) per class under current state."""
+        """(active_ratio, unvisited_ratio) per class under current state,
+        from boolean masks — the stateless definition of the ratios."""
         out = {}
         for name, mask in self._masks.items():
             size = self.sizes[name]
@@ -52,6 +57,24 @@ class ClassState:
             out[name] = (
                 float(np.count_nonzero(active & mask)) / size,
                 float(np.count_nonzero(~visited & mask)) / size,
+            )
+        return out
+
+    def ratios(
+        self, active_counts: np.ndarray, visited_counts: np.ndarray
+    ) -> dict[str, tuple[float, float]]:
+        """:meth:`measure` from the running ``[class]`` counts of a run's
+        frontier and visited :class:`~repro.core.vertexset.VertexSet`:
+        the same integers, so the same floats."""
+        active_counts, visited_counts = active_counts.tolist(), visited_counts.tolist()
+        out = {}
+        for name, size in self.sizes.items():
+            if size == 0:
+                out[name] = (0.0, 0.0)
+                continue
+            out[name] = (
+                float(class_count(active_counts, name)) / size,
+                float(size - class_count(visited_counts, name)) / size,
             )
         return out
 

@@ -52,8 +52,6 @@ build a :class:`~repro.obs.report.RunReport` artifact from the run with
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.config import BFSConfig
 from repro.core.direction import (
     choose_component_direction,
@@ -62,7 +60,7 @@ from repro.core.direction import (
 from repro.core.kernels.fifteend import FifteenDContext, build_fifteend_kernels
 from repro.core.kernels.scheduler import LevelSyncScheduler, SchedulerHost
 from repro.core.metrics import BFSRunResult, IterationRecord
-from repro.core.partition import PartitionedGraph
+from repro.core.partition import PartitionedGraph, class_count
 from repro.core.subgraphs import COMPONENT_ORDER
 from repro.machine.network import MachineSpec
 from repro.obs.tracer import Tracer
@@ -106,6 +104,9 @@ class FifteenDHost(SchedulerHost):
 
         self.num_vertices = part.num_vertices
         self.num_input_edges = part.total_arcs // 2
+        # Held like ``ctx.masks``: a repair replaces ``part.vclass``, and
+        # this engine keeps serving the generation it was built over.
+        self.vertex_classes = part.vclass
 
     @property
     def cost(self):
@@ -153,18 +154,16 @@ class DistributedBFS(FifteenDHost):
         if self.config.sub_iteration_direction:
             return None
         return choose_whole_iteration_direction(
-            active, visited, self.part.degrees, self.config
+            active.mask, visited.mask, self.part.degrees, self.config
         )
 
     def component_direction(self, name, active, visited) -> str:
-        ratios = self.ctx.class_state.measure(active, visited)
+        ratios = self.ctx.class_state.ratios(active.counts, visited.counts)
         return choose_component_direction(name, ratios, self.config)
 
     def record_activation(self, record: IterationRecord, next_active) -> None:
         for cls in ("E", "H", "L"):
-            record.newly_activated[cls] = int(
-                np.count_nonzero(next_active & self.ctx.masks[cls])
-            )
+            record.newly_activated[cls] = class_count(next_active.counts, cls)
 
     def end_iteration(self, ledger, record, active, visited, parent, next_active):
         if not self.config.delayed_reduction:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.metrics import IterationRecord
+from repro.core.vertexset import VertexSet
 from repro.runtime.ledger import TrafficLedger
 
 __all__ = [
@@ -84,14 +85,16 @@ class ComponentKernel(ABC):
     def execute(
         self,
         direction: str,
-        active: np.ndarray,
-        visited: np.ndarray,
+        active: VertexSet,
+        visited: VertexSet,
         ledger: TrafficLedger,
         record: IterationRecord,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Run one sub-iteration in ``direction`` (``"push"``/``"pull"``).
 
-        Reads the frontier (``active``) and ``visited`` masks, charges
+        Reads the frontier (``active``) and ``visited``
+        :class:`~repro.core.vertexset.VertexSet` objects (``ids`` to
+        expand, ``mask`` to test membership, ``counts`` to price), charges
         every kernel and collective the component would run to
         ``ledger``, fills ``record``'s per-component counters
         (``scanned_arcs``, ``messages``), and returns ``(newly,
@@ -136,7 +139,7 @@ class ComponentKernel(ABC):
         self,
         program,
         direction: str,
-        active: np.ndarray,
+        active: VertexSet,
         ledger: TrafficLedger,
         record: IterationRecord,
     ) -> np.ndarray:

@@ -41,8 +41,9 @@ from repro.core.kernels.base import (
     KernelRegistry,
 )
 from repro.core.lanes import iter_lanes, lane_bit
-from repro.core.partition import PartitionedGraph
+from repro.core.partition import PartitionedGraph, class_count
 from repro.core.segmenting import plan_segmenting
+from repro.core.vertexset import VertexSet, first_writers
 from repro.machine.costmodel import CollectiveKind, CostModel, NodeKernelRates
 from repro.machine.network import MachineSpec
 
@@ -193,14 +194,14 @@ class FifteenDContext:
         """Per-iteration frontier synchronization of delegated classes."""
         p = self.num_ranks
         if self.part.num_e:
-            active_e = int(np.count_nonzero(active & self.masks["E"]))
+            active_e = class_count(active.counts, "E")
             e_bytes = self.sync_bytes(self.part.num_e, active_e)
             intra, inter = self.split_bytes(float(e_bytes), self.split_global)
             for kind in (CollectiveKind.REDUCE_SCATTER, CollectiveKind.ALLGATHER):
                 ledger.charge_collective(
                     "other", kind, p, intra, inter, total_bytes=float(e_bytes) * p
                 )
-        active_h = int(np.count_nonzero(active & self.masks["H"]))
+        active_h = class_count(active.counts, "H")
         if self.part.num_h and self.mesh.rows > 1:
             col_bytes = self.sync_bytes(
                 int(self.part.col_eh_counts.max()),
@@ -344,8 +345,8 @@ class _FifteenDKernel(ComponentKernel):
 
     # -- per-kernel policy hooks ---------------------------------------
 
-    def push_seconds(self, per_rank: np.ndarray, active: np.ndarray) -> float:
-        """Compute time of the top-down sweep (busiest rank)."""
+    def push_seconds(self, per_rank: np.ndarray, sel) -> float:
+        """Compute time of the top-down sweep ``sel`` (busiest rank)."""
         raise NotImplementedError
 
     def pull_rate(self) -> float:
@@ -402,7 +403,7 @@ class _FifteenDKernel(ComponentKernel):
 
     def pull_body(self, active, visited):
         """The pure bottom-up body (L2L overrides with its query model)."""
-        return self.comp.pull_scan(~visited, active)
+        return self.comp.pull_scan(~visited.mask, active.mask)
 
     def lanes_pull_body(self, group_lanes, lanes):
         group = np.uint64(group_lanes)
@@ -414,18 +415,17 @@ class _FifteenDKernel(ComponentKernel):
         ctx, name = self.ctx, self.name
         per_rank = sel.per_rank(ctx.num_ranks)
         record.scanned_arcs[name] = sel.num_arcs
-        seconds = self.push_seconds(per_rank, active)
+        seconds = self.push_seconds(per_rank, sel)
         ledger.charge_compute(name, f"push:{name}", per_rank, seconds)
         if sel.num_arcs:
             self.route_push(sel, ledger, record)
         # Local (or post-message) update: first writer per destination in
         # deterministic component order wins.
-        fresh = ~visited[sel.dst]
-        if not np.any(fresh):
+        fresh = np.flatnonzero(~visited.mask[sel.dst])
+        if fresh.size == 0:
             return EMPTY_ACTIVATION
-        src_f, dst_f = sel.src[fresh], sel.dst[fresh]
-        uniq, first = np.unique(dst_f, return_index=True)
-        return uniq, src_f[first]
+        uniq, first = first_writers(sel.dst[fresh], visited.scratch)
+        return uniq, sel.src[fresh[first]]
 
     def commit_pull(self, scan, active, visited, ledger, record):
         ctx, name = self.ctx, self.name
@@ -448,12 +448,11 @@ class _FifteenDKernel(ComponentKernel):
         ctx, name = self.ctx, self.name
         group = np.uint64(group_lanes)
         act_bits = lanes.active & group
-        union_active = act_bits != 0
         per_rank = sel.per_rank(ctx.num_ranks)
         record.scanned_arcs[name] = (
             record.scanned_arcs.get(name, 0) + sel.num_arcs
         )
-        seconds = self.push_seconds(per_rank, union_active)
+        seconds = self.push_seconds(per_rank, sel)
         ledger.charge_compute(name, f"push:{name}", per_rank, seconds)
         if sel.num_arcs == 0:
             return []
@@ -490,7 +489,7 @@ class _FifteenDKernel(ComponentKernel):
         ctx, name = self.ctx, self.name
         per_rank = sel.per_rank(ctx.num_ranks)
         record.scanned_arcs[name] = sel.num_arcs
-        seconds = self.push_seconds(per_rank, active)
+        seconds = self.push_seconds(per_rank, sel)
         ledger.charge_compute(name, f"push:{name}", per_rank, seconds)
         if sel.num_arcs:
             self.route_program_push(
@@ -504,7 +503,9 @@ class _FifteenDKernel(ComponentKernel):
         combine must see every active in-neighbour), priced at the same
         pull rate as BFS."""
         ctx, name = self.ctx, self.name
-        self.charge_pull_prereq(ledger, active, ~candidates)
+        self.charge_pull_prereq(
+            ledger, active, VertexSet.from_mask(~candidates, ctx.part.vclass)
+        )
         record.scanned_arcs[name] = sel.scanned_arcs
         seconds = ctx.kernel_time(
             int(sel.scanned_per_rank.max()), self.pull_rate()
@@ -538,7 +539,7 @@ class _FifteenDKernel(ComponentKernel):
             sel = self.comp.push_select(active)
             return self.commit_program_push(program, sel, active, ledger, record)
         candidates = program.pull_candidates()
-        sel = self.comp.pull_select(candidates, active)
+        sel = self.comp.pull_select(candidates, active.mask)
         return self.commit_program_pull(
             program, sel, candidates, active, ledger, record
         )
@@ -548,23 +549,16 @@ class _FifteenDKernel(ComponentKernel):
 class EH2EHKernel(_FifteenDKernel):
     """The 2D core: node-local, vertex-cut balanced, segmentable."""
 
-    def push_seconds(self, per_rank, active):
+    def push_seconds(self, per_rank, sel):
         ctx = self.ctx
-        factor = self._push_balance(active)
-        return ctx.kernel_time(int(per_rank.max()), ctx.rates.local_push_rate()) * factor
-
-    def _push_balance(self, active) -> float:
-        """CPE load factor of the EH2EH push vertex-cut (§5)."""
-        comp = self.comp
-        sel_srcs = np.flatnonzero(active[comp.src_ids])
-        if sel_srcs.size == 0:
-            return 1.0
-        lens = comp.src_indptr[sel_srcs + 1] - comp.src_indptr[sel_srcs]
-        return vertex_cut_imbalance(
-            lens,
-            self.ctx.machine.chip.total_cpes,
-            edge_aware=self.ctx.config.edge_aware_balance,
+        # CPE load factor of the push vertex-cut (§5) over the selected
+        # sources' run lengths.
+        factor = vertex_cut_imbalance(
+            sel.lens,
+            ctx.machine.chip.total_cpes,
+            edge_aware=ctx.config.edge_aware_balance,
         )
+        return ctx.kernel_time(int(per_rank.max()), ctx.rates.local_push_rate()) * factor
 
     def pull_rate(self):
         # Segmented rate when the §4.3 plan is feasible and enabled.
@@ -574,7 +568,7 @@ class EH2EHKernel(_FifteenDKernel):
 class _LocalKernel(_FifteenDKernel):
     """Node-local light components (E2L, L2E): scan + update, no messages."""
 
-    def push_seconds(self, per_rank, active):
+    def push_seconds(self, per_rank, sel):
         ctx = self.ctx
         return ctx.kernel_time(int(per_rank.max()), ctx.rates.local_push_rate())
 
@@ -595,7 +589,7 @@ class L2EKernel(_LocalKernel):
 class _RowMessageKernel(_FifteenDKernel):
     """Intra-row messaging components (H2L, L2H)."""
 
-    def push_seconds(self, per_rank, active):
+    def push_seconds(self, per_rank, sel):
         # Message generation priced at the OCS-RMA rate.
         ctx = self.ctx
         return ctx.kernel_time(int(per_rank.max()), ctx.message_rate())
@@ -688,7 +682,7 @@ class H2LKernel(_RowMessageKernel):
         # Unvisited-L state of each row, allgathered within the row
         # (bitmap or sparse IDs, whichever is cheaper on the wire).
         ctx = self.ctx
-        unvisited_l = int(np.count_nonzero(~visited & ctx.masks["L"]))
+        unvisited_l = ctx.class_state.sizes["L"] - class_count(visited.counts, "L")
         row_bits = ctx.block_bytes * 8 * ctx.mesh.cols
         recv = ctx.sync_bytes(row_bits, -(-unvisited_l // ctx.mesh.rows))
         intra, inter = ctx.split_bytes(recv, ctx.split_row)
@@ -736,7 +730,7 @@ class L2HKernel(_RowMessageKernel):
 class L2LKernel(_FifteenDKernel):
     """Plain-1D light arcs: two-stage forwarded push, query/reply pull."""
 
-    def push_seconds(self, per_rank, active):
+    def push_seconds(self, per_rank, sel):
         ctx = self.ctx
         return ctx.kernel_time(int(per_rank.max()), ctx.message_rate())
 
@@ -792,7 +786,7 @@ class L2LKernel(_FifteenDKernel):
     def pull_body(self, active, visited):
         # Scanning unvisited local sources is the destination-side pull
         # view (see :meth:`commit_pull`); no early exit.
-        return self.comp.push_select(~visited)
+        return self.comp.push_select(~visited.mask)
 
     def lanes_pull_body(self, group_lanes, lanes):
         group = np.uint64(group_lanes)
@@ -824,12 +818,11 @@ class L2LKernel(_FifteenDKernel):
             ctx.charge_receiver_kernel("L2L", o_peer, ledger, "pull_query")
             ctx.charge_l2l_alltoallv(o_peer, sel.rank, ledger)
             ctx.charge_receiver_kernel("L2L", sel.rank, ledger, "pull_reply")
-        hits = active[sel.dst]
-        if not np.any(hits):
+        hits = np.flatnonzero(active.mask[sel.dst])
+        if hits.size == 0:
             return EMPTY_ACTIVATION
-        v_h, u_h = sel.src[hits], sel.dst[hits]
-        uniq, first = np.unique(v_h, return_index=True)
-        return uniq, u_h[first]
+        uniq, first = first_writers(sel.src[hits], visited.scratch)
+        return uniq, sel.dst[hits[first]]
 
     def commit_pull_lanes(self, sel, group_lanes, lanes, ledger, record):
         """Batched query/reply L2L pull: one query covers every lane in

@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.core.lanes import LaneState
 from repro.core.metrics import BFSRunResult, IterationRecord
+from repro.core.vertexset import VertexSet
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.runtime.backends.base import SimulatedBackend
@@ -91,9 +92,11 @@ class SchedulerHost:
     num_vertices: int
     #: Undirected input edges, reported on the run result.
     num_input_edges: int
-    #: Per-vertex class codes a batched run keeps its running per-lane
-    #: counts by (only hosts that run batches set it).
-    vertex_classes: np.ndarray
+    #: Per-vertex class codes a run keeps its running counts by (the
+    #: frontier / visited :class:`~repro.core.vertexset.VertexSet` of a
+    #: single traversal, the per-lane counts of a batch); ``None`` for a
+    #: scheme without degree classes.
+    vertex_classes: np.ndarray | None = None
 
     def make_ledger(self, tracer: Tracer, metrics=NULL_METRICS) -> TrafficLedger:
         return TrafficLedger(self.cost, tracer=tracer, metrics=metrics)
@@ -103,12 +106,18 @@ class SchedulerHost:
         already seeded its own parent/visited/frontier arrays)."""
 
     def restore(self, root: int, parent, visited, active) -> None:
-        """Rebuild engine-private state from checkpointed global arrays
-        (called instead of :meth:`seed` when resuming mid-traversal).
+        """Rebuild engine-private state from checkpointed global arrays,
+        ``visited`` and ``active`` as boolean masks (called instead of
+        :meth:`seed` when resuming mid-traversal).
         Stateless hosts — every analytic engine — need nothing: their
         per-iteration inputs are exactly the global arrays the scheduler
         restored.  The replay engine overrides this to re-shard the
         arrays into its per-rank state."""
+
+    # ``active`` / ``visited`` / ``next_active`` below are the run's
+    # :class:`~repro.core.vertexset.VertexSet` objects: read ``counts``
+    # and ``len`` for populations, ``ids`` for members, ``mask`` for
+    # membership.
 
     def begin_iteration(self, ledger, active, visited) -> None:
         """Price whatever the scheme exchanges before ranks may expand
@@ -133,7 +142,8 @@ class SchedulerHost:
     ) -> None:
         """Iteration-end work: eager parent reduction, or (for the
         replay) routing buffered messages and committing activations
-        into ``visited``/``parent``/``next_active`` in place."""
+        (``parent[ids] = ...``, ``visited.add(ids)``,
+        ``next_active.add(ids)``)."""
 
     def end_run(self, ledger, tracer: Tracer, parent) -> None:
         """Run-end work (inside the ``bfs`` span): the §5 delayed parent
@@ -466,14 +476,15 @@ class _LevelMode:
         self.backend = scheduler.backend
         self.metrics = scheduler.metrics
         self.n = self.host.num_vertices
+        self.vclass = self.host.vertex_classes
         self.max_iterations = self.host.config.max_iterations
 
-    # Single-traversal defaults: one boolean frontier ``active``, one
+    # Single-traversal defaults: one frontier set ``active``, one
     # direction per component — the level's ``whole`` choice, or the
     # host's fresh measurement against ``visited``.
 
     def frontier_size(self) -> int:
-        return 0 if self.active is None else int(np.count_nonzero(self.active))
+        return 0 if self.active is None else len(self.active)
 
     def directions(self, name):
         direction = self.whole
@@ -488,7 +499,9 @@ class _LevelMode:
 
 
 class _BFSMode(_LevelMode):
-    """Single-root BFS: parent/visited arrays and a boolean frontier."""
+    """Single-root BFS: a parent array, and the visited set and the
+    frontier as :class:`~repro.core.vertexset.VertexSet` objects that
+    grow only through ``add`` — a level costs its frontier, not ``n``."""
 
     span = "bfs"
     level_counter = "iterations"
@@ -499,26 +512,27 @@ class _BFSMode(_LevelMode):
         self.span_attrs = {"root": root}
 
     def seed(self) -> None:
-        root = self.key
+        root = np.array([self.key], dtype=np.int64)
         self.parent = np.full(self.n, -1, dtype=np.int64)
-        self.visited = np.zeros(self.n, dtype=bool)
-        self.active = np.zeros(self.n, dtype=bool)
         self.parent[root] = root
-        self.visited[root] = True
-        self.active[root] = True
-        self.host.seed(root)
+        self.visited = VertexSet(self.n, self.vclass)
+        self.visited.add(root)
+        self.active = VertexSet(self.n, self.vclass)
+        self.active.add(root)
+        self.host.seed(self.key)
         self.metrics.counter("bfs_runs").inc()
 
     def restore(self, state, active) -> None:
         self.parent = state["parent"].copy()
-        self.visited = np.unpackbits(state["visited"], count=self.n).astype(bool)
-        self.active = active
-        self.host.restore(self.key, self.parent, self.visited, active)
+        visited = np.unpackbits(state["visited"], count=self.n).astype(bool)
+        self.visited = VertexSet.from_mask(visited, self.vclass)
+        self.active = VertexSet.from_mask(active, self.vclass)
+        self.host.restore(self.key, self.parent, visited, active)
         self.metrics.counter("bfs_resumes").inc()
 
     def begin_level(self, it, ledger) -> str:
         self.host.begin_iteration(ledger, self.active, self.visited)
-        self.next_active = np.zeros(self.n, dtype=bool)
+        self.next_active = VertexSet(self.n, self.vclass)
         self.whole = self.host.iteration_direction(self.active, self.visited)
         return "fresh" if self.whole is None else "whole"
 
@@ -528,8 +542,8 @@ class _BFSMode(_LevelMode):
         )
         if newly.size:
             self.parent[newly] = parents
-            self.visited[newly] = True
-            self.next_active[newly] = True
+            self.visited.add(newly)
+            self.next_active.add(newly)
         return newly.size
 
     def end_level(self, it, ledger, record) -> None:
@@ -542,8 +556,8 @@ class _BFSMode(_LevelMode):
 
     def snapshot(self):
         # Bit-packed visited: the snapshot charges what a rank persists.
-        state = {"parent": self.parent, "visited": np.packbits(self.visited)}
-        return state, self.active
+        state = {"parent": self.parent, "visited": np.packbits(self.visited.mask)}
+        return state, self.active.mask
 
     def end_run(self, ledger, tracer) -> None:
         self.host.end_run(ledger, tracer, self.parent)
@@ -562,7 +576,10 @@ class _BFSMode(_LevelMode):
 
 class _ProgramMode(_LevelMode):
     """A vertex program: the program owns the values, the frontier is
-    whatever its ``end_iteration`` returns (``None`` = converged)."""
+    whatever its ``end_iteration`` returns (``None`` = converged).  The
+    program speaks masks and its settled set is not monotone, so the
+    sets the host hooks read are rebuilt from masks, once each per
+    level."""
 
     span = "program"
     level_counter = "program_iterations"
@@ -575,21 +592,23 @@ class _ProgramMode(_LevelMode):
         self.max_iterations = program.max_iterations
 
     def seed(self) -> None:
-        self.active = self.program.initial_frontier()
+        self.active = VertexSet.from_mask(
+            self.program.initial_frontier(), self.vclass
+        )
         self.metrics.counter("program_runs", **self.labels).inc()
 
     def restore(self, state, active) -> None:
         self.program.restore(state)
-        self.active = active
+        self.active = VertexSet.from_mask(active, self.vclass)
         self.metrics.counter("program_resumes", **self.labels).inc()
 
     def begin_level(self, it, ledger) -> str:
         program = self.program
         # The settled mask is the program's "visited" proxy for the
         # direction heuristics and the delegate-sync pricing.
-        self.visited = program.settled_mask()
+        self.visited = VertexSet.from_mask(program.settled_mask(), self.vclass)
         self.host.begin_iteration(ledger, self.active, self.visited)
-        program.begin_iteration(it, self.active)
+        program.begin_iteration(it, self.active.mask)
         self.touched = np.zeros(self.n, dtype=bool)
         if program.forced_direction is None and program.supports_pull:
             self.whole = None
@@ -606,12 +625,14 @@ class _ProgramMode(_LevelMode):
         return newly.size
 
     def end_level(self, it, ledger, record) -> None:
-        touched = self.touched
+        touched = VertexSet.from_mask(self.touched, self.vclass)
         self.host.record_activation(record, touched)
-        self.metrics.counter("program_updates", **self.labels).inc(
-            int(np.count_nonzero(touched))
+        self.metrics.counter("program_updates", **self.labels).inc(len(touched))
+        next_active = self.program.end_iteration(
+            it, self.active.mask, touched.mask
         )
-        next_active = self.program.end_iteration(it, self.active, touched)
+        if next_active is not None:
+            next_active = VertexSet.from_mask(next_active, self.vclass)
         self.host.end_iteration(
             ledger, record, self.active, self.visited, None, next_active
         )
@@ -622,7 +643,7 @@ class _ProgramMode(_LevelMode):
         # commit in BFS; a converged program has nothing left to resume.
         if self.active is None:
             return None
-        return self.program.snapshot(), self.active
+        return self.program.snapshot(), self.active.mask
 
     def end_run(self, ledger, tracer) -> None:
         self.host.end_run(ledger, tracer, None)
@@ -653,7 +674,7 @@ class _WaveMode(_LevelMode):
 
     def __init__(self, scheduler, roots) -> None:
         super().__init__(scheduler)
-        self.lanes = LaneState(self.n, roots, self.host.vertex_classes)
+        self.lanes = LaneState(self.n, roots, self.vclass)
         self.span_attrs = {"lanes": self.lanes.num_lanes}
         self.lane_frontiers: list[np.ndarray] = []
         self.lane_directions: list[dict] = []

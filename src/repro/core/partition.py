@@ -53,6 +53,8 @@ from repro.runtime.mesh import ProcessMesh
 
 __all__ = [
     "VertexClass",
+    "CLASS_CODES",
+    "class_count",
     "PartitionedGraph",
     "partition_graph",
     "classify_vertices",
@@ -83,6 +85,22 @@ class VertexClass:
     L = 0
     H = 1
     E = 2
+
+
+#: Columns of a ``[..., class]`` count array (``VertexSet.counts``, the
+#: ``LaneState`` counts) that make up each degree class.
+CLASS_CODES = {
+    "E": [VertexClass.E],
+    "H": [VertexClass.H],
+    "L": [VertexClass.L],
+    "EH": [VertexClass.E, VertexClass.H],
+}
+
+
+def class_count(counts: np.ndarray, cls: str) -> int:
+    """Population of degree class ``cls`` in a ``[class]`` count array —
+    the integer a popcount of the set over the class mask would give."""
+    return sum(int(counts[code]) for code in CLASS_CODES[cls])
 
 
 #: Source/destination degree class of each component, used by the
@@ -381,7 +399,7 @@ def partition_graph(
     for i, name in enumerate(names):
         sel = comp_of == i
         components[name] = SubgraphComponent(
-            name, a_src[sel], a_dst[sel], rank[sel], mesh.num_ranks
+            name, a_src[sel], a_dst[sel], rank[sel], mesh.num_ranks, num_vertices
         )
 
     # Delegate bitmap sizes: EH vertices per mesh column and row.

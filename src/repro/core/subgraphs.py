@@ -18,7 +18,7 @@ L2L       L            L            owner(src) — plain 1D
 :class:`SubgraphComponent` stores one component with two access paths:
 
 - a compact by-source CSR for *push* (top-down): selecting the frontier's
-  arcs costs O(frontier sources + selected arcs);
+  arcs costs O(frontier vertices + selected arcs);
 - a (rank, destination)-grouped ordering for *pull* (bottom-up): each
   group is one destination's arc run on one rank, scanned with early exit.
 
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.lanes import iter_lanes, lane_bit
+from repro.core.vertexset import VertexSet
 
 __all__ = [
     "SubgraphComponent",
@@ -59,6 +60,9 @@ class PushSelection:
     src: np.ndarray
     dst: np.ndarray
     rank: np.ndarray
+    #: Arc run length of each selected source, in selection order (what
+    #: the §5 vertex-cut balance prefix-sums).
+    lens: np.ndarray
 
     @property
     def num_arcs(self) -> int:
@@ -274,6 +278,7 @@ class SubgraphComponent:
         dst: np.ndarray,
         rank: np.ndarray,
         num_ranks: int,
+        num_vertices: int,
     ) -> None:
         self.name = name
         self.num_ranks = int(num_ranks)
@@ -303,6 +308,10 @@ class SubgraphComponent:
         else:
             self.src_ids = np.array([], dtype=np.int64)
             self.src_indptr = np.array([0], dtype=np.int64)
+        # vertex -> source slot (-1: not a source here), so a frontier
+        # finds its slots by gathering its own ids.
+        self._slot_of = np.full(num_vertices, -1, dtype=np.int64)
+        self._slot_of[self.src_ids] = np.arange(self.src_ids.size)
 
         # --- (rank, dst) groups (pull path) ----------------------------
         order2 = np.lexsort((src, dst, rank))
@@ -343,16 +352,20 @@ class SubgraphComponent:
     # push
     # ------------------------------------------------------------------
 
-    def push_select(self, active: np.ndarray) -> PushSelection:
+    def push_select(self, active) -> PushSelection:
         """Arcs whose source is in the frontier, in source-slot order.
 
-        ``active`` is a boolean mask over all vertices.  Cost is
-        O(unique sources + selected arcs) — the frontier's arcs only.
+        ``active`` is a :class:`~repro.core.vertexset.VertexSet` (or a
+        boolean mask over all vertices, which costs one extra
+        ``flatnonzero`` of it).  Given a set the cost is O(frontier
+        vertices + selected arcs): ids ascend and so do source slots, so
+        gathering the frontier's slots yields them in slot order.
         """
-        sel_srcs = np.flatnonzero(active[self.src_ids])
+        slots = self._slot_of[VertexSet.of(active).ids]
+        sel_srcs = slots[slots >= 0]
         if sel_srcs.size == 0:
             empty = np.array([], dtype=np.int64)
-            return PushSelection(empty, empty, empty)
+            return PushSelection(empty, empty, empty, empty)
         starts = self.src_indptr[sel_srcs]
         lens = self.src_indptr[sel_srcs + 1] - starts
         idx = _expand_runs(starts, lens)
@@ -360,6 +373,7 @@ class SubgraphComponent:
             np.repeat(self.src_ids[sel_srcs], lens),
             self._push_dst[idx],
             self._push_rank[idx],
+            lens,
         )
 
     # ------------------------------------------------------------------
@@ -557,5 +571,5 @@ def merge_arc_delta(
     dst = np.concatenate([base_dst, add_dst.astype(np.int64)])
     rank = np.concatenate([base_rank, add_rank.astype(np.int64)])
     return SubgraphComponent(
-        component.name, src, dst, rank, component.num_ranks
+        component.name, src, dst, rank, component.num_ranks, num_vertices
     )

@@ -67,6 +67,7 @@ _VERTEX_FIELDS = (
 _COMPONENT_FIELDS = (
     "src_ids",
     "src_indptr",
+    "_slot_of",
     "_push_dst",
     "_push_rank",
     "grp_ptr",

@@ -178,6 +178,7 @@ class ReplayBFS(SchedulerHost):
 
         self.num_vertices = self.n
         self.num_input_edges = part.total_arcs // 2
+        self.vertex_classes = part.vclass
         self.cost = CostModel(machine)
         self.config = BFSConfig(max_iterations=self.n + 1)
         self.kernels = {
@@ -354,8 +355,9 @@ class ReplayBFS(SchedulerHost):
         # mirror the owner-applied updates into the scheduler's global view
         if newly.size:
             parent[newly] = parents
-            visited[newly] = True
-            next_active[newly] = True
+            ascending = np.sort(newly)
+            visited.add(ascending)
+            next_active.add(ascending)
         self._seed_delegates(ranks, newly, parents, comm=comm)
 
     def end_run(self, ledger, tracer, parent) -> None:

@@ -36,21 +36,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import BFSConfig
 from repro.core.direction import choose_whole_iteration_direction
 from repro.core.engine import FifteenDHost
 from repro.core.kernels.scheduler import BatchRunState
 from repro.core.lanes import MAX_LANES, iter_lanes, lane_bit
 from repro.core.metrics import BFSRunResult, IterationRecord
 from repro.core.partition import (
+    CLASS_CODES,
     COMPONENT_CLASSES,
     NODE_LOCAL_COMPONENTS,
-    PartitionedGraph,
-    VertexClass,
 )
-from repro.machine.network import MachineSpec
 from repro.obs.metrics import NULL_METRICS
-from repro.obs.tracer import Tracer
 from repro.resilience.faults import NULL_FAULTS
 from repro.resilience.recovery import (
     RecoveryPolicy,
@@ -68,19 +64,11 @@ __all__ = [
 #: Lane-word width: roots per batch.
 MAX_BATCH_ROOTS = MAX_LANES
 
-#: Columns of a ``LaneState`` count array that make up each degree class.
-_CLASS_CODES = {
-    "E": [VertexClass.E],
-    "H": [VertexClass.H],
-    "L": [VertexClass.L],
-    "EH": [VertexClass.E, VertexClass.H],
-}
-
 
 def _class_counts(counts, cls) -> np.ndarray:
     """Per-lane population of degree class ``cls`` in a ``LaneState``
     ``[lane, class]`` count array."""
-    return counts[:, _CLASS_CODES[cls]].sum(axis=1)
+    return counts[:, CLASS_CODES[cls]].sum(axis=1)
 
 
 @dataclass
@@ -188,20 +176,6 @@ class MultiSourceBFS(FifteenDHost):
     """Multi-source 1.5D BFS host: the batched sibling of
     :class:`~repro.core.engine.DistributedBFS`, sharing its kernels,
     context, and config — differing only in the batched scheduler hooks."""
-
-    def __init__(
-        self,
-        part: PartitionedGraph,
-        machine: MachineSpec | None = None,
-        config: BFSConfig = BFSConfig(),
-        tracer: Tracer | None = None,
-        metrics=None,
-        backend=None,
-    ) -> None:
-        super().__init__(part, machine, config, tracer, metrics, backend)
-        # Held like ``ctx.masks``: a repair replaces ``part.vclass``, and
-        # this engine keeps serving the generation it was built over.
-        self.vertex_classes = part.vclass
 
     # ------------------------------------------------------------------
     # public API

@@ -85,12 +85,12 @@ class _FakeKernel(ComponentKernel):
         return self.arcs
 
     def execute(self, direction, active, visited, ledger, record):
-        self.seen_visited.append(visited.copy())
+        self.seen_visited.append(visited.mask.copy())
         self.directions.append(direction)
-        if not active[self.trigger]:
+        if not active.mask[self.trigger]:
             return EMPTY_ACTIVATION
         newly = np.array(
-            [v for v in self.activates if not visited[v]], dtype=np.int64
+            [v for v in self.activates if not visited.mask[v]], dtype=np.int64
         )
         return newly, np.full(newly.size, self.trigger, dtype=np.int64)
 

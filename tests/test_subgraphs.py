@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.subgraphs import _ROUNDS, SubgraphComponent
+from repro.core.subgraphs import _ROUNDS, SubgraphComponent, _expand_runs
+from repro.core.vertexset import VertexSet, first_writers
 
 
-def make_component(arcs, num_ranks=4, name="test"):
+def make_component(arcs, num_ranks=4, name="test", num_vertices=2048):
     src = np.array([a[0] for a in arcs], dtype=np.int64)
     dst = np.array([a[1] for a in arcs], dtype=np.int64)
     rank = np.array([a[2] for a in arcs], dtype=np.int64)
-    return SubgraphComponent(name, src, dst, rank, num_ranks)
+    return SubgraphComponent(name, src, dst, rank, num_ranks, num_vertices)
 
 
 class TestConstruction:
@@ -40,7 +41,7 @@ class TestConstruction:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="equal shape"):
             SubgraphComponent(
-                "x", np.array([0]), np.array([1, 2]), np.array([0]), 4
+                "x", np.array([0]), np.array([1, 2]), np.array([0]), 4, 8
             )
 
     def test_rank_out_of_range(self):
@@ -150,7 +151,7 @@ def test_property_push_pull_equivalence(seed, n, m, ranks):
     src = rng.integers(0, n, size=m)
     dst = rng.integers(0, n, size=m)
     rank = rng.integers(0, ranks, size=m)
-    comp = SubgraphComponent("t", src, dst, rank, ranks)
+    comp = SubgraphComponent("t", src, dst, rank, ranks, n)
     active = rng.random(n) < 0.3
     visited = active.copy()  # frontier is visited
 
@@ -163,6 +164,85 @@ def test_property_push_pull_equivalence(seed, n, m, ranks):
     for d, s in zip(scan.hit_dst.tolist(), scan.hit_src.tolist()):
         assert active[s]
         assert any((a == s and b == d) for a, b in zip(src.tolist(), dst.tolist()))
+
+
+# ----------------------------------------------------------------------
+# the replaced push paths keep their old definitions as oracles
+# ----------------------------------------------------------------------
+
+
+def mask_gather_push_select(comp, active):
+    """``push_select`` as it was when the frontier was only a mask: gather
+    the mask over every source of the component, then expand."""
+    sel_srcs = np.flatnonzero(active[comp.src_ids])
+    starts = comp.src_indptr[sel_srcs]
+    lens = comp.src_indptr[sel_srcs + 1] - starts
+    idx = _expand_runs(starts, lens)
+    return (
+        np.repeat(comp.src_ids[sel_srcs], lens),
+        comp._push_dst[idx],
+        comp._push_rank[idx],
+        lens,
+    )
+
+
+@given(
+    seed=st.integers(0, 500),
+    n=st.sampled_from([1, 2, 7, 30, 33, 100]),
+    m=st.integers(0, 150),
+    ranks=st.integers(1, 4),
+    active_p=st.sampled_from([0.0, 0.05, 0.4, 1.0]),
+)
+@settings(max_examples=150, deadline=None)
+def test_property_push_select_over_ids_matches_mask_gather(
+    seed, n, m, ranks, active_p
+):
+    """Empty components, frontier vertices that are not sources (sources
+    come from the lower half of the ids only), n not a power of two, an
+    all-true frontier — as a set and as a raw mask."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, max(n // 2, 1), size=m)
+    dst = rng.integers(0, n, size=m)
+    rank = rng.integers(0, ranks, size=m)
+    comp = SubgraphComponent("t", src, dst, rank, ranks, n)
+    active = rng.random(n) < active_p
+    vclass = rng.integers(0, 3, size=n)
+    expected = mask_gather_push_select(comp, active)
+    for frontier in (active, VertexSet.from_mask(active, vclass)):
+        sel = comp.push_select(frontier)
+        got = (sel.src, sel.dst, sel.rank, sel.lens)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert sel.num_arcs == int(sel.lens.sum())
+    grown = VertexSet(n, vclass)
+    for chunk in np.array_split(rng.permutation(np.flatnonzero(active)), 3):
+        grown.add(np.sort(chunk))
+    assert np.array_equal(grown.ids, np.flatnonzero(active))
+    assert np.array_equal(grown.counts, np.bincount(vclass[active], minlength=3))
+    assert np.array_equal(comp.push_select(grown).dst, expected[1])
+
+
+@given(
+    seed=st.integers(0, 500),
+    n=st.integers(1, 40),
+    sizes=st.lists(st.integers(0, 120), min_size=1, max_size=4),
+    distinct=st.integers(1, 40),
+)
+@settings(max_examples=150, deadline=None)
+def test_property_first_writers_matches_np_unique(seed, n, sizes, distinct):
+    """m = 0, all-equal keys (``distinct`` = 1) and one scratch reused
+    across calls, which must come back all-sentinel every time."""
+    rng = np.random.default_rng(seed)
+    scratch = VertexSet(n).scratch
+    sentinel = scratch.copy()
+    for m in sizes:
+        keys = rng.integers(0, min(distinct, n), size=m)
+        uniq, first = first_writers(keys, scratch)
+        expected = np.unique(keys, return_index=True)
+        assert np.array_equal(uniq, expected[0])
+        assert np.array_equal(first, expected[1])
+        assert uniq.dtype == expected[0].dtype and first.dtype == expected[1].dtype
+        assert np.array_equal(scratch, sentinel)
 
 
 # ----------------------------------------------------------------------
@@ -320,7 +400,7 @@ def scan_cases(draw):
     src = rng.integers(0, n, size=m)
     dst = rng.integers(0, num_dsts, size=m)
     rank = rng.integers(0, ranks, size=m)
-    comp = SubgraphComponent("t", src, dst, rank, ranks)
+    comp = SubgraphComponent("t", src, dst, rank, ranks, n)
     active_p = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
     cand_p = draw(st.sampled_from([0.0, 0.5, 1.0]))
     return comp, rng, n, active_p, cand_p
