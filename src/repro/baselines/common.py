@@ -26,6 +26,7 @@ import numpy as np
 from repro.core.config import BFSConfig
 from repro.core.direction import choose_whole_iteration_direction
 from repro.core.kernels.base import ComponentKernel, KernelBodySpec
+from repro.core.kernels.fifteend import FifteenDContext
 from repro.core.kernels.scheduler import LevelSyncScheduler, SchedulerHost
 from repro.core.metrics import BFSRunResult, IterationRecord
 from repro.core.subgraphs import SubgraphComponent
@@ -196,29 +197,16 @@ class BaselineEngine(SchedulerHost):
     # charging helpers shared by schemes
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def sync_bytes(bitmap_bits: int, sparse_count: int) -> float:
-        """Wire bytes of a frontier-set exchange: packed bitmap or sparse
-        8-byte IDs, whichever is smaller."""
-        return float(min(-(-bitmap_bits // 8), sparse_count * 8))
-
     def charge_global_bitmap_allreduce(
-        self, phase: str, ledger: TrafficLedger, num_bits: int, sparse_count: int | None = None
+        self, phase: str, ledger: TrafficLedger, num_bits: int, sparse_count: int
     ) -> None:
-        """Allreduce (reduce-scatter + allgather) of a shared frontier set."""
-        nbytes = float(-(-num_bits // 8))
-        if sparse_count is not None:
-            nbytes = self.sync_bytes(num_bits, sparse_count)
-        intra_f, inter_f = self.mesh.group_traffic_split(np.arange(self._p))
-        for kind in (CollectiveKind.REDUCE_SCATTER, CollectiveKind.ALLGATHER):
-            ledger.charge_collective(
-                phase,
-                kind,
-                self._p,
-                nbytes * intra_f,
-                nbytes * inter_f,
-                total_bytes=nbytes * self._p,
-            )
+        """Global allreduce of a shared frontier set."""
+        ledger.charge_allreduce(
+            phase,
+            self._p,
+            FifteenDContext.sync_bytes(num_bits, sparse_count),
+            self.mesh.group_traffic_split(np.arange(self._p)),
+        )
 
     def charge_global_alltoallv(
         self, phase: str, send_msgs_per_rank: np.ndarray, ledger: TrafficLedger, message_bytes: int = 8

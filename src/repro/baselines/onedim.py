@@ -155,13 +155,10 @@ class DelegatedOneDimBFS(BaselineEngine):
 
         if self.num_heavy == 0:
             return
-        nbytes = float(self.num_heavy) * 8
-        intra_f, inter_f = self.mesh.group_traffic_split(np.arange(self._p))
-        ledger.charge_collective(
+        ledger.charge_scoped(
             "reduce",
             CollectiveKind.REDUCE_SCATTER,
             self._p,
-            nbytes * intra_f,
-            nbytes * inter_f,
-            total_bytes=nbytes * self._p,
+            float(self.num_heavy) * 8,
+            self.mesh.group_traffic_split(np.arange(self._p)),
         )

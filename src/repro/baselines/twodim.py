@@ -19,6 +19,7 @@ reduction covers the whole vertex set.
 from __future__ import annotations
 
 from repro.baselines.common import BaselineEngine
+from repro.core.kernels.fifteend import FifteenDContext
 from repro.core.subgraphs import SubgraphComponent
 from repro.graphs.csr import symmetrize_edges
 from repro.machine.costmodel import CollectiveKind
@@ -56,29 +57,17 @@ class TwoDimBFS(BaselineEngine):
     def charge_iteration_sync(self, ledger, active, visited):
         # Column allreduce of frontier bits (sources), row allreduce of
         # visited/next bits (destinations): the O(|V_local| * sqrt(P)) term.
-        active_per_col = -(-len(active) // self.mesh.cols)
-        col_bytes = self.sync_bytes(self._col_vertex_bits(), active_per_col)
-        intra_f, inter_f = self.mesh.group_traffic_split(self.mesh.col_ranks(0))
-        for kind in (CollectiveKind.REDUCE_SCATTER, CollectiveKind.ALLGATHER):
-            ledger.charge_collective(
+        mesh = self.mesh
+        # (replica bits, ranks splitting the sparse list, participants, scope)
+        for bits, sharers, participants, ranks in (
+            (self._col_vertex_bits(), mesh.cols, mesh.rows, mesh.col_ranks(0)),
+            (self._row_vertex_bits(), mesh.rows, mesh.cols, mesh.row_ranks(0)),
+        ):
+            ledger.charge_allreduce(
                 "other",
-                kind,
-                self.mesh.rows,
-                col_bytes * intra_f,
-                col_bytes * inter_f,
-                total_bytes=col_bytes * self.mesh.rows,
-            )
-        active_per_row = -(-len(active) // self.mesh.rows)
-        row_bytes = self.sync_bytes(self._row_vertex_bits(), active_per_row)
-        intra_f, inter_f = self.mesh.group_traffic_split(self.mesh.row_ranks(0))
-        for kind in (CollectiveKind.REDUCE_SCATTER, CollectiveKind.ALLGATHER):
-            ledger.charge_collective(
-                "other",
-                kind,
-                self.mesh.cols,
-                row_bytes * intra_f,
-                row_bytes * inter_f,
-                total_bytes=row_bytes * self.mesh.cols,
+                participants,
+                FifteenDContext.sync_bytes(bits, -(-len(active) // sharers)),
+                mesh.group_traffic_split(ranks),
             )
 
     def charge_push_messages(self, name, sel, ledger):
@@ -90,13 +79,10 @@ class TwoDimBFS(BaselineEngine):
     def charge_parent_reduction(self, ledger):
         # All vertices are delegated: parents reduce over rows (each owner
         # collects from its row's replicas).
-        row_bytes = float(self._row_vertex_bits()) * 8
-        intra_f, inter_f = self.mesh.group_traffic_split(self.mesh.row_ranks(0))
-        ledger.charge_collective(
+        ledger.charge_scoped(
             "reduce",
             CollectiveKind.REDUCE_SCATTER,
             self.mesh.cols,
-            row_bytes * intra_f,
-            row_bytes * inter_f,
-            total_bytes=row_bytes * self.mesh.cols,
+            float(self._row_vertex_bits()) * 8,
+            self.mesh.group_traffic_split(self.mesh.row_ranks(0)),
         )

@@ -48,6 +48,9 @@ print the span-tree summary.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
+import operator
 import sys
 from typing import Sequence
 
@@ -70,54 +73,62 @@ def _mesh_arg(value: str) -> tuple[int, int]:
     return out
 
 
-def _positive_float_arg(value: str) -> float:
-    """Parse a strictly positive float (``--delta``, ``--tol``)."""
-    try:
-        out = float(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected a number, got {value!r}"
-        ) from exc
-    if not out > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value!r}")
-    return out
+def _number_arg(cast, what: str, lo, hi=None, *, exclusive: bool = False):
+    """An argparse ``type=`` for a number ``what`` in ``[lo, hi]`` — the
+    open ``(lo, hi)`` when ``exclusive`` — with ``hi=None`` unbounded
+    above, so an out-of-range value exits 2 with usage instead of
+    reaching a library ``ValueError``."""
+    if exclusive:
+        before = operator.lt
+        above = "positive" if lo == 0 else f"> {lo}"
+        bounds = above if hi is None else f"in ({lo}, {hi})"
+    else:
+        before = operator.le
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    kind = "an integer" if cast is int else "a number"
 
-
-def _damping_arg(value: str) -> float:
-    """Parse a PageRank damping factor in the open interval (0, 1)."""
-    try:
-        out = float(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected a number, got {value!r}"
-        ) from exc
-    if not 0.0 < out < 1.0:
-        raise argparse.ArgumentTypeError(
-            f"damping must be in (0, 1), got {value!r}"
-        )
-    return out
-
-
-def _int_arg(what: str, lo: int, hi: int | None = None):
-    """An argparse ``type=`` for an integer ``what`` in ``[lo, hi]``
-    (``hi=None``: unbounded above), so an out-of-range count exits 2 with
-    usage instead of reaching a library ``ValueError``."""
-    bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-
-    def parse(value: str) -> int:
+    def parse(value: str):
         try:
-            out = int(value)
+            out = cast(value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(
-                f"expected an integer, got {value!r}"
+                f"expected {kind}, got {value!r}"
             ) from exc
-        if out < lo or (hi is not None and out > hi):
+        # Written so that NaN, which compares false to everything, fails.
+        if not (before(lo, out) and (hi is None or before(out, hi))):
             raise argparse.ArgumentTypeError(
                 f"{what} must be {bounds}, got {value!r}"
             )
         return out
 
     return parse
+
+
+_int_arg = functools.partial(_number_arg, int)
+_float_arg = functools.partial(_number_arg, float)
+
+
+def _list_arg(item):
+    """An argparse ``type=`` for a non-empty comma-separated list whose
+    entries each parse with the ``type=`` callable ``item``."""
+
+    def parse(value: str) -> list:
+        out = [item(token.strip()) for token in value.split(",") if token.strip()]
+        if not out:
+            raise argparse.ArgumentTypeError("expected at least one value")
+        return out
+
+    return parse
+
+
+def _point_arg(value: str) -> tuple[int, int, int]:
+    """Parse one ``scale:RxC`` rung of a ``sweep --points`` ladder."""
+    scale, sep, mesh = value.partition(":")
+    if not sep:
+        raise argparse.ArgumentTypeError(
+            f"a point must look like 14:8x8, got {value!r}"
+        )
+    return (_int_arg("scale", 1)(scale), *_mesh_arg(mesh))
 
 
 def _slo_arg(value: str):
@@ -170,6 +181,18 @@ class _UsageError(Exception):
     it like argparse does (message, usage pointer, exit 2)."""
 
 
+def _check_thresholds(args) -> None:
+    """An explicit ``--e-threshold`` may not sit below ``--h-threshold``
+    (E is the heaviest class); needs both values, so it runs after
+    parsing."""
+    e_thr = getattr(args, "e_threshold", None)
+    h_thr = getattr(args, "h_threshold", None)
+    if e_thr is not None and h_thr is not None and e_thr < h_thr:
+        raise _UsageError(
+            f"--e-threshold ({e_thr}) must be >= --h-threshold ({h_thr})"
+        )
+
+
 def _check_root(args) -> None:
     """``--root`` must be one of the ``2**scale`` vertices it indexes."""
     n = 1 << args.scale
@@ -209,8 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--mesh", type=_mesh_arg, default=(8, 8), help="process mesh, e.g. 16x16"
     )
     common.add_argument("--seed", type=int, default=1)
-    common.add_argument("--e-threshold", type=int, default=None)
-    common.add_argument("--h-threshold", type=int, default=None)
+    common.add_argument(
+        "--e-threshold", type=_int_arg("e-threshold", 1), default=None
+    )
+    common.add_argument(
+        "--h-threshold", type=_int_arg("h-threshold", 1), default=None
+    )
 
     trace_help = "write a Chrome trace_event JSON of the run to PATH"
 
@@ -230,7 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-every", type=checkpoint_arg, default=0, metavar="N",
         help="snapshot BFS state every N levels (0 = off)",
     )
-    resil.add_argument("--max-restarts", type=int, default=3)
+    resil.add_argument(
+        "--max-restarts", type=_int_arg("max-restarts", 0), default=3
+    )
     resil.add_argument(
         "--recovery-mode", choices=("restart", "degrade"), default="restart"
     )
@@ -268,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="weak-scaling ladder (Fig. 9)")
     sweep.add_argument(
         "--points",
+        type=_list_arg(_point_arg),
         default="12:4x4,14:8x8,16:16x16",
         help="comma-separated scale:RxC ladder",
     )
@@ -340,9 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"roots per batch (flush threshold, max {MAX_LANES})")
     serve.add_argument("--queue-depth", type=_int_arg("queue-depth", 1),
                        default=256, help="admission-control queue bound")
-    serve.add_argument("--batch-window", type=float, default=0.005,
+    serve.add_argument("--batch-window",
+                       type=_float_arg("batch-window", 0.0), default=0.005,
                        metavar="SECONDS", help="batching window deadline")
-    serve.add_argument("--hot-fraction", type=float, default=0.5,
+    serve.add_argument("--hot-fraction",
+                       type=_float_arg("hot-fraction", 0.0, 1.0), default=0.5,
                        help="fraction of queries drawn from the hot set")
     serve.add_argument("--hot-set", type=int, default=16,
                        help="hot-set size (repeat roots exercise the cache)")
@@ -399,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="override every tenant's admission quota "
                             "(default: the SLO class quota)")
-    serve.add_argument("--duration", type=_positive_float_arg, default=0.5,
-                       metavar="SECONDS",
+    serve.add_argument("--duration", default=0.5, metavar="SECONDS",
+                       type=_float_arg("duration", 0.0, exclusive=True),
                        help="diurnal workload duration in multi-tenant mode")
     serve.add_argument("--smoke", action="store_true",
                        help="pinned multi-tenant smoke: SCALE-9 tenant "
@@ -416,12 +448,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bserve.add_argument("--queries", type=queries_arg, default=256)
     bserve.add_argument("--batch-sizes", default="1,4,16,64",
+                        type=_list_arg(_int_arg("batch size", 1, MAX_LANES)),
                         help="comma-separated batch sizes for the "
                              "amortization sweep")
     bserve.add_argument("--queue-depths", default="64,256",
+                        type=_list_arg(_int_arg("queue depth", 1)),
                         help="comma-separated queue depths for the "
                              "service sweep")
     bserve.add_argument("--windows", default="0.005",
+                        type=_list_arg(_float_arg("window", 0.0)),
                         help="comma-separated batching windows (seconds)")
     bserve.add_argument("--clients", type=clients_arg, default=None,
                         help="closed-loop clients (default: 2x batch size)")
@@ -462,7 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("delta-stepping", "bellman-ford"),
         default="delta-stepping",
     )
-    sssp_p.add_argument("--delta", type=_positive_float_arg, default=None)
+    sssp_p.add_argument(
+        "--delta", type=_float_arg("delta", 0.0, exclusive=True), default=None
+    )
 
     algo = sub.add_parser(
         "algo", parents=[common, resil],
@@ -475,12 +512,14 @@ def build_parser() -> argparse.ArgumentParser:
     algo.add_argument("--root", type=int, default=None,
                       help="source vertex for traversal programs "
                            "(default: max-degree hub)")
-    algo.add_argument("--delta", type=_positive_float_arg, default=None,
-                      metavar="WIDTH",
+    algo.add_argument("--delta", default=None, metavar="WIDTH",
+                      type=_float_arg("delta", 0.0, exclusive=True),
                       help="bucket width for sssp-delta (default: tuned)")
-    algo.add_argument("--damping", type=_damping_arg, default=None,
+    algo.add_argument("--damping", default=None,
+                      type=_float_arg("damping", 0.0, 1.0, exclusive=True),
                       help="PageRank damping factor in (0, 1)")
-    algo.add_argument("--tol", type=_positive_float_arg, default=None,
+    algo.add_argument("--tol", default=None,
+                      type=_float_arg("tol", 0.0, exclusive=True),
                       help="PageRank convergence tolerance")
     algo.add_argument("--max-iterations", type=int, default=None,
                       metavar="N", help="iteration cap where the program "
@@ -563,10 +602,7 @@ def _cmd_bfs(args) -> int:
     _check_root(args)
     setup = build_setup(args.scale, rows, cols, seed=args.seed)
     if args.root is not None:
-        setup = type(setup)(
-            setup.scale, setup.src, setup.dst, setup.num_vertices,
-            setup.mesh, setup.machine, args.root,
-        )
+        setup = dataclasses.replace(setup, root=args.root)
     part, res = run_15d(
         setup, e_threshold=args.e_threshold, h_threshold=args.h_threshold,
         tracer=tracer,
@@ -609,12 +645,7 @@ def _cmd_sweep(args) -> int:
     from repro.analysis.experiments import run_scaling_sweep
     from repro.analysis.reporting import ascii_table
 
-    points = []
-    for token in args.points.split(","):
-        scale_s, mesh_s = token.strip().split(":")
-        rows, cols = _mesh_arg(mesh_s)
-        points.append((int(scale_s), rows, cols))
-    sweep = run_scaling_sweep(points=tuple(points), seed=args.seed)
+    sweep = run_scaling_sweep(points=tuple(args.points), seed=args.seed)
     base = sweep[0]
     print(ascii_table(
         ["nodes", "scale", "sim GTEPS", "efficiency"],
@@ -1493,13 +1524,12 @@ def _cmd_bench_serve(args) -> int:
         args.scale, rows, cols, seed=args.seed,
         e_threshold=args.e_threshold, h_threshold=args.h_threshold,
     )
-    batch_sizes = [int(b) for b in args.batch_sizes.split(",") if b.strip()]
     roots = sample_roots(
-        batched.part.degrees, max(batch_sizes),
+        batched.part.degrees, max(args.batch_sizes),
         rng=np.random.default_rng(args.seed),
     )
     amort = amortization_sweep(
-        sequential, batched, roots, batch_sizes=batch_sizes
+        sequential, batched, roots, batch_sizes=args.batch_sizes
     )
     print(ascii_table(
         ["batch", "sim s/query", "sequential s", "amortization",
@@ -1514,13 +1544,12 @@ def _cmd_bench_serve(args) -> int:
         title=f"amortized simulated cost per query "
               f"(SCALE {args.scale}, {rows}x{cols}):",
     ))
-    depths = [int(d) for d in args.queue_depths.split(",") if d.strip()]
-    windows = [float(w) for w in args.windows.split(",") if w.strip()]
     points = service_sweep(
         batched, batched.part.degrees,
         num_queries=args.queries, seed=args.seed,
-        batch_sizes=(max(batch_sizes),),
-        queue_depths=depths, batch_windows=windows, clients=args.clients,
+        batch_sizes=(max(args.batch_sizes),),
+        queue_depths=args.queue_depths, batch_windows=args.windows,
+        clients=args.clients,
     )
     print()
     print(ascii_table(
@@ -1577,6 +1606,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     from repro.resilience import CheckpointError, FaultSpecError, RecoveryError
 
     try:
+        _check_thresholds(args)
         return _COMMANDS[args.command](args)
     except (_UsageError, FaultSpecError, CheckpointError, RecoveryError) as exc:
         # A bad argument found after parsing (a root outside the graph)

@@ -148,7 +148,11 @@ class DistributedBFS(FifteenDHost):
     # ------------------------------------------------------------------
 
     def begin_iteration(self, ledger, active, visited) -> None:
-        self.ctx.charge_delegate_sync(ledger, active)
+        self.ctx.charge_delegate_sync(
+            ledger,
+            class_count(active.counts, "E"),
+            class_count(active.counts, "H"),
+        )
 
     def iteration_direction(self, active, visited) -> str | None:
         if self.config.sub_iteration_direction:

@@ -25,6 +25,18 @@ All six charge through one :class:`FifteenDContext`, which carries the
 partition, mesh, machine rates, and the supernode traffic splits; the
 context also prices the per-iteration delegate frontier sync and the §5
 parent reduction for the engine facade.
+
+The cost model is written once, under all three traversal modes.  A
+*kernel* supplies its rates and its message path (``push_seconds``,
+``pull_rate``, ``route``, ``charge_pull_prereq``); a *mode* —
+single-source BFS, a 64-lane wave, a vertex program — supplies only the
+width of a wire message (:data:`MESSAGE_BYTES`,
+:data:`LANE_MESSAGE_BYTES`, ``program.message_bytes``; ``num_lanes`` for
+a frontier exchange) and the rule that picks winners among the arcs the
+body returned (``first_writers``, ``_first_writer_per_lane``,
+``program.edge_sweep``).  Every commit passes its width to the same two
+charging methods, so a kernel that overrides ``route`` is charged in
+all three modes.
 """
 
 from __future__ import annotations
@@ -43,7 +55,7 @@ from repro.core.kernels.base import (
 from repro.core.lanes import iter_lanes, lane_bit
 from repro.core.partition import PartitionedGraph, class_count
 from repro.core.segmenting import plan_segmenting
-from repro.core.vertexset import VertexSet, first_writers
+from repro.core.vertexset import first_writers
 from repro.machine.costmodel import CollectiveKind, CostModel, NodeKernelRates
 from repro.machine.network import MachineSpec
 
@@ -104,24 +116,21 @@ class FifteenDContext:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def sync_bytes(bitmap_bits: int, sparse_count: int) -> float:
+    def sync_bytes(
+        bitmap_bits: int, sparse_count: int, num_lanes: int | None = None
+    ) -> float:
         """Wire bytes of a frontier-set exchange: packed bitmap or sparse
-        8-byte vertex IDs, whichever is smaller (what real implementations
-        switch between)."""
-        return float(min(-(-bitmap_bits // 8), sparse_count * 8))
-
-    @staticmethod
-    def sync_bytes_lanes(bitmap_bits: int, sparse_count: int, num_lanes: int) -> float:
-        """Lane-word variant of :meth:`sync_bytes`: the packed bitmap
-        widens by the lane count, a sparse entry carries its vertex ID
-        plus the 64-bit lane word."""
-        return float(
-            min(-(-bitmap_bits * num_lanes // 8), sparse_count * LANE_MESSAGE_BYTES)
+        entries, whichever is smaller (what real implementations switch
+        between).  A single-source set is one bit per vertex or 8-byte
+        vertex IDs; a wave of ``num_lanes`` widens the bitmap by the lane
+        count, and a sparse entry carries its vertex ID plus the 64-bit
+        lane word."""
+        width, entry = (
+            (1, MESSAGE_BYTES)
+            if num_lanes is None
+            else (num_lanes, LANE_MESSAGE_BYTES)
         )
-
-    @staticmethod
-    def split_bytes(nbytes: float, split: tuple[float, float]) -> tuple[float, float]:
-        return nbytes * split[0], nbytes * split[1]
+        return float(min(-(-bitmap_bits * width // 8), sparse_count * entry))
 
     def kernel_time(self, max_items: int, rate: float) -> float:
         return self.rates.kernel_time(max_items, rate, self.work_scale)
@@ -133,20 +142,30 @@ class FifteenDContext:
     # shared charging paths
     # ------------------------------------------------------------------
 
+    def _charge_alltoallv(
+        self, name, send_msgs_per_rank, ledger, message_bytes, participants, split
+    ):
+        """One alltoallv of fixed-size messages over a row or a column:
+        the busiest sender bounds the time, every sender counts in the
+        bytes."""
+        max_bytes = float(send_msgs_per_rank.max()) * message_bytes
+        ledger.charge_collective(
+            name,
+            CollectiveKind.ALLTOALLV,
+            participants=participants,
+            max_bytes_intra=max_bytes * split[0],
+            max_bytes_inter=max_bytes * split[1],
+            total_bytes=float(send_msgs_per_rank.sum()) * message_bytes,
+        )
+
     def charge_row_alltoallv(
         self, name, send_msgs_per_rank, ledger, message_bytes=MESSAGE_BYTES
     ):
         """Intra-row alltoallv of fixed-size messages (H2L / L2H routing);
         batched waves pass ``message_bytes=LANE_MESSAGE_BYTES``."""
-        max_bytes = float(send_msgs_per_rank.max()) * message_bytes
-        intra, inter = self.split_bytes(max_bytes, self.split_row)
-        ledger.charge_collective(
-            name,
-            CollectiveKind.ALLTOALLV,
-            participants=self.mesh.cols,
-            max_bytes_intra=intra,
-            max_bytes_inter=inter,
-            total_bytes=float(send_msgs_per_rank.sum()) * message_bytes,
+        self._charge_alltoallv(
+            name, send_msgs_per_rank, ledger, message_bytes,
+            self.mesh.cols, self.split_row,
         )
 
     def charge_l2l_alltoallv(
@@ -158,26 +177,14 @@ class FifteenDContext:
             self.mesh.row_of(dest_rank) * self.mesh.cols
             + self.mesh.col_of(sender_rank)
         )
-        stage1 = np.bincount(sender_rank, minlength=self.num_ranks) * message_bytes
-        intra, inter = self.split_bytes(float(stage1.max()), self.split_col)
-        ledger.charge_collective(
-            "L2L",
-            CollectiveKind.ALLTOALLV,
-            participants=self.mesh.rows,
-            max_bytes_intra=intra,
-            max_bytes_inter=inter,
-            total_bytes=float(stage1.sum()),
+        self._charge_alltoallv(
+            "L2L", np.bincount(sender_rank, minlength=self.num_ranks),
+            ledger, message_bytes, self.mesh.rows, self.split_col,
         )
         self.charge_receiver_kernel("L2L", fwd_rank, ledger, "forward")
-        stage2 = np.bincount(fwd_rank, minlength=self.num_ranks) * message_bytes
-        intra, inter = self.split_bytes(float(stage2.max()), self.split_row)
-        ledger.charge_collective(
-            "L2L",
-            CollectiveKind.ALLTOALLV,
-            participants=self.mesh.cols,
-            max_bytes_intra=intra,
-            max_bytes_inter=inter,
-            total_bytes=float(stage2.sum()),
+        self._charge_alltoallv(
+            "L2L", np.bincount(fwd_rank, minlength=self.num_ranks),
+            ledger, message_bytes, self.mesh.cols, self.split_row,
         )
 
     def charge_receiver_kernel(self, name, recv_rank_per_msg, ledger, label):
@@ -190,48 +197,37 @@ class FifteenDContext:
     # charges shared by the facade and the hosts)
     # ------------------------------------------------------------------
 
-    def charge_delegate_sync(self, ledger, active):
-        """Per-iteration frontier synchronization of delegated classes."""
-        p = self.num_ranks
-        if self.part.num_e:
-            active_e = class_count(active.counts, "E")
-            e_bytes = self.sync_bytes(self.part.num_e, active_e)
-            intra, inter = self.split_bytes(float(e_bytes), self.split_global)
-            for kind in (CollectiveKind.REDUCE_SCATTER, CollectiveKind.ALLGATHER):
-                ledger.charge_collective(
-                    "other", kind, p, intra, inter, total_bytes=float(e_bytes) * p
-                )
-        active_h = class_count(active.counts, "H")
-        if self.part.num_h and self.mesh.rows > 1:
-            col_bytes = self.sync_bytes(
-                int(self.part.col_eh_counts.max()),
-                -(-active_h // self.mesh.cols),
+    def charge_delegate_sync(self, ledger, active_e, active_h, num_lanes=None):
+        """Per-iteration frontier synchronization of delegated classes:
+        an allreduce of the E frontier over every rank, and of each
+        column's and each row's share of the H frontier over that column
+        and row.  ``active_e`` / ``active_h`` are the frontier's E and H
+        populations; a wave passes its union frontier's and ``num_lanes``
+        (one exchange syncs every lane's delegated bits)."""
+        part, mesh = self.part, self.mesh
+        # (bitmap bits, sparse entries, participants, traffic split)
+        scopes = []
+        if part.num_e:
+            scopes.append(
+                (part.num_e, active_e, self.num_ranks, self.split_global)
             )
-            intra, inter = self.split_bytes(float(col_bytes), self.split_col)
-            for kind in (CollectiveKind.REDUCE_SCATTER, CollectiveKind.ALLGATHER):
-                ledger.charge_collective(
-                    "other",
-                    kind,
-                    self.mesh.rows,
-                    intra,
-                    inter,
-                    total_bytes=float(col_bytes) * self.mesh.rows,
-                )
-        if self.part.num_h and self.mesh.cols > 1:
-            row_bytes = self.sync_bytes(
-                int(self.part.row_eh_counts.max()),
-                -(-active_h // self.mesh.rows),
+        if part.num_h and mesh.rows > 1:
+            scopes.append((
+                int(part.col_eh_counts.max()), -(-active_h // mesh.cols),
+                mesh.rows, self.split_col,
+            ))
+        if part.num_h and mesh.cols > 1:
+            scopes.append((
+                int(part.row_eh_counts.max()), -(-active_h // mesh.rows),
+                mesh.cols, self.split_row,
+            ))
+        for bits, sparse, participants, split in scopes:
+            ledger.charge_allreduce(
+                "other",
+                participants,
+                self.sync_bytes(bits, sparse, num_lanes),
+                split,
             )
-            intra, inter = self.split_bytes(float(row_bytes), self.split_row)
-            for kind in (CollectiveKind.REDUCE_SCATTER, CollectiveKind.ALLGATHER):
-                ledger.charge_collective(
-                    "other",
-                    kind,
-                    self.mesh.cols,
-                    intra,
-                    inter,
-                    total_bytes=float(row_bytes) * self.mesh.cols,
-                )
 
     def charge_parent_reduction(self, ledger, num_lanes: int = 1):
         """Reduce delegated parent arrays to their owners (§5).
@@ -240,77 +236,22 @@ class FifteenDContext:
         scale with ``num_lanes`` — but the collective launch overhead is
         paid once, which is part of the batch amortization.
         """
-        if self.part.num_e:
-            e_bytes = float(self.part.num_e) * 8 * num_lanes
-            intra, inter = self.split_bytes(e_bytes, self.split_global)
-            ledger.charge_collective(
+        part, mesh = self.part, self.mesh
+        # (delegated parents per rank, participants, traffic split): E
+        # reduces over every rank, H down its EH-space column.
+        scopes = []
+        if part.num_e:
+            scopes.append((part.num_e, self.num_ranks, self.split_global))
+        if part.num_h and mesh.rows > 1:
+            scopes.append((part.col_eh_counts.max(), mesh.rows, self.split_col))
+        for count, participants, split in scopes:
+            ledger.charge_scoped(
                 "reduce",
                 CollectiveKind.REDUCE_SCATTER,
-                self.num_ranks,
-                intra,
-                inter,
-                total_bytes=e_bytes * self.num_ranks,
+                participants,
+                float(count) * 8 * num_lanes,
+                split,
             )
-        if self.part.num_h and self.mesh.rows > 1:
-            col_bytes = float(self.part.col_eh_counts.max()) * 8 * num_lanes
-            intra, inter = self.split_bytes(col_bytes, self.split_col)
-            ledger.charge_collective(
-                "reduce",
-                CollectiveKind.REDUCE_SCATTER,
-                self.mesh.rows,
-                intra,
-                inter,
-                total_bytes=col_bytes * self.mesh.rows,
-            )
-
-    def charge_delegate_sync_lanes(self, ledger, lanes):
-        """Batched-wave variant of :meth:`charge_delegate_sync`: one
-        exchange syncs every lane's delegated frontier bits — lane-word
-        bitmaps or sparse (id, lane-word) entries, whichever is cheaper."""
-        p = self.num_ranks
-        any_active = lanes.active != 0
-        num_lanes = lanes.num_lanes
-        if self.part.num_e:
-            active_e = int(np.count_nonzero(any_active & self.masks["E"]))
-            e_bytes = self.sync_bytes_lanes(self.part.num_e, active_e, num_lanes)
-            intra, inter = self.split_bytes(float(e_bytes), self.split_global)
-            for kind in (CollectiveKind.REDUCE_SCATTER, CollectiveKind.ALLGATHER):
-                ledger.charge_collective(
-                    "other", kind, p, intra, inter, total_bytes=float(e_bytes) * p
-                )
-        active_h = int(np.count_nonzero(any_active & self.masks["H"]))
-        if self.part.num_h and self.mesh.rows > 1:
-            col_bytes = self.sync_bytes_lanes(
-                int(self.part.col_eh_counts.max()),
-                -(-active_h // self.mesh.cols),
-                num_lanes,
-            )
-            intra, inter = self.split_bytes(float(col_bytes), self.split_col)
-            for kind in (CollectiveKind.REDUCE_SCATTER, CollectiveKind.ALLGATHER):
-                ledger.charge_collective(
-                    "other",
-                    kind,
-                    self.mesh.rows,
-                    intra,
-                    inter,
-                    total_bytes=float(col_bytes) * self.mesh.rows,
-                )
-        if self.part.num_h and self.mesh.cols > 1:
-            row_bytes = self.sync_bytes_lanes(
-                int(self.part.row_eh_counts.max()),
-                -(-active_h // self.mesh.rows),
-                num_lanes,
-            )
-            intra, inter = self.split_bytes(float(row_bytes), self.split_row)
-            for kind in (CollectiveKind.REDUCE_SCATTER, CollectiveKind.ALLGATHER):
-                ledger.charge_collective(
-                    "other",
-                    kind,
-                    self.mesh.cols,
-                    intra,
-                    inter,
-                    total_bytes=float(row_bytes) * self.mesh.cols,
-                )
 
 
 def _first_writer_per_lane(hit_bits, group, vertices, parents) -> list:
@@ -333,7 +274,15 @@ def _first_writer_per_lane(hit_bits, group, vertices, parents) -> list:
 
 
 class _FifteenDKernel(ComponentKernel):
-    """Shared push/pull skeleton of the six 1.5D kernels."""
+    """Shared push/pull skeleton of the six 1.5D kernels.
+
+    A kernel supplies policy — :meth:`push_seconds`, :meth:`pull_rate`,
+    :meth:`route`, :meth:`charge_pull_prereq` — and the skeleton charges
+    it through :meth:`_charge_push` / :meth:`_charge_pull`, the one
+    charging path under every mode.  The six ``commit_*`` methods are the
+    modes: each passes its wire width to that path and applies its winner
+    rule to the body's arcs, and knows nothing else about pricing.
+    """
 
     def __init__(self, ctx: FifteenDContext, comp) -> None:
         self.ctx = ctx
@@ -358,35 +307,49 @@ class _FifteenDKernel(ComponentKernel):
         """
         raise NotImplementedError
 
-    def route_push(self, sel, ledger, record) -> None:
-        """Charge the remote traffic of pushed arcs (nothing if local)."""
+    def route(self, label, send_rank, dst, ledger, record, message_bytes) -> None:
+        """Charge the remote traffic of one message per entry of
+        ``send_rank`` (the sending rank) / ``dst`` (the vertex it
+        updates), ``message_bytes`` wide — nothing if the component is
+        node-local.  ``label`` names the receiving kernel:
+        ``"push_recv"`` for pushed arcs, ``"pull_recv"`` for bottom-up
+        hits travelling to their owners."""
 
-    def charge_pull_prereq(self, ledger, active, visited) -> None:
-        """Charge remote state the pulling ranks need first (if any)."""
+    def charge_pull_prereq(self, ledger, unvisited_l, num_lanes=None) -> None:
+        """Charge remote state the pulling ranks need first (if any).
+        ``unvisited_l`` is a zero-argument callable returning the L
+        vertices a pull may still reach, so a kernel that needs no
+        prerequisite never counts them; ``num_lanes`` as in
+        :meth:`FifteenDContext.sync_bytes`."""
 
-    def route_pull_hits(self, scan, ledger, record) -> None:
-        """Charge delivery of bottom-up hits to their owners (if remote)."""
+    # -- the one charging path -----------------------------------------
 
-    # -- batched-wave policy hooks (lane-word message variants) ---------
+    def _charge_push(self, sel, ledger, record, message_bytes=MESSAGE_BYTES):
+        """Charge a top-down sweep: the arcs, the sweep's compute, and
+        one routed message per selected arc."""
+        name = self.name
+        per_rank = sel.per_rank(self.ctx.num_ranks)
+        record.scanned_arcs[name] = record.scanned_arcs.get(name, 0) + sel.num_arcs
+        seconds = self.push_seconds(per_rank, sel)
+        ledger.charge_compute(name, f"push:{name}", per_rank, seconds)
+        if sel.num_arcs:
+            self.route("push_recv", sel.rank, sel.dst, ledger, record, message_bytes)
 
-    def route_push_lanes(self, sel, ledger, record) -> None:
-        """Charge the remote traffic of a batched push (nothing if local)."""
-
-    def charge_pull_prereq_lanes(self, ledger, lanes, group_lanes) -> None:
-        """Charge remote state a batched pull needs first (if any)."""
-
-    def route_pull_hits_lanes(self, scan, ledger, record) -> None:
-        """Charge delivery of batched bottom-up hits (if remote)."""
-
-    # -- vertex-program policy hooks (program-sized message variants) ---
-
-    def route_program_push(self, sel, ledger, record, message_bytes) -> None:
-        """Charge the remote traffic of pushed program messages (nothing
-        if local).  One wire message per selected arc, ``message_bytes``
-        wide (programs carry a value alongside the vertex ID)."""
-
-    def route_program_pull(self, sel, ledger, record, message_bytes) -> None:
-        """Charge delivery of pulled program messages (nothing if local)."""
+    def _charge_pull(
+        self, scan, msg_rank, msg_dst, ledger, record, message_bytes=MESSAGE_BYTES
+    ):
+        """Charge a bottom-up scan: the arcs, the scan's compute, and one
+        routed message per ``(msg_rank, msg_dst)`` the scan produced."""
+        name = self.name
+        record.scanned_arcs[name] = (
+            record.scanned_arcs.get(name, 0) + scan.scanned_arcs
+        )
+        seconds = self.ctx.kernel_time(
+            int(scan.scanned_per_rank.max()), self.pull_rate()
+        )
+        ledger.charge_compute(name, f"pull:{name}", scan.scanned_per_rank, seconds)
+        if msg_rank.size:
+            self.route("pull_recv", msg_rank, msg_dst, ledger, record, message_bytes)
 
     # -- body/commit split (the execution-backend contract) -------------
     #
@@ -412,13 +375,7 @@ class _FifteenDKernel(ComponentKernel):
         )
 
     def commit_push(self, sel, active, visited, ledger, record):
-        ctx, name = self.ctx, self.name
-        per_rank = sel.per_rank(ctx.num_ranks)
-        record.scanned_arcs[name] = sel.num_arcs
-        seconds = self.push_seconds(per_rank, sel)
-        ledger.charge_compute(name, f"push:{name}", per_rank, seconds)
-        if sel.num_arcs:
-            self.route_push(sel, ledger, record)
+        self._charge_push(sel, ledger, record)
         # Local (or post-message) update: first writer per destination in
         # deterministic component order wins.
         fresh = np.flatnonzero(~visited.mask[sel.dst])
@@ -428,13 +385,11 @@ class _FifteenDKernel(ComponentKernel):
         return uniq, sel.src[fresh[first]]
 
     def commit_pull(self, scan, active, visited, ledger, record):
-        ctx, name = self.ctx, self.name
-        self.charge_pull_prereq(ledger, active, visited)
-        record.scanned_arcs[name] = scan.scanned_arcs
-        seconds = ctx.kernel_time(int(scan.scanned_per_rank.max()), self.pull_rate())
-        ledger.charge_compute(name, f"pull:{name}", scan.scanned_per_rank, seconds)
-        if scan.num_hits:
-            self.route_pull_hits(scan, ledger, record)
+        sizes = self.ctx.class_state.sizes
+        self.charge_pull_prereq(
+            ledger, lambda: sizes["L"] - class_count(visited.counts, "L")
+        )
+        self._charge_pull(scan, scan.hit_rank, scan.hit_dst, ledger, record)
         return scan.hit_dst, scan.hit_src
 
     def commit_push_lanes(self, sel, group_lanes, lanes, ledger, record):
@@ -444,78 +399,56 @@ class _FifteenDKernel(ComponentKernel):
         of the selection (arcs whose source carries bit ``l``) is exactly
         the selection of that lane's sequential run in the same order, so
         the per-lane first-writer-per-destination parents are identical.
+        One 16-byte message per selected arc carries all lanes' bits.
         """
-        ctx, name = self.ctx, self.name
+        self._charge_push(sel, ledger, record, LANE_MESSAGE_BYTES)
         group = np.uint64(group_lanes)
-        act_bits = lanes.active & group
-        per_rank = sel.per_rank(ctx.num_ranks)
-        record.scanned_arcs[name] = (
-            record.scanned_arcs.get(name, 0) + sel.num_arcs
-        )
-        seconds = self.push_seconds(per_rank, sel)
-        ledger.charge_compute(name, f"push:{name}", per_rank, seconds)
-        if sel.num_arcs == 0:
-            return []
-        self.route_push_lanes(sel, ledger, record)
         # Per (arc, lane): fresh iff the source is active and the
         # destination unvisited in that lane.
-        hit_bits = act_bits[sel.src] & ~lanes.visited[sel.dst] & group
+        hit_bits = lanes.active[sel.src] & ~lanes.visited[sel.dst] & group
         if not hit_bits.any():
             return []
         return _first_writer_per_lane(hit_bits, group, sel.dst, sel.src)
 
     def commit_pull_lanes(self, scan, group_lanes, lanes, ledger, record):
         """Commit of the lane-shared bottom-up scan (the generic grouped
-        path; L2L overrides with its query/reply messaging)."""
-        ctx, name = self.ctx, self.name
+        path; L2L overrides with its query/reply messaging).  Unique
+        (dst, rank) winners across lanes share one message each."""
         group = np.uint64(group_lanes)
-        self.charge_pull_prereq_lanes(ledger, lanes, group)
-        record.scanned_arcs[name] = (
-            record.scanned_arcs.get(name, 0) + scan.scanned_arcs
+        light = self.ctx.masks["L"]
+        self.charge_pull_prereq(
+            ledger,
+            lambda: int(np.count_nonzero(((~lanes.visited & group) != 0) & light)),
+            lanes.num_lanes,
         )
-        seconds = ctx.kernel_time(
-            int(scan.scanned_per_rank.max()), self.pull_rate()
+        self._charge_pull(
+            scan, scan.msg_rank, scan.msg_dst, ledger, record, LANE_MESSAGE_BYTES
         )
-        ledger.charge_compute(name, f"pull:{name}", scan.scanned_per_rank, seconds)
-        if scan.num_messages:
-            self.route_pull_hits_lanes(scan, ledger, record)
         return scan.updates
 
     def commit_program_push(self, program, sel, active, ledger, record):
         """Top-down program sub-iteration: the frontier's arcs in the
         same by-source CSR order (and at the same per-rank compute and
-        alltoallv prices) as a BFS push, with the first-writer commit
-        replaced by the program's gather → combine → apply."""
-        ctx, name = self.ctx, self.name
-        per_rank = sel.per_rank(ctx.num_ranks)
-        record.scanned_arcs[name] = sel.num_arcs
-        seconds = self.push_seconds(per_rank, sel)
-        ledger.charge_compute(name, f"push:{name}", per_rank, seconds)
-        if sel.num_arcs:
-            self.route_program_push(
-                sel, ledger, record, program.message_bytes
-            )
-        return program.edge_sweep(name, sel.src, sel.dst)
+        alltoallv prices) as a BFS push, one (vertex, value) message per
+        arc, with the first-writer commit replaced by the program's
+        gather → combine → apply."""
+        self._charge_push(sel, ledger, record, program.message_bytes)
+        return program.edge_sweep(self.name, sel.src, sel.dst)
 
     def commit_program_pull(self, program, sel, candidates, active, ledger, record):
         """Bottom-up program sub-iteration: full-run scans of the
         program's candidate destinations (no early exit — a value
-        combine must see every active in-neighbour), priced at the same
-        pull rate as BFS."""
-        ctx, name = self.ctx, self.name
+        combine must see every active in-neighbour, so there is no
+        per-destination dedup before it either: one message per selected
+        arc), priced at the same pull rate as BFS."""
+        light = self.ctx.masks["L"]
         self.charge_pull_prereq(
-            ledger, active, VertexSet.from_mask(~candidates, ctx.part.vclass)
+            ledger, lambda: int(np.count_nonzero(candidates & light))
         )
-        record.scanned_arcs[name] = sel.scanned_arcs
-        seconds = ctx.kernel_time(
-            int(sel.scanned_per_rank.max()), self.pull_rate()
+        self._charge_pull(
+            sel, sel.rank, sel.dst, ledger, record, program.message_bytes
         )
-        ledger.charge_compute(name, f"pull:{name}", sel.scanned_per_rank, seconds)
-        if sel.num_arcs:
-            self.route_program_pull(
-                sel, ledger, record, program.message_bytes
-            )
-        return program.edge_sweep(name, sel.src, sel.dst)
+        return program.edge_sweep(self.name, sel.src, sel.dst)
 
     # -- execution ------------------------------------------------------
 
@@ -601,76 +534,20 @@ class _RowMessageKernel(_FifteenDKernel):
         """Rank receiving each message, by component semantics."""
         raise NotImplementedError
 
-    def route_push(self, sel, ledger, record):
+    def route(self, label, send_rank, dst, ledger, record, message_bytes):
+        # Pushed arcs and pull hits alike travel intra-row to the
+        # destination's owner (H2L) or to the column-delegate
+        # intersection rank (L2H).
         ctx, name = self.ctx, self.name
-        record.messages[name] = sel.num_arcs
-        ctx.charge_row_alltoallv(
-            name, np.bincount(sel.rank, minlength=ctx.num_ranks), ledger
-        )
-        recv_rank = self.owner_of_dst(sel.dst, sel.rank)
-        ctx.charge_receiver_kernel(name, recv_rank, ledger, "push_recv")
-
-    def route_pull_hits(self, scan, ledger, record):
-        # hits travel intra-row to the destination's owner (H2L) or to
-        # the column-delegate intersection rank (L2H).
-        ctx, name = self.ctx, self.name
-        record.messages[name] = scan.num_hits
-        send_per_rank = np.bincount(scan.hit_rank, minlength=ctx.num_ranks)
-        ctx.charge_row_alltoallv(name, send_per_rank, ledger)
-        recv_rank = self.owner_of_dst(scan.hit_dst, scan.hit_rank)
-        ctx.charge_receiver_kernel(name, recv_rank, ledger, "pull_recv")
-
-    def route_push_lanes(self, sel, ledger, record):
-        # One 16-byte message per selected arc carries all lanes' bits.
-        ctx, name = self.ctx, self.name
-        record.messages[name] = record.messages.get(name, 0) + sel.num_arcs
+        record.messages[name] = record.messages.get(name, 0) + send_rank.size
         ctx.charge_row_alltoallv(
             name,
-            np.bincount(sel.rank, minlength=ctx.num_ranks),
+            np.bincount(send_rank, minlength=ctx.num_ranks),
             ledger,
-            message_bytes=LANE_MESSAGE_BYTES,
+            message_bytes,
         )
-        recv_rank = self.owner_of_dst(sel.dst, sel.rank)
-        ctx.charge_receiver_kernel(name, recv_rank, ledger, "push_recv")
-
-    def route_pull_hits_lanes(self, scan, ledger, record):
-        # Unique (dst, rank) winners across lanes share one message each.
-        ctx, name = self.ctx, self.name
-        record.messages[name] = record.messages.get(name, 0) + scan.num_messages
-        send_per_rank = np.bincount(scan.msg_rank, minlength=ctx.num_ranks)
-        ctx.charge_row_alltoallv(
-            name, send_per_rank, ledger, message_bytes=LANE_MESSAGE_BYTES
-        )
-        recv_rank = self.owner_of_dst(scan.msg_dst, scan.msg_rank)
-        ctx.charge_receiver_kernel(name, recv_rank, ledger, "pull_recv")
-
-    def route_program_push(self, sel, ledger, record, message_bytes):
-        # One (vertex, value) message per pushed arc, intra-row.
-        ctx, name = self.ctx, self.name
-        record.messages[name] = sel.num_arcs
-        ctx.charge_row_alltoallv(
-            name,
-            np.bincount(sel.rank, minlength=ctx.num_ranks),
-            ledger,
-            message_bytes=message_bytes,
-        )
-        recv_rank = self.owner_of_dst(sel.dst, sel.rank)
-        ctx.charge_receiver_kernel(name, recv_rank, ledger, "push_recv")
-
-    def route_program_pull(self, sel, ledger, record, message_bytes):
-        # Pulled (vertex, value) contributions travel the same intra-row
-        # path as pull hits, one message per selected arc (no early exit
-        # means no per-destination dedup before the combine).
-        ctx, name = self.ctx, self.name
-        record.messages[name] = sel.num_arcs
-        ctx.charge_row_alltoallv(
-            name,
-            np.bincount(sel.rank, minlength=ctx.num_ranks),
-            ledger,
-            message_bytes=message_bytes,
-        )
-        recv_rank = self.owner_of_dst(sel.dst, sel.rank)
-        ctx.charge_receiver_kernel(name, recv_rank, ledger, "pull_recv")
+        recv_rank = self.owner_of_dst(dst, send_rank)
+        ctx.charge_receiver_kernel(name, recv_rank, ledger, label)
 
 
 @FIFTEEND_KERNELS.register("H2L")
@@ -678,41 +555,17 @@ class H2LKernel(_RowMessageKernel):
     def owner_of_dst(self, dst, sender_rank):
         return self.ctx.mesh.owner_of(dst, self.ctx.num_vertices)
 
-    def charge_pull_prereq(self, ledger, active, visited):
+    def charge_pull_prereq(self, ledger, unvisited_l, num_lanes=None):
         # Unvisited-L state of each row, allgathered within the row
-        # (bitmap or sparse IDs, whichever is cheaper on the wire).
+        # (bitmap or sparse entries, whichever is cheaper on the wire;
+        # a wave's one exchange ships every lane's unvisited-L bits).
         ctx = self.ctx
-        unvisited_l = ctx.class_state.sizes["L"] - class_count(visited.counts, "L")
         row_bits = ctx.block_bytes * 8 * ctx.mesh.cols
-        recv = ctx.sync_bytes(row_bits, -(-unvisited_l // ctx.mesh.rows))
-        intra, inter = ctx.split_bytes(recv, ctx.split_row)
-        ledger.charge_collective(
-            self.name,
-            CollectiveKind.ALLGATHER,
-            participants=ctx.mesh.cols,
-            max_bytes_intra=intra,
-            max_bytes_inter=inter,
-            total_bytes=recv * ctx.mesh.cols,
+        recv = ctx.sync_bytes(
+            row_bits, -(-unvisited_l() // ctx.mesh.rows), num_lanes
         )
-
-    def charge_pull_prereq_lanes(self, ledger, lanes, group_lanes):
-        # Same row allgather, but one exchange ships every lane's
-        # unvisited-L bits: lane-word bitmaps or (id, lane-word) entries.
-        ctx = self.ctx
-        cand = (~lanes.visited & group_lanes) != 0
-        unvisited_l = int(np.count_nonzero(cand & ctx.masks["L"]))
-        row_bits = ctx.block_bytes * 8 * ctx.mesh.cols
-        recv = ctx.sync_bytes_lanes(
-            row_bits, -(-unvisited_l // ctx.mesh.rows), lanes.num_lanes
-        )
-        intra, inter = ctx.split_bytes(recv, ctx.split_row)
-        ledger.charge_collective(
-            self.name,
-            CollectiveKind.ALLGATHER,
-            participants=ctx.mesh.cols,
-            max_bytes_intra=intra,
-            max_bytes_inter=inter,
-            total_bytes=recv * ctx.mesh.cols,
+        ledger.charge_scoped(
+            self.name, CollectiveKind.ALLGATHER, ctx.mesh.cols, recv, ctx.split_row
         )
 
 
@@ -734,58 +587,62 @@ class L2LKernel(_FifteenDKernel):
         ctx = self.ctx
         return ctx.kernel_time(int(per_rank.max()), ctx.message_rate())
 
-    def pull_rate(self):
-        # A program pull over 1D light arcs generates query/reply
-        # messages (no local bitmap to scan), so the sweep is priced at
-        # the message-generation rate like the native L2L pull.
-        return self.ctx.message_rate()
-
-    def route_push(self, sel, ledger, record):
+    def route(self, label, send_rank, dst, ledger, record, message_bytes):
         # Two-stage forwarding through the intersection rank of the
         # source's column and the destination's row (§4.4).
         ctx = self.ctx
-        record.messages["L2L"] = sel.num_arcs
-        o_dst = ctx.mesh.owner_of(sel.dst, ctx.num_vertices)
-        ctx.charge_l2l_alltoallv(sel.rank, o_dst, ledger)
-        ctx.charge_receiver_kernel("L2L", o_dst, ledger, "push_recv")
+        record.messages["L2L"] = record.messages.get("L2L", 0) + send_rank.size
+        o_dst = ctx.mesh.owner_of(dst, ctx.num_vertices)
+        ctx.charge_l2l_alltoallv(send_rank, o_dst, ledger, message_bytes)
+        ctx.charge_receiver_kernel("L2L", o_dst, ledger, label)
 
-    def route_push_lanes(self, sel, ledger, record):
-        ctx = self.ctx
-        record.messages["L2L"] = record.messages.get("L2L", 0) + sel.num_arcs
-        o_dst = ctx.mesh.owner_of(sel.dst, ctx.num_vertices)
-        ctx.charge_l2l_alltoallv(
-            sel.rank, o_dst, ledger, message_bytes=LANE_MESSAGE_BYTES
-        )
-        ctx.charge_receiver_kernel("L2L", o_dst, ledger, "push_recv")
+    def _charge_query_pull(
+        self,
+        per_rank,
+        rank,
+        peer,
+        ledger,
+        record,
+        query_bytes=MESSAGE_BYTES,
+        reply_bytes=MESSAGE_BYTES,
+    ):
+        """Charge a bottom-up L2L sweep as batched query/reply messages.
 
-    def route_program_push(self, sel, ledger, record, message_bytes):
+        By edge symmetry, the arcs stored at ``owner(v)`` with source ``v``
+        are exactly v's undirected incidence, so scanning unvisited local
+        sources is the destination-side pull view.  There is no local
+        bitmap to scan: each scanned arc costs a query to the neighbor's
+        owner (``peer``, over the two-stage path) plus a reply, so the
+        sweep is priced at the message-generation rate and moves twice
+        the push bytes per arc — which is why pull only wins once the
+        unvisited population is well below the active one (the
+        ``cross_pull_bias`` economics).  Batching is why "1D partitioning
+        methods have to drop or limit the early exit" (§2.1.2) — every
+        arc of an unvisited vertex is queried.  A program's reply carries
+        the value, hence the separate ``reply_bytes``.
+        """
         ctx = self.ctx
-        record.messages["L2L"] = sel.num_arcs
-        o_dst = ctx.mesh.owner_of(sel.dst, ctx.num_vertices)
-        ctx.charge_l2l_alltoallv(
-            sel.rank, o_dst, ledger, message_bytes=message_bytes
+        record.scanned_arcs["L2L"] = (
+            record.scanned_arcs.get("L2L", 0) + int(per_rank.sum())
         )
-        ctx.charge_receiver_kernel("L2L", o_dst, ledger, "push_recv")
-
-    def route_program_pull(self, sel, ledger, record, message_bytes):
-        # Query/reply economics as in BFS pull: each pulled contribution
-        # costs the two-stage query plus the value-carrying reply.
-        ctx = self.ctx
-        record.messages["L2L"] = 2 * sel.num_arcs
-        o_peer = ctx.mesh.owner_of(sel.src, ctx.num_vertices)
-        ctx.charge_l2l_alltoallv(sel.rank, o_peer, ledger)
-        ctx.charge_receiver_kernel("L2L", o_peer, ledger, "pull_query")
-        ctx.charge_l2l_alltoallv(
-            o_peer, sel.rank, ledger, message_bytes=message_bytes
-        )
-        ctx.charge_receiver_kernel("L2L", sel.rank, ledger, "pull_reply")
+        seconds = ctx.kernel_time(int(per_rank.max()), ctx.message_rate())
+        ledger.charge_compute("L2L", "pull:L2L", per_rank, seconds)
+        if rank.size:
+            record.messages["L2L"] = (
+                record.messages.get("L2L", 0) + 2 * rank.size
+            )
+            o_peer = ctx.mesh.owner_of(peer, ctx.num_vertices)
+            ctx.charge_l2l_alltoallv(rank, o_peer, ledger, query_bytes)
+            ctx.charge_receiver_kernel("L2L", o_peer, ledger, "pull_query")
+            ctx.charge_l2l_alltoallv(o_peer, rank, ledger, reply_bytes)
+            ctx.charge_receiver_kernel("L2L", rank, ledger, "pull_reply")
 
     def body_spec(self):
         return KernelBodySpec(component=self.comp, pull_kind="query")
 
     def pull_body(self, active, visited):
         # Scanning unvisited local sources is the destination-side pull
-        # view (see :meth:`commit_pull`); no early exit.
+        # view (see :meth:`_charge_query_pull`); no early exit.
         return self.comp.push_select(~visited.mask)
 
     def lanes_pull_body(self, group_lanes, lanes):
@@ -793,31 +650,9 @@ class L2LKernel(_FifteenDKernel):
         return self.comp.push_select((~lanes.visited & group) != 0)
 
     def commit_pull(self, sel, active, visited, ledger, record):
-        """Bottom-up L2L via batched query/reply messages.
-
-        By edge symmetry, the arcs stored at ``owner(v)`` with source ``v``
-        are exactly v's undirected incidence, so scanning unvisited local
-        sources is the destination-side pull view.  Each scanned arc costs
-        a query to the neighbor's owner plus a reply — twice the push
-        message size per arc, which is why pull only wins once the
-        unvisited population is well below the active one (the
-        ``cross_pull_bias`` economics).  Batching is why "1D partitioning
-        methods have to drop or limit the early exit" (§2.1.2) — every
-        arc of an unvisited vertex is queried.
-        """
-        ctx = self.ctx
-        per_rank = sel.per_rank(ctx.num_ranks)
-        record.scanned_arcs["L2L"] = sel.num_arcs
-        seconds = ctx.kernel_time(int(per_rank.max()), ctx.message_rate())
-        ledger.charge_compute("L2L", "pull:L2L", per_rank, seconds)
-        if sel.num_arcs:
-            record.messages["L2L"] = 2 * sel.num_arcs
-            o_peer = ctx.mesh.owner_of(sel.dst, ctx.num_vertices)
-            # query path (two-stage forwarding) and the reply back.
-            ctx.charge_l2l_alltoallv(sel.rank, o_peer, ledger)
-            ctx.charge_receiver_kernel("L2L", o_peer, ledger, "pull_query")
-            ctx.charge_l2l_alltoallv(o_peer, sel.rank, ledger)
-            ctx.charge_receiver_kernel("L2L", sel.rank, ledger, "pull_reply")
+        self._charge_query_pull(
+            sel.per_rank(self.ctx.num_ranks), sel.rank, sel.dst, ledger, record
+        )
         hits = np.flatnonzero(active.mask[sel.dst])
         if hits.size == 0:
             return EMPTY_ACTIVATION
@@ -829,32 +664,23 @@ class L2LKernel(_FifteenDKernel):
         which the source is still unvisited; lane ``l``'s hits are the
         arcs whose source carries the candidate bit and whose neighbor
         carries the active bit — the sequential rule per lane."""
-        ctx = self.ctx
-        group = np.uint64(group_lanes)
-        cand_bits = ~lanes.visited & group
-        per_rank = sel.per_rank(ctx.num_ranks)
-        record.scanned_arcs["L2L"] = (
-            record.scanned_arcs.get("L2L", 0) + sel.num_arcs
+        self._charge_query_pull(
+            sel.per_rank(self.ctx.num_ranks), sel.rank, sel.dst, ledger, record,
+            LANE_MESSAGE_BYTES, LANE_MESSAGE_BYTES,
         )
-        seconds = ctx.kernel_time(int(per_rank.max()), ctx.message_rate())
-        ledger.charge_compute("L2L", "pull:L2L", per_rank, seconds)
-        if sel.num_arcs:
-            record.messages["L2L"] = (
-                record.messages.get("L2L", 0) + 2 * sel.num_arcs
-            )
-            o_peer = ctx.mesh.owner_of(sel.dst, ctx.num_vertices)
-            ctx.charge_l2l_alltoallv(
-                sel.rank, o_peer, ledger, message_bytes=LANE_MESSAGE_BYTES
-            )
-            ctx.charge_receiver_kernel("L2L", o_peer, ledger, "pull_query")
-            ctx.charge_l2l_alltoallv(
-                o_peer, sel.rank, ledger, message_bytes=LANE_MESSAGE_BYTES
-            )
-            ctx.charge_receiver_kernel("L2L", sel.rank, ledger, "pull_reply")
-        hit_bits = cand_bits[sel.src] & (lanes.active & group)[sel.dst]
+        group = np.uint64(group_lanes)
+        hit_bits = ~lanes.visited[sel.src] & lanes.active[sel.dst] & group
         if not hit_bits.any():
             return []
         return _first_writer_per_lane(hit_bits, group, sel.src, sel.dst)
+
+    def commit_program_pull(self, program, sel, candidates, active, ledger, record):
+        # The queried peer of a pulled contribution is its source's owner.
+        self._charge_query_pull(
+            sel.scanned_per_rank, sel.rank, sel.src, ledger, record,
+            reply_bytes=program.message_bytes,
+        )
+        return program.edge_sweep("L2L", sel.src, sel.dst)
 
 
 def build_fifteend_kernels(ctx: FifteenDContext, order) -> dict[str, ComponentKernel]:

@@ -193,6 +193,36 @@ class TrafficLedger:
         )
         return seconds
 
+    def charge_scoped(
+        self,
+        phase: str,
+        kind: CollectiveKind,
+        participants: int,
+        nbytes: float,
+        split: tuple[float, float],
+    ) -> float:
+        """One collective over a scope (a row, a column, the whole mesh)
+        in which each of ``participants`` ranks moves ``nbytes``;
+        ``split`` is the scope's (intra, inter)-supernode traffic share
+        (``ProcessMesh.group_traffic_split``)."""
+        return self.charge_collective(
+            phase,
+            kind,
+            participants,
+            nbytes * split[0],
+            nbytes * split[1],
+            total_bytes=nbytes * participants,
+        )
+
+    def charge_allreduce(
+        self, phase: str, participants: int, nbytes: float, split: tuple[float, float]
+    ) -> None:
+        """Allreduce of ``nbytes`` per rank over a scope, priced as the
+        reduce-scatter + allgather pair of the same bytes a
+        bandwidth-optimal implementation runs."""
+        for kind in (CollectiveKind.REDUCE_SCATTER, CollectiveKind.ALLGATHER):
+            self.charge_scoped(phase, kind, participants, nbytes, split)
+
     def charge_wait(self, phase: str, seconds: float) -> float:
         """Record pure waiting time (retry backoff, restore stalls).
 

@@ -211,7 +211,16 @@ class MultiSourceBFS(FifteenDHost):
     # ------------------------------------------------------------------
 
     def begin_batch_iteration(self, ledger, lanes) -> None:
-        self.ctx.charge_delegate_sync_lanes(ledger, lanes)
+        # One exchange syncs every lane's delegated frontier bits, so the
+        # populations are the union frontier's.
+        any_active = lanes.active != 0
+        masks = self.ctx.masks
+        self.ctx.charge_delegate_sync(
+            ledger,
+            int(np.count_nonzero(any_active & masks["E"])),
+            int(np.count_nonzero(any_active & masks["H"])),
+            lanes.num_lanes,
+        )
 
     def batch_iteration_directions(self, lanes):
         if self.config.sub_iteration_direction:

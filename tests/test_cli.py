@@ -237,12 +237,22 @@ class TestMainEntryPoint:
         ("serve", "--batch-size", "65"),
         ("serve", "--queue-depth", "0"),
         ("serve", "--replicas", "0"),
+        ("bfs", "--faults", "crash:rank=1,iter=1", "--max-restarts", "-1"),
+        ("serve", "--hot-fraction", "2"),
+        ("serve", "--batch-window", "-1"),
+        ("sweep", "--points", "8:2x2,foo"),
+        ("bench-serve", "--batch-sizes", "0"),
+        ("bench-serve", "--batch-sizes", "1,x"),
+        ("bfs", "--e-threshold", "4", "--h-threshold", "64"),
     ], ids=lambda argv: "_".join(a.replace("--", "") for a in argv))
     def test_out_of_range_number_exits_two_with_usage(self, argv):
         command, *rest = argv
-        proc = self._run(command, "--scale", "10", "--mesh", "2x2", *rest)
+        # ``sweep`` takes its scales and meshes from ``--points``.
+        common = () if command == "sweep" else ("--scale", "10", "--mesh", "2x2")
+        proc = self._run(command, *common, *rest)
         assert proc.returncode == 2
         assert "usage:" in proc.stderr
+        assert rest[-2] in proc.stderr  # the offending flag is named
         assert "Traceback" not in proc.stderr
 
 

@@ -417,11 +417,10 @@ class TestClusterService:
 
 
 class TestFairness:
-    def test_hot_tenant_cannot_push_cold_p99_past_solo(self):
-        # The cold tenant's exact sub-stream runs twice: once alone
-        # (solo baseline), once while the hot tenant offers ~10x load.
-        # DRR must keep the contended p99 within 1.5x solo + 50 ms.
-        registry = build_registry(specs(2))
+    @staticmethod
+    def _contended_workload(registry):
+        # The hot tenant (t0, gold) offers ~10x the cold one's (t1,
+        # silver) load.
         workload = make_diurnal_workload(
             registry.degrees_map(), 200, seed=11, duration_seconds=0.3,
             popularity={"t0": 10.0, "t1": 1.0},
@@ -429,6 +428,75 @@ class TestFairness:
         )
         counts = workload.per_tenant_counts()
         assert counts["t0"] > 5 * counts["t1"]
+        return workload
+
+    def test_cold_tenant_waits_behind_at_most_one_hot_quantum(self):
+        # The fairness property, on the deterministic router: the
+        # workload's arrival order is replayed with no event loop and no
+        # clock, one batch leaving per two batches' worth of arrivals so
+        # the hot tenant backlogs.
+        registry = build_registry(specs(2))
+        workload = self._contended_workload(registry)
+        weight = {t.tenant_id: t.spec.resolved_weight for t in registry}
+        batch_size = 4
+        router = ClusterRouter(
+            [(tid, workload.num_queries, w) for tid, w in weight.items()],
+            batch_size=batch_size,
+        )
+        hot_batches = 0
+        cold_waits = []
+
+        def dispatch():
+            nonlocal hot_batches
+            tenant_id, batch = router.next_batch()
+            if tenant_id == "t0":
+                hot_batches += 1
+            else:
+                cold_waits.extend(hot_batches - seen for seen in batch)
+
+        for i, query in enumerate(workload.queries):
+            # A cold request remembers how many hot batches had left
+            # when it arrived.
+            assert router.depth("t1") < weight["t1"] * batch_size
+            router.push(query.tenant, hot_batches)
+            if (i + 1) % (2 * batch_size) == 0:
+                dispatch()
+        assert router.depth("t0") > weight["t0"] * batch_size  # backlogged
+        # Its turn always fits the cold queue, so a cold request leaves
+        # after at most the hot quantum already in progress — however
+        # deep the hot backlog is.
+        assert len(cold_waits) + router.depth("t1") == (
+            workload.per_tenant_counts()["t1"]
+        )
+        assert cold_waits and max(cold_waits) <= weight["t0"]
+
+        # Both backlogged from the start: every full ring cycle gives
+        # each tenant its weight share of the batches, until one drains.
+        router = ClusterRouter(
+            [(tid, workload.num_queries, w) for tid, w in weight.items()],
+            batch_size=batch_size,
+        )
+        for query in workload.queries:
+            router.push(query.tenant, query.root)
+        cycle = ["t0"] * weight["t0"] + ["t1"] * weight["t1"]
+        cycles = 0
+        while all(router.depth(t) >= w * batch_size for t, w in weight.items()):
+            served = [router.next_batch() for _ in cycle]
+            assert [tid for tid, _ in served] == cycle
+            assert all(len(batch) == batch_size for _, batch in served)
+            cycles += 1
+        assert cycles == workload.per_tenant_counts()["t1"] // (
+            weight["t1"] * batch_size
+        )
+
+    def test_hot_tenant_cannot_push_cold_p99_past_solo(self):
+        # End to end: the cold tenant's exact sub-stream runs twice, once
+        # alone and once under the hot tenant's load; every query must be
+        # accounted for.  The two p99s are wall-clock on a shared host, so
+        # they are printed (``-s``), not asserted — the bound itself is
+        # the router test above.
+        registry = build_registry(specs(2))
+        workload = self._contended_workload(registry)
 
         from repro.cluster import run_cluster_session
 
@@ -442,7 +510,8 @@ class TestFairness:
         assert fair_report.accounted == workload.num_queries
         solo_p99 = solo_report.latency_percentile(99)
         cold_p99 = fair_report.per_tenant()["t1"].latency_percentile(99)
-        assert cold_p99 <= 1.5 * solo_p99 + 0.05
+        print(f"cold tenant p99: solo {solo_p99 * 1e3:.1f} ms, "
+              f"contended {cold_p99 * 1e3:.1f} ms")
 
 
 # ----------------------------------------------------------------------

@@ -17,10 +17,21 @@ from repro.core.kernels import (
     SchedulerHost,
 )
 from repro.core.kernels.base import EMPTY_ACTIVATION
+from repro.core.kernels.fifteend import (
+    LANE_MESSAGE_BYTES,
+    MESSAGE_BYTES,
+    FifteenDContext,
+    _FifteenDKernel,
+    _RowMessageKernel,
+)
+from repro.core.lanes import LaneState
+from repro.core.metrics import IterationRecord
 from repro.core.subgraphs import COMPONENT_ORDER
+from repro.core.vertexset import VertexSet
 from repro.graph500.rmat import generate_edges
-from repro.machine.costmodel import CostModel
+from repro.machine.costmodel import CollectiveKind, CostModel
 from repro.machine.network import MachineSpec
+from repro.runtime.ledger import TrafficLedger
 from repro.runtime.mesh import ProcessMesh
 
 
@@ -175,20 +186,22 @@ class TestLevelSyncScheduler:
         assert result.iterations[0].directions["A"] == "pull"
 
 
+@pytest.fixture(scope="module")
+def engine():
+    src, dst = generate_edges(8, seed=3)
+    machine = MachineSpec(num_nodes=4, nodes_per_supernode=2)
+    mesh = ProcessMesh(2, 2, machine=machine)
+    part = partition_graph(
+        src, dst, 256, mesh, e_threshold=64, h_threshold=8
+    )
+    return DistributedBFS(
+        part,
+        machine=machine,
+        config=BFSConfig(e_threshold=64, h_threshold=8),
+    )
+
+
 class TestFifteenDMounting:
-    @pytest.fixture(scope="class")
-    def engine(self):
-        src, dst = generate_edges(8, seed=3)
-        machine = MachineSpec(num_nodes=4, nodes_per_supernode=2)
-        mesh = ProcessMesh(2, 2, machine=machine)
-        part = partition_graph(
-            src, dst, 256, mesh, e_threshold=64, h_threshold=8
-        )
-        return DistributedBFS(
-            part,
-            machine=machine,
-            config=BFSConfig(e_threshold=64, h_threshold=8),
-        )
 
     def test_engine_mounts_kernels_densest_first(self, engine):
         assert tuple(engine.kernels) == COMPONENT_ORDER
@@ -203,3 +216,136 @@ class TestFifteenDMounting:
         result = engine.run(root)
         assert result.parent[root] == root
         assert result.total_seconds > 0
+
+
+class _ToyRowKernel(_RowMessageKernel):
+    """A kernel written from ``docs/architecture.md``'s guide: a row
+    messaging component that overrides nothing but where a message
+    lands (here: it stays on the sending rank)."""
+
+    name = "TOY"
+
+    def owner_of_dst(self, dst, sender_rank):
+        return sender_rank
+
+
+class _ToyRouteKernel(_FifteenDKernel):
+    """The other way the guide allows: a kernel with its own ``route``
+    (and rates), nothing mode-specific."""
+
+    name = "TOY"
+
+    def push_seconds(self, per_rank, sel):
+        return 0.0
+
+    def pull_rate(self):
+        return 1e9
+
+    def route(self, label, send_rank, dst, ledger, record, message_bytes):
+        ctx = self.ctx
+        record.messages["TOY"] = record.messages.get("TOY", 0) + send_rank.size
+        ctx.charge_row_alltoallv(
+            "TOY", np.bincount(send_rank, minlength=ctx.num_ranks), ledger,
+            message_bytes,
+        )
+        ctx.charge_receiver_kernel("TOY", send_rank, ledger, label)
+
+
+class _EchoProgram:
+    """The two things a kernel asks of a vertex program."""
+
+    message_bytes = 24
+
+    def __init__(self, n):
+        self.n = n
+
+    def pull_candidates(self):
+        return np.ones(self.n, dtype=bool)
+
+    def edge_sweep(self, name, src, dst):
+        return np.unique(dst)
+
+
+class TestOneChargingPath:
+    """Overriding ``route`` (or, for a row kernel, only ``owner_of_dst``)
+    is enough: the kernel is charged — same collective, same receiver
+    kernel, the mode's wire width — under single-source BFS, a wave and
+    a vertex program."""
+
+    @pytest.fixture(params=[_ToyRowKernel, _ToyRouteKernel])
+    def toy(self, engine, request):
+        return request.param(engine.ctx, engine.part.components["H2L"])
+
+    @staticmethod
+    def _heavy(engine, k=3):
+        return np.flatnonzero(engine.ctx.masks["H"])[:k]
+
+    def _check(self, engine, ledger, record, direction, messages, width, runs=1):
+        assert messages > 0
+        assert record.messages == {"TOY": messages}
+        assert len(ledger.comm_events) == runs
+        assert {e.kind for e in ledger.comm_events} == {CollectiveKind.ALLTOALLV}
+        assert {e.participants for e in ledger.comm_events} == {engine.ctx.mesh.cols}
+        assert sum(e.total_bytes for e in ledger.comm_events) == messages * width
+        labels = [c.kernel for c in ledger.compute_events]
+        assert labels == [f"{direction}:TOY", f"{direction}_recv:TOY"] * runs
+        received = sum(c.total_items for c in ledger.compute_events[1::2])
+        assert received == messages
+
+    @pytest.mark.parametrize("direction", ["push", "pull"])
+    def test_single_source(self, engine, toy, direction):
+        vclass = engine.part.vclass
+        active = VertexSet(engine.num_vertices, vclass)
+        active.add(self._heavy(engine))
+        visited = VertexSet(engine.num_vertices, vclass)
+        visited.add(self._heavy(engine))
+        ledger = TrafficLedger(engine.cost)
+        record = IterationRecord(index=0, frontier_size=len(active))
+        newly, _ = toy.execute(direction, active, visited, ledger, record)
+        messages = (
+            toy.comp.push_select(active).num_arcs
+            if direction == "push"
+            else newly.size
+        )
+        self._check(engine, ledger, record, direction, messages, MESSAGE_BYTES)
+
+    @pytest.mark.parametrize("direction", ["push", "pull"])
+    def test_wave_accumulates_over_lane_groups(self, engine, toy, direction):
+        lanes = LaneState(engine.num_vertices, self._heavy(engine), engine.part.vclass)
+        ledger = TrafficLedger(engine.cost)
+        record = IterationRecord(index=0, frontier_size=3)
+        # Two direction groups of one wave run through the same kernel.
+        messages = 0
+        for group in (np.uint64(0b001), np.uint64(0b110)):
+            if direction == "push":
+                messages += toy.comp.push_select((lanes.active & group) != 0).num_arcs
+            else:
+                messages += toy.lanes_pull_body(group, lanes).num_messages
+            toy.execute_lanes(direction, group, lanes, ledger, record)
+        self._check(
+            engine, ledger, record, direction, messages, LANE_MESSAGE_BYTES, runs=2
+        )
+
+    @pytest.mark.parametrize("direction", ["push", "pull"])
+    def test_vertex_program(self, engine, toy, direction):
+        active = VertexSet(engine.num_vertices, engine.part.vclass)
+        active.add(self._heavy(engine))
+        program = _EchoProgram(engine.num_vertices)
+        ledger = TrafficLedger(engine.cost)
+        record = IterationRecord(index=0, frontier_size=len(active))
+        toy.execute_program(program, direction, active, ledger, record)
+        # Push and (all-candidate) pull select the same arc set.
+        messages = toy.comp.push_select(active).num_arcs
+        self._check(
+            engine, ledger, record, direction, messages, program.message_bytes
+        )
+
+    def test_sync_bytes_modes_differ_only_in_the_sparse_entry(self):
+        sync_bytes = FifteenDContext.sync_bytes
+        # Sparse side wins: 8-byte ids against (id, lane word) entries.
+        assert sync_bytes(4096, 5) == 5 * MESSAGE_BYTES
+        assert sync_bytes(4096, 5, num_lanes=1) == 5 * LANE_MESSAGE_BYTES
+        # Bitmap side wins: one lane's bitmap is the single-source one...
+        assert sync_bytes(4096, 4000) == sync_bytes(4096, 4000, num_lanes=1) == 512
+        # ...and widens by the lane count.
+        assert sync_bytes(4096, 4000, num_lanes=64) == 64 * 512
