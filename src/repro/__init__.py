@@ -21,17 +21,19 @@ machine:
 
 Quickstart::
 
-    from repro import Graph500Problem, generate_edges
-    from repro.core import BFSConfig, DistributedBFS, partition_graph
-    from repro.machine import MachineSpec
+    from repro.core import DistributedBFS
+    from repro.core.setup import build_setup
 
-    problem = Graph500Problem(scale=16)
-    src, dst = generate_edges(problem.scale, seed=1)
-    machine = MachineSpec(num_nodes=16)
-    part = partition_graph(src, dst, problem.num_vertices, machine=machine)
-    engine = DistributedBFS(part, machine=machine, config=BFSConfig())
-    result = engine.run(root=0)
-    print(result.simulated_gteps(problem))
+    setup = build_setup(scale=16, rows=4, cols=4, seed=1)
+    engine = DistributedBFS(
+        setup.partition(), machine=setup.machine, config=setup.config()
+    )
+    result = engine.run(setup.root)
+    print(result.simulated_gteps())
+
+:func:`repro.core.setup.build_setup` is the one path from an edge list
+to an engine (thresholds, R-MAT generation, machine, mesh, partition);
+every command, bench and tenant starts from it.
 """
 
 from repro.graph500 import (

@@ -14,13 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.baselines import DelegatedOneDimBFS, OneDimBFS, TwoDimBFS
-from repro.core import BFSConfig, DistributedBFS, partition_graph
+from repro.core import BFSConfig, DistributedBFS
 from repro.core.metrics import BFSRunResult
 from repro.core.partition import PartitionedGraph
-from repro.graph500.rmat import generate_edges
-from repro.graphs.stats import degree_histogram, degrees_from_edges
-from repro.machine.network import MachineSpec
-from repro.runtime.mesh import ProcessMesh
+from repro.core.setup import ExperimentSetup, build_setup, tuned_thresholds
 
 __all__ = [
     "ExperimentSetup",
@@ -39,74 +36,6 @@ __all__ = [
 DEFAULT_LADDER = ((12, 4, 4), (14, 8, 8), (16, 16, 16), (18, 32, 32))
 
 
-def tuned_thresholds(scale: int) -> tuple[int, int]:
-    """(e_threshold, h_threshold) tuned per SCALE.
-
-    Mirrors §6.2.1: thresholds sit in the valleys between degree-
-    distribution peaks, and the H threshold rises with machine scale to
-    bound the per-column delegate population.  Values picked by the same
-    grid search the Fig. 12 bench performs, at small SCALE.
-    """
-    if scale <= 13:
-        return 1024, 128
-    if scale <= 15:
-        return 2048, 256
-    if scale <= 17:
-        return 4096, 512
-    if scale <= 19:
-        return 4096, 512
-    return 8192, 1024
-
-
-@dataclass
-class ExperimentSetup:
-    """A generated workload bound to a simulated machine and mesh."""
-
-    scale: int
-    src: np.ndarray
-    dst: np.ndarray
-    num_vertices: int
-    mesh: ProcessMesh
-    machine: MachineSpec
-    root: int
-
-    @property
-    def num_edges(self) -> int:
-        return int(self.src.size)
-
-
-def build_setup(
-    scale: int,
-    rows: int,
-    cols: int,
-    *,
-    seed: int = 1,
-    supernode_rows: bool = True,
-    root_kind: str = "hub",
-) -> ExperimentSetup:
-    """Generate a Graph500 workload on an ``rows x cols`` simulated mesh.
-
-    ``supernode_rows=True`` sizes supernodes to one mesh row (the paper's
-    topology mapping).  ``root_kind`` is ``"hub"`` (max degree, the dense
-    regime) or ``"random"`` (Graph500's sampling).
-    """
-    src, dst = generate_edges(scale, seed=seed)
-    n = 1 << scale
-    p = rows * cols
-    machine = MachineSpec(
-        num_nodes=p,
-        nodes_per_supernode=cols if supernode_rows else min(256, p),
-    ).scaled_for(src.size / p)
-    mesh = ProcessMesh(rows, cols, machine=machine)
-    degrees = degrees_from_edges(src, dst, n)
-    if root_kind == "hub":
-        root = int(np.argmax(degrees))
-    else:
-        rng = np.random.default_rng(seed + 1)
-        root = int(rng.choice(np.flatnonzero(degrees > 0)))
-    return ExperimentSetup(scale, src, dst, n, mesh, machine, root)
-
-
 def run_15d(
     setup: ExperimentSetup,
     *,
@@ -122,6 +51,9 @@ def run_15d(
 ) -> tuple[PartitionedGraph, BFSRunResult]:
     """Partition + run the 1.5D engine once; returns (partition, result).
 
+    ``e_threshold``/``h_threshold`` override the setup's (one left
+    ``None`` keeps the setup's own).
+
     ``tracer`` (a :class:`~repro.obs.tracer.Tracer`) records the run's
     span tree for the Fig. 10/11 aggregations in
     :mod:`repro.analysis.timeline`; ``metrics`` (a
@@ -135,21 +67,12 @@ def run_15d(
     accounting is attached to the result as ``result.resilient``
     (a :class:`~repro.resilience.recovery.ResilientRunResult`).
     """
-    if e_threshold is None or h_threshold is None:
-        e_threshold, h_threshold = tuned_thresholds(setup.scale)
-    part = partition_graph(
-        setup.src,
-        setup.dst,
-        setup.num_vertices,
-        setup.mesh,
-        e_threshold=e_threshold,
-        h_threshold=h_threshold,
-    )
-    kwargs = dict(e_threshold=e_threshold, h_threshold=h_threshold)
-    kwargs.update(config_overrides or {})
+    setup = setup.with_thresholds(e_threshold, h_threshold)
+    part = setup.partition()
     engine = DistributedBFS(
-        part, machine=setup.machine, config=BFSConfig(**kwargs), tracer=tracer,
-        metrics=metrics,
+        part, machine=setup.machine,
+        config=setup.config(**(config_overrides or {})),
+        tracer=tracer, metrics=metrics,
     )
     if faults is None and not checkpoint_every:
         return part, engine.run(setup.root)

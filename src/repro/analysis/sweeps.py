@@ -18,12 +18,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
-from repro.analysis.experiments import build_setup, run_15d, tuned_thresholds
+from repro.analysis.experiments import build_setup, run_15d
 from repro.baselines import DelegatedOneDimBFS, OneDimBFS, TwoDimBFS
-from repro.machine.network import MachineSpec
-from repro.runtime.mesh import ProcessMesh
 
 __all__ = ["run_oversubscription_sweep", "run_strong_scaling"]
 
@@ -42,14 +38,16 @@ def run_oversubscription_sweep(
     inter-supernode byte volume (which is method-determined and factor-
     independent — only its *price* changes).
     """
-    setup = build_setup(scale, rows, cols, seed=seed)
+    base = build_setup(scale, rows, cols, seed=seed)
     out = []
     for factor in factors:
-        machine = replace(setup.machine, fat_tree_oversubscription=factor)
-        mesh = ProcessMesh(rows, cols, machine=machine)
+        setup = base.on_machine(
+            replace(base.machine, fat_tree_oversubscription=factor)
+        )
         for cls in (OneDimBFS, DelegatedOneDimBFS, TwoDimBFS):
             res = cls(
-                setup.src, setup.dst, setup.num_vertices, mesh, machine=machine
+                setup.src, setup.dst, setup.num_vertices, setup.mesh,
+                machine=setup.machine,
             ).run(setup.root)
             out.append(
                 {
@@ -59,17 +57,7 @@ def run_oversubscription_sweep(
                     "inter_bytes": _inter_bytes(res),
                 }
             )
-        from repro.core import BFSConfig, DistributedBFS, partition_graph
-
-        e_thr, h_thr = tuned_thresholds(scale)
-        part = partition_graph(
-            setup.src, setup.dst, setup.num_vertices, mesh,
-            e_threshold=e_thr, h_threshold=h_thr,
-        )
-        res = DistributedBFS(
-            part, machine=machine,
-            config=BFSConfig(e_threshold=e_thr, h_threshold=h_thr),
-        ).run(setup.root)
+        _, res = run_15d(setup)
         out.append(
             {
                 "oversubscription": factor,

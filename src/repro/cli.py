@@ -182,15 +182,15 @@ class _UsageError(Exception):
 
 
 def _check_thresholds(args) -> None:
-    """An explicit ``--e-threshold`` may not sit below ``--h-threshold``
-    (E is the heaviest class); needs both values, so it runs after
-    parsing."""
-    e_thr = getattr(args, "e_threshold", None)
-    h_thr = getattr(args, "h_threshold", None)
-    if e_thr is not None and h_thr is not None and e_thr < h_thr:
-        raise _UsageError(
-            f"--e-threshold ({e_thr}) must be >= --h-threshold ({h_thr})"
-        )
+    """Resolve ``--e-threshold``/``--h-threshold`` the way the set-up
+    builder will, so a pair it would refuse exits 2 before any work."""
+    from repro.core.setup import resolve_thresholds
+
+    if hasattr(args, "e_threshold"):
+        try:
+            resolve_thresholds(args.scale, args.e_threshold, args.h_threshold)
+        except ValueError as exc:
+            raise _UsageError(f"--e-threshold/--h-threshold: {exc}") from exc
 
 
 def _check_root(args) -> None:
@@ -201,6 +201,16 @@ def _check_root(args) -> None:
             f"--root {args.root} is not a vertex of a SCALE {args.scale} "
             f"graph (0 <= root < {n})"
         )
+
+
+def _graph_kwargs(args) -> dict:
+    """The common ``--scale/--mesh/--seed/--*-threshold`` flags as the
+    keywords every set-up entry point takes."""
+    rows, cols = args.mesh
+    return dict(
+        scale=args.scale, rows=rows, cols=cols, seed=args.seed,
+        e_threshold=args.e_threshold, h_threshold=args.h_threshold,
+    )
 
 
 #: The CI chaos gate's default scenarios: one of each recoverable
@@ -231,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--mesh", type=_mesh_arg, default=(8, 8), help="process mesh, e.g. 16x16"
     )
-    common.add_argument("--seed", type=int, default=1)
+    seed_arg = _int_arg("seed", 0)
+    common.add_argument("--seed", type=seed_arg, default=1)
     common.add_argument(
         "--e-threshold", type=_int_arg("e-threshold", 1), default=None
     )
@@ -301,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="12:4x4,14:8x8,16:16x16",
         help="comma-separated scale:RxC ladder",
     )
-    sweep.add_argument("--seed", type=int, default=1)
+    sweep.add_argument("--seed", type=seed_arg, default=1)
 
     parts = sub.add_parser(
         "partitions", parents=[common], help="partitioning methods (Table 1)"
@@ -399,16 +410,16 @@ def build_parser() -> argparse.ArgumentParser:
                             "/healthz, /slo, /timeline, /trace/<id>) on this "
                             "port (0 = ephemeral) and self-scrape it during "
                             "the run")
-    serve.add_argument("--telemetry-interval", type=float, default=0.05,
-                       metavar="SECONDS",
+    serve.add_argument("--telemetry-interval", default=0.05, metavar="SECONDS",
+                       type=_float_arg("telemetry-interval", 0.0, exclusive=True),
                        help="sampler and self-scrape cadence")
     serve.add_argument("--slo", type=_slo_arg, action="append", default=None,
                        metavar="SPEC",
                        help="SLO spec stage:threshold:objective[:window], "
                             "repeatable (default with telemetry on: "
                             "total:0.25:0.99)")
-    serve.add_argument("--straggler-ms", type=float, default=None,
-                       metavar="MS",
+    serve.add_argument("--straggler-ms", default=None, metavar="MS",
+                       type=_float_arg("straggler-ms", 0.0),
                        help="wall-clock straggler injection: every batch "
                             "sleeps this long before traversal (drives the "
                             "SLO monitor in the CI smoke)")
@@ -486,20 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ocs = sub.add_parser("ocs", help="OCS-RMA microbenchmark (Fig. 14)")
     ocs.add_argument("--mib", type=int, default=32, help="stream size in MiB")
-    ocs.add_argument("--seed", type=int, default=1)
-
-    sssp_p = sub.add_parser(
-        "sssp", parents=[common], help="weighted SSSP (Graph500 kernel 2b)"
-    )
-    sssp_p.add_argument("--root", type=int, default=None)
-    sssp_p.add_argument(
-        "--algorithm",
-        choices=("delta-stepping", "bellman-ford"),
-        default="delta-stepping",
-    )
-    sssp_p.add_argument(
-        "--delta", type=_float_arg("delta", 0.0, exclusive=True), default=None
-    )
+    ocs.add_argument("--seed", type=seed_arg, default=1)
 
     algo = sub.add_parser(
         "algo", parents=[common, resil],
@@ -521,9 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
     algo.add_argument("--tol", default=None,
                       type=_float_arg("tol", 0.0, exclusive=True),
                       help="PageRank convergence tolerance")
-    algo.add_argument("--max-iterations", type=int, default=None,
-                      metavar="N", help="iteration cap where the program "
-                                        "takes one")
+    algo.add_argument("--max-iterations", type=_int_arg("max-iterations", 1),
+                      default=None, metavar="N",
+                      help="iteration cap where the program takes one")
     algo.add_argument("--unit-weights", action="store_true",
                       help="run SSSP programs with unit weights instead "
                            "of the seeded weight table")
@@ -558,15 +556,9 @@ def _cmd_graph500(args) -> int:
     from repro.obs.tracer import Tracer
 
     tracer = Tracer() if args.trace else None
-    rows, cols = args.mesh
     report = run_graph500(
-        args.scale,
-        rows,
-        cols,
-        seed=args.seed,
+        **_graph_kwargs(args),
         num_roots=args.roots,
-        e_threshold=args.e_threshold,
-        h_threshold=args.h_threshold,
         validate=not args.no_validate,
         tracer=tracer,
         faults=args.faults,
@@ -591,20 +583,20 @@ def _cmd_graph500(args) -> int:
 
 
 def _cmd_bfs(args) -> int:
-    from repro.analysis.experiments import build_setup, run_15d
+    from repro.analysis.experiments import run_15d
+    from repro.core.setup import build_setup
     from repro.analysis.reporting import ascii_table, format_seconds
     from repro.obs.tracer import Tracer
 
     tracer = (
         Tracer() if (args.trace or args.flame or args.timeline) else None
     )
-    rows, cols = args.mesh
     _check_root(args)
-    setup = build_setup(args.scale, rows, cols, seed=args.seed)
+    setup = build_setup(**_graph_kwargs(args))
     if args.root is not None:
         setup = dataclasses.replace(setup, root=args.root)
     part, res = run_15d(
-        setup, e_threshold=args.e_threshold, h_threshold=args.h_threshold,
+        setup,
         tracer=tracer,
         faults=args.faults,
         checkpoint_every=args.checkpoint_every,
@@ -695,21 +687,9 @@ def _cmd_report(args) -> int:
     if args.smoke:
         report = bfs_smoke_report(metrics=registry, tracer=tracer)
     else:
-        rows, cols = args.mesh
-        g500 = run_graph500(
-            args.scale, rows, cols,
-            seed=args.seed, num_roots=args.roots,
-            e_threshold=args.e_threshold, h_threshold=args.h_threshold,
-            tracer=tracer, metrics=registry,
-        )
-        report = report_from_graph500(
-            g500,
-            context=dict(
-                scale=args.scale, rows=rows, cols=cols, seed=args.seed,
-                num_roots=args.roots,
-                e_threshold=args.e_threshold, h_threshold=args.h_threshold,
-            ),
-        )
+        cfg = dict(_graph_kwargs(args), num_roots=args.roots)
+        g500 = run_graph500(**cfg, tracer=tracer, metrics=registry)
+        report = report_from_graph500(g500, context=cfg)
     if args.out:
         path = report.save(args.out)
         print(f"run report: {path}")
@@ -796,44 +776,6 @@ def _cmd_ocs(args) -> int:
     return 0
 
 
-def _cmd_sssp(args) -> int:
-    from repro.analysis.experiments import build_setup, tuned_thresholds
-    from repro.analysis.reporting import format_seconds
-    from repro.core import partition_graph
-    from repro.core import delta_stepping_sssp, generate_weights, sssp
-
-    rows, cols = args.mesh
-    _check_root(args)
-    setup = build_setup(args.scale, rows, cols, seed=args.seed)
-    e_thr, h_thr = args.e_threshold, args.h_threshold
-    if e_thr is None or h_thr is None:
-        e_thr, h_thr = tuned_thresholds(args.scale)
-    part = partition_graph(
-        setup.src, setup.dst, setup.num_vertices, setup.mesh,
-        e_threshold=e_thr, h_threshold=h_thr,
-    )
-    weights = generate_weights(setup.src.size, seed=args.seed + 1)
-    root = args.root if args.root is not None else setup.root
-    if args.algorithm == "delta-stepping":
-        res = delta_stepping_sssp(
-            part, root, weights, setup.src, setup.dst,
-            delta=args.delta, machine=setup.machine,
-        )
-        print(f"delta = {res.delta:.4g}; {res.num_buckets} buckets, "
-              f"{res.num_phases} phases")
-    else:
-        res = sssp(
-            part, root, weights, edge_src=setup.src, edge_dst=setup.dst,
-            machine=setup.machine,
-        )
-        print(f"{res.num_iterations} Bellman-Ford rounds")
-    reached = int(np.count_nonzero(np.isfinite(res.distance)))
-    print(f"reached {reached:,}/{setup.num_vertices:,} vertices; "
-          f"{res.relaxations:,} relaxations; "
-          f"simulated {format_seconds(res.total_seconds)}")
-    return 0
-
-
 def _cmd_algo(args) -> int:
     from repro.core.programs import PROGRAM_REGISTRY, available_programs
 
@@ -883,25 +825,18 @@ def _cmd_algo(args) -> int:
         print("usage: see `repro algo --help`", file=sys.stderr)
         return 2
 
-    from repro.analysis.experiments import build_setup, tuned_thresholds
     from repro.analysis.reporting import format_seconds
-    from repro.core import DistributedBFS, build_program, partition_graph
+    from repro.core import DistributedBFS, build_program
+    from repro.core.setup import build_setup
     from repro.obs.report import report_from_bfs, report_from_program
 
-    rows, cols = args.mesh
     _check_root(args)
-    setup = build_setup(args.scale, rows, cols, seed=args.seed)
-    e_thr, h_thr = args.e_threshold, args.h_threshold
-    if e_thr is None or h_thr is None:
-        e_thr, h_thr = tuned_thresholds(args.scale)
-    part = partition_graph(
-        setup.src, setup.dst, setup.num_vertices, setup.mesh,
-        e_threshold=e_thr, h_threshold=h_thr,
-    )
+    graph = _graph_kwargs(args)
+    setup = build_setup(**graph)
+    part = setup.partition()
     root = args.root if args.root is not None else setup.root
     context = dict(
-        scale=args.scale, rows=rows, cols=cols, seed=args.seed,
-        e_threshold=e_thr, h_threshold=h_thr,
+        graph, e_threshold=setup.e_threshold, h_threshold=setup.h_threshold
     )
     engine = DistributedBFS(
         part, machine=setup.machine, tracer=tracer, metrics=registry
@@ -1027,11 +962,8 @@ def _cmd_mutate(args) -> int:
 
     from dataclasses import replace
 
-    from repro.analysis.experiments import tuned_thresholds
-    from repro.dynamic.repair import IncrementalGraph
+    from repro.core.setup import build_setup
     from repro.dynamic.updates import UpdateSpecError, generate_update_stream
-    from repro.graph500.rmat import generate_edges
-    from repro.runtime.mesh import ProcessMesh
 
     spec = args.updates
     try:
@@ -1044,20 +976,11 @@ def _cmd_mutate(args) -> int:
         print("usage: see `repro mutate --help`", file=sys.stderr)
         return 2
 
-    rows, cols = args.mesh
-    num_vertices = 2 ** args.scale
-    src, dst = generate_edges(args.scale, seed=args.seed)
-    e_thr, h_thr = args.e_threshold, args.h_threshold
-    if e_thr is None or h_thr is None:
-        e_thr, h_thr = tuned_thresholds(args.scale)
-    mesh = ProcessMesh(rows, cols)
-    inc = IncrementalGraph(
-        src, dst, num_vertices, mesh,
-        e_threshold=e_thr, h_threshold=h_thr,
-        compact_every=args.compact_every, metrics=metrics,
+    inc = build_setup(**_graph_kwargs(args), weak_scaled=False).incremental(
+        compact_every=args.compact_every, metrics=metrics
     )
     lo, hi = inc.edges()
-    stream = generate_update_stream(lo, hi, num_vertices, spec,
+    stream = generate_update_stream(lo, hi, inc.num_vertices, spec,
                                     seed=args.seed)
     rows_out = []
     for batch in stream:
@@ -1098,12 +1021,7 @@ def _cmd_chaos(args) -> int:
     if args.smoke:
         cfg = dict(SMOKE_CONFIG)
     else:
-        rows, cols = args.mesh
-        cfg = dict(
-            scale=args.scale, rows=rows, cols=cols, seed=args.seed,
-            num_roots=args.roots,
-            e_threshold=args.e_threshold, h_threshold=args.h_threshold,
-        )
+        cfg = dict(_graph_kwargs(args), num_roots=args.roots)
     if args.matrix:
         scenarios = tuple(s.strip() for s in args.matrix.split("|") if s.strip())
     else:
@@ -1112,12 +1030,7 @@ def _cmd_chaos(args) -> int:
     plans = [parse_fault_spec(s) for s in scenarios]
 
     def _run(**resilience):
-        return run_graph500(
-            cfg["scale"], cfg["rows"], cfg["cols"],
-            seed=cfg["seed"], num_roots=cfg["num_roots"],
-            e_threshold=cfg["e_threshold"], h_threshold=cfg["h_threshold"],
-            **resilience,
-        )
+        return run_graph500(**cfg, **resilience)
 
     golden = _run()
     golden_time = float(golden.bfs_times.sum())
@@ -1390,9 +1303,7 @@ def _cmd_serve(args) -> int:
     metrics = MetricsRegistry()
     tracer = Tracer() if args.trace else NULL_TRACER
     sequential, batched = build_serving_pair(
-        args.scale, rows, cols, seed=args.seed,
-        e_threshold=args.e_threshold, h_threshold=args.h_threshold,
-        tracer=tracer, metrics=metrics,
+        **_graph_kwargs(args), tracer=tracer, metrics=metrics
     )
     roots = make_workload_roots(
         batched.part.degrees, args.queries, seed=args.seed,
@@ -1520,10 +1431,7 @@ def _cmd_bench_serve(args) -> int:
     )
 
     rows, cols = args.mesh
-    sequential, batched = build_serving_pair(
-        args.scale, rows, cols, seed=args.seed,
-        e_threshold=args.e_threshold, h_threshold=args.h_threshold,
-    )
+    sequential, batched = build_serving_pair(**_graph_kwargs(args))
     roots = sample_roots(
         batched.part.degrees, max(args.batch_sizes),
         rng=np.random.default_rng(args.seed),
@@ -1591,7 +1499,6 @@ _COMMANDS = {
     "report": _cmd_report,
     "compare": _cmd_compare,
     "ocs": _cmd_ocs,
-    "sssp": _cmd_sssp,
     "algo": _cmd_algo,
     "chaos": _cmd_chaos,
     "mutate": _cmd_mutate,

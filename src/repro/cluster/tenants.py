@@ -28,7 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.core.setup import build_setup
 from repro.obs.slo import SLOSpec
+from repro.serve.bench import serving_pair
 from repro.serve.cache import ResultCache
 from repro.serve.core import ResidentGraph
 
@@ -210,13 +212,11 @@ def build_tenant(spec: TenantSpec, *, dynamic: bool = False) -> Tenant:
     :class:`~repro.dynamic.repair.IncrementalGraph` so update batches
     can be ingested while the tenant serves.
     """
-    from repro.serve.bench import build_serving_pair
-
-    sequential, batched = build_serving_pair(
-        spec.scale, spec.rows, spec.cols,
-        seed=spec.seed,
+    setup = build_setup(
+        spec.scale, spec.rows, spec.cols, seed=spec.seed, weak_scaled=False,
         e_threshold=spec.e_threshold, h_threshold=spec.h_threshold,
     )
+    sequential, batched = serving_pair(setup)
     tenant = Tenant(
         spec=spec,
         sequential=sequential,
@@ -224,20 +224,7 @@ def build_tenant(spec: TenantSpec, *, dynamic: bool = False) -> Tenant:
         cache=ResultCache(capacity=spec.cache_capacity),
     )
     if dynamic:
-        from repro.analysis.experiments import tuned_thresholds
-        from repro.dynamic.repair import IncrementalGraph
-        from repro.graph500.rmat import generate_edges
-        from repro.runtime.mesh import ProcessMesh
-
-        e_thr, h_thr = spec.e_threshold, spec.h_threshold
-        if e_thr is None or h_thr is None:
-            e_thr, h_thr = tuned_thresholds(spec.scale)
-        src, dst = generate_edges(spec.scale, seed=spec.seed)
-        tenant.dynamic = IncrementalGraph(
-            src, dst, 1 << spec.scale,
-            ProcessMesh(spec.rows, spec.cols),
-            e_threshold=e_thr, h_threshold=h_thr,
-        )
+        tenant.dynamic = setup.incremental()
     return tenant
 
 

@@ -14,6 +14,8 @@
 - :mod:`repro.core.metrics` — per-run traces shaped like the paper's
   figures.
 - :mod:`repro.core.config` — toggles for every optimization (ablations).
+- :mod:`repro.core.setup` — the one path from an edge list to an engine
+  (thresholds, generation, machine, mesh, partition).
 """
 
 from repro.core.balance import edge_aware_cuts, vertex_cut_imbalance

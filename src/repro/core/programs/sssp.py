@@ -389,11 +389,16 @@ class DeltaSteppingResult:
         return self.ledger.total_seconds
 
 
-def _run_program(part: PartitionedGraph, program, machine):
+def _run_registered(name: str, part: PartitionedGraph, root: int, machine, **params):
+    """Build the registered program ``name`` rooted at ``root`` and run
+    it on a fresh engine; returns ``(program, run result)``."""
     from repro.core.engine import DistributedBFS
+    from repro.core.programs import build_program
 
-    engine = DistributedBFS(part, machine=machine)
-    return engine.run_program(program)
+    if not 0 <= root < part.num_vertices:
+        raise ValueError(f"root {root} out of range for n={part.num_vertices}")
+    program = build_program(name, part, root=root, **params)
+    return program, DistributedBFS(part, machine=machine).run_program(program)
 
 
 def sssp(
@@ -408,22 +413,16 @@ def sssp(
 ) -> SSSPResult:
     """Single-source shortest paths over the partitioned graph.
 
-    Runs :class:`BellmanFordProgram` through the shared scheduler and
+    Runs the registered ``"sssp"`` program
+    (:class:`BellmanFordProgram`) through the shared scheduler and
     the six 1.5D kernels.  With ``weights`` (aligned with
     ``edge_src``/``edge_dst``) omitted, unit weights are used and SSSP
     equals BFS depth.
     """
-    n = part.num_vertices
-    if not 0 <= root < n:
-        raise ValueError(f"root {root} out of range for n={n}")
-    weight_of = None
-    if weights is not None:
-        if edge_src is None or edge_dst is None:
-            raise ValueError("weights require edge_src/edge_dst for alignment")
-        weight_of = WeightTable(n, weights, edge_src, edge_dst, context="sssp")
-    program = BellmanFordProgram(root, weight_of)
-    program.max_iterations = max_iterations
-    res = _run_program(part, program, machine)
+    program, res = _run_registered(
+        "sssp", part, root, machine, weights=weights, edge_src=edge_src,
+        edge_dst=edge_dst, max_iterations=max_iterations,
+    )
     return SSSPResult(
         root=root,
         distance=res.state["distance"],
@@ -445,19 +444,12 @@ def delta_stepping_sssp(
     machine: MachineSpec | None = None,
     max_buckets: int = 1_000_000,
 ) -> DeltaSteppingResult:
-    """Exact delta-stepping shortest paths over the partitioned graph."""
-    n = part.num_vertices
-    if not 0 <= root < n:
-        raise ValueError(f"root {root} out of range for n={n}")
-    weight_of = WeightTable(
-        n, weights, edge_src, edge_dst, context="delta-stepping"
+    """Exact delta-stepping shortest paths over the partitioned graph
+    (the registered ``"sssp-delta"`` program)."""
+    program, res = _run_registered(
+        "sssp-delta", part, root, machine, weights=weights, edge_src=edge_src,
+        edge_dst=edge_dst, delta=delta, max_buckets=max_buckets,
     )
-    if delta is None:
-        delta = suggest_delta(np.asarray(weights, dtype=np.float64), part.degrees)
-    program = DeltaSteppingProgram(
-        root, weight_of, delta, max_buckets=max_buckets
-    )
-    res = _run_program(part, program, machine)
     return DeltaSteppingResult(
         root=root,
         distance=res.state["distance"],

@@ -32,19 +32,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import BFSConfig
 from repro.core.engine import DistributedBFS
 from repro.core.metrics import BFSRunResult
-from repro.core.partition import PartitionedGraph, partition_graph
-from repro.graph500.rmat import generate_edges
+from repro.core.setup import build_setup
 from repro.graph500.spec import NUM_BFS_ROOTS, Graph500Problem
 from repro.graph500.validate import validate_bfs_result
 from repro.graphs.csr import build_csr, symmetrize_edges
-from repro.graphs.stats import degrees_from_edges
 from repro.machine.network import MachineSpec
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.runtime.mesh import ProcessMesh
 
 __all__ = [
     "Graph500Stats",
@@ -263,28 +259,21 @@ def run_graph500(
         inside a shared wave) and with ``recovery_mode='degrade'``
         (batch recovery is restart-only).
     """
-    from repro.analysis.experiments import tuned_thresholds
-
     tracer = tracer if tracer is not None else NULL_TRACER
     problem = Graph500Problem(scale=scale)
-    if e_threshold is None or h_threshold is None:
-        e_threshold, h_threshold = tuned_thresholds(scale)
 
     rng = np.random.default_rng(seed)
     with tracer.span("generate", category="phase", scale=scale):
-        src, dst = generate_edges(scale, seed=seed)
-    p = rows * cols
-    if machine is None:
-        machine = MachineSpec(
-            num_nodes=p, nodes_per_supernode=cols
-        ).scaled_for(src.size / p)
-    mesh = ProcessMesh(rows, cols, machine=machine)
-
-    with tracer.span("construction", category="phase") as kernel1:
-        part = partition_graph(
-            src, dst, problem.num_vertices, mesh,
+        setup = build_setup(
+            scale, rows, cols, seed=seed,
             e_threshold=e_threshold, h_threshold=h_threshold,
         )
+    if machine is not None:
+        setup = setup.on_machine(machine)
+    src, dst, machine = setup.src, setup.dst, setup.machine
+
+    with tracer.span("construction", category="phase") as kernel1:
+        part = setup.partition()
         if construction_seconds is None:
             from repro.core.preprocessing import estimate_construction_seconds
 
@@ -295,9 +284,7 @@ def run_graph500(
                       sim_seconds=construction_seconds)
         kernel1.attrs["seconds"] = construction_seconds
 
-    kwargs = dict(e_threshold=e_threshold, h_threshold=h_threshold)
-    kwargs.update(config_overrides or {})
-    config = BFSConfig(**kwargs)
+    config = setup.config(**(config_overrides or {}))
     if batch_roots:
         if checkpoint_every:
             raise ValueError(
@@ -329,7 +316,7 @@ def run_graph500(
         injector, checkpointer, policy = build_resilience(
             faults, checkpoint_every=checkpoint_every,
             max_restarts=max_restarts, recovery_mode=recovery_mode,
-            mesh=mesh, rng=rng, metrics=registry,
+            mesh=setup.mesh, rng=rng, metrics=registry,
         )
 
     degrees = part.degrees
@@ -436,7 +423,7 @@ def run_graph500(
     with tracer.span("harvest", category="phase", num_roots=int(roots.size)):
         return Graph500Report(
             problem=problem,
-            num_nodes=p,
+            num_nodes=rows * cols,
             construction_seconds=construction_seconds,
             roots=roots,
             bfs_times=np.array(times),
@@ -468,7 +455,6 @@ def run_graph500_sssp(
     over the 1.5D partitioning, and the kernel-3 optimality-certificate
     validation on every root.
     """
-    from repro.analysis.experiments import tuned_thresholds
     from repro.core import delta_stepping_sssp, generate_weights
     from repro.core import sssp as bellman_ford
     from repro.graph500.validate_sssp import validate_sssp_result
@@ -476,22 +462,17 @@ def run_graph500_sssp(
     if algorithm not in ("delta-stepping", "bellman-ford"):
         raise ValueError(f"unknown SSSP algorithm {algorithm!r}")
     problem = Graph500Problem(scale=scale)
-    if e_threshold is None or h_threshold is None:
-        e_threshold, h_threshold = tuned_thresholds(scale)
 
     rng = np.random.default_rng(seed)
-    src, dst = generate_edges(scale, seed=seed)
-    weights = generate_weights(src.size, seed=seed + 1)
-    p = rows * cols
-    if machine is None:
-        machine = MachineSpec(
-            num_nodes=p, nodes_per_supernode=cols
-        ).scaled_for(src.size / p)
-    mesh = ProcessMesh(rows, cols, machine=machine)
-    part = partition_graph(
-        src, dst, problem.num_vertices, mesh,
+    setup = build_setup(
+        scale, rows, cols, seed=seed,
         e_threshold=e_threshold, h_threshold=h_threshold,
     )
+    if machine is not None:
+        setup = setup.on_machine(machine)
+    src, dst, machine = setup.src, setup.dst, setup.machine
+    weights = generate_weights(src.size, seed=seed + 1)
+    part = setup.partition()
     from repro.core.preprocessing import estimate_construction_seconds
 
     construction = estimate_construction_seconds(part, machine)
@@ -522,7 +503,7 @@ def run_graph500_sssp(
 
     return Graph500Report(
         problem=problem,
-        num_nodes=p,
+        num_nodes=rows * cols,
         construction_seconds=construction,
         roots=roots,
         bfs_times=np.array(times),

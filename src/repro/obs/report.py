@@ -532,28 +532,18 @@ def programs_smoke_report(*, metrics=None, tracer=None, **overrides) -> RunRepor
     deterministic for the pinned config, so the
     ``compare_reports`` gate pins behaviour exactly like the BFS smoke.
     """
-    import numpy as np
-
-    from repro.core import DistributedBFS, build_program, partition_graph
+    from repro.core import DistributedBFS, build_program
     from repro.core.programs import PROGRAM_REGISTRY, generate_weights
-    from repro.graph500.rmat import generate_edges
-    from repro.machine.network import MachineSpec
-    from repro.runtime.mesh import ProcessMesh
+    from repro.core.setup import build_setup
 
     cfg = dict(PROGRAMS_SMOKE_CONFIG)
     cfg.update(overrides)
-    src, dst = generate_edges(cfg["scale"], seed=cfg["seed"])
-    n = 1 << cfg["scale"]
-    rows, cols = cfg["rows"], cfg["cols"]
-    machine = MachineSpec(
-        num_nodes=rows * cols, nodes_per_supernode=cols
-    ).scaled_for(src.size / (rows * cols))
-    mesh = ProcessMesh(rows, cols, machine=machine)
-    part = partition_graph(
-        src, dst, n, mesh,
+    setup = build_setup(
+        cfg["scale"], cfg["rows"], cfg["cols"], seed=cfg["seed"],
         e_threshold=cfg["e_threshold"], h_threshold=cfg["h_threshold"],
     )
-    hub = int(np.argmax(part.degrees))
+    src, dst, machine, hub = setup.src, setup.dst, setup.machine, setup.root
+    part = setup.partition()
     weights = generate_weights(src.size, seed=cfg["weight_seed"])
     params: dict[str, dict] = {
         "sssp": dict(root=hub, weights=weights, edge_src=src, edge_dst=dst),

@@ -27,6 +27,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from repro.core.engine import DistributedBFS
+from repro.core.setup import build_setup
+from repro.serve.msbfs import MultiSourceBFS
 from repro.serve.workload import make_workload_roots, run_serving_session
 
 __all__ = [
@@ -35,6 +38,7 @@ __all__ = [
     "amortization_sweep",
     "service_sweep",
     "build_serving_pair",
+    "serving_pair",
 ]
 
 
@@ -49,44 +53,32 @@ def build_serving_pair(
     tracer=None,
     metrics=None,
 ):
-    """Build the (sequential engine, batch engine) pair over one graph.
+    """Build the (sequential engine, batch engine) pair over one graph,
+    on the plain (not weak-scaling-normalised) machine model — see
+    :mod:`repro.core.setup` for why serving uses that one."""
+    setup = build_setup(
+        scale, rows, cols, seed=seed, weak_scaled=False,
+        e_threshold=e_threshold, h_threshold=h_threshold,
+    )
+    return serving_pair(setup, tracer=tracer, metrics=metrics)
+
+
+def serving_pair(setup, *, tracer=None, metrics=None):
+    """The (sequential engine, batch engine) pair over ``setup``.
 
     Both share the partition, machine model, and config, so any cost
     difference between them is the batching itself.
     ``tracer``/``metrics`` (optional) attach to the batched engine —
     the serving side — so scheduler spans land in the caller's sinks.
     """
-    from repro.analysis.experiments import tuned_thresholds
-    from repro.core.config import BFSConfig
-    from repro.core.engine import DistributedBFS
-    from repro.core.partition import partition_graph
-    from repro.graph500.rmat import generate_edges
-    from repro.machine.network import MachineSpec
-    from repro.runtime.mesh import ProcessMesh
-    from repro.serve.msbfs import MultiSourceBFS
-
-    if e_threshold is None or h_threshold is None:
-        e_threshold, h_threshold = tuned_thresholds(scale)
-    src, dst = generate_edges(scale, seed=seed)
-    p = rows * cols
-    # The plain per-node machine model (no weak-scaling bandwidth
-    # normalization): serving amortization is about communication shared
-    # across lanes, so the machine's real comm/compute balance is the
-    # honest denominator.
-    machine = MachineSpec(num_nodes=p, nodes_per_supernode=cols)
-    mesh = ProcessMesh(rows, cols, machine=machine)
-    part = partition_graph(
-        src, dst, 1 << scale, mesh,
-        e_threshold=e_threshold, h_threshold=h_threshold,
-    )
-    config = BFSConfig(e_threshold=e_threshold, h_threshold=h_threshold)
-    sequential = DistributedBFS(part, machine=machine, config=config)
+    part, config = setup.partition(), setup.config()
+    sequential = DistributedBFS(part, machine=setup.machine, config=config)
     extra = {}
     if tracer is not None:
         extra["tracer"] = tracer
     if metrics is not None:
         extra["metrics"] = metrics
-    batched = MultiSourceBFS(part, machine=machine, config=config, **extra)
+    batched = MultiSourceBFS(part, machine=setup.machine, config=config, **extra)
     return sequential, batched
 
 

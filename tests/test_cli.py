@@ -112,25 +112,51 @@ class TestCommands:
         ])
         assert rc == 0
 
+    def test_lone_h_threshold_changes_the_classes(self, capsys):
+        base = ["bfs", "--scale", "10", "--mesh", "2x2"]
+        assert main(base) == 0
+        tuned = capsys.readouterr().out.splitlines()[0]
+        assert main(base + ["--h-threshold", "8"]) == 0
+        lone = capsys.readouterr().out.splitlines()[0]
+        assert tuned.startswith("classes:") and lone.startswith("classes:")
+        assert lone != tuned
+
+    def test_lone_e_threshold_below_tuned_h_exits_two(self, capsys):
+        # SCALE 10 tunes H to 128; an E of 64 alone cannot sit below it.
+        rc = main(["bfs", "--scale", "10", "--mesh", "2x2", "--e-threshold", "64"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "--e-threshold" in err and "64" in err and "128" in err
+        assert "usage:" in err
+
     def test_sssp_delta_stepping(self, capsys):
-        rc = main(["sssp", "--scale", "10", "--mesh", "2x2"])
+        rc = main(["algo", "sssp-delta", "--scale", "10", "--mesh", "2x2"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "buckets" in out and "relaxations" in out
+        assert "num_buckets" in out and "relaxations" in out
 
     def test_sssp_bellman_ford(self, capsys):
+        rc = main(["algo", "sssp", "--scale", "10", "--mesh", "2x2"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "sssp:" in out and "iterations" in out
+        assert "relaxations" in out and "num_buckets" not in out
+
+    def test_sssp_explicit_delta(self, capsys):
         rc = main([
-            "sssp", "--scale", "10", "--mesh", "2x2",
-            "--algorithm", "bellman-ford",
+            "algo", "sssp-delta", "--scale", "9", "--mesh", "2x2",
+            "--delta", "0.25",
         ])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "Bellman-Ford rounds" in out
+        assert "delta=0.25" in out
+        assert "num_buckets" in out and "relaxations" in out
 
-    def test_sssp_explicit_delta(self, capsys):
-        rc = main(["sssp", "--scale", "9", "--mesh", "2x2", "--delta", "0.25"])
-        assert rc == 0
-        assert "delta = 0.25" in capsys.readouterr().out
+    def test_sssp_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sssp", "--scale", "9", "--mesh", "2x2"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'sssp'" in capsys.readouterr().err
 
 
 class TestResilienceFlags:
@@ -226,7 +252,7 @@ class TestMainEntryPoint:
     @pytest.mark.parametrize("argv", [
         ("bfs", "--root", "-5"),
         ("bfs", "--root", "999999"),
-        ("sssp", "--root", "1024"),
+        ("algo", "sssp", "--root", "1024"),
         ("algo", "bfs", "--root", "-1"),
         ("bfs", "--scale", "0"),
         ("bfs", "--checkpoint-every", "-1"),
@@ -244,6 +270,13 @@ class TestMainEntryPoint:
         ("bench-serve", "--batch-sizes", "0"),
         ("bench-serve", "--batch-sizes", "1,x"),
         ("bfs", "--e-threshold", "4", "--h-threshold", "64"),
+        ("bfs", "--seed", "-1"),
+        ("sweep", "--points", "8:2x2", "--seed", "-1"),
+        ("serve", "--seed", "-1"),
+        ("serve", "--telemetry-port", "0", "--telemetry-interval", "0"),
+        ("serve", "--straggler-ms", "-5"),
+        ("algo", "pagerank", "--max-iterations", "0"),
+        ("algo", "sssp", "--max-iterations", "-1"),
     ], ids=lambda argv: "_".join(a.replace("--", "") for a in argv))
     def test_out_of_range_number_exits_two_with_usage(self, argv):
         command, *rest = argv
