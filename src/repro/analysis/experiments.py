@@ -18,6 +18,7 @@ from repro.core import BFSConfig, DistributedBFS
 from repro.core.metrics import BFSRunResult
 from repro.core.partition import PartitionedGraph
 from repro.core.setup import ExperimentSetup, build_setup, tuned_thresholds
+from repro.resilience import build_resilience, run_with_recovery
 
 __all__ = [
     "ExperimentSetup",
@@ -62,8 +63,9 @@ def run_15d(
 
     ``faults`` (a spec string, :class:`~repro.resilience.faults.FaultPlan`
     or ready injector) plus ``checkpoint_every``/``max_restarts``/
-    ``recovery_mode`` run the BFS under
-    :func:`repro.resilience.recovery.run_with_recovery`; the recovery
+    ``recovery_mode`` configure the
+    :func:`repro.resilience.recovery.run_with_recovery` every run goes
+    through (a fault-free run is its one plain attempt); the recovery
     accounting is attached to the result as ``result.resilient``
     (a :class:`~repro.resilience.recovery.ResilientRunResult`).
     """
@@ -74,23 +76,17 @@ def run_15d(
         config=setup.config(**(config_overrides or {})),
         tracer=tracer, metrics=metrics,
     )
-    if faults is None and not checkpoint_every:
-        return part, engine.run(setup.root)
-
-    from repro.resilience import build_resilience, run_with_recovery
-
-    injector, checkpointer, policy = build_resilience(
+    run, policy = build_resilience(
         faults, checkpoint_every=checkpoint_every, max_restarts=max_restarts,
         recovery_mode=recovery_mode, mesh=setup.mesh,
-        rng=np.random.default_rng(setup.scale),
+        rng=np.random.default_rng(setup.scale), context=engine.context,
     )
     recovered = run_with_recovery(
-        engine, setup.root, faults=injector, checkpointer=checkpointer,
-        policy=policy,
+        engine, setup.root, faults=run.faults, checkpointer=run.checkpointer,
+        policy=policy, metrics=run.metrics,
     )
-    result = recovered.result
-    result.resilient = recovered
-    return part, result
+    recovered.result.resilient = recovered
+    return part, recovered.result
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.core.config import BFSConfig
 from repro.core.direction import choose_whole_iteration_direction
 from repro.core.kernels.base import ComponentKernel, KernelBodySpec
 from repro.core.kernels.fifteend import FifteenDContext
-from repro.core.kernels.scheduler import LevelSyncScheduler, SchedulerHost
+from repro.core.kernels.scheduler import SchedulerHost
 from repro.core.metrics import BFSRunResult, IterationRecord
 from repro.core.subgraphs import SubgraphComponent
 from repro.core.vertexset import first_writers
@@ -134,12 +134,9 @@ class BaselineEngine(SchedulerHost):
         self.num_input_edges = (
             sum(c.num_arcs for c in self.components.values()) // 2
         )
-        self.kernels = {
-            name: BaselineComponentKernel(self, name, comp)
-            for name, comp in self.components.items()
-        }
-        self.scheduler = LevelSyncScheduler(
-            self, self.kernels, tracer=tracer, metrics=metrics
+        self.mount(
+            {n: BaselineComponentKernel(self, n, c) for n, c in self.components.items()},
+            tracer, metrics,
         )
 
     # ------------------------------------------------------------------

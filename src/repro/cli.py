@@ -372,22 +372,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve a seeded query workload through the batched "
              "traversal service",
     )
-    serve.add_argument("--queries", type=queries_arg, default=256,
+    # Flags one mode pins or ignores default to None: the mode that
+    # reads a flag resolves it, the other rejects it (exit 2).
+    serve.add_argument("--queries", type=queries_arg, default=None,
                        help="total queries in the workload")
-    serve.add_argument("--clients", type=clients_arg, default=32,
+    serve.add_argument("--clients", type=clients_arg, default=None,
                        help="concurrent closed-loop clients")
     serve.add_argument("--batch-size",
                        type=_int_arg("batch-size", 1, MAX_LANES), default=64,
                        help=f"roots per batch (flush threshold, max {MAX_LANES})")
     serve.add_argument("--queue-depth", type=_int_arg("queue-depth", 1),
-                       default=256, help="admission-control queue bound")
+                       default=None, help="admission-control queue bound")
     serve.add_argument("--batch-window",
                        type=_float_arg("batch-window", 0.0), default=0.005,
                        metavar="SECONDS", help="batching window deadline")
     serve.add_argument("--hot-fraction",
-                       type=_float_arg("hot-fraction", 0.0, 1.0), default=0.5,
+                       type=_float_arg("hot-fraction", 0.0, 1.0), default=None,
                        help="fraction of queries drawn from the hot set")
-    serve.add_argument("--hot-set", type=int, default=16,
+    serve.add_argument("--hot-set", type=int, default=None,
                        help="hot-set size (repeat roots exercise the cache)")
     serve.add_argument("--validate", action="store_true",
                        help="check every response bit-for-bit against a "
@@ -417,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SPEC",
                        help="SLO spec stage:threshold:objective[:window], "
                             "repeatable (default with telemetry on: "
-                            "total:0.25:0.99)")
+                            "total:0.25:0.99; tenants: their class SLOs)")
     serve.add_argument("--straggler-ms", default=None, metavar="MS",
                        type=_float_arg("straggler-ms", 0.0),
                        help="wall-clock straggler injection: every batch "
@@ -435,14 +437,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "classes gold|silver|bronze set quota, weight "
                             "and SLOs; each tenant serves its own seeded "
                             "graph behind the cluster router")
-    serve.add_argument("--replicas", type=_int_arg("replicas", 1), default=2,
-                       metavar="N",
+    serve.add_argument("--replicas", type=_int_arg("replicas", 1),
+                       default=None, metavar="N",
                        help="service replicas in multi-tenant mode (>= 1)")
     serve.add_argument("--quota", type=_int_arg("quota", 1), default=None,
                        metavar="N",
                        help="override every tenant's admission quota "
                             "(default: the SLO class quota)")
-    serve.add_argument("--duration", default=0.5, metavar="SECONDS",
+    serve.add_argument("--duration", default=None, metavar="SECONDS",
                        type=_float_arg("duration", 0.0, exclusive=True),
                        help="diurnal workload duration in multi-tenant mode")
     serve.add_argument("--smoke", action="store_true",
@@ -615,9 +617,8 @@ def _cmd_bfs(args) -> int:
     print(f"visited: {res.num_visited:,}/{setup.num_vertices:,} | "
           f"time: {format_seconds(res.total_seconds)} | "
           f"sim GTEPS: {setup.num_edges / res.total_seconds / 1e9:.1f}")
-    resilient = getattr(res, "resilient", None)
-    if resilient is not None:
-        print(f"resilience: {resilient.summary()}")
+    if args.faults is not None or args.checkpoint_every:
+        print(f"resilience: {res.resilient.summary()}")
     if args.timeline:
         from repro.analysis.timeline import render_timeline
 
@@ -881,26 +882,19 @@ def _cmd_algo(args) -> int:
             print("usage: see `repro algo --help`", file=sys.stderr)
             return 2
 
-        if args.faults is not None or args.checkpoint_every:
-            from repro.resilience import (
-                build_resilience,
-                run_program_with_recovery,
-            )
+        from repro.resilience import build_resilience, run_program_with_recovery
 
-            injector, checkpointer, policy = build_resilience(
-                args.faults, checkpoint_every=args.checkpoint_every,
-                max_restarts=args.max_restarts,
-                recovery_mode=args.recovery_mode, mesh=setup.mesh,
-                rng=np.random.default_rng(args.scale),
-            )
-            recovered = run_program_with_recovery(
-                engine, program, faults=injector, checkpointer=checkpointer,
-                policy=policy,
-            )
-            res = recovered.result
-        else:
-            recovered = None
-            res = engine.run_program(program)
+        run, policy = build_resilience(
+            args.faults, checkpoint_every=args.checkpoint_every,
+            max_restarts=args.max_restarts, recovery_mode=args.recovery_mode,
+            mesh=setup.mesh, rng=np.random.default_rng(args.scale),
+            context=engine.context,
+        )
+        recovered = run_program_with_recovery(
+            engine, program, faults=run.faults, checkpointer=run.checkpointer,
+            policy=policy,
+        )
+        res = recovered.result
 
         scalars = ", ".join(
             f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
@@ -912,7 +906,7 @@ def _cmd_algo(args) -> int:
               f"simulated {format_seconds(res.total_seconds)}")
         if scalars:
             print(f"  {scalars}")
-        if recovered is not None:
+        if args.faults is not None or args.checkpoint_every:
             print(f"  resilience: {recovered.summary()}")
         report = report_from_program(res, context={**context, **{
             k: v for k, v in params.items()
@@ -1092,6 +1086,31 @@ class _StragglerEngine:
         return self._engine.run_batch(roots, **kwargs)
 
 
+def _reject_flags(args, mode: str, *names) -> None:
+    """Exit 2 naming each of the flags ``names`` that was given although
+    ``mode`` has no use for it."""
+    given = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is not None]
+    if given:
+        raise _UsageError(f"{', '.join(given)}: not used by {mode}")
+
+
+def _resolve_flags(args, **defaults) -> None:
+    """Give each flag left unset (``None``) the default of the mode that
+    reads it."""
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+
+
+def _serve_faults(args):
+    """The ``--faults`` injector either serving mode hands its service."""
+    if args.faults is None:
+        return None
+    from repro.resilience.faults import FaultInjector
+
+    return FaultInjector(args.faults, rng=np.random.default_rng(args.seed))
+
+
 def _cmd_serve_cluster(args) -> int:
     from dataclasses import replace
 
@@ -1104,39 +1123,39 @@ def _cmd_serve_cluster(args) -> int:
     from repro.obs.metrics import MetricsRegistry
     from repro.serve.workload import make_diurnal_workload
 
-    rows, cols = args.mesh
-    scale, seed = args.scale, args.seed
-    queries, duration = args.queries, args.duration
-    hot_fraction, hot_set = args.hot_fraction, args.hot_set
-    validate = args.validate
-    tenants_spec = args.tenants
+    _reject_flags(args, "multi-tenant serving", "trace", "clients",
+                  "queue_depth", "straggler_ms", "expect_slo")
     if args.smoke:
         # Pinned configuration for the CI slo-smoke gate: small tenant
         # graphs, bit-exact validation, and (with >= 2 replicas) a
         # mid-run replica kill so the failover path runs every time.
-        scale, rows, cols, seed = 9, 2, 2, 7
-        queries, duration = 120, 0.3
-        hot_fraction, hot_set = 0.8, 8
-        validate = True
-        if tenants_spec is None:
-            tenants_spec = "3"
-    specs = parse_tenant_spec(
-        tenants_spec, scale=scale, rows=rows, cols=cols, seed=seed
-    )
-    if args.quota is not None:
-        specs = [replace(s, quota=args.quota) for s in specs]
+        args.scale, args.mesh, args.seed, args.validate = 9, (2, 2), 7, True
+        _check_thresholds(args)  # again, at the pinned scale
+        _resolve_flags(args, tenants="3", queries=120, duration=0.3,
+                       hot_fraction=0.8, hot_set=8)
+    _resolve_flags(args, queries=256, duration=0.5, hot_fraction=0.5,
+                   hot_set=16, replicas=2)
+    rows, cols = args.mesh
+    scale, seed, queries, duration = args.scale, args.seed, args.queries, args.duration
+    specs = [
+        replace(spec, quota=args.quota, slos=args.slo and tuple(args.slo),
+                e_threshold=args.e_threshold, h_threshold=args.h_threshold)
+        for spec in parse_tenant_spec(
+            args.tenants, scale=scale, rows=rows, cols=cols, seed=seed
+        )
+    ]
     metrics = MetricsRegistry()
     registry = build_registry(specs)
     workload = make_diurnal_workload(
         registry.degrees_map(), queries, seed=seed,
         duration_seconds=duration,
-        hot_fraction=hot_fraction, hot_set_size=hot_set,
+        hot_fraction=args.hot_fraction, hot_set_size=args.hot_set,
     )
     kill_at = None
     if args.smoke and args.replicas >= 2:
         kill_at = ("r0", queries // 2)
     expected = None
-    if validate:
+    if args.validate:
         expected = {}
         for tenant in registry:
             mine = sorted(
@@ -1156,7 +1175,7 @@ def _cmd_serve_cluster(args) -> int:
         replicas=args.replicas, expected=expected,
         max_shed_retries=10_000, kill_at=kill_at, telemetry=telemetry,
         batch_size=args.batch_size, batch_window=args.batch_window,
-        metrics=metrics,
+        faults=_serve_faults(args), metrics=metrics,
     )
     if telemetry is None:
         report, cluster = session
@@ -1290,18 +1309,22 @@ def _cmd_serve_cluster(args) -> int:
 def _cmd_serve(args) -> int:
     if args.tenants is not None or args.smoke:
         return _cmd_serve_cluster(args)
+    _reject_flags(args, "single-graph serving (pass --tenants)", "replicas",
+                  "quota", "duration")
+    _resolve_flags(args, queries=256, clients=32, queue_depth=256,
+                   hot_fraction=0.5, hot_set=16)
     from repro.analysis.reporting import ascii_table, format_seconds
     from repro.obs.export import write_chrome_trace
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.report import report_from_serve
     from repro.obs.slo import SLOSpec
-    from repro.obs.tracer import NULL_TRACER, Tracer
+    from repro.obs.tracer import Tracer
     from repro.serve.bench import build_serving_pair
     from repro.serve.workload import make_workload_roots, run_serving_session
 
     rows, cols = args.mesh
     metrics = MetricsRegistry()
-    tracer = Tracer() if args.trace else NULL_TRACER
+    tracer = Tracer() if args.trace else None
     sequential, batched = build_serving_pair(
         **_graph_kwargs(args), tracer=tracer, metrics=metrics
     )
@@ -1314,13 +1337,6 @@ def _cmd_serve(args) -> int:
         expected = {
             int(r): sequential.run(int(r)).parent for r in np.unique(roots)
         }
-    faults = None
-    if args.faults is not None:
-        from repro.resilience.faults import FaultInjector
-
-        faults = FaultInjector(
-            args.faults, rng=np.random.default_rng(args.seed)
-        )
     engine = batched
     if args.straggler_ms is not None:
         engine = _StragglerEngine(batched, args.straggler_ms / 1e3)
@@ -1335,8 +1351,8 @@ def _cmd_serve(args) -> int:
         engine, roots,
         clients=args.clients, expected=expected,
         batch_size=args.batch_size, queue_depth=args.queue_depth,
-        batch_window=args.batch_window, faults=faults, metrics=metrics,
-        tracer=tracer, telemetry=telemetry,
+        batch_window=args.batch_window, faults=_serve_faults(args),
+        metrics=metrics, telemetry=telemetry,
     )
     if telemetry is None:
         report, service = session

@@ -48,6 +48,12 @@ accumulate the aggregate metric families (see
 :mod:`repro.core.kernels.scheduler` and :mod:`repro.runtime.ledger`);
 build a :class:`~repro.obs.report.RunReport` artifact from the run with
 :func:`repro.obs.report.report_from_bfs`.
+
+The two keywords are read once: the constructor folds them into the
+engine's :class:`~repro.runtime.context.RunContext` (``engine.context``;
+``engine.ctx`` is the 1.5D kernel context), and from there each run's
+faults, checkpointer and serving trace id join them in one object the
+scheduler reads.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from repro.core.direction import (
     choose_whole_iteration_direction,
 )
 from repro.core.kernels.fifteend import FifteenDContext, build_fifteend_kernels
-from repro.core.kernels.scheduler import LevelSyncScheduler, SchedulerHost
+from repro.core.kernels.scheduler import SchedulerHost
 from repro.core.metrics import BFSRunResult, IterationRecord
 from repro.core.partition import PartitionedGraph, class_count
 from repro.core.subgraphs import COMPONENT_ORDER
@@ -86,8 +92,6 @@ class FifteenDHost(SchedulerHost):
         self.part = part
         self.mesh = part.mesh
         self.config = config
-        self.tracer = tracer
-        self.metrics = metrics
         if machine is None:
             machine = self.mesh.machine or MachineSpec(
                 num_nodes=self.mesh.num_ranks
@@ -97,10 +101,7 @@ class FifteenDHost(SchedulerHost):
         self.machine = machine
 
         self.ctx = FifteenDContext(part, machine, config)
-        self.kernels = build_fifteend_kernels(self.ctx, COMPONENT_ORDER)
-        self.scheduler = LevelSyncScheduler(
-            self, self.kernels, tracer=tracer, metrics=metrics, backend=backend
-        )
+        self.mount(build_fifteend_kernels(self.ctx, COMPONENT_ORDER), tracer, metrics, backend)
 
         self.num_vertices = part.num_vertices
         self.num_input_edges = part.total_arcs // 2
@@ -124,7 +125,7 @@ class DistributedBFS(FifteenDHost):
         """Run one BFS from ``root``; returns the validated-shape result.
 
         ``**resilience`` forwards the scheduler's optional
-        ``faults``/``checkpointer``/``resume`` hooks (see
+        ``faults``/``checkpointer``/``resume`` hooks and ``trace_id`` (see
         :meth:`~repro.core.kernels.scheduler.LevelSyncScheduler.run`).
         """
         return self.scheduler.run(root, **resilience)
@@ -138,7 +139,7 @@ class DistributedBFS(FifteenDHost):
         the program inherits the engine's delegate-sync pricing, §4.2
         direction policy, per-class activation trace and §5 parent/state
         reduction through the same host hooks BFS uses.  ``**resilience``
-        forwards ``faults``/``checkpointer``/``resume``.
+        forwards ``faults``/``checkpointer``/``resume``/``trace_id``.
         """
         program.bind(self.part)
         return self.scheduler.run_program(program, **resilience)

@@ -27,9 +27,17 @@ delegate seeding).  One loop, one frontier/visited/parent semantics,
 one tracing shape (``bfs``/``program``/``msbfs`` → ``iteration``/``wave``
 → ``component`` → charge leaves) for every engine and mode.
 
-Because the loop is shared, so is the metrics surface: pass ``metrics=``
-a :class:`~repro.obs.metrics.MetricsRegistry` and every engine emits the
-same aggregate families with zero per-engine code — per-component
+What a run reports to and is disturbed by travels as one
+:class:`~repro.runtime.context.RunContext`.  The scheduler holds no sinks
+of its own: each entry point derives the run's context once from the
+host's :attr:`SchedulerHost.context` (the engine's tracer and metrics)
+plus the run's ``faults`` / ``checkpointer`` / ``trace_id``, and the mode
+and the drive loop read that one object.
+
+Because the loop is shared, so is the metrics surface: build an engine
+with ``metrics=`` a :class:`~repro.obs.metrics.MetricsRegistry` and
+every engine emits the same aggregate families with zero per-engine
+code — per-component
 ``edges_scanned``/``messages``/``activated``/``subiterations`` counters
 labeled by ``component`` and chosen ``direction``, ``subiteration_skips``
 for empty components, ``direction_mode`` (fresh per-component vs whole
@@ -48,8 +56,9 @@ from repro.core.lanes import LaneState
 from repro.core.metrics import BFSRunResult, IterationRecord
 from repro.core.vertexset import VertexSet
 from repro.obs.metrics import NULL_METRICS
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import Tracer
 from repro.runtime.backends.base import SimulatedBackend
+from repro.runtime.context import NULL_CONTEXT, RunContext, run_context
 from repro.runtime.ledger import TrafficLedger
 
 __all__ = [
@@ -97,6 +106,18 @@ class SchedulerHost:
     #: single traversal, the per-lane counts of a batch); ``None`` for a
     #: scheme without degree classes.
     vertex_classes: np.ndarray | None = None
+    #: The engine's sinks, built once from its ``tracer=`` / ``metrics=``
+    #: keywords; every run's context is derived from this one.
+    context: RunContext = NULL_CONTEXT
+    tracer = property(lambda self: self.context.tracer)
+    metrics = property(lambda self: self.context.metrics)
+
+    def mount(self, kernels, tracer=None, metrics=None, backend=None) -> None:
+        """Fold the engine's public ``tracer=`` / ``metrics=`` keywords into
+        its one :attr:`context` and mount ``kernels`` on its scheduler."""
+        self.kernels = kernels
+        self.context = run_context(tracer, metrics)
+        self.scheduler = LevelSyncScheduler(self, kernels, backend=backend)
 
     def make_ledger(self, tracer: Tracer, metrics=NULL_METRICS) -> TrafficLedger:
         return TrafficLedger(self.cost, tracer=tracer, metrics=metrics)
@@ -188,16 +209,13 @@ class LevelSyncScheduler:
         host: SchedulerHost,
         kernels: dict[str, "ComponentKernel"],
         *,
-        tracer: Tracer | None = None,
-        metrics=None,
         backend=None,
     ) -> None:
+        #: Also the source of every run's sinks (``host.context``).
         self.host = host
         #: Execution order within an iteration is the mounting order —
         #: densest (highest-degree endpoints) first for the 1.5D set.
         self.kernels = kernels
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
         #: The execution seam every sub-iteration goes through (tests
         #: and benches substitute a timing one).
         self.backend = backend if backend is not None else SimulatedBackend()
@@ -213,13 +231,12 @@ class LevelSyncScheduler:
         faults=None,
         checkpointer=None,
         resume=None,
-        span_attrs=None,
+        trace_id=None,
     ) -> BFSRunResult:
         """Run one BFS from ``root``; returns the validated-shape result.
 
-        ``span_attrs`` (a dict) merges extra attributes — e.g. a serving
-        trace id — into the root ``bfs`` span; pure labeling, never read
-        by the loop.
+        ``trace_id`` (a serving request id) labels the root ``bfs``
+        span; pure labeling, never read by the loop.
 
         Resilience hooks (all default-off, leaving the fault-free path
         bit-identical):
@@ -252,9 +269,8 @@ class LevelSyncScheduler:
         n = self.host.num_vertices
         if not 0 <= root < n:
             raise ValueError(f"root {root} out of range for n={n}")
-        return self._drive(
-            _BFSMode(self, root), faults, checkpointer, resume, span_attrs
-        )
+        ctx = self.host.context.derive(faults, checkpointer, trace_id)
+        return self._drive(_BFSMode(self, ctx, root), resume)
 
     def run_program(
         self,
@@ -263,7 +279,7 @@ class LevelSyncScheduler:
         faults=None,
         checkpointer=None,
         resume=None,
-        span_attrs=None,
+        trace_id=None,
     ):
         """Run a bound :class:`~repro.core.programs.base.VertexProgram`
         through the mounted kernel set.
@@ -282,11 +298,10 @@ class LevelSyncScheduler:
         SSSP from patched distances instead of recomputing from the root.
         """
         self._require("supports_programs", "vertex programs")
-        return self._drive(
-            _ProgramMode(self, program), faults, checkpointer, resume, span_attrs
-        )
+        ctx = self.host.context.derive(faults, checkpointer, trace_id)
+        return self._drive(_ProgramMode(self, ctx, program), resume)
 
-    def run_batch(self, roots, *, faults=None, span_attrs=None) -> BatchRunState:
+    def run_batch(self, roots, *, faults=None, trace_id=None) -> BatchRunState:
         """Run up to 64 BFS lanes as one level-synchronous traversal.
 
         Each *wave* advances every live lane by one level: the host
@@ -301,10 +316,12 @@ class LevelSyncScheduler:
         with a :class:`~repro.resilience.faults.RankCrashError` annotated
         with the partial ledger — callers replay the whole batch
         (checkpoint/resume is per-root machinery and is not supported
-        here).
+        here).  ``trace_id`` labels the ``msbfs`` span with the request
+        ids the batch serves.
         """
         self._require("supports_lanes", "batched waves")
-        return self._drive(_WaveMode(self, roots), faults, None, None, span_attrs)
+        ctx = self.host.context.derive(faults, None, trace_id)
+        return self._drive(_WaveMode(self, ctx, roots), None)
 
     def _require(self, capability: str, what: str) -> None:
         for name, kernel in self.kernels.items():
@@ -317,13 +334,14 @@ class LevelSyncScheduler:
     # the one level loop
     # ------------------------------------------------------------------
 
-    def _drive(self, mode, faults, checkpointer, resume, span_attrs):
-        """Drive ``mode`` level by level (see :class:`_LevelMode`)."""
-        host = self.host
-        tracer = self.tracer
-        metrics = self.metrics
-        ledger = host.make_ledger(tracer, metrics)
-        if faults is not None and faults.enabled:
+    def _drive(self, mode, resume):
+        """Drive ``mode`` level by level (see :class:`_LevelMode`) under
+        the one context its run was given."""
+        ctx = mode.ctx
+        tracer, metrics, faults = ctx.tracer, ctx.metrics, ctx.faults
+        checkpointer = ctx.checkpointer
+        ledger = self.host.make_ledger(tracer, metrics)
+        if faults.enabled:
             ledger.faults = faults
 
         if resume is None:
@@ -341,13 +359,11 @@ class LevelSyncScheduler:
             if checkpointer is not None and resume.iteration >= 0:
                 checkpointer.charge_restore(ledger, resume)
 
-        with tracer.span(
-            mode.span, category="bfs", **mode.span_attrs, **(span_attrs or {})
-        ):
+        request = {} if ctx.trace_id is None else {"trace_id": ctx.trace_id}
+        with tracer.span(mode.span, category="bfs", **mode.attrs, **request):
             try:
                 for it in range(start_it, mode.max_iterations):
-                    if faults is not None:
-                        faults.begin_iteration(it)
+                    faults.begin_iteration(it)
                     frontier = mode.frontier_size()
                     if frontier == 0:
                         break
@@ -393,19 +409,18 @@ class LevelSyncScheduler:
                     exc.completed_iterations = len(records)
                 raise
             finally:
-                if faults is not None:
-                    faults.end_run()
+                faults.end_run()
         return mode.result(ledger, records)
 
     def _component(self, mode, name, kernel, it, ledger, record) -> None:
         """One component's sub-iteration(s): a span and a metrics block
         per direction the mode asks for (one for a single traversal; up
         to two lane groups for a wave)."""
-        metrics = self.metrics
+        tracer, metrics = mode.ctx.tracer, mode.ctx.metrics
         ran = []
         for direction, group in mode.directions(name):
             ran.append(direction)
-            with self.tracer.span(
+            with tracer.span(
                 name, category="component", iteration=it, direction=direction
             ) as csp:
                 activated = mode.execute(kernel, direction, group, ledger, record)
@@ -435,10 +450,11 @@ class _LevelMode:
     """Per-run state the drive loop is generic over.
 
     A mode owns the traversal state (frontier, visited/parent arrays, a
-    program's values, lane words) and answers the questions the loop
-    cannot; the loop owns everything else — fault hooks, spans, the
-    shared metric families, skip handling, crash annotation, checkpoint
-    cadence.  The contract, in call order:
+    program's values, lane words) and its run's
+    :class:`~repro.runtime.context.RunContext` (``ctx``), and answers
+    the questions the loop cannot; the loop owns everything else —
+    fault hooks, spans, the shared metric families, skip handling, crash
+    annotation, checkpoint cadence.  The contract, in call order:
 
     ``seed()`` / ``restore(state, active)``
         Initialize state for a fresh run, or from a snapshot; count the
@@ -461,7 +477,7 @@ class _LevelMode:
         Run-end host hooks (inside the root span); the mode's result.
     """
 
-    #: Root span name; ``span_attrs`` are its identifying attributes.
+    #: Root span name; ``attrs`` are its identifying attributes.
     span: str
     #: Per-level span name (``iteration`` or ``wave``).
     level_span = "iteration"
@@ -471,10 +487,10 @@ class _LevelMode:
     #: Identity a resume snapshot must match (root / program name).
     key = None
 
-    def __init__(self, scheduler: LevelSyncScheduler) -> None:
+    def __init__(self, scheduler: LevelSyncScheduler, ctx: RunContext) -> None:
         self.host = scheduler.host
         self.backend = scheduler.backend
-        self.metrics = scheduler.metrics
+        self.ctx = ctx
         self.n = self.host.num_vertices
         self.vclass = self.host.vertex_classes
         self.max_iterations = self.host.config.max_iterations
@@ -506,10 +522,10 @@ class _BFSMode(_LevelMode):
     span = "bfs"
     level_counter = "iterations"
 
-    def __init__(self, scheduler, root: int) -> None:
-        super().__init__(scheduler)
+    def __init__(self, scheduler, ctx, root: int) -> None:
+        super().__init__(scheduler, ctx)
         self.key = root
-        self.span_attrs = {"root": root}
+        self.attrs = {"root": root}
 
     def seed(self) -> None:
         root = np.array([self.key], dtype=np.int64)
@@ -520,7 +536,7 @@ class _BFSMode(_LevelMode):
         self.active = VertexSet(self.n, self.vclass)
         self.active.add(root)
         self.host.seed(self.key)
-        self.metrics.counter("bfs_runs").inc()
+        self.ctx.metrics.counter("bfs_runs").inc()
 
     def restore(self, state, active) -> None:
         self.parent = state["parent"].copy()
@@ -528,7 +544,7 @@ class _BFSMode(_LevelMode):
         self.visited = VertexSet.from_mask(visited, self.vclass)
         self.active = VertexSet.from_mask(active, self.vclass)
         self.host.restore(self.key, self.parent, visited, active)
-        self.metrics.counter("bfs_resumes").inc()
+        self.ctx.metrics.counter("bfs_resumes").inc()
 
     def begin_level(self, it, ledger) -> str:
         self.host.begin_iteration(ledger, self.active, self.visited)
@@ -570,7 +586,7 @@ class _BFSMode(_LevelMode):
             ledger=ledger,
             total_seconds=ledger.total_seconds,
             num_input_edges=self.host.num_input_edges,
-            metrics=self.metrics,
+            metrics=self.ctx.metrics,
         )
 
 
@@ -584,23 +600,23 @@ class _ProgramMode(_LevelMode):
     span = "program"
     level_counter = "program_iterations"
 
-    def __init__(self, scheduler, program) -> None:
-        super().__init__(scheduler)
+    def __init__(self, scheduler, ctx, program) -> None:
+        super().__init__(scheduler, ctx)
         self.program = program
         self.key = program.name
-        self.labels = self.span_attrs = {"program": program.name}
+        self.labels = self.attrs = {"program": program.name}
         self.max_iterations = program.max_iterations
 
     def seed(self) -> None:
         self.active = VertexSet.from_mask(
             self.program.initial_frontier(), self.vclass
         )
-        self.metrics.counter("program_runs", **self.labels).inc()
+        self.ctx.metrics.counter("program_runs", **self.labels).inc()
 
     def restore(self, state, active) -> None:
         self.program.restore(state)
         self.active = VertexSet.from_mask(active, self.vclass)
-        self.metrics.counter("program_resumes", **self.labels).inc()
+        self.ctx.metrics.counter("program_resumes", **self.labels).inc()
 
     def begin_level(self, it, ledger) -> str:
         program = self.program
@@ -627,7 +643,7 @@ class _ProgramMode(_LevelMode):
     def end_level(self, it, ledger, record) -> None:
         touched = VertexSet.from_mask(self.touched, self.vclass)
         self.host.record_activation(record, touched)
-        self.metrics.counter("program_updates", **self.labels).inc(len(touched))
+        self.ctx.metrics.counter("program_updates", **self.labels).inc(len(touched))
         next_active = self.program.end_iteration(
             it, self.active.mask, touched.mask
         )
@@ -672,16 +688,16 @@ class _WaveMode(_LevelMode):
     level_span = "wave"
     level_counter = "msbfs_waves"
 
-    def __init__(self, scheduler, roots) -> None:
-        super().__init__(scheduler)
+    def __init__(self, scheduler, ctx, roots) -> None:
+        super().__init__(scheduler, ctx)
         self.lanes = LaneState(self.n, roots, self.vclass)
-        self.span_attrs = {"lanes": self.lanes.num_lanes}
+        self.attrs = {"lanes": self.lanes.num_lanes}
         self.lane_frontiers: list[np.ndarray] = []
         self.lane_directions: list[dict] = []
 
     def seed(self) -> None:
-        self.metrics.counter("msbfs_batches").inc()
-        self.metrics.histogram("msbfs_batch_lanes").observe(self.lanes.num_lanes)
+        self.ctx.metrics.counter("msbfs_batches").inc()
+        self.ctx.metrics.histogram("msbfs_batch_lanes").observe(self.lanes.num_lanes)
 
     def frontier_size(self) -> int:
         self.per_lane = self.lanes.frontier_sizes()

@@ -40,7 +40,9 @@ from repro.graph500.validate import validate_bfs_result
 from repro.graphs.csr import build_csr, symmetrize_edges
 from repro.machine.network import MachineSpec
 from repro.obs.metrics import NULL_METRICS
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import Tracer
+from repro.resilience import build_resilience, run_with_recovery, validate_partial
+from repro.runtime.context import run_context
 
 __all__ = [
     "Graph500Stats",
@@ -259,7 +261,8 @@ def run_graph500(
         inside a shared wave) and with ``recovery_mode='degrade'``
         (batch recovery is restart-only).
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
+    ctx = run_context(tracer, metrics)
+    tracer = ctx.tracer
     problem = Graph500Problem(scale=scale)
 
     rng = np.random.default_rng(seed)
@@ -284,7 +287,7 @@ def run_graph500(
                       sim_seconds=construction_seconds)
         kernel1.attrs["seconds"] = construction_seconds
 
-    config = setup.config(**(config_overrides or {}))
+    engine_cls = DistributedBFS
     if batch_roots:
         if checkpoint_every:
             raise ValueError(
@@ -295,29 +298,21 @@ def run_graph500(
             raise ValueError("batch_roots recovery is restart-only")
         from repro.serve.msbfs import MultiSourceBFS
 
-        engine = MultiSourceBFS(
-            part, machine=machine, config=config, tracer=tracer,
-            metrics=metrics,
-        )
-    else:
-        engine = DistributedBFS(
-            part, machine=machine, config=config, tracer=tracer,
-            metrics=metrics,
-        )
+        engine_cls = MultiSourceBFS
+    engine = engine_cls(
+        part, machine=machine, config=setup.config(**(config_overrides or {})),
+        tracer=tracer, metrics=metrics,
+    )
 
     # Resilience setup: the injector shares the run's one seeded rng
     # (the generator root sampling draws from next), so ``seed`` alone
-    # makes an entire faulty run bit-reproducible.
-    registry = metrics if metrics is not None else NULL_METRICS
-    injector = checkpointer = policy = None
-    if faults is not None or checkpoint_every:
-        from repro.resilience import build_resilience
-
-        injector, checkpointer, policy = build_resilience(
-            faults, checkpoint_every=checkpoint_every,
-            max_restarts=max_restarts, recovery_mode=recovery_mode,
-            mesh=setup.mesh, rng=rng, metrics=registry,
-        )
+    # makes an entire faulty run bit-reproducible.  A fault-free run
+    # takes the same path: one attempt per root, nothing injected.
+    run, policy = build_resilience(
+        faults, checkpoint_every=checkpoint_every,
+        max_restarts=max_restarts, recovery_mode=recovery_mode,
+        mesh=setup.mesh, rng=rng, context=ctx,
+    )
 
     degrees = part.degrees
     roots = sample_roots(degrees, num_roots, rng=rng)
@@ -341,20 +336,16 @@ def run_graph500(
             with tracer.span(
                 "batch", category="bfs_batch", num_roots=int(chunk.size)
             ):
-                if injector is None:
-                    batch = engine.run_batch(chunk)
-                else:
-                    recovered = run_batch_with_recovery(
-                        engine, chunk, faults=injector, policy=policy,
-                        metrics=registry,
-                    )
-                    recoveries.append(recovered)
-                    batch = recovered.result
+                recovered = run_batch_with_recovery(
+                    engine, chunk, faults=run.faults, policy=policy,
+                    metrics=run.metrics,
+                )
+            recoveries.append(recovered)
             for lane in range(chunk.size):
                 # The batch ledger rides on exactly one lane so summing
                 # per-root ledgers counts the shared traversal once.
                 per_root.append(
-                    batch.per_root_result(lane, share_ledger=(lane == 0))
+                    recovered.result.per_root_result(lane, share_ledger=(lane == 0))
                 )
         for res in per_root:
             if validate:
@@ -374,25 +365,18 @@ def run_graph500(
         roots_iter = roots
     for root in roots_iter:
         with tracer.span("root", category="bfs_root", root=int(root)):
-            if injector is None and checkpointer is None:
-                res = engine.run(int(root))
-                excised = np.array([], dtype=np.int64)
-            else:
-                from repro.resilience import run_with_recovery
-
-                checkpointer.clear()  # snapshots never outlive their root
-                recovered = run_with_recovery(
-                    engine, int(root), faults=injector,
-                    checkpointer=checkpointer, policy=policy, metrics=registry,
-                )
-                recoveries.append(recovered)
-                res, excised = recovered.result, recovered.excised
+            run.checkpointer.clear()  # snapshots never outlive their root
+            recovered = run_with_recovery(
+                engine, int(root), faults=run.faults,
+                checkpointer=run.checkpointer, policy=policy,
+                metrics=run.metrics,
+            )
+            recoveries.append(recovered)
+            res, excised = recovered.result, recovered.excised
             if validate:
                 with tracer.span("validate", category="phase", root=int(root)):
                     try:
                         if excised.size:
-                            from repro.resilience import validate_partial
-
                             validate_partial(
                                 graph, int(root), res.parent, excised
                             )
@@ -408,7 +392,7 @@ def run_graph500(
         results.append(res)
 
     resilience = None
-    if injector is not None or checkpoint_every:
+    if faults is not None or checkpoint_every:
         resilience = {
             "crashes": sum(r.crashes for r in recoveries),
             "restarts": sum(r.restarts for r in recoveries),
@@ -416,9 +400,8 @@ def run_graph500(
             "excised_vertices": sum(int(r.excised.size) for r in recoveries),
             "checkpoint_every": checkpoint_every,
             "recovery_mode": recovery_mode,
+            **run.faults.summary(),
         }
-        if injector is not None:
-            resilience.update(injector.summary())
 
     with tracer.span("harvest", category="phase", num_roots=int(roots.size)):
         return Graph500Report(
@@ -430,7 +413,7 @@ def run_graph500(
             teps=np.array(teps),
             validated=all_valid,
             results=results,
-            metrics=registry,
+            metrics=run.metrics,
             resilience=resilience,
         )
 

@@ -500,14 +500,8 @@ def bfs_smoke_report(*, metrics=None, tracer=None, **overrides) -> RunReport:
     """
     from repro.graph500.driver import run_graph500
 
-    cfg = dict(SMOKE_CONFIG)
-    cfg.update(overrides)
-    g500 = run_graph500(
-        cfg["scale"], cfg["rows"], cfg["cols"],
-        seed=cfg["seed"], num_roots=cfg["num_roots"],
-        e_threshold=cfg["e_threshold"], h_threshold=cfg["h_threshold"],
-        tracer=tracer, metrics=metrics,
-    )
+    cfg = dict(SMOKE_CONFIG, **overrides)
+    g500 = run_graph500(**cfg, tracer=tracer, metrics=metrics)
     return report_from_graph500(g500, name="bfs_smoke", context=cfg)
 
 
@@ -536,12 +530,8 @@ def programs_smoke_report(*, metrics=None, tracer=None, **overrides) -> RunRepor
     from repro.core.programs import PROGRAM_REGISTRY, generate_weights
     from repro.core.setup import build_setup
 
-    cfg = dict(PROGRAMS_SMOKE_CONFIG)
-    cfg.update(overrides)
-    setup = build_setup(
-        cfg["scale"], cfg["rows"], cfg["cols"], seed=cfg["seed"],
-        e_threshold=cfg["e_threshold"], h_threshold=cfg["h_threshold"],
-    )
+    cfg = dict(PROGRAMS_SMOKE_CONFIG, **overrides)
+    setup = build_setup(**{k: v for k, v in cfg.items() if k != "weight_seed"})
     src, dst, machine, hub = setup.src, setup.dst, setup.machine, setup.root
     part = setup.partition()
     weights = generate_weights(src.size, seed=cfg["weight_seed"])

@@ -39,12 +39,16 @@ which vertices were excised.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.obs.metrics import NULL_METRICS
 from repro.resilience.checkpoint import Checkpoint, LevelCheckpointer
 from repro.resilience.faults import NULL_FAULTS, FaultInjector, RankCrashError
+
+if TYPE_CHECKING:
+    from repro.runtime.context import RunContext
 
 __all__ = [
     "RecoveryError",
@@ -119,28 +123,28 @@ def build_resilience(
     recovery_mode: str,
     mesh,
     rng,
-    metrics=NULL_METRICS,
-) -> tuple[FaultInjector | None, LevelCheckpointer, RecoveryPolicy]:
-    """Turn a run's resilience options into the objects the recovery
-    entry points take: ``(injector, checkpointer, policy)``.
+    context: RunContext,
+) -> tuple[RunContext, RecoveryPolicy]:
+    """Turn a run's resilience options into ``(run, policy)``: ``run`` is
+    ``context`` (the engine's sinks) carrying the run's injector and
+    checkpointer — the ``faults`` / ``checkpointer`` / ``metrics`` the
+    recovery entry points take — and ``policy`` the :class:`RecoveryPolicy`.
 
-    ``faults`` is a spec string, a :class:`~repro.resilience.faults.FaultPlan`,
-    a ready injector, or ``None`` (no injection — ``injector`` is then
-    ``None``).  The plan is validated against the mesh's rank count.
+    Every run takes this one path: with no ``faults`` (a spec string, a
+    :class:`~repro.resilience.faults.FaultPlan` or a ready injector;
+    validated against the mesh's rank count) and ``checkpoint_every=0``
+    the injector is inert, no snapshot is ever due, and a recovery entry
+    point is one plain attempt, bit-identical to the bare run.
     """
-    injector = None
     if faults is not None:
-        injector = (
-            faults
-            if isinstance(faults, FaultInjector)
-            else FaultInjector(faults, rng=rng, metrics=metrics)
-        )
-        injector.plan.validate(mesh.num_ranks)
+        if not isinstance(faults, FaultInjector):
+            faults = FaultInjector(faults, rng=rng, metrics=context.metrics)
+        faults.plan.validate(mesh.num_ranks)
     checkpointer = LevelCheckpointer(
-        every=checkpoint_every, mesh=mesh, metrics=metrics
+        every=checkpoint_every, mesh=mesh, metrics=context.metrics
     )
-    policy = RecoveryPolicy(max_restarts=max_restarts, mode=recovery_mode)
-    return injector, checkpointer, policy
+    run = context.derive(faults, checkpointer, context.trace_id)
+    return run, RecoveryPolicy(max_restarts=max_restarts, mode=recovery_mode)
 
 
 def recover(

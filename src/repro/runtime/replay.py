@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.core.config import BFSConfig
 from repro.core.kernels.base import EMPTY_ACTIVATION, ComponentKernel
-from repro.core.kernels.scheduler import LevelSyncScheduler, SchedulerHost
+from repro.core.kernels.scheduler import SchedulerHost
 from repro.core.partition import PartitionedGraph, VertexClass
 from repro.core.subgraphs import COMPONENT_ORDER
 from repro.machine.costmodel import CostModel
@@ -181,12 +181,7 @@ class ReplayBFS(SchedulerHost):
         self.vertex_classes = part.vclass
         self.cost = CostModel(machine)
         self.config = BFSConfig(max_iterations=self.n + 1)
-        self.kernels = {
-            name: _ReplayKernel(self, name) for name in COMPONENT_ORDER
-        }
-        self.scheduler = LevelSyncScheduler(
-            self, self.kernels, tracer=tracer, metrics=metrics
-        )
+        self.mount({name: _ReplayKernel(self, name) for name in COMPONENT_ORDER}, tracer, metrics)
 
         # Per-component arcs grouped by owning rank, precomputed once.
         self._rank_arcs: dict[str, dict[int, tuple[np.ndarray, np.ndarray]]] = {}

@@ -73,12 +73,10 @@ def serving_pair(setup, *, tracer=None, metrics=None):
     """
     part, config = setup.partition(), setup.config()
     sequential = DistributedBFS(part, machine=setup.machine, config=config)
-    extra = {}
-    if tracer is not None:
-        extra["tracer"] = tracer
-    if metrics is not None:
-        extra["metrics"] = metrics
-    batched = MultiSourceBFS(part, machine=setup.machine, config=config, **extra)
+    batched = MultiSourceBFS(
+        part, machine=setup.machine, config=config, tracer=tracer,
+        metrics=metrics,
+    )
     return sequential, batched
 
 

@@ -17,6 +17,9 @@ decisions they share live here, once:
   run ``engine.run_batch`` on the executor against the captured
   generation, stage the latencies, fill the cache, resolve the futures,
   record the timelines and meter it all through a :class:`ServeScope`.
+  The core holds no tracer: when the engine serving a batch is traced,
+  the batch's request ids label that engine's root span
+  (:meth:`ServingCore.trace_id`), whichever service picked the batch.
 
 A :class:`ServeScope` is just ``prefix + labels`` plus the
 :class:`ServeStats` sinks every count lands in: ``serve`` + ``{}`` for
@@ -38,7 +41,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from repro.obs.metrics import exponential_buckets
-from repro.obs.tracer import NULL_TRACER
 from repro.resilience.faults import RankCrashError
 from repro.serve.cache import fingerprint_graph
 
@@ -496,15 +498,13 @@ class ServingCore:
     admission (:meth:`begin`, :meth:`lookup`, :meth:`shed`) through
     execution (:meth:`run`, :meth:`resolve`) or failure
     (:meth:`charge_replay`, :meth:`fail`).  The owning service decides
-    *which* batch runs next and what a crash means for it.
+    *which* batch runs next and what a crash means for it.  ``faults``
+    is the injector every traversal the core runs is given.
     """
 
-    def __init__(
-        self, *, clock, timeline_capacity: int, faults=None, tracer=NULL_TRACER
-    ) -> None:
+    def __init__(self, *, clock, timeline_capacity: int, faults=None) -> None:
         self.clock = clock
         self.faults = faults
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self._trace_seq = 0
         self._timeline_capacity = int(timeline_capacity)
         self._timelines: "OrderedDict[str, RequestTimeline]" = OrderedDict()
@@ -639,6 +639,15 @@ class ServingCore:
     # batch execution
     # ------------------------------------------------------------------
 
+    @staticmethod
+    def trace_id(engine, requests) -> str | None:
+        """The ids of ``requests``, sorted and ``","``-joined, for the
+        root span of the run ``engine`` executes for them — or ``None``,
+        at no cost, when the engine is untraced."""
+        if not engine.tracer.enabled:
+            return None
+        return ",".join(sorted(r.trace_id for r in requests))
+
     async def execute(self, scope: ServeScope, requests, fn):
         """Run ``fn`` on the executor on behalf of ``requests``.
 
@@ -686,13 +695,11 @@ class ServingCore:
         for request in batch:
             by_root.setdefault(request.root, []).append(request)
         roots = np.array(sorted(by_root), dtype=np.int64)
-        run_kwargs = {"faults": self.faults}
-        if self.tracer.enabled:
-            trace_ids = sorted(r.trace_id for r in batch)
-            run_kwargs["span_attrs"] = {"trace_id": ",".join(trace_ids)}
-        result, crashed = await self.execute(
-            scope, batch, functools.partial(engine.run_batch, roots, **run_kwargs)
+        traverse = functools.partial(
+            engine.run_batch, roots, faults=self.faults,
+            trace_id=self.trace_id(engine, batch),
         )
+        result, crashed = await self.execute(scope, batch, traverse)
         if crashed:
             scope.counter("batches", outcome="crashed").inc()
             return None

@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.core.direction import choose_whole_iteration_direction
 from repro.core.engine import FifteenDHost
-from repro.core.kernels.scheduler import BatchRunState
 from repro.core.lanes import MAX_LANES, iter_lanes, lane_bit
 from repro.core.metrics import BFSRunResult, IterationRecord
 from repro.core.partition import (
@@ -181,19 +180,17 @@ class MultiSourceBFS(FifteenDHost):
     # public API
     # ------------------------------------------------------------------
 
-    def run_batch(self, roots, *, faults=None, span_attrs=None) -> MSBFSResult:
+    def run_batch(self, roots, *, faults=None, trace_id=None) -> MSBFSResult:
         """Traverse up to 64 distinct roots as one batched wave sequence.
 
         ``faults`` forwards the scheduler's injector hook; a crash fault
         aborts the whole batch with a
         :class:`~repro.resilience.faults.RankCrashError` (recover with
         :func:`run_batch_with_recovery`, or let the service replay the
-        batch from its queue).  ``span_attrs`` merges extra attributes
-        (the service's request trace ids) into the ``msbfs`` span.
+        batch from its queue).  ``trace_id`` (the request ids the batch
+        serves) labels the ``msbfs`` span.
         """
-        state: BatchRunState = self.scheduler.run_batch(
-            roots, faults=faults, span_attrs=span_attrs
-        )
+        state = self.scheduler.run_batch(roots, faults=faults, trace_id=trace_id)
         return MSBFSResult(
             roots=state.lanes.roots,
             parent=state.lanes.parent,
@@ -203,7 +200,7 @@ class MultiSourceBFS(FifteenDHost):
             ledger=state.ledger,
             total_seconds=state.ledger.total_seconds,
             num_input_edges=self.num_input_edges,
-            metrics=self.metrics if self.metrics is not None else NULL_METRICS,
+            metrics=self.metrics,
         )
 
     # ------------------------------------------------------------------

@@ -29,9 +29,10 @@ resolution, the per-request trace ids and :class:`RequestTimeline` ring
 :class:`~repro.cluster.service.ClusterService`.  What this module owns
 is the queue discipline (one FIFO, wait-for-fill up to
 ``batch_window``), the crash policy (replay in place) and vertex-program
-serving.  When the service was built with a ``tracer`` the trace ids
-are merged into the scheduler's ``msbfs`` span attrs, so the Chrome
-trace renders each served batch on a per-request track.
+serving.  The service holds no tracer: when the served engine is traced
+(its ``tracer=``), each batch's request ids label its ``msbfs`` span and
+a served program's id its ``program`` span, so the Chrome trace renders
+each served request on its own track.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import time
 from collections import OrderedDict, deque
 
 from repro.obs.metrics import NULL_METRICS
-from repro.obs.tracer import NULL_TRACER
 from repro.serve.cache import ResultCache
 from repro.serve.core import (
     LATENCY_BUCKETS,
@@ -88,7 +88,6 @@ class TraversalService:
         max_replays: int = 2,
         faults=None,
         metrics=NULL_METRICS,
-        tracer=NULL_TRACER,
         clock=time.monotonic,
         timeline_capacity: int = 1024,
         dynamic=None,
@@ -122,10 +121,7 @@ class TraversalService:
         self.metrics = metrics
         self._scope = ServeScope(metrics, "serve", (self.stats,))
         self._core = ServingCore(
-            clock=clock,
-            timeline_capacity=timeline_capacity,
-            faults=faults,
-            tracer=tracer,
+            clock=clock, timeline_capacity=timeline_capacity, faults=faults
         )
         self._queue: deque[Request] = deque()
         self._wake = asyncio.Event()
@@ -321,17 +317,16 @@ class TraversalService:
             run_params["root"] = root
         self._inflight_programs += 1
         future = core.admit(scope, request)
-        run_kwargs = {"faults": core.faults}
-        if core.tracer.enabled:
-            run_kwargs["span_attrs"] = {"trace_id": request.trace_id}
+        traverse = functools.partial(
+            engine.run_program, faults=core.faults,
+            trace_id=core.trace_id(engine, [request]),
+        )
         try:
             while True:
                 prog = build_program(program, engine.part, **run_params)
                 t_exec = core.clock()
                 result, crashed = await core.execute(
-                    scope,
-                    [request],
-                    functools.partial(engine.run_program, prog, **run_kwargs),
+                    scope, [request], functools.partial(traverse, prog)
                 )
                 if result is not None:
                     break

@@ -275,6 +275,15 @@ class TestMainEntryPoint:
         ("serve", "--seed", "-1"),
         ("serve", "--telemetry-port", "0", "--telemetry-interval", "0"),
         ("serve", "--straggler-ms", "-5"),
+        # Flags the serving mode in use has no use for are named, not dropped.
+        ("serve", "--replicas", "5"),
+        ("serve", "--quota", "3"),
+        ("serve", "--duration", "9"),
+        ("serve", "--smoke", "--trace", "trace.json"),
+        ("serve", "--smoke", "--clients", "3"),
+        ("serve", "--smoke", "--queue-depth", "5"),
+        ("serve", "--smoke", "--straggler-ms", "5"),
+        ("serve", "--smoke", "--expect-slo", "fired"),
         ("algo", "pagerank", "--max-iterations", "0"),
         ("algo", "sssp", "--max-iterations", "-1"),
     ], ids=lambda argv: "_".join(a.replace("--", "") for a in argv))

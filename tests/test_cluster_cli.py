@@ -40,6 +40,11 @@ class TestMalformedFlagsExitTwo:
             ("--tenants", "2", "--replicas", "two"),
             ("--tenants", "2", "--quota", "0"),
             ("--tenants", "2", "--quota", "-5"),
+            ("--tenants", "2", "--trace", "trace.json"),
+            ("--tenants", "2", "--clients", "3"),
+            ("--tenants", "2", "--queue-depth", "5"),
+            ("--tenants", "2", "--straggler-ms", "5"),
+            ("--tenants", "2", "--expect-slo", "fired"),
         ],
     )
     def test_malformed_value_exits_2_with_usage(self, flags):
@@ -76,3 +81,60 @@ class TestClusterSmoke:
         assert set(doc["tenants"]) == {"web", "batch"}
         assert doc["report"]["accounted"] == 40
         assert doc["report"]["wrong_parents"] == 0
+
+
+class _Captured(Exception):
+    """Stops a ``serve`` command at the cluster session it would run."""
+
+
+class TestFlagsReachTheClusterPlane:
+    """A multi-tenant ``serve`` flag either takes effect or exits 2 (the
+    rows above); these are the ones that take effect."""
+
+    @pytest.fixture
+    def session(self, monkeypatch):
+        seen = {}
+
+        def capture(registry, workload, **kwargs):
+            seen.update(registry=registry, workload=workload, **kwargs)
+            raise _Captured
+
+        monkeypatch.setattr("repro.cluster.run_cluster_session", capture)
+        return seen
+
+    def test_tenant_and_fault_flags_pass_through(self, session):
+        from repro.cli import main
+        from repro.obs.slo import SLOSpec
+        from repro.resilience.faults import FaultInjector
+
+        with pytest.raises(_Captured):
+            main([
+                "serve", "--tenants", "2", "--scale", "7", "--mesh", "2x2",
+                "--e-threshold", "64", "--h-threshold", "8", "--quota", "5",
+                "--slo", "total:0.5:0.9", "--faults", "crash:rank=1,iter=1",
+            ])
+        specs = [tenant.spec for tenant in session["registry"]]
+        assert [(s.e_threshold, s.h_threshold, s.quota) for s in specs] == [
+            (64, 8, 5), (64, 8, 5)
+        ]
+        assert all(
+            s.resolved_slos == (SLOSpec("total", 0.5, 0.9),) for s in specs
+        )
+        assert isinstance(session["faults"], FaultInjector)
+        assert [f.kind for f in session["faults"].plan] == ["crash"]
+
+    def test_smoke_workload_defaults_yield_to_given_flags(self, session):
+        from repro.cli import main
+
+        with pytest.raises(_Captured):
+            main([
+                "serve", "--smoke", "--replicas", "1", "--queries", "30",
+                "--duration", "0.2", "--hot-fraction", "0", "--hot-set", "3",
+            ])
+        workload = session["workload"]
+        assert workload.num_queries == 30
+        assert workload.duration_seconds == 0.2
+        # --smoke still pins the graphs: SCALE-9 tenants on 2x2 meshes.
+        assert {
+            (t.spec.scale, t.spec.rows, t.spec.cols) for t in session["registry"]
+        } == {(9, 2, 2)}

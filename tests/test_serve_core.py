@@ -183,7 +183,7 @@ class TestSiblingEngines:
         _, engine = build_graph(tracer=tracer)
 
         async def main():
-            svc = TraversalService(engine, tracer=tracer)
+            svc = TraversalService(engine)
             async with svc:
                 return svc, await svc.submit(program="cc")
 
@@ -213,3 +213,53 @@ class TestSiblingEngines:
             assert rebuilt.part is tenant.batched.part
             assert rebuilt.tracer is tracer and rebuilt.metrics is metrics
             assert rebuilt.config == engine.config
+
+
+class TestRequestIdsReachTheEngineSpans:
+    """Neither service holds a tracer: a request's trace id lands on the
+    root span of the engine that serves it, when that engine is traced."""
+
+    def test_cluster_tenant_batch_span_carries_the_request_ids(self):
+        tracer = Tracer()
+        registry = one_tenant(*build_graph(tracer=tracer))
+        a, b = (int(r) for r in np.flatnonzero(registry["t0"].degrees > 0)[:2])
+
+        async def main():
+            async with ClusterService(
+                registry, replicas=1, batch_window=0.05
+            ) as svc:
+                return await asyncio.gather(
+                    svc.submit("t0", a), svc.submit("t0", b)
+                )
+
+        responses = asyncio.run(main())
+        spans = [sp for sp in tracer.spans if sp.name == "msbfs"]
+        assert [sp.attrs.get("trace_id") for sp in spans] == [
+            ",".join(sorted(r.trace_id for r in responses))
+        ]
+
+    def test_traversal_service_needs_no_tracer_of_its_own(self):
+        tracer = Tracer()
+        _, engine = build_graph(tracer=tracer)
+        root = int(np.flatnonzero(engine.part.degrees > 0)[0])
+
+        async def main():
+            async with TraversalService(engine, batch_window=0.0) as svc:
+                return await svc.submit(root), await svc.submit(program="cc")
+
+        bfs, program = asyncio.run(main())
+        batches = [sp for sp in tracer.spans if sp.name == "msbfs"]
+        assert [sp.attrs.get("trace_id") for sp in batches] == [bfs.trace_id]
+        served = [sp for sp in tracer.spans if sp.name == "program"]
+        assert [sp.attrs.get("trace_id") for sp in served] == [program.trace_id]
+
+    def test_untraced_engine_costs_the_batch_path_nothing(self):
+        from repro.serve.core import ServingCore
+
+        _, engine = build_graph()
+
+        def requests():
+            raise AssertionError("request ids read for an untraced engine")
+            yield
+
+        assert ServingCore.trace_id(engine, requests()) is None

@@ -211,9 +211,7 @@ class TestRequestTracing:
         root = int(np.flatnonzero(batched.part.degrees > 0)[0])
 
         async def main():
-            async with TraversalService(
-                batched, batch_window=0.0, tracer=tracer
-            ) as svc:
+            async with TraversalService(batched, batch_window=0.0) as svc:
                 return await svc.submit(root)
 
         response = run_async(main())
