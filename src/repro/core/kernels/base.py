@@ -111,7 +111,7 @@ class ComponentKernel(ABC):
         lanes,
         ledger: TrafficLedger,
         record: IterationRecord,
-    ) -> list:
+    ):
         """Run one sub-iteration for the lane group ``group_lanes`` of a
         batched (multi-source) wave.
 
@@ -119,8 +119,8 @@ class ComponentKernel(ABC):
         ``group_lanes`` is the uint64 lane-bit mask of the lanes that
         chose ``direction`` this wave (lanes are grouped by direction so
         each lane's parents stay bit-identical to its sequential run).
-        Charges the *shared* batched cost to ``ledger`` and returns a
-        list of ``(lane, dsts, parents)`` activation triples, which the
+        Charges the *shared* batched cost to ``ledger`` and returns the
+        group's :class:`~repro.core.lanes.LaneActivations`, which the
         scheduler commits through ``LaneState.commit``.
 
         Kernels that cannot execute batched waves leave this

@@ -33,8 +33,9 @@ single-source BFS, a 64-lane wave, a vertex program — supplies only the
 width of a wire message (:data:`MESSAGE_BYTES`,
 :data:`LANE_MESSAGE_BYTES`, ``program.message_bytes``; ``num_lanes`` for
 a frontier exchange) and the rule that picks winners among the arcs the
-body returned (``first_writers``, ``_first_writer_per_lane``,
-``program.edge_sweep``).  Every commit passes its width to the same two
+body returned (``first_writers``, the word-parallel
+``first_writer_lanes`` that claims every lane's first writer in one
+pass, ``program.edge_sweep``).  Every commit passes its width to the same two
 charging methods, so a kernel that overrides ``route`` is charged in
 all three modes.
 """
@@ -52,7 +53,7 @@ from repro.core.kernels.base import (
     KernelBodySpec,
     KernelRegistry,
 )
-from repro.core.lanes import iter_lanes, lane_bit
+from repro.core.lanes import first_writer_lanes
 from repro.core.partition import PartitionedGraph, class_count
 from repro.core.segmenting import plan_segmenting
 from repro.core.vertexset import first_writers
@@ -254,25 +255,6 @@ class FifteenDContext:
             )
 
 
-def _first_writer_per_lane(hit_bits, group, vertices, parents) -> list:
-    """Per-lane activations of a lane-shared arc selection.
-
-    ``hit_bits[a]`` holds the lanes of ``group`` in which arc ``a``
-    activates ``vertices[a]`` from ``parents[a]``.  Per lane with a hit:
-    ``(lane, distinct vertices ascending, parent of each vertex's first
-    arc in selection order)`` — the first writer per destination of that
-    lane's sequential commit.
-    """
-    updates = []
-    for lane in iter_lanes(group):
-        mask = (hit_bits & lane_bit(lane)) != 0
-        if not mask.any():
-            continue
-        uniq, first = np.unique(vertices[mask], return_index=True)
-        updates.append((lane, uniq, parents[mask][first]))
-    return updates
-
-
 class _FifteenDKernel(ComponentKernel):
     """Shared push/pull skeleton of the six 1.5D kernels.
 
@@ -395,20 +377,19 @@ class _FifteenDKernel(ComponentKernel):
     def commit_push_lanes(self, sel, group_lanes, lanes, ledger, record):
         """Commit of the lane-shared top-down sweep.
 
-        One arc selection covers the union frontier; lane ``l``'s subset
-        of the selection (arcs whose source carries bit ``l``) is exactly
-        the selection of that lane's sequential run in the same order, so
-        the per-lane first-writer-per-destination parents are identical.
-        One 16-byte message per selected arc carries all lanes' bits.
+        One arc selection covers the group's frontier; lane ``l``'s
+        subset of the selection (arcs whose source carries bit ``l``) is
+        exactly the selection of that lane's sequential run in the same
+        order, so the per-lane first-writer-per-destination parents are
+        identical.  One 16-byte message per selected arc carries all
+        lanes' bits.
         """
         self._charge_push(sel, ledger, record, LANE_MESSAGE_BYTES)
         group = np.uint64(group_lanes)
         # Per (arc, lane): fresh iff the source is active and the
         # destination unvisited in that lane.
         hit_bits = lanes.active[sel.src] & ~lanes.visited[sel.dst] & group
-        if not hit_bits.any():
-            return []
-        return _first_writer_per_lane(hit_bits, group, sel.dst, sel.src)
+        return first_writer_lanes(sel.dst, sel.src, hit_bits, group, lanes.scratch)
 
     def commit_pull_lanes(self, scan, group_lanes, lanes, ledger, record):
         """Commit of the lane-shared bottom-up scan (the generic grouped
@@ -462,7 +443,9 @@ class _FifteenDKernel(ComponentKernel):
     def execute_lanes(self, direction, group_lanes, lanes, ledger, record):
         group = np.uint64(group_lanes)
         if direction == "push":
-            sel = self.comp.push_select((lanes.active & group) != 0)
+            # The group's frontier, walked over the union frontier's ids.
+            ids = lanes.frontier.ids
+            sel = self.comp.push_select(ids[(lanes.active[ids] & group) != 0])
             return self.commit_push_lanes(sel, group_lanes, lanes, ledger, record)
         body = self.lanes_pull_body(group_lanes, lanes)
         return self.commit_pull_lanes(body, group_lanes, lanes, ledger, record)
@@ -670,9 +653,7 @@ class L2LKernel(_FifteenDKernel):
         )
         group = np.uint64(group_lanes)
         hit_bits = ~lanes.visited[sel.src] & lanes.active[sel.dst] & group
-        if not hit_bits.any():
-            return []
-        return _first_writer_per_lane(hit_bits, group, sel.src, sel.dst)
+        return first_writer_lanes(sel.src, sel.dst, hit_bits, group, lanes.scratch)
 
     def commit_program_pull(self, program, sel, candidates, active, ledger, record):
         # The queried peer of a pulled contribution is its source's owner.

@@ -722,10 +722,10 @@ class _WaveMode(_LevelMode):
         ]
 
     def execute(self, kernel, direction, group, ledger, record) -> int:
-        updates = self.backend.execute_lanes(
+        acts = self.backend.execute_lanes(
             kernel, direction, group, self.lanes, ledger, record
         )
-        return self.lanes.commit(updates)
+        return self.lanes.commit(acts) if len(acts) else 0
 
     def end_level(self, it, ledger, record) -> None:
         lanes = self.lanes

@@ -32,8 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.lanes import iter_lanes, lane_bit
-from repro.core.vertexset import VertexSet
+from repro.core.lanes import (
+    EMPTY_LANE_ACTIVATIONS,
+    LaneActivations,
+    claim_lanes,
+    first_of_run,
+    one_lane,
+)
+from repro.core.vertexset import member_ids
 
 __all__ = [
     "SubgraphComponent",
@@ -43,7 +49,6 @@ __all__ = [
     "LanePullScan",
     "COMPONENT_ORDER",
     "dedup_pull_hits",
-    "dedup_lane_hits",
     "arc_keys",
     "merge_arc_delta",
 ]
@@ -124,9 +129,10 @@ class PullSelection:
 class LanePullScan:
     """Result of a bottom-up sub-iteration shared by up to 64 lanes."""
 
-    #: Per-lane hits: ``(lane, hit_dst, hit_src)`` triples, each lane's
-    #: winners chosen by exactly the sequential :class:`PullScan` rule.
-    updates: list
+    #: Every lane's hits as one
+    #: :class:`~repro.core.lanes.LaneActivations`, each lane's winners
+    #: chosen by exactly the sequential :class:`PullScan` rule.
+    updates: LaneActivations
     #: Arcs scanned by each rank; a group's scan depth is the deepest
     #: early exit any participating lane needed.
     scanned_per_rank: np.ndarray
@@ -146,7 +152,7 @@ class LanePullScan:
 
 # ----------------------------------------------------------------------
 # Helpers of the traversal bodies (the :class:`SubgraphComponent` methods
-# below): run expansion, the first-hit scan and the two hit dedups.
+# below): run expansion, the first-hit scan and the cross-rank dedup.
 # ----------------------------------------------------------------------
 
 
@@ -164,13 +170,6 @@ def _expand_runs(starts, lens):
     idx = np.repeat(starts - (ends - lens), lens)
     idx += np.arange(idx.size, dtype=np.int64)
     return idx
-
-
-def _first_of_run(keys):
-    """Mask of the first element of every run of equal adjacent keys."""
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return first
 
 
 def _first_hit_records(starts, lens, pull_src, active, need):
@@ -239,33 +238,8 @@ def dedup_pull_hits(g_dst, g_src, g_rank):
     order, and the first of each run is the lowest-rank winner.
     """
     order = np.argsort(g_dst, kind="stable")
-    order = order[_first_of_run(g_dst[order])]
+    order = order[first_of_run(g_dst[order])]
     return g_dst[order], g_src[order], g_rank[order]
-
-
-def dedup_lane_hits(lane_hits, num_ranks):
-    """Per-lane winners plus the unique (dst, rank) wire messages.
-
-    ``lane_hits`` must hold one pre-dedup ``(lane, g_dst, g_src, g_rank)``
-    tuple per lane in ascending lane order, each lane's hits in ascending
-    group order (the :func:`dedup_pull_hits` precondition, per lane);
-    returns the ``(updates, msg_dst, msg_rank)`` of a
-    :class:`LanePullScan`.
-    """
-    empty = np.array([], dtype=np.int64)
-    updates = []
-    keys = []
-    for lane, g_dst, g_src, g_rank in lane_hits:
-        dst, src, rank = dedup_pull_hits(g_dst, g_src, g_rank)
-        updates.append((lane, dst, src))
-        keys.append(dst * np.int64(num_ranks) + rank)
-    if not keys:
-        return updates, empty, empty
-    # One wire message per unique (dst, rank) pair — the lane word
-    # rides along, so overlapping lanes share the message.
-    key = np.sort(np.concatenate(keys))
-    key = key[_first_of_run(key)]
-    return updates, key // num_ranks, key % num_ranks
 
 
 class SubgraphComponent:
@@ -355,13 +329,14 @@ class SubgraphComponent:
     def push_select(self, active) -> PushSelection:
         """Arcs whose source is in the frontier, in source-slot order.
 
-        ``active`` is a :class:`~repro.core.vertexset.VertexSet` (or a
-        boolean mask over all vertices, which costs one extra
-        ``flatnonzero`` of it).  Given a set the cost is O(frontier
-        vertices + selected arcs): ids ascend and so do source slots, so
-        gathering the frontier's slots yields them in slot order.
+        ``active`` is a :class:`~repro.core.vertexset.VertexSet`,
+        ascending ``int64`` ids, or a boolean mask over all vertices
+        (which costs one extra ``flatnonzero`` of it).  Given a set or
+        ids the cost is O(frontier vertices + selected arcs): ids ascend
+        and so do source slots, so gathering the frontier's slots yields
+        them in slot order.
         """
-        slots = self._slot_of[VertexSet.of(active).ids]
+        slots = self._slot_of[member_ids(active)]
         sel_srcs = slots[slots >= 0]
         if sel_srcs.size == 0:
             empty = np.array([], dtype=np.int64)
@@ -406,7 +381,7 @@ class SubgraphComponent:
             starts, lens, pull_src, active_src, np.ones(starts.size, dtype=bool)
         )
         # One lane: a group's records are adjacent and the first is its hit.
-        first = _first_of_run(grp)
+        first = first_of_run(grp)
         scanned = lens.copy()
         scanned[grp[first]] = pos[first] + 1
         scanned_per_rank = np.bincount(
@@ -464,55 +439,58 @@ class SubgraphComponent:
         the early-exit depths are exactly what :meth:`pull_scan` would
         produce for that lane's boolean masks; a group's *charged* scan
         depth is the max over its participating lanes (the batched
-        kernel scans once and every lane reads the shared stream).
+        kernel scans once and every lane reads the shared stream).  A
+        group of one lane is that :meth:`pull_scan`.
         """
+        if one_lane(group_lanes):
+            scan = self.pull_scan(candidate_bits != 0, active_bits != 0)
+            return LanePullScan(
+                LaneActivations.of_one_lane(group_lanes, scan.hit_dst, scan.hit_src),
+                scan.scanned_per_rank,
+                scan.hit_dst,
+                scan.hit_rank,
+            )
         grp_cand_bits = candidate_bits[self.grp_dst]
         cand_groups = np.flatnonzero(grp_cand_bits)
         if cand_groups.size == 0:
             empty = np.array([], dtype=np.int64)
             no_scan = np.zeros(self.num_ranks, dtype=np.int64)
-            return LanePullScan([], no_scan, empty, empty)
-        pull_src = self._pull_src
+            return LanePullScan(EMPTY_LANE_ACTIVATIONS, no_scan, empty, empty)
         starts = self.grp_ptr[cand_groups]
         lens = self.grp_ptr[cand_groups + 1] - starts
+        cand_dst = self.grp_dst[cand_groups]
+        cand_rank = self.grp_rank[cand_groups]
         # An arc hits for lane l iff its source is active in l AND the
         # group's destination is still a candidate in l.
         grp, pos, bits, dry = _first_hit_records(
-            starts, lens, pull_src, active_bits, grp_cand_bits[cand_groups]
+            starts, lens, self._pull_src, active_bits, grp_cand_bits[cand_groups]
         )
-        # The rounds' records are position-major; a stable sort by group puts
-        # all of them in (group, position) order.
-        order = np.argsort(grp, kind="stable")
-        grp, pos, bits = grp[order], pos[order], bits[order]
-        cand_dst = self.grp_dst[cand_groups]
-        cand_rank = self.grp_rank[cand_groups]
-
+        # A group's records come in position order, so its first record
+        # carrying a lane is that lane's first hit.  The winners come back
+        # in (group, position) order.
+        win, won, _, _ = claim_lanes(grp, bits)
+        grp, pos = grp[win], pos[win]
         # Early exit per lane: its first hit + 1.  The shared scan stops at
-        # the deepest of them, or runs the full group when a lane scanned it
-        # dry.
+        # the deepest of them (the group's last winner), or runs the full
+        # group when a lane scanned it dry.
+        last = np.ones(grp.size, dtype=bool)
+        np.not_equal(grp[1:], grp[:-1], out=last[:-1])
         depth = np.zeros(cand_groups.size, dtype=np.int64)
-        lane_hits = []
-        for lane in iter_lanes(group_lanes):
-            recs = np.flatnonzero(bits & lane_bit(lane))
-            if recs.size == 0:
-                continue
-            recs = recs[_first_of_run(grp[recs])]
-            hit_groups, first_pos = grp[recs], pos[recs]
-            depth[hit_groups] = np.maximum(depth[hit_groups], first_pos + 1)
-            lane_hits.append(
-                (
-                    lane,
-                    cand_dst[hit_groups],
-                    pull_src[starts[hit_groups] + first_pos],
-                    cand_rank[hit_groups],
-                )
-            )
-
+        depth[grp[last]] = pos[last] + 1
         scanned_per_rank = np.bincount(
             cand_rank, weights=np.where(dry, lens, depth), minlength=self.num_ranks
         ).astype(np.int64)
-        updates, msg_dst, msg_rank = dedup_lane_hits(lane_hits, self.num_ranks)
-        return LanePullScan(updates, scanned_per_rank, msg_dst, msg_rank)
+        # Cross-rank winner per (destination, lane): groups ascend by rank
+        # within a destination, so the first claim is the lowest rank.
+        win, won, uniq, dst_words = claim_lanes(cand_dst[grp], won)
+        grp, pos = grp[win], pos[win]
+        # One wire message per (dst, rank) that won a lane — the lane word
+        # rides along, so overlapping lanes share the message.
+        msgs = grp[first_of_run(grp)]
+        updates = LaneActivations.of_winners(
+            uniq, dst_words, cand_dst[grp], self._pull_src[starts[grp] + pos], won
+        )
+        return LanePullScan(updates, scanned_per_rank, cand_dst[msgs], cand_rank[msgs])
 
 
 # ----------------------------------------------------------------------

@@ -22,11 +22,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.lanes import NUM_CLASSES
+__all__ = [
+    "NUM_CLASSES", "VertexSet", "first_writers", "member_ids", "writer_scratch",
+]
 
-__all__ = ["VertexSet", "first_writers"]
+#: Vertex classes the running counts are kept by: the L, H, E codes of
+#: :class:`~repro.core.partition.VertexClass`.
+NUM_CLASSES = 3
 
 _UNCLAIMED = np.iinfo(np.int64).max
+
+
+def writer_scratch(num_vertices: int) -> np.ndarray:
+    """A fresh :func:`first_writers` scratch for keys below
+    ``num_vertices``."""
+    return np.full(num_vertices, _UNCLAIMED, dtype=np.int64)
 
 
 def first_writers(keys: np.ndarray, scratch: np.ndarray):
@@ -46,6 +56,16 @@ def first_writers(keys: np.ndarray, scratch: np.ndarray):
     scratch[uniq] = _UNCLAIMED
     order = np.argsort(uniq)
     return uniq[order], first[order]
+
+
+def member_ids(members) -> np.ndarray:
+    """Ascending ids of ``members``: a :class:`VertexSet`, a boolean mask
+    over all vertices (one ``flatnonzero``), or ascending ``int64`` ids
+    already — the one place that asks which it was handed."""
+    if isinstance(members, VertexSet):
+        return members.ids
+    members = np.asarray(members)
+    return np.flatnonzero(members) if members.dtype == bool else members
 
 
 class VertexSet:
@@ -79,12 +99,6 @@ class VertexSet:
         out._grow(np.flatnonzero(mask))
         return out
 
-    @classmethod
-    def of(cls, members) -> "VertexSet":
-        """``members`` if it is a set already, else the set its boolean
-        mask denotes — the one place that asks which it was handed."""
-        return members if isinstance(members, cls) else cls.from_mask(members)
-
     def add(self, ids: np.ndarray) -> None:
         """Insert ``ids``: distinct, ascending, none a member yet (what a
         sub-iteration's ``newly`` is).  Costs O(len(ids))."""
@@ -117,5 +131,5 @@ class VertexSet:
         """The :func:`first_writers` scratch of the run this set belongs
         to, allocated on first use."""
         if self._scratch is None:
-            self._scratch = np.full(self.mask.size, _UNCLAIMED, dtype=np.int64)
+            self._scratch = writer_scratch(self.mask.size)
         return self._scratch

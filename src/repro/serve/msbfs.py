@@ -38,12 +38,13 @@ import numpy as np
 
 from repro.core.direction import choose_whole_iteration_direction
 from repro.core.engine import FifteenDHost
-from repro.core.lanes import MAX_LANES, iter_lanes, lane_bit
+from repro.core.lanes import MAX_LANES, iter_lanes, lane_bit, lanes_word
 from repro.core.metrics import BFSRunResult, IterationRecord
 from repro.core.partition import (
     CLASS_CODES,
     COMPONENT_CLASSES,
     NODE_LOCAL_COMPONENTS,
+    class_count,
 )
 from repro.obs.metrics import NULL_METRICS
 from repro.resilience.faults import NULL_FAULTS
@@ -209,13 +210,12 @@ class MultiSourceBFS(FifteenDHost):
 
     def begin_batch_iteration(self, ledger, lanes) -> None:
         # One exchange syncs every lane's delegated frontier bits, so the
-        # populations are the union frontier's.
-        any_active = lanes.active != 0
-        masks = self.ctx.masks
+        # populations are the union frontier's (kept by ``lanes.commit``).
+        counts = lanes.frontier.counts
         self.ctx.charge_delegate_sync(
             ledger,
-            int(np.count_nonzero(any_active & masks["E"])),
-            int(np.count_nonzero(any_active & masks["H"])),
+            class_count(counts, "E"),
+            class_count(counts, "H"),
             lanes.num_lanes,
         )
 
@@ -257,14 +257,10 @@ class MultiSourceBFS(FifteenDHost):
             pull = active_src > self.config.local_pull_threshold
         else:
             pull = unvisited_dst < active_src * self.config.cross_pull_bias
-        push_mask = np.uint64(0)
-        pull_mask = np.uint64(0)
-        for lane in iter_lanes(lanes.active_lane_mask):
-            if pull[lane]:
-                pull_mask |= lane_bit(lane)
-            else:
-                push_mask |= lane_bit(lane)
-        return push_mask, pull_mask
+        live = lanes.active_counts.any(axis=1)
+        return lanes_word(np.flatnonzero(live & ~pull)), lanes_word(
+            np.flatnonzero(live & pull)
+        )
 
     def record_batch_activation(self, record: IterationRecord, newly) -> None:
         # (vertex, lane) activation pairs per class — the batch analogue

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.core.subgraphs import _ROUNDS, SubgraphComponent, _expand_runs
 from repro.core.vertexset import VertexSet, first_writers
 
+from helpers import lane_updates
+
 
 def make_component(arcs, num_ranks=4, name="test", num_vertices=2048):
     src = np.array([a[0] for a in arcs], dtype=np.int64)
@@ -332,9 +334,7 @@ def assert_lane_scan_matches(comp, cand_bits, act_bits, lanes):
         dsts, srcs, win_ranks = oracle_dedup(g_dst, g_src, g_rank)
         want_updates.append((lane, dsts, srcs))
         messages |= set(zip(dsts, win_ranks))
-    assert [
-        (lane, d.tolist(), s.tolist()) for lane, d, s in scan.updates
-    ] == want_updates
+    assert lane_updates(scan.updates) == want_updates
     assert list(zip(scan.msg_dst.tolist(), scan.msg_rank.tolist())) == sorted(
         messages
     )
@@ -381,7 +381,7 @@ def test_lanes_charge_the_deeper_first_hit(length):
             scan = assert_lane_scan_matches(comp, cand_bits, act_bits, [0, 1, 2])
             deeper = length if pos_b is None else max(pos_a, pos_b) + 1
             assert scan.scanned_arcs == deeper
-            assert [lane for lane, _, _ in scan.updates] == (
+            assert [lane for lane, _, _ in lane_updates(scan.updates)] == (
                 [0] if pos_b is None else [0, 1]
             )
 
@@ -484,7 +484,9 @@ def test_scan_reads_only_what_it_charges(long_groups):
     scan = comp.pull_scan_lanes(
         np.full(n, 0b11, dtype=np.uint64), act_bits, np.uint64(0b11)
     )
-    assert [dst.size for _, dst, _ in scan.updates] == [groups, groups]
+    assert [len(dst) for _, dst, _ in lane_updates(scan.updates)] == [
+        groups, groups,
+    ]
     assert scan.scanned_arcs == groups
     assert gathered[0] <= groups * (_ROUNDS + 1) < comp.num_arcs
 
@@ -503,6 +505,6 @@ def test_dry_scan_reads_every_arc_once(long_groups):
         np.full(n, 0b11, dtype=np.uint64), np.zeros(n, dtype=np.uint64),
         np.uint64(0b11),
     )
-    assert scan.updates == []
+    assert len(scan.updates) == 0
     assert gathered[0] == comp.num_arcs
     assert scan.scanned_per_rank.tolist() == comp.arcs_per_rank.tolist()
