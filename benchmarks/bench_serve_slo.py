@@ -179,7 +179,7 @@ def _session(workload, *, quota=None, replicas=REPLICAS, expected=None,
     registry = build_registry(_specs(quota))
     metrics = MetricsRegistry()
     t0 = time.perf_counter()
-    report, cluster = run_cluster_session(
+    report, cluster, _ = run_cluster_session(
         registry, workload,
         replicas=replicas, expected=expected, time_scale=time_scale,
         max_shed_retries=max_shed_retries, kill_at=kill_at,

@@ -29,8 +29,9 @@ Subcommands mirror the library's experiment drivers:
   ``--smoke`` runs the pinned slo-smoke gate (validation plus a mid-run
   replica kill drill).
 - ``bench-serve`` — the serving benchmark: the deterministic
-  amortization sweep (batched vs sequential simulated cost per query)
-  plus an end-to-end wall-clock service sweep.
+  amortization sweep (batched vs sequential simulated cost per query).
+  Wall-clock serving is measured by the layer bench's ``serve_open`` /
+  ``cluster_diurnal`` workloads (``benchmarks/layers/``).
 
 ``graph500`` and ``bfs`` accept the resilience flags ``--faults SPEC``
 (see :mod:`repro.resilience.faults` for the grammar), ``--checkpoint-every
@@ -255,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.core.lanes import MAX_LANES
 
     roots_arg = _int_arg("roots", 1)
-    queries_arg = _int_arg("queries", 1)
-    clients_arg = _int_arg("clients", 1)
     checkpoint_arg = _int_arg("checkpoint-every", 0)
 
     resil = argparse.ArgumentParser(add_help=False)
@@ -374,9 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # Flags one mode pins or ignores default to None: the mode that
     # reads a flag resolves it, the other rejects it (exit 2).
-    serve.add_argument("--queries", type=queries_arg, default=None,
-                       help="total queries in the workload")
-    serve.add_argument("--clients", type=clients_arg, default=None,
+    serve.add_argument("--queries", type=_int_arg("queries", 1),
+                       default=None, help="total queries in the workload")
+    serve.add_argument("--clients", type=_int_arg("clients", 1), default=None,
                        help="concurrent closed-loop clients")
     serve.add_argument("--batch-size",
                        type=_int_arg("batch-size", 1, MAX_LANES), default=64,
@@ -389,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--hot-fraction",
                        type=_float_arg("hot-fraction", 0.0, 1.0), default=None,
                        help="fraction of queries drawn from the hot set")
-    serve.add_argument("--hot-set", type=int, default=None,
+    serve.add_argument("--hot-set", type=_int_arg("hot-set", 1), default=None,
                        help="hot-set size (repeat roots exercise the cache)")
     serve.add_argument("--validate", action="store_true",
                        help="check every response bit-for-bit against a "
@@ -406,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--trace", metavar="PATH", default=None,
                        help="write the session's Chrome trace (wall clock; "
                             "per-request tracks)")
-    serve.add_argument("--telemetry-port", type=int, default=None,
-                       metavar="PORT",
+    serve.add_argument("--telemetry-port", default=None, metavar="PORT",
+                       type=_int_arg("telemetry-port", 0, 65535),
                        help="start the live telemetry endpoint (/metrics, "
                             "/healthz, /slo, /timeline, /trace/<id>) on this "
                             "port (0 = ephemeral) and self-scrape it during "
@@ -457,22 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     bserve = sub.add_parser(
         "bench-serve", parents=[common],
-        help="batched-serving benchmark: amortization + throughput sweep",
+        help="batched-serving benchmark: the amortization sweep",
     )
-    bserve.add_argument("--queries", type=queries_arg, default=256)
     bserve.add_argument("--batch-sizes", default="1,4,16,64",
                         type=_list_arg(_int_arg("batch size", 1, MAX_LANES)),
                         help="comma-separated batch sizes for the "
                              "amortization sweep")
-    bserve.add_argument("--queue-depths", default="64,256",
-                        type=_list_arg(_int_arg("queue depth", 1)),
-                        help="comma-separated queue depths for the "
-                             "service sweep")
-    bserve.add_argument("--windows", default="0.005",
-                        type=_list_arg(_float_arg("window", 0.0)),
-                        help="comma-separated batching windows (seconds)")
-    bserve.add_argument("--clients", type=clients_arg, default=None,
-                        help="closed-loop clients (default: 2x batch size)")
     bserve.add_argument("--json", metavar="PATH", default=None,
                         help="write the sweep as a JSON artifact")
 
@@ -486,9 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="update stream spec KIND[:key=value,...] with "
                           "KIND insert|delete|mixed and keys batches=, "
                           "size=, frac= (e.g. 'mixed:batches=4,size=64')")
-    mut.add_argument("--batch-size", type=int, default=None, metavar="N",
+    mut.add_argument("--batch-size", type=_int_arg("batch-size", 1),
+                     default=None, metavar="N",
                      help="override the spec's updates-per-batch size")
-    mut.add_argument("--compact-every", type=int, default=4, metavar="N",
+    mut.add_argument("--compact-every", type=_int_arg("compact-every", 1),
+                     default=4, metavar="N",
                      help="merge delta overlays into the packed arrays "
                           "every N batches")
     mut.add_argument("--smoke", action="store_true",
@@ -498,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "--scale/--mesh; the CI dynamic gate)")
 
     ocs = sub.add_parser("ocs", help="OCS-RMA microbenchmark (Fig. 14)")
-    ocs.add_argument("--mib", type=int, default=32, help="stream size in MiB")
+    ocs.add_argument("--mib", type=_int_arg("mib", 1), default=32,
+                     help="stream size in MiB")
     ocs.add_argument("--seed", type=seed_arg, default=1)
 
     algo = sub.add_parser(
@@ -954,21 +946,12 @@ def _cmd_mutate(args) -> int:
         print("usage: see `repro mutate --help`", file=sys.stderr)
         return 2
 
-    from dataclasses import replace
-
     from repro.core.setup import build_setup
-    from repro.dynamic.updates import UpdateSpecError, generate_update_stream
+    from repro.dynamic.updates import generate_update_stream
 
     spec = args.updates
-    try:
-        if args.batch_size is not None:
-            spec = replace(spec, size=args.batch_size)
-        if args.compact_every < 1:
-            raise UpdateSpecError("--compact-every must be >= 1")
-    except UpdateSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("usage: see `repro mutate --help`", file=sys.stderr)
-        return 2
+    if args.batch_size is not None:
+        spec = dataclasses.replace(spec, size=args.batch_size)
 
     inc = build_setup(**_graph_kwargs(args), weak_scaled=False).incremental(
         compact_every=args.compact_every, metrics=metrics
@@ -1111,7 +1094,77 @@ def _serve_faults(args):
     return FaultInjector(args.faults, rng=np.random.default_rng(args.seed))
 
 
-def _cmd_serve_cluster(args) -> int:
+def _expected_parents(sequential, roots) -> dict:
+    """``{root: parent array}`` from one sequential run per distinct
+    root: what ``--validate`` checks each served response against."""
+    return {int(r): sequential.run(int(r)).parent for r in np.unique(roots)}
+
+
+def _telemetry(args, slos=()) -> dict | None:
+    """The live-plane config of a ``serve`` session, ``None`` without
+    ``--telemetry-port``; ``slos`` back the aggregate ``/slo`` view."""
+    if args.telemetry_port is None:
+        return None
+    return dict(port=args.telemetry_port, interval=args.telemetry_interval,
+                slos=slos)
+
+
+def _serve_gate(args, mode: str, report, telem, slo_docs, failures) -> bool:
+    """The gate both ``serve`` modes end on: the mode's own ``failures``
+    plus silent drops, failed queries, typed sheds (both modes retry a
+    shed 10 000 times first), wrong parents, the ``--min-hit-rate``
+    floor, an unscraped telemetry endpoint and ``--expect-slo``.
+
+    ``slo_docs`` maps a tenant ("" for the single graph) to its SLO
+    evaluation.  Prints each failure, then ``<mode> gate: PASS|FAIL``.
+    """
+    dropped = report.num_queries - report.accounted
+    if dropped:
+        failures.append(f"{dropped} queries got no response and no typed "
+                        "shed")
+    if report.typed_sheds:
+        failures.append(f"{report.typed_sheds} queries shed after every retry")
+    if report.failed:
+        failures.append(f"{report.failed} queries failed")
+    if report.wrong_parents:
+        failures.append(f"{report.wrong_parents}/{report.validated} "
+                        "validated parents wrong")
+    elif args.validate:
+        print(f"validated: {report.validated} responses bit-identical to "
+              "sequential runs")
+    if args.min_hit_rate is not None \
+            and not report.cache_hit_rate > args.min_hit_rate:
+        failures.append(f"cache hit rate {report.cache_hit_rate:.3f} "
+                        f"not above {args.min_hit_rate:g}")
+    if telem is not None:
+        print(f"telemetry: port {telem.port}, {telem.samples} samples, "
+              f"scrapes {telem.scrapes}")
+        for tenant, doc in slo_docs.items():
+            for row in doc["slos"]:
+                name = f"{tenant}/{row['name']}" if tenant else row["name"]
+                print(f"  SLO {name}: {row['status']} "
+                      f"(burn {row['burn_rate']:.2f}, "
+                      f"{row['bad']}/{row['observed']} bad in "
+                      f"{row['window_seconds']:g}s)")
+            for alert in doc["alerts"]:
+                print(f"  alert [{alert['severity']}] {alert['message']}")
+        if not telem.scrapes.get("/metrics") \
+                or not telem.scrapes.get("/healthz"):
+            failures.append("telemetry endpoint was never scraped "
+                            "successfully")
+        fired = [doc["status"] for doc in slo_docs.values()
+                 if doc["status"] != "ok" or doc["alerts"]]
+        if args.expect_slo == "green" and fired:
+            failures.append(f"expected green SLO, got status {fired[0]!r}")
+        elif args.expect_slo == "fired" and not fired:
+            failures.append("expected the SLO to fire, but it stayed green")
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    print(f"{mode} gate:", "FAIL" if failures else "PASS")
+    return not failures
+
+
+def _serve_cluster(args) -> bool:
     from dataclasses import replace
 
     from repro.analysis.reporting import ascii_table, format_seconds
@@ -1144,7 +1197,6 @@ def _cmd_serve_cluster(args) -> int:
             args.tenants, scale=scale, rows=rows, cols=cols, seed=seed
         )
     ]
-    metrics = MetricsRegistry()
     registry = build_registry(specs)
     workload = make_diurnal_workload(
         registry.degrees_map(), queries, seed=seed,
@@ -1156,32 +1208,19 @@ def _cmd_serve_cluster(args) -> int:
         kill_at = ("r0", queries // 2)
     expected = None
     if args.validate:
-        expected = {}
-        for tenant in registry:
-            mine = sorted(
-                {q.root for q in workload.queries
-                 if q.tenant == tenant.tenant_id}
-            )
-            expected[tenant.tenant_id] = {
-                r: tenant.sequential.run(r).parent for r in mine
-            }
-    telemetry = None
-    if args.telemetry_port is not None:
-        telemetry = dict(
-            port=args.telemetry_port, interval=args.telemetry_interval
-        )
-    session = run_cluster_session(
+        expected = {
+            tenant.tenant_id: _expected_parents(tenant.sequential, [
+                q.root for q in workload.for_tenant(tenant.tenant_id).queries
+            ])
+            for tenant in registry
+        }
+    report, cluster, telem = run_cluster_session(
         registry, workload,
         replicas=args.replicas, expected=expected,
-        max_shed_retries=10_000, kill_at=kill_at, telemetry=telemetry,
+        max_shed_retries=10_000, kill_at=kill_at, telemetry=_telemetry(args),
         batch_size=args.batch_size, batch_window=args.batch_window,
-        faults=_serve_faults(args), metrics=metrics,
+        faults=_serve_faults(args), metrics=MetricsRegistry(),
     )
-    if telemetry is None:
-        report, cluster = session
-        telem = None
-    else:
-        report, cluster, telem = session
     per_tenant = report.per_tenant()
     slo_docs = cluster.slo_status()
     table_rows = []
@@ -1218,42 +1257,16 @@ def _cmd_serve_cluster(args) -> int:
           f"{cluster.stats.replays} failover replays; "
           f"replicas live: {len(cluster.live_replicas)}/"
           f"{len(cluster.replica_ids)}")
-    ok = True
-    if report.accounted != report.num_queries:
-        print(f"FAIL: {report.num_queries - report.accounted} queries "
-              "got no response and no typed shed")
-        ok = False
-    if report.failed:
-        print(f"FAIL: {report.failed} queries failed")
-        ok = False
-    if expected is not None and report.wrong_parents:
-        print(f"FAIL: {report.wrong_parents}/{report.validated} validated "
-              "parents wrong")
-        ok = False
-    elif expected is not None:
-        print(f"validated: {report.validated} responses bit-identical to "
-              "sequential runs")
+    failures = []
     if kill_at is not None:
         downs = len(cluster.replica_ids) - len(cluster.live_replicas)
         if downs != 1:
-            print(f"FAIL: kill drill expected exactly 1 replica down, "
-                  f"found {downs}")
-            ok = False
+            failures.append(f"kill drill expected exactly 1 replica down, "
+                            f"found {downs}")
         else:
             print(f"failover drill: replica {kill_at[0]} killed mid-run; "
                   "in-flight batch re-routed, parents validated")
-    if args.min_hit_rate is not None \
-            and not report.cache_hit_rate > args.min_hit_rate:
-        print(f"FAIL: cache hit rate {report.cache_hit_rate:.3f} "
-              f"not above {args.min_hit_rate:g}")
-        ok = False
-    if telem is not None:
-        print(f"telemetry: port {telem.port}, {telem.samples} samples, "
-              f"scrapes {telem.scrapes}")
-        if not telem.scrapes.get("/metrics") \
-                or not telem.scrapes.get("/healthz"):
-            print("FAIL: telemetry endpoint was never scraped successfully")
-            ok = False
+    ok = _serve_gate(args, "cluster", report, telem, slo_docs, failures)
     if args.out:
         import json
         from pathlib import Path
@@ -1302,15 +1315,15 @@ def _cmd_serve_cluster(args) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"wrote {out}")
-    print("cluster gate:", "PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return ok
 
 
-def _cmd_serve(args) -> int:
-    if args.tenants is not None or args.smoke:
-        return _cmd_serve_cluster(args)
+def _serve_graph(args) -> bool:
     _reject_flags(args, "single-graph serving (pass --tenants)", "replicas",
                   "quota", "duration")
+    if args.telemetry_port is None:
+        _reject_flags(args, "single-graph serving without --telemetry-port",
+                      "slo", "expect_slo")
     _resolve_flags(args, queries=256, clients=32, queue_depth=256,
                    hot_fraction=0.5, hot_set=16)
     from repro.analysis.reporting import ascii_table, format_seconds
@@ -1332,33 +1345,18 @@ def _cmd_serve(args) -> int:
         batched.part.degrees, args.queries, seed=args.seed,
         hot_fraction=args.hot_fraction, hot_set_size=args.hot_set,
     )
-    expected = None
-    if args.validate:
-        expected = {
-            int(r): sequential.run(int(r)).parent for r in np.unique(roots)
-        }
+    expected = _expected_parents(sequential, roots) if args.validate else None
     engine = batched
     if args.straggler_ms is not None:
         engine = _StragglerEngine(batched, args.straggler_ms / 1e3)
-    telemetry = None
-    if args.telemetry_port is not None:
-        slos = args.slo if args.slo else [SLOSpec("total", 0.25, 0.99)]
-        telemetry = dict(
-            port=args.telemetry_port, interval=args.telemetry_interval,
-            slos=slos,
-        )
-    session = run_serving_session(
+    report, service, telem = run_serving_session(
         engine, roots,
         clients=args.clients, expected=expected,
         batch_size=args.batch_size, queue_depth=args.queue_depth,
         batch_window=args.batch_window, faults=_serve_faults(args),
-        metrics=metrics, telemetry=telemetry,
+        metrics=metrics,
+        telemetry=_telemetry(args, args.slo or [SLOSpec("total", 0.25, 0.99)]),
     )
-    if telemetry is None:
-        report, service = session
-        telem = None
-    else:
-        report, service, telem = session
     stats = service.stats
     table_rows = [
         ("queries", report.num_queries),
@@ -1398,53 +1396,19 @@ def _cmd_serve(args) -> int:
     if args.trace:
         n = write_chrome_trace(tracer, args.trace, clock="wall")
         print(f"chrome trace: {args.trace} ({n} events, wall clock)")
-    ok = report.failed == 0 and report.wrong_parents == 0
-    if ok and report.served != report.num_queries:
-        print(f"FAIL: {report.num_queries - report.served} queries dropped")
-        ok = False
-    if ok and args.min_hit_rate is not None \
-            and not report.cache_hit_rate > args.min_hit_rate:
-        print(f"FAIL: cache hit rate {report.cache_hit_rate:.3f} "
-              f"not above {args.min_hit_rate:g}")
-        ok = False
-    if telem is not None:
-        print(f"telemetry: port {telem.port}, {telem.samples} samples, "
-              f"scrapes {telem.scrapes}")
-        if telem.slo is not None:
-            for row in telem.slo["slos"]:
-                print(f"  SLO {row['name']}: {row['status']} "
-                      f"(burn {row['burn_rate']:.2f}, "
-                      f"{row['bad']}/{row['observed']} bad in "
-                      f"{row['window_seconds']:g}s)")
-            for alert in telem.slo["alerts"]:
-                print(f"  alert [{alert['severity']}] {alert['message']}")
-        if not telem.scrapes.get("/metrics") \
-                or not telem.scrapes.get("/healthz"):
-            print("FAIL: telemetry endpoint was never scraped successfully")
-            ok = False
-        if args.expect_slo is not None:
-            status = (telem.slo or {}).get("status", "ok")
-            fired = status != "ok" or bool((telem.slo or {}).get("alerts"))
-            if args.expect_slo == "green" and fired:
-                print(f"FAIL: expected green SLO, got status {status!r}")
-                ok = False
-            elif args.expect_slo == "fired" and not fired:
-                print("FAIL: expected the SLO to fire, but it stayed green")
-                ok = False
-    elif args.expect_slo is not None:
-        print("FAIL: --expect-slo requires --telemetry-port")
-        ok = False
-    return 0 if ok else 1
+    slo_docs = {"": telem.slo} if telem is not None else {}
+    return _serve_gate(args, "serve", report, telem, slo_docs, [])
+
+
+def _cmd_serve(args) -> int:
+    serve = _serve_cluster if args.tenants is not None or args.smoke else _serve_graph
+    return 0 if serve(args) else 1
 
 
 def _cmd_bench_serve(args) -> int:
     from repro.analysis.reporting import ascii_table
     from repro.graph500.driver import sample_roots
-    from repro.serve.bench import (
-        amortization_sweep,
-        build_serving_pair,
-        service_sweep,
-    )
+    from repro.serve.bench import amortization_sweep, build_serving_pair
 
     rows, cols = args.mesh
     sequential, batched = build_serving_pair(**_graph_kwargs(args))
@@ -1468,26 +1432,6 @@ def _cmd_bench_serve(args) -> int:
         title=f"amortized simulated cost per query "
               f"(SCALE {args.scale}, {rows}x{cols}):",
     ))
-    points = service_sweep(
-        batched, batched.part.degrees,
-        num_queries=args.queries, seed=args.seed,
-        batch_sizes=(max(args.batch_sizes),),
-        queue_depths=args.queue_depths, batch_windows=args.windows,
-        clients=args.clients,
-    )
-    print()
-    print(ascii_table(
-        ["depth", "window", "served", "hit rate", "mean batch",
-         "qps", "p50", "p99"],
-        [
-            [p.queue_depth, f"{p.batch_window * 1e3:g}ms", p.served,
-             f"{100 * p.cache_hit_rate:.0f}%", f"{p.mean_batch_size:.1f}",
-             f"{p.qps:.0f}", f"{p.p50_seconds * 1e3:.1f}ms",
-             f"{p.p99_seconds * 1e3:.1f}ms"]
-            for p in points
-        ],
-        title=f"end-to-end service sweep ({args.queries} queries):",
-    ))
     if args.json:
         import json
         from pathlib import Path
@@ -1495,13 +1439,11 @@ def _cmd_bench_serve(args) -> int:
         out = Path(args.json)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(json.dumps({
-            "schema": "repro.bench_serve/1",
+            "schema": "repro.bench_serve/2",
             "config": dict(
                 scale=args.scale, rows=rows, cols=cols, seed=args.seed,
-                queries=args.queries,
             ),
             "amortization": [p.to_dict() for p in amort],
-            "service": [p.to_dict() for p in points],
         }, indent=2, sort_keys=True) + "\n")
         print(f"json: {out}")
     return 0

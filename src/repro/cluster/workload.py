@@ -106,11 +106,13 @@ def run_cluster_session(
 ):
     """Synchronous convenience: build a :class:`ClusterService` over
     ``registry``, run ``workload`` open-loop to completion, stop the
-    cluster, and return ``(report, cluster)`` for stats inspection.
+    cluster, and return ``(report, cluster, telemetry)`` for stats
+    inspection — the last a
+    :class:`~repro.serve.workload.TelemetrySummary`, or ``None`` without
+    ``telemetry``.
 
-    ``telemetry`` (optional) starts the live plane for the session and
-    makes the return a 3-tuple ``(report, cluster, TelemetrySummary)``
-    — keys as in :func:`~repro.serve.workload.run_serving_session`
+    ``telemetry`` (optional) starts the live plane for the session —
+    keys as in :func:`~repro.serve.workload.run_serving_session`
     (``port``, ``interval``, ``scrape``); the cluster's own per-tenant
     SLO monitors back the ``/slo`` views.  Requires ``metrics=`` a real
     registry in ``cluster_kwargs``.

@@ -1,28 +1,22 @@
-"""Serving benchmark core: amortization and throughput sweeps.
+"""Serving benchmark core: the amortization sweep.
 
 Shared by ``python -m repro bench-serve`` and
 ``benchmarks/bench_serve_throughput.py`` (which commits the
 ``BENCH_serve.json`` artifact) so both measure the same way.
 
-Two layers, deliberately separate:
-
-- :func:`amortization_sweep` — *deterministic, simulated*: for each
-  batch size, runs the same root set through one
-  :meth:`~repro.serve.msbfs.MultiSourceBFS.run_batch` and compares the
-  amortized simulated cost per query against the single-root sequential
-  baseline.  No asyncio, no wall clocks — bit-stable run to run, so it
-  can be gated in CI (the batch=64 factor must stay >= 4x).
-- :func:`service_sweep` — *end-to-end, wall-clock*: drives the full
-  :class:`~repro.serve.service.TraversalService` with the seeded
-  closed-loop workload across (batch window x queue depth) points,
-  reporting wall QPS, p50/p99 latency, realized batch sizes, shedding,
-  and cache hit rates.  Wall numbers vary with the host; correctness
-  numbers (wrong parents, drops) do not.
+:func:`amortization_sweep` is *deterministic, simulated*: for each batch
+size, it runs the same root set through one
+:meth:`~repro.serve.msbfs.MultiSourceBFS.run_batch` and compares the
+amortized simulated cost per query against the single-root sequential
+baseline.  No asyncio, no wall clocks — bit-stable run to run, so CI
+gates it (the batch=64 factor must stay >= 4x) and drift-gates the
+artifact.  Wall-clock serving is measured by the layer bench's
+``serve_open`` / ``cluster_diurnal`` workloads
+(``benchmarks/layers/``).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -30,13 +24,10 @@ import numpy as np
 from repro.core.engine import DistributedBFS
 from repro.core.setup import build_setup
 from repro.serve.msbfs import MultiSourceBFS
-from repro.serve.workload import make_workload_roots, run_serving_session
 
 __all__ = [
     "AmortizationPoint",
-    "ServicePoint",
     "amortization_sweep",
-    "service_sweep",
     "build_serving_pair",
     "serving_pair",
 ]
@@ -142,92 +133,3 @@ def amortization_sweep(
         )
     return points
 
-
-@dataclass
-class ServicePoint:
-    """One end-to-end service configuration's measured behavior."""
-
-    batch_size: int
-    queue_depth: int
-    batch_window: float
-    num_queries: int
-    clients: int
-    served: int
-    failed: int
-    wrong_parents: int
-    shed_retries: int
-    cache_hit_rate: float
-    mean_batch_size: float
-    #: Amortized *simulated* seconds per engine-served query.
-    sim_seconds_per_query: float
-    #: Wall-clock throughput and latency of the closed loop.
-    wall_seconds: float
-    qps: float
-    p50_seconds: float
-    p99_seconds: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def service_sweep(
-    batched,
-    degrees,
-    *,
-    num_queries: int = 256,
-    seed: int = 1,
-    hot_fraction: float = 0.5,
-    hot_set_size: int = 16,
-    batch_sizes=(64,),
-    queue_depths=(64, 256),
-    batch_windows=(0.005,),
-    clients: int | None = None,
-    expected: dict | None = None,
-) -> list[ServicePoint]:
-    """Run the closed-loop workload across service configurations.
-
-    ``expected`` (root -> parent array) turns on bit-exact response
-    validation; ``clients`` defaults to twice the batch size so batches
-    can actually fill.
-    """
-    points = []
-    for b in batch_sizes:
-        for depth in queue_depths:
-            for window in batch_windows:
-                roots = make_workload_roots(
-                    degrees, num_queries, seed=seed,
-                    hot_fraction=hot_fraction, hot_set_size=hot_set_size,
-                )
-                n_clients = clients if clients is not None else 2 * b
-                n_clients = max(1, min(n_clients, num_queries))
-                t0 = time.monotonic()
-                report, service = run_serving_session(
-                    batched, roots,
-                    clients=n_clients, expected=expected,
-                    batch_size=b, queue_depth=depth, batch_window=window,
-                )
-                wall = time.monotonic() - t0
-                stats = service.stats
-                points.append(
-                    ServicePoint(
-                        batch_size=int(b),
-                        queue_depth=int(depth),
-                        batch_window=float(window),
-                        num_queries=int(num_queries),
-                        clients=int(n_clients),
-                        served=int(report.served),
-                        failed=int(report.failed),
-                        wrong_parents=int(report.wrong_parents),
-                        shed_retries=int(report.shed_retries),
-                        cache_hit_rate=float(report.cache_hit_rate),
-                        mean_batch_size=float(stats.mean_batch_size),
-                        sim_seconds_per_query=float(
-                            stats.sim_seconds_per_query
-                        ),
-                        wall_seconds=float(wall),
-                        qps=float(report.served / wall) if wall else 0.0,
-                        p50_seconds=float(stats.p50_seconds),
-                        p99_seconds=float(stats.p99_seconds),
-                    )
-                )
-    return points

@@ -509,17 +509,17 @@ async def _scrape_loop(
 
 
 async def run_session(service, drive, *, telemetry, cluster=None):
-    """Start ``service``, await ``drive()`` against it, stop it.
+    """Start ``service``, await ``drive()`` against it, stop it, and
+    return ``(report, service, TelemetrySummary | None)``.
 
-    Returns ``(report, service)``, or with ``telemetry`` (a dict, see
-    :func:`run_serving_session`) brings the live plane up for the
-    session and returns ``(report, service, TelemetrySummary)``.
+    ``telemetry`` (a dict, see :func:`run_serving_session`) brings the
+    live plane up for the session; without it the summary is ``None``.
     ``cluster`` is the multi-tenant service whose per-tenant SLO
     monitors back the ``/slo`` views in place of ``telemetry["slos"]``.
     """
     if telemetry is None:
         async with service:
-            return await drive(), service
+            return await drive(), service, None
 
     from repro.obs.slo import SLOMonitor
     from repro.obs.timeline import TelemetrySampler
@@ -583,11 +583,12 @@ def run_serving_session(
     **service_kwargs,
 ):
     """Synchronous convenience: build a service around ``engine``, run
-    the workload to completion, stop the service, and return both the
-    workload report and the (stopped) service for stats inspection.
+    the workload to completion, stop the service, and return
+    ``(report, service, telemetry)``: the workload report, the (stopped)
+    service for stats inspection, and the :class:`TelemetrySummary`
+    (``None`` without ``telemetry``).
 
-    ``telemetry`` (optional) starts the live plane for the session and
-    makes the return a 3-tuple ``(report, service, TelemetrySummary)``.
+    ``telemetry`` (optional) starts the live plane for the session.
     Keys: ``port`` (0 = ephemeral), ``interval`` (sampler cadence,
     seconds), ``slos`` (iterable of :class:`~repro.obs.slo.SLOSpec`),
     ``scrape`` (self-scrape ``/metrics`` + ``/healthz`` during the run,

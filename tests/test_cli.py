@@ -249,6 +249,17 @@ class TestMainEntryPoint:
         assert "unrecognized arguments: --backend" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "flag", ["--queries", "--queue-depths", "--windows", "--clients"]
+    )
+    def test_bench_serve_sweep_flags_are_gone(self, flag):
+        proc = self._run("bench-serve", "--scale", "10", "--mesh", "2x2",
+                         flag, "4")
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr
+        assert f"unrecognized arguments: {flag}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("argv", [
         ("bfs", "--root", "-5"),
         ("bfs", "--root", "999999"),
@@ -257,7 +268,6 @@ class TestMainEntryPoint:
         ("bfs", "--scale", "0"),
         ("bfs", "--checkpoint-every", "-1"),
         ("graph500", "--roots", "0"),
-        ("bench-serve", "--queries", "0"),
         ("serve", "--clients", "0"),
         ("serve", "--batch-size", "0"),
         ("serve", "--batch-size", "65"),
@@ -275,6 +285,15 @@ class TestMainEntryPoint:
         ("serve", "--seed", "-1"),
         ("serve", "--telemetry-port", "0", "--telemetry-interval", "0"),
         ("serve", "--straggler-ms", "-5"),
+        ("serve", "--telemetry-port", "70000"),
+        ("serve", "--hot-set", "-3"),
+        ("ocs", "--mib", "-1"),
+        ("ocs", "--mib", "0"),
+        ("mutate", "--updates", "insert", "--batch-size", "0"),
+        ("mutate", "--updates", "insert", "--compact-every", "0"),
+        # A single-graph SLO flag needs the telemetry plane to read it.
+        ("serve", "--slo", "total:0.02:0.9"),
+        ("serve", "--expect-slo", "green"),
         # Flags the serving mode in use has no use for are named, not dropped.
         ("serve", "--replicas", "5"),
         ("serve", "--quota", "3"),
@@ -289,13 +308,41 @@ class TestMainEntryPoint:
     ], ids=lambda argv: "_".join(a.replace("--", "") for a in argv))
     def test_out_of_range_number_exits_two_with_usage(self, argv):
         command, *rest = argv
-        # ``sweep`` takes its scales and meshes from ``--points``.
-        common = () if command == "sweep" else ("--scale", "10", "--mesh", "2x2")
+        # ``sweep`` and ``ocs`` take no graph flags.
+        graphless = command in ("sweep", "ocs")
+        common = () if graphless else ("--scale", "10", "--mesh", "2x2")
         proc = self._run(command, *common, *rest)
         assert proc.returncode == 2
         assert "usage:" in proc.stderr
         assert rest[-2] in proc.stderr  # the offending flag is named
         assert "Traceback" not in proc.stderr
+
+
+class TestServeGate:
+    def test_single_graph_gate_names_each_failure(self, capsys, monkeypatch):
+        import dataclasses
+
+        from repro.serve import workload
+
+        real = workload.run_serving_session
+
+        def doctored(*args, **kwargs):
+            report, service, telem = real(*args, **kwargs)
+            failed, wrong = report.outcomes[:2]
+            report.outcomes[:2] = [
+                dataclasses.replace(failed, error="boom", correct=None),
+                dataclasses.replace(wrong, correct=False),
+            ]
+            return report, service, telem
+
+        monkeypatch.setattr(workload, "run_serving_session", doctored)
+        rc = main(["serve", "--scale", "8", "--mesh", "2x2", "--queries", "8",
+                   "--validate"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "FAIL: 1 queries failed" in out
+        assert "FAIL: 1/7 validated parents wrong" in out
+        assert out.rstrip().endswith("serve gate: FAIL")
 
 
 class TestReportAndCompare:
@@ -416,11 +463,12 @@ class TestMutate:
         assert "usage" in capsys.readouterr().err
 
     def test_bad_batch_size_exits_two(self, capsys):
-        rc = main([
-            "mutate", "--scale", "9", "--mesh", "2x2",
-            "--updates", "insert", "--batch-size", "0",
-        ])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "mutate", "--scale", "9", "--mesh", "2x2",
+                "--updates", "insert", "--batch-size", "0",
+            ])
+        assert exc.value.code == 2
 
     def test_smoke_gate(self, capsys):
         rc = main(["mutate", "--smoke"])

@@ -500,11 +500,11 @@ class TestFairness:
 
         from repro.cluster import run_cluster_session
 
-        solo_report, _ = run_cluster_session(
+        solo_report, _, _ = run_cluster_session(
             build_registry(specs(2)), workload.for_tenant("t1"),
             replicas=2, max_shed_retries=10_000,
         )
-        fair_report, _ = run_cluster_session(
+        fair_report, _, _ = run_cluster_session(
             registry, workload, replicas=2, max_shed_retries=10_000,
         )
         assert fair_report.accounted == workload.num_queries

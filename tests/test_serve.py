@@ -7,6 +7,7 @@ smoke drives.
 """
 
 import asyncio
+import json
 
 import numpy as np
 import pytest
@@ -489,7 +490,7 @@ class TestWorkload:
         expected = {
             int(r): sequential.run(int(r)).parent for r in np.unique(roots)
         }
-        report, service = run_serving_session(
+        report, service, _ = run_serving_session(
             batched, roots, clients=8, expected=expected,
             batch_size=16, batch_window=0.005,
         )
@@ -526,7 +527,7 @@ class TestWorkload:
         roots = make_workload_roots(
             batched.part.degrees, 32, seed=5, hot_fraction=0.5
         )
-        report, service = run_serving_session(
+        report, service, _ = run_serving_session(
             batched, roots, clients=8, batch_size=8,
             metrics=MetricsRegistry(),
         )
@@ -607,14 +608,16 @@ class TestServeCLI:
     def test_bench_serve_command(self, capsys, tmp_path):
         json_path = tmp_path / "bench.json"
         rc = main([
-            "bench-serve", *self.ARGS, "--queries", "32",
-            "--batch-sizes", "1,8", "--queue-depths", "32",
+            "bench-serve", *self.ARGS, "--batch-sizes", "1,8",
             "--json", str(json_path),
         ])
         out = capsys.readouterr().out
         assert rc == 0
         assert "amortized simulated cost per query" in out
-        assert json_path.exists()
+        doc = json.loads(json_path.read_text())
+        assert doc["schema"] == "repro.bench_serve/2"
+        assert [p["batch_size"] for p in doc["amortization"]] == [1, 8]
+        assert "service" not in doc
 
     def test_graph500_batch_roots_flag(self, capsys):
         rc = main([

@@ -350,13 +350,14 @@ class TestTelemetryServer:
 
 
 class TestServingSessionTelemetry:
-    def test_back_compat_two_tuple(self, engines):
+    def test_without_telemetry_the_summary_is_none(self, engines):
         _, batched = engines
         roots = make_workload_roots(
             batched.part.degrees, 8, seed=3, hot_fraction=0.5
         )
-        out = run_serving_session(batched, roots, clients=2)
-        assert len(out) == 2
+        report, _, telem = run_serving_session(batched, roots, clients=2)
+        assert report.served == 8
+        assert telem is None
 
     def test_telemetry_three_tuple(self, engines):
         _, batched = engines
