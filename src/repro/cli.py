@@ -33,10 +33,10 @@ Subcommands mirror the library's experiment drivers:
   Wall-clock serving is measured by the layer bench's ``serve_open`` /
   ``cluster_diurnal`` workloads (``benchmarks/layers/``).
 
-``graph500`` and ``bfs`` accept the resilience flags ``--faults SPEC``
-(see :mod:`repro.resilience.faults` for the grammar), ``--checkpoint-every
-N``, ``--max-restarts`` and ``--recovery-mode``; a malformed spec exits 2
-with a usage message.
+``graph500``, ``bfs`` and ``algo`` accept the resilience flags
+``--faults SPEC`` (see :mod:`repro.resilience.faults` for the grammar),
+``--checkpoint-every N``, ``--max-restarts`` and ``--recovery-mode``; a
+malformed spec exits 2 with a usage message.
 
 All output is plain text; ``--csv PATH`` additionally writes machine-
 readable results where it applies.  ``graph500`` and ``bfs`` accept
@@ -516,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     algo.add_argument("--max-iterations", type=_int_arg("max-iterations", 1),
                       default=None, metavar="N",
                       help="iteration cap where the program takes one")
-    algo.add_argument("--unit-weights", action="store_true",
+    algo.add_argument("--unit-weights", action="store_true", default=None,
                       help="run SSSP programs with unit weights instead "
                            "of the seeded weight table")
     algo.add_argument("--report", metavar="PATH", default=None,
@@ -769,6 +769,10 @@ def _cmd_ocs(args) -> int:
     return 0
 
 
+#: ``algo`` flags passed to a program as its same-named parameter.
+_ALGO_PARAMS = ("root", "delta", "damping", "tol", "max_iterations")
+
+
 def _cmd_algo(args) -> int:
     from repro.core.programs import PROGRAM_REGISTRY, available_programs
 
@@ -778,7 +782,7 @@ def _cmd_algo(args) -> int:
         print(ascii_table(
             ("program", "needs root", "description"),
             [
-                (spec.name, "yes" if spec.needs_root else "no",
+                (spec.name, "yes" if "root" in spec.params else "no",
                  spec.description)
                 for _, spec in sorted(PROGRAM_REGISTRY.items())
             ],
@@ -804,90 +808,84 @@ def _cmd_algo(args) -> int:
             return 1
         return 0
 
+    available = ", ".join(available_programs())
     if args.program is None:
-        print("error: choose a program (or pass --smoke / --list); "
-              f"available: {', '.join(available_programs())}",
-              file=sys.stderr)
-        print("usage: see `repro algo --help`", file=sys.stderr)
-        return 2
+        raise _UsageError(
+            f"choose a program (or pass --smoke / --list); available: {available}"
+        )
     spec = PROGRAM_REGISTRY.get(args.program)
     if spec is None:
-        print(f"error: unknown program {args.program!r}; "
-              f"available: {', '.join(available_programs())}",
-              file=sys.stderr)
-        print("usage: see `repro algo --help`", file=sys.stderr)
-        return 2
+        raise _UsageError(
+            f"unknown program {args.program!r}; available: {available}"
+        )
+    # Every flag is either the program's same-named parameter or refused.
+    unused = [name for name in _ALGO_PARAMS if name not in spec.params]
+    if "weights" not in spec.params:
+        unused.append("unit_weights")
+    _reject_flags(args, f"program {args.program!r}", *unused)
+    _check_root(args)
 
     from repro.analysis.reporting import format_seconds
     from repro.core import DistributedBFS, build_program
     from repro.core.setup import build_setup
     from repro.obs.report import report_from_bfs, report_from_program
+    from repro.resilience import (
+        build_resilience,
+        run_program_with_recovery,
+        run_with_recovery,
+    )
 
-    _check_root(args)
     graph = _graph_kwargs(args)
     setup = build_setup(**graph)
     part = setup.partition()
-    root = args.root if args.root is not None else setup.root
+    params = {
+        name: getattr(args, name) for name in _ALGO_PARAMS
+        if getattr(args, name) is not None
+    }
+    if "root" in spec.params:
+        params.setdefault("root", setup.root)
+    if "weights" in spec.params and not args.unit_weights:
+        from repro.core.programs import generate_weights
+
+        params.update(
+            weights=generate_weights(setup.src.size, seed=args.seed + 1),
+            edge_src=setup.src, edge_dst=setup.dst,
+        )
     context = dict(
-        graph, e_threshold=setup.e_threshold, h_threshold=setup.h_threshold
+        graph, e_threshold=setup.e_threshold, h_threshold=setup.h_threshold,
+        **{k: v for k, v in params.items()
+           if isinstance(v, (int, float, bool, str))},
     )
     engine = DistributedBFS(
         part, machine=setup.machine, tracer=tracer, metrics=registry
     )
+    run, policy = build_resilience(
+        args.faults, checkpoint_every=args.checkpoint_every,
+        max_restarts=args.max_restarts, recovery_mode=args.recovery_mode,
+        mesh=setup.mesh, rng=np.random.default_rng(args.scale),
+        context=engine.context,
+    )
+    recovery = dict(
+        faults=run.faults, checkpointer=run.checkpointer, policy=policy
+    )
 
     if spec.native_bfs:
-        res = engine.run(root)
+        recovered = run_with_recovery(engine, params["root"], **recovery)
+        res = recovered.result
         print(f"bfs: {res.num_iterations} levels, "
               f"visited {res.num_visited:,}/{setup.num_vertices:,}, "
               f"simulated {format_seconds(res.total_seconds)} "
               f"({res.simulated_gteps():.1f} GTEPS)")
         report = report_from_bfs(
-            res, name="program.bfs", context={**context, "root": root},
-            tracer=tracer,
+            res, name="program.bfs", context=context, tracer=tracer
         )
     else:
-        params: dict = {}
-        if spec.needs_root:
-            params["root"] = root
-        if args.program in ("sssp", "sssp-delta") and not args.unit_weights:
-            from repro.core.programs import generate_weights
-
-            params.update(
-                weights=generate_weights(setup.src.size, seed=args.seed + 1),
-                edge_src=setup.src, edge_dst=setup.dst,
-            )
-        if args.delta is not None and args.program == "sssp-delta":
-            params["delta"] = args.delta
-        if args.program == "pagerank":
-            if args.damping is not None:
-                params["damping"] = args.damping
-            if args.tol is not None:
-                params["tol"] = args.tol
-        if args.max_iterations is not None and args.program in (
-            "sssp", "pagerank"
-        ):
-            params["max_iterations"] = args.max_iterations
         try:
             program = build_program(args.program, part, **params)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            print("usage: see `repro algo --help`", file=sys.stderr)
-            return 2
-
-        from repro.resilience import build_resilience, run_program_with_recovery
-
-        run, policy = build_resilience(
-            args.faults, checkpoint_every=args.checkpoint_every,
-            max_restarts=args.max_restarts, recovery_mode=args.recovery_mode,
-            mesh=setup.mesh, rng=np.random.default_rng(args.scale),
-            context=engine.context,
-        )
-        recovered = run_program_with_recovery(
-            engine, program, faults=run.faults, checkpointer=run.checkpointer,
-            policy=policy,
-        )
+            raise _UsageError(str(exc)) from exc
+        recovered = run_program_with_recovery(engine, program, **recovery)
         res = recovered.result
-
         scalars = ", ".join(
             f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
             for k, v in sorted(res.info.items())
@@ -898,12 +896,9 @@ def _cmd_algo(args) -> int:
               f"simulated {format_seconds(res.total_seconds)}")
         if scalars:
             print(f"  {scalars}")
-        if args.faults is not None or args.checkpoint_every:
-            print(f"  resilience: {recovered.summary()}")
-        report = report_from_program(res, context={**context, **{
-            k: v for k, v in params.items()
-            if isinstance(v, (int, float, bool, str))
-        }})
+        report = report_from_program(res, context=context)
+    if args.faults is not None or args.checkpoint_every:
+        print(f"  resilience: {recovered.summary()}")
 
     if args.report:
         print(f"run report: {report.save(args.report)}")
@@ -941,10 +936,8 @@ def _cmd_mutate(args) -> int:
         return 0 if ok else 1
 
     if args.updates is None:
-        print("error: choose an update stream with --updates SPEC "
-              "(or pass --smoke)", file=sys.stderr)
-        print("usage: see `repro mutate --help`", file=sys.stderr)
-        return 2
+        raise _UsageError("choose an update stream with --updates SPEC "
+                          "(or pass --smoke)")
 
     from repro.core.setup import build_setup
     from repro.dynamic.updates import generate_update_stream

@@ -6,9 +6,11 @@ inherits §4.2 direction choices, ledger charging, spans, metric
 families, fault injection and checkpointing with zero per-algorithm
 glue.  See ``docs/programs.md`` for the contract and a tutorial.
 
-The :data:`PROGRAM_REGISTRY` maps CLI/serving names to factories;
-:func:`build_program` is the single entry point the ``algo`` subcommand
-and :class:`~repro.serve.service.TraversalService` resolve through.
+The :data:`PROGRAM_REGISTRY` maps CLI/serving names to factories, and a
+factory's keywords are the program's parameters
+(:attr:`ProgramSpec.params`); :func:`build_program` is the single entry
+point the ``algo`` subcommand, kernel 3, the programs smoke and
+:class:`~repro.serve.service.TraversalService` resolve through.
 BFS itself stays on the scheduler's native ``run`` path (its early-exit
 pull and MSBFS batching are visited-bit machinery a value program does
 not need); the registry marks it ``native_bfs`` so callers dispatch it
@@ -17,6 +19,7 @@ to ``engine.run(root)``.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,6 +53,7 @@ __all__ = [
     "register_program",
     "available_programs",
     "build_program",
+    "run_registered",
     "BellmanFordProgram",
     "DeltaSteppingProgram",
     "PageRankProgram",
@@ -76,12 +80,17 @@ class ProgramSpec:
     name: str
     factory: Callable
     description: str
-    #: Whether the program traverses from a source vertex (``root``
-    #: required by serving; the CLI defaults it to the max-degree hub).
-    needs_root: bool = False
     #: BFS dispatches to the scheduler's native ``run``/``run_batch``
     #: path instead of ``run_program`` (early-exit pull, MSBFS lanes).
     native_bfs: bool = False
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        """The program's parameters: its factory's keywords after
+        ``part``.  A ``root`` among them makes it a traversal from a
+        source vertex (required by serving; the CLI defaults it to the
+        max-degree hub)."""
+        return tuple(inspect.signature(self.factory).parameters)[1:]
 
 
 PROGRAM_REGISTRY: dict[str, ProgramSpec] = {}
@@ -102,10 +111,12 @@ def available_programs() -> tuple[str, ...]:
 def build_program(name: str, part, **params) -> VertexProgram:
     """Build a registered program for ``part``.
 
-    ``params`` are forwarded to the factory (``root``, ``weights``,
+    ``params`` are forwarded to the factory and must be among the
+    spec's :attr:`~ProgramSpec.params` (``root``, ``weights``,
     ``delta``, ``damping``, ...).  Raises ``ValueError`` for unknown
-    names or for ``"bfs"`` (which runs natively through
-    ``engine.run(root)``, not the program path).
+    names, for any other keyword (before the factory runs) and for
+    ``"bfs"`` (which runs natively through ``engine.run(root)``, not the
+    program path).
     """
     spec = PROGRAM_REGISTRY.get(name)
     if spec is None:
@@ -118,7 +129,23 @@ def build_program(name: str, part, **params) -> VertexProgram:
             "bfs runs natively through engine.run(root); "
             "build_program only constructs vertex programs"
         )
+    unknown = sorted(set(params) - set(spec.params))
+    if unknown:
+        raise ValueError(
+            f"program {name!r} takes no {', '.join(unknown)} "
+            f"(accepted: {', '.join(spec.params) or 'none'})"
+        )
     return spec.factory(part, **params)
+
+
+def run_registered(name: str, part, *, machine=None, **params):
+    """Build the registered program ``name`` and run it on a fresh
+    engine; returns ``(program, run result)``.  The one path of the
+    function entry points (:func:`sssp`, :func:`pagerank`, ...)."""
+    from repro.core.engine import DistributedBFS
+
+    program = build_program(name, part, **params)
+    return program, DistributedBFS(part, machine=machine).run_program(program)
 
 
 # ----------------------------------------------------------------------
@@ -126,8 +153,19 @@ def build_program(name: str, part, **params) -> VertexProgram:
 # ----------------------------------------------------------------------
 
 
-def _bfs_factory(part, **params):  # pragma: no cover - guarded above
+def _bfs_factory(part, *, root):  # pragma: no cover - guarded above
     raise ValueError("bfs runs natively through engine.run(root)")
+
+
+def _weight_table(part, weights, edge_src, edge_dst, context):
+    """The SSSP factories' edge-weight lookup (``None``: unit weights)."""
+    if weights is None:
+        return None
+    if edge_src is None or edge_dst is None:
+        raise ValueError("weights require edge_src/edge_dst for alignment")
+    return WeightTable(
+        part.num_vertices, weights, edge_src, edge_dst, context=context
+    )
 
 
 def _sssp_factory(
@@ -139,14 +177,9 @@ def _sssp_factory(
     edge_dst=None,
     max_iterations: int = 10_000,
 ):
-    weight_of = None
-    if weights is not None:
-        if edge_src is None or edge_dst is None:
-            raise ValueError("weights require edge_src/edge_dst for alignment")
-        weight_of = WeightTable(
-            part.num_vertices, weights, edge_src, edge_dst, context="sssp"
-        )
-    program = BellmanFordProgram(root, weight_of)
+    program = BellmanFordProgram(
+        root, _weight_table(part, weights, edge_src, edge_dst, "sssp")
+    )
     program.max_iterations = int(max_iterations)
     return program
 
@@ -161,26 +194,12 @@ def _delta_factory(
     delta=None,
     max_buckets: int = 1_000_000,
 ):
-    if weights is not None:
-        if edge_src is None or edge_dst is None:
-            raise ValueError("weights require edge_src/edge_dst for alignment")
-        weight_of = WeightTable(
-            part.num_vertices,
-            weights,
-            edge_src,
-            edge_dst,
-            context="delta-stepping",
-        )
-        if delta is None:
-            delta = suggest_delta(
-                np.asarray(weights, dtype=np.float64), part.degrees
-            )
-    else:
-        def weight_of(s, d):
-            return np.ones(s.size, dtype=np.float64)
-
-        if delta is None:
-            delta = suggest_delta(np.ones(1), part.degrees)
+    weight_of = _weight_table(
+        part, weights, edge_src, edge_dst, "delta-stepping"
+    )
+    if delta is None:
+        sample = np.ones(1) if weights is None else weights
+        delta = suggest_delta(np.asarray(sample, dtype=np.float64), part.degrees)
     return DeltaSteppingProgram(root, weight_of, delta, max_buckets=max_buckets)
 
 
@@ -209,7 +228,6 @@ register_program(
         name="bfs",
         factory=_bfs_factory,
         description="Graph500 BFS (native scheduler path, MSBFS-batchable)",
-        needs_root=True,
         native_bfs=True,
     )
 )
@@ -218,7 +236,6 @@ register_program(
         name="sssp",
         factory=_sssp_factory,
         description="Bellman-Ford SSSP (unit weights unless provided)",
-        needs_root=True,
     )
 )
 register_program(
@@ -226,7 +243,6 @@ register_program(
         name="sssp-delta",
         factory=_delta_factory,
         description="delta-stepping SSSP (buckets as staged frontiers)",
-        needs_root=True,
     )
 )
 register_program(

@@ -59,7 +59,6 @@ def connected_components(
     """Run min-label CC over the partitioned graph; returns the
     :class:`~repro.core.programs.base.ProgramRunResult` whose
     ``state["labels"]`` maps each vertex to its component's minimum ID."""
-    from repro.core.engine import DistributedBFS
+    from repro.core.programs import run_registered
 
-    engine = DistributedBFS(part, machine=machine)
-    return engine.run_program(ConnectedComponentsProgram())
+    return run_registered("cc", part, machine=machine)[1]

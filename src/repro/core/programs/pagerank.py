@@ -125,13 +125,12 @@ def pagerank(
     machine: MachineSpec | None = None,
 ) -> PageRankResult:
     """Damped PageRank by power iteration over the six components."""
-    from repro.core.engine import DistributedBFS
+    from repro.core.programs import run_registered
 
-    program = PageRankProgram(
-        damping=damping, tol=tol, max_iterations=max_iterations
+    _, res = run_registered(
+        "pagerank", part, machine=machine, damping=damping, tol=tol,
+        max_iterations=max_iterations,
     )
-    engine = DistributedBFS(part, machine=machine)
-    res = engine.run_program(program)
     return PageRankResult(
         ranks=res.state["ranks"],
         num_iterations=res.num_iterations,

@@ -389,18 +389,6 @@ class DeltaSteppingResult:
         return self.ledger.total_seconds
 
 
-def _run_registered(name: str, part: PartitionedGraph, root: int, machine, **params):
-    """Build the registered program ``name`` rooted at ``root`` and run
-    it on a fresh engine; returns ``(program, run result)``."""
-    from repro.core.engine import DistributedBFS
-    from repro.core.programs import build_program
-
-    if not 0 <= root < part.num_vertices:
-        raise ValueError(f"root {root} out of range for n={part.num_vertices}")
-    program = build_program(name, part, root=root, **params)
-    return program, DistributedBFS(part, machine=machine).run_program(program)
-
-
 def sssp(
     part: PartitionedGraph,
     root: int,
@@ -419,9 +407,11 @@ def sssp(
     ``edge_src``/``edge_dst``) omitted, unit weights are used and SSSP
     equals BFS depth.
     """
-    program, res = _run_registered(
-        "sssp", part, root, machine, weights=weights, edge_src=edge_src,
-        edge_dst=edge_dst, max_iterations=max_iterations,
+    from repro.core.programs import run_registered
+
+    program, res = run_registered(
+        "sssp", part, machine=machine, root=root, weights=weights,
+        edge_src=edge_src, edge_dst=edge_dst, max_iterations=max_iterations,
     )
     return SSSPResult(
         root=root,
@@ -446,9 +436,12 @@ def delta_stepping_sssp(
 ) -> DeltaSteppingResult:
     """Exact delta-stepping shortest paths over the partitioned graph
     (the registered ``"sssp-delta"`` program)."""
-    program, res = _run_registered(
-        "sssp-delta", part, root, machine, weights=weights, edge_src=edge_src,
-        edge_dst=edge_dst, delta=delta, max_buckets=max_buckets,
+    from repro.core.programs import run_registered
+
+    program, res = run_registered(
+        "sssp-delta", part, machine=machine, root=root, weights=weights,
+        edge_src=edge_src, edge_dst=edge_dst, delta=delta,
+        max_buckets=max_buckets,
     )
     return DeltaSteppingResult(
         root=root,

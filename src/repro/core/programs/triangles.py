@@ -109,7 +109,6 @@ def triangle_count(part: PartitionedGraph, *, machine: MachineSpec | None = None
     :class:`~repro.core.programs.base.ProgramRunResult` with per-vertex
     counts in ``state["triangles"]`` and the global count in
     ``info["total_triangles"]``."""
-    from repro.core.engine import DistributedBFS
+    from repro.core.programs import run_registered
 
-    engine = DistributedBFS(part, machine=machine)
-    return engine.run_program(TriangleCountingProgram())
+    return run_registered("triangles", part, machine=machine)[1]

@@ -429,20 +429,20 @@ def run_graph500_sssp(
     h_threshold: int | None = None,
     machine: MachineSpec | None = None,
     validate: bool = True,
-    algorithm: str = "delta-stepping",
+    algorithm: str = "sssp-delta",
 ) -> Graph500Report:
     """The benchmark's SSSP kernel over sampled roots.
 
     Mirrors :func:`run_graph500` with the weighted kernel: uniform [0, 1)
-    edge weights per the specification, delta-stepping (or Bellman-Ford)
-    over the 1.5D partitioning, and the kernel-3 optimality-certificate
-    validation on every root.
+    edge weights per the specification, the registered ``algorithm``
+    (``"sssp-delta"``, delta-stepping, or ``"sssp"``, Bellman-Ford) over
+    the 1.5D partitioning on one engine, and the kernel-3
+    optimality-certificate validation on every root.
     """
-    from repro.core import delta_stepping_sssp, generate_weights
-    from repro.core import sssp as bellman_ford
+    from repro.core.programs import build_program, generate_weights
     from repro.graph500.validate_sssp import validate_sssp_result
 
-    if algorithm not in ("delta-stepping", "bellman-ford"):
+    if algorithm not in ("sssp-delta", "sssp"):
         raise ValueError(f"unknown SSSP algorithm {algorithm!r}")
     problem = Graph500Problem(scale=scale)
 
@@ -461,23 +461,19 @@ def run_graph500_sssp(
     construction = estimate_construction_seconds(part, machine)
     roots = sample_roots(part.degrees, num_roots, rng=rng)
 
+    engine = DistributedBFS(part, machine=machine)
     times, teps = [], []
     all_valid = True
     for root in roots:
-        if algorithm == "delta-stepping":
-            res = delta_stepping_sssp(
-                part, int(root), weights, src, dst, machine=machine
-            )
-        else:
-            res = bellman_ford(
-                part, int(root), weights, edge_src=src, edge_dst=dst,
-                machine=machine,
-            )
+        res = engine.run_program(build_program(
+            algorithm, part, root=int(root), weights=weights, edge_src=src,
+            edge_dst=dst,
+        ))
         if validate:
             try:
                 validate_sssp_result(
-                    problem.num_vertices, src, dst, weights,
-                    int(root), res.distance, res.parent,
+                    problem.num_vertices, src, dst, weights, int(root),
+                    res.state["distance"], res.state["parent"],
                 )
             except AssertionError:
                 all_valid = False

@@ -534,15 +534,12 @@ def programs_smoke_report(*, metrics=None, tracer=None, **overrides) -> RunRepor
     setup = build_setup(**{k: v for k, v in cfg.items() if k != "weight_seed"})
     src, dst, machine, hub = setup.src, setup.dst, setup.machine, setup.root
     part = setup.partition()
-    weights = generate_weights(src.size, seed=cfg["weight_seed"])
-    params: dict[str, dict] = {
-        "sssp": dict(root=hub, weights=weights, edge_src=src, edge_dst=dst),
-        "sssp-delta": dict(root=hub, weights=weights, edge_src=src,
-                           edge_dst=dst),
-        "pagerank": dict(),
-        "cc": dict(),
-        "triangles": dict(),
-    }
+    # Each program takes what its spec names: the hub as ``root``, the
+    # seeded table as ``weights``.
+    given = dict(
+        root=hub, weights=generate_weights(src.size, seed=cfg["weight_seed"]),
+        edge_src=src, edge_dst=dst,
+    )
     report_metrics: dict = {}
     directions: list = []
     for name, spec in sorted(PROGRAM_REGISTRY.items()):
@@ -554,7 +551,8 @@ def programs_smoke_report(*, metrics=None, tracer=None, **overrides) -> RunRepor
             report_metrics["program.bfs.gteps"] = float(res.simulated_gteps())
             info = {}
         else:
-            res = engine.run_program(build_program(name, part, **params[name]))
+            params = {k: v for k, v in given.items() if k in spec.params}
+            res = engine.run_program(build_program(name, part, **params))
             info = {
                 k: v for k, v in res.info.items()
                 if isinstance(v, (int, float, bool))

@@ -286,14 +286,21 @@ class TraversalService:
             raise ValueError(
                 f"unknown program {program!r} (available: {names})"
             )
-        if spec.needs_root:
+        run_params = dict(params)
+        if "root" in spec.params:
             if root is None:
                 raise ValueError(f"program {program!r} requires a root")
             root = int(root)
             if not 0 <= root < self.graph.num_vertices:
                 raise ValueError(f"root {root} out of range")
+            run_params["root"] = root
         elif root is not None:
             raise ValueError(f"program {program!r} does not take a root")
+        # Built before admission: a rejected name or value is the
+        # caller's ValueError, never an admitted request.  Every replay
+        # reuses it (run_program re-binds the program's state).
+        engine = self.graph.sequential
+        prog = build_program(program, engine.part, **run_params)
 
         core, scope = self._core, self._scope
         request = core.begin(scope, -1 if root is None else root, program)
@@ -311,23 +318,16 @@ class TraversalService:
             self._count_program(program, "shed")
             raise core.shed(scope, request, self.pending, self.queue_depth)
 
-        engine = self.graph.sequential
-        run_params = dict(params)
-        if spec.needs_root:
-            run_params["root"] = root
         self._inflight_programs += 1
         future = core.admit(scope, request)
         traverse = functools.partial(
-            engine.run_program, faults=core.faults,
+            engine.run_program, prog, faults=core.faults,
             trace_id=core.trace_id(engine, [request]),
         )
         try:
             while True:
-                prog = build_program(program, engine.part, **run_params)
                 t_exec = core.clock()
-                result, crashed = await core.execute(
-                    scope, [request], functools.partial(traverse, prog)
-                )
+                result, crashed = await core.execute(scope, [request], traverse)
                 if result is not None:
                     break
                 if crashed:

@@ -515,8 +515,12 @@ async def run_session(service, drive, *, telemetry, cluster=None):
     ``telemetry`` (a dict, see :func:`run_serving_session`) brings the
     live plane up for the session; without it the summary is ``None``.
     ``cluster`` is the multi-tenant service whose per-tenant SLO
-    monitors back the ``/slo`` views in place of ``telemetry["slos"]``.
+    monitors back the ``/slo`` views in place of ``telemetry["slos"]``;
+    each takes its zero baseline here, with or without the plane.
     """
+    if cluster is not None:
+        for monitor in cluster.slo_monitors.values():
+            monitor.observe()  # zero baseline for the window delta
     if telemetry is None:
         async with service:
             return await drive(), service, None

@@ -196,6 +196,21 @@ class TestResilienceFlags:
         assert rc == 0
         assert "resilience:" in out
 
+    def test_algo_bfs_recovers_from_crash(self, capsys):
+        argv = ["algo", "bfs", "--scale", "10", "--mesh", "2x2"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        rc = main(argv + ["--faults", "crash:rank=1,iter=1",
+                          "--checkpoint-every", "1"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "resilience: {'crashes': 1," in out
+
+        def visited(text):
+            return text.split("visited ", 1)[1].split(",", 1)[0]
+
+        assert visited(out) == visited(plain)
+
     def test_chaos_gate_passes(self, capsys):
         rc = main([
             "chaos", "--scale", "10", "--mesh", "2x2", "--seed", "7",
@@ -305,6 +320,11 @@ class TestMainEntryPoint:
         ("serve", "--smoke", "--expect-slo", "fired"),
         ("algo", "pagerank", "--max-iterations", "0"),
         ("algo", "sssp", "--max-iterations", "-1"),
+        # A flag the program takes no parameter for is named, not dropped.
+        ("algo", "cc", "--damping", "0.5"),
+        ("algo", "pagerank", "--root", "3"),
+        ("algo", "sssp-delta", "--max-iterations", "3"),
+        ("algo", "bfs", "--tol", "0.1"),
     ], ids=lambda argv: "_".join(a.replace("--", "") for a in argv))
     def test_out_of_range_number_exits_two_with_usage(self, argv):
         command, *rest = argv
@@ -315,6 +335,14 @@ class TestMainEntryPoint:
         assert proc.returncode == 2
         assert "usage:" in proc.stderr
         assert rest[-2] in proc.stderr  # the offending flag is named
+        assert "Traceback" not in proc.stderr
+
+    def test_unit_weights_without_weights_exits_two(self):
+        proc = self._run("algo", "triangles", "--scale", "8", "--mesh", "2x2",
+                         "--unit-weights")
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr
+        assert "--unit-weights" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 

@@ -565,6 +565,24 @@ class TestPerTenantSLO:
             assert doc["status"] in ("ok", "warn", "page")
             assert doc["slos"]
 
+    def test_session_baseline_lets_each_tenant_observe(self):
+        # Burn is a windowed delta and nothing polls /slo mid-run without
+        # the telemetry plane: only the session's zero baseline lets the
+        # final evaluation see the requests it served.
+        from repro.cluster import run_cluster_session
+
+        registry = build_registry(specs(2))
+        workload = make_diurnal_workload(
+            registry.degrees_map(), 40, seed=3, duration_seconds=0.1
+        )
+        assert set(workload.per_tenant_counts()) == {"t0", "t1"}
+        _, cluster, _ = run_cluster_session(
+            registry, workload, replicas=1, max_shed_retries=10_000,
+            metrics=MetricsRegistry(),
+        )
+        for tid, doc in cluster.slo_status().items():
+            assert all(row["observed"] > 0 for row in doc["slos"]), tid
+
 
 # ----------------------------------------------------------------------
 # streaming-ingest isolation

@@ -386,6 +386,20 @@ class TestRegistry:
         with pytest.raises(ValueError, match="natively"):
             build_program("bfs", part, root=0)
 
+    def test_params_are_the_factory_keywords(self):
+        import inspect
+
+        for spec in PROGRAM_REGISTRY.values():
+            keywords = list(inspect.signature(spec.factory).parameters)[1:]
+            assert list(spec.params) == keywords, spec.name
+        assert "root" in PROGRAM_REGISTRY["sssp"].params
+        assert PROGRAM_REGISTRY["cc"].params == ()
+
+    def test_unknown_parameter_is_named(self, system):
+        _, _, part, _, _ = system
+        with pytest.raises(ValueError, match="damping"):
+            build_program("cc", part, damping=0.5)
+
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
             register_program(

@@ -445,6 +445,21 @@ class TestTraversalService:
 
         run_async(main())
 
+    def test_program_parameter_errors_are_never_admitted(self, engines):
+        _, batched, _ = engines
+
+        async def main():
+            async with TraversalService(batched) as svc:
+                with pytest.raises(ValueError, match="damping"):
+                    await svc.submit(program="cc", damping=0.5)
+                with pytest.raises(ValueError, match="delta"):
+                    await svc.submit(3, program="sssp-delta", delta=-1.0)
+                return svc
+
+        svc = run_async(main())
+        assert svc.stats.requests == 0
+        assert svc.stats.failed == 0
+
     def test_constructor_validation(self, engines):
         _, batched, _ = engines
         with pytest.raises(ValueError):

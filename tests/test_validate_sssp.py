@@ -133,7 +133,7 @@ class TestSSSPDriver:
         from repro.graph500.driver import run_graph500_sssp
 
         report = run_graph500_sssp(
-            9, 2, 2, seed=1, num_roots=2, algorithm="bellman-ford"
+            9, 2, 2, seed=1, num_roots=2, algorithm="sssp"
         )
         assert report.validated
 
