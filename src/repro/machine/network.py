@@ -14,6 +14,7 @@ supernode, and only column/global traffic crosses the oversubscribed layer.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,9 +103,9 @@ class MachineSpec:
         """Latency term of a tree-structured collective over P nodes."""
         if participants < 1:
             raise ValueError("participants must be >= 1")
-        return self.p2p_latency_s + self.hop_latency_s * float(
-            np.ceil(np.log2(max(participants, 2)))
-        )
+        # ceil(log2 P) exactly, as an integer: (P - 1).bit_length().
+        hops = (max(operator.index(participants), 2) - 1).bit_length()
+        return self.p2p_latency_s + self.hop_latency_s * float(hops)
 
     def scaled_for(self, edges_per_node: float) -> "MachineSpec":
         """A copy whose work scale matches a small per-node problem.

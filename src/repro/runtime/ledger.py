@@ -31,6 +31,11 @@ the ledger's totals exactly (``counter_total("comm_bytes") ==
 total_bytes``); the default :data:`~repro.obs.metrics.NULL_METRICS`
 makes this a no-op too.
 
+With both sinks disabled (``enabled = False``, as the two defaults are), a
+charge records only its event: it validates, prices, consults the fault
+injector and appends, and it calls neither sink.  The check reads
+``enabled`` on every charge, so a sink attached later is honoured.
+
 When a :class:`~repro.resilience.faults.FaultInjector` is attached
 (``faults=``), the ledger is additionally the fault *consumption* choke
 point: every collective charge asks the injector for an outcome — each
@@ -91,9 +96,9 @@ class TrafficLedger:
     cost_model: CostModel
     comm_events: list[CommEvent] = field(default_factory=list)
     compute_events: list[ComputeEvent] = field(default_factory=list)
-    #: Observability sink; every charge mirrors into a leaf span.
+    #: Observability sink; while enabled, every charge mirrors into a leaf span.
     tracer: object = field(default=NULL_TRACER, repr=False, compare=False)
-    #: Aggregate sink; every charge feeds the labeled metric families.
+    #: Aggregate sink; while enabled, every charge feeds the metric families.
     metrics: object = field(default=NULL_METRICS, repr=False, compare=False)
     #: Optional :class:`~repro.resilience.faults.FaultInjector`; ``None``
     #: (the default) takes the fault-free fast path.
@@ -114,33 +119,29 @@ class TrafficLedger:
         seconds: float,
         wasted: bool = False,
     ) -> None:
-        """Append one priced collective event and mirror it to the sinks."""
+        """Append one priced collective event; mirror it to listening sinks."""
         self.comm_events.append(
-            CommEvent(
-                phase=phase,
-                kind=kind,
-                participants=participants,
-                max_bytes_intra=max_bytes_intra,
-                max_bytes_inter=max_bytes_inter,
-                total_bytes=total_bytes,
-                seconds=seconds,
-            )
+            CommEvent(phase, kind, participants, max_bytes_intra,
+                      max_bytes_inter, total_bytes, seconds)
         )
+        if not (self.tracer.enabled or self.metrics.enabled):
+            return
+        name = kind.value
         self.tracer.charge(
-            kind.value,
+            name,
             category="collective",
             sim_seconds=seconds,
             counters={"bytes": total_bytes},
             phase=phase,
-            kind=kind.value,
+            kind=name,
             participants=participants,
             **({"wasted": True} if wasted else {}),
         )
         m = self.metrics
-        m.counter("comm_seconds", phase=phase, kind=kind.value).inc(seconds)
-        m.counter("comm_bytes", phase=phase, kind=kind.value).inc(total_bytes)
-        m.counter("comm_events", phase=phase, kind=kind.value).inc()
-        m.histogram("collective_bytes", kind=kind.value).observe(total_bytes)
+        m.counter("comm_seconds", phase=phase, kind=name).inc(seconds)
+        m.counter("comm_bytes", phase=phase, kind=name).inc(total_bytes)
+        m.counter("comm_events", phase=phase, kind=name).inc()
+        m.histogram("collective_bytes", kind=name).observe(total_bytes)
 
     def charge_collective(
         self,
@@ -252,29 +253,26 @@ class TrafficLedger:
         if seconds_for_max < 0:
             raise ValueError("seconds_for_max must be nonnegative")
         items = np.asarray(per_node_items, dtype=np.int64)
-        if items.size and items.min() < 0:
+        values = items.tolist()
+        if values and min(values) < 0:
             raise ValueError("per-node item counts must be nonnegative")
         if self.faults is not None:
             # A straggling rank stretches the busiest-node critical path.
             factor = self.faults.compute_factor(phase, items)
             if factor != 1.0:
                 seconds_for_max = seconds_for_max * factor
-        max_items = int(items.max()) if items.size else 0
-        total_items = int(items.sum()) if items.size else 0
-        mean_items = total_items / items.size if items.size else 0.0
+        max_items = max(values, default=0)
+        total_items = sum(values)
+        mean_items = total_items / len(values) if values else 0.0
         imbalance = (
             seconds_for_max * (1.0 - mean_items / max_items) if max_items else 0.0
         )
         self.compute_events.append(
-            ComputeEvent(
-                phase=phase,
-                kernel=kernel,
-                max_items=max_items,
-                total_items=total_items,
-                seconds=seconds_for_max,
-                imbalance_seconds=imbalance,
-            )
+            ComputeEvent(phase, kernel, max_items, total_items,
+                         seconds_for_max, imbalance)
         )
+        if not (self.tracer.enabled or self.metrics.enabled):
+            return seconds_for_max
         self.tracer.charge(
             kernel,
             category="kernel",
@@ -288,7 +286,7 @@ class TrafficLedger:
         m.counter("compute_items", phase=phase, kernel=kernel).inc(total_items)
         m.counter("compute_events", phase=phase, kernel=kernel).inc()
         m.counter("imbalance_seconds", phase=phase).inc(imbalance)
-        if items.size:
+        if values:
             # Per-rank work: exact totals (Fig. 13 balance) + histogram.
             m.vector("rank_items", phase=phase).add(items)
             m.histogram("rank_load", phase=phase).observe_many(items)

@@ -5,6 +5,9 @@ import pytest
 
 from repro.machine.costmodel import CollectiveKind, CostModel
 from repro.machine.network import MachineSpec
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import Tracer
+from repro.resilience.faults import FaultInjector
 from repro.runtime.ledger import TrafficLedger
 
 
@@ -92,3 +95,107 @@ class TestQueries:
     def test_bytes_by_kind(self, ledger):
         ledger.charge_collective("A", CollectiveKind.ALLTOALLV, 4, 10.0, 5.0)
         assert ledger.bytes_by_kind()[CollectiveKind.ALLTOALLV] == pytest.approx(15.0)
+
+
+class _RaisingSink:
+    """A disabled tracer/registry that fails the test if it is ever called."""
+
+    enabled = False
+
+    def _called(self, *args, **kwargs):
+        raise AssertionError("a disabled sink was called")
+
+    charge = counter = gauge = histogram = vector = _called
+
+
+_FAULTS = "drop:phase=L2L,p=0.5,retries=2;straggler:rank=2,phase=EH2EH,factor=3"
+_COMPUTE_VECTORS = [
+    np.zeros(0, dtype=np.int64),
+    np.full(16, 7, dtype=np.int64),
+    np.array([0, 0, 30, 1] * 4, dtype=np.int64),
+    [3, 0, 5, 1],
+    np.array([9, 4, 0, 2], dtype=np.int32),
+]
+
+
+def _charge_script(ledger):
+    """Every charge method, every collective kind and every vector shape."""
+    split = (0.25, 0.75)
+    for phase in ("EH2EH", "L2L"):
+        for i, kind in enumerate(CollectiveKind):
+            ledger.charge_collective(phase, kind, 2 + i, 100.0 * i, 30.0)
+            ledger.charge_collective(
+                phase, kind, np.int64(16), 8.0, 0.0, total_bytes=128.0
+            )
+            ledger.charge_scoped(phase, kind, 4, 64.0, split)
+        ledger.charge_allreduce(phase, 8, 256.0, split)
+        ledger.charge_wait(phase, 1e-5)
+        for j, items in enumerate(_COMPUTE_VECTORS):
+            ledger.charge_compute(phase, f"k{j}", items, 1e-6 * (j + 1))
+
+
+def _faults(faulted):
+    return FaultInjector(_FAULTS, rng=np.random.default_rng(5)) if faulted else None
+
+
+class TestSinksOff:
+    """With both sinks disabled a charge records its event and nothing else."""
+
+    def _cost(self):
+        return CostModel(MachineSpec(num_nodes=64, nodes_per_supernode=16))
+
+    @pytest.mark.parametrize("faulted", [False, True])
+    def test_disabled_sinks_are_never_called(self, faulted):
+        led = TrafficLedger(
+            self._cost(),
+            tracer=_RaisingSink(),
+            metrics=_RaisingSink(),
+            faults=_faults(faulted),
+        )
+        _charge_script(led)
+        assert led.comm_events and led.compute_events
+
+    @pytest.mark.parametrize("faulted", [False, True])
+    def test_events_equal_with_and_without_sinks(self, faulted):
+        bare = TrafficLedger(self._cost(), faults=_faults(faulted))
+        tracer, registry = Tracer(), MetricsRegistry()
+        seen = TrafficLedger(
+            self._cost(), tracer=tracer, metrics=registry, faults=_faults(faulted)
+        )
+        _charge_script(bare)
+        _charge_script(seen)
+        assert bare.comm_events == seen.comm_events
+        assert bare.compute_events == seen.compute_events
+        assert registry.counter_total("comm_bytes") == seen.total_bytes
+        assert tracer.counter_total("bytes") == seen.total_bytes
+        assert len(tracer.spans) == len(seen.comm_events) + len(seen.compute_events)
+        assert any(sp.attrs.get("wasted") for sp in tracer.spans) == faulted
+
+    def test_exact_ints_from_every_vector_shape(self):
+        led = TrafficLedger(self._cost())
+        for items in _COMPUTE_VECTORS:
+            led.charge_compute("x", "k", items, 1.0)
+        for items, ev in zip(_COMPUTE_VECTORS, led.compute_events):
+            arr = np.asarray(items, dtype=np.int64)
+            assert type(ev.max_items) is int and type(ev.total_items) is int
+            assert ev.max_items == (int(arr.max()) if arr.size else 0)
+            assert ev.total_items == int(arr.sum())
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_negative_inputs_still_raise(self, observed):
+        sinks = {"tracer": Tracer(), "metrics": MetricsRegistry()} if observed else {}
+        led = TrafficLedger(self._cost(), **sinks)
+        A = CollectiveKind.ALLGATHER
+        with pytest.raises(ValueError):
+            led.charge_collective("x", A, 4, -1.0, 0.0)
+        with pytest.raises(ValueError):
+            led.charge_collective("x", A, 4, 0.0, -1.0)
+        with pytest.raises(ValueError):
+            led.charge_collective("x", A, 4, 1.0, 1.0, total_bytes=-1.0)
+        with pytest.raises(ValueError):
+            led.charge_compute("x", "k", [1, -1, 2], 1.0)
+        with pytest.raises(ValueError):
+            led.charge_compute("x", "k", [1, 2], -1.0)
+        with pytest.raises(ValueError):
+            led.charge_wait("x", -1e-6)
+        assert not led.comm_events and not led.compute_events

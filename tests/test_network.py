@@ -52,3 +52,34 @@ class TestMachineSpec:
             MachineSpec(fat_tree_oversubscription=0.5)
         with pytest.raises(ValueError):
             MachineSpec(nodes_per_supernode=0)
+
+
+class TestCollectiveLatencyExact:
+    """The integer ceil(log2 P) equals the float formula it replaced."""
+
+    @staticmethod
+    def _float_formula(m, p):
+        return m.p2p_latency_s + m.hop_latency_s * float(np.ceil(np.log2(max(p, 2))))
+
+    def test_every_participant_count_to_4096(self):
+        m = MachineSpec(num_nodes=4096)
+        for p in range(1, 4097):
+            assert m.collective_latency(p) == self._float_formula(m, p)
+
+    def test_powers_of_two_and_neighbours_to_2_40(self):
+        m = MachineSpec()
+        for k in range(1, 41):
+            for p in (2**k - 1, 2**k, 2**k + 1):
+                assert m.collective_latency(p) == self._float_formula(m, p), p
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_numpy_integer_participants(self, dtype):
+        m = MachineSpec()
+        for p in (1, 2, 3, 16, 255, 256, 257, 4096):
+            got = m.collective_latency(dtype(p))
+            assert type(got) is float
+            assert got == self._float_formula(m, p)
+
+    def test_zero_participants_still_raises(self):
+        with pytest.raises(ValueError):
+            MachineSpec().collective_latency(0)
