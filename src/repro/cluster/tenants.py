@@ -35,6 +35,7 @@ from repro.serve.cache import ResultCache
 from repro.serve.core import ResidentGraph
 
 __all__ = [
+    "MAX_TENANTS",
     "SLO_CLASSES",
     "TenantSpec",
     "Tenant",
@@ -238,16 +239,25 @@ def build_registry(specs, *, dynamic: bool = False) -> TenantRegistry:
 # ----------------------------------------------------------------------
 
 
+#: Most tenants one ``--tenants`` spec may name.  Every tenant builds its
+#: own graph and engine pair, so a resident set far past this never
+#: finishes building — and the CLI parses the spec at argument time, so
+#: an unbounded count would build that many specs before anything runs.
+MAX_TENANTS = 1024
+
+
 def parse_tenant_count(value: str) -> int:
-    """Parse a bare ``--tenants N`` count (``>= 1``)."""
+    """Parse a bare ``--tenants N`` count (``1 <= N <= MAX_TENANTS``)."""
     try:
         count = int(value)
     except ValueError as exc:
         raise ValueError(
             f"tenants must be a count or name:class list, got {value!r}"
         ) from exc
-    if count < 1:
-        raise ValueError(f"tenant count must be >= 1, got {count}")
+    if not 1 <= count <= MAX_TENANTS:
+        raise ValueError(
+            f"tenant count must be in [1, {MAX_TENANTS}], got {count}"
+        )
     return count
 
 
@@ -285,8 +295,13 @@ def parse_tenant_spec(value: str, *, scale: int = 9, rows: int = 2,
             )
             for i in range(count)
         ]
+    tokens = value.split(",")
+    if len(tokens) > MAX_TENANTS:
+        raise ValueError(
+            f"at most {MAX_TENANTS} tenants, got {len(tokens)} entries"
+        )
     specs = []
-    for i, token in enumerate(value.split(",")):
+    for i, token in enumerate(tokens):
         token = token.strip()
         if not token:
             raise ValueError(f"empty tenant entry in {value!r}")

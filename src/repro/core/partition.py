@@ -13,6 +13,9 @@ Pipeline (mirrors the paper's in-place preprocessing):
    placement table);
 5. freeze each component into its push/pull access structures.
 
+Steps 2-3 are :func:`vertex_layout` and step 4 is :func:`place_arcs`;
+:mod:`repro.dynamic`'s incremental repair runs the same two per batch.
+
 Degenerate settings reproduce the paper's §4.1 observations: with
 ``h_threshold == e_threshold`` there are no H vertices and the scheme
 collapses toward 1D-with-heavy-delegates; with a threshold of 1 every
@@ -42,7 +45,7 @@ same deal as a cyclic one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,6 +62,7 @@ __all__ = [
     "partition_graph",
     "classify_vertices",
     "eh_placement",
+    "vertex_layout",
     "place_arcs",
     "mix64",
 ]
@@ -138,14 +142,15 @@ class PartitionedGraph:
     #: Per-vertex mesh column/row of the EH-space placement (-1 for L).
     #: EH vertices are re-IDed by degree descending and dealt cyclically
     #: over the mesh, which is what spreads hub adjacency evenly (§4.1's
-    #: "given a new ID among the higher degree vertices").
-    eh_col: np.ndarray = field(default=None)
-    eh_row: np.ndarray = field(default=None)
+    #: "given a new ID among the higher degree vertices"); stable
+    #: placement hashes the vertex id instead.
+    eh_col: np.ndarray
+    eh_row: np.ndarray
     #: EH delegate population per mesh column / row (bitmap sizes).
-    col_eh_counts: np.ndarray = field(default=None)
-    row_eh_counts: np.ndarray = field(default=None)
+    col_eh_counts: np.ndarray
+    row_eh_counts: np.ndarray
     #: L vertices per rank (block distribution).
-    l_per_rank: np.ndarray = field(default=None)
+    l_per_rank: np.ndarray
     #: Placement mode the partition was built with ("cyclic" or
     #: "stable"); incremental repair requires "stable".
     placement: str = "cyclic"
@@ -258,43 +263,84 @@ def eh_placement(
     return e_ids, h_ids, eh_col, eh_row
 
 
-def place_arcs(
-    a_src: np.ndarray,
-    a_dst: np.ndarray,
-    *,
-    vclass: np.ndarray,
-    eh_col: np.ndarray,
-    eh_row: np.ndarray,
+def vertex_layout(
+    degrees: np.ndarray,
     mesh: ProcessMesh,
-    num_vertices: int,
-    placement: str = "cyclic",
-    arc_cycle: np.ndarray | None = None,
+    *,
+    e_threshold: int,
+    h_threshold: int,
+    placement: str,
+) -> dict[str, np.ndarray]:
+    """Every per-vertex field of a :class:`PartitionedGraph` (steps 2-3).
+
+    Returns ``degrees``, ``vclass``, ``e_ids``/``h_ids``,
+    ``eh_col``/``eh_row``, the EH delegate counts per mesh column / row
+    (bitmap sizes) and the L vertices per rank (block distribution) —
+    pure functions of the degrees, so the static partition and each
+    incremental repair generation derive them the same way.
+    """
+    if e_threshold < h_threshold:
+        raise ValueError(
+            f"e_threshold ({e_threshold}) must be >= h_threshold ({h_threshold})"
+        )
+    if placement not in PLACEMENT_MODES:
+        raise ValueError(
+            f"unknown placement mode {placement!r}; expected one of "
+            f"{PLACEMENT_MODES}"
+        )
+    vclass = classify_vertices(
+        degrees, e_threshold=e_threshold, h_threshold=h_threshold
+    )
+    e_ids, h_ids, eh_col, eh_row = eh_placement(
+        vclass, degrees, mesh, placement=placement
+    )
+    eh_ids = np.concatenate([e_ids, h_ids])
+    l_ids = np.flatnonzero(vclass == VertexClass.L)
+    return {
+        "degrees": degrees,
+        "vclass": vclass,
+        "e_ids": e_ids,
+        "h_ids": h_ids,
+        "eh_col": eh_col,
+        "eh_row": eh_row,
+        "col_eh_counts": np.bincount(eh_col[eh_ids], minlength=mesh.cols),
+        "row_eh_counts": np.bincount(eh_row[eh_ids], minlength=mesh.rows),
+        "l_per_rank": np.bincount(
+            mesh.owner_of(l_ids, degrees.size), minlength=mesh.num_ranks
+        ),
+    }
+
+
+def _component_table() -> np.ndarray:
+    """``[source class, destination class] -> COMPONENT_ORDER index``."""
+    table = np.empty((3, 3), dtype=np.int64)
+    for i, name in enumerate(COMPONENT_ORDER):
+        s_cls, d_cls = COMPONENT_CLASSES[name]
+        table[np.ix_(CLASS_CODES[s_cls], CLASS_CODES[d_cls])] = i
+    return table
+
+
+_COMPONENT_OF = _component_table()
+_EH2EH, _H2L = COMPONENT_ORDER.index("EH2EH"), COMPONENT_ORDER.index("H2L")
+
+
+def place_arcs(
+    a_src: np.ndarray, a_dst: np.ndarray, part: PartitionedGraph
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(component_index, rank)`` per arc (steps 4's placement table).
+    """``(component_index, rank)`` per arc under ``part``'s vertex layout
+    (step 4's placement table).
 
     ``component_index`` indexes :data:`~repro.core.subgraphs.COMPONENT_ORDER`.
-    In cyclic mode ``arc_cycle`` is each arc's position in the global
-    symmetrized array (defaults to ``arange``); stable mode ignores it
-    and hashes the endpoint pair instead, so an arc's rank never depends
-    on what other arcs exist.
+    Cyclic placement deals an EH2EH arc by its position in ``a_src``
+    (the global symmetrized array when :func:`partition_graph` calls);
+    stable placement hashes the endpoint pair instead, so an arc's rank
+    never depends on what other arcs exist.
     """
-    sc = vclass[a_src].astype(np.int64)
-    dc = vclass[a_dst].astype(np.int64)
-    o_src = mesh.owner_of(a_src, num_vertices)
-    o_dst = mesh.owner_of(a_dst, num_vertices)
-    r_dst = mesh.row_of(o_dst)
-
-    heavy_s = sc >= VertexClass.H
-    heavy_d = dc >= VertexClass.H
-
-    comp_of = np.empty(a_src.size, dtype=np.int64)
-    names = list(COMPONENT_ORDER)
-    comp_of[heavy_s & heavy_d] = names.index("EH2EH")
-    comp_of[(sc == VertexClass.E) & (dc == VertexClass.L)] = names.index("E2L")
-    comp_of[(sc == VertexClass.L) & (dc == VertexClass.E)] = names.index("L2E")
-    comp_of[(sc == VertexClass.H) & (dc == VertexClass.L)] = names.index("H2L")
-    comp_of[(sc == VertexClass.L) & (dc == VertexClass.H)] = names.index("L2H")
-    comp_of[(sc == VertexClass.L) & (dc == VertexClass.L)] = names.index("L2L")
+    mesh, cols = part.mesh, part.mesh.cols
+    sc, dc = part.vclass[a_src], part.vclass[a_dst]
+    comp_of = _COMPONENT_OF[sc, dc]
+    o_src = mesh.owner_of(a_src, part.num_vertices)
+    o_dst = mesh.owner_of(a_dst, part.num_vertices)
 
     # Rank per arc, by component placement rule.
     #
@@ -303,37 +349,22 @@ def place_arcs(
     # are delegated on *every* node (§4.1), so their adjacency is free to
     # be dealt cyclically across columns/rows; this is what breaks up the
     # super-hubs' adjacency mass and gives the tight Fig. 13 balance.
-    # L endpoints place by block ownership.
-    rank = np.empty(a_src.size, dtype=np.int64)
-    if placement == "stable":
-        deal = mix64(mix64(a_src) + np.asarray(a_dst).astype(np.uint64))
-        deal_col = (deal % np.uint64(mesh.cols)).astype(np.int64)
-        deal_row = (
-            (deal // np.uint64(mesh.cols)) % np.uint64(mesh.rows)
-        ).astype(np.int64)
+    # L endpoints place by block ownership: L2E, L2H and L2L with the
+    # source, E2L with the destination, H2L in the destination's row.
+    rank = np.where(sc == VertexClass.L, o_src, o_dst)
+    m = comp_of == _H2L
+    rank[m] = o_dst[m] // cols * cols + part.eh_col[a_src[m]]
+    core = np.flatnonzero(comp_of == _EH2EH)
+    s, d = a_src[core], a_dst[core]
+    if part.placement == "stable":
+        deal = mix64(mix64(s) + d.astype(np.uint64))
     else:
-        if arc_cycle is None:
-            arc_cycle = np.arange(a_src.size, dtype=np.int64)
-        deal_col = arc_cycle % mesh.cols
-        deal_row = (arc_cycle // mesh.cols) % mesh.rows
-
-    m_2d = comp_of == names.index("EH2EH")
-    src_is_h = sc == VertexClass.H
-    dst_is_h = dc == VertexClass.H
-    col_2d = np.where(src_is_h, eh_col[a_src], deal_col)
-    row_2d = np.where(dst_is_h, eh_row[a_dst], deal_row)
-    rank[m_2d] = row_2d[m_2d] * mesh.cols + col_2d[m_2d]
-
-    m = comp_of == names.index("E2L")
-    rank[m] = o_dst[m]
-    m = comp_of == names.index("L2E")
-    rank[m] = o_src[m]
-    m = comp_of == names.index("H2L")
-    rank[m] = r_dst[m] * mesh.cols + eh_col[a_src[m]]
-    m = comp_of == names.index("L2H")
-    rank[m] = o_src[m]
-    m = comp_of == names.index("L2L")
-    rank[m] = o_src[m]
+        deal = core.astype(np.uint64)
+    col = (deal % np.uint64(cols)).astype(np.int64)
+    row = (deal // np.uint64(cols) % np.uint64(mesh.rows)).astype(np.int64)
+    col = np.where(sc[core] == VertexClass.H, part.eh_col[s], col)
+    row = np.where(dc[core] == VertexClass.H, part.eh_row[d], row)
+    rank[core] = row * cols + col
     return comp_of, rank
 
 
@@ -364,70 +395,27 @@ def partition_graph(
         pipeline) or ``"stable"`` (content-hashed deal, required by
         :mod:`repro.dynamic`'s incremental repair; see module docs).
     """
-    if e_threshold < h_threshold:
-        raise ValueError(
-            f"e_threshold ({e_threshold}) must be >= h_threshold ({h_threshold})"
-        )
-    if placement not in PLACEMENT_MODES:
-        raise ValueError(
-            f"unknown placement mode {placement!r}; expected one of "
-            f"{PLACEMENT_MODES}"
-        )
     degrees = degrees_from_edges(src, dst, num_vertices)
-    vclass = classify_vertices(
-        degrees, e_threshold=e_threshold, h_threshold=h_threshold
-    )
-    e_ids, h_ids, eh_col, eh_row = eh_placement(
-        vclass, degrees, mesh, placement=placement
-    )
-    eh_order = np.concatenate([e_ids, h_ids])
-
-    a_src, a_dst = symmetrize_edges(src, dst)
-    comp_of, rank = place_arcs(
-        a_src,
-        a_dst,
-        vclass=vclass,
-        eh_col=eh_col,
-        eh_row=eh_row,
-        mesh=mesh,
-        num_vertices=num_vertices,
-        placement=placement,
-    )
-
-    names = list(COMPONENT_ORDER)
-    components = {}
-    for i, name in enumerate(names):
-        sel = comp_of == i
-        components[name] = SubgraphComponent(
-            name, a_src[sel], a_dst[sel], rank[sel], mesh.num_ranks, num_vertices
-        )
-
-    # Delegate bitmap sizes: EH vertices per mesh column and row.
-    if eh_order.size:
-        col_eh = np.bincount(eh_col[eh_order], minlength=mesh.cols)
-        row_eh = np.bincount(eh_row[eh_order], minlength=mesh.rows)
-    else:
-        col_eh = np.zeros(mesh.cols, np.int64)
-        row_eh = np.zeros(mesh.rows, np.int64)
-
-    l_vertices = np.flatnonzero(vclass == VertexClass.L)
-    l_owner = mesh.owner_of(l_vertices, num_vertices) if l_vertices.size else np.array([], np.int64)
-    l_per_rank = np.bincount(l_owner, minlength=mesh.num_ranks) if l_vertices.size else np.zeros(mesh.num_ranks, np.int64)
-
-    return PartitionedGraph(
+    part = PartitionedGraph(
         mesh=mesh,
         num_vertices=num_vertices,
         e_threshold=e_threshold,
         h_threshold=h_threshold,
-        degrees=degrees,
-        vclass=vclass,
-        components=components,
-        e_ids=e_ids,
-        h_ids=h_ids,
-        eh_col=eh_col,
-        eh_row=eh_row,
-        col_eh_counts=col_eh,
-        row_eh_counts=row_eh,
-        l_per_rank=l_per_rank,
+        components={},
         placement=placement,
+        **vertex_layout(
+            degrees,
+            mesh,
+            e_threshold=e_threshold,
+            h_threshold=h_threshold,
+            placement=placement,
+        ),
     )
+    a_src, a_dst = symmetrize_edges(src, dst)
+    comp_of, rank = place_arcs(a_src, a_dst, part)
+    for i, name in enumerate(COMPONENT_ORDER):
+        sel = comp_of == i
+        part.components[name] = SubgraphComponent(
+            name, a_src[sel], a_dst[sel], rank[sel], mesh.num_ranks, num_vertices
+        )
+    return part

@@ -50,6 +50,7 @@ __all__ = [
     "COMPONENT_ORDER",
     "dedup_pull_hits",
     "arc_keys",
+    "member",
     "merge_arc_delta",
 ]
 
@@ -229,6 +230,17 @@ def _first_hit_records(starts, lens, pull_src, active, need):
     )
 
 
+def _runs(*keys):
+    """``(starts, ptr)`` of the runs of equal adjacent rows of the sorted
+    ``keys`` columns: each run's first index, and those starts closed by
+    the total length (a CSR index pointer)."""
+    first = first_of_run(keys[0])
+    for k in keys[1:]:
+        first |= first_of_run(k)
+    starts = np.flatnonzero(first)
+    return starts, np.append(starts, first.size)
+
+
 def dedup_pull_hits(g_dst, g_src, g_rank):
     """Deterministic cross-rank winner per destination.
 
@@ -270,18 +282,8 @@ class SubgraphComponent:
         s_sorted = src[order]
         self._push_dst = dst[order]
         self._push_rank = rank[order]
-        if s_sorted.size:
-            boundaries = np.concatenate(
-                ([True], s_sorted[1:] != s_sorted[:-1])
-            )
-            starts = np.flatnonzero(boundaries)
-            self.src_ids = s_sorted[starts]
-            self.src_indptr = np.concatenate((starts, [s_sorted.size])).astype(
-                np.int64
-            )
-        else:
-            self.src_ids = np.array([], dtype=np.int64)
-            self.src_indptr = np.array([0], dtype=np.int64)
+        starts, self.src_indptr = _runs(s_sorted)
+        self.src_ids = s_sorted[starts]
         # vertex -> source slot (-1: not a source here), so a frontier
         # finds its slots by gathering its own ids.
         self._slot_of = np.full(num_vertices, -1, dtype=np.int64)
@@ -292,21 +294,9 @@ class SubgraphComponent:
         self._pull_src = src[order2]
         d_sorted = dst[order2]
         r_sorted = rank[order2]
-        if d_sorted.size:
-            boundaries = np.concatenate(
-                (
-                    [True],
-                    (d_sorted[1:] != d_sorted[:-1]) | (r_sorted[1:] != r_sorted[:-1]),
-                )
-            )
-            starts = np.flatnonzero(boundaries)
-            self.grp_ptr = np.concatenate((starts, [d_sorted.size])).astype(np.int64)
-            self.grp_dst = d_sorted[starts]
-            self.grp_rank = r_sorted[starts]
-        else:
-            self.grp_ptr = np.array([0], dtype=np.int64)
-            self.grp_dst = np.array([], dtype=np.int64)
-            self.grp_rank = np.array([], dtype=np.int64)
+        starts, self.grp_ptr = _runs(d_sorted, r_sorted)
+        self.grp_dst = d_sorted[starts]
+        self.grp_rank = r_sorted[starts]
 
         #: Exact arcs stored per rank (Fig. 13's load-balance data).
         self.arcs_per_rank = np.bincount(rank, minlength=num_ranks)
@@ -508,6 +498,15 @@ def arc_keys(src: np.ndarray, dst: np.ndarray, num_vertices: int) -> np.ndarray:
     return src.astype(np.int64) * np.int64(num_vertices) + dst.astype(np.int64)
 
 
+def member(keys: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
+    """Boolean membership of ``keys`` in a sorted key array."""
+    if sorted_set.size == 0 or keys.size == 0:
+        return np.zeros(keys.size, dtype=bool)
+    pos = np.searchsorted(sorted_set, keys)
+    pos[pos == sorted_set.size] = sorted_set.size - 1
+    return sorted_set[pos] == keys
+
+
 def merge_arc_delta(
     component: SubgraphComponent,
     *,
@@ -537,11 +536,10 @@ def merge_arc_delta(
     """
     base_src, base_dst, base_rank = component.arcs()
     if drop_src.size:
-        keys = arc_keys(base_src, base_dst, num_vertices)
-        drop = np.sort(arc_keys(drop_src, drop_dst, num_vertices))
-        pos = np.searchsorted(drop, keys)
-        pos[pos == drop.size] = drop.size - 1 if drop.size else 0
-        keep = drop[pos] != keys if drop.size else np.ones(keys.size, bool)
+        keep = ~member(
+            arc_keys(base_src, base_dst, num_vertices),
+            np.sort(arc_keys(drop_src, drop_dst, num_vertices)),
+        )
         base_src, base_dst, base_rank = (
             base_src[keep], base_dst[keep], base_rank[keep],
         )

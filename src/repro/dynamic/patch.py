@@ -151,17 +151,7 @@ def _winner_components(
     vs = np.flatnonzero(level >= 1)
     if vs.size == 0:
         return winner
-    comp_of, _ = place_arcs(
-        parent[vs],
-        vs,
-        vclass=part.vclass,
-        eh_col=part.eh_col,
-        eh_row=part.eh_row,
-        mesh=part.mesh,
-        num_vertices=part.num_vertices,
-        placement=part.placement,
-    )
-    winner[vs] = comp_of
+    winner[vs] = place_arcs(parent[vs], vs, part)[0]
     return winner
 
 

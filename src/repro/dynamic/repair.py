@@ -6,9 +6,11 @@ every arc crosses the network once and is re-sorted — for *any* change.
 :class:`~repro.core.partition.PartitionedGraph` live under a stream of
 :class:`~repro.dynamic.updates.UpdateBatch` deltas:
 
-1. **Reclassification.**  Degrees are bumped in place; vertices whose
-   degree crossed ``h_threshold``/``e_threshold`` change class, and only
-   *their* incident arcs re-place.  Stable placement makes this sound:
+1. **Reclassification.**  Degrees are bumped and the next generation's
+   vertex layout is :func:`~repro.core.partition.vertex_layout` of them,
+   as in the static partition; vertices whose degree crossed
+   ``h_threshold``/``e_threshold`` change class, and only *their*
+   incident arcs re-place.  Stable placement makes this sound:
    an arc's component and rank are pure functions of its endpoints'
    identities and classes, so an arc moves iff an endpoint's class
    changed (or the arc itself was inserted/deleted).
@@ -42,14 +44,13 @@ import numpy as np
 
 from repro.core.partition import (
     PartitionedGraph,
-    classify_vertices,
-    eh_placement,
     partition_graph,
     place_arcs,
+    vertex_layout,
 )
 from repro.core.preprocessing import estimate_construction_seconds
-from repro.core.subgraphs import COMPONENT_ORDER, arc_keys, merge_arc_delta
-from repro.dynamic.updates import UpdateBatch
+from repro.core.subgraphs import COMPONENT_ORDER, arc_keys, member, merge_arc_delta
+from repro.dynamic.updates import UpdateBatch, canonical_edges
 from repro.machine.costmodel import CollectiveKind, CostModel, NodeKernelRates
 from repro.machine.network import MachineSpec
 from repro.obs.metrics import NULL_METRICS
@@ -174,24 +175,8 @@ class IncrementalGraph:
         # Canonical live edge set, sorted by packed key (lo < hi).  The
         # base partition is built from the canonical set — duplicates in
         # the raw list would otherwise break the live-set invariant.
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        keep = src != dst
-        lo = np.minimum(src[keep], dst[keep])
-        hi = np.maximum(src[keep], dst[keep])
-        keys = np.unique(lo * np.int64(num_vertices) + hi)
-        self._edge_lo = keys // num_vertices
-        self._edge_hi = keys % num_vertices
-
-        self._part = partition_graph(
-            self._edge_lo,
-            self._edge_hi,
-            num_vertices,
-            mesh,
-            e_threshold=e_threshold,
-            h_threshold=h_threshold,
-            placement="stable",
-        )
+        self._edge_lo, self._edge_hi = canonical_edges(src, dst, num_vertices)
+        self._part = self.rebuild_reference()
 
         self._overlays = {name: _Overlay() for name in COMPONENT_ORDER}
         self._batches_since_compact = 0
@@ -213,10 +198,11 @@ class IncrementalGraph:
         """A frozen snapshot of the current partition (forces a pending
         compaction first).
 
-        :meth:`apply_batch` replaces the live partition's arrays and
-        component entries — it never writes into them — so a shallow
-        copy per call keeps a handed-out generation intact while the
-        next batch is repaired (an engine may still be traversing it).
+        :meth:`apply_batch` makes each generation a new partition object
+        and compaction replaces component entries — neither writes into
+        an array — so a shallow copy per call keeps a handed-out
+        generation intact while the next batch is repaired (an engine
+        may still be traversing it).
         """
         if any(not o.is_empty() for o in self._overlays.values()):
             self._compact()
@@ -244,8 +230,22 @@ class IncrementalGraph:
     # ------------------------------------------------------------------
 
     def apply_batch(self, batch: UpdateBatch) -> RepairReport:
-        """Ingest one batch: reclassify, stage overlays, price the work."""
+        """Ingest one batch: reclassify, stage overlays, price the work.
+
+        Every update must be a canonical edge ``0 <= src < dst < n``; a
+        batch with any other pair raises :class:`ValueError` naming the
+        first one, before any state changes.
+        """
         n = self.num_vertices
+        bad = np.flatnonzero(
+            (batch.src < 0) | (batch.src >= batch.dst) | (batch.dst >= n)
+        )
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                f"update ({batch.src[i]}, {batch.dst[i]}) is not a canonical "
+                f"edge: expected 0 <= src < dst < {n}"
+            )
         before_seconds = self.ledger.total_seconds
         live = arc_keys(self._edge_lo, self._edge_hi, n)
 
@@ -258,8 +258,8 @@ class IncrementalGraph:
         )
         # Idempotent semantics: insert-of-present / delete-of-absent are
         # no-ops (matching updates.apply_updates).
-        ins_keys = ins_keys[~_member(ins_keys, live)]
-        del_keys = del_keys[_member(del_keys, live)]
+        ins_keys = ins_keys[~member(ins_keys, live)]
+        del_keys = del_keys[member(del_keys, live)]
         # A key both inserted and deleted in one batch cancels.
         both = np.intersect1d(ins_keys, del_keys, assume_unique=True)
         if both.size:
@@ -269,61 +269,42 @@ class IncrementalGraph:
         ins_lo, ins_hi = ins_keys // n, ins_keys % n
         del_lo, del_hi = del_keys // n, del_keys % n
 
-        # --- new degrees and classes ----------------------------------
-        old_vclass = self._part.vclass
-        old_eh_col = self._part.eh_col
-        old_eh_row = self._part.eh_row
-        degrees = self._part.degrees.copy()
+        # --- the next generation's vertex layout ----------------------
+        old = self._part
+        degrees = old.degrees.copy()
         for ends in (ins_lo, ins_hi):
             np.add.at(degrees, ends, 1)
         for ends in (del_lo, del_hi):
             np.add.at(degrees, ends, -1)
-        vclass = classify_vertices(
-            degrees, e_threshold=self.e_threshold, h_threshold=self.h_threshold
-        )
-        changed = np.flatnonzero(vclass != old_vclass)
-        e_ids, h_ids, eh_col, eh_row = eh_placement(
-            vclass, degrees, self.mesh, placement="stable"
-        )
+        new = replace(old, **vertex_layout(
+            degrees, self.mesh, e_threshold=self.e_threshold,
+            h_threshold=self.h_threshold, placement="stable",
+        ))
+        changed = np.flatnonzero(new.vclass != old.vclass)
 
         # --- the three directed-arc groups ----------------------------
-        # inserted arcs place under the NEW metadata, deleted arcs are
+        # inserted arcs place under the NEW layout, deleted arcs are
         # located under the OLD, and surviving arcs incident to a
         # reclassified vertex are re-placed under both to find movers.
         ins_s, ins_d = _both_directions(ins_lo, ins_hi)
         del_s, del_d = _both_directions(del_lo, del_hi)
-
-        ins_comp, ins_rank = place_arcs(
-            ins_s, ins_d, vclass=vclass, eh_col=eh_col, eh_row=eh_row,
-            mesh=self.mesh, num_vertices=n, placement="stable",
-        )
-        del_comp, _ = place_arcs(
-            del_s, del_d, vclass=old_vclass, eh_col=old_eh_col,
-            eh_row=old_eh_row, mesh=self.mesh, num_vertices=n,
-            placement="stable",
-        )
+        ins_comp, ins_rank = place_arcs(ins_s, ins_d, new)
+        del_comp, _ = place_arcs(del_s, del_d, old)
 
         if changed.size:
             changed_mask = np.zeros(n, dtype=bool)
             changed_mask[changed] = True
             # Surviving incident edges = (live - deleted) touching a
             # reclassified vertex; inserted edges are already placed new.
-            surv = ~_member(live, del_keys)
+            surv = ~member(live, del_keys)
             inc = surv & (
                 changed_mask[self._edge_lo] | changed_mask[self._edge_hi]
             )
             cand_s, cand_d = _both_directions(
                 self._edge_lo[inc], self._edge_hi[inc]
             )
-            oc, orank = place_arcs(
-                cand_s, cand_d, vclass=old_vclass, eh_col=old_eh_col,
-                eh_row=old_eh_row, mesh=self.mesh, num_vertices=n,
-                placement="stable",
-            )
-            nc, nrank = place_arcs(
-                cand_s, cand_d, vclass=vclass, eh_col=eh_col, eh_row=eh_row,
-                mesh=self.mesh, num_vertices=n, placement="stable",
-            )
+            oc, orank = place_arcs(cand_s, cand_d, old)
+            nc, nrank = place_arcs(cand_s, cand_d, new)
             moved = (oc != nc) | (orank != nrank)
             mov_s, mov_d = cand_s[moved], cand_d[moved]
             mov_old_comp = oc[moved]
@@ -333,6 +314,7 @@ class IncrementalGraph:
             mov_old_comp = mov_new_comp = mov_new_rank = np.array(
                 [], dtype=np.int64
             )
+        self._part = new
 
         # --- stage the overlays ---------------------------------------
         names = list(COMPONENT_ORDER)
@@ -346,36 +328,6 @@ class IncrementalGraph:
             self._stage_add(ov, ins_s[m], ins_d[m], ins_rank[m])
             m = mov_new_comp == i
             self._stage_add(ov, mov_s[m], mov_d[m], mov_new_rank[m])
-
-        # --- commit vertex metadata (pure functions of the new state) --
-        self._part.degrees = degrees
-        self._part.vclass = vclass
-        self._part.e_ids = e_ids
-        self._part.h_ids = h_ids
-        self._part.eh_col = eh_col
-        self._part.eh_row = eh_row
-        eh_order = np.concatenate([e_ids, h_ids])
-        mesh = self.mesh
-        if eh_order.size:
-            self._part.col_eh_counts = np.bincount(
-                eh_col[eh_order], minlength=mesh.cols
-            )
-            self._part.row_eh_counts = np.bincount(
-                eh_row[eh_order], minlength=mesh.rows
-            )
-        else:
-            self._part.col_eh_counts = np.zeros(mesh.cols, np.int64)
-            self._part.row_eh_counts = np.zeros(mesh.rows, np.int64)
-        from repro.core.partition import VertexClass
-
-        l_vertices = np.flatnonzero(vclass == VertexClass.L)
-        self._part.l_per_rank = (
-            np.bincount(
-                mesh.owner_of(l_vertices, n), minlength=mesh.num_ranks
-            )
-            if l_vertices.size
-            else np.zeros(mesh.num_ranks, np.int64)
-        )
 
         # --- commit the edge set --------------------------------------
         new_keys = np.setdiff1d(
@@ -464,12 +416,12 @@ class IncrementalGraph:
             add_d = np.concatenate(ov.add_dst)
             add_r = np.concatenate(ov.add_rank)
             add_keys = arc_keys(add_s, add_d, n)
-            cancel = _member(add_keys, np.sort(drop))
+            cancel = member(add_keys, np.sort(drop))
             if np.any(cancel):
                 ov.add_src = [add_s[~cancel]]
                 ov.add_dst = [add_d[~cancel]]
                 ov.add_rank = [add_r[~cancel]]
-                hit = _member(drop, np.sort(add_keys[cancel]))
+                hit = member(drop, np.sort(add_keys[cancel]))
                 s, d = s[~hit], d[~hit]
         if s.size:
             ov.drop_src.append(s)
@@ -555,15 +507,6 @@ def _both_directions(lo: np.ndarray, hi: np.ndarray):
         np.concatenate([lo, hi]).astype(np.int64),
         np.concatenate([hi, lo]).astype(np.int64),
     )
-
-
-def _member(keys: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
-    """Boolean membership of ``keys`` in a sorted key array."""
-    if sorted_set.size == 0 or keys.size == 0:
-        return np.zeros(keys.size, dtype=bool)
-    pos = np.searchsorted(sorted_set, keys)
-    pos[pos == sorted_set.size] = sorted_set.size - 1
-    return sorted_set[pos] == keys
 
 
 def _cat(parts: list) -> np.ndarray:

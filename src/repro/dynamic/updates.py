@@ -45,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.partition import mix64
+from repro.core.subgraphs import arc_keys, member
 
 __all__ = [
     "UpdateBatch",
@@ -154,10 +155,6 @@ class UpdateBatch:
         return int(np.count_nonzero(self.op < 0))
 
 
-def _edge_keys(lo: np.ndarray, hi: np.ndarray, num_vertices: int) -> np.ndarray:
-    return lo.astype(np.int64) * np.int64(num_vertices) + hi.astype(np.int64)
-
-
 def canonical_edges(
     src: np.ndarray, dst: np.ndarray, num_vertices: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +166,7 @@ def canonical_edges(
     keep = src != dst
     lo = np.minimum(src[keep], dst[keep])
     hi = np.maximum(src[keep], dst[keep])
-    keys = np.unique(_edge_keys(lo, hi, num_vertices))
+    keys = np.unique(arc_keys(lo, hi, num_vertices))
     return keys // num_vertices, keys % num_vertices
 
 
@@ -186,11 +183,11 @@ def apply_updates(
     :class:`~repro.dynamic.repair.IncrementalGraph` uses, so the gate's
     from-scratch side tracks the incremental side exactly.
     """
-    keys = _edge_keys(lo, hi, num_vertices)
+    keys = arc_keys(lo, hi, num_vertices)
     ins = batch.op > 0
-    add = np.unique(_edge_keys(batch.src[ins], batch.dst[ins], num_vertices))
+    add = np.unique(arc_keys(batch.src[ins], batch.dst[ins], num_vertices))
     drop = np.unique(
-        _edge_keys(batch.src[~ins], batch.dst[~ins], num_vertices)
+        arc_keys(batch.src[~ins], batch.dst[~ins], num_vertices)
     )
     keys = np.union1d(keys, add)
     keys = np.setdiff1d(keys, drop, assume_unique=True)
@@ -209,7 +206,7 @@ def weights_for_edges(
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
-    key = _edge_keys(np.minimum(src, dst), np.maximum(src, dst), num_vertices)
+    key = arc_keys(np.minimum(src, dst), np.maximum(src, dst), num_vertices)
     h = mix64(mix64(key.astype(np.uint64)) + np.uint64(seed))
     # 53 high-quality bits -> float64 in [0, 1).
     return (h >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
@@ -232,7 +229,7 @@ def generate_update_stream(
     """
     rng = np.random.default_rng(seed)
     lo, hi = canonical_edges(src, dst, num_vertices)
-    live = _edge_keys(lo, hi, num_vertices)
+    live = arc_keys(lo, hi, num_vertices)
 
     if spec.kind == "insert":
         per_batch = [(spec.size, 0)] * spec.batches
@@ -289,14 +286,12 @@ def _draw_absent_pairs(
         a = rng.integers(0, num_vertices, size=2 * need + 8, dtype=np.int64)
         b = rng.integers(0, num_vertices, size=2 * need + 8, dtype=np.int64)
         keep = a != b
-        keys = _edge_keys(
+        keys = arc_keys(
             np.minimum(a[keep], b[keep]), np.maximum(a[keep], b[keep]),
             num_vertices,
         )
         keys = np.unique(keys)
-        pos = np.searchsorted(live, keys)
-        pos[pos == live.size] = live.size - 1 if live.size else 0
-        absent = keys[live[pos] != keys] if live.size else keys
+        absent = keys[~member(keys, live)]
         if picked:
             existing = np.concatenate(picked)
             absent = np.setdiff1d(absent, existing, assume_unique=True)
