@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import select
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from repro.graphs.csr import CSRGraph, build_csr, symmetrize_edges
@@ -108,3 +114,70 @@ def per_lane_claims(keys, words):
     head = np.flatnonzero(np.diff(keys[order], prepend=-1))
     key_words = np.bitwise_or.reduceat(words[order], head)
     return win, won[win], keys[order][head], key_words
+
+
+#: The child side of :class:`ReproInterpreter`: each stdin line is one
+#: JSON argv, run as ``python -m repro`` runs it (``runpy`` with
+#: ``__main__``); each stdout line is ``[returncode, stdout, stderr]``.
+_CHILD = r"""
+import contextlib, io, json, runpy, sys, traceback
+for line in sys.stdin:
+    sys.argv = ["repro", *json.loads(line)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            runpy.run_module("repro", run_name="__main__", alter_sys=True)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+        except BaseException:
+            traceback.print_exc()
+            code = 1
+    print(json.dumps([code, out.getvalue(), err.getvalue()]), file=sys.__stdout__, flush=True)
+"""
+
+
+class ReproInterpreter:
+    """One real ``python`` interpreter that runs many ``python -m repro``
+    command lines, so error-surface tests pay its start-up (most of a
+    usage error's cost) once rather than per case.
+
+    :meth:`run` returns a :class:`subprocess.CompletedProcess` like
+    ``subprocess.run([python, "-m", "repro", *argv], capture_output=True,
+    text=True)`` does; a run still going after ``timeout`` seconds kills
+    the interpreter and raises :class:`subprocess.TimeoutExpired`.
+    """
+
+    def __init__(self, cwd=None) -> None:
+        repo = Path(__file__).parent.parent
+        self._proc = subprocess.Popen(
+            [sys.executable, "-c", _CHILD],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"},
+            cwd=cwd,
+        )
+
+    def run(self, *argv: str, timeout: float = 120) -> subprocess.CompletedProcess:
+        args = ["repro", *argv]
+        self._proc.stdin.write(json.dumps(argv) + "\n")
+        self._proc.stdin.flush()
+        if not select.select([self._proc.stdout], [], [], timeout)[0]:
+            self.close()
+            raise subprocess.TimeoutExpired(args, timeout)
+        line = self._proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"interpreter exited running {args}")
+        code, out, err = json.loads(line)
+        return subprocess.CompletedProcess(args, code, out, err)
+
+    def close(self) -> None:
+        self._proc.kill()
+        self._proc.wait()
+        self._proc.stdin.close()
+        self._proc.stdout.close()
+
+    def __enter__(self) -> "ReproInterpreter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()

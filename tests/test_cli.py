@@ -4,6 +4,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from helpers import ReproInterpreter
+
 
 class TestParser:
     def test_mesh_parsing(self):
@@ -228,19 +230,17 @@ class TestResilienceFlags:
 
 
 class TestMainEntryPoint:
-    """``python -m repro`` error surfaces, via the real interpreter."""
+    """``python -m repro`` error surfaces, via the real interpreter (one
+    for the class)."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def interpreter(self, request):
+        with ReproInterpreter() as interp:
+            request.cls.interp = interp
+            yield
 
     def _run(self, *argv):
-        import subprocess
-        import sys as _sys
-        from pathlib import Path
-
-        repo = Path(__file__).parent.parent
-        return subprocess.run(
-            [_sys.executable, "-m", "repro", *argv],
-            capture_output=True, text=True, timeout=120,
-            env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"},
-        )
+        return self.interp.run(*argv)
 
     def test_unknown_subcommand_exits_two_with_usage(self):
         proc = self._run("nosuchcmd")

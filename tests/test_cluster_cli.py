@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import ReproInterpreter
+
 REPO = Path(__file__).parent.parent
 
 
@@ -28,6 +30,12 @@ def run_cli(*args, timeout=120):
 
 
 class TestMalformedFlagsExitTwo:
+    @pytest.fixture(scope="class", autouse=True)
+    def interpreter(self, request):
+        with ReproInterpreter(cwd=REPO) as interp:
+            request.cls.interp = interp
+            yield
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -48,7 +56,7 @@ class TestMalformedFlagsExitTwo:
         ],
     )
     def test_malformed_value_exits_2_with_usage(self, flags):
-        proc = run_cli("serve", *flags)
+        proc = self.interp.run("serve", *flags)
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()
         # argparse names the offending option in its error line.

@@ -47,6 +47,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.runtime.mesh import ProcessMesh
 
+from helpers import ReproInterpreter
+
 REPO = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden" / "programs_golden.json"
 
@@ -437,15 +439,14 @@ class TestTutorial:
 class TestAlgoCli:
     """In-process happy paths; real-interpreter error surfaces."""
 
-    def _run(self, *argv):
-        import subprocess
-        import sys as _sys
+    @pytest.fixture(scope="class", autouse=True)
+    def interpreter(self, request):
+        with ReproInterpreter() as interp:
+            request.cls.interp = interp
+            yield
 
-        return subprocess.run(
-            [_sys.executable, "-m", "repro", "algo", *argv],
-            capture_output=True, text=True, timeout=120,
-            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
-        )
+    def _run(self, *argv):
+        return self.interp.run("algo", *argv)
 
     def test_list_renders_registry(self, capsys):
         assert main(["algo", "--list"]) == 0
