@@ -12,7 +12,7 @@ import numpy as np
 from conftest import emit
 
 from repro.analysis.reporting import ascii_table, format_seconds
-from repro.core.programs import generate_weights, sssp
+from repro.core import DistributedBFS, build_program, generate_weights
 from repro.core.preprocessing import preprocess
 from repro.graph500.driver import run_graph500
 from repro.graph500.rmat import generate_edges
@@ -42,13 +42,14 @@ def test_graph500_full_flow(benchmark, results_dir):
             machine=machine,
             construction_seconds=prep.construction_seconds,
         )
-        wres = sssp(
-            part,
-            int(report.roots[0]),
-            generate_weights(src.size, seed=2),
-            edge_src=src,
-            edge_dst=dst,
-            machine=machine,
+        wres = DistributedBFS(part, machine=machine).run_program(
+            build_program(
+                "sssp", part,
+                root=int(report.roots[0]),
+                weights=generate_weights(src.size, seed=2),
+                edge_src=src,
+                edge_dst=dst,
+            )
         )
         return report, prep, wres
 
@@ -63,7 +64,7 @@ def test_graph500_full_flow(benchmark, results_dir):
             ["2 (BFS, harmonic mean)", format_seconds(float(np.mean(report.bfs_times))),
              f"{report.mean_gteps:.1f} GTEPS"],
             ["SSSP (one root)", format_seconds(wres.total_seconds),
-             f"{wres.relaxations:,} relaxations"],
+             f"{wres.info['relaxations']:,} relaxations"],
         ],
         title="",
     )
@@ -73,6 +74,6 @@ def test_graph500_full_flow(benchmark, results_dir):
     assert report.roots.size == NUM_ROOTS
     assert prep.construction_seconds > 0
     # SSSP converged to finite distances on the root's component
-    assert np.isfinite(wres.distance[wres.root])
+    assert np.isfinite(wres.state["distance"][wres.info["root"]])
     assert wres.num_iterations >= report.results[0].num_iterations - 1
     benchmark.extra_info["harmonic_mean_gteps"] = round(report.mean_gteps, 2)

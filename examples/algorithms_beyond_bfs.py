@@ -13,8 +13,7 @@ Run:  python examples/algorithms_beyond_bfs.py
 import numpy as np
 
 from repro.analysis.reporting import ascii_table, format_seconds
-from repro.core import partition_graph
-from repro.core.programs import generate_weights, pagerank, sssp
+from repro.core import DistributedBFS, build_program, generate_weights, partition_graph
 from repro.graph500.rmat import generate_edges
 from repro.machine.network import MachineSpec
 from repro.runtime.mesh import ProcessMesh
@@ -32,29 +31,34 @@ def main() -> None:
     mesh = ProcessMesh(rows, cols, machine=machine)
     part = partition_graph(src, dst, n, mesh, e_threshold=1024, h_threshold=128)
     print(f"partitioned SCALE {SCALE}: {part.class_sizes()}")
+    engine = DistributedBFS(part, machine=machine)
 
     # --- SSSP (Graph500 kernel 2b) -----------------------------------
     weights = generate_weights(src.size, seed=2)
     root = int(np.argmax(part.degrees))
-    res = sssp(part, root, weights, edge_src=src, edge_dst=dst, machine=machine)
-    reached = np.isfinite(res.distance)
+    res = engine.run_program(build_program(
+        "sssp", part, root=root, weights=weights, edge_src=src, edge_dst=dst
+    ))
+    distance = res.state["distance"]
+    reached = np.isfinite(distance)
     print(f"\nSSSP from hub {root}: reached {int(reached.sum()):,} vertices "
-          f"in {res.num_iterations} rounds, {res.relaxations:,} relaxations, "
+          f"in {res.num_iterations} rounds, "
+          f"{res.info['relaxations']:,} relaxations, "
           f"simulated {format_seconds(res.total_seconds)}")
-    far = int(np.argmax(np.where(reached, res.distance, -1)))
-    print(f"  farthest vertex: {far} at weighted distance "
-          f"{res.distance[far]:.3f}")
+    far = int(np.argmax(np.where(reached, distance, -1)))
+    print(f"  farthest vertex: {far} at weighted distance {distance[far]:.3f}")
 
     # --- PageRank ------------------------------------------------------
-    pr = pagerank(part, machine=machine, tol=1e-10)
-    order = np.argsort(pr.ranks)[::-1][:5]
+    pr = engine.run_program(build_program("pagerank", part, tol=1e-10))
+    ranks = pr.state["ranks"]
+    order = np.argsort(ranks)[::-1][:5]
     print(f"\nPageRank: converged={pr.converged} in {pr.num_iterations} "
           f"iterations, simulated {format_seconds(pr.total_seconds)}")
     print(ascii_table(
         ["vertex", "rank", "degree", "class"],
         [
             [
-                int(v), f"{pr.ranks[v]:.2e}", int(part.degrees[v]),
+                int(v), f"{ranks[v]:.2e}", int(part.degrees[v]),
                 {0: "L", 1: "H", 2: "E"}[int(part.vclass[v])],
             ]
             for v in order

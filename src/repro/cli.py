@@ -396,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--faults", type=_faults_arg, default=None,
                        metavar="SPEC",
                        help="inject faults into batches (crash -> replay)")
-    serve.add_argument("--min-hit-rate", type=float, default=None,
+    serve.add_argument("--min-hit-rate", default=None,
+                       type=_float_arg("min-hit-rate", 0.0, 1.0),
                        metavar="FRACTION",
                        help="fail unless the cache hit rate reaches this "
                             "(the CI smoke gates > 0 on repeats)")
@@ -549,6 +550,12 @@ def _cmd_graph500(args) -> int:
     from repro.graph500.driver import run_graph500
     from repro.obs.tracer import Tracer
 
+    if args.batch_roots and args.checkpoint_every:
+        raise _UsageError("--checkpoint-every: not used by --batch-roots "
+                          "(no per-root checkpoints inside a shared wave)")
+    if args.batch_roots and args.recovery_mode != "restart":
+        raise _UsageError("--recovery-mode degrade: --batch-roots "
+                          "recovers by restart only")
     tracer = Tracer() if args.trace else None
     report = run_graph500(
         **_graph_kwargs(args),

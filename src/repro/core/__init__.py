@@ -10,9 +10,12 @@
 - :mod:`repro.core.engine` — the BFS engine tying it together.
 - :mod:`repro.core.programs` — the vertex-program layer: SSSP,
   PageRank, connected components and triangle counting on the same
-  scheduler and kernels (§8's algorithm neutrality).
-- :mod:`repro.core.metrics` — per-run traces shaped like the paper's
-  figures.
+  scheduler and kernels (§8's algorithm neutrality).  A program runs
+  one way: ``DistributedBFS(part).run_program(build_program(name, part,
+  **params))``, which returns its :class:`ProgramRunResult`.
+- :mod:`repro.core.metrics` — what a run returns, built once by the
+  scheduler: :class:`BFSRunResult` (one root, traces shaped like the
+  paper's figures) and :class:`MSBFSResult` (one batched wave).
 - :mod:`repro.core.config` — toggles for every optimization (ablations).
 - :mod:`repro.core.setup` — the one path from an edge list to an engine
   (thresholds, generation, machine, mesh, partition).
@@ -21,19 +24,11 @@
 from repro.core.balance import edge_aware_cuts, vertex_cut_imbalance
 from repro.core.config import BFSConfig
 from repro.core.programs import (
-    DeltaSteppingResult,
-    PageRankResult,
     ProgramRunResult,
-    SSSPResult,
     VertexProgram,
     build_program,
-    connected_components,
-    delta_stepping_sssp,
     generate_weights,
-    pagerank,
-    sssp,
     suggest_delta,
-    triangle_count,
 )
 from repro.core.preprocessing import (
     PreprocessingReport,
@@ -46,7 +41,7 @@ from repro.core.direction import (
     choose_whole_iteration_direction,
 )
 from repro.core.engine import DistributedBFS
-from repro.core.metrics import BFSRunResult, IterationRecord
+from repro.core.metrics import BFSRunResult, IterationRecord, MSBFSResult
 from repro.core.partition import (
     PartitionedGraph,
     VertexClass,
@@ -59,6 +54,7 @@ __all__ = [
     "BFSConfig",
     "DistributedBFS",
     "BFSRunResult",
+    "MSBFSResult",
     "IterationRecord",
     "PartitionedGraph",
     "VertexClass",
@@ -72,19 +68,11 @@ __all__ = [
     "choose_whole_iteration_direction",
     "edge_aware_cuts",
     "vertex_cut_imbalance",
-    "sssp",
-    "SSSPResult",
-    "delta_stepping_sssp",
-    "DeltaSteppingResult",
     "suggest_delta",
     "generate_weights",
-    "pagerank",
-    "PageRankResult",
     "VertexProgram",
     "ProgramRunResult",
     "build_program",
-    "connected_components",
-    "triangle_count",
     "preprocess",
     "PreprocessingReport",
     "estimate_construction_seconds",

@@ -48,12 +48,10 @@ families documented in :mod:`repro.runtime.ledger`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.core.lanes import LaneState
-from repro.core.metrics import BFSRunResult, IterationRecord
+from repro.core.metrics import BFSRunResult, IterationRecord, MSBFSResult
 from repro.core.vertexset import VertexSet
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import Tracer
@@ -64,28 +62,7 @@ from repro.runtime.ledger import TrafficLedger
 __all__ = [
     "LevelSyncScheduler",
     "SchedulerHost",
-    "BatchRunState",
 ]
-
-
-@dataclass
-class BatchRunState:
-    """Raw outcome of a batched (multi-source) scheduler run.
-
-    The serving layer's :class:`~repro.serve.msbfs.MSBFSResult` wraps
-    this into per-root views; the scheduler only guarantees the lane
-    semantics: ``lanes.parent[l]`` is bit-identical to the parent array
-    of a sequential run from ``lanes.roots[l]``.
-    """
-
-    lanes: LaneState
-    #: One record per wave, with batch-aggregate counters.
-    records: list[IterationRecord]
-    ledger: TrafficLedger
-    #: Per wave: per-lane frontier sizes (``int64[num_lanes]``).
-    lane_frontiers: list[np.ndarray] = field(default_factory=list)
-    #: Per wave: ``{component: (push_lane_mask, pull_lane_mask)}``.
-    lane_directions: list[dict] = field(default_factory=list)
 
 
 class SchedulerHost:
@@ -301,7 +278,7 @@ class LevelSyncScheduler:
         ctx = self.host.context.derive(faults, checkpointer, trace_id)
         return self._drive(_ProgramMode(self, ctx, program), resume)
 
-    def run_batch(self, roots, *, faults=None, trace_id=None) -> BatchRunState:
+    def run_batch(self, roots, *, faults=None, trace_id=None) -> MSBFSResult:
         """Run up to 64 BFS lanes as one level-synchronous traversal.
 
         Each *wave* advances every live lane by one level: the host
@@ -738,11 +715,15 @@ class _WaveMode(_LevelMode):
     def end_run(self, ledger, tracer) -> None:
         self.host.end_batch_run(ledger, tracer, self.lanes)
 
-    def result(self, ledger, records) -> BatchRunState:
-        return BatchRunState(
-            lanes=self.lanes,
+    def result(self, ledger, records) -> MSBFSResult:
+        return MSBFSResult(
+            roots=self.lanes.roots,
+            parent=self.lanes.parent,
             records=records,
-            ledger=ledger,
             lane_frontiers=self.lane_frontiers,
             lane_directions=self.lane_directions,
+            ledger=ledger,
+            total_seconds=ledger.total_seconds,
+            num_input_edges=self.host.num_input_edges,
+            metrics=self.ctx.metrics,
         )

@@ -1,4 +1,6 @@
-"""Run metrics: everything the evaluation figures need from one BFS.
+"""Run metrics: everything the evaluation figures need from one BFS,
+and the one result type of a batched multi-source wave
+(:class:`MSBFSResult`).
 
 :class:`BFSRunResult` carries the functional output (the parent array,
 validatable against the Graph500 spec) plus the full per-iteration trace
@@ -19,12 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.lanes import lane_bit
 from repro.graph500.spec import Graph500Problem
 from repro.machine.costmodel import CollectiveKind
 from repro.obs.metrics import NULL_METRICS
 from repro.runtime.ledger import TrafficLedger
 
-__all__ = ["IterationRecord", "BFSRunResult"]
+__all__ = ["IterationRecord", "BFSRunResult", "MSBFSResult"]
 
 
 @dataclass
@@ -144,3 +147,104 @@ class BFSRunResult:
     def directions_of(self, component: str) -> list[str]:
         """Direction chosen for one component across iterations."""
         return [rec.directions.get(component, "-") for rec in self.iterations]
+
+
+@dataclass
+class MSBFSResult:
+    """Outcome of one multi-source batch, built by the scheduler's wave
+    mode and returned as is by ``MultiSourceBFS.run_batch``.
+
+    ``parent[l]`` is bit-identical to the parent array of a sequential
+    run from ``roots[l]``.  Per-root views (:meth:`lane_parent`,
+    :meth:`lane_records`, :meth:`per_root_result`) expose each lane as
+    if it had been a sequential run; batch-level aggregates (``ledger``,
+    ``total_seconds``, ``records``) price the shared traversal once.
+    """
+
+    roots: np.ndarray
+    #: ``parent[lane, vertex]`` — lane ``l``'s full parent tree.
+    parent: np.ndarray = field(repr=False)
+    #: One aggregate record per wave.
+    records: list[IterationRecord] = field(repr=False)
+    #: Per wave: per-lane frontier sizes.
+    lane_frontiers: list[np.ndarray] = field(repr=False)
+    #: Per wave: ``{component: (push_mask, pull_mask)}`` lane groups.
+    lane_directions: list[dict] = field(repr=False)
+    ledger: TrafficLedger = field(repr=False)
+    total_seconds: float = 0.0
+    num_input_edges: int = 0
+    metrics: object = field(default=NULL_METRICS, repr=False)
+
+    @property
+    def num_lanes(self) -> int:
+        return int(self.roots.size)
+
+    @property
+    def num_waves(self) -> int:
+        return len(self.records)
+
+    @property
+    def amortized_seconds(self) -> float:
+        """Simulated cost per query when the batch is shared fairly."""
+        return self.total_seconds / self.num_lanes
+
+    def lane_parent(self, lane: int) -> np.ndarray:
+        return self.parent[lane]
+
+    def lane_depth(self, lane: int) -> int:
+        """Levels lane ``lane`` actually ran (its sequential iteration
+        count)."""
+        depth = 0
+        for sizes in self.lane_frontiers:
+            if sizes[lane] == 0:
+                break
+            depth += 1
+        return depth
+
+    def lane_records(self, lane: int) -> list[IterationRecord]:
+        """Lane-eye view of the wave records: one record per level the
+        lane was live, with the direction *that lane* ran per component
+        (matching its sequential run's records)."""
+        bit = lane_bit(lane)
+        out = []
+        for it, sizes in enumerate(self.lane_frontiers):
+            if sizes[lane] == 0:
+                break
+            rec = IterationRecord(index=it, frontier_size=int(sizes[lane]))
+            dirs = self.lane_directions[it]
+            for name, agg_dir in self.records[it].directions.items():
+                if name not in dirs:
+                    rec.directions[name] = agg_dir  # "-": component empty
+                    continue
+                push_mask, pull_mask = dirs[name]
+                if int(push_mask) & int(bit):
+                    rec.directions[name] = "push"
+                elif int(pull_mask) & int(bit):
+                    rec.directions[name] = "pull"
+                else:
+                    rec.directions[name] = "-"
+            out.append(rec)
+        return out
+
+    def per_root_result(self, lane: int, *, share_ledger: bool = False) -> BFSRunResult:
+        """A :class:`BFSRunResult`-shaped view of one lane.
+
+        ``total_seconds`` is the amortized share of the batch.  The
+        batch ledger is attached only when ``share_ledger`` — exactly
+        one lane of a batch should carry it, so that summing ledgers
+        across per-root results counts the shared traversal once.
+        """
+        ledger = (
+            self.ledger
+            if share_ledger
+            else TrafficLedger(self.ledger.cost_model)
+        )
+        return BFSRunResult(
+            root=int(self.roots[lane]),
+            parent=self.parent[lane],
+            iterations=self.lane_records(lane),
+            ledger=ledger,
+            total_seconds=self.amortized_seconds,
+            num_input_edges=self.num_input_edges,
+            metrics=self.metrics,
+        )

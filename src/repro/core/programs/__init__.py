@@ -8,9 +8,18 @@ glue.  See ``docs/programs.md`` for the contract and a tutorial.
 
 The :data:`PROGRAM_REGISTRY` maps CLI/serving names to factories, and a
 factory's keywords are the program's parameters
-(:attr:`ProgramSpec.params`); :func:`build_program` is the single entry
-point the ``algo`` subcommand, kernel 3, the programs smoke and
-:class:`~repro.serve.service.TraversalService` resolve through.
+(:attr:`ProgramSpec.params`).  A program runs one way::
+
+    result = DistributedBFS(part).run_program(build_program(name, part, **params))
+
+:func:`build_program` is the single entry point the ``algo``
+subcommand, kernel 3, the programs smoke, the dynamic SSSP patch and
+:class:`~repro.serve.service.TraversalService` resolve through, and the
+:class:`~repro.core.programs.base.ProgramRunResult` the scheduler builds
+is the one result: ``state`` holds the program's per-vertex arrays
+(``distance``/``parent``, ``ranks``, ``labels``, ``triangles``) and
+``info`` its scalars (``relaxations``, ``delta``, ``num_buckets``,
+``num_components``, ``total_triangles``, ...).
 BFS itself stays on the scheduler's native ``run`` path (its early-exit
 pull and MSBFS batching are visited-bit machinery a value program does
 not need); the registry marks it ``native_bfs`` so callers dispatch it
@@ -26,23 +35,16 @@ from typing import Callable
 import numpy as np
 
 from repro.core.programs.base import EMPTY_IDS, ProgramRunResult, VertexProgram
-from repro.core.programs.components import (
-    ConnectedComponentsProgram,
-    connected_components,
-)
-from repro.core.programs.pagerank import PageRankProgram, PageRankResult, pagerank
+from repro.core.programs.components import ConnectedComponentsProgram
+from repro.core.programs.pagerank import PageRankProgram
 from repro.core.programs.sssp import (
     BellmanFordProgram,
     DeltaSteppingProgram,
-    DeltaSteppingResult,
-    SSSPResult,
     WeightTable,
-    delta_stepping_sssp,
     generate_weights,
-    sssp,
     suggest_delta,
 )
-from repro.core.programs.triangles import TriangleCountingProgram, triangle_count
+from repro.core.programs.triangles import TriangleCountingProgram
 
 __all__ = [
     "VertexProgram",
@@ -53,23 +55,14 @@ __all__ = [
     "register_program",
     "available_programs",
     "build_program",
-    "run_registered",
     "BellmanFordProgram",
     "DeltaSteppingProgram",
     "PageRankProgram",
     "ConnectedComponentsProgram",
     "TriangleCountingProgram",
     "WeightTable",
-    "SSSPResult",
-    "DeltaSteppingResult",
-    "PageRankResult",
     "generate_weights",
     "suggest_delta",
-    "sssp",
-    "delta_stepping_sssp",
-    "pagerank",
-    "connected_components",
-    "triangle_count",
 ]
 
 
@@ -136,16 +129,6 @@ def build_program(name: str, part, **params) -> VertexProgram:
             f"(accepted: {', '.join(spec.params) or 'none'})"
         )
     return spec.factory(part, **params)
-
-
-def run_registered(name: str, part, *, machine=None, **params):
-    """Build the registered program ``name`` and run it on a fresh
-    engine; returns ``(program, run result)``.  The one path of the
-    function entry points (:func:`sssp`, :func:`pagerank`, ...)."""
-    from repro.core.engine import DistributedBFS
-
-    program = build_program(name, part, **params)
-    return program, DistributedBFS(part, machine=machine).run_program(program)
 
 
 # ----------------------------------------------------------------------

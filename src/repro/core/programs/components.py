@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.partition import PartitionedGraph
 from repro.core.programs.base import VertexProgram
-from repro.machine.network import MachineSpec
 
-__all__ = ["ConnectedComponentsProgram", "connected_components"]
+__all__ = ["ConnectedComponentsProgram"]
 
 
 class ConnectedComponentsProgram(VertexProgram):
@@ -51,14 +49,3 @@ class ConnectedComponentsProgram(VertexProgram):
 
     def info(self):
         return {"num_components": int(np.unique(self.labels).size)}
-
-
-def connected_components(
-    part: PartitionedGraph, *, machine: MachineSpec | None = None
-):
-    """Run min-label CC over the partitioned graph; returns the
-    :class:`~repro.core.programs.base.ProgramRunResult` whose
-    ``state["labels"]`` maps each vertex to its component's minimum ID."""
-    from repro.core.programs import run_registered
-
-    return run_registered("cc", part, machine=machine)[1]

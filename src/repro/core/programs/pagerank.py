@@ -13,16 +13,11 @@ matching networkx's convention so tests can compare directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core.partition import PartitionedGraph
 from repro.core.programs.base import VertexProgram
-from repro.machine.network import MachineSpec
-from repro.runtime.ledger import TrafficLedger
 
-__all__ = ["PageRankProgram", "PageRankResult", "pagerank"]
+__all__ = ["PageRankProgram"]
 
 
 class PageRankProgram(VertexProgram):
@@ -100,40 +95,3 @@ class PageRankProgram(VertexProgram):
 
     def info(self):
         return {"damping": self.damping, "tol": self.tol, "delta": self.delta}
-
-
-@dataclass
-class PageRankResult:
-    """Output of a distributed PageRank run."""
-
-    ranks: np.ndarray
-    num_iterations: int
-    converged: bool
-    ledger: TrafficLedger
-
-    @property
-    def total_seconds(self) -> float:
-        return self.ledger.total_seconds
-
-
-def pagerank(
-    part: PartitionedGraph,
-    *,
-    damping: float = 0.85,
-    tol: float = 1e-8,
-    max_iterations: int = 100,
-    machine: MachineSpec | None = None,
-) -> PageRankResult:
-    """Damped PageRank by power iteration over the six components."""
-    from repro.core.programs import run_registered
-
-    _, res = run_registered(
-        "pagerank", part, machine=machine, damping=damping, tol=tol,
-        max_iterations=max_iterations,
-    )
-    return PageRankResult(
-        ranks=res.state["ranks"],
-        num_iterations=res.num_iterations,
-        converged=res.converged,
-        ledger=res.ledger,
-    )

@@ -23,34 +23,27 @@ ledger charging, spans, metrics, faults and checkpoints:
   ``end_iteration``.  One scheduler iteration == one delta-stepping
   phase.
 
-The classic function entry points (:func:`sssp`,
-:func:`delta_stepping_sssp`) are kept as thin wrappers that run the
-programs through a :class:`~repro.core.engine.DistributedBFS` engine and
-adapt the results; they produce bit-identical distances/parents to the
-pre-program implementations (pinned by ``tests/golden/programs_golden.json``).
+Run either as ``engine.run_program(build_program("sssp" | "sssp-delta",
+part, root=..., weights=..., edge_src=..., edge_dst=...))``: the
+:class:`~repro.core.programs.base.ProgramRunResult` carries
+``state["distance"]`` / ``state["parent"]`` and, in ``info``, the root,
+``relaxations`` and (delta-stepping) ``delta`` / ``num_buckets``.
+Distances and parents are pinned bit-exact by
+``tests/golden/programs_golden.json``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core.partition import PartitionedGraph
 from repro.core.programs.base import VertexProgram
-from repro.machine.network import MachineSpec
-from repro.runtime.ledger import TrafficLedger
 
 __all__ = [
     "WeightTable",
     "BellmanFordProgram",
     "DeltaSteppingProgram",
-    "SSSPResult",
-    "DeltaSteppingResult",
     "generate_weights",
     "suggest_delta",
-    "sssp",
-    "delta_stepping_sssp",
 ]
 
 
@@ -342,114 +335,3 @@ class DeltaSteppingProgram(_SSSPBase):
             "delta": self.delta,
             "num_buckets": self.buckets_processed,
         }
-
-
-# ----------------------------------------------------------------------
-# classic entry points (compat wrappers over the programs)
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class SSSPResult:
-    """Output of a distributed SSSP run."""
-
-    root: int
-    distance: np.ndarray
-    parent: np.ndarray
-    num_iterations: int
-    relaxations: int
-    ledger: TrafficLedger
-
-    @property
-    def total_seconds(self) -> float:
-        return self.ledger.total_seconds
-
-    def gteps(self, num_edges: int) -> float:
-        """Graph500 SSSP counts input edges per traversal second."""
-        if self.total_seconds <= 0:
-            return 0.0
-        return num_edges / self.total_seconds / 1e9
-
-
-@dataclass
-class DeltaSteppingResult:
-    """Output of a delta-stepping run."""
-
-    root: int
-    distance: np.ndarray
-    parent: np.ndarray
-    delta: float
-    num_buckets: int
-    num_phases: int
-    relaxations: int
-    ledger: TrafficLedger
-
-    @property
-    def total_seconds(self) -> float:
-        return self.ledger.total_seconds
-
-
-def sssp(
-    part: PartitionedGraph,
-    root: int,
-    weights: np.ndarray | None = None,
-    *,
-    edge_src: np.ndarray | None = None,
-    edge_dst: np.ndarray | None = None,
-    machine: MachineSpec | None = None,
-    max_iterations: int = 10_000,
-) -> SSSPResult:
-    """Single-source shortest paths over the partitioned graph.
-
-    Runs the registered ``"sssp"`` program
-    (:class:`BellmanFordProgram`) through the shared scheduler and
-    the six 1.5D kernels.  With ``weights`` (aligned with
-    ``edge_src``/``edge_dst``) omitted, unit weights are used and SSSP
-    equals BFS depth.
-    """
-    from repro.core.programs import run_registered
-
-    program, res = run_registered(
-        "sssp", part, machine=machine, root=root, weights=weights,
-        edge_src=edge_src, edge_dst=edge_dst, max_iterations=max_iterations,
-    )
-    return SSSPResult(
-        root=root,
-        distance=res.state["distance"],
-        parent=res.state["parent"],
-        num_iterations=res.num_iterations,
-        relaxations=program.relaxations,
-        ledger=res.ledger,
-    )
-
-
-def delta_stepping_sssp(
-    part: PartitionedGraph,
-    root: int,
-    weights: np.ndarray,
-    edge_src: np.ndarray,
-    edge_dst: np.ndarray,
-    *,
-    delta: float | None = None,
-    machine: MachineSpec | None = None,
-    max_buckets: int = 1_000_000,
-) -> DeltaSteppingResult:
-    """Exact delta-stepping shortest paths over the partitioned graph
-    (the registered ``"sssp-delta"`` program)."""
-    from repro.core.programs import run_registered
-
-    program, res = run_registered(
-        "sssp-delta", part, machine=machine, root=root, weights=weights,
-        edge_src=edge_src, edge_dst=edge_dst, delta=delta,
-        max_buckets=max_buckets,
-    )
-    return DeltaSteppingResult(
-        root=root,
-        distance=res.state["distance"],
-        parent=res.state["parent"],
-        delta=program.delta,
-        num_buckets=program.buckets_processed,
-        num_phases=res.num_iterations,
-        relaxations=program.relaxations,
-        ledger=res.ledger,
-    )

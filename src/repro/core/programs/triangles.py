@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.partition import PartitionedGraph
 from repro.core.programs.base import VertexProgram
-from repro.machine.network import MachineSpec
 
-__all__ = ["TriangleCountingProgram", "triangle_count"]
+__all__ = ["TriangleCountingProgram"]
 
 
 class TriangleCountingProgram(VertexProgram):
@@ -102,13 +100,3 @@ class TriangleCountingProgram(VertexProgram):
 
     def info(self):
         return {"total_triangles": self.total_triangles}
-
-
-def triangle_count(part: PartitionedGraph, *, machine: MachineSpec | None = None):
-    """Count triangles over the partitioned graph; returns the
-    :class:`~repro.core.programs.base.ProgramRunResult` with per-vertex
-    counts in ``state["triangles"]`` and the global count in
-    ``info["total_triangles"]``."""
-    from repro.core.programs import run_registered
-
-    return run_registered("triangles", part, machine=machine)[1]

@@ -69,7 +69,7 @@ from repro.core.direction import (
     choose_whole_iteration_direction,
 )
 from repro.core.partition import PartitionedGraph, place_arcs
-from repro.core.programs.sssp import BellmanFordProgram, SSSPResult
+from repro.core.programs.sssp import BellmanFordProgram
 from repro.core.subgraphs import COMPONENT_ORDER
 from repro.dynamic.repair import GraphDelta
 from repro.obs.metrics import NULL_METRICS
@@ -300,7 +300,9 @@ def patch_sssp_result(
 ):
     """Repair one completed SSSP result under a graph delta.
 
-    ``old`` is an :class:`~repro.core.programs.sssp.SSSPResult`;
+    ``old`` is the :class:`~repro.core.programs.base.ProgramRunResult`
+    of a Bellman-Ford run (``state["distance"]``/``["parent"]``,
+    ``info["root"]``/``["relaxations"]``);
     ``engine`` a :class:`~repro.core.engine.DistributedBFS` on the
     repaired partition; ``weight_of`` the weight callable for the *new*
     edge set (content-hashed via
@@ -312,11 +314,12 @@ def patch_sssp_result(
     values (left-to-right sums along each winning path are identical).
     Parents may differ on equal-distance ties; compare distances.
     """
-    root = old.root
+    root = old.info["root"]
+    distance, parent = old.state["distance"], old.state["parent"]
 
     if delta.deleted_src.size:
         d = delta.deleted_dst
-        torn = old.parent[d] == delta.deleted_src
+        torn = parent[d] == delta.deleted_src
         if np.any(torn & (d != root)):
             result = _fresh_sssp(engine, root, weight_of)
             metrics.counter(
@@ -330,7 +333,7 @@ def patch_sssp_result(
     if delta.inserted_src.size:
         s, d = delta.inserted_src, delta.inserted_dst
         w = weight_of(s, d)
-        improving = old.distance[s] + w < old.distance[d]
+        improving = distance[s] + w < distance[d]
         seed[s[improving]] = True
 
     if not seed.any():
@@ -339,26 +342,17 @@ def patch_sssp_result(
         ).inc()
         return PatchOutcome(old, "unchanged")
 
-    program = BellmanFordProgram(root, weight_of)
     resume = Checkpoint(
         key="sssp",
         iteration=-1,
         active=seed,
         state={
-            "distance": old.distance.copy(),
-            "parent": old.parent.copy(),
-            "control": np.array([old.relaxations], dtype=np.int64),
+            "distance": distance.copy(),
+            "parent": parent.copy(),
+            "control": np.array([old.info["relaxations"]], dtype=np.int64),
         },
     )
-    res = engine.run_program(program, resume=resume)
-    result = SSSPResult(
-        root=root,
-        distance=res.state["distance"],
-        parent=res.state["parent"],
-        num_iterations=res.num_iterations,
-        relaxations=program.relaxations,
-        ledger=res.ledger,
-    )
+    result = engine.run_program(BellmanFordProgram(root, weight_of), resume=resume)
     metrics.counter(
         "dynamic_result_patches", kind="sssp", outcome="patched"
     ).inc()
@@ -368,14 +362,5 @@ def patch_sssp_result(
     )
 
 
-def _fresh_sssp(engine, root: int, weight_of) -> SSSPResult:
-    program = BellmanFordProgram(root, weight_of)
-    res = engine.run_program(program)
-    return SSSPResult(
-        root=root,
-        distance=res.state["distance"],
-        parent=res.state["parent"],
-        num_iterations=res.num_iterations,
-        relaxations=program.relaxations,
-        ledger=res.ledger,
-    )
+def _fresh_sssp(engine, root: int, weight_of):
+    return engine.run_program(BellmanFordProgram(root, weight_of))

@@ -28,18 +28,19 @@ parent reductions are priced per batch instead of per root, and the
 wave count is the *max* of the lanes' depths rather than their sum —
 which is why a 64-root batch charges strictly less than 64 sequential
 runs combined.
+
+The batch's result, :class:`~repro.core.metrics.MSBFSResult`, is built
+once by the scheduler's wave mode and re-exported here.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.direction import choose_whole_iteration_direction
 from repro.core.engine import FifteenDHost
 from repro.core.lanes import MAX_LANES, iter_lanes, lane_bit, lanes_word
-from repro.core.metrics import BFSRunResult, IterationRecord
+from repro.core.metrics import IterationRecord, MSBFSResult
 from repro.core.partition import (
     CLASS_CODES,
     COMPONENT_CLASSES,
@@ -71,107 +72,6 @@ def _class_counts(counts, cls) -> np.ndarray:
     return counts[:, CLASS_CODES[cls]].sum(axis=1)
 
 
-@dataclass
-class MSBFSResult:
-    """Outcome of one multi-source batch.
-
-    Per-root views (:meth:`lane_parent`, :meth:`lane_records`,
-    :meth:`per_root_result`) expose each lane as if it had been a
-    sequential run; batch-level aggregates (``ledger``,
-    ``total_seconds``, ``records``) price the shared traversal once.
-    """
-
-    roots: np.ndarray
-    #: ``parent[lane, vertex]`` — lane ``l``'s full parent tree.
-    parent: np.ndarray = field(repr=False)
-    #: One aggregate record per wave.
-    records: list[IterationRecord] = field(repr=False)
-    #: Per wave: per-lane frontier sizes.
-    lane_frontiers: list[np.ndarray] = field(repr=False)
-    #: Per wave: ``{component: (push_mask, pull_mask)}`` lane groups.
-    lane_directions: list[dict] = field(repr=False)
-    ledger: object = field(repr=False)
-    total_seconds: float = 0.0
-    num_input_edges: int = 0
-    metrics: object = field(default=NULL_METRICS, repr=False)
-
-    @property
-    def num_lanes(self) -> int:
-        return int(self.roots.size)
-
-    @property
-    def num_waves(self) -> int:
-        return len(self.records)
-
-    @property
-    def amortized_seconds(self) -> float:
-        """Simulated cost per query when the batch is shared fairly."""
-        return self.total_seconds / self.num_lanes
-
-    def lane_parent(self, lane: int) -> np.ndarray:
-        return self.parent[lane]
-
-    def lane_depth(self, lane: int) -> int:
-        """Levels lane ``lane`` actually ran (its sequential iteration
-        count)."""
-        depth = 0
-        for sizes in self.lane_frontiers:
-            if sizes[lane] == 0:
-                break
-            depth += 1
-        return depth
-
-    def lane_records(self, lane: int) -> list[IterationRecord]:
-        """Lane-eye view of the wave records: one record per level the
-        lane was live, with the direction *that lane* ran per component
-        (matching its sequential run's records)."""
-        bit = lane_bit(lane)
-        out = []
-        for it, sizes in enumerate(self.lane_frontiers):
-            if sizes[lane] == 0:
-                break
-            rec = IterationRecord(index=it, frontier_size=int(sizes[lane]))
-            dirs = self.lane_directions[it]
-            for name, agg_dir in self.records[it].directions.items():
-                if name not in dirs:
-                    rec.directions[name] = agg_dir  # "-": component empty
-                    continue
-                push_mask, pull_mask = dirs[name]
-                if int(push_mask) & int(bit):
-                    rec.directions[name] = "push"
-                elif int(pull_mask) & int(bit):
-                    rec.directions[name] = "pull"
-                else:
-                    rec.directions[name] = "-"
-            out.append(rec)
-        return out
-
-    def per_root_result(self, lane: int, *, share_ledger: bool = False) -> BFSRunResult:
-        """A :class:`BFSRunResult`-shaped view of one lane.
-
-        ``total_seconds`` is the amortized share of the batch.  The
-        batch ledger is attached only when ``share_ledger`` — exactly
-        one lane of a batch should carry it, so that summing ledgers
-        across per-root results counts the shared traversal once.
-        """
-        from repro.runtime.ledger import TrafficLedger
-
-        ledger = (
-            self.ledger
-            if share_ledger
-            else TrafficLedger(self.ledger.cost_model)
-        )
-        return BFSRunResult(
-            root=int(self.roots[lane]),
-            parent=self.parent[lane],
-            iterations=self.lane_records(lane),
-            ledger=ledger,
-            total_seconds=self.amortized_seconds,
-            num_input_edges=self.num_input_edges,
-            metrics=self.metrics,
-        )
-
-
 class MultiSourceBFS(FifteenDHost):
     """Multi-source 1.5D BFS host: the batched sibling of
     :class:`~repro.core.engine.DistributedBFS`, sharing its kernels,
@@ -191,18 +91,7 @@ class MultiSourceBFS(FifteenDHost):
         batch from its queue).  ``trace_id`` (the request ids the batch
         serves) labels the ``msbfs`` span.
         """
-        state = self.scheduler.run_batch(roots, faults=faults, trace_id=trace_id)
-        return MSBFSResult(
-            roots=state.lanes.roots,
-            parent=state.lanes.parent,
-            records=state.records,
-            lane_frontiers=state.lane_frontiers,
-            lane_directions=state.lane_directions,
-            ledger=state.ledger,
-            total_seconds=state.ledger.total_seconds,
-            num_input_edges=self.num_input_edges,
-            metrics=self.metrics,
-        )
+        return self.scheduler.run_batch(roots, faults=faults, trace_id=trace_id)
 
     # ------------------------------------------------------------------
     # batched scheduler hooks (the 1.5D policy, per lane)

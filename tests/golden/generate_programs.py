@@ -29,11 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import (
-    delta_stepping_sssp,
+    DistributedBFS,
+    build_program,
     generate_weights,
-    pagerank,
     partition_graph,
-    sssp,
 )
 from repro.graph500.rmat import generate_edges
 from repro.machine.network import MachineSpec
@@ -60,29 +59,29 @@ def build_system():
 
 def _sssp_record(res):
     return {
-        "root": int(res.root),
-        "distance": res.distance.tolist(),
-        "parent": res.parent.tolist(),
+        "root": int(res.info["root"]),
+        "distance": res.state["distance"].tolist(),
+        "parent": res.state["parent"].tolist(),
         "num_iterations": int(res.num_iterations),
-        "relaxations": int(res.relaxations),
+        "relaxations": int(res.info["relaxations"]),
     }
 
 
 def _delta_record(res):
     return {
-        "root": int(res.root),
-        "distance": res.distance.tolist(),
-        "parent": res.parent.tolist(),
-        "delta": float(res.delta),
-        "num_buckets": int(res.num_buckets),
-        "num_phases": int(res.num_phases),
-        "relaxations": int(res.relaxations),
+        "root": int(res.info["root"]),
+        "distance": res.state["distance"].tolist(),
+        "parent": res.state["parent"].tolist(),
+        "delta": float(res.info["delta"]),
+        "num_buckets": int(res.info["num_buckets"]),
+        "num_phases": int(res.num_iterations),
+        "relaxations": int(res.info["relaxations"]),
     }
 
 
 def _pagerank_record(res):
     return {
-        "ranks": res.ranks.tolist(),
+        "ranks": res.state["ranks"].tolist(),
         "num_iterations": int(res.num_iterations),
         "converged": bool(res.converged),
     }
@@ -90,6 +89,12 @@ def _pagerank_record(res):
 
 def capture():
     src, dst, part, machine, hub, weights = build_system()
+    engine = DistributedBFS(part, machine=machine)
+
+    def run(name, **params):
+        return engine.run_program(build_program(name, part, **params))
+
+    weighted = {"weights": weights, "edge_src": src, "edge_dst": dst}
     record = {
         "scale": SCALE,
         "seed": SEED,
@@ -98,29 +103,20 @@ def capture():
         "weights_seed": SEED + 1,
         "hub": hub,
     }
-    record["bellman_ford_unit"] = _sssp_record(
-        sssp(part, hub, machine=machine)
-    )
+    record["bellman_ford_unit"] = _sssp_record(run("sssp", root=hub))
     for key, root in (("bellman_ford_hub", hub), ("bellman_ford_r3", 3)):
-        record[key] = _sssp_record(
-            sssp(
-                part, root, weights,
-                edge_src=src, edge_dst=dst, machine=machine,
-            )
-        )
+        record[key] = _sssp_record(run("sssp", root=root, **weighted))
     record["delta_default_hub"] = _delta_record(
-        delta_stepping_sssp(part, hub, weights, src, dst, machine=machine)
+        run("sssp-delta", root=hub, **weighted)
     )
     record["delta_fixed_r3"] = _delta_record(
-        delta_stepping_sssp(
-            part, 3, weights, src, dst, delta=0.1, machine=machine
-        )
+        run("sssp-delta", root=3, delta=0.1, **weighted)
     )
     record["pagerank"] = _pagerank_record(
-        pagerank(part, tol=1e-10, max_iterations=200, machine=machine)
+        run("pagerank", tol=1e-10, max_iterations=200)
     )
     record["pagerank_capped"] = _pagerank_record(
-        pagerank(part, tol=0.0, max_iterations=5, machine=machine)
+        run("pagerank", tol=0.0, max_iterations=5)
     )
     return record
 

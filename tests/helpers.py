@@ -49,6 +49,15 @@ def star_graph(n: int) -> CSRGraph:
     return build_csr(a_src, a_dst, n)
 
 
+def run_program(name: str, part, *, machine=None, **params):
+    """The registered program ``name`` run the one way every caller
+    runs it: ``DistributedBFS(part).run_program(build_program(...))``."""
+    from repro.core import DistributedBFS, build_program
+
+    engine = DistributedBFS(part, machine=machine)
+    return engine.run_program(build_program(name, part, **params))
+
+
 def levels_agree(level_a: np.ndarray, level_b: np.ndarray) -> bool:
     """BFS trees are non-unique, but levels are; compare via levels."""
     return bool(np.array_equal(level_a, level_b))

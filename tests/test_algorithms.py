@@ -3,19 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.programs import (
-    PageRankResult,
-    SSSPResult,
-    generate_weights,
-    pagerank,
-    sssp,
-)
+from repro.core.programs import generate_weights
 from repro.core.partition import partition_graph
 from repro.graph500.rmat import generate_edges
 from repro.graphs.csr import build_csr, symmetrize_edges
 from repro.runtime.mesh import ProcessMesh
 
-from helpers import random_edge_list
+from helpers import random_edge_list, run_program
 
 
 def make_part(scale=10, rows=2, cols=2, seed=1, e_thr=128, h_thr=16):
@@ -55,53 +49,63 @@ class TestSSSP:
         part, src, dst = make_part()
         graph = build_csr(*symmetrize_edges(src, dst), part.num_vertices)
         root = int(np.argmax(graph.degrees))
-        res = sssp(part, root)
+        res = run_program("sssp", part, root=root)
         levels = bfs_levels_from_parents(graph, root, serial_bfs(graph, root))
         reach = levels >= 0
-        assert np.allclose(res.distance[reach], levels[reach])
-        assert np.all(np.isinf(res.distance[~reach]))
+        distance = res.state["distance"]
+        assert np.allclose(distance[reach], levels[reach])
+        assert np.all(np.isinf(distance[~reach]))
 
     def test_weighted_matches_dijkstra(self):
         part, src, dst = make_part(scale=9)
         w = generate_weights(src.size, seed=5)
         root = 0
-        res = sssp(part, root, w, edge_src=src, edge_dst=dst)
+        res = run_program(
+            "sssp", part, root=root, weights=w, edge_src=src, edge_dst=dst
+        )
         expect = nx_shortest_paths(part.num_vertices, src, dst, w, root)
         finite = np.isfinite(expect)
-        assert np.allclose(res.distance[finite], expect[finite], atol=1e-9)
-        assert np.array_equal(np.isfinite(res.distance), finite)
+        distance = res.state["distance"]
+        assert np.allclose(distance[finite], expect[finite], atol=1e-9)
+        assert np.array_equal(np.isfinite(distance), finite)
 
     def test_parents_consistent_with_distances(self):
         part, src, dst = make_part(scale=9, seed=3)
         w = generate_weights(src.size, seed=6)
-        res = sssp(part, 1, w, edge_src=src, edge_dst=dst)
-        reached = np.isfinite(res.distance)
+        res = run_program(
+            "sssp", part, root=1, weights=w, edge_src=src, edge_dst=dst
+        )
+        distance, parent = res.state["distance"], res.state["parent"]
+        reached = np.isfinite(distance)
         v = np.flatnonzero(reached & (np.arange(part.num_vertices) != 1))
-        assert np.all(res.parent[v] >= 0)
+        assert np.all(parent[v] >= 0)
         # parent distance strictly smaller
-        assert np.all(res.distance[res.parent[v]] < res.distance[v] + 1e-12)
+        assert np.all(distance[parent[v]] < distance[v] + 1e-12)
 
     def test_ledger_charged(self):
         part, _, _ = make_part()
-        res = sssp(part, 0)
+        res = run_program("sssp", part, root=0)
         assert res.total_seconds > 0
-        assert res.relaxations > 0
+        assert res.info["relaxations"] > 0
         assert res.gteps(1000) > 0
 
     def test_invalid_root(self):
         part, _, _ = make_part()
         with pytest.raises(ValueError, match="root"):
-            sssp(part, -1)
+            run_program("sssp", part, root=-1)
 
     def test_negative_weights_rejected(self):
         part, src, dst = make_part()
         with pytest.raises(ValueError, match="nonnegative"):
-            sssp(part, 0, -np.ones(src.size), edge_src=src, edge_dst=dst)
+            run_program(
+                "sssp", part, root=0, weights=-np.ones(src.size),
+                edge_src=src, edge_dst=dst,
+            )
 
     def test_weights_need_edges(self):
         part, src, _ = make_part()
         with pytest.raises(ValueError, match="edge_src"):
-            sssp(part, 0, np.ones(src.size))
+            run_program("sssp", part, root=0, weights=np.ones(src.size))
 
 
 class TestPageRank:
@@ -109,7 +113,7 @@ class TestPageRank:
         import networkx as nx
 
         part, src, dst = make_part(scale=9)
-        res = pagerank(part, tol=1e-12)
+        res = run_program("pagerank", part, tol=1e-12)
         assert res.converged
 
         g = nx.MultiGraph()
@@ -117,37 +121,37 @@ class TestPageRank:
         keep = src != dst
         g.add_edges_from(zip(src[keep].tolist(), dst[keep].tolist()))
         expect = nx.pagerank(nx.Graph(g) if False else g, alpha=0.85, tol=1e-12, max_iter=500)
-        got = res.ranks
+        got = res.state["ranks"]
         want = np.array([expect[i] for i in range(part.num_vertices)])
         assert np.allclose(got, want, atol=1e-6)
 
     def test_ranks_are_distribution(self):
         part, _, _ = make_part(seed=4)
-        res = pagerank(part)
-        assert res.ranks.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(res.ranks > 0)
+        ranks = run_program("pagerank", part).state["ranks"]
+        assert ranks.sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.all(ranks > 0)
 
     def test_hubs_rank_higher(self):
         part, _, _ = make_part()
-        res = pagerank(part)
+        ranks = run_program("pagerank", part).state["ranks"]
         hub = int(np.argmax(part.degrees))
         leaf_candidates = np.flatnonzero(part.degrees == 1)
         if leaf_candidates.size:
-            assert res.ranks[hub] > res.ranks[int(leaf_candidates[0])]
+            assert ranks[hub] > ranks[int(leaf_candidates[0])]
 
     def test_invalid_damping(self):
         part, _, _ = make_part()
         with pytest.raises(ValueError, match="damping"):
-            pagerank(part, damping=1.5)
+            run_program("pagerank", part, damping=1.5)
 
     def test_iteration_cap(self):
         part, _, _ = make_part()
-        res = pagerank(part, tol=0.0, max_iterations=3)
+        res = run_program("pagerank", part, tol=0.0, max_iterations=3)
         assert res.num_iterations == 3
         assert not res.converged
 
     def test_ledger_charged_per_iteration(self):
         part, _, _ = make_part()
-        short = pagerank(part, tol=0.0, max_iterations=2)
-        longer = pagerank(part, tol=0.0, max_iterations=6)
+        short = run_program("pagerank", part, tol=0.0, max_iterations=2)
+        longer = run_program("pagerank", part, tol=0.0, max_iterations=6)
         assert longer.total_seconds > short.total_seconds

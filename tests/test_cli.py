@@ -283,6 +283,9 @@ class TestMainEntryPoint:
         ("bfs", "--scale", "0"),
         ("bfs", "--checkpoint-every", "-1"),
         ("graph500", "--roots", "0"),
+        # The batch engine has no per-root checkpoint and only restarts.
+        ("graph500", "--batch-roots", "--checkpoint-every", "1"),
+        ("graph500", "--batch-roots", "--recovery-mode", "degrade"),
         ("serve", "--clients", "0"),
         ("serve", "--batch-size", "0"),
         ("serve", "--batch-size", "65"),
@@ -291,6 +294,9 @@ class TestMainEntryPoint:
         ("bfs", "--faults", "crash:rank=1,iter=1", "--max-restarts", "-1"),
         ("serve", "--hot-fraction", "2"),
         ("serve", "--batch-window", "-1"),
+        ("serve", "--min-hit-rate", "nan"),
+        ("serve", "--min-hit-rate", "-1"),
+        ("serve", "--min-hit-rate", "7"),
         ("sweep", "--points", "8:2x2,foo"),
         ("bench-serve", "--batch-sizes", "0"),
         ("bench-serve", "--batch-sizes", "1,x"),

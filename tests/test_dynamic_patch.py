@@ -137,8 +137,9 @@ class TestSsspPatch:
         fresh = _fresh_sssp(
             _engine(inc.rebuild_reference()), 0, _unit_weights
         )
-        assert np.array_equal(outcome.result.distance, fresh.distance)
-        assert outcome.result.distance[17] == 3.0
+        distance = outcome.result.state["distance"]
+        assert np.array_equal(distance, fresh.state["distance"])
+        assert distance[17] == 3.0
 
     def test_non_improving_insert_is_unchanged(self):
         # 1 and 2 are equidistant from 0; a unit-weight edge between
@@ -174,8 +175,9 @@ class TestSsspPatch:
         fresh = _fresh_sssp(
             _engine(inc.rebuild_reference()), 0, _unit_weights
         )
-        assert np.array_equal(outcome.result.distance, fresh.distance)
-        assert not np.isfinite(outcome.result.distance[6])
+        distance = outcome.result.state["distance"]
+        assert np.array_equal(distance, fresh.state["distance"])
+        assert not np.isfinite(distance[6])
 
 
 class TestPatchedChain:

@@ -25,12 +25,7 @@ import pytest
 
 from golden.generate_programs import capture
 from repro.cli import main
-from repro.core import (
-    DistributedBFS,
-    connected_components,
-    partition_graph,
-    triangle_count,
-)
+from repro.core import DistributedBFS, partition_graph
 from repro.core.subgraphs import COMPONENT_ORDER
 from repro.core.programs import (
     PROGRAM_REGISTRY,
@@ -47,7 +42,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.runtime.mesh import ProcessMesh
 
-from helpers import ReproInterpreter
+from helpers import ReproInterpreter, run_program
 
 REPO = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden" / "programs_golden.json"
@@ -129,7 +124,7 @@ class TestExactness:
         from scipy.sparse import csgraph
 
         src, dst, part, machine, _ = system
-        res = connected_components(part, machine=machine)
+        res = run_program("cc", part, machine=machine)
         labels = res.state["labels"]
         adj = scipy_adjacency(src, dst, part.num_vertices)
         n_comp, sp_labels = csgraph.connected_components(adj, directed=False)
@@ -141,7 +136,7 @@ class TestExactness:
 
     def test_triangles_match_scipy(self, system):
         src, dst, part, machine, _ = system
-        res = triangle_count(part, machine=machine)
+        res = run_program("triangles", part, machine=machine)
         adj = scipy_adjacency(src, dst, part.num_vertices)
         expected = int((adj @ adj).multiply(adj).sum()) // 6
         assert res.info["total_triangles"] == expected
@@ -229,7 +224,7 @@ class TestObservability:
         from repro.obs.report import RUN_REPORT_SCHEMA, report_from_program
 
         _, _, part, machine, _ = system
-        res = connected_components(part, machine=machine)
+        res = run_program("cc", part, machine=machine)
         report = report_from_program(res)
         assert report.schema == RUN_REPORT_SCHEMA
         assert report.metrics["iterations"] == res.num_iterations
@@ -287,7 +282,7 @@ class TestServicePrograms:
         from repro.serve import TraversalService
 
         _, _, part, machine, _ = system
-        direct = connected_components(part, machine=machine)
+        direct = run_program("cc", part, machine=machine)
 
         async def main_():
             async with TraversalService(
@@ -310,7 +305,7 @@ class TestServicePrograms:
         from repro.serve import TraversalError, TraversalService
 
         _, _, part, machine, _ = system
-        direct = connected_components(part, machine=machine)
+        direct = run_program("cc", part, machine=machine)
 
         async def main_(spec, max_replays):
             registry = MetricsRegistry()

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import delta_stepping_sssp, generate_weights
+from repro.core import generate_weights
 from repro.core.partition import partition_graph
 from repro.graph500.rmat import generate_edges
 from repro.graph500.validate import ValidationError
 from repro.graph500.validate_sssp import validate_sssp_result
 from repro.runtime.mesh import ProcessMesh
+
+from helpers import run_program
 
 
 @pytest.fixture(scope="module")
@@ -20,23 +22,29 @@ def solved():
     part = partition_graph(src, dst, n, mesh, e_threshold=64, h_threshold=8)
     w = generate_weights(src.size, seed=3)
     root = int(np.argmax(part.degrees))
-    res = delta_stepping_sssp(part, root, w, src, dst)
+    res = run_program(
+        "sssp-delta", part, root=root, weights=w, edge_src=src, edge_dst=dst
+    )
     return n, src, dst, w, root, res
 
 
 class TestAcceptsValid:
     def test_delta_stepping_output_validates(self, solved):
         n, src, dst, w, root, res = solved
-        validate_sssp_result(n, src, dst, w, root, res.distance, res.parent)
+        validate_sssp_result(
+            n, src, dst, w, root, res.state["distance"], res.state["parent"]
+        )
 
     def test_bellman_ford_output_validates(self, solved):
-        from repro.core import sssp
-
         n, src, dst, w, root, _ = solved
         mesh = ProcessMesh(2, 2)
         part = partition_graph(src, dst, n, mesh, e_threshold=64, h_threshold=8)
-        res = sssp(part, root, w, edge_src=src, edge_dst=dst)
-        validate_sssp_result(n, src, dst, w, root, res.distance, res.parent)
+        res = run_program(
+            "sssp", part, root=root, weights=w, edge_src=src, edge_dst=dst
+        )
+        validate_sssp_result(
+            n, src, dst, w, root, res.state["distance"], res.state["parent"]
+        )
 
     def test_trivial_graph(self):
         src = np.array([0])
@@ -50,33 +58,33 @@ class TestAcceptsValid:
 class TestRejectsCorruptions:
     def test_wrong_root_distance(self, solved):
         n, src, dst, w, root, res = solved
-        d = res.distance.copy()
+        d = res.state["distance"].copy()
         d[root] = 1.0
         with pytest.raises(ValidationError, match="root distance"):
-            validate_sssp_result(n, src, dst, w, root, d, res.parent)
+            validate_sssp_result(n, src, dst, w, root, d, res.state["parent"])
 
     def test_relaxable_edge(self, solved):
         n, src, dst, w, root, res = solved
-        d = res.distance.copy()
+        d = res.state["distance"].copy()
         # inflate one reached non-root vertex's distance
         v = int(np.flatnonzero(np.isfinite(d) & (np.arange(n) != root))[0])
         d[v] += 10.0
         with pytest.raises(ValidationError):
-            validate_sssp_result(n, src, dst, w, root, d, res.parent)
+            validate_sssp_result(n, src, dst, w, root, d, res.state["parent"])
 
     def test_fabricated_shorter_distance(self, solved):
         n, src, dst, w, root, res = solved
-        d = res.distance.copy()
+        d = res.state["distance"].copy()
         reached = np.flatnonzero(np.isfinite(d) & (d > 0.2))
         v = int(reached[0])
         d[v] -= 0.1
         with pytest.raises(ValidationError):
-            validate_sssp_result(n, src, dst, w, root, d, res.parent)
+            validate_sssp_result(n, src, dst, w, root, d, res.state["parent"])
 
     def test_bogus_parent_edge(self, solved):
         n, src, dst, w, root, res = solved
-        p = res.parent.copy()
-        d = res.distance
+        p = res.state["parent"].copy()
+        d = res.state["distance"]
         # point a vertex's parent at a non-neighbor with matching rule-2
         reached = np.flatnonzero(np.isfinite(d) & (np.arange(n) != root))
         v = int(reached[5])
@@ -86,8 +94,8 @@ class TestRejectsCorruptions:
 
     def test_unreached_marked_reached(self, solved):
         n, src, dst, w, root, res = solved
-        d = res.distance.copy()
-        p = res.parent.copy()
+        d = res.state["distance"].copy()
+        p = res.state["parent"].copy()
         unreached = np.flatnonzero(~np.isfinite(d))
         if unreached.size == 0:
             pytest.skip("graph fully reachable from this root")
@@ -111,12 +119,17 @@ class TestRejectsCorruptions:
     def test_negative_weights_rejected(self, solved):
         n, src, dst, w, root, res = solved
         with pytest.raises(ValidationError, match="nonnegative"):
-            validate_sssp_result(n, src, dst, -w, root, res.distance, res.parent)
+            validate_sssp_result(
+                n, src, dst, -w, root, res.state["distance"], res.state["parent"]
+            )
 
     def test_shape_mismatch(self, solved):
         n, src, dst, w, root, res = solved
         with pytest.raises(ValidationError, match="shape"):
-            validate_sssp_result(n, src, dst, w, root, res.distance[:-1], res.parent)
+            validate_sssp_result(
+                n, src, dst, w, root, res.state["distance"][:-1],
+                res.state["parent"],
+            )
 
 
 class TestSSSPDriver:
