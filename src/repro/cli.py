@@ -883,9 +883,7 @@ def _cmd_algo(args) -> int:
               f"visited {res.num_visited:,}/{setup.num_vertices:,}, "
               f"simulated {format_seconds(res.total_seconds)} "
               f"({res.simulated_gteps():.1f} GTEPS)")
-        report = report_from_bfs(
-            res, name="program.bfs", context=context, tracer=tracer
-        )
+        report = report_from_bfs(res, name="program.bfs", context=context)
     else:
         try:
             program = build_program(args.program, part, **params)

@@ -261,6 +261,8 @@ def run_graph500(
         inside a shared wave) and with ``recovery_mode='degrade'``
         (batch recovery is restart-only).
     """
+    if num_roots < 1:
+        raise ValueError(f"num_roots must be at least 1, got {num_roots}")
     ctx = run_context(tracer, metrics)
     tracer = ctx.tracer
     problem = Graph500Problem(scale=scale)
@@ -442,6 +444,8 @@ def run_graph500_sssp(
     from repro.core.programs import build_program, generate_weights
     from repro.graph500.validate_sssp import validate_sssp_result
 
+    if num_roots < 1:
+        raise ValueError(f"num_roots must be at least 1, got {num_roots}")
     if algorithm not in ("sssp-delta", "sssp"):
         raise ValueError(f"unknown SSSP algorithm {algorithm!r}")
     problem = Graph500Problem(scale=scale)

@@ -6,21 +6,35 @@ fingerprint of the configuration that produced it, the tracked scalar
 metrics (GTEPS, simulated second/byte totals), the ledger breakdowns
 behind Figs. 10/11, the per-iteration direction matrix (§4.2), and
 summaries of the registry's histogram/vector families (Fig. 13 balance).
+The BFS, program and Graph500 metrics read the simulated clock only, so
+a traced run reports exactly what an untraced one does; host time
+belongs to the layer bench (a serving report's ``serve.p50_seconds`` /
+``serve.p99_seconds`` are request wall latencies).
 
 Builders exist for each entry point that produces results:
 
 - :func:`report_from_bfs` — one :class:`~repro.core.metrics.BFSRunResult`
   (``DistributedBFS.run`` or any baseline engine);
+- :func:`report_from_program` — one
+  :class:`~repro.core.programs.base.ProgramRunResult`;
 - :func:`report_from_graph500` — a full
   :class:`~repro.graph500.driver.Graph500Report` (all sampled roots);
-- :func:`bfs_smoke_report` — the pinned SCALE-10 smoke configuration the
-  benchmark suite and the CI perf gate share, so ``benchmarks/results/
-  BENCH_bfs_smoke.json`` and a fresh ``python -m repro report`` candidate
-  are comparable artifact-for-artifact.
+- :func:`report_from_serve` — a stopped
+  :class:`~repro.serve.service.TraversalService` and its closed-loop
+  :class:`~repro.serve.workload.WorkloadReport`;
+- :func:`bfs_smoke_report` / :func:`programs_smoke_report` — the pinned
+  smoke configurations the benchmark suite and the CI gates share, so
+  ``benchmarks/results/BENCH_{bfs,programs}_smoke.json`` and a fresh
+  ``python -m repro report --smoke`` / ``algo --smoke`` candidate are
+  comparable artifact-for-artifact.
+
+The BFS, program and Graph500 builders share one ledger-totals block
+(simulated, comm, compute and imbalance seconds, bytes, iterations).
 
 :func:`compare_reports` diffs two reports metric by metric with a
 direction-of-goodness per metric (GTEPS up is good, seconds/bytes down
-is good) and flags any change past a relative threshold — the
+is good, judged by the key's last dotted segment) and flags any change
+past a relative threshold — the
 ``python -m repro compare OLD NEW --max-regress 5%`` CI gate.
 
 All simulated quantities are deterministic for a fixed configuration, so
@@ -33,6 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -42,7 +57,6 @@ __all__ = [
     "RunReport",
     "MetricDelta",
     "config_fingerprint",
-    "wallclock_metrics",
     "report_from_bfs",
     "report_from_graph500",
     "report_from_serve",
@@ -59,44 +73,14 @@ __all__ = [
 #: layout changes so ``RunReport.load`` can reject incompatible files.
 RUN_REPORT_SCHEMA = "repro.run_report/1"
 
-#: Tracked metrics where an *increase* is an improvement.  Everything
-#: else (seconds, bytes, iterations) regresses when it grows.
+#: Base names (a key's last dotted segment) of the tracked metrics where
+#: an *increase* is an improvement, so ``program.bfs.gteps`` reads like
+#: ``gteps``.  Everything else (seconds, bytes, iterations) regresses
+#: when it grows.
 HIGHER_BETTER = frozenset({
     "gteps", "harmonic_mean_teps", "mean_gteps",
-    "serve.cache_hit_rate", "serve.mean_batch_size", "serve.qps",
-    "wallclock.gteps",
+    "cache_hit_rate", "mean_batch_size", "converged",
 })
-
-
-def wallclock_metrics(tracer, *, num_edges: int | None = None) -> dict:
-    """``wallclock.*`` metrics from a run's tracer.
-
-    Every traversal (sequential BFS, vertex program, batched wave) opens
-    one ``category="bfs"`` span, stamped against the host's
-    ``perf_counter`` alongside the simulated clock; their wall time is
-    what the host really spent, while every ``seconds``/``gteps`` metric
-    stays pinned to the simulated machine.
-    With ``num_edges``, a derived ``wallclock.gteps`` reports how fast
-    the host actually traversed (edges per traversal x traversals /
-    wall seconds).  Empty when the tracer saw no traversal.
-    """
-    spans = [
-        sp
-        for sp in getattr(tracer, "spans", None) or []
-        if getattr(sp, "category", "") == "bfs"
-    ]
-    if not spans:
-        return {}
-    seconds = float(sum(sp.wall_seconds for sp in spans))
-    out = {
-        "wallclock.traversal_seconds": seconds,
-        "wallclock.traversals": float(len(spans)),
-    }
-    if num_edges and seconds > 0.0:
-        out["wallclock.gteps"] = (
-            float(num_edges) * len(spans) / seconds / 1e9
-        )
-    return out
 
 
 def config_fingerprint(payload: dict) -> str:
@@ -271,39 +255,37 @@ def _context(name: str, config=None, extra: dict | None = None) -> dict:
     return ctx
 
 
+def _ledger_totals(results) -> dict:
+    """Simulated totals summed over one run or over every Graph500 root.
+
+    Reads each result's own ``total_seconds``, so a batched root keeps
+    its amortized share of the wave it rode in.
+    """
+    totals = {"total_seconds": sum(r.total_seconds for r in results)}
+    for key in ("comm_seconds", "compute_seconds", "imbalance_seconds",
+                "total_bytes"):
+        totals[key] = sum(getattr(r.ledger, key) for r in results)
+    totals["iterations"] = sum(r.num_iterations for r in results)
+    return {k: float(v) for k, v in totals.items()}
+
+
 def report_from_bfs(
-    result,
-    *,
-    name: str = "bfs",
-    config=None,
-    context: dict | None = None,
-    tracer=None,
+    result, *, name: str = "bfs", config=None, context: dict | None = None
 ) -> RunReport:
     """Build a :class:`RunReport` from one BFS run.
 
     ``result`` is a :class:`~repro.core.metrics.BFSRunResult`; ``config``
     the :class:`~repro.core.config.BFSConfig` it ran under (folded into
     the fingerprint); ``context`` any extra fingerprinted facts (scale,
-    mesh shape, seed, root).  Pass the run's ``tracer`` to add the
-    ``wallclock.*`` section.
+    mesh shape, seed, root).
     """
     ledger = result.ledger
     ctx = _context(name, config, context)
     metrics = {
-        "gteps": float(result.simulated_gteps()),
-        "total_seconds": float(result.total_seconds),
-        "comm_seconds": float(ledger.comm_seconds),
-        "compute_seconds": float(ledger.compute_seconds),
-        "imbalance_seconds": float(ledger.imbalance_seconds),
-        "total_bytes": float(ledger.total_bytes),
-        "iterations": float(result.num_iterations),
+        "gteps": float(result.simulated_gteps()), **_ledger_totals([result])
     }
     for phase, secs in ledger.seconds_by_phase().items():
         metrics[f"seconds.{phase}"] = float(secs)
-    if tracer is not None:
-        metrics.update(
-            wallclock_metrics(tracer, num_edges=result.num_input_edges)
-        )
     return RunReport(
         name=name,
         fingerprint=config_fingerprint(ctx),
@@ -316,12 +298,7 @@ def report_from_bfs(
 
 
 def report_from_graph500(
-    report,
-    *,
-    name: str = "graph500",
-    config=None,
-    context: dict | None = None,
-    tracer=None,
+    report, *, name: str = "graph500", context: dict | None = None
 ) -> RunReport:
     """Build a :class:`RunReport` from a full Graph500 benchmark run.
 
@@ -330,7 +307,7 @@ def report_from_graph500(
     breakdowns and the direction matrix come from the first root (the
     per-root shapes are near-identical on an R-MAT graph).
     """
-    ctx = _context(name, config, context)
+    ctx = _context(name, None, context)
     ctx.setdefault("scale", int(report.problem.scale))
     ctx.setdefault("num_nodes", int(report.num_nodes))
     ctx.setdefault("num_roots", int(report.roots.size))
@@ -345,19 +322,7 @@ def report_from_graph500(
     breakdowns: dict = {}
     directions: list = []
     if report.results:
-        total = {
-            "total_seconds": 0.0, "comm_seconds": 0.0,
-            "compute_seconds": 0.0, "imbalance_seconds": 0.0,
-            "total_bytes": 0.0, "iterations": 0.0,
-        }
-        for res in report.results:
-            total["total_seconds"] += res.total_seconds
-            total["comm_seconds"] += res.ledger.comm_seconds
-            total["compute_seconds"] += res.ledger.compute_seconds
-            total["imbalance_seconds"] += res.ledger.imbalance_seconds
-            total["total_bytes"] += res.ledger.total_bytes
-            total["iterations"] += res.num_iterations
-        metrics.update({k: float(v) for k, v in total.items()})
+        metrics.update(_ledger_totals(report.results))
         first = report.results[0]
         breakdowns = _breakdowns_from(first.ledger, first)
         directions = _direction_matrix(first.iterations)
@@ -375,10 +340,6 @@ def report_from_graph500(
         ):
             if key in resilience:
                 metrics[f"resilience.{key}"] = float(resilience[key])
-    if tracer is not None:
-        metrics.update(
-            wallclock_metrics(tracer, num_edges=report.problem.num_edges)
-        )
     return RunReport(
         name=name,
         fingerprint=config_fingerprint(ctx),
@@ -391,49 +352,40 @@ def report_from_graph500(
 
 
 def report_from_serve(
-    service,
-    workload=None,
-    *,
-    name: str = "serve",
-    context: dict | None = None,
+    service, workload, *, context: dict | None = None
 ) -> RunReport:
     """Build a :class:`RunReport` from a serving session.
 
     ``service`` is a (stopped) :class:`~repro.serve.service.TraversalService`;
-    ``workload`` optionally a
-    :class:`~repro.serve.workload.WorkloadReport` from the closed-loop
-    driver, adding the client-side view (wrong parents, shed retries).
-    The ``serve.*`` metric family covers admission (requests, shed,
-    failed), batching (batches, mean batch size), the cache (hit rate),
-    wall latency (p50/p99), and the amortized simulated cost per query.
+    ``workload`` the :class:`~repro.serve.workload.WorkloadReport` of the
+    closed-loop driver, adding the client-side view (wrong parents, shed
+    retries).  The ``serve.*`` metric family covers admission (requests,
+    shed, failed), batching (batches, mean batch size), the cache (hit
+    rate), wall latency (p50/p99), and the amortized simulated cost per
+    query.
     """
     stats = service.stats
-    ctx = _context(name, None, context)
+    ctx = _context("serve", None, context)
     ctx.setdefault("queue_depth", int(service.queue_depth))
     ctx.setdefault("batch_size", int(service.batch_size))
     ctx.setdefault("batch_window", float(service.batch_window))
     ctx.setdefault("graph_fingerprint", service.graph_fingerprint)
     metrics = {
-        "serve.requests": float(stats.requests),
-        "serve.completed": float(stats.completed),
-        "serve.cache_hits": float(stats.cache_hits),
-        "serve.shed": float(stats.shed),
-        "serve.failed": float(stats.failed),
-        "serve.replays": float(stats.replays),
-        "serve.batches": float(stats.batches),
-        "serve.mean_batch_size": float(stats.mean_batch_size),
-        "serve.cache_hit_rate": float(stats.cache_hit_rate),
-        "serve.sim_seconds_per_query": float(stats.sim_seconds_per_query),
-        "serve.p50_seconds": float(stats.p50_seconds),
-        "serve.p99_seconds": float(stats.p99_seconds),
+        f"serve.{key}": float(getattr(stats, key))
+        for key in (
+            "requests", "completed", "cache_hits", "shed", "failed",
+            "replays", "batches", "mean_batch_size", "cache_hit_rate",
+            "sim_seconds_per_query", "p50_seconds", "p99_seconds",
+        )
     }
-    if workload is not None:
-        metrics["serve.workload_queries"] = float(workload.num_queries)
-        metrics["serve.wrong_parents"] = float(workload.wrong_parents)
-        metrics["serve.validated_queries"] = float(workload.validated)
-        metrics["serve.shed_retries"] = float(workload.shed_retries)
+    metrics.update({
+        "serve.workload_queries": float(workload.num_queries),
+        "serve.wrong_parents": float(workload.wrong_parents),
+        "serve.validated_queries": float(workload.validated),
+        "serve.shed_retries": float(workload.shed_retries),
+    })
     return RunReport(
-        name=name,
+        name="serve",
         fingerprint=config_fingerprint(ctx),
         context=ctx,
         metrics=metrics,
@@ -441,12 +393,7 @@ def report_from_serve(
     )
 
 
-def report_from_program(
-    result,
-    *,
-    name: str | None = None,
-    context: dict | None = None,
-) -> RunReport:
+def report_from_program(result, *, context: dict | None = None) -> RunReport:
     """Build a :class:`RunReport` from one vertex-program run.
 
     ``result`` is a :class:`~repro.core.programs.base.ProgramRunResult`;
@@ -456,17 +403,11 @@ def report_from_program(
     :meth:`~repro.core.programs.base.VertexProgram.info` (relaxations,
     bucket counts, component counts, residuals, ...).
     """
-    ledger = result.ledger
-    ctx = _context(name or f"program.{result.program}", None, context)
+    ctx = _context(f"program.{result.program}", None, context)
     ctx.setdefault("program", result.program)
     metrics = {
         "gteps": float(result.gteps()),
-        "total_seconds": float(result.total_seconds),
-        "comm_seconds": float(ledger.comm_seconds),
-        "compute_seconds": float(ledger.compute_seconds),
-        "imbalance_seconds": float(ledger.imbalance_seconds),
-        "total_bytes": float(result.total_bytes),
-        "iterations": float(result.num_iterations),
+        **_ledger_totals([result]),
         "converged": float(result.converged),
     }
     for key, value in sorted(result.info.items()):
@@ -477,7 +418,7 @@ def report_from_program(
         fingerprint=config_fingerprint(ctx),
         context=ctx,
         metrics=metrics,
-        breakdowns=_breakdowns_from(ledger),
+        breakdowns=_breakdowns_from(result.ledger),
         directions=_direction_matrix(result.iterations),
     )
 
@@ -490,7 +431,7 @@ SMOKE_CONFIG = dict(
 )
 
 
-def bfs_smoke_report(*, metrics=None, tracer=None, **overrides) -> RunReport:
+def bfs_smoke_report(*, metrics=None, tracer=None) -> RunReport:
     """Run the SCALE-10 Graph500 smoke and report it.
 
     One shared entry point so the benchmark's emitted baseline and the
@@ -500,9 +441,8 @@ def bfs_smoke_report(*, metrics=None, tracer=None, **overrides) -> RunReport:
     """
     from repro.graph500.driver import run_graph500
 
-    cfg = dict(SMOKE_CONFIG, **overrides)
-    g500 = run_graph500(**cfg, tracer=tracer, metrics=metrics)
-    return report_from_graph500(g500, name="bfs_smoke", context=cfg)
+    g500 = run_graph500(**SMOKE_CONFIG, tracer=tracer, metrics=metrics)
+    return report_from_graph500(g500, name="bfs_smoke", context=SMOKE_CONFIG)
 
 
 #: The pinned configuration of the ``programs-smoke`` CI step and the
@@ -514,7 +454,7 @@ PROGRAMS_SMOKE_CONFIG = dict(
 )
 
 
-def programs_smoke_report(*, metrics=None, tracer=None, **overrides) -> RunReport:
+def programs_smoke_report(*, metrics=None, tracer=None) -> RunReport:
     """Run every registered program on the pinned SCALE-12 graph.
 
     One partition, one engine configuration; each program runs through
@@ -530,7 +470,7 @@ def programs_smoke_report(*, metrics=None, tracer=None, **overrides) -> RunRepor
     from repro.core.programs import PROGRAM_REGISTRY, generate_weights
     from repro.core.setup import build_setup
 
-    cfg = dict(PROGRAMS_SMOKE_CONFIG, **overrides)
+    cfg = PROGRAMS_SMOKE_CONFIG
     setup = build_setup(**{k: v for k, v in cfg.items() if k != "weight_seed"})
     src, dst, machine, hub = setup.src, setup.dst, setup.machine, setup.root
     part = setup.partition()
@@ -601,14 +541,16 @@ class MetricDelta:
 
 
 def parse_threshold(text: str) -> float:
-    """``"5%"`` -> 0.05; ``"0.05"`` -> 0.05.  Must be nonnegative."""
+    """``"5%"`` -> 0.05; ``"0.05"`` -> 0.05.  Must be finite and nonnegative."""
     text = str(text).strip()
     if text.endswith("%"):
         value = float(text[:-1]) / 100.0
     else:
         value = float(text)
-    if value < 0:
-        raise ValueError(f"threshold must be nonnegative, got {text!r}")
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(
+            f"threshold must be finite and nonnegative, got {text!r}"
+        )
     return value
 
 
@@ -629,7 +571,7 @@ def compare_reports(
             rel = 0.0 if n == 0.0 else float("inf")
         else:
             rel = (n - o) / abs(o)
-        higher_better = key in HIGHER_BETTER
+        higher_better = key.rsplit(".", 1)[-1] in HIGHER_BETTER
         bad = -rel if higher_better else rel
         deltas.append(
             MetricDelta(

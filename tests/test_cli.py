@@ -1,10 +1,15 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
 
 from helpers import ReproInterpreter
+
+#: The committed RunReport baselines the CI gates compare against.
+RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 
 
 class TestParser:
@@ -464,6 +469,67 @@ class TestReportAndCompare:
         assert rc == 2
         rc = main(["compare", str(a), str(a), "--max-regress=-3%"])
         assert rc == 2
+
+    @pytest.mark.parametrize("threshold", ["nan", "nan%", "inf", "inf%", "1e400"])
+    def test_compare_non_finite_threshold_exits_two(
+        self, capsys, tmp_path, threshold
+    ):
+        import json
+
+        base = RESULTS / "BENCH_bfs_smoke.json"
+        doc = json.loads(base.read_text())
+        doc["metrics"]["mean_gteps"] *= 0.1
+        fell = tmp_path / "fell.json"
+        fell.write_text(json.dumps(doc))
+        rc = main(["compare", str(base), str(fell), "--max-regress", threshold])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "finite" in captured.err
+        assert "PASS" not in captured.out
+
+    def _compare_edited(self, tmp_path, base_doc, **metrics):
+        import json
+
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(json.dumps(base_doc))
+        base_doc = dict(base_doc, metrics=dict(base_doc["metrics"], **metrics))
+        new.write_text(json.dumps(base_doc))
+        return main(["compare", str(old), str(new), "--max-regress", "5%"])
+
+    def test_compare_halved_prefixed_gteps_regresses(self, capsys, tmp_path):
+        import json
+
+        base = json.loads((RESULTS / "BENCH_programs_smoke.json").read_text())
+        gteps = base["metrics"]["program.bfs.gteps"]
+        rc = self._compare_edited(
+            tmp_path, base, **{"program.bfs.gteps": gteps / 2}
+        )
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "FAIL: 1 metric(s) regressed past 5%: program.bfs.gteps" in out
+
+    def test_compare_lost_convergence_regresses(self, capsys, tmp_path):
+        from repro.obs.report import RunReport
+
+        base = RunReport(
+            name="program.pagerank", fingerprint="f", context={},
+            metrics={"converged": 1.0, "total_seconds": 1.0},
+        ).to_dict()
+        rc = self._compare_edited(tmp_path, base, converged=0.0)
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "FAIL: 1 metric(s) regressed past 5%: converged" in out
+
+    def test_traced_run_reports_the_same_bytes(self, capsys, tmp_path):
+        argv = ["algo", "bfs", "--scale", "10", "--mesh", "2x2"]
+        plain, traced, again = (tmp_path / f"{n}.json" for n in "abc")
+        assert main(argv + ["--report", str(plain)]) == 0
+        for path in (traced, again):
+            trace = tmp_path / f"{path.stem}.trace.json"
+            assert main(argv + ["--trace", str(trace), "--report", str(path)]) == 0
+        assert traced.read_bytes() == plain.read_bytes()
+        assert again.read_bytes() == plain.read_bytes()
+        assert main(["compare", str(plain), str(traced)]) == 0
 
 
 class TestMutate:

@@ -8,6 +8,7 @@ from repro.graph500.driver import (
     Graph500Stats,
     harmonic_mean_stats,
     run_graph500,
+    run_graph500_sssp,
     sample_roots,
 )
 
@@ -29,6 +30,18 @@ class TestSampleRoots:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError, match="non-isolated"):
             sample_roots(np.zeros(4, dtype=np.int64), 8, rng=np.random.default_rng(0))
+
+
+class TestNumRootsRejected:
+    @pytest.mark.parametrize("driver", [run_graph500, run_graph500_sssp])
+    @pytest.mark.parametrize("num_roots", [0, -1])
+    def test_raises_before_generation(self, monkeypatch, driver, num_roots):
+        def no_generation(*args, **kwargs):
+            raise AssertionError("graph generated before num_roots was checked")
+
+        monkeypatch.setattr("repro.graph500.driver.build_setup", no_generation)
+        with pytest.raises(ValueError, match="num_roots must be at least 1"):
+            driver(10, 2, 2, num_roots=num_roots)
 
 
 class TestStats:
