@@ -21,7 +21,7 @@ ledger charge is a leaf span under its iteration/component span, so
 same span tree also reproduces the figure aggregates —
 :func:`phase_seconds_from_trace` (Fig. 10) and
 :func:`category_seconds_from_trace` (Fig. 11) match the ledger's
-``seconds_by_phase`` / ``time_by_category`` groupings.
+``seconds_by_phase`` / ``seconds_by_category`` groupings.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def phase_seconds_from_trace(tracer) -> dict[str, float]:
 def category_seconds_from_trace(tracer) -> dict[str, float]:
     """Fig. 11 grouping from spans: compute / imbalance / collective kind.
 
-    Mirrors :meth:`~repro.core.metrics.BFSRunResult.time_by_category`:
+    Mirrors :meth:`~repro.runtime.ledger.TrafficLedger.seconds_by_category`:
     kernel leaves split into pure compute and their recorded imbalance;
     collective leaves group by their ``kind`` attr.
     """

@@ -580,7 +580,7 @@ def _cmd_graph500(args) -> int:
             f"wasted {r['wasted_seconds']:.3e} s"
         )
     wrote = _write_trace(tracer, args.trace) if tracer is not None else True
-    return 0 if report.validated and wrote else 1
+    return 0 if report.validated is not False and wrote else 1
 
 
 def _cmd_bfs(args) -> int:

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.core.lanes import lane_bit
 from repro.graph500.spec import Graph500Problem
-from repro.machine.costmodel import CollectiveKind
 from repro.obs.metrics import NULL_METRICS
 from repro.runtime.ledger import TrafficLedger
 
@@ -103,22 +102,7 @@ class BFSRunResult:
 
     def time_by_category(self) -> dict[str, float]:
         """Fig. 11: compute / imbalance / per-collective-kind seconds."""
-        out: dict[str, float] = {
-            "compute": self.ledger.compute_seconds - self.ledger.imbalance_seconds,
-            "imbalance/latency": self.ledger.imbalance_seconds,
-        }
-        kind_names = {
-            CollectiveKind.ALLTOALLV: "alltoallv",
-            CollectiveKind.ALLGATHER: "allgather",
-            CollectiveKind.REDUCE_SCATTER: "reduce_scatter",
-            CollectiveKind.ALLREDUCE: "allreduce",
-            CollectiveKind.BARRIER: "barrier",
-            CollectiveKind.P2P: "p2p",
-        }
-        for kind, secs in self.ledger.comm_seconds_by_kind().items():
-            name = kind_names[kind]
-            out[name] = out.get(name, 0.0) + secs
-        return out
+        return self.ledger.seconds_by_category()
 
     def time_by_direction(self) -> dict[str, float]:
         """Fig. 15: {EH2EH, others} x {push, pull} + other seconds.

@@ -9,21 +9,27 @@ The specification's run structure, reproduced end to end:
    construction time also carries the simulated in-place global sort cost.
 3. **Root sampling** — 64 search keys sampled uniformly from vertices
    with degree >= 1, deduplicated, as the reference code does.
-4. **Kernel 2 (BFS)** — one timed BFS per root, each validated by the
-   five spec checks.
+4. **Kernel 2 (BFS)** — one timed BFS per root (or one multi-source
+   batch per 64 roots), each validated by the five spec checks; a
+   degraded root is checked by
+   :func:`~repro.resilience.recovery.validate_partial`.  **Kernel 3
+   (SSSP)** runs the same flow with a weighted vertex program per root
+   and the optimality-certificate validation.
 5. **Output statistics** — the official result block: min/firstquartile/
    median/thirdquartile/max/mean/stddev over times and TEPS, with the
    harmonic mean and its standard error for TEPS (the quantity the
-   Graph500 list ranks by).
+   Graph500 list ranks by).  ``validation:`` reads ``PASSED`` or
+   ``FAILED``, or ``SKIPPED`` when the run was not validated.
 
-Times here are the *simulated* seconds of the machine model; the
-statistics machinery is the specification's.
+Both kernels share one prologue (steps 1–2) and one epilogue (step 5);
+only the search loop differs.  Times here are the *simulated* seconds of
+the machine model; the statistics machinery is the specification's.
 
-Pass ``tracer=`` a :class:`~repro.obs.tracer.Tracer` to record the whole
+Pass ``tracer=`` a :class:`~repro.obs.tracer.Tracer` to record a kernel-2
 flow as a span tree: ``generate`` and ``construction`` phases, one
-``root`` span per search key (containing the engine's per-iteration and
-per-component spans), a ``validate`` phase per root, and a final
-``harvest`` phase for the statistics block.
+``root`` span per search key (or one ``batch`` span per batch) containing
+the engine's per-iteration and per-component spans, a ``validate`` phase
+per root, and a final ``harvest`` phase for the statistics block.
 """
 
 from __future__ import annotations
@@ -33,15 +39,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.engine import DistributedBFS
-from repro.core.metrics import BFSRunResult
 from repro.core.setup import build_setup
 from repro.graph500.spec import NUM_BFS_ROOTS, Graph500Problem
 from repro.graph500.validate import validate_bfs_result
 from repro.graphs.csr import build_csr, symmetrize_edges
 from repro.machine.network import MachineSpec
 from repro.obs.metrics import NULL_METRICS
-from repro.obs.tracer import Tracer
-from repro.resilience import build_resilience, run_with_recovery, validate_partial
+from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.resilience import (
+    ResilientRunResult,
+    build_resilience,
+    run_with_recovery,
+    validate_partial,
+)
 from repro.runtime.context import run_context
 
 __all__ = [
@@ -136,8 +146,11 @@ class Graph500Report:
     roots: np.ndarray
     bfs_times: np.ndarray
     teps: np.ndarray
-    validated: bool
-    results: list[BFSRunResult] = field(repr=False, default_factory=list)
+    #: ``None`` when the run was not validated.
+    validated: bool | None
+    #: Per-root results: :class:`~repro.core.metrics.BFSRunResult` for kernel 2,
+    #: :class:`~repro.core.programs.base.ProgramRunResult` for kernel 3.
+    results: list = field(repr=False, default_factory=list)
     #: Metrics registry shared by every root's BFS (``NULL_METRICS``
     #: when the run was not metered).
     metrics: object = field(default=NULL_METRICS, repr=False)
@@ -166,6 +179,7 @@ class Graph500Report:
         """The official-style output block."""
         t, g = self.time_stats, self.teps_stats
         hm, err = harmonic_mean_stats(self.teps)
+        verdict = {True: "PASSED", False: "FAILED", None: "SKIPPED"}[self.validated]
         lines = [
             f"SCALE: {self.problem.scale}",
             f"edgefactor: {self.problem.edge_factor}",
@@ -186,7 +200,7 @@ class Graph500Report:
             f"max_TEPS: {g.maximum:.6e}",
             f"harmonic_mean_TEPS: {hm:.6e}",
             f"harmonic_stddev_TEPS: {err:.6e}",
-            f"validation: {'PASSED' if self.validated else 'FAILED'}",
+            f"validation: {verdict}",
         ]
         return "\n".join(lines)
 
@@ -224,7 +238,7 @@ def run_graph500(
         Partition thresholds; default from the per-scale tuning table.
     validate:
         Run the five spec checks on every root's output (slow but
-        conforming).
+        conforming); ``validated`` is ``None`` when this is off.
     construction_seconds:
         Override the kernel-1 time (e.g. from a
         :func:`repro.core.preprocessing.preprocess` report); defaults to
@@ -259,50 +273,35 @@ def run_graph500(
         per-root times are each root's amortized share of its batch.
         Incompatible with ``checkpoint_every`` (no per-root checkpoints
         inside a shared wave) and with ``recovery_mode='degrade'``
-        (batch recovery is restart-only).
+        (batch recovery is restart-only); both raise ``ValueError``
+        before the graph is generated.
     """
     if num_roots < 1:
         raise ValueError(f"num_roots must be at least 1, got {num_roots}")
+    if batch_roots and checkpoint_every:
+        raise ValueError(
+            "batch_roots does not support checkpointing (no per-root "
+            "checkpoints inside a shared wave)"
+        )
+    if batch_roots and recovery_mode != "restart":
+        raise ValueError("batch_roots recovery is restart-only")
     ctx = run_context(tracer, metrics)
     tracer = ctx.tracer
     problem = Graph500Problem(scale=scale)
-
     rng = np.random.default_rng(seed)
-    with tracer.span("generate", category="phase", scale=scale):
-        setup = build_setup(
-            scale, rows, cols, seed=seed,
-            e_threshold=e_threshold, h_threshold=h_threshold,
-        )
-    if machine is not None:
-        setup = setup.on_machine(machine)
-    src, dst, machine = setup.src, setup.dst, setup.machine
-
-    with tracer.span("construction", category="phase") as kernel1:
-        part = setup.partition()
-        if construction_seconds is None:
-            from repro.core.preprocessing import estimate_construction_seconds
-
-            construction_seconds = estimate_construction_seconds(part, machine)
-        # Advance the simulated timeline past kernel 1 so the per-root BFS
-        # spans start where a real run's would.
-        tracer.charge("kernel1", category="construction",
-                      sim_seconds=construction_seconds)
-        kernel1.attrs["seconds"] = construction_seconds
-
+    setup, part, construction_seconds = _generate_and_build(
+        scale, rows, cols, seed=seed, e_threshold=e_threshold,
+        h_threshold=h_threshold, machine=machine,
+        construction_seconds=construction_seconds, tracer=tracer,
+    )
     engine_cls = DistributedBFS
     if batch_roots:
-        if checkpoint_every:
-            raise ValueError(
-                "batch_roots does not support checkpointing (no per-root "
-                "checkpoints inside a shared wave)"
-            )
-        if recovery_mode != "restart":
-            raise ValueError("batch_roots recovery is restart-only")
         from repro.serve.msbfs import MultiSourceBFS
 
         engine_cls = MultiSourceBFS
     engine = engine_cls(
-        part, machine=machine, config=setup.config(**(config_overrides or {})),
+        part, machine=setup.machine,
+        config=setup.config(**(config_overrides or {})),
         tracer=tracer, metrics=metrics,
     )
 
@@ -315,83 +314,29 @@ def run_graph500(
         max_restarts=max_restarts, recovery_mode=recovery_mode,
         mesh=setup.mesh, rng=rng, context=ctx,
     )
-
-    degrees = part.degrees
-    roots = sample_roots(degrees, num_roots, rng=rng)
-
-    graph = None
+    roots = sample_roots(part.degrees, num_roots, rng=rng)
     if validate:
-        graph = build_csr(*symmetrize_edges(src, dst), problem.num_vertices)
-
-    times, teps, results = [], [], []
-    all_valid = True
-    recoveries = []  # one ResilientRunResult per recovered traversal
-    if batch_roots:
-        from repro.serve.msbfs import (
-            MAX_BATCH_ROOTS,
-            run_batch_with_recovery,
+        graph = build_csr(
+            *symmetrize_edges(setup.src, setup.dst), problem.num_vertices
         )
 
-        per_root = []
-        for start in range(0, roots.size, MAX_BATCH_ROOTS):
-            chunk = roots[start : start + MAX_BATCH_ROOTS]
-            with tracer.span(
-                "batch", category="bfs_batch", num_roots=int(chunk.size)
-            ):
-                recovered = run_batch_with_recovery(
-                    engine, chunk, faults=run.faults, policy=policy,
-                    metrics=run.metrics,
-                )
-            recoveries.append(recovered)
-            for lane in range(chunk.size):
-                # The batch ledger rides on exactly one lane so summing
-                # per-root ledgers counts the shared traversal once.
-                per_root.append(
-                    recovered.result.per_root_result(lane, share_ledger=(lane == 0))
-                )
-        for res in per_root:
-            if validate:
-                with tracer.span("validate", category="phase", root=res.root):
-                    try:
+    results, recoveries = [], []
+    all_valid = True
+    for res, recovered in _searches(engine, roots, run, policy, batch_roots, tracer):
+        results.append(res)
+        recoveries.append(recovered)
+        if validate:
+            with tracer.span("validate", category="phase", root=res.root):
+                try:
+                    if recovered.excised.size:
+                        validate_partial(graph, res.root, res.parent, recovered.excised)
+                    else:
                         validate_bfs_result(
                             graph, res.root, res.parent,
-                            edge_src=src, edge_dst=dst,
+                            edge_src=setup.src, edge_dst=setup.dst,
                         )
-                    except AssertionError:
-                        all_valid = False
-            times.append(res.total_seconds)
-            teps.append(problem.num_edges / res.total_seconds)
-            results.append(res)
-        roots_iter = []
-    else:
-        roots_iter = roots
-    for root in roots_iter:
-        with tracer.span("root", category="bfs_root", root=int(root)):
-            run.checkpointer.clear()  # snapshots never outlive their root
-            recovered = run_with_recovery(
-                engine, int(root), faults=run.faults,
-                checkpointer=run.checkpointer, policy=policy,
-                metrics=run.metrics,
-            )
-            recoveries.append(recovered)
-            res, excised = recovered.result, recovered.excised
-            if validate:
-                with tracer.span("validate", category="phase", root=int(root)):
-                    try:
-                        if excised.size:
-                            validate_partial(
-                                graph, int(root), res.parent, excised
-                            )
-                        else:
-                            validate_bfs_result(
-                                graph, int(root), res.parent,
-                                edge_src=src, edge_dst=dst,
-                            )
-                    except AssertionError:
-                        all_valid = False
-        times.append(res.total_seconds)
-        teps.append(problem.num_edges / res.total_seconds)
-        results.append(res)
+                except AssertionError:
+                    all_valid = False
 
     resilience = None
     if faults is not None or checkpoint_every:
@@ -404,20 +349,11 @@ def run_graph500(
             "recovery_mode": recovery_mode,
             **run.faults.summary(),
         }
-
-    with tracer.span("harvest", category="phase", num_roots=int(roots.size)):
-        return Graph500Report(
-            problem=problem,
-            num_nodes=rows * cols,
-            construction_seconds=construction_seconds,
-            roots=roots,
-            bfs_times=np.array(times),
-            teps=np.array(teps),
-            validated=all_valid,
-            results=results,
-            metrics=run.metrics,
-            resilience=resilience,
-        )
+    return _report(
+        problem, rows * cols, construction_seconds, roots, results,
+        all_valid if validate else None, tracer,
+        metrics=run.metrics, resilience=resilience,
+    )
 
 
 def run_graph500_sssp(
@@ -439,7 +375,9 @@ def run_graph500_sssp(
     edge weights per the specification, the registered ``algorithm``
     (``"sssp-delta"``, delta-stepping, or ``"sssp"``, Bellman-Ford) over
     the 1.5D partitioning on one engine, and the kernel-3
-    optimality-certificate validation on every root.
+    optimality-certificate validation on every root.  The report's
+    ``results`` are the per-root
+    :class:`~repro.core.programs.base.ProgramRunResult` objects.
     """
     from repro.core.programs import build_program, generate_weights
     from repro.graph500.validate_sssp import validate_sssp_result
@@ -449,30 +387,25 @@ def run_graph500_sssp(
     if algorithm not in ("sssp-delta", "sssp"):
         raise ValueError(f"unknown SSSP algorithm {algorithm!r}")
     problem = Graph500Problem(scale=scale)
-
     rng = np.random.default_rng(seed)
-    setup = build_setup(
-        scale, rows, cols, seed=seed,
-        e_threshold=e_threshold, h_threshold=h_threshold,
+    setup, part, construction_seconds = _generate_and_build(
+        scale, rows, cols, seed=seed, e_threshold=e_threshold,
+        h_threshold=h_threshold, machine=machine,
+        construction_seconds=None, tracer=NULL_TRACER,
     )
-    if machine is not None:
-        setup = setup.on_machine(machine)
-    src, dst, machine = setup.src, setup.dst, setup.machine
+    src, dst = setup.src, setup.dst
     weights = generate_weights(src.size, seed=seed + 1)
-    part = setup.partition()
-    from repro.core.preprocessing import estimate_construction_seconds
-
-    construction = estimate_construction_seconds(part, machine)
     roots = sample_roots(part.degrees, num_roots, rng=rng)
 
-    engine = DistributedBFS(part, machine=machine)
-    times, teps = [], []
+    engine = DistributedBFS(part, machine=setup.machine)
+    results = []
     all_valid = True
     for root in roots:
         res = engine.run_program(build_program(
             algorithm, part, root=int(root), weights=weights, edge_src=src,
             edge_dst=dst,
         ))
+        results.append(res)
         if validate:
             try:
                 validate_sssp_result(
@@ -481,16 +414,87 @@ def run_graph500_sssp(
                 )
             except AssertionError:
                 all_valid = False
-        times.append(res.total_seconds)
-        teps.append(problem.num_edges / res.total_seconds)
-
-    return Graph500Report(
-        problem=problem,
-        num_nodes=rows * cols,
-        construction_seconds=construction,
-        roots=roots,
-        bfs_times=np.array(times),
-        teps=np.array(teps),
-        validated=all_valid,
-        results=[],
+    return _report(
+        problem, rows * cols, construction_seconds, roots, results,
+        all_valid if validate else None, NULL_TRACER,
     )
+
+
+def _generate_and_build(scale, rows, cols, *, seed, e_threshold, h_threshold,
+                        machine, construction_seconds, tracer):
+    """Generation and kernel 1, the prologue both kernels share: returns
+    ``(setup, part, construction_seconds)``, the last defaulting to the
+    modeled construction estimate."""
+    with tracer.span("generate", category="phase", scale=scale):
+        setup = build_setup(
+            scale, rows, cols, seed=seed,
+            e_threshold=e_threshold, h_threshold=h_threshold,
+        )
+    if machine is not None:
+        setup = setup.on_machine(machine)
+
+    with tracer.span("construction", category="phase") as kernel1:
+        part = setup.partition()
+        if construction_seconds is None:
+            from repro.core.preprocessing import estimate_construction_seconds
+
+            construction_seconds = estimate_construction_seconds(part, setup.machine)
+        # Advance the simulated timeline past kernel 1 so the per-root
+        # spans start where a real run's would.
+        tracer.charge("kernel1", category="construction",
+                      sim_seconds=construction_seconds)
+        kernel1.attrs["seconds"] = construction_seconds
+    return setup, part, construction_seconds
+
+
+def _searches(engine, roots, run, policy, batch_roots, tracer):
+    """Kernel 2's searches: yields ``(result, recovery)`` per root.
+
+    Sequentially, each root is one recovered BFS under its ``root`` span
+    (still open while the caller validates it).  Batched, each run of up
+    to 64 roots is one recovered wave; its recovery and its ledger ride
+    on lane 0 so sums over roots count the shared traversal once, and
+    every other lane carries an empty recovery.
+    """
+    if not batch_roots:
+        for root in roots:
+            with tracer.span("root", category="bfs_root", root=int(root)):
+                run.checkpointer.clear()  # snapshots never outlive their root
+                recovered = run_with_recovery(
+                    engine, int(root), faults=run.faults,
+                    checkpointer=run.checkpointer, policy=policy,
+                    metrics=run.metrics,
+                )
+                yield recovered.result, recovered
+        return
+    from repro.serve.msbfs import MAX_BATCH_ROOTS, run_batch_with_recovery
+
+    for start in range(0, roots.size, MAX_BATCH_ROOTS):
+        chunk = roots[start : start + MAX_BATCH_ROOTS]
+        with tracer.span("batch", category="bfs_batch", num_roots=int(chunk.size)):
+            recovered = run_batch_with_recovery(
+                engine, chunk, faults=run.faults, policy=policy,
+                metrics=run.metrics,
+            )
+        for lane in range(chunk.size):
+            res = recovered.result.per_root_result(lane, share_ledger=(lane == 0))
+            yield res, (recovered if lane == 0 else ResilientRunResult(res))
+
+
+def _report(problem, num_nodes, construction_seconds, roots, results,
+            validated, tracer, **extra) -> Graph500Report:
+    """The epilogue both kernels share: the statistics block over the
+    per-root results, under the ``harvest`` span."""
+    with tracer.span("harvest", category="phase", num_roots=int(roots.size)):
+        times = np.array([r.total_seconds for r in results])
+        return Graph500Report(
+            problem=problem,
+            num_nodes=num_nodes,
+            construction_seconds=construction_seconds,
+            roots=roots,
+            bfs_times=times,
+            teps=problem.num_edges / times,
+            validated=validated,
+            results=results,
+            **extra,
+        )

@@ -201,7 +201,7 @@ def _kind_name(kind) -> str:
     return getattr(kind, "value", str(kind))
 
 
-def _breakdowns_from(ledger, result=None) -> dict:
+def _breakdowns_from(ledger, *, by_category: bool = True) -> dict:
     out = {
         "seconds_by_phase": {
             k: float(v) for k, v in ledger.seconds_by_phase().items()
@@ -214,9 +214,9 @@ def _breakdowns_from(ledger, result=None) -> dict:
             _kind_name(k): float(v) for k, v in ledger.bytes_by_kind().items()
         },
     }
-    if result is not None:
+    if by_category:
         out["time_by_category"] = {
-            k: float(v) for k, v in result.time_by_category().items()
+            k: float(v) for k, v in ledger.seconds_by_category().items()
         }
     return out
 
@@ -291,7 +291,7 @@ def report_from_bfs(
         fingerprint=config_fingerprint(ctx),
         context=ctx,
         metrics=metrics,
-        breakdowns=_breakdowns_from(ledger, result),
+        breakdowns=_breakdowns_from(ledger),
         directions=_direction_matrix(result.iterations),
         summaries=_registry_summaries(result.metrics),
     )
@@ -300,12 +300,14 @@ def report_from_bfs(
 def report_from_graph500(
     report, *, name: str = "graph500", context: dict | None = None
 ) -> RunReport:
-    """Build a :class:`RunReport` from a full Graph500 benchmark run.
+    """Build a :class:`RunReport` from a full Graph500 benchmark run,
+    kernel 2 (BFS) or kernel 3 (SSSP).
 
     Scalar metrics carry the spec's aggregates (harmonic-mean TEPS, the
-    time statistics) plus ledger totals summed over every root's BFS;
-    breakdowns and the direction matrix come from the first root (the
-    per-root shapes are near-identical on an R-MAT graph).
+    time statistics) plus ledger totals summed over every root's run;
+    breakdowns and the direction matrix come from the first root's
+    ledger and iterations (the per-root shapes are near-identical on an
+    R-MAT graph).
     """
     ctx = _context(name, None, context)
     ctx.setdefault("scale", int(report.problem.scale))
@@ -324,7 +326,7 @@ def report_from_graph500(
     if report.results:
         metrics.update(_ledger_totals(report.results))
         first = report.results[0]
-        breakdowns = _breakdowns_from(first.ledger, first)
+        breakdowns = _breakdowns_from(first.ledger)
         directions = _direction_matrix(first.iterations)
     resilience = getattr(report, "resilience", None)
     if resilience:
@@ -418,7 +420,7 @@ def report_from_program(result, *, context: dict | None = None) -> RunReport:
         fingerprint=config_fingerprint(ctx),
         context=ctx,
         metrics=metrics,
-        breakdowns=_breakdowns_from(result.ledger),
+        breakdowns=_breakdowns_from(result.ledger, by_category=False),
         directions=_direction_matrix(result.iterations),
     )
 

@@ -26,8 +26,9 @@ them:
       traversal (mark pre-visited with no parent) and finish on the
       surviving ranks.  The result no longer satisfies full Graph500
       validation — :func:`validate_partial` checks the weaker contract
-      (tree edges are real, levels are consistent, and nothing *outside*
-      the excised set was silently lost) and reports coverage.
+      with the spec validator's rules (the parents form a tree of real
+      edges, and nothing *outside* the excised set was silently lost)
+      and reports coverage.
 
 The returned :class:`ResilientRunResult` wraps the mode's final result
 with the recovery story: how many crashes were survived, what the wasted
@@ -353,84 +354,55 @@ def validate_partial(
 ) -> PartialCoverage:
     """Validate a degraded run's weaker contract.
 
-    Checks (subset of the Graph500 spec, minus full coverage):
+    The Graph500 spec's rules minus full coverage, on the spec
+    validator's vectorized pieces (:mod:`repro.graph500.validate`):
 
-    1. the root is its own parent;
-    2. every tree edge ``(v, parent[v])`` is a real graph edge;
-    3. BFS levels are consistent: ``level[v] == level[parent[v]] + 1``;
-    4. no *silent* loss — every unreached, non-excised vertex with a
-       reached neighbour must be explained by the excision (reachable
-       only through excised vertices is fine; a skipped expandable
-       vertex is not).
+    1. the root is its own parent and is not excised;
+    2. the parents form a tree rooted at ``root`` — no cycle, no orphaned
+       subtree, no out-of-range pointer
+       (:func:`~repro.graph500.reference.bfs_levels_from_parents`);
+    3. every tree edge ``(v, parent[v])`` is a real graph edge;
+    4. no *silent* loss — no graph arc joins a reached, non-excised
+       vertex to an unreached, non-excised one (reachable only through
+       excised vertices is fine; a skipped expandable vertex is not).
 
-    ``graph`` is the CSR used by :mod:`repro.graph500.validate`
-    (``indptr``/``indices`` attributes).  Raises ``AssertionError`` on
-    any violation; returns coverage statistics otherwise.
+    ``graph`` is the symmetrized :class:`~repro.graphs.csr.CSRGraph` the
+    spec validator takes.  Raises ``AssertionError`` on any violation;
+    returns coverage statistics otherwise.
     """
-    n = parent.size
-    excised_mask = np.zeros(n, dtype=bool)
+    from repro.graph500.reference import bfs_levels_from_parents
+    from repro.graph500.validate import _missing_mask
+
+    parent = np.asarray(parent, dtype=np.int64)
+    excised_mask = np.zeros(parent.size, dtype=bool)
     excised_mask[excised] = True
     assert parent[root] == root, "root must be its own parent"
     assert not excised_mask[root], "root cannot be excised"
+    try:
+        bfs_levels_from_parents(graph, root, parent)
+    except ValueError as exc:
+        raise AssertionError(
+            f"parent array is not a tree rooted at {root}: {exc}"
+        ) from exc
 
-    reached = np.flatnonzero(parent >= 0)
-    # levels by walking up the tree (tree depth <= n).
-    level = np.full(n, -1, dtype=np.int64)
-    level[root] = 0
-    frontier = [root]
-    depth = 0
-    reached_set = set(int(v) for v in reached)
-    children: dict[int, list[int]] = {}
-    for v in reached:
-        v = int(v)
-        if v != root:
-            children.setdefault(int(parent[v]), []).append(v)
-    while frontier:
-        depth += 1
-        nxt = []
-        for u in frontier:
-            for v in children.get(u, ()):  # tree edges only
-                level[v] = depth
-                nxt.append(v)
-        frontier = nxt
-    assert int((level >= 0).sum()) == len(reached_set), (
-        "parent array contains a cycle or an orphaned subtree"
+    reached = parent >= 0
+    children = np.flatnonzero(reached)
+    children = children[children != root]
+    missing = children[_missing_mask(graph, children, parent[children])]
+    assert missing.size == 0, (
+        f"tree edge ({missing[0]}, {parent[missing[0]]}) is not a graph edge"
     )
 
-    indptr, indices = graph.indptr, graph.indices
-    for v in reached:
-        v = int(v)
-        if v == root:
-            continue
-        p = int(parent[v])
-        neigh = indices[indptr[v]:indptr[v + 1]]
-        assert p in neigh, f"tree edge ({v}, {p}) is not a graph edge"
-        assert level[v] == level[p] + 1, (
-            f"level inconsistency at {v}: {level[v]} vs parent {level[p]}"
-        )
-
-    # Silent-loss check: an unreached, non-excised vertex may only have
-    # reached neighbours if every such neighbour is excised (i.e. the
-    # frontier died there by design, not by a bug).
-    lost = 0
-    unreached = np.flatnonzero((parent < 0) & ~excised_mask)
-    for v in unreached:
-        v = int(v)
-        neigh = indices[indptr[v]:indptr[v + 1]]
-        if neigh.size == 0:
-            continue
-        reached_neigh = neigh[parent[neigh] >= 0]
-        if reached_neigh.size and not excised_mask[reached_neigh].all():
-            lost += 1
+    unreached = ~reached & ~excised_mask
+    src, dst = graph.arcs()
+    lost = np.unique(src[unreached[src] & reached[dst] & ~excised_mask[dst]]).size
     assert lost == 0, (
         f"{lost} non-excised vertices were reachable from live ranks "
         "but never visited"
     )
-
-    reachable = int((parent >= 0).sum() + unreached.size)
     return PartialCoverage(
-        reached=int(reached.size),
-        reachable=reachable,
+        reached=int(reached.sum()),
+        reachable=int(reached.sum() + unreached.sum()),
         excised=int(excised_mask.sum()),
         lost=lost,
     )

@@ -7,7 +7,8 @@ figures:
 
 - Fig. 10's per-subgraph breakdown = compute+comm seconds grouped by the
   event ``phase`` tag (``"EH2EH"``, ``"L2L"``, ...);
-- Fig. 11's per-communication-type breakdown = comm seconds grouped by
+- Fig. 11's per-communication-type breakdown
+  (:meth:`TrafficLedger.seconds_by_category`) = comm seconds grouped by
   :class:`~repro.machine.costmodel.CollectiveKind`, plus the compute and
   imbalance terms;
 - Fig. 9's GTEPS = traversed edges / ``total_seconds``.
@@ -324,6 +325,17 @@ class TrafficLedger:
         for c in self.compute_events:
             acc[c.phase] += c.seconds
         return dict(acc)
+
+    def seconds_by_category(self) -> dict[str, float]:
+        """Fig. 11: pure compute, imbalance/latency, and comm seconds per
+        collective kind (named by ``kind.value``)."""
+        out = {
+            "compute": self.compute_seconds - self.imbalance_seconds,
+            "imbalance/latency": self.imbalance_seconds,
+        }
+        for kind, secs in self.comm_seconds_by_kind().items():
+            out[kind.value] = secs
+        return out
 
     def comm_seconds_by_kind(self) -> dict[CollectiveKind, float]:
         """Collective kind -> seconds (Fig. 11's comm categories)."""

@@ -58,6 +58,16 @@ class TestCommands:
         ])
         assert rc == 0
 
+    def test_graph500_no_validate_reports_skipped(self, capsys):
+        rc = main([
+            "graph500", "--scale", "10", "--mesh", "2x2", "--roots", "2",
+            "--no-validate",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "validation: SKIPPED" in out
+        assert "validation: PASSED" not in out
+
     def test_sweep(self, capsys):
         rc = main(["sweep", "--points", "9:2x2,10:2x2"])
         out = capsys.readouterr().out

@@ -44,6 +44,27 @@ class TestNumRootsRejected:
             driver(10, 2, 2, num_roots=num_roots)
 
 
+class TestBatchRootsRejected:
+    @pytest.mark.parametrize("option", [
+        dict(checkpoint_every=1), dict(recovery_mode="degrade"),
+    ])
+    def test_raises_before_generation(self, monkeypatch, option):
+        def no_generation(*args, **kwargs):
+            raise AssertionError("graph generated before batch_roots was checked")
+
+        monkeypatch.setattr("repro.graph500.driver.build_setup", no_generation)
+        with pytest.raises(ValueError, match="batch_roots"):
+            run_graph500(10, 2, 2, num_roots=2, batch_roots=True, **option)
+
+
+class TestValidationSkipped:
+    @pytest.mark.parametrize("driver", [run_graph500, run_graph500_sssp])
+    def test_unvalidated_run_is_neither_passed_nor_failed(self, driver):
+        report = driver(10, 2, 2, num_roots=2, validate=False)
+        assert report.validated is None
+        assert "validation: SKIPPED" in report.render()
+
+
 class TestStats:
     def test_quartiles(self):
         s = Graph500Stats.of(np.arange(1.0, 6.0))
@@ -127,3 +148,41 @@ class TestRunGraph500:
             config_overrides=dict(segmenting=False),
         )
         assert rep.mean_gteps > 0
+
+
+class TestTwoBatches:
+    """More roots than one 64-lane wave holds: two batches, one per-root
+    result each, the same roots and parents as the sequential run."""
+
+    def test_batched_matches_per_root(self):
+        cfg = dict(seed=1, num_roots=70)
+        plain = run_graph500(10, 2, 2, **cfg)
+        batched = run_graph500(10, 2, 2, batch_roots=True, **cfg)
+        assert plain.roots.size == 70
+        assert np.array_equal(plain.roots, batched.roots)
+        assert plain.validated is True and batched.validated is True
+        assert [r.root for r in batched.results] == plain.roots.tolist()
+        for a, b in zip(plain.results, batched.results):
+            assert np.array_equal(a.parent, b.parent)
+        # Each batch's ledger rides on its first lane only.
+        carriers = [i for i, r in enumerate(batched.results) if r.ledger.comm_events]
+        assert carriers == [0, 64]
+
+
+class TestKernel3Report:
+    def test_report_carries_per_root_results(self):
+        from repro.obs.report import report_from_graph500
+
+        g500 = run_graph500_sssp(10, 2, 2, num_roots=2)
+        assert len(g500.results) == 2
+        report = report_from_graph500(g500)
+        m = report.metrics
+        assert m["total_seconds"] == pytest.approx(
+            sum(r.total_seconds for r in g500.results))
+        assert m["total_bytes"] == pytest.approx(
+            sum(r.ledger.total_bytes for r in g500.results))
+        assert m["iterations"] == sum(r.num_iterations for r in g500.results)
+        assert set(report.breakdowns) == {
+            "seconds_by_phase", "comm_seconds_by_kind", "bytes_by_kind",
+            "time_by_category",
+        }
