@@ -6,7 +6,8 @@ weighted-fair deficit-round-robin router (:mod:`~repro.cluster.router`),
 with per-tenant admission quotas, per-tenant SLO burn-rate monitoring,
 typed shed/fail/failover surfaces, and bit-identical re-routing of a
 down replica's in-flight batches (:mod:`~repro.cluster.service`).
-Open-loop diurnal workloads drive it (:mod:`~repro.cluster.workload`).
+Open-loop diurnal workloads drive it (:mod:`~repro.cluster.workload`,
+which also holds ``repro serve --tenants``'s drill).
 """
 
 from .router import ClusterRouter, QueueFull
@@ -20,7 +21,7 @@ from .tenants import (
     build_tenant,
     parse_tenant_spec,
 )
-from .workload import run_cluster_session, run_cluster_workload
+from .workload import run_cluster_drill, run_cluster_session, run_cluster_workload
 
 __all__ = [
     "SLO_CLASSES",
@@ -34,6 +35,7 @@ __all__ = [
     "build_registry",
     "build_tenant",
     "parse_tenant_spec",
+    "run_cluster_drill",
     "run_cluster_session",
     "run_cluster_workload",
 ]

@@ -55,6 +55,7 @@ __all__ = [
     "register_program",
     "available_programs",
     "build_program",
+    "program_params",
     "BellmanFordProgram",
     "DeltaSteppingProgram",
     "PageRankProgram",
@@ -129,6 +130,30 @@ def build_program(name: str, part, **params) -> VertexProgram:
             f"(accepted: {', '.join(spec.params) or 'none'})"
         )
     return spec.factory(part, **params)
+
+
+def program_params(
+    name: str, setup, *, weight_seed: int, unit_weights: bool = False,
+    **given,
+) -> dict:
+    """The keywords program ``name`` runs with on a generated graph.
+
+    ``given`` are explicit parameters (``None`` values are dropped).  A
+    ``root`` parameter defaults to ``setup.root``, the max-degree hub.
+    A ``weights`` parameter gets the seeded table
+    ``generate_weights(edges, seed=weight_seed)`` aligned to
+    ``setup.src`` / ``setup.dst``, unless ``unit_weights``.
+    """
+    spec = PROGRAM_REGISTRY[name]
+    params = {k: v for k, v in given.items() if v is not None}
+    if "root" in spec.params:
+        params.setdefault("root", setup.root)
+    if "weights" in spec.params and not unit_weights:
+        params.update(
+            weights=generate_weights(setup.src.size, seed=weight_seed),
+            edge_src=setup.src, edge_dst=setup.dst,
+        )
+    return params
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ their position in the edge array, which incremental repair cannot
 reproduce.
 """
 
-from repro.dynamic.gate import EquivalenceReport, run_equivalence_gate
+from repro.dynamic.gate import EquivalenceReport, run_dynamic_smoke, run_equivalence_gate
 from repro.dynamic.patch import (
     PatchOutcome,
     levels_from_parent,
@@ -68,5 +68,6 @@ __all__ = [
     "patch_bfs_result",
     "patch_sssp_result",
     "EquivalenceReport",
+    "run_dynamic_smoke",
     "run_equivalence_gate",
 ]

@@ -20,8 +20,11 @@ per batch it
    distance array against fresh runs on the rebuilt partition.
 
 Results chain: each batch patches the *previous* batch's (possibly
-patched) result, so drift would compound and be caught.  The gate is
-what ``python -m repro mutate --smoke`` runs in CI.
+patched) result, so drift would compound and be caught.
+:func:`run_dynamic_smoke` is the pinned matrix ``python -m repro mutate
+--smoke`` runs in CI; :func:`run_update_stream` is ``mutate --updates``
+(one stream over a Graph500 graph, checked against a rebuild at the
+end).
 """
 
 from __future__ import annotations
@@ -50,7 +53,14 @@ from repro.machine.network import MachineSpec
 from repro.obs.metrics import NULL_METRICS
 from repro.runtime.mesh import ProcessMesh
 
-__all__ = ["CaseResult", "EquivalenceReport", "parts_bitwise_equal", "run_equivalence_gate"]
+__all__ = [
+    "CaseResult",
+    "EquivalenceReport",
+    "parts_bitwise_equal",
+    "run_dynamic_smoke",
+    "run_equivalence_gate",
+    "run_update_stream",
+]
 
 _VERTEX_FIELDS = (
     "degrees",
@@ -119,10 +129,25 @@ class EquivalenceReport:
     """Aggregate outcome of :func:`run_equivalence_gate`."""
 
     cases: list
+    #: Also require some batch to take the ``patched`` (resume from a
+    #: level) path, so the smoke runs it every time.
+    require_patched: bool = False
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.cases)
+
+    @property
+    def passed(self) -> bool:
+        """The gate's verdict: bit-identical, and patched if required."""
+        return self.ok and (
+            not self.require_patched or self.mode_counts().get("patched", 0) > 0
+        )
+
+    def verdict(self) -> str:
+        return (f"dynamic gate: {'PASS' if self.passed else 'FAIL'} "
+                f"({len(self.cases)} streams, {self.num_batches} batches, "
+                f"patch modes {self.mode_counts()})")
 
     @property
     def num_batches(self) -> int:
@@ -223,6 +248,75 @@ def run_equivalence_gate(
                     f"{'ok' if case.ok else 'MISMATCH'}"
                 )
     return EquivalenceReport(cases=cases)
+
+
+def run_dynamic_smoke(*, metrics=NULL_METRICS) -> EquivalenceReport:
+    """The pinned CI dynamic gate: the default matrix (small-world
+    families at default batch sizes, mostly recomputes) plus a
+    long-diameter ring with tiny batches, which forces the
+    resume-from-level ``patched`` path that the verdict requires."""
+    small_world = run_equivalence_gate(metrics=metrics)
+    ring = run_equivalence_gate(
+        families=("ring",), scale=8, batches=3, batch_size=3, metrics=metrics,
+    )
+    return EquivalenceReport(cases=small_world.cases + ring.cases,
+                             require_patched=True)
+
+
+def run_update_stream(
+    spec: UpdateSpec, *, scale: int, rows: int, cols: int, seed: int,
+    e_threshold=None, h_threshold=None, batch_size=None,
+    compact_every: int = 4, metrics=NULL_METRICS,
+) -> tuple[EquivalenceReport, str]:
+    """Stream ``spec``'s seeded update batches (``batch_size`` overrides
+    its size) through incremental repair of a Graph500 graph, compacting
+    every ``compact_every`` batches, then compare the repaired partition
+    with a from-scratch rebuild.  Returns the one-case report and the
+    text the CLI prints: a row per batch, the repair cost against full
+    rebuilds, and the verdict.
+    """
+    from dataclasses import replace
+
+    from repro.analysis.reporting import ascii_table, format_seconds
+    from repro.core.setup import build_setup
+
+    if batch_size is not None:
+        spec = replace(spec, size=batch_size)
+    inc = build_setup(
+        scale, rows, cols, seed=seed, e_threshold=e_threshold,
+        h_threshold=h_threshold, weak_scaled=False,
+    ).incremental(compact_every=compact_every, metrics=metrics)
+    lo, hi = inc.edges()
+    stream = generate_update_stream(lo, hi, inc.num_vertices, spec, seed=seed)
+    rows_out = []
+    for batch in stream:
+        rep = inc.apply_batch(batch)
+        rows_out.append([
+            rep.batch_index, rep.num_inserted_edges, rep.num_deleted_edges,
+            rep.num_class_changes, rep.num_arcs_moved,
+            f"{rep.seconds:.3e}", "yes" if rep.compacted else "",
+        ])
+    problems = parts_bitwise_equal(inc.graph(), inc.rebuild_reference())
+    repair_s = inc.ledger.total_seconds
+    rebuild_s = inc.rebuild_cost_estimate() * len(stream)
+    lines = [
+        ascii_table(
+            ["batch", "inserted", "deleted", "reclass", "arcs moved",
+             "repair s", "compacted"],
+            rows_out,
+            title=f"{spec.kind} stream over SCALE {scale} "
+                  f"({inc.num_edges:,} live edges after "
+                  f"{len(stream)} batches):",
+        ),
+        f"repair cost: {format_seconds(repair_s)} simulated vs "
+        f"{format_seconds(rebuild_s)} for {len(stream)} full rebuilds "
+        f"({100 * repair_s / rebuild_s:.1f}%)",
+        *(f"MISMATCH: {p}" for p in problems[:8]),
+        f"equivalence vs rebuild: {'FAIL' if problems else 'PASS'}",
+    ]
+    case = CaseResult(family="rmat", kind=spec.kind,
+                      num_batches=len(stream), mismatches=problems)
+    return EquivalenceReport(cases=[case]), "\n".join(lines)
 
 
 def _run_stream(

@@ -379,7 +379,7 @@ def run_graph500_sssp(
     ``results`` are the per-root
     :class:`~repro.core.programs.base.ProgramRunResult` objects.
     """
-    from repro.core.programs import build_program, generate_weights
+    from repro.core.programs import build_program, program_params
     from repro.graph500.validate_sssp import validate_sssp_result
 
     if num_roots < 1:
@@ -393,23 +393,22 @@ def run_graph500_sssp(
         h_threshold=h_threshold, machine=machine,
         construction_seconds=None, tracer=NULL_TRACER,
     )
-    src, dst = setup.src, setup.dst
-    weights = generate_weights(src.size, seed=seed + 1)
+    params = program_params(algorithm, setup, weight_seed=seed + 1)
     roots = sample_roots(part.degrees, num_roots, rng=rng)
 
     engine = DistributedBFS(part, machine=setup.machine)
     results = []
     all_valid = True
     for root in roots:
-        res = engine.run_program(build_program(
-            algorithm, part, root=int(root), weights=weights, edge_src=src,
-            edge_dst=dst,
-        ))
+        res = engine.run_program(
+            build_program(algorithm, part, **{**params, "root": int(root)})
+        )
         results.append(res)
         if validate:
             try:
                 validate_sssp_result(
-                    problem.num_vertices, src, dst, weights, int(root),
+                    problem.num_vertices, setup.src, setup.dst,
+                    params["weights"], int(root),
                     res.state["distance"], res.state["parent"],
                 )
             except AssertionError:

@@ -14,6 +14,10 @@ Three views of one :class:`~repro.obs.tracer.Tracer`:
 - :func:`span_aggregates` / :func:`write_span_csv` — a flat table of
   per-path aggregates for spreadsheet analysis.
 
+Every file artifact the package writes (RunReports, traces, metric
+exports, benchmark JSON) goes through :func:`write_artifact`, which
+raises :class:`ArtifactError` naming the path when the write fails.
+
 All exporters skip still-open spans (a trace is normally exported after
 the traced run returns, when every span is closed).
 """
@@ -22,14 +26,17 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from collections import defaultdict
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.obs.tracer import Span, Tracer
 
 __all__ = [
+    "ArtifactError",
+    "write_artifact",
+    "write_json",
     "build_track_table",
     "to_chrome_trace",
     "write_chrome_trace",
@@ -37,6 +44,30 @@ __all__ = [
     "span_aggregates",
     "write_span_csv",
 ]
+
+
+class ArtifactError(OSError):
+    """A file artifact that could not be written; the message names its
+    path and the reason."""
+
+
+def write_artifact(path, text: str) -> Path:
+    """Write ``text`` to ``path``, creating missing parent directories;
+    returns the path.  Raises :class:`ArtifactError` on failure."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ArtifactError(
+            f"cannot write {path}: {exc.strerror or exc}"
+        ) from exc
+    return path
+
+
+def write_json(path, doc) -> Path:
+    """:func:`write_artifact` of ``doc`` as indented, key-sorted JSON."""
+    return write_artifact(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _closed_spans(tracer: "Tracer") -> list["Span"]:
@@ -187,11 +218,7 @@ def write_chrome_trace(tracer: "Tracer", path, *, clock: str = "sim") -> int:
     """Write the Chrome trace JSON to ``path``; returns the span count
     (track-naming metadata events are not counted)."""
     doc = to_chrome_trace(tracer, clock=clock)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    write_artifact(path, json.dumps(doc))
     return sum(1 for ev in doc["traceEvents"] if ev["ph"] == "X")
 
 

@@ -51,6 +51,8 @@ import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from repro.obs.export import write_json
+
 __all__ = [
     "RUN_REPORT_SCHEMA",
     "HIGHER_BETTER",
@@ -64,6 +66,7 @@ __all__ = [
     "bfs_smoke_report",
     "PROGRAMS_SMOKE_CONFIG",
     "programs_smoke_report",
+    "program_report",
     "compare_reports",
     "render_compare",
     "parse_threshold",
@@ -143,10 +146,7 @@ class RunReport:
         return cls(**fields)
 
     def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-        return path
+        return write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "RunReport":
@@ -469,31 +469,24 @@ def programs_smoke_report(*, metrics=None, tracer=None) -> RunReport:
     ``compare_reports`` gate pins behaviour exactly like the BFS smoke.
     """
     from repro.core import DistributedBFS, build_program
-    from repro.core.programs import PROGRAM_REGISTRY, generate_weights
+    from repro.core.programs import PROGRAM_REGISTRY, program_params
     from repro.core.setup import build_setup
 
     cfg = PROGRAMS_SMOKE_CONFIG
     setup = build_setup(**{k: v for k, v in cfg.items() if k != "weight_seed"})
-    src, dst, machine, hub = setup.src, setup.dst, setup.machine, setup.root
     part = setup.partition()
-    # Each program takes what its spec names: the hub as ``root``, the
-    # seeded table as ``weights``.
-    given = dict(
-        root=hub, weights=generate_weights(src.size, seed=cfg["weight_seed"]),
-        edge_src=src, edge_dst=dst,
-    )
     report_metrics: dict = {}
     directions: list = []
     for name, spec in sorted(PROGRAM_REGISTRY.items()):
         engine = DistributedBFS(
-            part, machine=machine, tracer=tracer, metrics=metrics
+            part, machine=setup.machine, tracer=tracer, metrics=metrics
         )
+        params = program_params(name, setup, weight_seed=cfg["weight_seed"])
         if spec.native_bfs:
-            res = engine.run(hub)
+            res = engine.run(params["root"])
             report_metrics["program.bfs.gteps"] = float(res.simulated_gteps())
             info = {}
         else:
-            params = {k: v for k, v in given.items() if k in spec.params}
             res = engine.run_program(build_program(name, part, **params))
             info = {
                 k: v for k, v in res.info.items()
@@ -520,6 +513,89 @@ def programs_smoke_report(*, metrics=None, tracer=None) -> RunReport:
 # ----------------------------------------------------------------------
 # the compare gate
 # ----------------------------------------------------------------------
+
+
+def program_report(
+    program: str, *, scale: int, rows: int, cols: int, seed: int,
+    e_threshold=None, h_threshold=None, root=None, delta=None, damping=None,
+    tol=None, max_iterations=None, unit_weights=None, faults=None,
+    checkpoint_every: int = 0, max_restarts: int = 3,
+    recovery_mode: str = "restart", tracer=None, metrics=None,
+) -> tuple[RunReport, str]:
+    """Run one registered program on a generated graph: ``repro algo``.
+
+    ``root`` ... ``max_iterations`` go to the program's same-named
+    parameter (``None``: the program's default; each must be one of its
+    :attr:`~repro.core.programs.ProgramSpec.params`);
+    :func:`~repro.core.programs.program_params` adds the hub root and
+    the seeded weights (``seed + 1``) unless ``unit_weights``.
+    The run recovers through the resilience options like every
+    traversal.  Returns the run's :class:`RunReport` and the text
+    summary the CLI prints.
+    """
+    import numpy as np
+
+    from repro.analysis.reporting import format_seconds
+    from repro.core import DistributedBFS, build_program
+    from repro.core.programs import PROGRAM_REGISTRY, program_params
+    from repro.core.setup import build_setup
+    from repro.resilience import (
+        build_resilience,
+        run_program_with_recovery,
+        run_with_recovery,
+    )
+
+    setup = build_setup(scale, rows, cols, seed=seed, e_threshold=e_threshold,
+                        h_threshold=h_threshold)
+    part = setup.partition()
+    params = program_params(
+        program, setup, weight_seed=seed + 1, unit_weights=bool(unit_weights),
+        root=root, delta=delta, damping=damping, tol=tol,
+        max_iterations=max_iterations,
+    )
+    context = dict(
+        scale=scale, rows=rows, cols=cols, seed=seed,
+        e_threshold=setup.e_threshold, h_threshold=setup.h_threshold,
+        **{k: v for k, v in params.items()
+           if isinstance(v, (int, float, bool, str))},
+    )
+    engine = DistributedBFS(
+        part, machine=setup.machine, tracer=tracer, metrics=metrics
+    )
+    run, policy = build_resilience(
+        faults, checkpoint_every=checkpoint_every, max_restarts=max_restarts,
+        recovery_mode=recovery_mode, mesh=setup.mesh,
+        rng=np.random.default_rng(scale), context=engine.context,
+    )
+    recovery = dict(
+        faults=run.faults, checkpointer=run.checkpointer, policy=policy
+    )
+    if PROGRAM_REGISTRY[program].native_bfs:
+        recovered = run_with_recovery(engine, params["root"], **recovery)
+        res = recovered.result
+        lines = [f"bfs: {res.num_iterations} levels, "
+                 f"visited {res.num_visited:,}/{setup.num_vertices:,}, "
+                 f"simulated {format_seconds(res.total_seconds)} "
+                 f"({res.simulated_gteps():.1f} GTEPS)"]
+        report = report_from_bfs(res, name="program.bfs", context=context)
+    else:
+        built = build_program(program, part, **params)
+        recovered = run_program_with_recovery(engine, built, **recovery)
+        res = recovered.result
+        lines = [f"{res.program}: {res.num_iterations} iterations, "
+                 f"{'converged' if res.converged else 'not converged'}, "
+                 f"simulated {format_seconds(res.total_seconds)}"]
+        scalars = ", ".join(
+            f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
+            for k, v in sorted(res.info.items())
+            if isinstance(v, (int, float, bool))
+        )
+        if scalars:
+            lines.append(f"  {scalars}")
+        report = report_from_program(res, context=context)
+    if faults is not None or checkpoint_every:
+        lines.append(f"  resilience: {recovered.summary()}")
+    return report, "\n".join(lines)
 
 
 @dataclass(frozen=True)

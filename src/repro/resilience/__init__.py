@@ -1,7 +1,8 @@
 """Fault injection, checkpointing, and recovery for simulated BFS runs.
 
 See ``docs/resilience.md`` for the fault-spec grammar, the checkpoint
-format, and the recovery policies.
+format, and the recovery policies; :mod:`repro.resilience.chaos` is the
+chaos gate (a fault matrix against the fault-free golden run).
 """
 
 from repro.resilience.checkpoint import (

@@ -1,7 +1,7 @@
 """Serving benchmark core: the amortization sweep.
 
-Shared by ``python -m repro bench-serve`` and
-``benchmarks/bench_serve_throughput.py`` (which commits the
+Shared by ``python -m repro bench-serve`` (:func:`run_amortization_bench`)
+and ``benchmarks/bench_serve_throughput.py`` (which commits the
 ``BENCH_serve.json`` artifact) so both measure the same way.
 
 :func:`amortization_sweep` is *deterministic, simulated*: for each batch
@@ -29,6 +29,7 @@ __all__ = [
     "AmortizationPoint",
     "amortization_sweep",
     "build_serving_pair",
+    "run_amortization_bench",
     "serving_pair",
 ]
 
@@ -133,3 +134,51 @@ def amortization_sweep(
         )
     return points
 
+
+
+def run_amortization_bench(
+    *, scale: int, rows: int, cols: int, seed: int, e_threshold=None,
+    h_threshold=None, batch_sizes=(1, 4, 16, 64), out=None,
+) -> tuple[list[AmortizationPoint], str]:
+    """``python -m repro bench-serve``: :func:`amortization_sweep` over
+    ``max(batch_sizes)`` seeded Graph500 roots of one generated graph.
+
+    ``out`` writes the sweep as a ``repro.bench_serve/2`` JSON artifact.
+    Returns the points and the text the CLI prints.
+    """
+    from repro.analysis.reporting import ascii_table
+    from repro.graph500.driver import sample_roots
+    from repro.obs.export import write_json
+
+    sequential, batched = build_serving_pair(
+        scale, rows, cols, seed=seed, e_threshold=e_threshold,
+        h_threshold=h_threshold,
+    )
+    roots = sample_roots(
+        batched.part.degrees, max(batch_sizes),
+        rng=np.random.default_rng(seed),
+    )
+    points = amortization_sweep(
+        sequential, batched, roots, batch_sizes=batch_sizes
+    )
+    lines = [ascii_table(
+        ["batch", "sim s/query", "sequential s", "amortization",
+         "bytes ratio", "waves"],
+        [
+            [p.batch_size, f"{p.amortized_seconds:.3e}",
+             f"{p.sequential_seconds:.3e}",
+             f"{p.amortization_factor:.1f}x",
+             f"{p.batch_bytes / p.sequential_bytes:.2f}", p.waves]
+            for p in points
+        ],
+        title=f"amortized simulated cost per query "
+              f"(SCALE {scale}, {rows}x{cols}):",
+    )]
+    if out:
+        path = write_json(out, {
+            "schema": "repro.bench_serve/2",
+            "config": dict(scale=scale, rows=rows, cols=cols, seed=seed),
+            "amortization": [p.to_dict() for p in points],
+        })
+        lines.append(f"json: {path}")
+    return points, "\n".join(lines)

@@ -30,7 +30,9 @@ sub-reports so fairness and SLO gates can compare tenants directly.
 The CI smokes and the serving benchmarks all drive services through
 this module, so "zero wrong parents / zero dropped-without-typed-shed
 responses" is asserted against the exact client behavior a user would
-write.
+write.  :func:`run_serve_drill` is ``python -m repro serve`` on one
+graph, and :func:`serve_gate` the gate both serving planes' drills end
+on (the multi-tenant drill is :func:`repro.cluster.run_cluster_drill`).
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ __all__ = [
     "run_workload",
     "run_session",
     "run_serving_session",
+    "run_serve_drill",
+    "serve_gate",
+    "expected_parents",
+    "session_faults",
     "QueryOutcome",
     "WorkloadReport",
     "ClusterQuery",
@@ -287,6 +293,9 @@ class WorkloadReport:
     """Aggregate outcomes of one workload run."""
 
     outcomes: list = field(default_factory=list)
+    #: What a drill's gate found wrong with the session (empty: passed;
+    #: see :func:`serve_gate`).
+    failures: list = field(default_factory=list)
 
     @property
     def num_queries(self) -> int:
@@ -611,3 +620,207 @@ def run_serving_session(
         )
 
     return asyncio.run(main())
+
+
+def expected_parents(sequential, roots) -> dict:
+    """``{root: parent array}`` from one sequential run per distinct
+    root: what a validating drill checks each served response against."""
+    return {int(r): sequential.run(int(r)).parent for r in np.unique(roots)}
+
+
+def session_faults(faults, seed: int):
+    """The injector a drill hands its service for a ``faults`` plan (or
+    ``None``), seeded like the session."""
+    if faults is None:
+        return None
+    from repro.resilience.faults import FaultInjector
+
+    return FaultInjector(faults, rng=np.random.default_rng(seed))
+
+
+def serve_gate(
+    report: WorkloadReport,
+    mode: str,
+    *,
+    telem,
+    slo_docs: dict,
+    validate: bool = False,
+    min_hit_rate: float | None = None,
+    expect_slo: str | None = None,
+) -> list[str]:
+    """The gate both serving drills end on; returns the lines it prints.
+
+    ``telem`` is the session's :class:`TelemetrySummary` (``None``
+    without the live plane).
+
+    Adds to ``report.failures`` (which may already hold the drill's own)
+    silent drops, failed queries, typed sheds (both drills retry a shed
+    10 000 times first), wrong parents, a cache hit rate not above
+    ``min_hit_rate``, an unscraped telemetry endpoint and an SLO status
+    other than ``expect_slo`` (``"green"`` or ``"fired"``).  ``slo_docs``
+    maps a tenant ("" for the single graph) to its SLO evaluation.  The
+    lines end with one ``FAIL:`` line per failure, then
+    ``<mode> gate: PASS|FAIL``.
+    """
+    failures, lines = report.failures, []
+    dropped = report.num_queries - report.accounted
+    if dropped:
+        failures.append(f"{dropped} queries got no response and no typed "
+                        "shed")
+    if report.typed_sheds:
+        failures.append(f"{report.typed_sheds} queries shed after every retry")
+    if report.failed:
+        failures.append(f"{report.failed} queries failed")
+    if report.wrong_parents:
+        failures.append(f"{report.wrong_parents}/{report.validated} "
+                        "validated parents wrong")
+    elif validate:
+        lines.append(f"validated: {report.validated} responses bit-identical "
+                     "to sequential runs")
+    if min_hit_rate is not None and not report.cache_hit_rate > min_hit_rate:
+        failures.append(f"cache hit rate {report.cache_hit_rate:.3f} "
+                        f"not above {min_hit_rate:g}")
+    if telem is not None:
+        lines.append(f"telemetry: port {telem.port}, {telem.samples} samples, "
+                     f"scrapes {telem.scrapes}")
+        for tenant, doc in slo_docs.items():
+            for row in doc["slos"]:
+                name = f"{tenant}/{row['name']}" if tenant else row["name"]
+                lines.append(f"  SLO {name}: {row['status']} "
+                             f"(burn {row['burn_rate']:.2f}, "
+                             f"{row['bad']}/{row['observed']} bad in "
+                             f"{row['window_seconds']:g}s)")
+            lines.extend(f"  alert [{alert['severity']}] {alert['message']}"
+                         for alert in doc["alerts"])
+        if not telem.scrapes.get("/metrics") \
+                or not telem.scrapes.get("/healthz"):
+            failures.append("telemetry endpoint was never scraped "
+                            "successfully")
+        fired = [doc["status"] for doc in slo_docs.values()
+                 if doc["status"] != "ok" or doc["alerts"]]
+        if expect_slo == "green" and fired:
+            failures.append(f"expected green SLO, got status {fired[0]!r}")
+        elif expect_slo == "fired" and not fired:
+            failures.append("expected the SLO to fire, but it stayed green")
+    lines.extend(f"FAIL: {failure}" for failure in failures)
+    lines.append(f"{mode} gate: {'FAIL' if failures else 'PASS'}")
+    return lines
+
+
+class _StragglerEngine:
+    """Wraps a batch engine so every traversal sleeps ``delay`` wall
+    seconds first.  Simulated faults never move the wall clock, so this
+    is the honest way to make a wall-clock SLO fire in the CI smoke."""
+
+    def __init__(self, engine, delay: float) -> None:
+        self._engine = engine
+        self._delay = float(delay)
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+    def run_batch(self, roots, **kwargs):
+        import time
+
+        time.sleep(self._delay)
+        return self._engine.run_batch(roots, **kwargs)
+
+
+def run_serve_drill(
+    *, scale: int, rows: int, cols: int, seed: int, e_threshold=None,
+    h_threshold=None, queries: int = 256, clients: int = 32,
+    batch_size: int = 64, queue_depth: int = 256, batch_window: float = 0.005,
+    hot_fraction: float = 0.5, hot_set: int = 16, validate: bool = False,
+    faults=None, min_hit_rate=None, out=None, trace=None, telemetry_port=None,
+    telemetry_interval: float = 0.05, slo=None, straggler_ms=None,
+    expect_slo=None,
+) -> tuple[WorkloadReport, str]:
+    """``python -m repro serve`` on one graph: a seeded closed-loop
+    session through a :class:`TraversalService`, ended by
+    :func:`serve_gate`.
+
+    ``out``
+    writes the ``serve.*`` RunReport, ``trace`` the wall-clock Chrome
+    trace; ``telemetry_port`` brings up the live plane with ``slo``
+    (default ``total:0.25:0.99``); ``straggler_ms`` delays every batch.
+    Returns the session's report (``failures`` filled by the gate) and
+    the text the CLI prints.
+    """
+    from repro.analysis.reporting import ascii_table, format_seconds
+    from repro.obs.export import write_chrome_trace
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.report import report_from_serve
+    from repro.obs.slo import SLOSpec
+    from repro.obs.tracer import Tracer
+    from repro.serve.bench import build_serving_pair
+
+    metrics = MetricsRegistry()
+    tracer = Tracer() if trace else None
+    sequential, batched = build_serving_pair(
+        scale, rows, cols, seed=seed, e_threshold=e_threshold,
+        h_threshold=h_threshold, tracer=tracer, metrics=metrics,
+    )
+    roots = make_workload_roots(
+        batched.part.degrees, queries, seed=seed,
+        hot_fraction=hot_fraction, hot_set_size=hot_set,
+    )
+    expected = expected_parents(sequential, roots) if validate else None
+    engine = batched
+    if straggler_ms is not None:
+        engine = _StragglerEngine(batched, straggler_ms / 1e3)
+    telemetry = None
+    if telemetry_port is not None:
+        telemetry = dict(port=telemetry_port, interval=telemetry_interval,
+                         slos=slo or [SLOSpec("total", 0.25, 0.99)])
+    report, service, telem = run_serving_session(
+        engine, roots,
+        clients=clients, expected=expected,
+        batch_size=batch_size, queue_depth=queue_depth,
+        batch_window=batch_window, faults=session_faults(faults, seed),
+        metrics=metrics, telemetry=telemetry,
+    )
+    stats = service.stats
+    table_rows = [
+        ("queries", report.num_queries),
+        ("served", report.served),
+        ("cache hits", f"{report.cache_hits} "
+                       f"({100 * report.cache_hit_rate:.0f}%)"),
+        ("shed retries", report.shed_retries),
+        ("failed", report.failed),
+        ("batches", stats.batches),
+        ("mean batch size", f"{stats.mean_batch_size:.1f}"),
+        ("batch replays", stats.replays),
+        ("p50 latency", format_seconds(stats.p50_seconds)),
+        ("p99 latency", format_seconds(stats.p99_seconds)),
+        ("sim seconds/query", f"{stats.sim_seconds_per_query:.3e}"),
+    ]
+    if expected is not None:
+        table_rows.append(
+            ("wrong parents",
+             f"{report.wrong_parents}/{report.validated} validated")
+        )
+    lines = [ascii_table(
+        ("stat", "value"), table_rows,
+        title=f"serving SCALE {scale} on {rows}x{cols}: "
+              f"batch<={batch_size}, queue<={queue_depth}, "
+              f"window {batch_window * 1e3:g} ms",
+    )]
+    if out:
+        run_report = report_from_serve(
+            service, report,
+            context=dict(
+                scale=scale, rows=rows, cols=cols, seed=seed,
+                queries=queries, clients=clients,
+                hot_fraction=hot_fraction, hot_set=hot_set,
+            ),
+        )
+        lines.append(f"run report: {run_report.save(out)}")
+    if trace:
+        n = write_chrome_trace(tracer, trace, clock="wall")
+        lines.append(f"chrome trace: {trace} ({n} events, wall clock)")
+    lines += serve_gate(
+        report, "serve", telem=telem,
+        slo_docs={"": telem.slo} if telem is not None else {},
+        validate=validate, min_hit_rate=min_hit_rate, expect_slo=expect_slo,
+    )
+    return report, "\n".join(lines)

@@ -346,6 +346,8 @@ class TestMainEntryPoint:
         ("algo", "pagerank", "--root", "3"),
         ("algo", "sssp-delta", "--max-iterations", "3"),
         ("algo", "bfs", "--tol", "0.1"),
+        # A chaos matrix with no fault spec runs nothing; it is refused.
+        ("chaos", "--matrix", "|"),
     ], ids=lambda argv: "_".join(a.replace("--", "") for a in argv))
     def test_out_of_range_number_exits_two_with_usage(self, argv):
         command, *rest = argv
