@@ -10,10 +10,13 @@ machine:
 - :mod:`repro.machine` — SW26010-Pro chip and fat-tree interconnect models.
 - :mod:`repro.runtime` — simulated SPMD runtime (process mesh, communicator,
   traffic ledger).
-- :mod:`repro.sort` — OCS-RMA on-chip sorting, PSRS, PARADIS-style radix.
+- :mod:`repro.sort` — OCS-RMA on-chip sorting and the MPE bucketing
+  baseline.
 - :mod:`repro.core` — the paper's contribution: 3-level degree-aware 1.5D
-  partitioning, sub-iteration direction optimization, CG-aware segmenting,
-  and the distributed BFS engine.
+  partitioning (one packed-key sort per component, priced as kernel 1 by
+  :func:`~repro.core.preprocessing.construction_ledger`), sub-iteration
+  direction optimization, CG-aware segmenting, and the distributed BFS
+  engine.
 - :mod:`repro.baselines` — 1D, 1D+heavy-delegates, and 2D BFS engines.
 - :mod:`repro.analysis` — breakdown collection and report rendering.
 - :mod:`repro.obs` — span-based tracing/profiling with Chrome-trace,

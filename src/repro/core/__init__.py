@@ -7,6 +7,8 @@
 - :mod:`repro.core.direction` — sub-iteration direction heuristics (§4.2).
 - :mod:`repro.core.segmenting` — CG-aware core subgraph segmenting (§4.3).
 - :mod:`repro.core.balance` — edge-aware vertex-cut load balancing (§5).
+- :mod:`repro.core.preprocessing` — kernel 1's simulated construction
+  cost (§5's in-place global sort), read by every caller.
 - :mod:`repro.core.engine` — the BFS engine tying it together.
 - :mod:`repro.core.programs` — the vertex-program layer: SSSP,
   PageRank, connected components and triangle counting on the same
@@ -30,11 +32,7 @@ from repro.core.programs import (
     generate_weights,
     suggest_delta,
 )
-from repro.core.preprocessing import (
-    PreprocessingReport,
-    estimate_construction_seconds,
-    preprocess,
-)
+from repro.core.preprocessing import construction_ledger
 from repro.core.direction import (
     ClassState,
     choose_component_direction,
@@ -73,7 +71,5 @@ __all__ = [
     "VertexProgram",
     "ProgramRunResult",
     "build_program",
-    "preprocess",
-    "PreprocessingReport",
-    "estimate_construction_seconds",
+    "construction_ledger",
 ]

@@ -49,7 +49,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.subgraphs import COMPONENT_ORDER, SubgraphComponent
+from repro.core.subgraphs import (
+    COMPONENT_ORDER,
+    SubgraphComponent,
+    check_key_width,
+)
 from repro.graphs.csr import symmetrize_edges
 from repro.graphs.stats import degrees_from_edges
 from repro.runtime.mesh import ProcessMesh
@@ -394,7 +398,12 @@ def partition_graph(
         ``"cyclic"`` (default, order-dependent deal — the static
         pipeline) or ``"stable"`` (content-hashed deal, required by
         :mod:`repro.dynamic`'s incremental repair; see module docs).
+
+    Raises :class:`ValueError` before any per-vertex array is allocated
+    when ``num_ranks * n**2`` would overflow the components' packed
+    sort keys.
     """
+    check_key_width(mesh.num_ranks, num_vertices)
     degrees = degrees_from_edges(src, dst, num_vertices)
     part = PartitionedGraph(
         mesh=mesh,

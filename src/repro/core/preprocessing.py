@@ -1,120 +1,73 @@
-"""In-place preprocessing: from raw edge list to 1.5D structure (paper §5).
+"""Kernel 1's simulated cost: the in-place construction of paper §5.
 
 The paper's graph occupies nearly all main memory, so construction cannot
 copy: it is expressed as a *generic in-place global sort* — Parallel
 Sorting by Regular Sampling across nodes with PARADIS (an in-place radix
 sort) locally — that moves every arc to its owning rank in sorted order,
 after which the six component structures are built in place.
+:func:`~repro.core.partition.partition_graph` is that construction on
+the host (one packed-key sort per component access path);
+:func:`construction_ledger` prices it on the simulated machine:
 
-:func:`preprocess` executes that pipeline on the simulated runtime:
+1. raw arcs start spread evenly over the ranks (as a distributed
+   generator would leave them); degrees are counted locally and
+   combined with a reduce-scatter;
+2. one alltoallv moves every arc, at 16 bytes, to its owning rank —
+   each origin chunk holds an equal share of every owner's arcs, the
+   owners' loads being the components' ``arcs_per_rank``;
+3. each owner radix-sorts its arcs and streams them once more to build
+   its components; the busiest owner sets both times.
 
-1. raw generator edges start round-robin across ranks (as a distributed
-   generator would leave them);
-2. degrees are computed locally and combined with a reduce-scatter;
-3. vertices are classified E/H/L and each arc is keyed by
-   ``(owning rank, destination, source)``;
-4. the keyed arcs are globally sorted with :func:`repro.sort.psrs.psrs_sort`
-   (radix local sort), whose exchange matrix is charged to the ledger as
-   the construction alltoallv;
-5. per-rank sorted runs are handed to the component builder.
-
-The resulting :class:`~repro.core.partition.PartitionedGraph` is
-identical to :func:`~repro.core.partition.partition_graph`'s (tests
-assert it), and the ledger's total is the simulated *kernel 1
-(construction)* time that :mod:`repro.graph500.driver` reports.
+The price reads only the partition, so a partition repaired in place and
+its from-scratch rebuild cost the same.  The Graph500 driver reports it
+as ``construction_time`` and
+:meth:`~repro.dynamic.repair.IncrementalGraph.rebuild_cost_estimate`
+prices a full rebuild with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core.partition import PartitionedGraph, partition_graph
+from repro.core.partition import PartitionedGraph
 from repro.machine.costmodel import CollectiveKind, CostModel, NodeKernelRates
 from repro.machine.network import MachineSpec
 from repro.runtime.ledger import TrafficLedger
-from repro.runtime.mesh import ProcessMesh
-from repro.sort.psrs import psrs_sort
-from repro.sort.radix import radix_sort
 
-__all__ = ["PreprocessingReport", "preprocess", "estimate_construction_seconds"]
+__all__ = ["ARC_BYTES", "construction_ledger"]
 
-_ARC_BYTES = 16  # packed (src, dst) on the wire
-
-
-@dataclass
-class PreprocessingReport:
-    """Simulated cost account of the construction (kernel 1)."""
-
-    ledger: TrafficLedger
-    num_arcs: int
-    exchange_bytes: float
-    sorted_runs: list[np.ndarray]
-
-    @property
-    def construction_seconds(self) -> float:
-        return self.ledger.total_seconds
+#: Bytes of one packed ``(src, dst)`` arc on the wire.
+ARC_BYTES = 16
+#: Byte-digit passes of the local radix sort over 64-bit keys bounded by
+#: ``ranks * n**2``.
+_SORT_PASSES = 4
 
 
-def _arc_sort_keys(part: PartitionedGraph) -> np.ndarray:
-    """Global sort keys (rank, dst, src) of every stored arc, packed."""
-    n = part.num_vertices
-    if part.mesh.num_ranks * n * n >= 2**62:
-        raise ValueError(
-            "packed sort keys would overflow int64 for this (ranks, n); "
-            "use a composite key sort instead"
-        )
-    keys = []
-    for comp in part.components.values():
-        if comp.num_arcs == 0:
-            continue
-        s, d, r = comp.arcs()
-        keys.append((r * n + d) * n + s)
-    if not keys:
-        return np.array([], dtype=np.int64)
-    return np.concatenate(keys)
-
-
-def preprocess(
-    src: np.ndarray,
-    dst: np.ndarray,
-    num_vertices: int,
-    mesh: ProcessMesh,
-    *,
-    e_threshold: int,
-    h_threshold: int,
-    machine: MachineSpec | None = None,
-) -> tuple[PartitionedGraph, PreprocessingReport]:
-    """Run the §5 construction pipeline; returns (partition, cost report)."""
-    if mesh.num_ranks * num_vertices * num_vertices >= 2**62:
-        raise ValueError(
-            "packed sort keys would overflow int64 for this (ranks, n); "
-            "use a composite key sort instead"
-        )
-    if machine is None:
-        machine = mesh.machine or MachineSpec(num_nodes=mesh.num_ranks)
+def construction_ledger(
+    part: PartitionedGraph, machine: MachineSpec
+) -> TrafficLedger:
+    """Kernel 1's ledger for building ``part`` on ``machine``; its
+    ``total_seconds`` is the simulated construction time."""
     rates = NodeKernelRates(chip=machine.chip)
     ledger = TrafficLedger(CostModel(machine))
     ws = machine.work_scale
-    p = mesh.num_ranks
-
-    # The functional partition is the ground truth the sort must realize.
-    part = partition_graph(
-        src, dst, num_vertices, mesh,
-        e_threshold=e_threshold, h_threshold=h_threshold,
+    mesh, p = part.mesh, part.mesh.num_ranks
+    owned = sum(
+        (c.arcs_per_rank for c in part.components.values()),
+        np.zeros(p, dtype=np.int64),
     )
 
-    # --- degree computation: local bincount + reduce-scatter ------------
-    block_bytes = mesh.block_size(num_vertices) * 8.0
+    # --- degree count: local bincount + reduce-scatter -------------------
+    chunk = -(-int(owned.sum()) // p)
     ledger.charge_compute(
-        "preprocess",
+        "construction",
         "degree_count",
-        np.full(p, -(-2 * src.size // p), dtype=np.int64),
-        rates.kernel_time(-(-2 * src.size // p), rates.message_rate(), ws),
+        np.full(p, chunk, dtype=np.int64),
+        rates.kernel_time(chunk, rates.message_rate(), ws),
     )
+    block_bytes = mesh.block_size(part.num_vertices) * 8.0
     ledger.charge_collective(
-        "preprocess",
+        "construction",
         CollectiveKind.REDUCE_SCATTER,
         p,
         max_bytes_intra=block_bytes * 0.5,
@@ -122,86 +75,30 @@ def preprocess(
         total_bytes=block_bytes * p,
     )
 
-    # --- global sort of keyed arcs over simulated rank chunks -----------
-    keys = _arc_sort_keys(part)
-    chunk_bounds = (np.arange(p + 1, dtype=np.int64) * keys.size) // p
-    chunks = [keys[chunk_bounds[i] : chunk_bounds[i + 1]] for i in range(p)]
-
-    exchange_total = {"bytes": 0.0, "max_send": 0.0}
-
-    def on_exchange(matrix: np.ndarray) -> None:
-        # PSRS exchange moves 8-byte keys; real construction moves 16-byte
-        # packed arcs, so scale the matrix.
-        scaled = matrix.astype(np.float64) * (_ARC_BYTES / 8.0)
-        np.fill_diagonal(scaled, 0.0)
-        exchange_total["bytes"] = float(scaled.sum())
-        per_rank = scaled.sum(axis=1)
-        intra = np.zeros(p)
-        inter = np.zeros(p)
-        for i in range(p):
-            a, b = mesh.split_intra_inter(i, scaled[i])
-            intra[i], inter[i] = a, b
-        exchange_total["max_send"] = float(per_rank.max(initial=0.0))
-        ledger.charge_collective(
-            "preprocess",
-            CollectiveKind.ALLTOALLV,
-            p,
-            max_bytes_intra=float(intra.max(initial=0.0)),
-            max_bytes_inter=float(inter.max(initial=0.0)),
-            total_bytes=exchange_total["bytes"],
-        )
-
-    sorted_runs = psrs_sort(chunks, local_sort=radix_sort, on_exchange=on_exchange)
-
-    # local sort cost: radix passes over the rank's arcs (in-place
-    # PARADIS role) — each pass streams the chunk once.
-    per_rank_arcs = np.array([c.size for c in sorted_runs], dtype=np.int64)
-    max_arcs = int(per_rank_arcs.max()) if per_rank_arcs.size else 0
-    sort_passes = 4  # 64-bit keys bounded by rank*n^2, byte digits
-    ledger.charge_compute(
-        "preprocess",
-        "local_radix_sort",
-        per_rank_arcs,
-        rates.kernel_time(max_arcs * sort_passes, rates.message_rate(), ws),
-    )
-    # component construction: one more stream over the sorted arcs.
-    ledger.charge_compute(
-        "preprocess",
-        "build_components",
-        per_rank_arcs,
-        rates.kernel_time(max_arcs, rates.message_rate(), ws),
-    )
-
-    report = PreprocessingReport(
-        ledger=ledger,
-        num_arcs=int(keys.size),
-        exchange_bytes=exchange_total["bytes"],
-        sorted_runs=sorted_runs,
-    )
-    return part, report
-
-
-def estimate_construction_seconds(
-    part: PartitionedGraph, machine: MachineSpec
-) -> float:
-    """Closed-form kernel-1 estimate without executing the sort.
-
-    Mirrors :func:`preprocess`'s accounting in the balanced limit: every
-    arc crosses the network once (16 bytes), is radix-sorted locally, and
-    streamed once more during construction.
-    """
-    rates = NodeKernelRates(chip=machine.chip)
-    cost = CostModel(machine)
-    p = part.mesh.num_ranks
-    ws = machine.work_scale
-    arcs_per_rank = -(-part.total_arcs // p)
-    exchange = cost.collective_time(
+    # --- every arc to its owner: one alltoallv ---------------------------
+    send = owned * (ARC_BYTES / p)
+    split = np.array([mesh.split_intra_inter(i, send) for i in range(p)])
+    ledger.charge_collective(
+        "construction",
         CollectiveKind.ALLTOALLV,
         p,
-        max_bytes_per_rank_intra=arcs_per_rank * _ARC_BYTES * 0.5,
-        max_bytes_per_rank_inter=arcs_per_rank * _ARC_BYTES * 0.5,
+        max_bytes_intra=float(split[:, 0].max()),
+        max_bytes_inter=float(split[:, 1].max()),
+        total_bytes=float(split.sum()),
     )
-    compute = rates.kernel_time(
-        arcs_per_rank * 5, rates.message_rate(), ws
+
+    # --- local radix sort, then one stream building the components -------
+    busiest = int(owned.max())
+    ledger.charge_compute(
+        "construction",
+        "local_radix_sort",
+        owned,
+        rates.kernel_time(busiest * _SORT_PASSES, rates.message_rate(), ws),
     )
-    return exchange + compute
+    ledger.charge_compute(
+        "construction",
+        "build_components",
+        owned,
+        rates.kernel_time(busiest, rates.message_rate(), ws),
+    )
+    return ledger

@@ -50,6 +50,7 @@ __all__ = [
     "COMPONENT_ORDER",
     "dedup_pull_hits",
     "arc_keys",
+    "check_key_width",
     "member",
     "merge_arc_delta",
 ]
@@ -268,6 +269,7 @@ class SubgraphComponent:
     ) -> None:
         self.name = name
         self.num_ranks = int(num_ranks)
+        check_key_width(self.num_ranks, num_vertices)
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         rank = np.asarray(rank, dtype=np.int64)
@@ -278,7 +280,9 @@ class SubgraphComponent:
         self.num_arcs = int(src.size)
 
         # --- by-source CSR (push path) --------------------------------
-        order = np.lexsort((dst, src))
+        # Equal (src, dst) pairs may sit on different ranks; the stable
+        # sort keeps them in input order.
+        order = np.argsort(arc_keys(src, dst, num_vertices), kind="stable")
         s_sorted = src[order]
         self._push_dst = dst[order]
         self._push_rank = rank[order]
@@ -290,7 +294,8 @@ class SubgraphComponent:
         self._slot_of[self.src_ids] = np.arange(self.src_ids.size)
 
         # --- (rank, dst) groups (pull path) ----------------------------
-        order2 = np.lexsort((src, dst, rank))
+        n = np.int64(num_vertices)
+        order2 = np.argsort((rank * n + dst) * n + src)
         self._pull_src = src[order2]
         d_sorted = dst[order2]
         r_sorted = rank[order2]
@@ -486,6 +491,16 @@ class SubgraphComponent:
 # ----------------------------------------------------------------------
 # incremental repair primitives (repro.dynamic)
 # ----------------------------------------------------------------------
+
+
+def check_key_width(num_ranks: int, num_vertices: int) -> None:
+    """Raise :class:`ValueError` unless the packed ``(rank, dst, src)``
+    key, below ``num_ranks * n**2``, fits in 63 bits."""
+    if num_ranks * num_vertices * num_vertices >= 2**63:
+        raise ValueError(
+            f"packed arc keys would overflow int64 for {num_ranks} ranks "
+            f"and {num_vertices} vertices"
+        )
 
 
 def arc_keys(src: np.ndarray, dst: np.ndarray, num_vertices: int) -> np.ndarray:

@@ -23,12 +23,12 @@ every arc crosses the network once and is re-sorted — for *any* change.
    rebuild of the same arc set; :mod:`repro.dynamic.gate` asserts this.
 3. **Honest pricing.**  Every repair charges the shared
    :class:`~repro.runtime.ledger.TrafficLedger` under phase
-   ``"dynamic"``, mirroring ``core/preprocessing.py``'s accounting: the
-   delta arcs cross the network once (16 B each, alltoallv), the batch's
-   endpoints take a degree/class pass, and each compaction streams the
-   dirty components once.  :meth:`rebuild_cost_estimate` is the
-   closed-form full-rebuild baseline
-   (:func:`~repro.core.preprocessing.estimate_construction_seconds`);
+   ``"dynamic"``, mirroring kernel 1's accounting: the delta arcs cross
+   the network once (16 B each, alltoallv), the batch's endpoints take a
+   degree/class pass, and each compaction streams the dirty components
+   once.  :meth:`rebuild_cost_estimate` is the full-rebuild baseline,
+   kernel 1's own price of the current generation
+   (:func:`~repro.core.preprocessing.construction_ledger`);
    ``benchmarks/bench_dynamic_repair.py`` reports the ratio.
 
 Metric families (all under the attached registry): ``dynamic_batches``,
@@ -48,7 +48,7 @@ from repro.core.partition import (
     place_arcs,
     vertex_layout,
 )
-from repro.core.preprocessing import estimate_construction_seconds
+from repro.core.preprocessing import ARC_BYTES, construction_ledger
 from repro.core.subgraphs import COMPONENT_ORDER, arc_keys, member, merge_arc_delta
 from repro.dynamic.updates import UpdateBatch, canonical_edges
 from repro.machine.costmodel import CollectiveKind, CostModel, NodeKernelRates
@@ -59,8 +59,6 @@ from repro.runtime.ledger import TrafficLedger
 from repro.runtime.mesh import ProcessMesh
 
 __all__ = ["GraphDelta", "IncrementalGraph", "RepairReport"]
-
-_ARC_BYTES = 16  # packed (src, dst) on the wire, as in preprocessing
 
 
 @dataclass(frozen=True)
@@ -222,8 +220,10 @@ class IncrementalGraph:
         )
 
     def rebuild_cost_estimate(self) -> float:
-        """Modeled seconds a full reconstruction would charge."""
-        return estimate_construction_seconds(self._part, self.machine)
+        """Modeled seconds a full reconstruction would charge: kernel 1's
+        price of the current generation, which once compacted is the
+        price of :meth:`rebuild_reference`."""
+        return construction_ledger(self._part, self.machine).total_seconds
 
     # ------------------------------------------------------------------
     # ingestion
@@ -468,7 +468,7 @@ class IncrementalGraph:
     ) -> None:
         """Price one batch: delta alltoallv + reclassify pass.
 
-        Mirrors preprocessing's accounting: every changed arc crosses the
+        Mirrors kernel 1's accounting: every changed arc crosses the
         network once at 16 B (an alltoallv of only the delta), and the
         batch endpoints take one degree/class kernel pass.
         """
@@ -477,17 +477,17 @@ class IncrementalGraph:
         p = self.mesh.num_ranks
         if delta_arcs:
             per_rank = np.bincount(dest_ranks, minlength=p).astype(np.float64)
-            max_send = float(per_rank.max(initial=0.0)) * _ARC_BYTES
+            max_send = float(per_rank.max(initial=0.0)) * ARC_BYTES
             # Movers also leave their old rank; count both directions of
-            # the wire but keep the balanced 50/50 intra/inter split the
-            # closed-form rebuild estimate uses.
+            # the wire, split 50/50 intra/inter as a balanced exchange
+            # would.
             self.ledger.charge_collective(
                 "dynamic",
                 CollectiveKind.ALLTOALLV,
                 p,
                 max_bytes_intra=max_send * 0.5,
                 max_bytes_inter=max_send * 0.5,
-                total_bytes=float(delta_arcs * _ARC_BYTES),
+                total_bytes=float(delta_arcs * ARC_BYTES),
             )
         batch_items = max(int(batch.size), 1)
         per_node = np.full(p, -(-batch_items // p), dtype=np.int64)

@@ -4,9 +4,9 @@ The specification's run structure, reproduced end to end:
 
 1. **Generation** — produce the edge list (not timed).
 2. **Kernel 1 (construction)** — build the search-ready data structure;
-   timed.  Here that is the 3-level 1.5D partitioning; when a
-   :class:`~repro.core.preprocessing.PreprocessingReport` is supplied the
-   construction time also carries the simulated in-place global sort cost.
+   timed.  Here that is the 3-level 1.5D partitioning, and its time is
+   :func:`~repro.core.preprocessing.construction_ledger`'s simulated
+   in-place global sort of that partition.
 3. **Root sampling** — 64 search keys sampled uniformly from vertices
    with degree >= 1, deduplicated, as the reference code does.
 4. **Kernel 2 (BFS)** — one timed BFS per root (or one multi-source
@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.engine import DistributedBFS
+from repro.core.preprocessing import construction_ledger
 from repro.core.setup import build_setup
 from repro.graph500.spec import NUM_BFS_ROOTS, Graph500Problem
 from repro.graph500.validate import validate_bfs_result
@@ -217,7 +218,6 @@ def run_graph500(
     machine: MachineSpec | None = None,
     config_overrides: dict | None = None,
     validate: bool = True,
-    construction_seconds: float | None = None,
     tracer: Tracer | None = None,
     metrics=None,
     faults=None,
@@ -239,10 +239,6 @@ def run_graph500(
     validate:
         Run the five spec checks on every root's output (slow but
         conforming); ``validated`` is ``None`` when this is off.
-    construction_seconds:
-        Override the kernel-1 time (e.g. from a
-        :func:`repro.core.preprocessing.preprocess` report); defaults to
-        the modeled construction estimate.
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer` recording the run as a
         span tree (generate / construction / per-root BFS + validate /
@@ -291,8 +287,7 @@ def run_graph500(
     rng = np.random.default_rng(seed)
     setup, part, construction_seconds = _generate_and_build(
         scale, rows, cols, seed=seed, e_threshold=e_threshold,
-        h_threshold=h_threshold, machine=machine,
-        construction_seconds=construction_seconds, tracer=tracer,
+        h_threshold=h_threshold, machine=machine, tracer=tracer,
     )
     engine_cls = DistributedBFS
     if batch_roots:
@@ -390,8 +385,7 @@ def run_graph500_sssp(
     rng = np.random.default_rng(seed)
     setup, part, construction_seconds = _generate_and_build(
         scale, rows, cols, seed=seed, e_threshold=e_threshold,
-        h_threshold=h_threshold, machine=machine,
-        construction_seconds=None, tracer=NULL_TRACER,
+        h_threshold=h_threshold, machine=machine, tracer=NULL_TRACER,
     )
     params = program_params(algorithm, setup, weight_seed=seed + 1)
     roots = sample_roots(part.degrees, num_roots, rng=rng)
@@ -420,10 +414,10 @@ def run_graph500_sssp(
 
 
 def _generate_and_build(scale, rows, cols, *, seed, e_threshold, h_threshold,
-                        machine, construction_seconds, tracer):
+                        machine, tracer):
     """Generation and kernel 1, the prologue both kernels share: returns
-    ``(setup, part, construction_seconds)``, the last defaulting to the
-    modeled construction estimate."""
+    ``(setup, part, construction_seconds)``, the last being the
+    partition's :func:`~repro.core.preprocessing.construction_ledger`."""
     with tracer.span("generate", category="phase", scale=scale):
         setup = build_setup(
             scale, rows, cols, seed=seed,
@@ -434,10 +428,7 @@ def _generate_and_build(scale, rows, cols, *, seed, e_threshold, h_threshold,
 
     with tracer.span("construction", category="phase") as kernel1:
         part = setup.partition()
-        if construction_seconds is None:
-            from repro.core.preprocessing import estimate_construction_seconds
-
-            construction_seconds = estimate_construction_seconds(part, setup.machine)
+        construction_seconds = construction_ledger(part, setup.machine).total_seconds
         # Advance the simulated timeline past kernel 1 so the per-root
         # spans start where a real run's would.
         tracer.charge("kernel1", category="construction",

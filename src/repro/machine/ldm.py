@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.machine.chip import ChipSpec, SW26010_PRO
-
 __all__ = ["LDMLayout", "SegmentBitVectorMap"]
 
 
@@ -131,7 +129,3 @@ class SegmentBitVectorMap:
             return 0.0
         return float(np.mean(served != (reader_cpe % self.layout.num_cpes)))
 
-
-def chip_segment_layout(chip: ChipSpec = SW26010_PRO) -> LDMLayout:
-    """Default layout for the given chip (64 CPEs, 1 KB lines)."""
-    return LDMLayout(num_cpes=chip.cpes_per_cg)

@@ -7,16 +7,15 @@ The paper treats sorting as a first-class meta-kernel:
   message generation, L2L forwarding, and two-stage destination updates.
 - :mod:`repro.sort.bucket` — the sequential MPE bucketing baseline and the
   vectorized bucket partition primitive shared by the runtime.
-- :mod:`repro.sort.psrs` — Parallel Sorting by Regular Sampling (§5,
-  in-place global sort for preprocessing).
-- :mod:`repro.sort.radix` — PARADIS-style LSD radix sort used as PSRS's
-  local sort.
+
+The §5 in-place global sort (PSRS + PARADIS) is not simulated here: the
+host builds each component with one packed-key sort
+(:mod:`repro.core.subgraphs`), and :mod:`repro.core.preprocessing`
+prices the construction's exchange and local passes.
 """
 
 from repro.sort.bucket import bucket_partition, mpe_bucket_sort
 from repro.sort.ocs import OCSConfig, OCSResult, simulate_ocs_rma
-from repro.sort.psrs import psrs_sort
-from repro.sort.radix import radix_argsort, radix_sort
 
 __all__ = [
     "OCSConfig",
@@ -24,7 +23,4 @@ __all__ = [
     "simulate_ocs_rma",
     "bucket_partition",
     "mpe_bucket_sort",
-    "psrs_sort",
-    "radix_sort",
-    "radix_argsort",
 ]

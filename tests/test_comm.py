@@ -8,7 +8,6 @@ from repro.machine.network import MachineSpec
 from repro.runtime.comm import SimCommunicator
 from repro.runtime.ledger import TrafficLedger
 from repro.runtime.mesh import ProcessMesh
-from repro.sort.psrs import psrs_sort
 
 
 def make_comm(rows=2, cols=2, nodes_per_supernode=2):
@@ -182,24 +181,3 @@ class TestBarrier:
         ev = ledger.comm_events[0]
         assert ev.kind is CollectiveKind.BARRIER
         assert ev.total_bytes == 0.0
-
-
-class TestIntegrationPSRSOverComm:
-    """PSRS exchange volumes flow into the ledger (preprocessing phase)."""
-
-    def test_psrs_exchange_charged(self):
-        comm, mesh, ledger = make_comm(2, 2)
-        rng = np.random.default_rng(0)
-        chunks = [rng.integers(0, 1000, size=200) for _ in range(4)]
-
-        def on_exchange(matrix):
-            send = {
-                i: {j: np.zeros(int(matrix[i, j]) // 8, dtype=np.int64) for j in range(4)}
-                for i in range(4)
-            }
-            comm.alltoallv("preprocess", np.arange(4), send)
-
-        parts = psrs_sort(chunks, on_exchange=on_exchange)
-        flat = np.concatenate(parts)
-        assert np.array_equal(flat, np.sort(np.concatenate(chunks)))
-        assert ledger.total_bytes > 0

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.preprocessing import construction_ledger
+from repro.core.setup import build_setup
 from repro.graph500.driver import (
     Graph500Report,
     Graph500Stats,
@@ -135,12 +137,11 @@ class TestRunGraph500:
         assert np.array_equal(a.roots, b.roots)
         assert np.allclose(a.bfs_times, b.bfs_times)
 
-    def test_construction_override(self):
-        rep = run_graph500(
-            10, 2, 2, seed=1, num_roots=2, validate=False,
-            construction_seconds=123.0,
-        )
-        assert rep.construction_seconds == 123.0
+    def test_construction_is_kernel1_price_of_its_partition(self):
+        rep = run_graph500(10, 2, 2, seed=1, num_roots=2, validate=False)
+        setup = build_setup(10, 2, 2, seed=1)
+        ledger = construction_ledger(setup.partition(), setup.machine)
+        assert rep.construction_seconds == ledger.total_seconds
 
     def test_config_overrides_respected(self):
         rep = run_graph500(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.preprocessing import construction_ledger
 from repro.dynamic.gate import parts_bitwise_equal, run_equivalence_gate
 from repro.dynamic.repair import IncrementalGraph
 from repro.dynamic.updates import (
@@ -107,6 +108,17 @@ class TestCostAndMetrics:
         assert inc.ledger.total_seconds < (
             inc.rebuild_cost_estimate() * len(stream)
         )
+
+    def test_rebuild_price_is_the_rebuild(self, inc):
+        """The gate's rebuild denominator is kernel 1's price of the
+        from-scratch rebuild itself, to the bit."""
+        lo, hi = inc.edges()
+        spec = UpdateSpec(kind="mixed", batches=4, size=24)
+        for batch in generate_update_stream(lo, hi, N, spec, seed=3):
+            inc.apply_batch(batch)
+        inc.graph()
+        rebuilt = construction_ledger(inc.rebuild_reference(), inc.machine)
+        assert inc.rebuild_cost_estimate() == rebuilt.total_seconds
 
     def test_dynamic_metric_families(self):
         registry = MetricsRegistry()

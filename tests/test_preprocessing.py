@@ -1,104 +1,77 @@
-"""Tests for the in-place preprocessing pipeline (paper §5)."""
+"""Tests for kernel 1's construction price (paper §5)."""
 
 import numpy as np
 import pytest
 
-from repro.core.preprocessing import (
-    estimate_construction_seconds,
-    preprocess,
-)
 from repro.core.partition import partition_graph
+from repro.core.preprocessing import ARC_BYTES, construction_ledger
 from repro.graph500.rmat import generate_edges
 from repro.machine.costmodel import CollectiveKind
 from repro.machine.network import MachineSpec
 from repro.runtime.mesh import ProcessMesh
 
 
-def setup(scale=10, rows=2, cols=2, seed=1):
+def build(scale=10, rows=2, cols=2, seed=1):
     src, dst = generate_edges(scale, seed=seed)
     machine = MachineSpec(num_nodes=rows * cols, nodes_per_supernode=cols)
     mesh = ProcessMesh(rows, cols, machine=machine)
-    return src, dst, 1 << scale, mesh, machine
+    part = partition_graph(
+        src, dst, 1 << scale, mesh, e_threshold=128, h_threshold=16
+    )
+    return part, machine
+
+
+def alltoallv_events(ledger):
+    return [e for e in ledger.comm_events if e.kind is CollectiveKind.ALLTOALLV]
 
 
 class TestPreprocess:
-    def test_partition_matches_direct_construction(self):
-        src, dst, n, mesh, machine = setup()
-        part, report = preprocess(
-            src, dst, n, mesh, e_threshold=128, h_threshold=16, machine=machine
-        )
-        direct = partition_graph(src, dst, n, mesh, e_threshold=128, h_threshold=16)
-        for name in part.components:
-            assert part.components[name].num_arcs == direct.components[name].num_arcs
-            assert np.array_equal(
-                part.components[name].arcs_per_rank,
-                direct.components[name].arcs_per_rank,
-            )
-
-    def test_sorted_runs_realize_the_partition(self):
-        """The global sort's output is exactly the arcs, grouped by rank."""
-        src, dst, n, mesh, machine = setup(scale=9)
-        part, report = preprocess(
-            src, dst, n, mesh, e_threshold=64, h_threshold=8, machine=machine
-        )
-        merged = np.concatenate(report.sorted_runs)
-        assert merged.size == part.total_arcs
-        assert np.all(np.diff(merged) >= 0)  # globally sorted
-        # decoding the rank digit of each key reproduces per-rank loads
-        ranks = merged // (n * n)
-        per_rank = np.bincount(ranks, minlength=mesh.num_ranks)
-        total_loads = sum(
-            c.arcs_per_rank for c in part.components.values()
-        )
-        assert np.array_equal(per_rank, total_loads)
-
     def test_ledger_charges_construction_phases(self):
-        src, dst, n, mesh, machine = setup()
-        _, report = preprocess(
-            src, dst, n, mesh, e_threshold=128, h_threshold=16, machine=machine
-        )
-        kinds = set(report.ledger.comm_seconds_by_kind())
+        part, machine = build()
+        ledger = construction_ledger(part, machine)
+        kinds = set(ledger.comm_seconds_by_kind())
         assert CollectiveKind.ALLTOALLV in kinds
         assert CollectiveKind.REDUCE_SCATTER in kinds
-        kernels = {e.kernel for e in report.ledger.compute_events}
+        kernels = {e.kernel for e in ledger.compute_events}
         assert {"degree_count", "local_radix_sort", "build_components"} <= kernels
-        assert report.construction_seconds > 0
+        assert ledger.total_seconds > 0
 
     def test_exchange_bytes_accounted(self):
-        src, dst, n, mesh, machine = setup()
-        _, report = preprocess(
-            src, dst, n, mesh, e_threshold=128, h_threshold=16, machine=machine
-        )
+        part, machine = build()
+        (a2a,) = alltoallv_events(construction_ledger(part, machine))
         # every arc weighs 16 bytes; self-sends excluded, so bounded above
-        assert 0 < report.exchange_bytes <= report.num_arcs * 16
+        assert 0 < a2a.total_bytes <= part.total_arcs * ARC_BYTES
 
     def test_single_rank_no_exchange_cost(self):
-        src, dst, n, _, _ = setup()
-        mesh = ProcessMesh(1, 1)
-        _, report = preprocess(src, dst, n, mesh, e_threshold=128, h_threshold=16)
+        part, _ = build(rows=1, cols=1)
         # one rank: the sort happens locally; alltoallv carries 0 bytes
-        a2a = [
-            e for e in report.ledger.comm_events
-            if e.kind is CollectiveKind.ALLTOALLV
-        ]
+        a2a = alltoallv_events(construction_ledger(part, MachineSpec(num_nodes=1)))
         assert all(e.total_bytes == 0 for e in a2a)
 
     def test_key_overflow_guard(self):
+        """``num_ranks * n**2`` past 63 bits is refused before any
+        per-vertex array is allocated."""
         src = np.array([0], dtype=np.int64)
         dst = np.array([1], dtype=np.int64)
-        mesh = ProcessMesh(1, 2)
         with pytest.raises(ValueError, match="overflow"):
-            preprocess(src, dst, 1 << 31, mesh, e_threshold=2, h_threshold=1)
+            partition_graph(
+                src, dst, 1 << 31, ProcessMesh(1, 2), e_threshold=2, h_threshold=1
+            )
 
-
-class TestEstimate:
-    def test_estimate_positive_and_comparable(self):
-        src, dst, n, mesh, machine = setup(scale=11)
-        part, report = preprocess(
-            src, dst, n, mesh, e_threshold=128, h_threshold=16, machine=machine
+    def test_price_reads_only_the_partition(self):
+        """The same arc set in another input order prices the same."""
+        src, dst = generate_edges(9, seed=2)
+        flip = np.random.default_rng(0).permutation(src.size)
+        mesh = ProcessMesh(2, 2)
+        machine = MachineSpec(num_nodes=4, nodes_per_supernode=2)
+        a, b = (
+            partition_graph(
+                s, d, 1 << 9, mesh, e_threshold=64, h_threshold=8,
+                placement="stable",
+            )
+            for s, d in ((src, dst), (src[flip], dst[flip]))
         )
-        est = estimate_construction_seconds(part, machine)
-        assert est > 0
-        # closed form within an order of magnitude of the executed pipeline
-        assert est < 20 * report.construction_seconds
-        assert report.construction_seconds < 20 * est
+        assert (
+            construction_ledger(a, machine).total_seconds
+            == construction_ledger(b, machine).total_seconds
+        )

@@ -161,7 +161,7 @@ class TestOnePath:
 
     ALLOWED = {
         "partition_graph":
-            {"core/setup.py", "core/preprocessing.py", "dynamic/repair.py"},
+            {"core/setup.py", "dynamic/repair.py"},
         "tuned_thresholds": {"core/setup.py"},
         "generate_edges": {"core/setup.py", "dynamic/gate.py"},
     }
