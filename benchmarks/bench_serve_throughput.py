@@ -20,7 +20,7 @@ import numpy as np
 from conftest import emit
 
 from repro.graph500.driver import sample_roots
-from repro.serve.bench import amortization_sweep, build_serving_pair
+from repro.serve.bench import amortization_sweep, build_serving_engine
 
 ARTIFACT_NAME = "BENCH_serve.json"
 SCALE, ROWS, COLS, SEED = 10, 2, 2, 7
@@ -47,18 +47,16 @@ def render(amortization) -> str:
 
 
 def test_serve_throughput(benchmark, results_dir):
-    sequential, batched = build_serving_pair(
+    engine = build_serving_engine(
         SCALE, ROWS, COLS, seed=SEED,
         e_threshold=E_THRESHOLD, h_threshold=H_THRESHOLD,
     )
     roots = sample_roots(
-        batched.part.degrees, 64, rng=np.random.default_rng(SEED)
+        engine.part.degrees, 64, rng=np.random.default_rng(SEED)
     )
 
     amortization = benchmark.pedantic(
-        lambda: amortization_sweep(
-            sequential, batched, roots, batch_sizes=(1, 4, 16, 64)
-        ),
+        lambda: amortization_sweep(engine, roots, batch_sizes=(1, 4, 16, 64)),
         rounds=1, iterations=1,
     )
 

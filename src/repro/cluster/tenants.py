@@ -1,7 +1,7 @@
 """Tenants: resident graphs with their own caches, quotas, and SLOs.
 
 A *tenant* is one resident graph behind the cluster serving plane: its
-own partition, its own sequential + batched engine pair, its own
+own partition, its own engine, its own
 :class:`~repro.serve.cache.ResultCache` and graph fingerprint, its own
 admission quota and fair-share weight, and (optionally) its own
 :class:`~repro.dynamic.repair.IncrementalGraph` for streaming ingest.
@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 from repro.core.setup import build_setup
 from repro.obs.slo import SLOSpec
-from repro.serve.bench import serving_pair
+from repro.serve.bench import serving_engine
 from repro.serve.cache import ResultCache
 from repro.serve.core import ResidentGraph
 
@@ -127,10 +127,10 @@ class TenantSpec:
 class Tenant(ResidentGraph):
     """One resident graph, its serving state, and its :class:`TenantSpec`.
 
-    ``sequential`` is the single-root engine (validation, program
-    serving); ``batched`` is the MSBFS engine replicas run query
-    batches on.  Both views share the partition, so the fingerprint
-    keys both the cache and result attribution.
+    ``batched`` is the one engine replicas run query batches, programs
+    and single roots on; its partition's fingerprint keys both the cache
+    and result attribution.  ``sequential=`` is accepted and ignored:
+    :attr:`sequential` is ``batched``.
     """
 
     def __init__(
@@ -144,7 +144,6 @@ class Tenant(ResidentGraph):
     ) -> None:
         super().__init__(
             batched,
-            sequential=sequential,
             cache=cache,
             fingerprint=fingerprint,
             dynamic=dynamic,
@@ -207,7 +206,7 @@ class TenantRegistry:
 
 
 def build_tenant(spec: TenantSpec, *, dynamic: bool = False) -> Tenant:
-    """Build one tenant's engines and cache from its spec.
+    """Build one tenant's engine and cache from its spec.
 
     ``dynamic=True`` additionally wraps the tenant's edge set in an
     :class:`~repro.dynamic.repair.IncrementalGraph` so update batches
@@ -217,11 +216,9 @@ def build_tenant(spec: TenantSpec, *, dynamic: bool = False) -> Tenant:
         spec.scale, spec.rows, spec.cols, seed=spec.seed, weak_scaled=False,
         e_threshold=spec.e_threshold, h_threshold=spec.h_threshold,
     )
-    sequential, batched = serving_pair(setup)
     tenant = Tenant(
         spec=spec,
-        sequential=sequential,
-        batched=batched,
+        batched=serving_engine(setup),
         cache=ResultCache(capacity=spec.cache_capacity),
     )
     if dynamic:
@@ -240,7 +237,7 @@ def build_registry(specs, *, dynamic: bool = False) -> TenantRegistry:
 
 
 #: Most tenants one ``--tenants`` spec may name.  Every tenant builds its
-#: own graph and engine pair, so a resident set far past this never
+#: own graph and engine, so a resident set far past this never
 #: finishes building — and the CLI parses the spec at argument time, so
 #: an unbounded count would build that many specs before anything runs.
 MAX_TENANTS = 1024

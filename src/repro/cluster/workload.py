@@ -219,7 +219,7 @@ def run_cluster_drill(
     expected = None
     if validate:
         expected = {
-            tenant.tenant_id: expected_parents(tenant.sequential, [
+            tenant.tenant_id: expected_parents(tenant.batched, [
                 q.root for q in workload.for_tenant(tenant.tenant_id).queries
             ])
             for tenant in registry

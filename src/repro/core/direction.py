@@ -32,7 +32,12 @@ from repro.core.partition import (
     class_count,
 )
 
-__all__ = ["ClassState", "choose_component_direction", "choose_whole_iteration_direction"]
+__all__ = [
+    "ClassState",
+    "choose_component_direction",
+    "choose_whole_iteration_direction",
+    "pull_wins",
+]
 
 
 class ClassState:
@@ -79,6 +84,23 @@ class ClassState:
         return out
 
 
+def pull_wins(component: str, active_src, unvisited_dst, config: BFSConfig):
+    """The §4.2 rule: does ``component`` pull, given its source class's
+    active ratio and its destination class's unvisited ratio?
+
+    Floats for one traversal, per-lane arrays for a wave (the answer is
+    then a per-lane boolean array); the comparisons are the same either
+    way, so every lane decides exactly as its single-source run would.
+    """
+    if component in NODE_LOCAL_COMPONENTS:
+        return active_src > config.local_pull_threshold
+    # Cross-node: fewer messages wins.  Push messages scale with the
+    # active sources' arcs, pull messages with the hit destinations, so
+    # pull breaks even while unvisited_dst is still a multiple of
+    # active_src (the cross_pull_bias).
+    return unvisited_dst < active_src * config.cross_pull_bias
+
+
 def choose_component_direction(
     component: str,
     ratios: dict[str, tuple[float, float]],
@@ -91,17 +113,7 @@ def choose_component_direction(
     src_class, dst_class = COMPONENT_CLASSES[component]
     active_src, _ = ratios[src_class]
     _, unvisited_dst = ratios[dst_class]
-    if component in NODE_LOCAL_COMPONENTS:
-        return "pull" if active_src > config.local_pull_threshold else "push"
-    # Cross-node: fewer messages wins.  Push messages scale with the
-    # active sources' arcs, pull messages with the hit destinations, so
-    # pull breaks even while unvisited_dst is still a multiple of
-    # active_src (the cross_pull_bias).
-    return (
-        "pull"
-        if unvisited_dst < active_src * config.cross_pull_bias
-        else "push"
-    )
+    return "pull" if pull_wins(component, active_src, unvisited_dst, config) else "push"
 
 
 def choose_whole_iteration_direction(

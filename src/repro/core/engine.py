@@ -1,7 +1,10 @@
 """The distributed 1.5D BFS engine (paper §4-§5).
 
 Executes Graph500 BFS over a :class:`~repro.core.partition.PartitionedGraph`
-on the simulated runtime.  Functional semantics are exact level-synchronous
+on the simulated runtime — one root (:meth:`DistributedBFS.run`), a
+vertex program (:meth:`~DistributedBFS.run_program`) or up to 64 roots
+packed into lane words (:meth:`~DistributedBFS.run_batch`), all on one
+object.  Functional semantics are exact level-synchronous
 BFS — the parent array validates under the Graph500 specification and the
 levels match the serial reference — while every kernel and collective the
 real machine would run is charged to a :class:`~repro.runtime.ledger.TrafficLedger`
@@ -17,7 +20,9 @@ mounted densest-first (EH2EH, E2L, L2E, H2L, L2H, L2L) on the shared
 itself only supplies the 1.5D scheduler hooks: the per-iteration
 delegate frontier sync, the §4.2 direction policy (every component picks
 its own direction from the *latest* visited state), the per-class
-activation trace, and the §5 (optionally delayed) parent reduction.
+activation trace, and the §5 (optionally delayed) parent reduction —
+once over a single frontier, once per lane for a wave, with the §4.2
+rule itself written once (:func:`~repro.core.direction.pull_wins`).
 ``ReplayBFS`` and the 1D/2D baselines mount their own kernel sets on the
 same scheduler, so all engines share one frontier/visited/parent
 semantics and one tracing shape.
@@ -58,27 +63,42 @@ scheduler reads.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.config import BFSConfig
 from repro.core.direction import (
     choose_component_direction,
     choose_whole_iteration_direction,
+    pull_wins,
 )
 from repro.core.kernels.fifteend import FifteenDContext, build_fifteend_kernels
 from repro.core.kernels.scheduler import SchedulerHost
-from repro.core.metrics import BFSRunResult, IterationRecord
-from repro.core.partition import PartitionedGraph, class_count
+from repro.core.lanes import iter_lanes, lane_bit, lanes_word
+from repro.core.metrics import BFSRunResult, IterationRecord, MSBFSResult
+from repro.core.partition import (
+    CLASS_CODES,
+    COMPONENT_CLASSES,
+    PartitionedGraph,
+    class_count,
+)
 from repro.core.subgraphs import COMPONENT_ORDER
 from repro.machine.network import MachineSpec
 from repro.obs.tracer import Tracer
 
-__all__ = ["DistributedBFS", "FifteenDHost"]
+__all__ = ["DistributedBFS"]
 
 
-class FifteenDHost(SchedulerHost):
-    """What every 1.5D engine is built from: a partition on a machine,
-    the kernel context, and the six component kernels mounted densest
-    first on one scheduler.  :class:`DistributedBFS` adds the sequential
-    hooks, :class:`~repro.serve.msbfs.MultiSourceBFS` the batched ones."""
+def _class_counts(counts, cls) -> np.ndarray:
+    """Per-lane population of degree class ``cls`` in a ``LaneState``
+    ``[lane, class]`` count array."""
+    return counts[:, CLASS_CODES[cls]].sum(axis=1)
+
+
+class DistributedBFS(SchedulerHost):
+    """BFS over a 1.5D-partitioned graph on a simulated machine: a
+    partition on a machine, the kernel context, and the six component
+    kernels mounted densest first on one scheduler, with the sequential
+    and the batched hooks side by side."""
 
     def __init__(
         self,
@@ -113,10 +133,6 @@ class FifteenDHost(SchedulerHost):
     def cost(self):
         return self.ctx.cost
 
-
-class DistributedBFS(FifteenDHost):
-    """BFS over a 1.5D-partitioned graph on a simulated machine."""
-
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
@@ -143,6 +159,19 @@ class DistributedBFS(FifteenDHost):
         """
         program.bind(self.part)
         return self.scheduler.run_program(program, **resilience)
+
+    def run_batch(self, roots, *, faults=None, trace_id=None) -> MSBFSResult:
+        """Traverse up to 64 distinct roots as one batched wave sequence
+        (the bit-identity contract is in :mod:`repro.serve.msbfs`).
+
+        ``faults`` forwards the scheduler's injector hook; a crash fault
+        aborts the whole batch with a
+        :class:`~repro.resilience.faults.RankCrashError` (recover with
+        :func:`~repro.serve.msbfs.run_batch_with_recovery`, or let the
+        service replay the batch from its queue).  ``trace_id`` (the
+        request ids the batch serves) labels the ``msbfs`` span.
+        """
+        return self.scheduler.run_batch(roots, faults=faults, trace_id=trace_id)
 
     # ------------------------------------------------------------------
     # scheduler hooks (the 1.5D policy)
@@ -178,3 +207,73 @@ class DistributedBFS(FifteenDHost):
         if self.config.delayed_reduction:
             with tracer.span("parent_reduction", category="phase"):
                 self.ctx.charge_parent_reduction(ledger)
+
+    # ------------------------------------------------------------------
+    # batched scheduler hooks (the same policy, per lane)
+    # ------------------------------------------------------------------
+
+    def begin_batch_iteration(self, ledger, lanes) -> None:
+        # One exchange syncs every lane's delegated frontier bits, so the
+        # populations are the union frontier's (kept by ``lanes.commit``).
+        counts = lanes.frontier.counts
+        self.ctx.charge_delegate_sync(
+            ledger,
+            class_count(counts, "E"),
+            class_count(counts, "H"),
+            lanes.num_lanes,
+        )
+
+    def batch_iteration_directions(self, lanes):
+        if self.config.sub_iteration_direction:
+            return None
+        # Whole-iteration (Beamer) mode, per lane: each lane evaluates
+        # the sequential heuristic on its own boolean view.
+        degrees = self.part.degrees
+        push_mask = np.uint64(0)
+        pull_mask = np.uint64(0)
+        for lane in iter_lanes(lanes.active_lane_mask):
+            bit = lane_bit(lane)
+            active = (lanes.active & bit) != 0
+            visited = (lanes.visited & bit) != 0
+            direction = choose_whole_iteration_direction(
+                active, visited, degrees, self.config
+            )
+            if direction == "pull":
+                pull_mask |= bit
+            else:
+                push_mask |= bit
+        return push_mask, pull_mask
+
+    def batch_component_directions(self, name, lanes):
+        # Fresh per-lane ratios (§4.2) from the run's running counts: the
+        # integers a popcount of each lane's class bits would give, so the
+        # floats fed to ``pull_wins`` are each lane's sequential ones (a
+        # class without members reads 0, as in ``ClassState.ratios``).
+        src_cls, dst_cls = COMPONENT_CLASSES[name]
+        sizes = self.ctx.class_state.sizes
+        active_src = _class_counts(lanes.active_counts, src_cls) / max(
+            sizes[src_cls], 1
+        )
+        unvisited_dst = (
+            sizes[dst_cls] - _class_counts(lanes.visited_counts, dst_cls)
+        ) / max(sizes[dst_cls], 1)
+        pull = pull_wins(name, active_src, unvisited_dst, self.config)
+        live = lanes.active_counts.any(axis=1)
+        return lanes_word(np.flatnonzero(live & ~pull)), lanes_word(
+            np.flatnonzero(live & pull)
+        )
+
+    def record_batch_activation(self, record: IterationRecord, newly) -> None:
+        # (vertex, lane) activation pairs per class — the batch analogue
+        # of the sequential per-class counts.
+        for cls in ("E", "H", "L"):
+            record.newly_activated[cls] = int(_class_counts(newly, cls).sum())
+
+    def end_batch_iteration(self, ledger, record, lanes, newly) -> None:
+        if not self.config.delayed_reduction:
+            self.ctx.charge_parent_reduction(ledger, lanes.num_lanes)
+
+    def end_batch_run(self, ledger, tracer, lanes) -> None:
+        if self.config.delayed_reduction:
+            with tracer.span("parent_reduction", category="phase"):
+                self.ctx.charge_parent_reduction(ledger, lanes.num_lanes)

@@ -30,9 +30,10 @@ The cost model is written once, under all three traversal modes.  A
 *kernel* supplies its rates and its message path (``push_seconds``,
 ``pull_rate``, ``route``, ``charge_pull_prereq``); a *mode* —
 single-source BFS, a 64-lane wave, a vertex program — supplies only the
-width of a wire message (:data:`MESSAGE_BYTES`,
-:data:`LANE_MESSAGE_BYTES`, ``program.message_bytes``; ``num_lanes`` for
-a frontier exchange) and the rule that picks winners among the arcs the
+width of a wire message (:func:`wire_bytes` of its lane count, which is
+:data:`MESSAGE_BYTES` for one lane — a single-source run or a batch of
+one alike — and :data:`LANE_MESSAGE_BYTES` for more;
+``program.message_bytes``) and the rule that picks winners among the arcs the
 body returned (``first_writers``, the word-parallel
 ``first_writer_lanes`` that claims every lane's first writer in one
 pass, ``program.edge_sweep``).  Every commit passes its width to the same two
@@ -66,6 +67,7 @@ __all__ = [
     "build_fifteend_kernels",
     "MESSAGE_BYTES",
     "LANE_MESSAGE_BYTES",
+    "wire_bytes",
 ]
 
 MESSAGE_BYTES = 8
@@ -73,6 +75,14 @@ MESSAGE_BYTES = 8
 #: lane word, so up to 64 lanes share one message where sequential runs
 #: would each send their own.
 LANE_MESSAGE_BYTES = 16
+
+
+def wire_bytes(num_lanes: int) -> int:
+    """Bytes of one message (or sparse sync entry) of a run with
+    ``num_lanes`` lanes: one lane needs no lane word, so a batch of one
+    is charged exactly what its root's single-source run is."""
+    return MESSAGE_BYTES if num_lanes == 1 else LANE_MESSAGE_BYTES
+
 
 #: The six 1.5D kernels, keyed by component name.
 FIFTEEND_KERNELS = KernelRegistry()
@@ -117,21 +127,15 @@ class FifteenDContext:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def sync_bytes(
-        bitmap_bits: int, sparse_count: int, num_lanes: int | None = None
-    ) -> float:
+    def sync_bytes(bitmap_bits: int, sparse_count: int, num_lanes: int = 1) -> float:
         """Wire bytes of a frontier-set exchange: packed bitmap or sparse
         entries, whichever is smaller (what real implementations switch
-        between).  A single-source set is one bit per vertex or 8-byte
-        vertex IDs; a wave of ``num_lanes`` widens the bitmap by the lane
-        count, and a sparse entry carries its vertex ID plus the 64-bit
-        lane word."""
-        width, entry = (
-            (1, MESSAGE_BYTES)
-            if num_lanes is None
-            else (num_lanes, LANE_MESSAGE_BYTES)
-        )
-        return float(min(-(-bitmap_bits * width // 8), sparse_count * entry))
+        between).  The bitmap has ``num_lanes`` bits per vertex, a sparse
+        entry is :func:`wire_bytes` wide."""
+        return float(min(
+            -(-bitmap_bits * num_lanes // 8),
+            sparse_count * wire_bytes(num_lanes),
+        ))
 
     def kernel_time(self, max_items: int, rate: float) -> float:
         return self.rates.kernel_time(max_items, rate, self.work_scale)
@@ -163,7 +167,7 @@ class FifteenDContext:
         self, name, send_msgs_per_rank, ledger, message_bytes=MESSAGE_BYTES
     ):
         """Intra-row alltoallv of fixed-size messages (H2L / L2H routing);
-        batched waves pass ``message_bytes=LANE_MESSAGE_BYTES``."""
+        a wave passes ``message_bytes=wire_bytes(num_lanes)``."""
         self._charge_alltoallv(
             name, send_msgs_per_rank, ledger, message_bytes,
             self.mesh.cols, self.split_row,
@@ -198,7 +202,7 @@ class FifteenDContext:
     # charges shared by the facade and the hosts)
     # ------------------------------------------------------------------
 
-    def charge_delegate_sync(self, ledger, active_e, active_h, num_lanes=None):
+    def charge_delegate_sync(self, ledger, active_e, active_h, num_lanes=1):
         """Per-iteration frontier synchronization of delegated classes:
         an allreduce of the E frontier over every rank, and of each
         column's and each row's share of the H frontier over that column
@@ -297,7 +301,7 @@ class _FifteenDKernel(ComponentKernel):
         ``"push_recv"`` for pushed arcs, ``"pull_recv"`` for bottom-up
         hits travelling to their owners."""
 
-    def charge_pull_prereq(self, ledger, unvisited_l, num_lanes=None) -> None:
+    def charge_pull_prereq(self, ledger, unvisited_l, num_lanes=1) -> None:
         """Charge remote state the pulling ranks need first (if any).
         ``unvisited_l`` is a zero-argument callable returning the L
         vertices a pull may still reach, so a kernel that needs no
@@ -381,10 +385,9 @@ class _FifteenDKernel(ComponentKernel):
         subset of the selection (arcs whose source carries bit ``l``) is
         exactly the selection of that lane's sequential run in the same
         order, so the per-lane first-writer-per-destination parents are
-        identical.  One 16-byte message per selected arc carries all
-        lanes' bits.
+        identical.  One message per selected arc carries all lanes' bits.
         """
-        self._charge_push(sel, ledger, record, LANE_MESSAGE_BYTES)
+        self._charge_push(sel, ledger, record, wire_bytes(lanes.num_lanes))
         group = np.uint64(group_lanes)
         # Per (arc, lane): fresh iff the source is active and the
         # destination unvisited in that lane.
@@ -403,7 +406,8 @@ class _FifteenDKernel(ComponentKernel):
             lanes.num_lanes,
         )
         self._charge_pull(
-            scan, scan.msg_rank, scan.msg_dst, ledger, record, LANE_MESSAGE_BYTES
+            scan, scan.msg_rank, scan.msg_dst, ledger, record,
+            wire_bytes(lanes.num_lanes),
         )
         return scan.updates
 
@@ -538,7 +542,7 @@ class H2LKernel(_RowMessageKernel):
     def owner_of_dst(self, dst, sender_rank):
         return self.ctx.mesh.owner_of(dst, self.ctx.num_vertices)
 
-    def charge_pull_prereq(self, ledger, unvisited_l, num_lanes=None):
+    def charge_pull_prereq(self, ledger, unvisited_l, num_lanes=1):
         # Unvisited-L state of each row, allgathered within the row
         # (bitmap or sparse entries, whichever is cheaper on the wire;
         # a wave's one exchange ships every lane's unvisited-L bits).
@@ -647,9 +651,10 @@ class L2LKernel(_FifteenDKernel):
         which the source is still unvisited; lane ``l``'s hits are the
         arcs whose source carries the candidate bit and whose neighbor
         carries the active bit — the sequential rule per lane."""
+        width = wire_bytes(lanes.num_lanes)
         self._charge_query_pull(
             sel.per_rank(self.ctx.num_ranks), sel.rank, sel.dst, ledger, record,
-            LANE_MESSAGE_BYTES, LANE_MESSAGE_BYTES,
+            width, width,
         )
         group = np.uint64(group_lanes)
         hit_bits = ~lanes.visited[sel.src] & lanes.active[sel.dst] & group

@@ -1,10 +1,10 @@
 """The shared level-synchronous scheduler.
 
-Every traversal engine in the repo — the 1.5D ``DistributedBFS``, the
-rank-explicit ``ReplayBFS``, the 1D/2D baselines and the 64-lane
-``MultiSourceBFS`` — executes through one :class:`LevelSyncScheduler`,
-and the scheduler owns exactly one level loop
-(:meth:`LevelSyncScheduler._drive`): per level it consults the fault
+Every traversal engine in the repo — the 1.5D ``DistributedBFS`` (one
+root, a vertex program or a 64-lane batch), the rank-explicit
+``ReplayBFS`` and the 1D/2D baselines — executes through one
+:class:`LevelSyncScheduler`, and the scheduler owns exactly one level
+loop (:meth:`LevelSyncScheduler._drive`): per level it consults the fault
 injector, stops on an empty frontier, prices the engine's frontier sync,
 resolves each component's direction (whole-iteration or fresh
 per-component), runs the mounted

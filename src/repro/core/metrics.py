@@ -136,7 +136,7 @@ class BFSRunResult:
 @dataclass
 class MSBFSResult:
     """Outcome of one multi-source batch, built by the scheduler's wave
-    mode and returned as is by ``MultiSourceBFS.run_batch``.
+    mode and returned as is by ``DistributedBFS.run_batch``.
 
     ``parent[l]`` is bit-identical to the parent array of a sequential
     run from ``roots[l]``.  Per-root views (:meth:`lane_parent`,

@@ -262,9 +262,9 @@ def run_graph500(
         :class:`~repro.resilience.recovery.RecoveryPolicy` knobs applied
         when a crash fault fires (``restart`` or ``degrade``).
     batch_roots:
-        Run the sampled roots through the multi-source batch engine
-        (:class:`~repro.serve.msbfs.MultiSourceBFS`, up to 64 roots per
-        traversal) instead of one sequential BFS per root.  Parent
+        Run the sampled roots as multi-source batches
+        (:meth:`~repro.core.engine.DistributedBFS.run_batch`, up to 64
+        roots per traversal) instead of one sequential BFS per root.  Parent
         arrays are bit-identical to the sequential path; reported
         per-root times are each root's amortized share of its batch.
         Incompatible with ``checkpoint_every`` (no per-root checkpoints
@@ -289,12 +289,7 @@ def run_graph500(
         scale, rows, cols, seed=seed, e_threshold=e_threshold,
         h_threshold=h_threshold, machine=machine, tracer=tracer,
     )
-    engine_cls = DistributedBFS
-    if batch_roots:
-        from repro.serve.msbfs import MultiSourceBFS
-
-        engine_cls = MultiSourceBFS
-    engine = engine_cls(
+    engine = DistributedBFS(
         part, machine=setup.machine,
         config=setup.config(**(config_overrides or {})),
         tracer=tracer, metrics=metrics,

@@ -3,9 +3,9 @@ admission-controlled request queue.
 
 Layers (each usable on its own):
 
-- :mod:`repro.serve.msbfs` — the bit-parallel multi-source engine: up to
-  64 roots per batch, one lane per root, parents bit-identical to
-  sequential :class:`~repro.core.engine.DistributedBFS` runs.
+- :mod:`repro.serve.msbfs` — bit-parallel multi-source batches on
+  :class:`~repro.core.engine.DistributedBFS`: up to 64 roots per batch,
+  one lane per root, parents bit-identical to single-root runs.
 - :mod:`repro.serve.cache` — the (graph fingerprint, root) result cache
   with LRU + TTL eviction and hit/miss/eviction metrics.
 - :mod:`repro.serve.core` — what both service planes share: the
@@ -25,7 +25,6 @@ from repro.serve.cache import ResultCache, fingerprint_graph
 from repro.serve.msbfs import (
     MAX_BATCH_ROOTS,
     MSBFSResult,
-    MultiSourceBFS,
     run_batch_with_recovery,
 )
 from repro.serve.service import (
@@ -40,7 +39,6 @@ from repro.serve.telemetry import TelemetryServer
 __all__ = [
     "MAX_BATCH_ROOTS",
     "MSBFSResult",
-    "MultiSourceBFS",
     "run_batch_with_recovery",
     "ResultCache",
     "fingerprint_graph",

@@ -6,10 +6,10 @@ and ``benchmarks/bench_serve_throughput.py`` (which commits the
 
 :func:`amortization_sweep` is *deterministic, simulated*: for each batch
 size, it runs the same root set through one
-:meth:`~repro.serve.msbfs.MultiSourceBFS.run_batch` and compares the
-amortized simulated cost per query against the single-root sequential
-baseline.  No asyncio, no wall clocks — bit-stable run to run, so CI
-gates it (the batch=64 factor must stay >= 4x) and drift-gates the
+:meth:`~repro.core.engine.DistributedBFS.run_batch` and compares the
+amortized simulated cost per query against the same engine's
+single-root runs.  No asyncio, no wall clocks — bit-stable run to run,
+so CI gates it (the batch=64 factor must stay >= 4x) and drift-gates the
 artifact.  Wall-clock serving is measured by the layer bench's
 ``serve_open`` / ``cluster_diurnal`` workloads
 (``benchmarks/layers/``).
@@ -23,18 +23,17 @@ import numpy as np
 
 from repro.core.engine import DistributedBFS
 from repro.core.setup import build_setup
-from repro.serve.msbfs import MultiSourceBFS
 
 __all__ = [
     "AmortizationPoint",
     "amortization_sweep",
-    "build_serving_pair",
+    "build_serving_engine",
     "run_amortization_bench",
-    "serving_pair",
+    "serving_engine",
 ]
 
 
-def build_serving_pair(
+def build_serving_engine(
     scale: int,
     rows: int,
     cols: int,
@@ -45,31 +44,24 @@ def build_serving_pair(
     tracer=None,
     metrics=None,
 ):
-    """Build the (sequential engine, batch engine) pair over one graph,
-    on the plain (not weak-scaling-normalised) machine model — see
-    :mod:`repro.core.setup` for why serving uses that one."""
+    """Build the serving engine over one graph, on the plain (not
+    weak-scaling-normalised) machine model — see :mod:`repro.core.setup`
+    for why serving uses that one."""
     setup = build_setup(
         scale, rows, cols, seed=seed, weak_scaled=False,
         e_threshold=e_threshold, h_threshold=h_threshold,
     )
-    return serving_pair(setup, tracer=tracer, metrics=metrics)
+    return serving_engine(setup, tracer=tracer, metrics=metrics)
 
 
-def serving_pair(setup, *, tracer=None, metrics=None):
-    """The (sequential engine, batch engine) pair over ``setup``.
-
-    Both share the partition, machine model, and config, so any cost
-    difference between them is the batching itself.
-    ``tracer``/``metrics`` (optional) attach to the batched engine —
-    the serving side — so scheduler spans land in the caller's sinks.
-    """
-    part, config = setup.partition(), setup.config()
-    sequential = DistributedBFS(part, machine=setup.machine, config=config)
-    batched = MultiSourceBFS(
-        part, machine=setup.machine, config=config, tracer=tracer,
-        metrics=metrics,
+def serving_engine(setup, *, tracer=None, metrics=None) -> DistributedBFS:
+    """The one engine that serves ``setup``'s graph: batches, programs
+    and single roots all run on it.  ``tracer``/``metrics`` (optional)
+    attach to it, so scheduler spans land in the caller's sinks."""
+    return DistributedBFS(
+        setup.partition(), machine=setup.machine, config=setup.config(),
+        tracer=tracer, metrics=metrics,
     )
-    return sequential, batched
 
 
 @dataclass
@@ -95,8 +87,7 @@ class AmortizationPoint:
 
 
 def amortization_sweep(
-    sequential,
-    batched,
+    engine,
     roots: np.ndarray,
     *,
     batch_sizes=(1, 4, 16, 64),
@@ -104,18 +95,19 @@ def amortization_sweep(
     """Amortized simulated cost per query, batch size by batch size.
 
     Each point batches the first ``b`` roots and compares against the
-    same roots run sequentially.  Everything is simulated time from the
-    shared :class:`~repro.runtime.ledger.TrafficLedger`, so the sweep is
+    same roots run one at a time on the same ``engine``.  Everything is
+    simulated time from the shared
+    :class:`~repro.runtime.ledger.TrafficLedger`, so the sweep is
     bit-stable and CI-gateable.
     """
     roots = np.asarray(roots, dtype=np.int64)
-    seq = {int(r): sequential.run(int(r)) for r in np.unique(roots)}
+    seq = {int(r): engine.run(int(r)) for r in np.unique(roots)}
     points = []
     for b in batch_sizes:
         if b > roots.size:
             continue
         chunk = roots[:b]
-        batch = batched.run_batch(chunk)
+        batch = engine.run_batch(chunk)
         seq_seconds = sum(seq[int(r)].total_seconds for r in chunk)
         seq_bytes = sum(seq[int(r)].ledger.total_bytes for r in chunk)
         points.append(
@@ -135,7 +127,6 @@ def amortization_sweep(
     return points
 
 
-
 def run_amortization_bench(
     *, scale: int, rows: int, cols: int, seed: int, e_threshold=None,
     h_threshold=None, batch_sizes=(1, 4, 16, 64), out=None,
@@ -150,17 +141,15 @@ def run_amortization_bench(
     from repro.graph500.driver import sample_roots
     from repro.obs.export import write_json
 
-    sequential, batched = build_serving_pair(
+    engine = build_serving_engine(
         scale, rows, cols, seed=seed, e_threshold=e_threshold,
         h_threshold=h_threshold,
     )
     roots = sample_roots(
-        batched.part.degrees, max(batch_sizes),
+        engine.part.degrees, max(batch_sizes),
         rng=np.random.default_rng(seed),
     )
-    points = amortization_sweep(
-        sequential, batched, roots, batch_sizes=batch_sizes
-    )
+    points = amortization_sweep(engine, roots, batch_sizes=batch_sizes)
     lines = [ascii_table(
         ["batch", "sim s/query", "sequential s", "amortization",
          "bytes ratio", "waves"],

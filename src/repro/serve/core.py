@@ -5,8 +5,8 @@ and :class:`~repro.cluster.service.ClusterService` (M tenants, N
 replicas) differ in *queue discipline* and *crash policy* only.  The two
 decisions they share live here, once:
 
-- **What a resident graph is** — :class:`ResidentGraph`: the batched
-  engine plus its lazily built sequential sibling, the
+- **What a resident graph is** — :class:`ResidentGraph`: the one
+  engine that serves batches, programs and single roots, the
   :class:`~repro.serve.cache.ResultCache`, the graph fingerprint keying
   it, the :class:`ServeStats` counters and the optional
   :class:`~repro.dynamic.repair.IncrementalGraph`.  A generation changes
@@ -40,6 +40,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from repro.core.engine import DistributedBFS
 from repro.obs.metrics import exponential_buckets
 from repro.resilience.faults import RankCrashError
 from repro.serve.cache import fingerprint_graph
@@ -348,12 +349,12 @@ class ServeScope:
             stats.total_latencies.append(total)
 
 
-def sibling_engine(engine_cls, source, part):
-    """``engine_cls`` over ``part``, configured exactly like ``source``:
-    machine, config, tracer, metrics and execution backend all carry
-    over, so a rebuilt or lazily built engine stays as instrumented as
-    the one it stands beside."""
-    return engine_cls(
+def sibling_engine(source, part):
+    """A :class:`~repro.core.engine.DistributedBFS` over ``part``,
+    configured exactly like ``source``: machine, config, tracer, metrics
+    and execution backend all carry over, so a rebuilt engine stays as
+    instrumented as the one it replaces."""
+    return DistributedBFS(
         part,
         machine=source.machine,
         config=source.config,
@@ -364,13 +365,13 @@ def sibling_engine(engine_cls, source, part):
 
 
 class ResidentGraph:
-    """One served graph: engines, cache, fingerprint, counters.
+    """One served graph: engine, cache, fingerprint, counters.
 
-    ``batched`` is the MSBFS engine query batches run on;
-    ``sequential`` is the single-root engine (validation, vertex
-    programs), built on first use as a :func:`sibling_engine` unless
-    one is supplied.  Both view the same partition, whose fingerprint
-    keys the cache.  ``dynamic`` is the optional
+    ``batched`` is the :class:`~repro.core.engine.DistributedBFS` that
+    query batches, vertex programs and single roots all run on;
+    ``sequential`` is the same object, kept as a name for callers that
+    run one root.  Its partition's fingerprint keys the cache.
+    ``dynamic`` is the optional
     :class:`~repro.dynamic.repair.IncrementalGraph` over the same edge
     set that :meth:`ingest` repairs.
     """
@@ -379,13 +380,11 @@ class ResidentGraph:
         self,
         batched,
         *,
-        sequential=None,
         cache=None,
         fingerprint: str = "",
         dynamic=None,
     ) -> None:
         self.batched = batched
-        self._sequential = sequential
         self.cache = cache
         self.fingerprint = fingerprint or fingerprint_graph(batched.part)
         self.dynamic = dynamic
@@ -393,13 +392,7 @@ class ResidentGraph:
 
     @property
     def sequential(self):
-        if self._sequential is None:
-            from repro.core.engine import DistributedBFS
-
-            self._sequential = sibling_engine(
-                DistributedBFS, self.batched, self.batched.part
-            )
-        return self._sequential
+        return self.batched
 
     @property
     def num_vertices(self) -> int:
@@ -417,7 +410,6 @@ class ResidentGraph:
         """
         old = self.fingerprint
         self.batched = batched
-        self._sequential = None
         self.fingerprint = fingerprint_graph(batched.part)
         if self.cache is None:
             return 0, 0
@@ -440,8 +432,6 @@ class ResidentGraph:
                 "(pass dynamic=IncrementalGraph(...))"
                 + attribution(scope.tenant, "")
             )
-        from repro.serve.msbfs import MultiSourceBFS
-
         loop = asyncio.get_running_loop()
         reports = []
         num_updates = 0
@@ -457,7 +447,7 @@ class ResidentGraph:
         # graph() compacts pending overlays into the packed arrays.
         part = await loop.run_in_executor(None, self.dynamic.graph)
         engine = await loop.run_in_executor(
-            None, sibling_engine, MultiSourceBFS, self.batched, part
+            None, sibling_engine, self.batched, part
         )
         touched = (
             np.unique(np.concatenate([r.delta.touched for r in reports]))

@@ -1,7 +1,7 @@
 """The admission-controlled traversal service.
 
-A synchronous core (the :class:`~repro.serve.msbfs.MultiSourceBFS`
-engine, run on an executor thread) behind an asyncio front:
+A synchronous core (one :class:`~repro.core.engine.DistributedBFS`,
+run on executor threads) behind an asyncio front:
 
 1. **Admission.**  :meth:`TraversalService.submit` answers from the
    :class:`~repro.serve.cache.ResultCache` when it can; otherwise the
@@ -127,8 +127,8 @@ class TraversalService:
         self._wake = asyncio.Event()
         self._flusher: asyncio.Task | None = None
         self._closed = True
-        # Non-BFS program serving: single executions on the graph's
-        # sequential engine bypass the MSBFS batcher but share the
+        # Non-BFS program serving: single executions on the served
+        # engine bypass the MSBFS batcher but share the
         # admission bound (queue + in-flight) and get their own result
         # cache (program outputs are state dicts, not parent arrays).
         self._inflight_programs = 0
@@ -138,7 +138,7 @@ class TraversalService:
 
     @property
     def engine(self):
-        """The batched engine of the generation being served."""
+        """The engine of the generation being served."""
         return self.graph.batched
 
     @property
@@ -299,7 +299,7 @@ class TraversalService:
         # Built before admission: a rejected name or value is the
         # caller's ValueError, never an admitted request.  Every replay
         # reuses it (run_program re-binds the program's state).
-        engine = self.graph.sequential
+        engine = self.graph.batched
         prog = build_program(program, engine.part, **run_params)
 
         core, scope = self._core, self._scope

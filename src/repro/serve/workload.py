@@ -622,10 +622,17 @@ def run_serving_session(
     return asyncio.run(main())
 
 
-def expected_parents(sequential, roots) -> dict:
-    """``{root: parent array}`` from one sequential run per distinct
-    root: what a validating drill checks each served response against."""
-    return {int(r): sequential.run(int(r)).parent for r in np.unique(roots)}
+def expected_parents(engine, roots) -> dict:
+    """``{root: parent array}`` from one single-source run per distinct
+    root: what a validating drill checks each served response against.
+
+    The runs go through a sink-free engine configured like ``engine``,
+    so validating adds nothing to the served engine's trace or metrics.
+    """
+    from repro.core.engine import DistributedBFS
+
+    oracle = DistributedBFS(engine.part, machine=engine.machine, config=engine.config)
+    return {int(r): oracle.run(int(r)).parent for r in np.unique(roots)}
 
 
 def session_faults(faults, seed: int):
@@ -752,22 +759,21 @@ def run_serve_drill(
     from repro.obs.report import report_from_serve
     from repro.obs.slo import SLOSpec
     from repro.obs.tracer import Tracer
-    from repro.serve.bench import build_serving_pair
+    from repro.serve.bench import build_serving_engine
 
     metrics = MetricsRegistry()
     tracer = Tracer() if trace else None
-    sequential, batched = build_serving_pair(
+    engine = build_serving_engine(
         scale, rows, cols, seed=seed, e_threshold=e_threshold,
         h_threshold=h_threshold, tracer=tracer, metrics=metrics,
     )
     roots = make_workload_roots(
-        batched.part.degrees, queries, seed=seed,
+        engine.part.degrees, queries, seed=seed,
         hot_fraction=hot_fraction, hot_set_size=hot_set,
     )
-    expected = expected_parents(sequential, roots) if validate else None
-    engine = batched
+    expected = expected_parents(engine, roots) if validate else None
     if straggler_ms is not None:
-        engine = _StragglerEngine(batched, straggler_ms / 1e3)
+        engine = _StragglerEngine(engine, straggler_ms / 1e3)
     telemetry = None
     if telemetry_port is not None:
         telemetry = dict(port=telemetry_port, interval=telemetry_interval,

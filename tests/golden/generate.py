@@ -34,6 +34,17 @@ SEED = 7
 E_THR = 128
 H_THR = 16
 
+#: The three 1.5D engine configurations the record pins.
+ENGINE_CONFIGS = {
+    "engine_default": BFSConfig(e_threshold=E_THR, h_threshold=H_THR),
+    "engine_whole_iteration": BFSConfig(
+        e_threshold=E_THR, h_threshold=H_THR, sub_iteration_direction=False
+    ),
+    "engine_eager_reduction": BFSConfig(
+        e_threshold=E_THR, h_threshold=H_THR, delayed_reduction=False
+    ),
+}
+
 
 def build_system():
     src, dst = generate_edges(SCALE, seed=SEED)
@@ -79,23 +90,7 @@ def capture():
         "root": root,
     }
 
-    for name, cfg in (
-        ("engine_default", BFSConfig(e_threshold=E_THR, h_threshold=H_THR)),
-        (
-            "engine_whole_iteration",
-            BFSConfig(
-                e_threshold=E_THR,
-                h_threshold=H_THR,
-                sub_iteration_direction=False,
-            ),
-        ),
-        (
-            "engine_eager_reduction",
-            BFSConfig(
-                e_threshold=E_THR, h_threshold=H_THR, delayed_reduction=False
-            ),
-        ),
-    ):
+    for name, cfg in ENGINE_CONFIGS.items():
         engine = DistributedBFS(part, machine=machine, config=cfg)
         record[name] = run_record(engine.run(root))
 

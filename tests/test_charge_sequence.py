@@ -92,7 +92,9 @@ def digest(ledger) -> dict:
     }
 
 
-def charge_sequences(case: str) -> dict:
+def build_case(case: str):
+    """``(src, dst, part, machine, config, roots, lanes)`` of one
+    ``graph/config`` case: the BFS roots and the 64 wave lanes."""
     graph, config_name = case.split("/")
     scale, rows, cols, e_thr, h_thr = GRAPHS[graph]
     src, dst = generate_edges(scale, seed=SEED)
@@ -111,7 +113,11 @@ def charge_sequences(case: str) -> dict:
     # The hub, a mid-degree vertex, a light one and vertex 3.
     roots = [int(by_degree[0]), int(by_degree[n // 8]), int(by_degree[n // 2]), 3]
     lanes = [int(v) for v in by_degree[: 64 * 4 : 4]]
+    return src, dst, part, machine, config, roots, lanes
 
+
+def charge_sequences(case: str) -> dict:
+    src, dst, part, machine, config, roots, lanes = build_case(case)
     out = {}
     bfs = DistributedBFS(part, machine=machine, config=config)
     for root in roots:

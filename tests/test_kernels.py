@@ -342,9 +342,10 @@ class TestOneChargingPath:
 
     def test_sync_bytes_modes_differ_only_in_the_sparse_entry(self):
         sync_bytes = FifteenDContext.sync_bytes
-        # Sparse side wins: 8-byte ids against (id, lane word) entries.
-        assert sync_bytes(4096, 5) == 5 * MESSAGE_BYTES
-        assert sync_bytes(4096, 5, num_lanes=1) == 5 * LANE_MESSAGE_BYTES
+        # Sparse side wins: 1 lane equals single-source; 2 lanes use
+        # (id, lane word) entries.
+        assert sync_bytes(4096, 5) == sync_bytes(4096, 5, num_lanes=1) == 5 * MESSAGE_BYTES
+        assert sync_bytes(4096, 5, num_lanes=2) == 5 * LANE_MESSAGE_BYTES
         # Bitmap side wins: one lane's bitmap is the single-source one...
         assert sync_bytes(4096, 4000) == sync_bytes(4096, 4000, num_lanes=1) == 512
         # ...and widens by the lane count.

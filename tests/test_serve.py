@@ -28,7 +28,7 @@ from repro.serve import (
     TraversalService,
     fingerprint_graph,
 )
-from repro.serve.bench import amortization_sweep, build_serving_pair
+from repro.serve.bench import amortization_sweep, build_serving_engine
 from repro.serve.msbfs import MultiSourceBFS
 from repro.serve.workload import (
     make_workload_roots,
@@ -580,14 +580,15 @@ class TestWorkload:
 
 class TestServeBench:
     def test_amortization_sweep_monotone_gain(self):
-        sequential, batched = build_serving_pair(
+        engine = build_serving_engine(
             9, 2, 2, seed=7, e_threshold=128, h_threshold=16
         )
-        roots = np.flatnonzero(batched.part.degrees > 0)[:16]
-        points = amortization_sweep(
-            sequential, batched, roots, batch_sizes=(1, 4, 16)
-        )
+        roots = np.flatnonzero(engine.part.degrees > 0)[:16]
+        points = amortization_sweep(engine, roots, batch_sizes=(1, 4, 16))
         assert [p.batch_size for p in points] == [1, 4, 16]
+        # A batch of one is charged exactly what its root is.
+        assert points[0].amortization_factor == 1.0
+        assert points[0].batch_bytes == points[0].sequential_bytes
         assert points[-1].amortization_factor > points[0].amortization_factor
         assert points[-1].amortization_factor > 2.0
         for p in points:

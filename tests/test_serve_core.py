@@ -170,7 +170,7 @@ class TestSiblingEngines:
     def test_forwards_every_engine_setting(self):
         tracer, metrics = Tracer(), MetricsRegistry()
         _, engine = build_graph(tracer=tracer, metrics=metrics)
-        sibling = sibling_engine(DistributedBFS, engine, engine.part)
+        sibling = sibling_engine(engine, engine.part)
         assert isinstance(sibling, DistributedBFS)
         assert sibling.part is engine.part
         assert sibling.machine is engine.machine
