@@ -58,6 +58,7 @@ __all__ = [
     "all_lanes_mask",
     "one_lane",
     "first_of_run",
+    "key_order",
     "claim_lanes",
     "first_writer_lanes",
 ]
@@ -112,16 +113,27 @@ def first_of_run(keys: np.ndarray) -> np.ndarray:
     return first
 
 
-def _key_order(keys: np.ndarray) -> np.ndarray:
-    """A stable argsort of non-negative ``keys``.  Where ``key << b |
-    index`` fits in 63 bits it is one sort of those packed words: a stable
-    argsort of ``int64`` runs timsort, an order of magnitude slower."""
+def key_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(sorted_keys, order)`` of non-negative ``int64`` ``keys``, where
+    ``order`` is their stable argsort and ``sorted_keys`` is
+    ``keys[order]``.
+
+    Where ``key << b | index`` fits in 63 bits it is one sort of those
+    packed words, decoded into both arrays (a stable argsort of ``int64``
+    runs timsort, an order of magnitude slower); wider keys fall back to
+    that argsort.
+    """
+    if keys.size == 0:
+        return keys.astype(np.int64), _EMPTY
     shift = max(int(keys.size - 1).bit_length(), 1)
     if int(keys.max()) >> (62 - shift):
-        return np.argsort(keys, kind="stable")
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
     packed = (keys << shift) | np.arange(keys.size, dtype=np.int64)
     packed.sort()
-    return packed & ((1 << shift) - 1)
+    sorted_keys = packed >> shift
+    packed &= (1 << shift) - 1
+    return sorted_keys, packed
 
 
 def claim_lanes(keys: np.ndarray, words: np.ndarray):
@@ -143,8 +155,8 @@ def claim_lanes(keys: np.ndarray, words: np.ndarray):
     """
     if keys.size == 0:
         return _EMPTY, words[:0], _EMPTY, words[:0]
-    order = _key_order(keys)
-    k, w = keys[order], words[order]
+    k, order = key_order(keys)
+    w = words[order]
     head = np.flatnonzero(first_of_run(k))
     run_len = np.diff(head, append=k.size)
     depth = np.arange(k.size) - np.repeat(head, run_len)

@@ -316,16 +316,17 @@ def vertex_layout(
 
 
 def _component_table() -> np.ndarray:
-    """``[source class, destination class] -> COMPONENT_ORDER index``."""
-    table = np.empty((3, 3), dtype=np.int64)
+    """``source class * 3 + destination class -> COMPONENT_ORDER index``
+    (one flat gather is cheaper than a two-index one)."""
+    table = np.empty((3, 3), dtype=np.int8)
     for i, name in enumerate(COMPONENT_ORDER):
         s_cls, d_cls = COMPONENT_CLASSES[name]
         table[np.ix_(CLASS_CODES[s_cls], CLASS_CODES[d_cls])] = i
-    return table
+    return table.ravel()
 
 
 _COMPONENT_OF = _component_table()
-_EH2EH, _H2L = COMPONENT_ORDER.index("EH2EH"), COMPONENT_ORDER.index("H2L")
+_EH2EH = COMPONENT_ORDER.index("EH2EH")
 
 
 def place_arcs(
@@ -334,7 +335,8 @@ def place_arcs(
     """``(component_index, rank)`` per arc under ``part``'s vertex layout
     (step 4's placement table).
 
-    ``component_index`` indexes :data:`~repro.core.subgraphs.COMPONENT_ORDER`.
+    ``component_index`` (``int8``) indexes
+    :data:`~repro.core.subgraphs.COMPONENT_ORDER`.
     Cyclic placement deals an EH2EH arc by its position in ``a_src``
     (the global symmetrized array when :func:`partition_graph` calls);
     stable placement hashes the endpoint pair instead, so an arc's rank
@@ -342,7 +344,7 @@ def place_arcs(
     """
     mesh, cols = part.mesh, part.mesh.cols
     sc, dc = part.vclass[a_src], part.vclass[a_dst]
-    comp_of = _COMPONENT_OF[sc, dc]
+    comp_of = _COMPONENT_OF[sc * 3 + dc]
     o_src = mesh.owner_of(a_src, part.num_vertices)
     o_dst = mesh.owner_of(a_dst, part.num_vertices)
 
@@ -354,21 +356,23 @@ def place_arcs(
     # be dealt cyclically across columns/rows; this is what breaks up the
     # super-hubs' adjacency mass and gives the tight Fig. 13 balance.
     # L endpoints place by block ownership: L2E, L2H and L2L with the
-    # source, E2L with the destination, H2L in the destination's row.
-    rank = np.where(sc == VertexClass.L, o_src, o_dst)
-    m = comp_of == _H2L
-    rank[m] = o_dst[m] // cols * cols + part.eh_col[a_src[m]]
+    # source, E2L with the destination.  An EH2EH arc's deal picks column
+    # ``deal % cols`` and row ``deal // cols % rows``, i.e. rank
+    # ``deal % num_ranks``.  Then an H source pins the column (H2L, which
+    # keeps the destination's row, and EH2EH) and an H destination the row
+    # (EH2EH only: L2H stays with its L source).
+    from_src = sc == VertexClass.L
+    rank = np.where(from_src, o_src, o_dst)
     core = np.flatnonzero(comp_of == _EH2EH)
-    s, d = a_src[core], a_dst[core]
     if part.placement == "stable":
-        deal = mix64(mix64(s) + d.astype(np.uint64))
+        deal = mix64(mix64(a_src[core]) + a_dst[core].astype(np.uint64))
+        rank[core] = (deal % np.uint64(mesh.num_ranks)).astype(np.int64)
     else:
-        deal = core.astype(np.uint64)
-    col = (deal % np.uint64(cols)).astype(np.int64)
-    row = (deal // np.uint64(cols) % np.uint64(mesh.rows)).astype(np.int64)
-    col = np.where(sc[core] == VertexClass.H, part.eh_col[s], col)
-    row = np.where(dc[core] == VertexClass.H, part.eh_row[d], row)
-    rank[core] = row * cols + col
+        rank[core] = core % mesh.num_ranks
+    h = np.flatnonzero(sc == VertexClass.H)
+    rank[h] += part.eh_col[a_src[h]] - rank[h] % cols
+    h = np.flatnonzero((dc == VertexClass.H) & ~from_src)
+    rank[h] = part.eh_row[a_dst[h]] * cols + rank[h] % cols
     return comp_of, rank
 
 
@@ -422,9 +426,14 @@ def partition_graph(
     )
     a_src, a_dst = symmetrize_edges(src, dst)
     comp_of, rank = place_arcs(a_src, a_dst, part)
-    for i, name in enumerate(COMPONENT_ORDER):
-        sel = comp_of == i
+    # One stable radix sort of the int8 component index: each component's
+    # arcs are then a slice, still in input order.
+    order = np.argsort(comp_of, kind="stable")
+    a_src, a_dst, rank = a_src[order], a_dst[order], rank[order]
+    counts = np.bincount(comp_of, minlength=len(COMPONENT_ORDER))
+    ends = np.cumsum(counts)
+    for name, lo, hi in zip(COMPONENT_ORDER, ends - counts, ends):
         part.components[name] = SubgraphComponent(
-            name, a_src[sel], a_dst[sel], rank[sel], mesh.num_ranks, num_vertices
+            name, a_src[lo:hi], a_dst[lo:hi], rank[lo:hi], mesh.num_ranks, num_vertices
         )
     return part

@@ -37,6 +37,7 @@ from repro.core.lanes import (
     LaneActivations,
     claim_lanes,
     first_of_run,
+    key_order,
     one_lane,
 )
 from repro.core.vertexset import member_ids
@@ -279,12 +280,16 @@ class SubgraphComponent:
             raise ValueError("arc rank out of range")
         self.num_arcs = int(src.size)
 
+        # Both paths sort key values and decode the arrays from the
+        # sorted keys; only the push path's rank is gathered.
+        n = np.int64(num_vertices)
+
         # --- by-source CSR (push path) --------------------------------
         # Equal (src, dst) pairs may sit on different ranks; the stable
-        # sort keeps them in input order.
-        order = np.argsort(arc_keys(src, dst, num_vertices), kind="stable")
-        s_sorted = src[order]
-        self._push_dst = dst[order]
+        # order keeps them in input order.
+        keys, order = key_order(arc_keys(src, dst, num_vertices))
+        s_sorted = keys // n
+        self._push_dst = keys % n
         self._push_rank = rank[order]
         starts, self.src_indptr = _runs(s_sorted)
         self.src_ids = s_sorted[starts]
@@ -294,14 +299,14 @@ class SubgraphComponent:
         self._slot_of[self.src_ids] = np.arange(self.src_ids.size)
 
         # --- (rank, dst) groups (pull path) ----------------------------
-        n = np.int64(num_vertices)
-        order2 = np.argsort((rank * n + dst) * n + src)
-        self._pull_src = src[order2]
-        d_sorted = dst[order2]
-        r_sorted = rank[order2]
-        starts, self.grp_ptr = _runs(d_sorted, r_sorted)
-        self.grp_dst = d_sorted[starts]
-        self.grp_rank = r_sorted[starts]
+        # Equal keys are indistinguishable arcs, so a plain value sort.
+        keys = (rank * n + dst) * n + src
+        keys.sort()
+        self._pull_src = keys % n
+        rank_dst = keys // n
+        starts, self.grp_ptr = _runs(rank_dst)
+        self.grp_dst = rank_dst[starts] % n
+        self.grp_rank = rank_dst[starts] // n
 
         #: Exact arcs stored per rank (Fig. 13's load-balance data).
         self.arcs_per_rank = np.bincount(rank, minlength=num_ranks)
@@ -510,7 +515,8 @@ def arc_keys(src: np.ndarray, dst: np.ndarray, num_vertices: int) -> np.ndarray:
     far beyond anything the simulator holds in memory), so set algebra
     on arcs — the overlay diffs below — is plain sorted-array work.
     """
-    return src.astype(np.int64) * np.int64(num_vertices) + dst.astype(np.int64)
+    n = np.int64(num_vertices)
+    return src.astype(np.int64, copy=False) * n + dst.astype(np.int64, copy=False)
 
 
 def member(keys: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:

@@ -9,8 +9,9 @@ The paper treats sorting as a first-class meta-kernel:
   vectorized bucket partition primitive shared by the runtime.
 
 The §5 in-place global sort (PSRS + PARADIS) is not simulated here: the
-host builds each component with one packed-key sort
-(:mod:`repro.core.subgraphs`), and :mod:`repro.core.preprocessing`
+host builds each component's two access paths with one key-value sort
+each (:mod:`repro.core.subgraphs`, the push sort through
+:func:`repro.core.lanes.key_order`), and :mod:`repro.core.preprocessing`
 prices the construction's exchange and local passes.
 """
 

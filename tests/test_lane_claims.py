@@ -8,7 +8,8 @@ for the cross-rank pull dedup (``helpers.per_lane_claims``).
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.lanes import (
@@ -19,6 +20,7 @@ from repro.core.lanes import (
     claim_lanes,
     first_writer_lanes,
     iter_lanes,
+    key_order,
     lane_bit,
 )
 from repro.core.vertexset import writer_scratch
@@ -68,6 +70,49 @@ def claims(draw):
     )
     words = np.array(words, dtype=np.uint64) & np.uint64(group)
     return np.array(keys, dtype=np.int64), words, group
+
+
+@st.composite
+def key_arrays(draw):
+    """Non-negative ``int64`` keys, empty to 70 long, all equal or not,
+    drawn around ``2**(62 - shift)`` — the first key whose packed word
+    (key shifted past the index bits) would not fit — so both the packed
+    sort and the stable-argsort fallback run."""
+    size = draw(st.integers(0, 70))
+    shift = max((size - 1).bit_length(), 1)
+    edge = 2 ** (62 - shift)
+    pool = st.one_of(
+        st.integers(0, 5),
+        st.integers(edge - 2, edge + 1),
+        st.sampled_from([2**62, 2**63 - 1]),
+    )
+    if draw(st.booleans()):
+        return np.full(size, draw(pool), dtype=np.int64)
+    return np.array(
+        draw(st.lists(pool, min_size=size, max_size=size)), dtype=np.int64
+    )
+
+
+class TestKeyOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(keys=key_arrays())
+    @example(keys=np.array([], dtype=np.int64))
+    def test_matches_stable_argsort(self, keys):
+        sorted_keys, order = key_order(keys)
+        expect = np.argsort(keys, kind="stable")
+        assert order.dtype == sorted_keys.dtype == np.int64
+        assert order.tolist() == expect.tolist()
+        assert sorted_keys.tolist() == keys[expect].tolist()
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_both_sides_of_the_packed_width(self, above):
+        # Four keys pack the index in 2 bits: 2**60 is the first key
+        # that has to take the fallback.
+        top = 2**60 if above else 2**60 - 1
+        keys = np.array([top, 3, top, 0], dtype=np.int64)
+        sorted_keys, order = key_order(keys)
+        assert order.tolist() == [3, 1, 0, 2]
+        assert sorted_keys.tolist() == [0, 3, top, top]
 
 
 class TestClaimLanes:

@@ -51,6 +51,75 @@ class TestConstruction:
             make_component([(0, 1, 9)])
 
 
+def lexsort_kernel1(src, dst, rank, num_ranks, n):
+    """Every array :class:`SubgraphComponent` builds, from two lexsorts:
+    push by ``(src, dst)`` with ties in input order, pull by
+    ``(rank, dst, src)``."""
+    def runs(*cols):
+        first = np.zeros(cols[0].size, dtype=bool)
+        first[:1] = True
+        for c in cols:
+            first[1:] |= c[1:] != c[:-1]
+        starts = np.flatnonzero(first)
+        return starts, np.append(starts, first.size)
+
+    push = np.lexsort((dst, src))
+    starts, src_indptr = runs(src[push])
+    src_ids = src[push][starts]
+    slot_of = np.full(n, -1, dtype=np.int64)
+    slot_of[src_ids] = np.arange(src_ids.size)
+    pull = np.lexsort((src, dst, rank))
+    starts, grp_ptr = runs(rank[pull], dst[pull])
+    return {
+        "src_ids": src_ids,
+        "src_indptr": src_indptr,
+        "_slot_of": slot_of,
+        "_push_dst": dst[push],
+        "_push_rank": rank[push],
+        "_pull_src": src[pull],
+        "grp_ptr": grp_ptr,
+        "grp_dst": dst[pull][starts],
+        "grp_rank": rank[pull][starts],
+        "arcs_per_rank": np.bincount(rank, minlength=num_ranks),
+    }
+
+
+@st.composite
+def duplicate_arcs(draw):
+    """Arc lists drawn from a few ``(src, dst)`` pairs, so equal pairs
+    recur on different ranks (the push tie-break) and on the same rank
+    (indistinguishable pull keys)."""
+    n = draw(st.integers(1, 12))
+    ranks = draw(st.integers(1, 4))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            min_size=1, max_size=6,
+        )
+    )
+    arcs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(pairs), st.integers(0, ranks - 1)),
+            max_size=60,
+        )
+    )
+    src = np.array([p[0] for p, _ in arcs], dtype=np.int64)
+    dst = np.array([p[1] for p, _ in arcs], dtype=np.int64)
+    rank = np.array([r for _, r in arcs], dtype=np.int64)
+    return src, dst, rank, ranks, n
+
+
+@given(case=duplicate_arcs())
+@settings(max_examples=200, deadline=None)
+def test_property_construction_matches_lexsort_oracle(case):
+    src, dst, rank, ranks, n = case
+    comp = SubgraphComponent("t", src, dst, rank, ranks, n)
+    for name, want in lexsort_kernel1(src, dst, rank, ranks, n).items():
+        got = getattr(comp, name)
+        assert got.dtype == np.int64, name
+        assert got.tolist() == want.tolist(), name
+
+
 class TestPush:
     def test_selects_frontier_arcs_only(self):
         comp = make_component([(0, 1, 0), (0, 2, 1), (5, 3, 2)], num_ranks=4)
