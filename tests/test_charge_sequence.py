@@ -11,8 +11,9 @@ For three small generated graphs (4×4 mesh with every class populated,
 2×3 with E empty, 1×1) under four engine configs, each run's events are
 folded into one sha256 over every field of every event, beside the event
 counts: single-source BFS from a few roots, 64-lane waves of 1 / 3 / 64
-lanes, and the four vertex programs.  Compared with
-``golden/charge_sequence.json``.
+lanes, and the four vertex programs.  The three baseline engines (1D,
+1D with delegates, 2D) run the same roots on the same three graphs.
+Compared with ``golden/charge_sequence.json``.
 
 A change that is *meant* to move a charge regenerates the file with
 ``python tests/test_charge_sequence.py`` and says so in its PR.
@@ -32,6 +33,7 @@ GOLDEN = ROOT / "tests" / "golden" / "charge_sequence.json"
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
 
+from repro.baselines import DelegatedOneDimBFS, OneDimBFS, TwoDimBFS
 from repro.core.config import BFSConfig
 from repro.core.engine import DistributedBFS
 from repro.core.partition import partition_graph
@@ -67,6 +69,9 @@ PROGRAMS = {
 }
 
 CASES = [f"{graph}/{config}" for graph in GRAPHS for config in CONFIGS]
+
+BASELINES = (OneDimBFS, DelegatedOneDimBFS, TwoDimBFS)
+BASELINE_CASES = [f"baselines/{graph}" for graph in GRAPHS]
 
 
 def digest(ledger) -> dict:
@@ -137,6 +142,20 @@ def charge_sequences(case: str) -> dict:
     return out
 
 
+def baseline_charge_sequences(case: str) -> dict:
+    """Each baseline engine's BFS from the graph's four roots, under the
+    default config (whole-iteration direction, so push and pull levels
+    both run)."""
+    graph = case.split("/")[1]
+    src, dst, part, machine, _, roots, _ = build_case(f"{graph}/default")
+    out = {}
+    for cls in BASELINES:
+        engine = cls(src, dst, part.num_vertices, part.mesh, machine=machine)
+        for root in roots:
+            out[f"{cls.scheme}/root{root}"] = digest(engine.run(root).ledger)
+    return out
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_charge_sequence_matches_golden(case):
     golden = json.loads(GOLDEN.read_text())[case]
@@ -144,7 +163,14 @@ def test_charge_sequence_matches_golden(case):
     assert charge_sequences(case) == golden
 
 
+@pytest.mark.parametrize("case", BASELINE_CASES)
+def test_baseline_charge_sequence_matches_golden(case):
+    golden = json.loads(GOLDEN.read_text())[case]
+    assert len(golden) == 4 * len(BASELINES)
+    assert baseline_charge_sequences(case) == golden
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(
-        json.dumps({c: charge_sequences(c) for c in CASES}, indent=2) + "\n"
-    )
+    sequences = {c: charge_sequences(c) for c in CASES}
+    sequences.update({c: baseline_charge_sequences(c) for c in BASELINE_CASES})
+    GOLDEN.write_text(json.dumps(sequences, indent=2) + "\n")
