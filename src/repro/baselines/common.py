@@ -2,21 +2,23 @@
 
 Every baseline is a :class:`BaselineEngine` subclass that provides:
 
-- its component set (built from :class:`~repro.core.subgraphs.SubgraphComponent`
-  with the scheme's arc placement);
-- per-iteration synchronization charges (``charge_iteration_sync``);
-- message charges for push (``charge_push_messages``) and pull
-  prerequisites (``charge_pull_prereq``);
-- kernel rates per direction.
+- its kernel set (``_build_kernels``): one kernel per
+  :class:`~repro.core.subgraphs.SubgraphComponent` of the scheme's arc
+  placement, a :class:`BaselineKernel` where arcs are node-local or a
+  :class:`GlobalMessageKernel` where they message;
+- the per-iteration synchronization it pays (the scheduler's
+  ``begin_iteration`` hook) and its end-of-run parent reduction
+  (``end_run``), if any.
 
-The loop itself is the shared
-:class:`~repro.core.kernels.scheduler.LevelSyncScheduler` running one
-:class:`BaselineComponentKernel` per component — identical
-whole-iteration direction-optimized BFS (Beamer heuristic; none of the
-baselines has sub-iteration direction) — so differences in simulated
-time come only from the partitioning scheme's communication and balance
-properties.  Pass ``tracer=`` to get the same ``bfs`` → ``iteration`` →
-``component`` span tree the 1.5D engine emits.
+A baseline kernel is the one push/pull skeleton the 1.5D kernels run
+through (:class:`~repro.core.kernels.base.PushPullKernel`), priced on a
+:class:`~repro.core.kernels.base.MeshContext` the engine builds; the
+loop is the shared :class:`~repro.core.kernels.scheduler.LevelSyncScheduler`
+— identical whole-iteration direction-optimized BFS (Beamer heuristic;
+none of the baselines has sub-iteration direction) — so differences in
+simulated time come only from the partitioning scheme's communication
+and balance properties.  Pass ``tracer=`` to get the same ``bfs`` →
+``iteration`` → ``component`` span tree the 1.5D engine emits.
 """
 
 from __future__ import annotations
@@ -25,78 +27,65 @@ import numpy as np
 
 from repro.core.config import BFSConfig
 from repro.core.direction import choose_whole_iteration_direction
-from repro.core.kernels.base import ComponentKernel, KernelBodySpec
-from repro.core.kernels.fifteend import FifteenDContext
+from repro.core.kernels.base import MeshContext, PushPullKernel
 from repro.core.kernels.scheduler import SchedulerHost
 from repro.core.metrics import BFSRunResult, IterationRecord
-from repro.core.subgraphs import SubgraphComponent
-from repro.core.vertexset import first_writers
-from repro.machine.costmodel import CollectiveKind, CostModel, NodeKernelRates
+from repro.core.partition import class_count
 from repro.machine.network import MachineSpec
 from repro.obs.tracer import Tracer
-from repro.runtime.ledger import TrafficLedger
 from repro.runtime.mesh import ProcessMesh
 
-__all__ = ["BaselineEngine", "BaselineComponentKernel"]
+__all__ = ["BaselineEngine", "BaselineKernel", "GlobalMessageKernel"]
 
 
-class BaselineComponentKernel(ComponentKernel):
-    """Generic push/pull kernel over one baseline component.
+class BaselineKernel(PushPullKernel):
+    """A node-local baseline component: messages nothing, needs nothing
+    before a pull.  Pushes are priced at the message-generation rate and
+    pulls at the GLD-latency-bound rate (the baselines lack CG-aware
+    segmenting)."""
 
-    The traversal semantics (frontier arc selection, early-exit pull
-    scan, first-writer-wins updates) are the shared component
-    primitives; everything scheme-specific — message charges, pull
-    prerequisites, kernel rates — is delegated back to the owning
-    :class:`BaselineEngine`'s hooks.
-    """
+    def push_seconds(self, per_rank, sel):
+        ctx = self.ctx
+        return ctx.kernel_time(int(per_rank.max()), ctx.message_rate())
 
-    def __init__(self, engine: "BaselineEngine", name: str, comp: SubgraphComponent):
-        self.engine = engine
-        self.name = name
-        self.comp = comp
+    def pull_rate(self):
+        return self.ctx.rates.pull_rate_unsegmented()
 
-    @property
-    def num_arcs(self) -> int:
-        return self.comp.num_arcs
 
-    def body_spec(self):
-        return KernelBodySpec(component=self.comp, pull_kind="scan")
+class GlobalMessageKernel(BaselineKernel):
+    """Light arcs under 1D, stored at the source's owner: one message per
+    remote frontier arc through a global alltoallv, and a bottom-up sweep
+    that first allreduces the light frontier (``light_vertices`` bits or
+    its sparse entries) over every rank."""
 
-    def pull_body(self, active, visited):
-        return self.comp.pull_scan(~visited.mask, active.mask)
+    def __init__(self, ctx: MeshContext, comp, light_vertices: int) -> None:
+        super().__init__(ctx, comp)
+        self.light_vertices = light_vertices
 
-    def commit_push(self, sel, active, visited, ledger, record):
-        eng, name = self.engine, self.name
-        per_rank = sel.per_rank(eng._p)
-        record.scanned_arcs[name] = sel.num_arcs
-        seconds = eng.rates.kernel_time(
-            int(per_rank.max()), eng.push_rate(name), eng._ws
+    def route(self, label, send_rank, dst, ledger, record, message_bytes):
+        if label == "pull_recv":
+            # Every edge is stored both ways, so a destination's owner
+            # holds its whole adjacency and finds its bottom-up hit there.
+            return
+        ctx = self.ctx
+        o_dst = ctx.mesh.owner_of(dst, ctx.num_vertices)
+        remote = o_dst != send_rank
+        if not np.any(remote):
+            return
+        ctx.charge_alltoallv(
+            self.name, np.bincount(send_rank[remote], minlength=ctx.num_ranks),
+            ledger, message_bytes, ctx.num_ranks, ctx.split_global,
         )
-        ledger.charge_compute(name, f"push:{name}", per_rank, seconds)
-        if sel.num_arcs:
-            eng.charge_push_messages(name, sel, ledger)
-        at = np.flatnonzero(~visited.mask[sel.dst])
-        newly, first = first_writers(sel.dst[at], visited.scratch)
-        return newly, sel.src[at[first]]
+        ctx.charge_receiver_kernel(self.name, o_dst[remote], ledger, label)
 
-    def commit_pull(self, scan, active, visited, ledger, record):
-        eng, name = self.engine, self.name
-        eng.charge_pull_prereq(name, ledger, active, visited)
-        record.scanned_arcs[name] = scan.scanned_arcs
-        seconds = eng.rates.kernel_time(
-            int(scan.scanned_per_rank.max()), eng.pull_rate(name), eng._ws
+    def pull_prereq(self, ledger, active, visited):
+        ctx = self.ctx
+        ledger.charge_allreduce(
+            self.name,
+            ctx.num_ranks,
+            ctx.sync_bytes(self.light_vertices, class_count(active.counts, "L")),
+            ctx.split_global,
         )
-        ledger.charge_compute(
-            name, f"pull:{name}", scan.scanned_per_rank, seconds
-        )
-        return scan.hit_dst, scan.hit_src
-
-    def execute(self, direction, active, visited, ledger, record):
-        if direction == "push":
-            sel = self.comp.push_select(active)
-            return self.commit_push(sel, active, visited, ledger, record)
-        scan = self.pull_body(active, visited)
-        return self.commit_pull(scan, active, visited, ledger, record)
 
 
 class BaselineEngine(SchedulerHost):
@@ -122,62 +111,32 @@ class BaselineEngine(SchedulerHost):
             machine = mesh.machine or MachineSpec(num_nodes=mesh.num_ranks)
         self.machine = machine
         self.config = config or BFSConfig()
-        self.cost = CostModel(machine)
-        self.rates = NodeKernelRates(chip=machine.chip)
-        self._ws = machine.work_scale
-        self._p = mesh.num_ranks
-        self._block_bytes = -(-mesh.block_size(num_vertices) // 8)
+        self.ctx = MeshContext(mesh, machine, self.config, self.num_vertices)
         from repro.graphs.stats import degrees_from_edges
 
         self.degrees = degrees_from_edges(src, dst, num_vertices)
-        self.components = self._build_components(src, dst)
+        kernels = self._build_kernels(src, dst)
+        self.components = {name: k.comp for name, k in kernels.items()}
         self.num_input_edges = (
             sum(c.num_arcs for c in self.components.values()) // 2
         )
-        self.mount(
-            {n: BaselineComponentKernel(self, n, c) for n, c in self.components.items()},
-            tracer, metrics,
-        )
+        self.mount(kernels, tracer, metrics)
+
+    @property
+    def cost(self):
+        return self.ctx.cost
+
+    def _build_kernels(self, src, dst) -> dict[str, BaselineKernel]:
+        """The scheme's components, each under its kernel."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # scheme hooks
-    # ------------------------------------------------------------------
-
-    def _build_components(self, src, dst) -> dict[str, SubgraphComponent]:
-        raise NotImplementedError
-
-    def charge_iteration_sync(self, ledger: TrafficLedger, active, visited) -> None:
-        """Frontier/delegate synchronization paid every iteration."""
-        raise NotImplementedError
-
-    def charge_push_messages(self, name, sel, ledger) -> None:
-        """Remote traffic of a top-down sub-step (may be nothing)."""
-        raise NotImplementedError
-
-    def charge_pull_prereq(self, name, ledger, active, visited) -> None:
-        """Remote state needed before a bottom-up sub-step."""
-        raise NotImplementedError
-
-    def charge_parent_reduction(self, ledger) -> None:
-        """End-of-run delegated parent reduction (may be nothing)."""
-        raise NotImplementedError
-
-    def push_rate(self, name) -> float:
-        return self.rates.message_rate(self.config.num_cgs)
-
-    def pull_rate(self, name) -> float:
-        # Baselines lack CG-aware segmenting: GLD-latency bound pulls.
-        return self.rates.pull_rate_unsegmented()
-
-    # ------------------------------------------------------------------
-    # scheduler hooks
+    # scheduler hooks (a scheme also overrides ``begin_iteration`` with
+    # its frontier sync and ``end_run`` with its parent reduction)
     # ------------------------------------------------------------------
 
     def run(self, root: int, **resilience) -> BFSRunResult:
         return self.scheduler.run(root, **resilience)
-
-    def begin_iteration(self, ledger, active, visited) -> None:
-        self.charge_iteration_sync(ledger, active, visited)
 
     def iteration_direction(self, active, visited) -> str:
         return choose_whole_iteration_direction(
@@ -186,42 +145,3 @@ class BaselineEngine(SchedulerHost):
 
     def record_activation(self, record: IterationRecord, next_active) -> None:
         record.newly_activated["all"] = len(next_active)
-
-    def end_run(self, ledger, tracer, parent) -> None:
-        self.charge_parent_reduction(ledger)
-
-    # ------------------------------------------------------------------
-    # charging helpers shared by schemes
-    # ------------------------------------------------------------------
-
-    def charge_global_bitmap_allreduce(
-        self, phase: str, ledger: TrafficLedger, num_bits: int, sparse_count: int
-    ) -> None:
-        """Global allreduce of a shared frontier set."""
-        ledger.charge_allreduce(
-            phase,
-            self._p,
-            FifteenDContext.sync_bytes(num_bits, sparse_count),
-            self.mesh.group_traffic_split(np.arange(self._p)),
-        )
-
-    def charge_global_alltoallv(
-        self, phase: str, send_msgs_per_rank: np.ndarray, ledger: TrafficLedger, message_bytes: int = 8
-    ) -> None:
-        max_bytes = float(send_msgs_per_rank.max()) * message_bytes
-        intra_f, inter_f = self.mesh.group_traffic_split(np.arange(self._p))
-        ledger.charge_collective(
-            phase,
-            CollectiveKind.ALLTOALLV,
-            self._p,
-            max_bytes * intra_f,
-            max_bytes * inter_f,
-            total_bytes=float(send_msgs_per_rank.sum()) * message_bytes,
-        )
-
-    def charge_receiver_kernel(self, phase, recv_rank_per_msg, ledger, label="recv"):
-        counts = np.bincount(recv_rank_per_msg, minlength=self._p)
-        seconds = self.rates.kernel_time(
-            int(counts.max()), self.rates.message_rate(self.config.num_cgs), self._ws
-        )
-        ledger.charge_compute(phase, f"push_{label}:{phase}", counts, seconds)

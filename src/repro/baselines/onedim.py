@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.common import BaselineEngine
+from repro.baselines.common import BaselineEngine, BaselineKernel, GlobalMessageKernel
 from repro.core.partition import VertexClass, class_count
 from repro.core.subgraphs import SubgraphComponent
 from repro.graphs.csr import symmetrize_edges
+from repro.machine.costmodel import CollectiveKind
 
 __all__ = ["OneDimBFS", "DelegatedOneDimBFS"]
 
@@ -33,40 +34,20 @@ class OneDimBFS(BaselineEngine):
 
     scheme = "1D"
 
-    def _build_components(self, src, dst):
+    def _build_kernels(self, src, dst):
         a_src, a_dst = symmetrize_edges(src, dst)
         rank = self.mesh.owner_of(a_src, self.num_vertices)
-        return {
-            "ALL": SubgraphComponent(
-                "ALL", a_src, a_dst, rank, self._p, self.num_vertices
-            )
-        }
-
-    def charge_iteration_sync(self, ledger, active, visited):
-        # No delegates: nothing to synchronize beyond the frontier counts
-        # (a scalar allreduce folded into the barrier).
-        from repro.machine.costmodel import CollectiveKind
-
-        ledger.charge_collective("other", CollectiveKind.BARRIER, self._p)
-
-    def charge_push_messages(self, name, sel, ledger):
-        # One 8-byte message per frontier arc whose destination is remote.
-        o_dst = self.mesh.owner_of(sel.dst, self.num_vertices)
-        remote = o_dst != sel.rank
-        if not np.any(remote):
-            return
-        send = np.bincount(sel.rank[remote], minlength=self._p)
-        self.charge_global_alltoallv(name, send, ledger)
-        self.charge_receiver_kernel(name, o_dst[remote], ledger)
-
-    def charge_pull_prereq(self, name, ledger, active, visited):
-        # Bottom-up needs every rank to hold the full frontier set.
-        self.charge_global_bitmap_allreduce(
-            name, ledger, self.num_vertices, len(active)
+        comp = SubgraphComponent(
+            "ALL", a_src, a_dst, rank, self.ctx.num_ranks, self.num_vertices
         )
+        # Without delegates every vertex is light.
+        return {"ALL": GlobalMessageKernel(self.ctx, comp, self.num_vertices)}
 
-    def charge_parent_reduction(self, ledger):
-        pass  # parents are owner-local in 1D
+    def begin_iteration(self, ledger, active, visited):
+        # No delegates: nothing to synchronize beyond the frontier counts
+        # (a scalar allreduce folded into the barrier).  Parents are
+        # owner-local, so there is no reduction at run end either.
+        ledger.charge_collective("other", CollectiveKind.BARRIER, self.ctx.num_ranks)
 
 
 class DelegatedOneDimBFS(BaselineEngine):
@@ -81,7 +62,7 @@ class DelegatedOneDimBFS(BaselineEngine):
         super().__init__(src, dst, num_vertices, mesh, machine, config,
                          tracer, metrics)
 
-    def _build_components(self, src, dst):
+    def _build_kernels(self, src, dst):
         if self.heavy_threshold is None:
             # The literature's rule of thumb (§2.3): ~0.1% of vertices are
             # delegated; pick the degree of the 0.1%-quantile vertex.
@@ -100,65 +81,47 @@ class DelegatedOneDimBFS(BaselineEngine):
         o_src = self.mesh.owner_of(a_src, self.num_vertices)
         o_dst = self.mesh.owner_of(a_dst, self.num_vertices)
 
-        comps = {}
-        # heavy source: adjacency distributed with the destination, so
-        # expansion from a delegate is node-local (like the paper's E2L).
-        sel = hs
-        comps["H2X"] = SubgraphComponent(
-            "H2X", a_src[sel], a_dst[sel], o_dst[sel], self._p,
-            self.num_vertices,
-        )
-        # light -> heavy: the local delegate absorbs the update.
-        sel = (~hs) & hd
-        comps["L2H"] = SubgraphComponent(
-            "L2H", a_src[sel], a_dst[sel], o_src[sel], self._p,
-            self.num_vertices,
-        )
-        # light -> light: plain 1D messaging.
-        sel = (~hs) & (~hd)
-        comps["L2L"] = SubgraphComponent(
-            "L2L", a_src[sel], a_dst[sel], o_src[sel], self._p,
-            self.num_vertices,
-        )
-        return comps
+        def component(name, sel, rank):
+            return SubgraphComponent(
+                name, a_src[sel], a_dst[sel], rank[sel], self.ctx.num_ranks,
+                self.num_vertices,
+            )
 
-    def charge_iteration_sync(self, ledger, active, visited):
+        # A heavy source's adjacency is distributed with the destination,
+        # so expansion from a delegate is node-local (like the paper's
+        # E2L); on a light -> heavy arc the local delegate absorbs the
+        # update.  H2X / L2H pulls read the replicated heavy bitmap: free
+        # beyond the per-iteration sync.
+        h2x = component("H2X", hs, o_dst)
+        l2h = component("L2H", ~hs & hd, o_src)
+        # light -> light: plain 1D messaging.
+        l2l = component("L2L", ~hs & ~hd, o_src)
+        return {
+            "H2X": BaselineKernel(self.ctx, h2x),
+            "L2H": BaselineKernel(self.ctx, l2h),
+            "L2L": GlobalMessageKernel(
+                self.ctx, l2l, self.num_vertices - self.num_heavy
+            ),
+        }
+
+    def begin_iteration(self, ledger, active, visited):
         # Global allreduce of the heavy frontier: every node keeps every
         # heavy vertex's state — the delegate set that stops scaling.
-        active_heavy = class_count(active.counts, "H")
-        self.charge_global_bitmap_allreduce(
-            "other", ledger, self.num_heavy, active_heavy
+        ctx = self.ctx
+        ledger.charge_allreduce(
+            "other",
+            ctx.num_ranks,
+            ctx.sync_bytes(self.num_heavy, class_count(active.counts, "H")),
+            ctx.split_global,
         )
 
-    def charge_push_messages(self, name, sel, ledger):
-        if name != "L2L":
-            return  # heavy-endpoint arcs are node-local by placement
-        o_dst = self.mesh.owner_of(sel.dst, self.num_vertices)
-        remote = o_dst != sel.rank
-        if not np.any(remote):
-            return
-        send = np.bincount(sel.rank[remote], minlength=self._p)
-        self.charge_global_alltoallv(name, send, ledger)
-        self.charge_receiver_kernel(name, o_dst[remote], ledger)
-
-    def charge_pull_prereq(self, name, ledger, active, visited):
-        if name == "L2L":
-            # light frontier state must be everywhere for bottom-up.
-            light = self.num_vertices - self.num_heavy
-            active_light = class_count(active.counts, "L")
-            self.charge_global_bitmap_allreduce(name, ledger, light, active_light)
-        # H2X / L2H pulls read the replicated heavy bitmap: free beyond
-        # the per-iteration sync.
-
-    def charge_parent_reduction(self, ledger):
-        from repro.machine.costmodel import CollectiveKind
-
+    def end_run(self, ledger, tracer, parent):
         if self.num_heavy == 0:
             return
         ledger.charge_scoped(
             "reduce",
             CollectiveKind.REDUCE_SCATTER,
-            self._p,
+            self.ctx.num_ranks,
             float(self.num_heavy) * 8,
-            self.mesh.group_traffic_split(np.arange(self._p)),
+            self.ctx.split_global,
         )

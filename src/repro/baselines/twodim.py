@@ -18,8 +18,7 @@ reduction covers the whole vertex set.
 
 from __future__ import annotations
 
-from repro.baselines.common import BaselineEngine
-from repro.core.kernels.fifteend import FifteenDContext
+from repro.baselines.common import BaselineEngine, BaselineKernel
 from repro.core.subgraphs import SubgraphComponent
 from repro.graphs.csr import symmetrize_edges
 from repro.machine.costmodel import CollectiveKind
@@ -32,51 +31,40 @@ class TwoDimBFS(BaselineEngine):
 
     scheme = "2D"
 
-    def _build_components(self, src, dst):
+    def _build_kernels(self, src, dst):
+        # Updates land in row delegates and column bits are replicated by
+        # the per-iteration sync: the component messages nothing.
         a_src, a_dst = symmetrize_edges(src, dst)
         o_src = self.mesh.owner_of(a_src, self.num_vertices)
         o_dst = self.mesh.owner_of(a_dst, self.num_vertices)
         rank = self.mesh.row_of(o_dst) * self.mesh.cols + self.mesh.col_of(o_src)
-        return {
-            "2D": SubgraphComponent(
-                "2D", a_src, a_dst, rank, self._p, self.num_vertices
-            )
-        }
-
-    # ------------------------------------------------------------------
-
-    def _col_vertex_bits(self) -> int:
-        """Vertices owned by the ranks of one mesh column (max)."""
-        per_rank = self.mesh.block_size(self.num_vertices)
-        return per_rank * self.mesh.rows
+        comp = SubgraphComponent(
+            "2D", a_src, a_dst, rank, self.ctx.num_ranks, self.num_vertices
+        )
+        return {"2D": BaselineKernel(self.ctx, comp)}
 
     def _row_vertex_bits(self) -> int:
-        per_rank = self.mesh.block_size(self.num_vertices)
-        return per_rank * self.mesh.cols
+        """Vertices owned by the ranks of one mesh row (max)."""
+        return self.mesh.block_size(self.num_vertices) * self.mesh.cols
 
-    def charge_iteration_sync(self, ledger, active, visited):
+    def begin_iteration(self, ledger, active, visited):
         # Column allreduce of frontier bits (sources), row allreduce of
         # visited/next bits (destinations): the O(|V_local| * sqrt(P)) term.
-        mesh = self.mesh
-        # (replica bits, ranks splitting the sparse list, participants, scope)
-        for bits, sharers, participants, ranks in (
-            (self._col_vertex_bits(), mesh.cols, mesh.rows, mesh.col_ranks(0)),
-            (self._row_vertex_bits(), mesh.rows, mesh.cols, mesh.row_ranks(0)),
+        ctx, mesh = self.ctx, self.mesh
+        col_bits = mesh.block_size(self.num_vertices) * mesh.rows
+        # (replica bits, ranks splitting the sparse list, participants, split)
+        for bits, sharers, participants, split in (
+            (col_bits, mesh.cols, mesh.rows, ctx.split_col),
+            (self._row_vertex_bits(), mesh.rows, mesh.cols, ctx.split_row),
         ):
             ledger.charge_allreduce(
                 "other",
                 participants,
-                FifteenDContext.sync_bytes(bits, -(-len(active) // sharers)),
-                mesh.group_traffic_split(ranks),
+                ctx.sync_bytes(bits, -(-len(active) // sharers)),
+                split,
             )
 
-    def charge_push_messages(self, name, sel, ledger):
-        pass  # updates land in row delegates; the sync above carries them
-
-    def charge_pull_prereq(self, name, ledger, active, visited):
-        pass  # column bits are already replicated by the sync
-
-    def charge_parent_reduction(self, ledger):
+    def end_run(self, ledger, tracer, parent):
         # All vertices are delegated: parents reduce over rows (each owner
         # collects from its row's replicas).
         ledger.charge_scoped(
@@ -84,5 +72,5 @@ class TwoDimBFS(BaselineEngine):
             CollectiveKind.REDUCE_SCATTER,
             self.mesh.cols,
             float(self._row_vertex_bits()) * 8,
-            self.mesh.group_traffic_split(self.mesh.row_ranks(0)),
+            self.ctx.split_row,
         )

@@ -12,10 +12,9 @@ with its exactly-counted volume.
 
 The engine is a facade over the component-kernel layer
 (:mod:`repro.core.kernels`): the six edge components execute as
-:class:`~repro.core.kernels.base.ComponentKernel` objects from
-:data:`~repro.core.kernels.fifteend.FIFTEEND_KERNELS` — each owning its
-push/pull kernels, compute rates, message routing, and ledger charges —
-mounted densest-first (EH2EH, E2L, L2E, H2L, L2H, L2L) on the shared
+the :data:`~repro.core.kernels.fifteend.FIFTEEND_KERNELS` — each
+supplying its compute rates, message routing and pull prerequisite to
+the one push/pull skeleton the baselines share — mounted densest-first (EH2EH, E2L, L2E, H2L, L2H, L2L) on the shared
 :class:`~repro.core.kernels.scheduler.LevelSyncScheduler`.  The engine
 itself only supplies the 1.5D scheduler hooks: the per-iteration
 delegate frontier sync, the §4.2 direction policy (every component picks
@@ -37,8 +36,8 @@ Communication pattern per the 1.5D scheme:
   source column and destination row (§4.4) — a column alltoallv (crossing
   supernodes) followed by a row alltoallv.
 - pull prerequisites: H2L pull row-allgathers the row's unvisited-L bits;
-  L2L pull all-gathers the global active-L bits (the §2.3 scalability
-  wall of bottom-up 1D, priced explicitly).
+  L2L pull is batched query/reply messaging over the two-stage path (no
+  early exit, the §2.1.2 limit of bottom-up 1D, priced explicitly).
 - parent arrays of delegated vertices: reduce-scatter at run end (delayed
   reduction, §5) or every iteration when disabled.
 
@@ -71,7 +70,7 @@ from repro.core.direction import (
     choose_whole_iteration_direction,
     pull_wins,
 )
-from repro.core.kernels.fifteend import FifteenDContext, build_fifteend_kernels
+from repro.core.kernels.fifteend import FIFTEEND_KERNELS, FifteenDContext
 from repro.core.kernels.scheduler import SchedulerHost
 from repro.core.lanes import iter_lanes, lane_bit, lanes_word
 from repro.core.metrics import BFSRunResult, IterationRecord, MSBFSResult
@@ -81,7 +80,6 @@ from repro.core.partition import (
     PartitionedGraph,
     class_count,
 )
-from repro.core.subgraphs import COMPONENT_ORDER
 from repro.machine.network import MachineSpec
 from repro.obs.tracer import Tracer
 
@@ -121,7 +119,8 @@ class DistributedBFS(SchedulerHost):
         self.machine = machine
 
         self.ctx = FifteenDContext(part, machine, config)
-        self.mount(build_fifteend_kernels(self.ctx, COMPONENT_ORDER), tracer, metrics, backend)
+        kernels = {n: k(self.ctx, part.components[n]) for n, k in FIFTEEND_KERNELS.items()}
+        self.mount(kernels, tracer, metrics, backend)
 
         self.num_vertices = part.num_vertices
         self.num_input_edges = part.total_arcs // 2

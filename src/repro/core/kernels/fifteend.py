@@ -21,10 +21,13 @@ L2L       push forwards through the §4.4 two-stage (column then row)
           bytes per scanned arc and no early exit (the §2.1.2 limit).
 ========  =================================================================
 
-All six charge through one :class:`FifteenDContext`, which carries the
-partition, mesh, machine rates, and the supernode traffic splits; the
-context also prices the per-iteration delegate frontier sync and the §5
-parent reduction for the engine facade.
+All six run through the one push/pull skeleton
+(:class:`~repro.core.kernels.base.PushPullKernel`, which the baselines
+share) and charge through one :class:`FifteenDContext`: the mesh pricing
+context (:class:`~repro.core.kernels.base.MeshContext`) plus what only
+1.5D has — the partition's class masks, the §4.3 segmenting plan, the
+§4.4 two-stage L2L path, and the per-iteration delegate frontier sync
+and §5 parent reduction the engine facade charges.
 
 The cost model is written once, under all three traversal modes.  A
 *kernel* supplies its rates and its message path (``push_seconds``,
@@ -50,46 +53,32 @@ from repro.core.config import BFSConfig
 from repro.core.direction import ClassState
 from repro.core.kernels.base import (
     EMPTY_ACTIVATION,
-    ComponentKernel,
+    LANE_MESSAGE_BYTES,
+    MESSAGE_BYTES,
     KernelBodySpec,
-    KernelRegistry,
+    MeshContext,
+    PushPullKernel,
+    wire_bytes,
 )
 from repro.core.lanes import first_writer_lanes
 from repro.core.partition import PartitionedGraph, class_count
 from repro.core.segmenting import plan_segmenting
 from repro.core.vertexset import first_writers
-from repro.machine.costmodel import CollectiveKind, CostModel, NodeKernelRates
+from repro.machine.costmodel import CollectiveKind
 from repro.machine.network import MachineSpec
 
 __all__ = [
     "FifteenDContext",
     "FIFTEEND_KERNELS",
-    "build_fifteend_kernels",
     "MESSAGE_BYTES",
     "LANE_MESSAGE_BYTES",
     "wire_bytes",
 ]
 
-MESSAGE_BYTES = 8
-#: A batched-wave message carries the 8-byte vertex ID plus the 64-bit
-#: lane word, so up to 64 lanes share one message where sequential runs
-#: would each send their own.
-LANE_MESSAGE_BYTES = 16
 
-
-def wire_bytes(num_lanes: int) -> int:
-    """Bytes of one message (or sparse sync entry) of a run with
-    ``num_lanes`` lanes: one lane needs no lane word, so a batch of one
-    is charged exactly what its root's single-source run is."""
-    return MESSAGE_BYTES if num_lanes == 1 else LANE_MESSAGE_BYTES
-
-
-#: The six 1.5D kernels, keyed by component name.
-FIFTEEND_KERNELS = KernelRegistry()
-
-
-class FifteenDContext:
-    """Shared machine/partition state the six kernels charge through."""
+class FifteenDContext(MeshContext):
+    """The mesh pricing context plus the partition state only the six
+    1.5D kernels and their engine charge through."""
 
     def __init__(
         self,
@@ -97,81 +86,14 @@ class FifteenDContext:
         machine: MachineSpec,
         config: BFSConfig,
     ) -> None:
+        super().__init__(part.mesh, machine, config, part.num_vertices)
         self.part = part
-        self.mesh = part.mesh
-        self.machine = machine
-        self.config = config
-        self.cost = CostModel(machine)
-        self.rates = NodeKernelRates(chip=machine.chip)
-        self.work_scale = machine.work_scale
 
         self.masks = part.class_masks()
         self.class_state = ClassState(self.masks)
         self.seg_plan = plan_segmenting(part, chip=machine.chip)
         self.use_segmenting = config.segmenting and self.seg_plan.feasible
-
-        self.num_vertices = part.num_vertices
-        self.num_ranks = self.mesh.num_ranks
         self.block_bytes = -(-self.mesh.block_size(part.num_vertices) // 8)
-
-        # Supernode (intra_frac, inter_frac) splits of the three
-        # collective scopes, from the canonical mesh helper.
-        self.split_global = self.mesh.group_traffic_split(
-            np.arange(self.num_ranks)
-        )
-        self.split_row = self.mesh.group_traffic_split(self.mesh.row_ranks(0))
-        self.split_col = self.mesh.group_traffic_split(self.mesh.col_ranks(0))
-
-    # ------------------------------------------------------------------
-    # shared pricing helpers
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def sync_bytes(bitmap_bits: int, sparse_count: int, num_lanes: int = 1) -> float:
-        """Wire bytes of a frontier-set exchange: packed bitmap or sparse
-        entries, whichever is smaller (what real implementations switch
-        between).  The bitmap has ``num_lanes`` bits per vertex, a sparse
-        entry is :func:`wire_bytes` wide."""
-        return float(min(
-            -(-bitmap_bits * num_lanes // 8),
-            sparse_count * wire_bytes(num_lanes),
-        ))
-
-    def kernel_time(self, max_items: int, rate: float) -> float:
-        return self.rates.kernel_time(max_items, rate, self.work_scale)
-
-    def message_rate(self) -> float:
-        return self.rates.message_rate(self.config.num_cgs)
-
-    # ------------------------------------------------------------------
-    # shared charging paths
-    # ------------------------------------------------------------------
-
-    def _charge_alltoallv(
-        self, name, send_msgs_per_rank, ledger, message_bytes, participants, split
-    ):
-        """One alltoallv of fixed-size messages over a row or a column:
-        the busiest sender bounds the time, every sender counts in the
-        bytes."""
-        max_bytes = float(send_msgs_per_rank.max()) * message_bytes
-        ledger.charge_collective(
-            name,
-            CollectiveKind.ALLTOALLV,
-            participants=participants,
-            max_bytes_intra=max_bytes * split[0],
-            max_bytes_inter=max_bytes * split[1],
-            total_bytes=float(send_msgs_per_rank.sum()) * message_bytes,
-        )
-
-    def charge_row_alltoallv(
-        self, name, send_msgs_per_rank, ledger, message_bytes=MESSAGE_BYTES
-    ):
-        """Intra-row alltoallv of fixed-size messages (H2L / L2H routing);
-        a wave passes ``message_bytes=wire_bytes(num_lanes)``."""
-        self._charge_alltoallv(
-            name, send_msgs_per_rank, ledger, message_bytes,
-            self.mesh.cols, self.split_row,
-        )
 
     def charge_l2l_alltoallv(
         self, sender_rank, dest_rank, ledger, message_bytes=MESSAGE_BYTES
@@ -182,20 +104,15 @@ class FifteenDContext:
             self.mesh.row_of(dest_rank) * self.mesh.cols
             + self.mesh.col_of(sender_rank)
         )
-        self._charge_alltoallv(
+        self.charge_alltoallv(
             "L2L", np.bincount(sender_rank, minlength=self.num_ranks),
             ledger, message_bytes, self.mesh.rows, self.split_col,
         )
         self.charge_receiver_kernel("L2L", fwd_rank, ledger, "forward")
-        self._charge_alltoallv(
+        self.charge_alltoallv(
             "L2L", np.bincount(fwd_rank, minlength=self.num_ranks),
             ledger, message_bytes, self.mesh.cols, self.split_row,
         )
-
-    def charge_receiver_kernel(self, name, recv_rank_per_msg, ledger, label):
-        counts = np.bincount(recv_rank_per_msg, minlength=self.num_ranks)
-        seconds = self.kernel_time(int(counts.max()), self.message_rate())
-        ledger.charge_compute(name, f"{label}:{name}", counts, seconds)
 
     # ------------------------------------------------------------------
     # per-iteration delegate sync and §5 parent reduction (engine-level
@@ -259,124 +176,36 @@ class FifteenDContext:
             )
 
 
-class _FifteenDKernel(ComponentKernel):
-    """Shared push/pull skeleton of the six 1.5D kernels.
+class _FifteenDKernel(PushPullKernel):
+    """The push/pull skeleton plus the two 1.5D-only modes.
 
-    A kernel supplies policy — :meth:`push_seconds`, :meth:`pull_rate`,
-    :meth:`route`, :meth:`charge_pull_prereq` — and the skeleton charges
-    it through :meth:`_charge_push` / :meth:`_charge_pull`, the one
-    charging path under every mode.  The six ``commit_*`` methods are the
-    modes: each passes its wire width to that path and applies its winner
-    rule to the body's arcs, and knows nothing else about pricing.
+    Beside the skeleton's policy hooks, a 1.5D kernel states its pull
+    prerequisite once, :meth:`charge_pull_prereq`, for every mode.  The
+    lane and program ``commit_*`` methods are the other modes: each
+    passes its wire width to the skeleton's one charging path and applies
+    its winner rule to the body's arcs, and knows nothing else about
+    pricing.
     """
-
-    def __init__(self, ctx: FifteenDContext, comp) -> None:
-        self.ctx = ctx
-        self.comp = comp
-
-    @property
-    def num_arcs(self) -> int:
-        return self.comp.num_arcs
-
-    # -- per-kernel policy hooks ---------------------------------------
-
-    def push_seconds(self, per_rank: np.ndarray, sel) -> float:
-        """Compute time of the top-down sweep ``sel`` (busiest rank)."""
-        raise NotImplementedError
-
-    def pull_rate(self) -> float:
-        """Arcs/second of the bottom-up kernel.
-
-        Components whose frontier bitmap is small (the E bitmap, the
-        column-H bits) enjoy the LDM-resident rate; components that must
-        randomly read large local bitmaps pay the GLD-latency rate.
-        """
-        raise NotImplementedError
-
-    def route(self, label, send_rank, dst, ledger, record, message_bytes) -> None:
-        """Charge the remote traffic of one message per entry of
-        ``send_rank`` (the sending rank) / ``dst`` (the vertex it
-        updates), ``message_bytes`` wide — nothing if the component is
-        node-local.  ``label`` names the receiving kernel:
-        ``"push_recv"`` for pushed arcs, ``"pull_recv"`` for bottom-up
-        hits travelling to their owners."""
 
     def charge_pull_prereq(self, ledger, unvisited_l, num_lanes=1) -> None:
         """Charge remote state the pulling ranks need first (if any).
         ``unvisited_l`` is a zero-argument callable returning the L
         vertices a pull may still reach, so a kernel that needs no
         prerequisite never counts them; ``num_lanes`` as in
-        :meth:`FifteenDContext.sync_bytes`."""
+        :meth:`~repro.core.kernels.base.MeshContext.sync_bytes`."""
 
-    # -- the one charging path -----------------------------------------
-
-    def _charge_push(self, sel, ledger, record, message_bytes=MESSAGE_BYTES):
-        """Charge a top-down sweep: the arcs, the sweep's compute, and
-        one routed message per selected arc."""
-        name = self.name
-        per_rank = sel.per_rank(self.ctx.num_ranks)
-        record.scanned_arcs[name] = record.scanned_arcs.get(name, 0) + sel.num_arcs
-        seconds = self.push_seconds(per_rank, sel)
-        ledger.charge_compute(name, f"push:{name}", per_rank, seconds)
-        if sel.num_arcs:
-            self.route("push_recv", sel.rank, sel.dst, ledger, record, message_bytes)
-
-    def _charge_pull(
-        self, scan, msg_rank, msg_dst, ledger, record, message_bytes=MESSAGE_BYTES
-    ):
-        """Charge a bottom-up scan: the arcs, the scan's compute, and one
-        routed message per ``(msg_rank, msg_dst)`` the scan produced."""
-        name = self.name
-        record.scanned_arcs[name] = (
-            record.scanned_arcs.get(name, 0) + scan.scanned_arcs
+    def pull_prereq(self, ledger, active, visited) -> None:
+        # A single-source pull may reach every still-unvisited L vertex.
+        sizes = self.ctx.class_state.sizes
+        self.charge_pull_prereq(
+            ledger, lambda: sizes["L"] - class_count(visited.counts, "L")
         )
-        seconds = self.ctx.kernel_time(
-            int(scan.scanned_per_rank.max()), self.pull_rate()
-        )
-        ledger.charge_compute(name, f"pull:{name}", scan.scanned_per_rank, seconds)
-        if msg_rank.size:
-            self.route("pull_recv", msg_rank, msg_dst, ledger, record, message_bytes)
-
-    # -- body/commit split (the execution-backend contract) -------------
-    #
-    # Every path below factors into a pure *body* (an arc selection or
-    # scan over the component's frozen arrays — no ledger access) and a
-    # *commit* that does all charging, routing, and activation dedup on
-    # the body's result.  The ``execute*`` methods chain the two; a
-    # substituted backend (the layer bench's timing one) calls the same
-    # two halves with a span around each, so the ledger sees an
-    # identical charge sequence either way.
-
-    def body_spec(self):
-        return KernelBodySpec(component=self.comp, pull_kind="scan")
-
-    def pull_body(self, active, visited):
-        """The pure bottom-up body (L2L overrides with its query model)."""
-        return self.comp.pull_scan(~visited.mask, active.mask)
 
     def lanes_pull_body(self, group_lanes, lanes):
         group = np.uint64(group_lanes)
         return self.comp.pull_scan_lanes(
             ~lanes.visited & group, lanes.active & group, group
         )
-
-    def commit_push(self, sel, active, visited, ledger, record):
-        self._charge_push(sel, ledger, record)
-        # Local (or post-message) update: first writer per destination in
-        # deterministic component order wins.
-        fresh = np.flatnonzero(~visited.mask[sel.dst])
-        if fresh.size == 0:
-            return EMPTY_ACTIVATION
-        uniq, first = first_writers(sel.dst[fresh], visited.scratch)
-        return uniq, sel.src[fresh[first]]
-
-    def commit_pull(self, scan, active, visited, ledger, record):
-        sizes = self.ctx.class_state.sizes
-        self.charge_pull_prereq(
-            ledger, lambda: sizes["L"] - class_count(visited.counts, "L")
-        )
-        self._charge_pull(scan, scan.hit_rank, scan.hit_dst, ledger, record)
-        return scan.hit_dst, scan.hit_src
 
     def commit_push_lanes(self, sel, group_lanes, lanes, ledger, record):
         """Commit of the lane-shared top-down sweep.
@@ -437,13 +266,6 @@ class _FifteenDKernel(ComponentKernel):
 
     # -- execution ------------------------------------------------------
 
-    def execute(self, direction, active, visited, ledger, record):
-        if direction == "push":
-            sel = self.comp.push_select(active)
-            return self.commit_push(sel, active, visited, ledger, record)
-        body = self.pull_body(active, visited)
-        return self.commit_pull(body, active, visited, ledger, record)
-
     def execute_lanes(self, direction, group_lanes, lanes, ledger, record):
         group = np.uint64(group_lanes)
         if direction == "push":
@@ -465,7 +287,6 @@ class _FifteenDKernel(ComponentKernel):
         )
 
 
-@FIFTEEND_KERNELS.register("EH2EH")
 class EH2EHKernel(_FifteenDKernel):
     """The 2D core: node-local, vertex-cut balanced, segmentable."""
 
@@ -496,16 +317,6 @@ class _LocalKernel(_FifteenDKernel):
         return self.ctx.rates.pull_rate_segmented()
 
 
-@FIFTEEND_KERNELS.register("E2L")
-class E2LKernel(_LocalKernel):
-    pass
-
-
-@FIFTEEND_KERNELS.register("L2E")
-class L2EKernel(_LocalKernel):
-    pass
-
-
 class _RowMessageKernel(_FifteenDKernel):
     """Intra-row messaging components (H2L, L2H)."""
 
@@ -528,16 +339,13 @@ class _RowMessageKernel(_FifteenDKernel):
         ctx, name = self.ctx, self.name
         record.messages[name] = record.messages.get(name, 0) + send_rank.size
         ctx.charge_row_alltoallv(
-            name,
-            np.bincount(send_rank, minlength=ctx.num_ranks),
-            ledger,
+            name, np.bincount(send_rank, minlength=ctx.num_ranks), ledger,
             message_bytes,
         )
         recv_rank = self.owner_of_dst(dst, send_rank)
         ctx.charge_receiver_kernel(name, recv_rank, ledger, label)
 
 
-@FIFTEEND_KERNELS.register("H2L")
 class H2LKernel(_RowMessageKernel):
     def owner_of_dst(self, dst, sender_rank):
         return self.ctx.mesh.owner_of(dst, self.ctx.num_vertices)
@@ -556,7 +364,6 @@ class H2LKernel(_RowMessageKernel):
         )
 
 
-@FIFTEEND_KERNELS.register("L2H")
 class L2HKernel(_RowMessageKernel):
     def owner_of_dst(self, dst, sender_rank):
         # Messages go to the intersection rank (sender's row, the H
@@ -566,7 +373,6 @@ class L2HKernel(_RowMessageKernel):
         return sender_row * ctx.mesh.cols + ctx.part.eh_col[dst]
 
 
-@FIFTEEND_KERNELS.register("L2L")
 class L2LKernel(_FifteenDKernel):
     """Plain-1D light arcs: two-stage forwarded push, query/reply pull."""
 
@@ -669,10 +475,13 @@ class L2LKernel(_FifteenDKernel):
         return program.edge_sweep("L2L", sel.src, sel.dst)
 
 
-def build_fifteend_kernels(ctx: FifteenDContext, order) -> dict[str, ComponentKernel]:
-    """Instantiate the registry's kernels over a partition's components,
-    in scheduler execution order (densest first)."""
-    return {
-        name: FIFTEEND_KERNELS[name](ctx, ctx.part.components[name])
-        for name in order
-    }
+#: The six 1.5D kernels by component name, in scheduler execution order
+#: (densest first, :data:`~repro.core.subgraphs.COMPONENT_ORDER`).
+FIFTEEND_KERNELS = {
+    "EH2EH": EH2EHKernel,
+    "E2L": _LocalKernel,
+    "L2E": _LocalKernel,
+    "H2L": H2LKernel,
+    "L2H": L2HKernel,
+    "L2L": L2LKernel,
+}

@@ -17,12 +17,6 @@ from repro.graphs.generators import (
     ring_lattice_edges,
     star_forest_edges,
 )
-from repro.graphs.io import (
-    load_edges_npz,
-    load_edges_text,
-    save_edges_npz,
-    save_edges_text,
-)
 from repro.graphs.stats import (
     degree_histogram,
     degree_peaks,
@@ -42,8 +36,4 @@ __all__ = [
     "power_law_edges",
     "star_forest_edges",
     "ring_lattice_edges",
-    "save_edges_npz",
-    "load_edges_npz",
-    "save_edges_text",
-    "load_edges_text",
 ]

@@ -131,6 +131,16 @@ class TestSchemeProperties:
         ).total_seconds
         assert t_d < t_v
 
+    @pytest.mark.parametrize("engine_cls", ALL_ENGINES)
+    def test_kernels_run_single_source_bfs_only(self, engine_cls):
+        """Baseline kernels share the 1.5D push/pull skeleton but not
+        its lane or vertex-program commits."""
+        src, dst, n, mesh, machine, _ = setup(scale=8)
+        engine = engine_cls(src, dst, n, mesh, machine=machine)
+        for kernel in engine.kernels.values():
+            assert not kernel.supports_lanes
+            assert not kernel.supports_programs
+
     def test_vanilla_1d_load_imbalance_visible(self):
         """Heavy vertices concentrate arcs on single ranks in 1D."""
         src, dst, n, mesh, machine, _ = setup(scale=12, rows=4, cols=4)
@@ -139,17 +149,23 @@ class TestSchemeProperties:
         assert loads.max() > 1.5 * loads.mean()
 
 
-@given(seed=st.integers(0, 200), n_exp=st.integers(4, 7))
-@settings(max_examples=20, deadline=None)
-def test_property_all_engines_agree(seed, n_exp):
-    n = 1 << n_exp
+@given(
+    seed=st.integers(0, 200),
+    n=st.integers(1, 150),
+    shape=st.sampled_from([(2, 2), (1, 1), (1, 3), (2, 3)]),
+)
+@settings(max_examples=40, deadline=None)
+def test_property_all_engines_agree(seed, n, shape):
+    # n need not be a power of two nor fill the mesh's blocks (a rank may
+    # own no vertex at all), and the mesh may be a single rank or row.
     src, dst = random_edge_list(n, 3 * n, seed=seed)
-    mesh = ProcessMesh(2, 2)
+    mesh = ProcessMesh(*shape)
     graph = build_csr(*symmetrize_edges(src, dst), n)
     root = seed % n
     ref = bfs_levels_from_parents(graph, root, serial_bfs(graph, root))
     for cls in ALL_ENGINES:
         engine = cls(src, dst, n, mesh)
         res = engine.run(root)
+        validate_bfs_result(graph, root, res.parent)
         got = bfs_levels_from_parents(graph, root, res.parent)
-        assert np.array_equal(ref, got), cls.scheme
+        assert np.array_equal(ref, got), (cls.scheme, shape)

@@ -1,6 +1,6 @@
 """Unit tests for the component-kernel layer.
 
-Covers the registry contract, the scheduler's loop semantics (skip of
+Covers the kernel registry, the scheduler's loop semantics (skip of
 empty components, §4.2 freshness of commits between sub-iterations,
 direction resolution, hook ordering), and the 1.5D kernel set mounting.
 """
@@ -12,7 +12,6 @@ from repro.core import BFSConfig, DistributedBFS, partition_graph
 from repro.core.kernels import (
     FIFTEEND_KERNELS,
     ComponentKernel,
-    KernelRegistry,
     LevelSyncScheduler,
     SchedulerHost,
 )
@@ -36,48 +35,10 @@ from repro.runtime.mesh import ProcessMesh
 
 
 class TestKernelRegistry:
-    def test_register_sets_name_and_resolves(self):
-        reg = KernelRegistry()
-
-        @reg.register("X2Y")
-        class XKernel(ComponentKernel):
-            @property
-            def num_arcs(self):
-                return 0
-
-            def execute(self, direction, active, visited, ledger, record):
-                return EMPTY_ACTIVATION
-
-        assert XKernel.name == "X2Y"
-        assert "X2Y" in reg
-        assert reg["X2Y"] is XKernel
-        assert reg.names() == ("X2Y",)
-
-    def test_duplicate_registration_rejected(self):
-        reg = KernelRegistry()
-
-        @reg.register("A")
-        class One(ComponentKernel):
-            @property
-            def num_arcs(self):
-                return 0
-
-            def execute(self, direction, active, visited, ledger, record):
-                return EMPTY_ACTIVATION
-
-        with pytest.raises(ValueError, match="already registered"):
-
-            @reg.register("A")
-            class Two(ComponentKernel):
-                @property
-                def num_arcs(self):
-                    return 0
-
-                def execute(self, direction, active, visited, ledger, record):
-                    return EMPTY_ACTIVATION
+    """The 1.5D kernel registry is a plain name -> class dict."""
 
     def test_fifteend_registry_covers_all_components(self):
-        assert set(FIFTEEND_KERNELS.names()) == set(COMPONENT_ORDER)
+        assert tuple(FIFTEEND_KERNELS) == COMPONENT_ORDER
 
 
 class _FakeKernel(ComponentKernel):
