@@ -70,8 +70,10 @@ class GlobalMessageKernel(BaselineKernel):
         ctx = self.ctx
         o_dst = ctx.mesh.owner_of(dst, ctx.num_vertices)
         remote = o_dst != send_rank
-        if not np.any(remote):
+        sent = int(np.count_nonzero(remote))
+        if not sent:
             return
+        record.messages[self.name] = record.messages.get(self.name, 0) + sent
         ctx.charge_alltoallv(
             self.name, np.bincount(send_rank[remote], minlength=ctx.num_ranks),
             ledger, message_bytes, ctx.num_ranks, ctx.split_global,

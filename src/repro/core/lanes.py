@@ -58,6 +58,7 @@ __all__ = [
     "all_lanes_mask",
     "one_lane",
     "first_of_run",
+    "distinct",
     "key_order",
     "claim_lanes",
     "first_writer_lanes",
@@ -111,6 +112,14 @@ def first_of_run(keys: np.ndarray) -> np.ndarray:
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return first
+
+
+def distinct(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``keys``: ``np.unique(keys)``, by one
+    value sort and a first-of-run mask (numpy 2's ``unique`` hashes
+    integer keys, 50–60× slower than sorting them)."""
+    keys = np.sort(keys)
+    return keys[first_of_run(keys)]
 
 
 def key_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.lanes import distinct
 from repro.core.partition import mix64
 from repro.core.subgraphs import arc_keys, member
 
@@ -160,13 +161,29 @@ def canonical_edges(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Canonicalize an undirected edge list: ``lo < hi``, no self loops,
     no duplicates, sorted by packed key.  The fixed order makes the
-    canonical arrays themselves comparable across histories."""
+    canonical arrays themselves comparable across histories.
+
+    The set is one value sort of the packed keys
+    (:func:`~repro.core.lanes.distinct`).  Every id must satisfy
+    ``0 <= id < num_vertices``: a pair outside raises :class:`ValueError`
+    naming the first one, since its key would decode into a different
+    edge.
+    """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
+    bad = np.flatnonzero(
+        (src < 0) | (src >= num_vertices) | (dst < 0) | (dst >= num_vertices)
+    )
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"edge ({src[i]}, {dst[i]}) is out of range: expected "
+            f"0 <= src, dst < {num_vertices}"
+        )
     keep = src != dst
     lo = np.minimum(src[keep], dst[keep])
     hi = np.maximum(src[keep], dst[keep])
-    keys = np.unique(arc_keys(lo, hi, num_vertices))
+    keys = distinct(arc_keys(lo, hi, num_vertices))
     return keys // num_vertices, keys % num_vertices
 
 
@@ -181,17 +198,20 @@ def apply_updates(
     Inserting an edge that exists and deleting one that does not are
     no-ops — the same idempotent semantics
     :class:`~repro.dynamic.repair.IncrementalGraph` uses, so the gate's
-    from-scratch side tracks the incremental side exactly.
+    from-scratch side tracks the incremental side exactly.  The commit
+    is sorted-key algebra: the union is one value sort of the live and
+    inserted keys (:func:`~repro.core.lanes.distinct`), the difference
+    a :func:`~repro.core.subgraphs.member` mask against the sorted
+    deletes.
     """
-    keys = arc_keys(lo, hi, num_vertices)
+    n = num_vertices
     ins = batch.op > 0
-    add = np.unique(arc_keys(batch.src[ins], batch.dst[ins], num_vertices))
-    drop = np.unique(
-        arc_keys(batch.src[~ins], batch.dst[~ins], num_vertices)
-    )
-    keys = np.union1d(keys, add)
-    keys = np.setdiff1d(keys, drop, assume_unique=True)
-    return keys // num_vertices, keys % num_vertices
+    keys = distinct(np.concatenate([
+        arc_keys(lo, hi, n), arc_keys(batch.src[ins], batch.dst[ins], n),
+    ]))
+    drop = np.sort(arc_keys(batch.src[~ins], batch.dst[~ins], n))
+    keys = keys[~member(keys, drop)]
+    return keys // n, keys % n
 
 
 def weights_for_edges(
@@ -262,9 +282,8 @@ def generate_update_stream(
                 op=op,
             )
         )
-        live = np.setdiff1d(
-            np.union1d(live, ins_keys), del_keys, assume_unique=False
-        )
+        live = distinct(np.concatenate([live, ins_keys]))
+        live = live[~member(live, del_keys)]
     return batches
 
 
@@ -290,11 +309,10 @@ def _draw_absent_pairs(
             np.minimum(a[keep], b[keep]), np.maximum(a[keep], b[keep]),
             num_vertices,
         )
-        keys = np.unique(keys)
+        keys = distinct(keys)
         absent = keys[~member(keys, live)]
         if picked:
-            existing = np.concatenate(picked)
-            absent = np.setdiff1d(absent, existing, assume_unique=True)
+            absent = absent[~member(absent, np.sort(np.concatenate(picked)))]
         picked.append(absent[: count - have])
         have += picked[-1].size
         if have >= count:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import DelegatedOneDimBFS, OneDimBFS, TwoDimBFS
+from repro.core.kernels.base import MESSAGE_BYTES
 from repro.graph500.rmat import generate_edges
 from repro.graph500.reference import bfs_levels_from_parents, serial_bfs
 from repro.graph500.validate import validate_bfs_result
@@ -110,6 +111,19 @@ class TestSchemeProperties:
         engine = OneDimBFS(src, dst, n, mesh, machine=machine)
         res = engine.run(int(np.argmax(graph.degrees)))
         assert CollectiveKind.ALLTOALLV in res.ledger.comm_seconds_by_kind()
+
+    @pytest.mark.parametrize("engine_cls", [OneDimBFS, DelegatedOneDimBFS])
+    def test_recorded_messages_are_the_alltoallv_bytes(self, engine_cls):
+        """Every remote frontier arc is one message of the global
+        alltoallv, and the iteration records count each one."""
+        src, dst, n, mesh, machine, graph = setup(scale=10)
+        engine = engine_cls(src, dst, n, mesh, machine=machine)
+        res = engine.run(int(np.argmax(graph.degrees)))
+        sent = sum(sum(it.messages.values()) for it in res.iterations)
+        assert sent > 0
+        assert sent * MESSAGE_BYTES == (
+            res.ledger.bytes_by_kind()[CollectiveKind.ALLTOALLV]
+        )
 
     def test_delegates_message_less_than_vanilla(self):
         """Heavy delegation removes the heavy-endpoint messages."""

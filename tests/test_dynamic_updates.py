@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.subgraphs import arc_keys, member
 from repro.dynamic.updates import (
     UpdateBatch,
     UpdateSpec,
@@ -147,3 +150,158 @@ class TestWeights:
             weights_for_edges(src, dst, 4, seed=1),
             weights_for_edges(src, dst, 4, seed=2),
         )
+
+
+# ---------------------------------------------------------------------------
+# The sorted-key set algebra against the numpy set routines it replaced.
+# The oracles below keep those expressions verbatim.
+# ---------------------------------------------------------------------------
+
+
+def oracle_apply_updates(lo, hi, batch, num_vertices):
+    keys = arc_keys(lo, hi, num_vertices)
+    ins = batch.op > 0
+    add = np.unique(arc_keys(batch.src[ins], batch.dst[ins], num_vertices))
+    drop = np.unique(
+        arc_keys(batch.src[~ins], batch.dst[~ins], num_vertices)
+    )
+    keys = np.union1d(keys, add)
+    keys = np.setdiff1d(keys, drop, assume_unique=True)
+    return keys // num_vertices, keys % num_vertices
+
+
+def oracle_draw_absent_pairs(rng, live, num_vertices, count):
+    if count == 0:
+        return np.array([], dtype=np.int64)
+    picked = []
+    have = 0
+    for _ in range(64):
+        need = count - have
+        a = rng.integers(0, num_vertices, size=2 * need + 8, dtype=np.int64)
+        b = rng.integers(0, num_vertices, size=2 * need + 8, dtype=np.int64)
+        keep = a != b
+        keys = arc_keys(
+            np.minimum(a[keep], b[keep]), np.maximum(a[keep], b[keep]),
+            num_vertices,
+        )
+        keys = np.unique(keys)
+        absent = keys[~member(keys, live)]
+        if picked:
+            existing = np.concatenate(picked)
+            absent = np.setdiff1d(absent, existing, assume_unique=True)
+        picked.append(absent[: count - have])
+        have += picked[-1].size
+        if have >= count:
+            break
+    else:
+        raise RuntimeError("graph too dense")
+    return np.sort(np.concatenate(picked))
+
+
+def oracle_update_stream(src, dst, num_vertices, spec, seed):
+    """The stream as drawn against a live set kept by ``np.union1d`` /
+    ``np.setdiff1d``; yields each batch's ``(src, dst, op)``."""
+    rng = np.random.default_rng(seed)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    keep = src != dst
+    lo = np.minimum(src[keep], dst[keep])
+    hi = np.maximum(src[keep], dst[keep])
+    live = np.unique(arc_keys(lo, hi, num_vertices))
+    if spec.kind == "insert":
+        n_ins = spec.size
+    elif spec.kind == "delete":
+        n_ins = 0
+    else:
+        n_ins = int(round(spec.size * spec.frac))
+    out = []
+    for _ in range(spec.batches):
+        ins_keys = oracle_draw_absent_pairs(rng, live, num_vertices, n_ins)
+        n_del_eff = min(spec.size - n_ins, live.size)
+        del_keys = (
+            np.sort(rng.choice(live, size=n_del_eff, replace=False))
+            if n_del_eff
+            else np.array([], dtype=np.int64)
+        )
+        b_keys = np.concatenate([ins_keys, del_keys])
+        op = np.concatenate([
+            np.ones(ins_keys.size, dtype=np.int8),
+            -np.ones(del_keys.size, dtype=np.int8),
+        ])
+        out.append((b_keys // num_vertices, b_keys % num_vertices, op))
+        live = np.setdiff1d(
+            np.union1d(live, ins_keys), del_keys, assume_unique=False
+        )
+    return out
+
+
+@st.composite
+def edge_lists(draw):
+    """``(src, dst, n)``: a raw edge list over ``n`` vertices with repeats
+    in both orientations and self loops."""
+    n = draw(st.integers(2, 24))
+    ids = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=60))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    pairs = [(b, a) if draw(st.booleans()) else (a, b) for a, b in pairs]
+    src = np.array([p[0] for p in pairs], dtype=np.int64)
+    dst = np.array([p[1] for p in pairs], dtype=np.int64)
+    return src, dst, n
+
+
+def assert_same_arrays(got, expect):
+    for g, e in zip(got, expect, strict=True):
+        assert g.dtype == e.dtype
+        assert g.tolist() == e.tolist()
+
+
+class TestSortedSetAlgebra:
+    @settings(max_examples=150, deadline=None)
+    @given(graph=edge_lists(), data=st.data())
+    def test_apply_updates_matches_union_setdiff(self, graph, data):
+        src, dst, n = graph
+        lo, hi = canonical_edges(src, dst, n)
+        all_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        # Inserts and deletes drawn from every canonical pair: present
+        # and absent edges both ways, repeats, and pairs in both lists.
+        pairs = data.draw(st.lists(st.sampled_from(all_pairs), max_size=30))
+        ops = data.draw(
+            st.lists(st.sampled_from([1, -1]), min_size=len(pairs),
+                     max_size=len(pairs))
+        )
+        batch = UpdateBatch(
+            src=np.array([p[0] for p in pairs], dtype=np.int64),
+            dst=np.array([p[1] for p in pairs], dtype=np.int64),
+            op=np.array(ops, dtype=np.int8),
+        )
+        assert_same_arrays(
+            apply_updates(lo, hi, batch, n),
+            oracle_apply_updates(lo, hi, batch, n),
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        graph=edge_lists(),
+        kind=st.sampled_from(["insert", "delete", "mixed"]),
+        batches=st.integers(1, 4),
+        size=st.integers(1, 12),
+        frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_stream_matches_union_setdiff(
+        self, graph, kind, batches, size, frac, seed
+    ):
+        src, dst, n = graph
+        spec = UpdateSpec(kind=kind, batches=batches, size=size, frac=frac)
+        try:
+            expect = oracle_update_stream(src, dst, n, spec, seed)
+        except RuntimeError:
+            # Too dense for the insert volume: both sides refuse.
+            with pytest.raises(RuntimeError):
+                generate_update_stream(src, dst, n, spec, seed=seed)
+            return
+        got = generate_update_stream(src, dst, n, spec, seed=seed)
+        assert len(got) == len(expect)
+        for batch, (b_src, b_dst, b_op) in zip(got, expect):
+            assert_same_arrays((batch.src, batch.dst, batch.op),
+                               (b_src, b_dst, b_op))

@@ -160,3 +160,18 @@ class TestRepairRejectsNonCanonicalUpdates:
         assert inc.num_batches == 0
         assert parts_bitwise_equal(inc.graph(), before) == []
         assert parts_bitwise_equal(inc.graph(), inc.rebuild_reference()) == []
+
+
+class TestConstructionRejectsOutOfRangeIds:
+    """An id outside ``0 <= id < n`` is refused at construction: its
+    packed key would decode into a different edge (``(0, 9)`` over
+    ``n = 8`` is key 9, the self loop ``(1, 1)``)."""
+
+    @pytest.mark.parametrize("pair", [(0, 9), (3, 8), (-1, 5), (2, -3)])
+    def test_bad_id_raises_naming_the_pair(self, pair):
+        src = np.array([0, 1, pair[0], 4], dtype=np.int64)
+        dst = np.array([1, 2, pair[1], 5], dtype=np.int64)
+        with pytest.raises(ValueError, match=rf"\({pair[0]}, {pair[1]}\)"):
+            IncrementalGraph(
+                src, dst, 8, ProcessMesh(2, 2), e_threshold=4, h_threshold=2
+            )

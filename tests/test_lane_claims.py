@@ -18,6 +18,7 @@ from repro.core.lanes import (
     LaneState,
     all_lanes_mask,
     claim_lanes,
+    distinct,
     first_writer_lanes,
     iter_lanes,
     key_order,
@@ -113,6 +114,21 @@ class TestKeyOrder:
         sorted_keys, order = key_order(keys)
         assert order.tolist() == [3, 1, 0, 2]
         assert sorted_keys.tolist() == [0, 3, top, top]
+
+
+class TestDistinct:
+    @settings(max_examples=200, deadline=None)
+    @given(keys=key_arrays())
+    @example(keys=np.array([], dtype=np.int64))
+    @example(keys=np.array([2**63 - 1], dtype=np.int64))
+    @example(keys=np.full(5, 2**63 - 1, dtype=np.int64))
+    def test_matches_np_unique(self, keys):
+        before = keys.copy()
+        got = distinct(keys)
+        expect = np.unique(keys)
+        assert got.dtype == expect.dtype
+        assert got.tolist() == expect.tolist()
+        assert np.array_equal(keys, before)
 
 
 class TestClaimLanes:
