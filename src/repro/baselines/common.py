@@ -31,6 +31,7 @@ from repro.core.kernels.base import MeshContext, PushPullKernel
 from repro.core.kernels.scheduler import SchedulerHost
 from repro.core.metrics import BFSRunResult, IterationRecord
 from repro.core.partition import class_count
+from repro.core.subgraphs import check_edge_ids
 from repro.machine.network import MachineSpec
 from repro.obs.tracer import Tracer
 from repro.runtime.mesh import ProcessMesh
@@ -107,6 +108,7 @@ class BaselineEngine(SchedulerHost):
         tracer: Tracer | None = None,
         metrics=None,
     ) -> None:
+        check_edge_ids(src, dst, num_vertices)
         self.mesh = mesh
         self.num_vertices = int(num_vertices)
         if machine is None:

@@ -24,7 +24,9 @@ activation records read ``num_lanes`` integers instead of re-counting
 
 **The commit contract.**  Winners are chosen for all lanes at once:
 :func:`claim_lanes` hands every lane of a key to the first entry of that
-key carrying it — by a sort and a prefix-OR over the key runs — and
+key carrying it — by a sort and a prefix-OR over the key runs, in chunks
+of the key range when the entries outnumber it, each chunk first
+dropping the lanes earlier chunks won — and
 :func:`first_writer_lanes` wraps it as the first-writer-per-destination
 rule of the push commits (a group of one lane takes the single-source
 :func:`~repro.core.vertexset.first_writers` instead).  A kernel returns
@@ -156,6 +158,36 @@ def claim_lanes(keys: np.ndarray, words: np.ndarray):
     key and then index, with the lanes each won; and the distinct keys
     ascending with the OR of each one's words, i.e. the lanes claimed
     there.
+
+    A call with more entries than its key range claims them in chunks of
+    that range, in entry order.  The lanes earlier chunks claimed are
+    kept in one dense word per key (a table no larger than the input),
+    and a chunk's entries drop those lanes before it is sorted — an entry
+    left with none is dropped whole.  That is exact: a claimed lane's
+    first carrier is an earlier entry, and an entry whose lanes are all
+    covered changes no later entry's prefix-OR.
+    """
+    span = int(keys.max(initial=-1)) + 1
+    if keys.size <= span:
+        return _claim_sorted(keys, words)
+    claimed = np.zeros(span, dtype=np.uint64)
+    wins, wons = [], []
+    for lo in range(0, keys.size, span):
+        k = keys[lo : lo + span]
+        w = words[lo : lo + span] & ~claimed[k]
+        keep = np.flatnonzero(w)
+        win, won, uniq, key_words = _claim_sorted(k[keep], w[keep])
+        claimed[uniq] |= key_words
+        wins.append(lo + keep[win])
+        wons.append(won)
+    win = np.concatenate(wins)
+    _, order = key_order(keys[win])  # stable: chunks are in entry order
+    uniq = np.flatnonzero(claimed)
+    return win[order], np.concatenate(wons)[order], uniq, claimed[uniq]
+
+
+def _claim_sorted(keys, words):
+    """:func:`claim_lanes` in one sort.
 
     The entries are sorted by key; within each key's run an exclusive
     prefix-OR by doubling (each step one masked pass over the entries at

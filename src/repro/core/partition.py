@@ -52,6 +52,7 @@ import numpy as np
 from repro.core.subgraphs import (
     COMPONENT_ORDER,
     SubgraphComponent,
+    check_edge_ids,
     check_key_width,
 )
 from repro.graphs.csr import symmetrize_edges
@@ -405,9 +406,10 @@ def partition_graph(
 
     Raises :class:`ValueError` before any per-vertex array is allocated
     when ``num_ranks * n**2`` would overflow the components' packed
-    sort keys.
+    sort keys, or naming the first edge with an id outside ``[0, n)``.
     """
     check_key_width(mesh.num_ranks, num_vertices)
+    check_edge_ids(src, dst, num_vertices)
     degrees = degrees_from_edges(src, dst, num_vertices)
     part = PartitionedGraph(
         mesh=mesh,

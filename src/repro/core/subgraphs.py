@@ -51,6 +51,7 @@ __all__ = [
     "COMPONENT_ORDER",
     "dedup_pull_hits",
     "arc_keys",
+    "check_edge_ids",
     "check_key_width",
     "member",
     "merge_arc_delta",
@@ -159,10 +160,10 @@ class LanePullScan:
 # ----------------------------------------------------------------------
 
 
-#: Single-position rounds the first-hit scan runs before it expands what
-#: is left.  Pull is only chosen when the source class is dense, so most
-#: groups hit at position 0 or 1; at R-MAT scale 16 the body time is flat
-#: from four rounds on.
+#: Single-position rounds the first-hit scan runs before it scans what is
+#: left in windows, the first of this width.  Pull is only chosen when the
+#: source class is dense, so most groups hit at position 0 or 1; at R-MAT
+#: scale 16 the body time is flat from four rounds on.
 _ROUNDS = 4
 
 
@@ -182,48 +183,57 @@ def _first_hit_records(starts, lens, pull_src, active, need):
     the lanes each vertex offers — ``uint64`` lane words, or plain
     booleans for the one-lane scan.  The first ``_ROUNDS`` positions are
     read one per round over the groups still looking (work ∝ pending
-    groups, and a group leaves as soon as its last lane hits); only the
-    groups still looking after that have their remaining arcs expanded,
-    once.
+    groups, and a group leaves as soon as its last lane hits).  What is
+    left is read in position windows that double in width from
+    ``_ROUNDS`` (positions 4–7, 8–15, 16–31, …): a window keeps each
+    group's first hit of each lane it still needs (the sorted claim for
+    lane words, the first of the group's run for booleans), and those
+    lanes leave its ``need`` before the next window, so a group whose
+    lanes have all hit reads no further window.
 
-    Returns ``(grp, pos, bits, dry)``: a record per scanned arc whose
-    source offered a lane the group still needed — rounds first, then the
-    residual in ascending ``(grp, pos)`` order — and the mask of groups
-    with a lane that never hit.  A lane's first record in a group is its
-    first hit; the residual may also record its later ones.
+    Returns ``(grp, pos, bits, dry)``: one record per first hit — the
+    arc at ``pos`` of group ``grp`` and the lanes ``bits`` that hit
+    there first — by window and then ascending ``(grp, pos)``, and the
+    mask of groups with a lane that never hit.
     """
     empty = np.array([], dtype=np.int64)
     rec_grp, rec_pos, rec_bits = [empty], [empty], [need[:0]]
     dry = np.zeros(starts.size, dtype=bool)
     pend = np.arange(starts.size, dtype=np.int64)
-    for j in range(_ROUNDS):
-        if pend.size == 0:
-            break
-        hit = active[pull_src[starts[pend] + j]] & need
-        at = np.flatnonzero(hit)
-        if at.size:
-            rec_grp.append(pend[at])
-            rec_pos.append(np.full(at.size, j, dtype=np.int64))
-            rec_bits.append(hit[at])
+    lo, hi = 0, 1
+    while pend.size:
+        if hi <= _ROUNDS:
+            # One position: a group's hit is its first.
+            hit = active[pull_src[starts[pend] + lo]] & need
+            at = np.flatnonzero(hit)
+            grp, pos, bits = pend[at], np.full(at.size, lo, dtype=np.int64), hit[at]
             need = need ^ hit
-            left = np.flatnonzero(need)
-            pend, need = pend[left], need[left]
-        # Whoever is still looking at the end of its run ran dry.
-        more = lens[pend] > j + 1
-        dry[pend[~more]] = True
-        pend, need = pend[more], need[more]
-    if pend.size:
-        rest = lens[pend] - _ROUNDS
-        idx = _expand_runs(starts[pend] + _ROUNDS, rest)
-        run = np.repeat(np.arange(pend.size, dtype=np.int64), rest)
-        hit = active[pull_src[idx]] & need[run]
-        got = np.bitwise_or.reduceat(hit, np.cumsum(rest) - rest)
-        dry[pend[got != need]] = True
-        at = np.flatnonzero(hit)
-        grp = pend[run[at]]
+        else:
+            rest = np.minimum(lens[pend], hi) - lo
+            idx = _expand_runs(starts[pend] + lo, rest)
+            run = np.repeat(np.arange(pend.size, dtype=np.int64), rest)
+            hit = active[pull_src[idx]] & need[run]
+            at = np.flatnonzero(hit)
+            if need.dtype == bool:
+                at = at[first_of_run(run[at])]
+                bits = hit[at]
+                need[run[at]] = False
+            else:
+                win, bits, uniq, got = claim_lanes(run[at], hit[at])
+                at = at[win]
+                need[uniq] ^= got
+            grp = pend[run[at]]
+            pos = idx[at] - starts[grp]
         rec_grp.append(grp)
-        rec_pos.append(idx[at] - starts[grp])
-        rec_bits.append(hit[at])
+        rec_pos.append(pos)
+        rec_bits.append(bits)
+        # Whoever is still looking at the end of its run ran dry.
+        looking = need != 0
+        more = lens[pend] > hi
+        dry[pend[looking & ~more]] = True
+        keep = np.flatnonzero(looking & more)
+        pend, need = pend[keep], need[keep]
+        lo, hi = hi, hi + 1 if hi < _ROUNDS else 2 * hi
     return (
         np.concatenate(rec_grp),
         np.concatenate(rec_pos),
@@ -248,12 +258,14 @@ def dedup_pull_hits(g_dst, g_src, g_rank):
 
     Precondition: the hits are in ascending group (= ``(rank, dst)``)
     order, as :meth:`SubgraphComponent.pull_scan` finds them.  A stable
-    sort by destination then leaves each destination's hits in rank
-    order, and the first of each run is the lowest-rank winner.
+    sort by destination (:func:`~repro.core.lanes.key_order`) then leaves
+    each destination's hits in rank order, and the first of each run is
+    the lowest-rank winner.
     """
-    order = np.argsort(g_dst, kind="stable")
-    order = order[first_of_run(g_dst[order])]
-    return g_dst[order], g_src[order], g_rank[order]
+    dst, order = key_order(g_dst)
+    first = first_of_run(dst)
+    order = order[first]
+    return dst[first], g_src[order], g_rank[order]
 
 
 class SubgraphComponent:
@@ -380,10 +392,9 @@ class SubgraphComponent:
         grp, pos, _, dry = _first_hit_records(
             starts, lens, pull_src, active_src, np.ones(starts.size, dtype=bool)
         )
-        # One lane: a group's records are adjacent and the first is its hit.
-        first = first_of_run(grp)
+        # One lane: a group's one record is its hit.
         scanned = lens.copy()
-        scanned[grp[first]] = pos[first] + 1
+        scanned[grp] = pos + 1
         scanned_per_rank = np.bincount(
             self.grp_rank[cand_groups], weights=scanned, minlength=self.num_ranks
         ).astype(np.int64)
@@ -465,11 +476,10 @@ class SubgraphComponent:
         grp, pos, bits, dry = _first_hit_records(
             starts, lens, self._pull_src, active_bits, grp_cand_bits[cand_groups]
         )
-        # A group's records come in position order, so its first record
-        # carrying a lane is that lane's first hit.  The winners come back
-        # in (group, position) order.
-        win, won, _, _ = claim_lanes(grp, bits)
-        grp, pos = grp[win], pos[win]
+        # The records are first hits; a stable sort by group puts them in
+        # (group, position) order.
+        grp, order = key_order(grp)
+        pos, won = pos[order], bits[order]
         # Early exit per lane: its first hit + 1.  The shared scan stops at
         # the deepest of them (the group's last winner), or runs the full
         # group when a lane scanned it dry.
@@ -506,6 +516,24 @@ def check_key_width(num_ranks: int, num_vertices: int) -> None:
             f"packed arc keys would overflow int64 for {num_ranks} ranks "
             f"and {num_vertices} vertices"
         )
+
+
+def check_edge_ids(src, dst, num_vertices: int) -> None:
+    """Raise :class:`ValueError` naming the first pair with an id outside
+    ``0 <= id < num_vertices`` (its arc key would decode into a different
+    edge)."""
+    src, dst = np.asarray(src), np.asarray(dst)
+    if src.size == 0 or (
+        min(src.min(), dst.min()) >= 0 and max(src.max(), dst.max()) < num_vertices
+    ):
+        return
+    i = np.flatnonzero(
+        (src < 0) | (src >= num_vertices) | (dst < 0) | (dst >= num_vertices)
+    )[0]
+    raise ValueError(
+        f"edge ({src[i]}, {dst[i]}) is out of range: expected "
+        f"0 <= src, dst < {num_vertices}"
+    )
 
 
 def arc_keys(src: np.ndarray, dst: np.ndarray, num_vertices: int) -> np.ndarray:

@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.core.lanes import distinct
 from repro.core.partition import mix64
-from repro.core.subgraphs import arc_keys, member
+from repro.core.subgraphs import arc_keys, check_edge_ids, member
 
 __all__ = [
     "UpdateBatch",
@@ -171,15 +171,7 @@ def canonical_edges(
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
-    bad = np.flatnonzero(
-        (src < 0) | (src >= num_vertices) | (dst < 0) | (dst >= num_vertices)
-    )
-    if bad.size:
-        i = bad[0]
-        raise ValueError(
-            f"edge ({src[i]}, {dst[i]}) is out of range: expected "
-            f"0 <= src, dst < {num_vertices}"
-        )
+    check_edge_ids(src, dst, num_vertices)
     keep = src != dst
     lo = np.minimum(src[keep], dst[keep])
     hi = np.maximum(src[keep], dst[keep])

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import OneDimBFS
 from repro.core.partition import CLASS_CODES, COMPONENT_CLASSES, partition_graph
 from repro.core.subgraphs import COMPONENT_ORDER
 from repro.dynamic.gate import parts_bitwise_equal
@@ -175,3 +176,20 @@ class TestConstructionRejectsOutOfRangeIds:
             IncrementalGraph(
                 src, dst, 8, ProcessMesh(2, 2), e_threshold=4, h_threshold=2
             )
+
+
+class TestStaticBuildersRejectOutOfRangeIds:
+    """The static builders refuse the same ids, naming the pair — before
+    a degree count or a broadcast trips over it."""
+
+    @pytest.mark.parametrize("pair", [(0, 8), (0, 9), (-1, 5), (6, -2)])
+    @pytest.mark.parametrize("builder", ["partition_graph", "OneDimBFS"])
+    def test_bad_id_raises_naming_the_pair(self, builder, pair):
+        src = np.array([0, 1, pair[0], 4], dtype=np.int64)
+        dst = np.array([1, 2, pair[1], 5], dtype=np.int64)
+        mesh = ProcessMesh(2, 2)
+        with pytest.raises(ValueError, match=rf"edge \({pair[0]}, {pair[1]}\)"):
+            if builder == "partition_graph":
+                partition_graph(src, dst, 8, mesh, e_threshold=4, h_threshold=2)
+            else:
+                OneDimBFS(src, dst, 8, mesh)
