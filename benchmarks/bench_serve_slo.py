@@ -301,7 +301,7 @@ def run_bench() -> dict:
              if q.tenant == tenant.tenant_id}
         )
         expected[tenant.tenant_id] = {
-            r: tenant.sequential.run(r).parent for r in mine
+            r: tenant.batched.run(r).parent for r in mine
         }
     report, cluster, _, metrics, drill_elapsed = _session(
         workload, expected=expected,

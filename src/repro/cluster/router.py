@@ -92,9 +92,6 @@ class ClusterRouter:
     def depth(self, tenant_id: str) -> int:
         return len(self._queues[tenant_id].queue)
 
-    def quota(self, tenant_id: str) -> int:
-        return self._queues[tenant_id].quota
-
     @property
     def pending(self) -> int:
         return sum(len(q.queue) for q in self._queues.values())
@@ -114,17 +111,13 @@ class ClusterRouter:
         """
         self._queues[tenant_id].queue.extendleft(reversed(list(requests)))
 
-    def pop_extra(self, tenant_id: str, budget: int) -> list:
-        """Pop up to ``budget`` more of one tenant's requests to fill a
-        short batch after the batching window.  Deliberately does not
-        charge the deficit — the forming batch already holds this
-        tenant's scheduling turn."""
-        tq = self._queues[tenant_id]
-        extra = []
-        while budget > 0 and tq.queue:
-            extra.append(tq.queue.popleft())
-            budget -= 1
-        return extra
+    def pop(self, tenant_id: str):
+        """Pop one tenant's next request (``None`` when its queue is
+        empty) to fill a batch :meth:`next_batch` picked.  Deliberately
+        does not charge the deficit — the forming batch already holds
+        this tenant's scheduling turn."""
+        queue = self._queues[tenant_id].queue
+        return queue.popleft() if queue else None
 
     # ------------------------------------------------------------------
     # scheduling

@@ -10,10 +10,11 @@ MSBFS batch at a time — packed from exactly one tenant, so lanes never
 mix graphs and every lane's parent tree stays bit-identical to a
 sequential run on that tenant's graph.
 
-Admission bookkeeping, batch execution and metering are the shared
-:mod:`repro.serve.core` (a tenant is a
-:class:`~repro.serve.core.ResidentGraph`); this module owns the queue
-discipline (router pick → one batching window → ``pop_extra``) and the
+Admission bookkeeping, batch forming, batch execution and metering are
+the shared :mod:`repro.serve.core` (a tenant is a
+:class:`~repro.serve.core.ResidentGraph`, and a replica fills the
+router's pick with :meth:`~repro.serve.core.ServingCore.fill`); this
+module owns the tenancy (per-tenant queues under the router) and the
 crash policy.  Failover reuses the per-request replay budget: a
 replica that takes a
 :class:`~repro.resilience.faults.RankCrashError` (or is killed via
@@ -40,6 +41,7 @@ histograms.
 from __future__ import annotations
 
 import asyncio
+import functools
 import time
 
 from repro.obs.metrics import NULL_METRICS
@@ -54,7 +56,7 @@ from repro.serve.core import (
     attribution,
 )
 
-from .router import ClusterRouter
+from .router import ClusterRouter, QueueFull
 from .tenants import TenantRegistry
 
 __all__ = ["ClusterService", "ReplicaDown"]
@@ -288,13 +290,13 @@ class ClusterService:
             return hit
         if not self.live_replicas:
             raise self._fail_down(scope, request)
-        depth = self.router.depth(tenant_id)
-        if depth >= self.router.quota(tenant_id):
+        try:
+            self.router.push(tenant_id, request)
+        except QueueFull as full:
             raise self._core.shed(
-                scope, request, depth, self.router.quota(tenant_id)
-            )
+                scope, request, full.depth, full.quota
+            ) from None
         future = self._core.admit(scope, request)
-        self.router.push(tenant_id, request)
         scope.gauge("queue_depth").set(self.router.depth(tenant_id))
         self._wake.set()
         return await future
@@ -314,27 +316,14 @@ class ClusterService:
                 if self._closed:
                     return
                 self._wake.clear()
-                if self.router.pending:
-                    continue
-                try:
-                    await asyncio.wait_for(self._wake.wait(), timeout=0.1)
-                except TimeoutError:
-                    pass
+                await self._wake.wait()
                 continue
             tenant_id, batch = picked
-            # Batching window: give late arrivals one window to join a
-            # short batch (drained queues at shutdown skip it).
-            if (
-                self.batch_window > 0
-                and len(batch) < self.batch_size
-                and not self._closed
-            ):
-                await asyncio.sleep(self.batch_window)
-                batch.extend(
-                    self.router.pop_extra(
-                        tenant_id, self.batch_size - len(batch)
-                    )
-                )
+            batch = await self._core.fill(
+                batch, functools.partial(self.router.pop, tenant_id),
+                self._wake, size=self.batch_size, window=self.batch_window,
+                draining=lambda: self._closed or replica.kill_requested,
+            )
             await self._execute_batch(replica, tenant_id, batch)
 
     # ------------------------------------------------------------------
@@ -347,9 +336,6 @@ class ClusterService:
         tenant = self.registry[tenant_id]
         scope = self._scopes[tenant_id]
         scope.gauge("queue_depth").set(self.router.depth(tenant_id))
-        now = self._core.clock()
-        for request in batch:
-            request.popped_at = now
         self._inflight += len(batch)
         run = await self._core.run(tenant, scope, batch)
         self._inflight -= len(batch)

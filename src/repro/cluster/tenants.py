@@ -129,8 +129,9 @@ class Tenant(ResidentGraph):
 
     ``batched`` is the one engine replicas run query batches, programs
     and single roots on; its partition's fingerprint keys both the cache
-    and result attribution.  ``sequential=`` is accepted and ignored:
-    :attr:`sequential` is ``batched``.
+    and result attribution.  ``sequential=`` is accepted and ignored,
+    only because the layer bench (``benchmarks/layers/serving.py``)
+    still passes it.
     """
 
     def __init__(

@@ -20,7 +20,7 @@ from the host), with per-span counters for bytes, messages, and edges.
 - :mod:`repro.obs.report` — the ``RunReport`` artifact (schema-versioned
   JSON with a config fingerprint) and the ``compare_reports``
   perf-regression gate behind ``python -m repro compare``.
-- :mod:`repro.obs.timeline` — the live plane's ring-buffer sampler:
+- :mod:`repro.obs.sampler` — the live plane's ring-buffer sampler:
   periodic registry snapshots (queue depth, batch occupancy, cache hit
   rate) for mid-run time-series.
 - :mod:`repro.obs.slo` — rolling-window burn-rate monitoring of the
@@ -51,7 +51,7 @@ from repro.obs.metrics import (
     to_prometheus_text,
 )
 from repro.obs.slo import SLOAlert, SLOMonitor, SLOSpec, parse_slo_spec
-from repro.obs.timeline import TelemetrySampler
+from repro.obs.sampler import TelemetrySampler
 from repro.obs.report import (
     RunReport,
     bfs_smoke_report,

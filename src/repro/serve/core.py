@@ -1,9 +1,9 @@
 """The serving core shared by both service planes.
 
 :class:`~repro.serve.service.TraversalService` (one graph, one FIFO)
-and :class:`~repro.cluster.service.ClusterService` (M tenants, N
-replicas) differ in *queue discipline* and *crash policy* only.  The two
-decisions they share live here, once:
+and :class:`~repro.cluster.service.ClusterService` (M tenants under
+deficit round-robin, N replicas) differ in *tenancy* and *crash policy*
+only.  The three decisions they share live here, once:
 
 - **What a resident graph is** — :class:`ResidentGraph`: the one
   engine that serves batches, programs and single roots, the
@@ -13,7 +13,11 @@ decisions they share live here, once:
   in exactly one place (:meth:`ResidentGraph.swap`), and streaming
   ingest is one coroutine (:meth:`ResidentGraph.ingest`) returning the
   one :class:`IngestReport`.
-- **What happens to a batch once it is picked** — :class:`ServingCore`:
+- **How a batch is formed** — :meth:`ServingCore.fill`: once a service
+  has picked a queue, the batch takes that queue's requests until it
+  holds ``batch_size`` distinct roots (duplicates share a lane) or the
+  ``batch_window`` ends, and leaves as soon as it is full.
+- **What happens to a batch once it is formed** — :class:`ServingCore`:
   run ``engine.run_batch`` on the executor against the captured
   generation, stage the latencies, fill the cache, resolve the futures,
   record the timelines and meter it all through a :class:`ServeScope`.
@@ -62,8 +66,9 @@ __all__ = [
     "sibling_engine",
 ]
 
-#: Sub-microsecond to ~9-minute wall-latency buckets.
-LATENCY_BUCKETS = exponential_buckets(1e-6, 2.0, 40)
+#: Wall-latency buckets from 1 µs to ~10.7 days, four per doubling: an
+#: SLO threshold quantized down to a bound is judged within 19 % of it.
+LATENCY_BUCKETS = exponential_buckets(1e-6, 2 ** 0.25, 160)
 
 
 class LatencyReservoir:
@@ -368,9 +373,8 @@ class ResidentGraph:
     """One served graph: engine, cache, fingerprint, counters.
 
     ``batched`` is the :class:`~repro.core.engine.DistributedBFS` that
-    query batches, vertex programs and single roots all run on;
-    ``sequential`` is the same object, kept as a name for callers that
-    run one root.  Its partition's fingerprint keys the cache.
+    query batches, vertex programs and single roots all run on.  Its
+    partition's fingerprint keys the cache.
     ``dynamic`` is the optional
     :class:`~repro.dynamic.repair.IncrementalGraph` over the same edge
     set that :meth:`ingest` repairs.
@@ -389,10 +393,6 @@ class ResidentGraph:
         self.fingerprint = fingerprint or fingerprint_graph(batched.part)
         self.dynamic = dynamic
         self.stats = ServeStats()
-
-    @property
-    def sequential(self):
-        return self.batched
 
     @property
     def num_vertices(self) -> int:
@@ -487,9 +487,10 @@ class ServingCore:
     ``trace_id -> RequestTimeline`` ring, and carries a request from
     admission (:meth:`begin`, :meth:`lookup`, :meth:`shed`) through
     execution (:meth:`run`, :meth:`resolve`) or failure
-    (:meth:`charge_replay`, :meth:`fail`).  The owning service decides
-    *which* batch runs next and what a crash means for it.  ``faults``
-    is the injector every traversal the core runs is given.
+    (:meth:`charge_replay`, :meth:`fail`), forming each batch on the
+    way (:meth:`fill`).  The owning service decides *which* queue a
+    batch is taken from and what a crash means for it.  ``faults`` is
+    the injector every traversal the core runs is given.
     """
 
     def __init__(self, *, clock, timeline_capacity: int, faults=None) -> None:
@@ -624,6 +625,44 @@ class ServingCore:
             scope.bump("replays")
             scope.counter("batch_replays").inc()
         return survivors
+
+    # ------------------------------------------------------------------
+    # batch forming
+    # ------------------------------------------------------------------
+
+    async def fill(self, batch, pop, wake, *, size, window, draining):
+        """Fill ``batch`` from one queue; returns it, ready to run.
+
+        ``pop()`` takes the queue's next request (``None`` when it is
+        empty) and ``wake`` is the event every arrival sets.  The batch
+        takes requests until it holds ``size`` distinct roots or
+        ``window`` seconds have passed, and leaves as soon as it is
+        full.  The queue is re-checked before every wait, so clearing a
+        shared ``wake`` never strands a request; once ``draining()`` is
+        true the batch leaves with what is queued, without waiting.
+        Each request is stamped ``popped_at`` as it joins.
+        """
+        now = self.clock()
+        for request in batch:
+            request.popped_at = now
+        roots = {request.root for request in batch}
+        deadline = now + window
+        while len(roots) < size:
+            request = pop()
+            if request is not None:
+                request.popped_at = self.clock()
+                batch.append(request)
+                roots.add(request.root)
+                continue
+            remaining = deadline - self.clock()
+            if remaining <= 0 or draining():
+                break
+            wake.clear()
+            try:
+                await asyncio.wait_for(wake.wait(), timeout=remaining)
+            except TimeoutError:
+                break
+        return batch
 
     # ------------------------------------------------------------------
     # batch execution

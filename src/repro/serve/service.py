@@ -5,14 +5,16 @@ run on executor threads) behind an asyncio front:
 
 1. **Admission.**  :meth:`TraversalService.submit` answers from the
    :class:`~repro.serve.cache.ResultCache` when it can; otherwise the
-   request enters a *bounded* queue.  A full queue sheds the request
-   with a typed :class:`Overloaded` — the queue can never grow without
-   bound, and shedding is an exception the client handles, not a
-   dropped future.
-2. **Batching.**  A single flusher coroutine assembles batches: flush
-   when ``batch_size`` distinct roots are pending or when the oldest
-   request has waited ``batch_window`` seconds.  Duplicate roots share
-   one lane.
+   request enters a *bounded* queue.  Queued requests and in-flight
+   program runs share ``queue_depth``; at that bound the request is
+   shed with a typed :class:`Overloaded` — the queue can never grow
+   without bound, and shedding is an exception the client handles, not
+   a dropped future.
+2. **Batching.**  A single flusher coroutine pops the oldest request
+   and fills its batch with
+   :meth:`~repro.serve.core.ServingCore.fill`: the batch leaves when it
+   holds ``batch_size`` distinct roots or ``batch_window`` seconds after
+   it opened.  Duplicate roots share one lane.
 3. **Traversal.**  The batch runs as one multi-source wave sequence on
    the executor; every lane's parent tree is bit-identical to a
    sequential run, so serving batched is *not* an approximation.
@@ -27,12 +29,12 @@ observation into ``serve_latency_seconds``, cache fill, future
 resolution, the per-request trace ids and :class:`RequestTimeline` ring
 — is :mod:`repro.serve.core`, shared with the multi-tenant
 :class:`~repro.cluster.service.ClusterService`.  What this module owns
-is the queue discipline (one FIFO, wait-for-fill up to
-``batch_window``), the crash policy (replay in place) and vertex-program
-serving.  The service holds no tracer: when the served engine is traced
-(its ``tracer=``), each batch's request ids label its ``msbfs`` span and
-a served program's id its ``program`` span, so the Chrome trace renders
-each served request on its own track.
+is the tenancy (one graph, one FIFO), the crash policy (replay in
+place) and vertex-program serving.  The service holds no tracer: when
+the served engine is traced (its ``tracer=``), each batch's request ids
+label its ``msbfs`` span and a served program's id its ``program``
+span, so the Chrome trace renders each served request on its own
+track.
 """
 
 from __future__ import annotations
@@ -248,9 +250,9 @@ class TraversalService:
         hit = self._core.lookup(self.graph, self._scope, request)
         if hit is not None:
             return hit
-        if len(self._queue) >= self.queue_depth:
+        if self.pending >= self.queue_depth:
             raise self._core.shed(
-                self._scope, request, len(self._queue), self.queue_depth
+                self._scope, request, self.pending, self.queue_depth
             )
         future = self._core.admit(self._scope, request)
         self._queue.append(request)
@@ -381,48 +383,29 @@ class TraversalService:
         )
 
     # ------------------------------------------------------------------
-    # queue discipline: one FIFO, wait-for-fill up to the batch window
+    # tenancy: one FIFO
     # ------------------------------------------------------------------
 
-    async def _next_request(self, timeout: float | None = None):
-        deadline = None if timeout is None else self._core.clock() + timeout
-        while True:
-            if self._queue:
-                request = self._queue.popleft()
-                request.popped_at = self._core.clock()
-                self._scope.gauge("queue_depth").set(len(self._queue))
-                return request
-            if self._closed:
-                return None
-            self._wake.clear()
-            if deadline is None:
-                await self._wake.wait()
-                continue
-            remaining = deadline - self._core.clock()
-            if remaining <= 0:
-                return None
-            try:
-                await asyncio.wait_for(self._wake.wait(), timeout=remaining)
-            except TimeoutError:
-                return None
+    def _pop(self) -> Request | None:
+        if not self._queue:
+            return None
+        request = self._queue.popleft()
+        self._scope.gauge("queue_depth").set(len(self._queue))
+        return request
 
     async def _flush_loop(self) -> None:
         while True:
-            first = await self._next_request()
+            first = self._pop()
             if first is None:
-                return
-            batch = [first]
-            roots = {first.root}
-            deadline = self._core.clock() + self.batch_window
-            while len(roots) < self.batch_size:
-                remaining = deadline - self._core.clock()
-                if remaining <= 0:
-                    break
-                nxt = await self._next_request(timeout=remaining)
-                if nxt is None:
-                    break
-                batch.append(nxt)
-                roots.add(nxt.root)
+                if self._closed:
+                    return
+                self._wake.clear()
+                await self._wake.wait()
+                continue
+            batch = await self._core.fill(
+                [first], self._pop, self._wake, size=self.batch_size,
+                window=self.batch_window, draining=lambda: self._closed,
+            )
             run = await self._core.run(self.graph, self._scope, batch)
             if run is not None:
                 self._core.resolve(self.graph, self._scope, run)

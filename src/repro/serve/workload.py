@@ -535,7 +535,7 @@ async def run_session(service, drive, *, telemetry, cluster=None):
             return await drive(), service, None
 
     from repro.obs.slo import SLOMonitor
-    from repro.obs.timeline import TelemetrySampler
+    from repro.obs.sampler import TelemetrySampler
     from repro.serve.telemetry import TelemetryServer
 
     metrics = service.metrics

@@ -190,14 +190,14 @@ class TestClusterRouter:
         _, batch = router.next_batch()
         assert batch == ["x", "y", "z", "tail"]
 
-    def test_pop_extra_does_not_charge_deficit(self):
+    def test_pop_does_not_charge_deficit(self):
         router = self._router(batch_size=4)
-        for i in range(8):
+        for i in range(6):
             router.push("gold", f"g{i}")
         _, batch = router.next_batch()
         before = router.snapshot()["gold"]["deficit"]
-        extra = router.pop_extra("gold", 2)
-        assert extra == ["g4", "g5"]
+        extra = [router.pop("gold") for _ in range(3)]
+        assert extra == ["g4", "g5", None]
         assert router.snapshot()["gold"]["deficit"] == before
 
     def test_drain_yields_everything(self):
@@ -242,7 +242,7 @@ class TestClusterService:
         assert r0.tenant == "t0" and r1.tenant == "t1"
         assert r0.trace_id and r1.trace_id and r0.trace_id != r1.trace_id
         for tid, resp in (("t0", r0), ("t1", r1)):
-            want = registry_pair[tid].sequential.run(3).parent
+            want = registry_pair[tid].batched.run(3).parent
             np.testing.assert_array_equal(resp.parent, want)
         # Distinct seeds -> distinct graphs -> distinct parent trees.
         assert not np.array_equal(r0.parent, r1.parent)
@@ -297,7 +297,7 @@ class TestClusterService:
         results, live, replays = run_async(scenario())
         assert len(live) == 1 and replays >= 1
         for root, resp in zip(roots, results):
-            want = registry_pair["t0"].sequential.run(root).parent
+            want = registry_pair["t0"].batched.run(root).parent
             np.testing.assert_array_equal(resp.parent, want)
         assert metrics.counter_total("cluster_failovers") == 1
         assert metrics.counter_total("cluster_batch_replays", tenant="t0") >= 1
@@ -339,7 +339,7 @@ class TestClusterService:
         (doomed,), ok, live = run_async(scenario())
         assert isinstance(doomed, TraversalError) and doomed.tenant == "t0"
         assert "ValueError: boom" in str(doomed)
-        want = tenant.sequential.run(b).parent
+        want = tenant.batched.run(b).parent
         np.testing.assert_array_equal(ok.parent, want)
         assert live == 1
         assert metrics.counter_total("cluster_failovers") == 0
@@ -361,7 +361,7 @@ class TestClusterService:
         results, live = run_async(scenario())
         assert live == ["r1"]
         for r, resp in enumerate(results):
-            want = registry_pair["t1"].sequential.run(100 + r).parent
+            want = registry_pair["t1"].batched.run(100 + r).parent
             np.testing.assert_array_equal(resp.parent, want)
 
     def test_no_live_replica_raises_typed_replica_down(self):
@@ -613,9 +613,9 @@ class TestIngestIsolation:
         assert registry["t0"].fingerprint != before["t0"]
         # The other tenant's generation never moved.
         assert registry["t1"].fingerprint == before["t1"]
-        # Post-ingest serving matches a sequential run on the repaired
-        # graph (the sequential sibling follows the swapped generation).
-        want = registry["t0"].sequential.run(1).parent
+        # Post-ingest serving matches a single-root run on the repaired
+        # graph (the tenant's one engine is the swapped generation).
+        want = registry["t0"].batched.run(1).parent
         np.testing.assert_array_equal(resp.parent, want)
 
     def test_ingest_requires_dynamic_tenant(self, registry_pair):

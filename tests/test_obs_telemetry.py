@@ -20,7 +20,7 @@ from repro.obs.slo import (
     SLOSpec,
     parse_slo_spec,
 )
-from repro.obs.timeline import TelemetrySampler
+from repro.obs.sampler import TelemetrySampler
 from repro.obs.tracer import Tracer
 from repro.serve.service import LATENCY_BUCKETS
 
@@ -195,6 +195,24 @@ class TestSLOMonitor:
         row = mon.evaluate()["slos"][0]
         assert row["quantized_threshold_seconds"] == pytest.approx(bounds[10])
         assert row["bad"] == 1  # conservative: not credited as good
+
+    @pytest.mark.parametrize("threshold", [0.02, 0.25, 0.5, 1.0])
+    def test_threshold_is_judged_near_its_value(self, threshold):
+        # Four bucket bounds per doubling: a latency 20 % under the
+        # threshold is good and one 25 % over it is bad, wherever the
+        # threshold falls between two bounds.
+        for factor, status in ((0.8, "ok"), (1.25, "page")):
+            clock = FakeClock()
+            reg = MetricsRegistry()
+            mon = SLOMonitor(reg, [SLOSpec("total", threshold, 0.99)],
+                             clock=clock)
+            mon.observe()
+            _observe_latency(reg, "total", factor * threshold, n=50)
+            clock.advance(1.0)
+            row = mon.evaluate()["slos"][0]
+            assert row["status"] == status, (factor, row)
+            assert 0.8 * threshold < row["quantized_threshold_seconds"]
+            assert row["quantized_threshold_seconds"] <= threshold
 
     def test_rolling_window_forgets(self):
         clock = FakeClock()

@@ -1,13 +1,16 @@
 """The serving core both service planes share (``repro.serve.core``).
 
 ``TraversalService`` and a one-tenant, one-replica ``ClusterService``
-are two queue disciplines over one resident-graph type and one batch
-executor, so the same root stream over the same partition must come out
-the same: bit-identical parents, the same cache/lane bookkeeping, the
-same timeline-vs-histogram reconciliation, the same ingest report.
+differ in tenancy and crash policy only: one resident-graph type, one
+batch former and one batch executor, so the same root stream over the
+same partition must come out the same: bit-identical parents, the same
+batches and cache/lane bookkeeping, the same timeline-vs-histogram
+reconciliation, the same ingest report.
 """
 
 import asyncio
+import functools
+import time
 
 import numpy as np
 import pytest
@@ -166,6 +169,73 @@ class TestCrossServiceParity:
         assert ours.new_fingerprint != ours.old_fingerprint
 
 
+def make_plane(plane, **kwargs):
+    """One fresh graph behind ``plane`` with no result cache, as
+    ``(service, submit(root), busy roots)``."""
+    _, engine = build_graph()
+    busy = [int(r) for r in np.flatnonzero(engine.part.degrees > 0)]
+    if plane == "serve":
+        svc = TraversalService(engine, cache=None, **kwargs)
+        return svc, svc.submit, busy
+    registry = TenantRegistry(
+        [Tenant(spec=TenantSpec("t0", scale=SCALE), batched=engine)]
+    )
+    svc = ClusterService(registry, replicas=1, **kwargs)
+    return svc, functools.partial(svc.submit, "t0"), busy
+
+
+@pytest.mark.parametrize("plane", ["serve", "cluster"])
+class TestOneBatchFormer:
+    """Both planes form a batch by one rule: fill by distinct roots,
+    leave when full or when the window ends, drain at close."""
+
+    def test_a_full_batch_leaves_before_its_window(self, plane):
+        async def main():
+            svc, submit, (a, b, *_) = make_plane(
+                plane, batch_size=2, batch_window=0.5
+            )
+            async with svc:
+                start = time.monotonic()
+                first = asyncio.ensure_future(submit(a))
+                await asyncio.sleep(0.05)
+                second = await submit(b)
+                first = await first
+                return first, second, time.monotonic() - start
+
+        first, second, elapsed = asyncio.run(main())
+        assert elapsed < 0.25
+        assert first.batch_lanes == second.batch_lanes == 2
+
+    def test_duplicate_roots_fill_one_batch(self, plane):
+        async def main():
+            svc, submit, (a, b, *_) = make_plane(
+                plane, batch_size=2, batch_window=0.3
+            )
+            async with svc:
+                out = await asyncio.gather(*(submit(r) for r in (a, a, b)))
+            return svc.stats.batches, out
+
+        batches, out = asyncio.run(main())
+        assert batches == 1
+        assert [r.batch_lanes for r in out] == [2, 2, 2]
+
+    def test_closing_drains_without_waiting_out_the_window(self, plane):
+        async def main():
+            svc, submit, (a, *_) = make_plane(
+                plane, batch_size=2, batch_window=30.0
+            )
+            await svc.start()
+            pending = asyncio.ensure_future(submit(a))
+            await asyncio.sleep(0.01)
+            start = time.monotonic()
+            await svc.stop()
+            return await pending, time.monotonic() - start
+
+        response, elapsed = asyncio.run(main())
+        assert elapsed < 5.0
+        assert response.batch_lanes == 1
+
+
 class TestSiblingEngines:
     def test_forwards_every_engine_setting(self):
         tracer, metrics = Tracer(), MetricsRegistry()
@@ -188,7 +258,7 @@ class TestSiblingEngines:
                 return svc, await svc.submit(program="cc")
 
         svc, response = asyncio.run(main())
-        assert svc.graph.sequential.config == engine.config
+        assert svc.graph.batched.config == engine.config
         spans = [sp for sp in tracer.spans if sp.name == "program"]
         assert [sp.attrs["trace_id"] for sp in spans] == [response.trace_id]
 
@@ -209,10 +279,9 @@ class TestSiblingEngines:
         asyncio.run(main())
         tenant = registry["t0"]
         assert tenant.batched is not engine
-        for rebuilt in (tenant.batched, tenant.sequential):
-            assert rebuilt.part is tenant.batched.part
-            assert rebuilt.tracer is tracer and rebuilt.metrics is metrics
-            assert rebuilt.config == engine.config
+        rebuilt = tenant.batched
+        assert rebuilt.tracer is tracer and rebuilt.metrics is metrics
+        assert rebuilt.config == engine.config
 
 
 class TestRequestIdsReachTheEngineSpans:
