@@ -296,13 +296,11 @@ def run_bench() -> dict:
     # --------------------------------------------------------- failover
     expected = {}
     for tenant in base_registry:
-        mine = sorted(
-            {q.root for q in workload.queries
-             if q.tenant == tenant.tenant_id}
+        tid = tenant.tenant_id
+        mine = sorted({q.root for q in workload.queries if q.tenant == tid})
+        expected.update(
+            {(tid, r): tenant.batched.run(r).parent for r in mine}
         )
-        expected[tenant.tenant_id] = {
-            r: tenant.batched.run(r).parent for r in mine
-        }
     report, cluster, _, metrics, drill_elapsed = _session(
         workload, expected=expected,
         kill_at=("r0", workload.num_queries // 2),

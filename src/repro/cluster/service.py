@@ -48,33 +48,18 @@ from repro.obs.metrics import NULL_METRICS
 from repro.obs.slo import SLOMonitor
 from repro.serve.core import (
     IngestReport,
+    ReplicaDown,
     RequestTimeline,
     ServeScope,
     ServeStats,
     ServingCore,
     TraversalResponse,
-    attribution,
 )
 
 from .router import ClusterRouter, QueueFull
 from .tenants import TenantRegistry
 
 __all__ = ["ClusterService", "ReplicaDown"]
-
-
-class ReplicaDown(RuntimeError):
-    """No live replica remains to serve the request (typed, attributed)."""
-
-    def __init__(
-        self, *, tenant: str = "", trace_id: str = "", replicas: int = 0
-    ) -> None:
-        super().__init__(
-            f"no live service replica ({replicas} configured)"
-            + attribution(tenant, trace_id)
-        )
-        self.tenant = tenant
-        self.trace_id = trace_id
-        self.replicas = replicas
 
 
 class _Replica:

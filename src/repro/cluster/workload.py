@@ -1,16 +1,15 @@
-"""Open-loop multi-tenant workload driving for the cluster plane.
+"""The cluster plane's workload: a timed schedule, a replica kill, and
+``python -m repro serve --tenants``.
 
-The single-graph :func:`~repro.serve.workload.run_workload` driver is
-*closed-loop*: N clients each keep one query in flight, so offered load
-adapts to service speed.  Fairness and overload gates need the
-opposite — an **open loop** that dispatches each
-:class:`~repro.serve.workload.ClusterQuery` at its scheduled arrival
-time regardless of how the service is coping, so a hot tenant really
-does offer 10× load and a 2× overload really is 2×.
-
-Every query's terminal outcome is recorded: served (with optional
-bit-exact parent validation against a per-tenant expectation), failed
-typed (:class:`~repro.serve.service.TraversalError` /
+:func:`run_cluster_workload` turns a
+:class:`~repro.serve.workload.ClusterWorkload` into the schedule of the
+one open-loop driver, :func:`~repro.serve.workload.open_loop`: each
+query is sent as ``submit(tenant, root)`` at its (optionally scaled)
+arrival time, and its latency runs from that time.  Its one addition is
+the failover drill's hook, a replica kill just before a chosen query is
+sent.  Every query's terminal outcome is recorded — served (with
+optional bit-exact parent validation), failed typed
+(:class:`~repro.serve.service.TraversalError` /
 :class:`~repro.cluster.service.ReplicaDown`), or shed typed
 (:class:`~repro.serve.service.Overloaded` after the retry budget, which
 defaults to 0 — under overload gates a shed is a terminal, *accounted*
@@ -26,23 +25,22 @@ was silently dropped — the gate the benchmark enforces.
 from __future__ import annotations
 
 import asyncio
-import functools
 from dataclasses import replace
 
-from repro.serve.service import TraversalError
 from repro.serve.workload import (
+    SHED_BACKOFF,
     ClusterWorkload,
-    QueryOutcome,
     WorkloadReport,
     expected_parents,
     make_diurnal_workload,
-    record_query,
+    open_loop,
+    parents_check,
     run_session,
     serve_gate,
     session_faults,
 )
 
-from .service import ClusterService, ReplicaDown
+from .service import ClusterService
 from .tenants import build_registry, parse_tenant_spec
 
 __all__ = [
@@ -71,52 +69,35 @@ async def run_cluster_workload(
     *,
     time_scale: float = 1.0,
     expected: dict | None = None,
-    shed_backoff: float = 0.0005,
+    shed_backoff: float = SHED_BACKOFF,
     max_shed_retries: int = 0,
     kill_at: tuple[str, int] | None = None,
 ) -> WorkloadReport:
     """Dispatch a timed workload open-loop; return per-query outcomes.
 
     ``time_scale`` compresses (<1) or stretches (>1) the workload's
-    arrival times.  ``expected`` maps tenant id -> {root: parent array}
-    for bit-exact validation.  ``kill_at=(replica_id, query_index)``
-    calls :meth:`ClusterService.kill_replica` just before dispatching
-    that query — the failure drill used by the smoke and the benchmark.
+    arrival times.  ``expected`` maps a query key ``(tenant, root)`` to
+    its parent array for bit-exact validation (see
+    :func:`~repro.serve.workload.expected_parents`).
+    ``kill_at=(replica_id, query_index)`` calls
+    :meth:`ClusterService.kill_replica` just before dispatching that
+    query — the failure drill used by the smoke and the benchmark.
     """
     if time_scale <= 0:
         raise ValueError("time_scale must be > 0")
-    loop = asyncio.get_running_loop()
-    expected = expected or {}
-    outcomes: list[QueryOutcome] = []
 
-    async def one(query) -> None:
-        outcomes.append(
-            await record_query(
-                functools.partial(cluster.submit, query.tenant, query.root),
-                query.root,
-                tenant=query.tenant,
-                want=expected.get(query.tenant, {}).get(query.root),
-                failures=(TraversalError, ReplicaDown),
-                shed_backoff=shed_backoff,
-                max_shed_retries=max_shed_retries,
-            )
-        )
-
-    t0 = loop.time()
-    tasks = []
-    for index, query in enumerate(workload.queries):
-        if kill_at is not None and index == kill_at[1]:
+    def schedule():
+        for index, query in enumerate(workload.queries):
+            if kill_at is not None and index == kill_at[1]:
+                cluster.kill_replica(kill_at[0])
+            yield query.arrival_seconds * time_scale, (query.tenant, query.root)
+        if kill_at is not None and kill_at[1] >= workload.num_queries:
             cluster.kill_replica(kill_at[0])
-        due = t0 + query.arrival_seconds * time_scale
-        delay = due - loop.time()
-        if delay > 0:
-            await asyncio.sleep(delay)
-        tasks.append(asyncio.create_task(one(query)))
-    if kill_at is not None and kill_at[1] >= len(workload.queries):
-        cluster.kill_replica(kill_at[0])
-    if tasks:
-        await asyncio.gather(*tasks)
-    return WorkloadReport(outcomes=outcomes)
+
+    return await open_loop(
+        cluster.submit, schedule(), check=parents_check(expected),
+        shed_backoff=shed_backoff, max_shed_retries=max_shed_retries,
+    )
 
 
 def run_cluster_session(
@@ -218,12 +199,12 @@ def run_cluster_drill(
     kill_at = ("r0", queries // 2) if smoke and replicas >= 2 else None
     expected = None
     if validate:
-        expected = {
-            tenant.tenant_id: expected_parents(tenant.batched, [
-                q.root for q in workload.for_tenant(tenant.tenant_id).queries
-            ])
-            for tenant in registry
-        }
+        expected = {}
+        for tenant in registry:
+            tid = tenant.tenant_id
+            expected.update(expected_parents(tenant.batched, [
+                q.root for q in workload.for_tenant(tid).queries
+            ], tid))
     telemetry = None
     if telemetry_port is not None:
         telemetry = dict(port=telemetry_port, interval=telemetry_interval,

@@ -121,11 +121,6 @@ class _Overlay:
     def is_empty(self) -> bool:
         return not (self.add_src or self.drop_src)
 
-    def num_pending(self) -> int:
-        return sum(a.size for a in self.add_src) + sum(
-            d.size for d in self.drop_src
-        )
-
 
 class IncrementalGraph:
     """A :class:`PartitionedGraph` kept live under an update stream.

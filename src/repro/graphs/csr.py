@@ -138,22 +138,8 @@ class CSRGraph:
         src = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.degrees)
         return src, self.indices.copy()
 
-    def has_arc(self, u: int, v: int) -> bool:
-        """True when the directed arc ``(u, v)`` is stored."""
-        return bool(np.any(self.neighbors(u) == v))
-
     def reverse(self) -> "CSRGraph":
         """CSR of the transposed graph (incoming adjacency)."""
         src, dst = self.arcs()
         return build_csr(dst, src, self.num_vertices)
 
-    def subgraph_arcs(self, mask_src: np.ndarray, mask_dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Arcs whose source satisfies ``mask_src`` and destination ``mask_dst``.
-
-        Both masks are boolean arrays of length ``n``.  Used by the 1.5D
-        partitioner to split the arc set into the six degree-class
-        components.
-        """
-        src, dst = self.arcs()
-        keep = mask_src[src] & mask_dst[dst]
-        return src[keep], dst[keep]

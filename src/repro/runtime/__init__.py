@@ -11,7 +11,7 @@ This subpackage simulates that runtime inside one Python process:
   priced by the machine's :class:`~repro.machine.costmodel.CostModel`.
 - :mod:`repro.runtime.comm` — a simulated communicator that really moves
   numpy buffers between per-rank inboxes (alltoallv, allgather,
-  reduce-scatter, allreduce) while charging the ledger.
+  allreduce) while charging the ledger.
 
 BFS output computed on this runtime is bit-exact with a real distributed
 run; only the seconds are modeled (see DESIGN.md §2).

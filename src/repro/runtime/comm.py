@@ -1,7 +1,7 @@
 """Simulated communicator: real data movement + ledger charging.
 
 :class:`SimCommunicator` implements the MPI collectives the paper's BFS
-uses (alltoallv, allgather, reduce-scatter/allreduce of bitmaps) over
+uses (alltoallv, allgather, allreduce of bitmaps) over
 per-rank numpy buffers living in one address space.  Data really moves —
 the receiving side gets exactly the bytes a real MPI run would deliver —
 and every call charges the :class:`~repro.runtime.ledger.TrafficLedger`
@@ -219,44 +219,6 @@ class SimCommunicator:
             group=group,
         )
         return self._deliver(phase, out)
-
-    def reduce_scatter_or(
-        self,
-        phase: str,
-        group: np.ndarray,
-        bitmaps: dict[int, np.ndarray],
-        splits: np.ndarray,
-    ) -> dict[int, np.ndarray]:
-        """OR-reduce bitmaps, then scatter slice ``k`` to the k-th group rank.
-
-        ``splits`` has ``len(group) + 1`` boundaries into the bitmap.  This
-        is the parent-reduction primitive (each owner receives the reduced
-        bits of its own vertex range).
-        """
-        group = np.asarray(group, dtype=np.int64)
-        splits = np.asarray(splits, dtype=np.int64)
-        if splits.size != group.size + 1:
-            raise ValueError("splits must have len(group) + 1 entries")
-        arrays = [np.asarray(bitmaps[int(i)], dtype=bool) for i in group]
-        out = arrays[0].copy()
-        for a in arrays[1:]:
-            out |= a
-        payload_bytes = float(np.ceil(out.size / 8.0))
-        intra, inter = self._group_traffic_split(group, payload_bytes)
-        self.ledger.charge_collective(
-            phase,
-            CollectiveKind.REDUCE_SCATTER,
-            participants=group.size,
-            max_bytes_intra=intra,
-            max_bytes_inter=inter,
-            total_bytes=payload_bytes * group.size,
-            group=group,
-        )
-        out = self._deliver(phase, out)
-        return {
-            int(rank): out[splits[k] : splits[k + 1]]
-            for k, rank in enumerate(group)
-        }
 
     # ------------------------------------------------------------------
 

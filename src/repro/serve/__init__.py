@@ -14,8 +14,9 @@ Layers (each usable on its own):
   :class:`~repro.serve.service.TraversalService`: bounded queue,
   batching window, typed ``Overloaded`` shedding, latency histograms,
   crash replay.
-- :mod:`repro.serve.workload` — the seeded closed-loop client generator
-  the CI smoke and benchmarks drive the service with.
+- :mod:`repro.serve.workload` — the seeded query streams and the one
+  load driver (open and closed loop, latency from each query's due
+  time) the CI smokes and benchmarks drive both planes with.
 - :mod:`repro.serve.telemetry` — the live scrape surface: an asyncio
   HTTP endpoint exposing ``/metrics`` (Prometheus text), ``/healthz``,
   ``/slo``, ``/timeline``, and per-request ``/trace/<id>``.

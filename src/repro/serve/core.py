@@ -54,6 +54,7 @@ __all__ = [
     "LatencyReservoir",
     "Overloaded",
     "TraversalError",
+    "ReplicaDown",
     "RequestTimeline",
     "TraversalResponse",
     "ServeStats",
@@ -167,6 +168,21 @@ class TraversalError(RuntimeError):
         super().__init__(message + attribution(tenant, trace_id))
         self.tenant = tenant
         self.trace_id = trace_id
+
+
+class ReplicaDown(RuntimeError):
+    """No live replica remains to serve the request (typed, attributed)."""
+
+    def __init__(
+        self, *, tenant: str = "", trace_id: str = "", replicas: int = 0
+    ) -> None:
+        super().__init__(
+            f"no live service replica ({replicas} configured)"
+            + attribution(tenant, trace_id)
+        )
+        self.tenant = tenant
+        self.trace_id = trace_id
+        self.replicas = replicas
 
 
 @dataclass
@@ -398,23 +414,20 @@ class ResidentGraph:
     def num_vertices(self) -> int:
         return int(self.batched.num_vertices)
 
-    def swap(self, batched, touched=None) -> tuple[int, int]:
+    def swap(self, batched, touched) -> tuple[int, int]:
         """Make ``batched`` the served generation.
 
         Engine, fingerprint and cache move together with no await in
-        between, so a query batch sees either generation whole.  With
-        ``touched`` (the vertices a delta changed) only cached trees
-        intersecting it are evicted and the rest re-keyed to the new
-        fingerprint; without it the old generation is dropped.  Returns
-        ``(evicted, rekeyed)``.
+        between, so a query batch sees either generation whole.  Only
+        cached trees intersecting ``touched`` (the vertices a delta
+        changed) are evicted; the rest are re-keyed to the new
+        fingerprint.  Returns ``(evicted, rekeyed)``.
         """
         old = self.fingerprint
         self.batched = batched
         self.fingerprint = fingerprint_graph(batched.part)
         if self.cache is None:
             return 0, 0
-        if touched is None:
-            return self.cache.invalidate(old), 0
         return self.cache.apply_delta(old, self.fingerprint, touched)
 
     async def ingest(self, batches, scope: ServeScope) -> IngestReport:
@@ -660,7 +673,7 @@ class ServingCore:
             wake.clear()
             try:
                 await asyncio.wait_for(wake.wait(), timeout=remaining)
-            except TimeoutError:
+            except asyncio.TimeoutError:
                 break
         return batch
 

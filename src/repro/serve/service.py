@@ -182,12 +182,6 @@ class TraversalService:
     async def __aexit__(self, *exc) -> None:
         await self.stop()
 
-    def reload_graph(self, engine) -> None:
-        """Swap the served graph; cached results of the old generation
-        are invalidated (the fingerprint changes with the graph)."""
-        self.graph.swap(engine)
-        self._program_cache.clear()
-
     # ------------------------------------------------------------------
     # streaming ingestion
     # ------------------------------------------------------------------

@@ -86,10 +86,6 @@ class TelemetryServer:
         """The bound port (resolves 0 → ephemeral after :meth:`start`)."""
         return self._port
 
-    @property
-    def url(self) -> str:
-        return f"http://{self._host}:{self._port}"
-
     async def start(self) -> None:
         if self._server is not None:
             raise RuntimeError("telemetry server already started")
@@ -125,7 +121,7 @@ class TelemetryServer:
         except (
             asyncio.IncompleteReadError,
             asyncio.LimitOverrunError,
-            TimeoutError,
+            asyncio.TimeoutError,
             ConnectionError,
         ):
             writer.close()

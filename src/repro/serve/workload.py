@@ -1,18 +1,10 @@
-"""Seeded workload generation for the traversal serving planes.
+"""Seeded workloads and the one load driver of both serving planes.
 
-Single-graph pieces:
+Query streams:
 
 - :func:`make_workload_roots` — a seeded query stream over the graph's
   non-isolated vertices with a configurable *hot set*, so repeated roots
   exercise the result cache deterministically.
-- :func:`run_workload` — a closed-loop driver: ``clients`` concurrent
-  clients each keep exactly one query in flight, retrying queries the
-  service sheds (``Overloaded`` is backpressure, not failure).  Every
-  query's outcome — served, cached, failed, and whether the returned
-  parent tree matched the expected one — is recorded.
-
-Multi-tenant pieces (consumed by :mod:`repro.cluster`):
-
 - :func:`pareto_popularity` — seeded heavy-tail tenant popularity: each
   tenant's traffic share is a normalized Pareto draw, so a few tenants
   dominate the stream the way production traffic does.
@@ -23,27 +15,41 @@ Multi-tenant pieces (consumed by :mod:`repro.cluster`):
   stream.  Identical ``seed`` and parameters give a bit-identical
   workload (arrival floats included).
 
-Every query's journey is a :class:`QueryOutcome` (now tenant-tagged);
-:meth:`WorkloadReport.per_tenant` splits a report into per-tenant
-sub-reports so fairness and SLO gates can compare tenants directly.
+The driver is two loops over one per-query path.  :func:`open_loop`
+sends a schedule of queries at their due times whatever the service is
+doing, so a hot tenant really offers 10x and a 2x overload really is
+2x; :func:`closed_loop` keeps ``clients`` queries in flight, so the
+offered load follows the service.  Either way a query is sent, a shed
+is retried within a budget, a typed failure or the last shed is its
+accounted answer, and one check judges the parents it was served.  Each
+query leaves one :class:`QueryOutcome` of scalars: its due time, how
+late it was sent, its latency from the due time to the answer, the
+stage latencies the service reported, and the verdict.
+:class:`WorkloadReport` aggregates them; its percentiles read the
+due-time latency, so a sender that falls behind shows in them, and
+:meth:`WorkloadReport.per_tenant` splits a report by tenant for the
+fairness and SLO gates.
 
-The CI smokes and the serving benchmarks all drive services through
-this module, so "zero wrong parents / zero dropped-without-typed-shed
-responses" is asserted against the exact client behavior a user would
-write.  :func:`run_serve_drill` is ``python -m repro serve`` on one
-graph, and :func:`serve_gate` the gate both serving planes' drills end
-on (the multi-tenant drill is :func:`repro.cluster.run_cluster_drill`).
+:func:`run_workload` is the closed loop over one
+:class:`~repro.serve.service.TraversalService`;
+:func:`repro.cluster.run_cluster_workload` builds the open-loop schedule
+of a :class:`ClusterWorkload`.  The CI smokes and the serving
+benchmarks drive services through them, so "zero wrong parents / zero
+dropped-without-typed-shed responses" is asserted against the exact
+client behavior a user would write.  :func:`run_serve_drill` is
+``python -m repro serve`` on one graph, and :func:`serve_gate` the gate
+both serving planes' drills end on (the multi-tenant drill is
+:func:`repro.cluster.run_cluster_drill`).
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.serve.core import ReplicaDown
 from repro.serve.service import (
     Overloaded,
     TraversalError,
@@ -54,7 +60,9 @@ __all__ = [
     "make_workload_roots",
     "pareto_popularity",
     "make_diurnal_workload",
-    "record_query",
+    "open_loop",
+    "closed_loop",
+    "parents_check",
     "run_workload",
     "run_session",
     "run_serving_session",
@@ -266,22 +274,42 @@ def make_diurnal_workload(
 
 @dataclass
 class QueryOutcome:
-    """One query's journey through a service."""
+    """One query as its client saw it.
 
-    root: int
-    #: Owning tenant id ("" when driving a single-graph service).
-    tenant: str = ""
-    cached: bool = False
-    #: ``True``/``False`` when validated against an expected parent
-    #: tree, ``None`` when no expectation was supplied.
-    correct: bool | None = None
+    Only scalars are kept: holding the response would pin its batch's
+    whole parent matrix, so a query's parents are judged by the check
+    the moment it is answered and only the verdict stays.
+    """
+
+    #: What the query was sent with, ``submit(*key)``: ``(root,)`` on
+    #: one graph, ``(tenant, root)`` on the cluster plane.
+    key: tuple
+    #: Event-loop time the query was due to be sent.
+    due: float = 0.0
+    #: Seconds after ``due`` that it was actually sent.
+    late: float = 0.0
+    #: Seconds from ``due`` to the terminal answer, shed retries included.
+    latency: float = 0.0
+    #: Stage latencies the service reported on its response (seconds;
+    #: ``total_seconds`` runs from the last ``submit``).
+    queue_wait: float = 0.0
+    batch_wait: float = 0.0
+    traversal_seconds: float = 0.0
     total_seconds: float = 0.0
+    cached: bool = False
     batch_lanes: int = 0
     shed_retries: int = 0
     #: The query ended in a *typed* shed (``Overloaded`` surfaced to the
     #: client as the terminal outcome — accounted, never silently lost).
     shed: bool = False
     error: str | None = None
+    #: The check's verdict on the served parents; ``None`` unchecked.
+    correct: bool | None = None
+
+    @property
+    def tenant(self) -> str:
+        """Owning tenant id ("" when driving a single-graph service)."""
+        return self.key[0] if len(self.key) > 1 else ""
 
     @property
     def served(self) -> bool:
@@ -345,10 +373,12 @@ class WorkloadReport:
         return self.cache_hits / self.served if self.served else 0.0
 
     def latency_percentile(self, q: float) -> float:
-        """Percentile ``q`` of served total latencies, or ``nan`` when
-        nothing was served (an idle tenant's sub-report must not crash
-        the builder assembling per-tenant rows)."""
-        samples = [o.total_seconds for o in self.outcomes if o.served]
+        """Percentile ``q`` of served latencies, each from the query's
+        due time to its answer (so a late sender and shed retries
+        count), or ``nan`` when nothing was served (an idle tenant's
+        sub-report must not crash the builder assembling per-tenant
+        rows)."""
+        samples = [o.latency for o in self.outcomes if o.served]
         if not samples:
             return float("nan")
         return float(np.percentile(np.asarray(samples), q))
@@ -362,53 +392,127 @@ class WorkloadReport:
         return split
 
 
-async def record_query(
-    submit,
-    root: int,
-    *,
-    tenant: str = "",
-    want=None,
-    failures: tuple = (TraversalError,),
-    shed_backoff: float,
+#: Seconds a client waits before resending a query the service shed.
+SHED_BACKOFF = 0.0005
+#: What a :class:`QueryOutcome` keeps of a served response.
+_RESPONSE_SCALARS = (
+    "cached", "batch_lanes", "queue_wait", "batch_wait",
+    "traversal_seconds", "total_seconds",
+)
+
+
+async def _answer(
+    submit, key: tuple, due: float, check, shed_backoff: float,
     max_shed_retries: int,
 ) -> QueryOutcome:
-    """Await ``submit()`` to a terminal, *accounted* outcome.
+    """Send ``submit(*key)`` and await a terminal, *accounted* outcome.
 
     An :class:`Overloaded` rejection backs off ``shed_backoff`` seconds
-    and retries up to ``max_shed_retries`` times, after which the shed
-    itself is the (typed) outcome; any of ``failures`` is recorded as a
-    failed query.  ``want`` is the expected parent array, checked bit
-    for bit when given.
+    and retries, up to ``max_shed_retries`` times, after which the shed
+    itself is the (typed) outcome; a :class:`TraversalError` or
+    :class:`ReplicaDown` is a failed query.  ``check(key, response)``
+    judges a served response (``True``/``False``, ``None`` for no
+    verdict).  Latency runs from ``due``, the time the query was meant
+    to go out.
     """
-    retries = 0
+    loop = asyncio.get_running_loop()
+    outcome = QueryOutcome(key, due, late=loop.time() - due)
     while True:
         try:
-            response = await submit()
+            response = await submit(*key)
         except Overloaded as exc:
-            if retries >= max_shed_retries:
-                return QueryOutcome(
-                    root=root, tenant=tenant, shed=True,
-                    shed_retries=retries, error=str(exc),
-                )
-            retries += 1
-            await asyncio.sleep(shed_backoff)
-            continue
-        except failures as exc:
-            return QueryOutcome(
-                root=root, tenant=tenant, shed_retries=retries, error=str(exc)
+            if outcome.shed_retries < max_shed_retries:
+                outcome.shed_retries += 1
+                await asyncio.sleep(shed_backoff)
+                continue
+            outcome.shed, outcome.error = True, str(exc)
+        except (TraversalError, ReplicaDown) as exc:
+            outcome.error = str(exc)
+        break
+    outcome.latency = loop.time() - due
+    if outcome.served:
+        for name in _RESPONSE_SCALARS:
+            setattr(outcome, name, getattr(response, name))
+        if check is not None:
+            outcome.correct = check(key, response)
+    return outcome
+
+
+async def open_loop(
+    submit, schedule, *, check=None, shed_backoff: float = SHED_BACKOFF,
+    max_shed_retries: int = 0,
+) -> WorkloadReport:
+    """Send each ``(offset, key)`` of ``schedule`` ``offset`` seconds
+    after the start, whatever the service is doing, as ``submit(*key)``.
+
+    ``schedule`` is consumed lazily, so a generator may act between
+    sends.  A query's latency runs from its due time, so a sender that
+    falls behind shows as latency (and as ``late``) on the queries
+    behind it.  ``check``, ``shed_backoff`` and ``max_shed_retries``
+    are as in :func:`_answer`.
+    """
+    loop = asyncio.get_running_loop()
+    t0 = loop.time()
+    tasks = []
+    for offset, key in schedule:
+        due = t0 + offset
+        delay = due - loop.time()
+        if delay > 0:
+            await asyncio.sleep(delay)
+        tasks.append(asyncio.create_task(_answer(
+            submit, key, due, check, shed_backoff, max_shed_retries
+        )))
+    return WorkloadReport(outcomes=list(await asyncio.gather(*tasks)))
+
+
+async def closed_loop(
+    submit, roots, clients: int, *, check=None,
+    shed_backoff: float = SHED_BACKOFF, max_shed_retries: int = 0,
+) -> WorkloadReport:
+    """``clients`` clients, one query in flight each, send
+    ``submit(root)`` for the next root of ``roots`` until it runs out.
+
+    A query is due when its client takes its root.  ``roots`` is read
+    as one shared iterator, so an endless one (a cycle cut off by a
+    deadline) runs the loop for a time instead of a count.  ``check``,
+    ``shed_backoff`` and ``max_shed_retries`` are as in
+    :func:`_answer`.
+    """
+    if clients < 1:
+        raise ValueError("clients must be >= 1")
+    loop = asyncio.get_running_loop()
+    roots = iter(roots)
+    outcomes: list[QueryOutcome] = []
+
+    async def client() -> None:
+        for root in roots:
+            outcome = await _answer(
+                submit, (int(root),), loop.time(), check, shed_backoff,
+                max_shed_retries,
             )
-        correct = None
-        if want is not None:
-            correct = bool(np.array_equal(response.parent, want))
-        return QueryOutcome(
-            root=root,
-            tenant=tenant,
-            cached=response.cached,
-            correct=correct,
-            total_seconds=response.total_seconds,
-            batch_lanes=response.batch_lanes,
-            shed_retries=retries,
-        )
+            outcomes.append(outcome)
+            if outcome.cached:
+                # A cache hit returns without suspending; yield so the
+                # other clients and the flusher run.
+                await asyncio.sleep(0)
+
+    await asyncio.gather(*(client() for _ in range(clients)))
+    return WorkloadReport(outcomes=outcomes)
+
+
+def parents_check(expected):
+    """The per-query check against ``expected``, which maps a query key
+    to its reference parent array: bit-for-bit equality, and no verdict
+    for a key it does not hold.  ``None`` (check nothing) when
+    ``expected`` is empty or ``None``."""
+    if not expected:
+        return None
+
+    def check(key, response):
+        want = expected.get(key)
+        return None if want is None else bool(np.array_equal(response.parent, want))
+
+    return check
 
 
 async def run_workload(
@@ -417,37 +521,21 @@ async def run_workload(
     *,
     clients: int = 4,
     expected: dict | None = None,
-    shed_backoff: float = 0.0005,
+    shed_backoff: float = SHED_BACKOFF,
     max_shed_retries: int = 10_000,
 ) -> WorkloadReport:
-    """Drive ``service`` with a closed loop of ``clients`` clients.
+    """Drive ``service`` with a :func:`closed_loop` of ``clients``
+    clients over ``roots``, each root once.
 
-    Each client keeps one query in flight; an :class:`Overloaded`
-    rejection backs off ``shed_backoff`` seconds and retries the same
-    root.  ``expected`` maps root → parent array; served responses for
-    those roots are checked bit-for-bit.
+    A shed query backs off ``shed_backoff`` seconds and retries the same
+    root, up to ``max_shed_retries`` times.  ``expected`` maps a query
+    key ``(root,)`` to its parent array (see :func:`expected_parents`);
+    served responses for those keys are checked bit for bit.
     """
-    if clients < 1:
-        raise ValueError("clients must be >= 1")
-    pending = deque(int(r) for r in roots)
-    expected = expected or {}
-    outcomes: list[QueryOutcome] = []
-
-    async def client() -> None:
-        while pending:
-            root = pending.popleft()
-            outcomes.append(
-                await record_query(
-                    functools.partial(service.submit, root),
-                    root,
-                    want=expected.get(root),
-                    shed_backoff=shed_backoff,
-                    max_shed_retries=max_shed_retries,
-                )
-            )
-
-    await asyncio.gather(*(client() for _ in range(clients)))
-    return WorkloadReport(outcomes=outcomes)
+    return await closed_loop(
+        service.submit, roots, clients, check=parents_check(expected),
+        shed_backoff=shed_backoff, max_shed_retries=max_shed_retries,
+    )
 
 
 @dataclass
@@ -500,15 +588,22 @@ async def http_get(
 
 
 async def _scrape_loop(
-    summary: TelemetrySummary, host: str, port: int, interval: float
+    summary: TelemetrySummary, host: str, port: int, interval: float,
+    stop: asyncio.Event,
 ) -> None:
-    """Poll ``/metrics`` and ``/healthz`` until cancelled, counting
-    successful scrapes — the CI smoke's evidence the plane is live."""
-    while True:
+    """Poll ``/metrics`` and ``/healthz`` until ``stop`` is set, counting
+    successful scrapes — the CI smoke's evidence the plane is live.
+
+    It is stopped by the event, not cancelled: before Python 3.12,
+    ``asyncio.wait_for`` (inside :func:`http_get`) swallows a
+    cancellation that lands as its inner read completes, and a
+    cancelled loop then polls, and its awaiter waits, forever.
+    """
+    while not stop.is_set():
         for path in ("/metrics", "/healthz"):
             try:
                 status, _, body = await http_get(host, port, path)
-            except (OSError, TimeoutError, ValueError):
+            except (OSError, asyncio.TimeoutError, ValueError):
                 continue
             if status == 200:
                 summary.scrapes[path] = summary.scrapes.get(path, 0) + 1
@@ -560,22 +655,19 @@ async def run_session(service, drive, *, telemetry, cluster=None):
             if monitor is not None:
                 monitor.observe()  # zero baseline for the window delta
             await sampler.start()
-            scraper = None
+            scraper, stop = None, asyncio.Event()
             if telemetry.get("scrape", True):
-                scraper = asyncio.create_task(
-                    _scrape_loop(summary, "127.0.0.1", server.port, interval)
-                )
+                scraper = asyncio.create_task(_scrape_loop(
+                    summary, "127.0.0.1", server.port, interval, stop
+                ))
             try:
                 report = await drive()
                 # One settled pass so the final state is observable.
                 await asyncio.sleep(interval)
             finally:
+                stop.set()
                 if scraper is not None:
-                    scraper.cancel()
-                    try:
-                        await scraper
-                    except asyncio.CancelledError:
-                        pass
+                    await scraper
                 await sampler.stop()
             sampler.sample()
             if cluster is not None:
@@ -622,9 +714,11 @@ def run_serving_session(
     return asyncio.run(main())
 
 
-def expected_parents(engine, roots) -> dict:
-    """``{root: parent array}`` from one single-source run per distinct
-    root: what a validating drill checks each served response against.
+def expected_parents(engine, roots, *prefix) -> dict:
+    """``{(*prefix, root): parent array}`` from one single-source run per
+    distinct root: what a validating drill checks each served response
+    against, keyed like the queries (``prefix`` is ``(tenant,)`` on the
+    cluster plane).
 
     The runs go through a sink-free engine configured like ``engine``,
     so validating adds nothing to the served engine's trace or metrics.
@@ -632,7 +726,9 @@ def expected_parents(engine, roots) -> dict:
     from repro.core.engine import DistributedBFS
 
     oracle = DistributedBFS(engine.part, machine=engine.machine, config=engine.config)
-    return {int(r): oracle.run(int(r)).parent for r in np.unique(roots)}
+    return {
+        (*prefix, int(r)): oracle.run(int(r)).parent for r in np.unique(roots)
+    }
 
 
 def session_faults(faults, seed: int):

@@ -714,7 +714,7 @@ class TestEmptyPercentiles:
         from repro.serve.workload import QueryOutcome
 
         report = WorkloadReport(
-            outcomes=[QueryOutcome(root=1, shed=True, error="shed")]
+            outcomes=[QueryOutcome(key=(1,), shed=True, error="shed")]
         )
         assert math.isnan(report.latency_percentile(50))
 

@@ -138,42 +138,6 @@ class TestAllreduceOr:
         assert ev.max_bytes_intra + ev.max_bytes_inter == pytest.approx(100.0)
 
 
-class TestReduceScatterOr:
-    def test_scatter_slices(self):
-        comm, _, _ = make_comm()
-        group = np.arange(4)
-        full = np.zeros(8, bool)
-        bitmaps = {i: full.copy() for i in range(4)}
-        bitmaps[1][3] = True
-        bitmaps[2][6] = True
-        out = comm.reduce_scatter_or(
-            "t", group, bitmaps, splits=np.array([0, 2, 4, 6, 8])
-        )
-        assert out[0].tolist() == [False, False]
-        assert out[1].tolist() == [False, True]
-        assert out[3].tolist() == [True, False]
-
-    def test_splits_validated(self):
-        comm, _, _ = make_comm()
-        with pytest.raises(ValueError, match="splits"):
-            comm.reduce_scatter_or(
-                "t",
-                np.array([0, 1]),
-                {0: np.zeros(4, bool), 1: np.zeros(4, bool)},
-                splits=np.array([0, 4]),
-            )
-
-    def test_charges_reduce_scatter_kind(self):
-        comm, _, ledger = make_comm()
-        comm.reduce_scatter_or(
-            "t",
-            np.arange(4),
-            {i: np.zeros(4, bool) for i in range(4)},
-            splits=np.array([0, 1, 2, 3, 4]),
-        )
-        assert ledger.comm_events[0].kind is CollectiveKind.REDUCE_SCATTER
-
-
 class TestBarrier:
     def test_latency_only(self):
         comm, _, ledger = make_comm()

@@ -169,18 +169,6 @@ class TestCorruptionDelivery:
         waits = [e for e in ledger.comm_events if e.participants == 1]
         assert len(waits) == 1
 
-    def test_reduce_scatter_slices_survive_corruption(self):
-        inj = FaultInjector("corrupt:phase=P,count=1")
-        comm, _, _ = make_comm(faults=inj)
-        full = np.zeros(8, bool)
-        bitmaps = {i: full.copy() for i in range(4)}
-        bitmaps[1][3] = True
-        out = comm.reduce_scatter_or(
-            "P", np.arange(4), bitmaps, splits=np.array([0, 2, 4, 6, 8])
-        )
-        assert out[1].tolist() == [False, True]
-        assert inj.corruptions_detected == 1
-
     def test_corruption_metrics(self):
         registry = MetricsRegistry()
         inj = FaultInjector("corrupt:phase=L2L,count=1", metrics=registry)

@@ -5,7 +5,8 @@ differ in tenancy and crash policy only: one resident-graph type, one
 batch former and one batch executor, so the same root stream over the
 same partition must come out the same: bit-identical parents, the same
 batches and cache/lane bookkeeping, the same timeline-vs-histogram
-reconciliation, the same ingest report.
+reconciliation, the same ingest report.  Both are driven by one load
+driver (``repro.serve.workload``), whose outcomes must agree too.
 """
 
 import asyncio
@@ -15,7 +16,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterService, Tenant, TenantRegistry, TenantSpec
+from repro.cluster import (
+    ClusterService,
+    Tenant,
+    TenantRegistry,
+    TenantSpec,
+    run_cluster_workload,
+)
 from repro.core import BFSConfig, DistributedBFS
 from repro.dynamic.repair import IncrementalGraph
 from repro.dynamic.updates import UpdateBatch
@@ -27,6 +34,15 @@ from repro.runtime.mesh import ProcessMesh
 from repro.serve import ResultCache, TraversalService
 from repro.serve.core import IngestReport, sibling_engine
 from repro.serve.msbfs import MultiSourceBFS
+from repro.serve.workload import (
+    ClusterQuery,
+    ClusterWorkload,
+    closed_loop,
+    expected_parents,
+    make_workload_roots,
+    open_loop,
+    parents_check,
+)
 
 SCALE = 7
 E_THR, H_THR = 32, 8
@@ -234,6 +250,84 @@ class TestOneBatchFormer:
         response, elapsed = asyncio.run(main())
         assert elapsed < 5.0
         assert response.batch_lanes == 1
+
+
+@pytest.mark.parametrize("plane", ["serve", "cluster"])
+class TestOneLoadDriver:
+    """The same roots through both drivers on either plane: one outcome
+    type, one check per query, every query accounted for."""
+
+    def test_closed_and_open_loop_outcomes_agree(self, plane):
+        # Every build_graph() call yields the same partition.
+        _, engine = build_graph()
+        roots = make_workload_roots(
+            engine.part.degrees, 24, seed=5, hot_set_size=4
+        )
+        expected = expected_parents(engine, roots)
+        wrong = (int(roots[0]),)
+        expected[wrong] = np.full_like(expected[wrong], -1)
+        check = parents_check(expected)
+
+        async def main():
+            svc, submit, _ = make_plane(plane, batch_size=8)
+            async with svc:
+                closed = await closed_loop(submit, roots, 4, check=check)
+                opened = await open_loop(
+                    submit,
+                    ((0.002 * i, (int(r),)) for i, r in enumerate(roots)),
+                    check=check,
+                )
+            return closed, opened
+
+        closed, opened = asyncio.run(main())
+        for report in (closed, opened):
+            assert report.num_queries == report.accounted == len(roots)
+            assert report.served == report.validated == len(roots)
+            assert sorted(o.key for o in report.outcomes) == sorted(
+                (int(r),) for r in roots
+            )
+            for o in report.outcomes:
+                assert o.correct is (o.key != wrong)
+                assert o.tenant == "" and not o.cached and not o.shed
+                assert o.late >= 0 and o.shed_retries == 0
+                assert 1 <= o.batch_lanes <= 8
+                assert o.latency >= o.total_seconds >= o.traversal_seconds > 0
+                assert o.total_seconds >= o.queue_wait + o.batch_wait
+        assert closed.wrong_parents == opened.wrong_parents == sum(
+            int(r) == wrong[0] for r in roots
+        )
+        assert max(o.late for o in closed.outcomes) < 0.05
+
+
+class TestDueTimeLatency:
+    def test_a_stalled_sender_shows_in_lateness_and_percentiles(self):
+        # The event loop blocks for STALL seconds before any query is
+        # due, so every query goes out at least STALL - 0.09 s late.  A
+        # latency taken from submit (the service's total) cannot see it.
+        stall = 0.4
+
+        async def main():
+            svc, _, busy = make_plane("cluster")
+            workload = ClusterWorkload(
+                queries=[
+                    ClusterQuery(0.02 + 0.01 * i, "t0", busy[i])
+                    for i in range(8)
+                ],
+                popularity={"t0": 1.0},
+            )
+            async with svc:
+                asyncio.get_running_loop().call_later(0.01, time.sleep, stall)
+                return await run_cluster_workload(svc, workload)
+
+        report = asyncio.run(main())
+        assert report.served == report.accounted == 8
+        assert min(o.late for o in report.outcomes) > stall - 0.15
+        assert report.latency_percentile(50) > stall - 0.15
+        assert report.per_tenant()["t0"].latency_percentile(0) > stall - 0.15
+        served_from_submit = np.median(
+            [o.total_seconds for o in report.outcomes]
+        )
+        assert served_from_submit < stall - 0.15
 
 
 class TestSiblingEngines:

@@ -10,6 +10,7 @@ reservoir behind percentile stats, the HTTP endpoint surface
 
 import asyncio
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from repro.obs.tracer import Tracer
 from repro.runtime.mesh import ProcessMesh
 from repro.serve import TelemetryServer, TraversalService
 from repro.serve.msbfs import MultiSourceBFS
+from repro.serve import workload
 from repro.serve.service import LatencyReservoir
 from repro.serve.workload import (
     http_get,
@@ -382,6 +384,39 @@ class TestServingSessionTelemetry:
         assert telem.slo["slos"][0]["name"] == "total<0.25s@99%"
         # The captured /metrics body parses as exposition text.
         assert b"serve_requests" in telem.last_metrics_body
+
+    def test_session_ends_when_a_scrape_swallows_its_cancellation(
+        self, engines, monkeypatch
+    ):
+        # Before Python 3.12, asyncio.wait_for returns its inner result
+        # and drops a cancellation that lands as the inner read finishes
+        # (seen as an intermittent hang of the test above).  A scrape
+        # that always does so must still let the session end.
+        _, batched = engines
+
+        async def swallowing_get(host, port, path, *, timeout=5.0):
+            try:
+                await asyncio.sleep(0.1)
+            except asyncio.CancelledError:
+                pass
+            return 200, {}, b"serve_requests"
+
+        monkeypatch.setattr(workload, "http_get", swallowing_get)
+        roots = make_workload_roots(batched.part.degrees, 4, seed=3)
+        done = []
+        session = threading.Thread(
+            target=lambda: done.append(run_serving_session(
+                batched, roots, clients=2, metrics=MetricsRegistry(),
+                telemetry={"port": 0, "interval": 0.001},
+            )),
+            daemon=True,
+        )
+        session.start()
+        session.join(timeout=30)
+        assert done, "the session never returned"
+        report, _, telem = done[0]
+        assert report.served == 4
+        assert telem.scrapes.get("/metrics", 0) >= 1
 
     def test_telemetry_requires_real_registry(self, engines):
         _, batched = engines
