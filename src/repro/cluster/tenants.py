@@ -90,7 +90,6 @@ class TenantSpec:
     slos: tuple | None = None
     e_threshold: int | None = None
     h_threshold: int | None = None
-    cache_capacity: int = 1024
 
     def __post_init__(self) -> None:
         if not self.tenant_id:
@@ -220,7 +219,7 @@ def build_tenant(spec: TenantSpec, *, dynamic: bool = False) -> Tenant:
     tenant = Tenant(
         spec=spec,
         batched=serving_engine(setup),
-        cache=ResultCache(capacity=spec.cache_capacity),
+        cache=ResultCache(),
     )
     if dynamic:
         tenant.dynamic = setup.incremental()

@@ -147,14 +147,6 @@ class UpdateBatch:
     def size(self) -> int:
         return int(self.op.size)
 
-    @property
-    def num_inserts(self) -> int:
-        return int(np.count_nonzero(self.op > 0))
-
-    @property
-    def num_deletes(self) -> int:
-        return int(np.count_nonzero(self.op < 0))
-
 
 def canonical_edges(
     src: np.ndarray, dst: np.ndarray, num_vertices: int

@@ -18,15 +18,15 @@ __all__ = ["CSRGraph", "build_csr", "symmetrize_edges"]
 
 
 def symmetrize_edges(
-    src: np.ndarray, dst: np.ndarray, *, drop_self_loops: bool = True
+    src: np.ndarray, dst: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Turn an undirected edge list into a directed arc list.
 
     Every undirected edge ``{u, v}`` contributes the two arcs ``(u, v)`` and
     ``(v, u)``.  Graph500 permits self loops and duplicate edges in the input;
     self loops carry no information for BFS (a vertex cannot be its own
-    parent unless it is the root) so they are dropped by default, matching
-    what every published Graph500 implementation does during construction.
+    parent unless it is the root) so they are dropped, matching what every
+    published Graph500 implementation does during construction.
 
     Returns the concatenated ``(src, dst)`` arc arrays.
     """
@@ -34,19 +34,12 @@ def symmetrize_edges(
     dst = np.asarray(dst, dtype=np.int64)
     if src.shape != dst.shape:
         raise ValueError(f"src/dst shape mismatch: {src.shape} vs {dst.shape}")
-    if drop_self_loops:
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
     return np.concatenate([src, dst]), np.concatenate([dst, src])
 
 
-def build_csr(
-    src: np.ndarray,
-    dst: np.ndarray,
-    num_vertices: int,
-    *,
-    sort_neighbors: bool = False,
-) -> "CSRGraph":
+def build_csr(src: np.ndarray, dst: np.ndarray, num_vertices: int) -> "CSRGraph":
     """Build a :class:`CSRGraph` from directed arc arrays.
 
     Parameters
@@ -56,10 +49,6 @@ def build_csr(
         graph pass the output of :func:`symmetrize_edges`.
     num_vertices:
         Number of vertices ``n``; all arc endpoints must lie in ``[0, n)``.
-    sort_neighbors:
-        When true, each adjacency list is sorted ascending.  Sorted lists make
-        equality tests and validation deterministic; traversal does not
-        require it.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
@@ -77,18 +66,8 @@ def build_csr(
     indptr = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
 
-    indices = np.empty(src.size, dtype=np.int64)
-    # Counting-sort arcs into their source's slot.
-    cursor = indptr[:-1].copy()
-    order = np.argsort(src, kind="stable")
-    indices[:] = dst[order]
-    del cursor  # the stable argsort already groups arcs by source
-
-    if sort_neighbors and src.size:
-        # Sort within each row by sorting (row, neighbor) pairs.
-        row_of = np.repeat(np.arange(num_vertices, dtype=np.int64), counts)
-        pair_order = np.lexsort((indices, row_of))
-        indices = indices[pair_order]
+    # A stable sort groups arcs by source, keeping input order within a row.
+    indices = dst[np.argsort(src, kind="stable")]
 
     return CSRGraph(num_vertices=num_vertices, indptr=indptr, indices=indices)
 
@@ -137,9 +116,3 @@ class CSRGraph:
         """Reconstruct the flat ``(src, dst)`` arc arrays."""
         src = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.degrees)
         return src, self.indices.copy()
-
-    def reverse(self) -> "CSRGraph":
-        """CSR of the transposed graph (incoming adjacency)."""
-        src, dst = self.arcs()
-        return build_csr(dst, src, self.num_vertices)
-

@@ -23,18 +23,17 @@ __all__ = [
 
 
 def degrees_from_edges(
-    src: np.ndarray, dst: np.ndarray, num_vertices: int, *, count_self_loops: bool = False
+    src: np.ndarray, dst: np.ndarray, num_vertices: int
 ) -> np.ndarray:
     """Undirected degree of every vertex from an undirected edge list.
 
     Each edge ``{u, v}`` adds one to both endpoints' degrees.  Self loops are
-    excluded by default (consistent with :func:`repro.graphs.csr.symmetrize_edges`).
+    excluded (consistent with :func:`repro.graphs.csr.symmetrize_edges`).
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
-    if not count_self_loops:
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
     deg = np.bincount(src, minlength=num_vertices)
     deg += np.bincount(dst, minlength=num_vertices)
     return deg.astype(np.int64)
@@ -55,9 +54,7 @@ def degree_histogram(degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, counts
 
 
-def degree_peaks(
-    degrees: np.ndarray, *, num_bins_per_decade: int = 8, min_prominence: float = 0.5
-) -> np.ndarray:
+def degree_peaks(degrees: np.ndarray) -> np.ndarray:
     """Locate the peaks of the log-binned degree distribution.
 
     Graph500's Kronecker generator yields a degree distribution that is a
@@ -66,25 +63,16 @@ def degree_peaks(
     so the benchmark harness can derive small-SCALE analogues of the paper's
     threshold grid.
 
-    Parameters
-    ----------
-    degrees:
-        Per-vertex degrees.
-    num_bins_per_decade:
-        Resolution of the log-space histogram used for peak finding.
-    min_prominence:
-        A bin is a peak when its log10 count exceeds both neighbors by at
-        least this much *or* is a local maximum over a 3-bin window.
-
-    Returns
-    -------
-    Array of peak-center degrees, ascending.
+    The histogram has 8 log-spaced bins per decade of degree.  A bin is a
+    peak when its log10 count exceeds both neighbors by at least 0.5 *or*
+    is a strict local maximum over a 3-bin window.  Returns the peak-center
+    degrees, ascending.
     """
     values, counts = degree_histogram(degrees)
     if values.size == 0:
         return np.array([], dtype=np.int64)
     max_deg = float(values.max())
-    num_bins = max(int(np.ceil(np.log10(max(max_deg, 10.0)) * num_bins_per_decade)), 4)
+    num_bins = max(int(np.ceil(np.log10(max(max_deg, 10.0)) * 8)), 4)
     edges = np.logspace(0, np.log10(max_deg + 1.0), num_bins + 1)
     bin_counts, _ = np.histogram(
         np.repeat(values, counts).astype(np.float64), bins=edges
@@ -97,7 +85,7 @@ def degree_peaks(
         if logc[i] <= 0:
             continue
         if logc[i] >= left and logc[i] >= right and (
-            logc[i] - min(left, right) >= min_prominence or (logc[i] > left and logc[i] > right)
+            logc[i] - min(left, right) >= 0.5 or (logc[i] > left and logc[i] > right)
         ):
             peaks.append(float(np.sqrt(edges[i] * edges[i + 1])))
     return np.unique(np.round(peaks).astype(np.int64))

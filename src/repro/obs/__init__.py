@@ -37,10 +37,8 @@ for a worked example.
 from repro.obs.export import (
     build_track_table,
     render_flame,
-    span_aggregates,
     to_chrome_trace,
     write_chrome_trace,
-    write_span_csv,
 )
 from repro.obs.metrics import (
     NULL_METRICS,
@@ -80,8 +78,6 @@ __all__ = [
     "write_chrome_trace",
     "build_track_table",
     "render_flame",
-    "span_aggregates",
-    "write_span_csv",
     "PROMETHEUS_CONTENT_TYPE",
     "TelemetrySampler",
     "SLOSpec",

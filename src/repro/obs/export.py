@@ -1,6 +1,6 @@
-"""Trace exporters: Chrome ``trace_event`` JSON, flame text, span CSV.
+"""Trace exporters: Chrome ``trace_event`` JSON and flame text.
 
-Three views of one :class:`~repro.obs.tracer.Tracer`:
+Two views of one :class:`~repro.obs.tracer.Tracer`:
 
 - :func:`to_chrome_trace` / :func:`write_chrome_trace` — the Chrome
   ``trace_event`` JSON format (the "JSON Array with metadata" variant),
@@ -11,8 +11,6 @@ Three views of one :class:`~repro.obs.tracer.Tracer`:
   not the simulator's own wall time (pass ``clock="wall"`` for that).
 - :func:`render_flame` — a flame-graph-style text summary aggregated by
   span name path, inclusive simulated seconds, counts, and counters.
-- :func:`span_aggregates` / :func:`write_span_csv` — a flat table of
-  per-path aggregates for spreadsheet analysis.
 
 Every file artifact the package writes (RunReports, traces, metric
 exports, benchmark JSON) goes through :func:`write_artifact`, which
@@ -24,9 +22,7 @@ the traced run returns, when every span is closed).
 
 from __future__ import annotations
 
-import csv
 import json
-from collections import defaultdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -41,8 +37,6 @@ __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
     "render_flame",
-    "span_aggregates",
-    "write_span_csv",
 ]
 
 
@@ -271,53 +265,3 @@ def render_flame(tracer: "Tracer", *, min_share: float = 0.0) -> str:
             f"  {100 * share:>5.1f}%  {_fmt_seconds(row['wall']):>10}"
         )
     return "\n".join(out)
-
-
-# ----------------------------------------------------------------------
-# flat CSV of span aggregates
-# ----------------------------------------------------------------------
-
-
-def span_aggregates(tracer: "Tracer") -> list[dict]:
-    """One row per span name path: count, clock totals, summed counters."""
-    spans = _closed_spans(tracer)
-    paths = _span_path(tracer)
-    agg: dict[str, dict] = {}
-    for sp in spans:
-        row = agg.setdefault(
-            paths[sp.sid],
-            {
-                "path": paths[sp.sid],
-                "category": sp.category,
-                "count": 0,
-                "sim_seconds": 0.0,
-                "wall_seconds": 0.0,
-                "counters": defaultdict(float),
-            },
-        )
-        row["count"] += 1
-        row["sim_seconds"] += sp.sim_seconds
-        row["wall_seconds"] += sp.wall_seconds
-        for key, val in sp.counters.items():
-            row["counters"][key] += val
-    out = []
-    for path in sorted(agg):
-        row = agg[path]
-        out.append({**{k: v for k, v in row.items() if k != "counters"},
-                    **dict(row["counters"])})
-    return out
-
-
-def write_span_csv(tracer: "Tracer", path) -> int:
-    """Write :func:`span_aggregates` as CSV; returns the row count."""
-    rows = span_aggregates(tracer)
-    fixed = ["path", "category", "count", "sim_seconds", "wall_seconds"]
-    counter_keys = sorted({k for r in rows for k in r if k not in fixed})
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fixed + counter_keys)
-        for row in rows:
-            writer.writerow(
-                [row[k] for k in fixed] + [row.get(k, 0.0) for k in counter_keys]
-            )
-    return len(rows)

@@ -189,9 +189,7 @@ class RankVector:
 
     Keeps the exact per-rank totals — rank identity intact — so load
     balance (Fig. 13's max-min spread, max/avg) is computed from true
-    totals rather than from lossy buckets.  :meth:`to_histogram` folds
-    the totals into an exponential-bucket histogram when only the
-    distribution shape is needed.
+    totals rather than from lossy buckets.
     """
 
     __slots__ = ("values",)
@@ -207,11 +205,6 @@ class RankVector:
             grown[: self.values.size] = self.values
             self.values = grown
         self.values[: v.size] += v
-
-    def to_histogram(self, bounds: tuple[float, ...] = DEFAULT_BUCKETS) -> Histogram:
-        hist = Histogram(bounds)
-        hist.observe_many(self.values)
-        return hist
 
     def summary(self) -> dict:
         """Exact balance digest over the accumulated per-rank totals."""
@@ -320,14 +313,6 @@ class MetricsRegistry:
                 total += inst.value
         return total
 
-    def labels_of(self, name: str, label: str) -> set[str]:
-        """Distinct values one label takes within a family."""
-        return {
-            labels[label]
-            for labels, _ in self.samples(name)
-            if label in labels
-        }
-
 
 class _NullInstrument:
     """Inert counter/gauge/histogram/vector: every write vanishes."""
@@ -398,9 +383,6 @@ class NullMetricsRegistry:
 
     def counter_total(self, name: str, **label_filter) -> float:
         return 0.0
-
-    def labels_of(self, name: str, label: str) -> set:
-        return set()
 
 
 #: Shared inert registry used as the default everywhere.

@@ -10,8 +10,8 @@ This subpackage simulates that runtime inside one Python process:
   would-be collective and kernel is recorded with its exact volumes and
   priced by the machine's :class:`~repro.machine.costmodel.CostModel`.
 - :mod:`repro.runtime.comm` — a simulated communicator that really moves
-  numpy buffers between per-rank inboxes (alltoallv, allgather,
-  allreduce) while charging the ledger.
+  numpy buffers between per-rank inboxes (alltoallv, allreduce)
+  while charging the ledger.
 
 BFS output computed on this runtime is bit-exact with a real distributed
 run; only the seconds are modeled (see DESIGN.md §2).

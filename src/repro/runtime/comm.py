@@ -1,7 +1,7 @@
 """Simulated communicator: real data movement + ledger charging.
 
 :class:`SimCommunicator` implements the MPI collectives the paper's BFS
-uses (alltoallv, allgather, allreduce of bitmaps) over
+uses (alltoallv and allreduce of bitmaps) over
 per-rank numpy buffers living in one address space.  Data really moves —
 the receiving side gets exactly the bytes a real MPI run would deliver —
 and every call charges the :class:`~repro.runtime.ledger.TrafficLedger`
@@ -17,11 +17,11 @@ participant count, carrying a ``bytes`` counter — under whatever span
 the caller has open.
 
 Metrics: attach a :class:`~repro.obs.metrics.MetricsRegistry` to the
-ledger (``metrics=``) and the skewed collectives additionally record
-their *per-rank* byte vectors — ``alltoallv`` the bytes each rank sends,
-``allgather`` each rank's contribution — into the ``rank_bytes`` vector
-family and the ``rank_byte_load`` histogram (both labeled by ``phase``),
-the per-rank communication-imbalance data behind Fig. 13.
+ledger (``metrics=``) and ``alltoallv`` additionally records its
+*per-rank* byte vector — the bytes each rank sends — into the
+``rank_bytes`` vector family and the ``rank_byte_load`` histogram (both
+labeled by ``phase``), the per-rank communication-imbalance data behind
+Fig. 13.
 
 Fault interception: every collective passes its explicit rank ``group``
 into :meth:`~repro.runtime.ledger.TrafficLedger.charge_collective`, so
@@ -130,51 +130,6 @@ class SimCommunicator:
             )
             for j, parts in recv.items()
         }
-
-    # ------------------------------------------------------------------
-    # allgather
-    # ------------------------------------------------------------------
-
-    def allgather(
-        self, phase: str, group: np.ndarray, contributions: dict[int, np.ndarray]
-    ) -> np.ndarray:
-        """Each group rank contributes an array; all receive the
-        rank-ordered concatenation."""
-        group = np.asarray(group, dtype=np.int64)
-        parts = []
-        max_contrib = 0.0
-        contrib_bytes = np.zeros(self.mesh.num_ranks, dtype=np.float64)
-        for i in sorted(int(g) for g in group):
-            buf = np.asarray(contributions.get(i, np.array([], dtype=np.int64)))
-            parts.append(buf)
-            contrib_bytes[i] = float(buf.nbytes)
-            max_contrib = max(max_contrib, float(buf.nbytes))
-        gathered = (
-            np.concatenate(parts) if parts else np.array([], dtype=np.int64)
-        )
-        # Ring-allgather critical path: every rank receives the full
-        # gathered buffer, but each of its p-1 steps forwards a whole
-        # block, so the largest contribution bounds the per-link time —
-        # with skewed contributions that exceeds the received volume.
-        per_rank = max(
-            float(gathered.nbytes), max_contrib * max(group.size - 1, 0)
-        )
-        intra, inter = self._group_traffic_split(group, per_rank)
-        self.ledger.charge_collective(
-            phase,
-            CollectiveKind.ALLGATHER,
-            participants=group.size,
-            max_bytes_intra=intra,
-            max_bytes_inter=inter,
-            total_bytes=float(gathered.nbytes) * group.size,
-            group=group,
-        )
-        m = self.ledger.metrics
-        m.vector("rank_bytes", phase=phase).add(contrib_bytes)
-        m.histogram("rank_byte_load", phase=phase).observe_many(
-            contrib_bytes[group]
-        )
-        return self._deliver(phase, gathered)
 
     # ------------------------------------------------------------------
     # bitmap reductions

@@ -354,7 +354,3 @@ class TrafficLedger:
         """Fold another ledger's events into this one (multi-root runs)."""
         self.comm_events.extend(other.comm_events)
         self.compute_events.extend(other.compute_events)
-
-    def reset(self) -> None:
-        self.comm_events.clear()
-        self.compute_events.clear()

@@ -113,12 +113,6 @@ class ProcessMesh:
             return np.zeros_like(np.asarray(rank, dtype=np.int64))
         return self.machine.supernode_of(np.asarray(rank, dtype=np.int64))
 
-    def row_is_intra_supernode(self, row: int) -> bool:
-        """True when the whole row shares a supernode (the design goal)."""
-        ranks = self.row_ranks(row)
-        sn = self.supernode_of_rank(ranks)
-        return bool(np.all(sn == sn[0]))
-
     def group_traffic_split(self, group: np.ndarray | list[int]) -> tuple[float, float]:
         """``(intra_frac, inter_frac)`` of a symmetric group collective.
 

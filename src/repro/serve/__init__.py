@@ -7,7 +7,7 @@ Layers (each usable on its own):
   :class:`~repro.core.engine.DistributedBFS`: up to 64 roots per batch,
   one lane per root, parents bit-identical to single-root runs.
 - :mod:`repro.serve.cache` — the (graph fingerprint, root) result cache
-  with LRU + TTL eviction and hit/miss/eviction metrics.
+  with LRU eviction, delta re-keying and hit/miss/eviction metrics.
 - :mod:`repro.serve.core` — what both service planes share: the
   resident-graph type, the batch executor and the metric scope.
 - :mod:`repro.serve.service` — the asyncio-fronted

@@ -178,8 +178,6 @@ def make_diurnal_workload(
     *,
     seed: int,
     duration_seconds: float = 1.0,
-    period_seconds: float | None = None,
-    peak_to_trough: float = 4.0,
     alpha: float = 1.1,
     popularity: dict | None = None,
     hot_fraction: float = 0.5,
@@ -194,8 +192,7 @@ def make_diurnal_workload(
     - **arrivals**: exactly ``num_queries`` arrival times on
       ``[0, duration_seconds)`` sampled by inverse CDF from the
       sinusoidal rate ``r(t) = 1 + a*sin(2*pi*t/period)`` with ``a``
-      chosen so peak rate / trough rate = ``peak_to_trough`` (the
-      diurnal curve, one full cycle per ``period_seconds``, default one
+      chosen so peak rate / trough rate = 4 (the diurnal curve, one full
       cycle over the whole duration);
     - **tenant of each query**: drawn from :func:`pareto_popularity`
       shares (or an explicit ``popularity`` map, normalized here);
@@ -214,8 +211,6 @@ def make_diurnal_workload(
         raise ValueError("num_queries must be >= 1")
     if duration_seconds <= 0:
         raise ValueError("duration_seconds must be > 0")
-    if peak_to_trough < 1.0:
-        raise ValueError("peak_to_trough must be >= 1")
     tenants = list(tenant_degrees)
     if popularity is None:
         popularity = pareto_popularity(tenants, alpha=alpha, seed=seed)
@@ -229,9 +224,9 @@ def make_diurnal_workload(
         popularity = {t: float(popularity[t]) / total for t in tenants}
 
     rng = np.random.default_rng(seed)
-    period = float(period_seconds or duration_seconds)
-    # Amplitude from the peak:trough ratio r: (1+a)/(1-a) = r.
-    amp = (peak_to_trough - 1.0) / (peak_to_trough + 1.0)
+    period = float(duration_seconds)
+    # Amplitude from the 4:1 peak:trough ratio r: (1+a)/(1-a) = r.
+    amp = (4.0 - 1.0) / (4.0 + 1.0)
     # Inverse-CDF sampling of the sinusoidal density on a fine grid:
     # cumulative rate R(t) = t + (a*period/2pi) * (1 - cos(2pi t/period)).
     grid = np.linspace(0.0, duration_seconds, 4096)

@@ -10,7 +10,10 @@ multi-tenant telemetry views.
 """
 
 import asyncio
+import importlib.util
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -517,6 +520,26 @@ class TestFairness:
 # ----------------------------------------------------------------------
 # per-tenant SLO monitors
 # ----------------------------------------------------------------------
+
+
+class TestDiurnalWorkload:
+    def test_slo_bench_stream_matches_committed_checksum(self):
+        # The SLO bench's three SCALE-9 tenants and its seeded diurnal
+        # stream must hash to the checksum its committed artifact holds:
+        # arrivals, tenant picks and roots are all bit-reproducible.
+        bench_dir = Path(__file__).resolve().parent.parent / "benchmarks"
+        spec = importlib.util.spec_from_file_location(
+            "bench_serve_slo", bench_dir / "bench_serve_slo.py"
+        )
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        committed = json.loads(bench.RESULTS.read_text())["workload"]
+        registry = build_registry(bench._specs())
+        workload = bench._workload(registry)
+        assert workload.num_queries == committed["num_queries"]
+        assert bench._checksum(workload) == committed["checksum"]
+        heavy = bench._workload(registry, hot_friendly=False)
+        assert bench._checksum(heavy) == committed["heavy_checksum"]
 
 
 class TestPerTenantSLO:

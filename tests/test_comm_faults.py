@@ -33,38 +33,39 @@ def make_comm(rows=2, cols=2, faults=None, metrics=None):
     return SimCommunicator(mesh, ledger), mesh, ledger
 
 
-def row_allgather(comm, mesh, row=0):
-    ranks = mesh.row_ranks(row)
-    return comm.allgather(
-        "EH2EH", ranks, {int(r): np.arange(16) for r in ranks}
-    )
+def row_alltoallv(comm, mesh, row=0):
+    """Every rank of one mesh row sends 16 ids to each other rank of it."""
+    ranks = [int(r) for r in mesh.row_ranks(row)]
+    send = {i: {j: np.arange(16) for j in ranks if j != i} for i in ranks}
+    return comm.alltoallv("EH2EH", mesh.row_ranks(row), send)
 
 
 class TestDropRetryCharges:
     def test_event_count_is_baseline_plus_two_per_retry(self):
         """Each retry adds one wasted full-cost event + one backoff wait."""
         base_comm, base_mesh, base_ledger = make_comm()
-        row_allgather(base_comm, base_mesh)
+        row_alltoallv(base_comm, base_mesh)
         baseline_events = len(base_ledger.comm_events)
 
         inj = FaultInjector("drop:phase=EH2EH,count=1,retries=3")
         comm, mesh, ledger = make_comm(faults=inj)
-        out = row_allgather(comm, mesh)
-        assert out.size == 32  # payload still fully delivered
+        out = row_alltoallv(comm, mesh)
+        # payload still fully delivered
+        assert {r: v.size for r, v in out.items()} == {0: 16, 1: 16}
         assert len(ledger.comm_events) == baseline_events + 2 * 3
         assert inj.retries_total == 3
 
     def test_wasted_attempts_charge_full_cost(self):
         inj = FaultInjector("drop:phase=EH2EH,count=1,retries=2")
         comm, mesh, ledger = make_comm(faults=inj)
-        row_allgather(comm, mesh)
-        gathers = [
+        row_alltoallv(comm, mesh)
+        exchanges = [
             e for e in ledger.comm_events
-            if e.kind is CollectiveKind.ALLGATHER
+            if e.kind is CollectiveKind.ALLTOALLV
         ]
-        assert len(gathers) == 3  # 2 wasted + 1 successful
-        assert len({e.seconds for e in gathers}) == 1  # identical pricing
-        assert len({e.total_bytes for e in gathers}) == 1
+        assert len(exchanges) == 3  # 2 wasted + 1 successful
+        assert len({e.seconds for e in exchanges}) == 1  # identical pricing
+        assert len({e.total_bytes for e in exchanges}) == 1
 
     def test_backoff_waits_match_schedule(self):
         backoff = RetryBackoff(base_seconds=1e-4, growth=2.0)
@@ -72,7 +73,7 @@ class TestDropRetryCharges:
             "drop:phase=EH2EH,count=1,retries=3", backoff=backoff
         )
         comm, mesh, ledger = make_comm(faults=inj)
-        row_allgather(comm, mesh)
+        row_alltoallv(comm, mesh)
         waits = [
             e.seconds for e in ledger.comm_events
             if e.kind is CollectiveKind.BARRIER and e.participants == 1
@@ -102,8 +103,8 @@ class TestDropRetryCharges:
             "drop:phase=EH2EH,count=2,retries=2", metrics=registry
         )
         comm, mesh, ledger = make_comm(faults=inj, metrics=registry)
-        row_allgather(comm, mesh, row=0)
-        row_allgather(comm, mesh, row=1)
+        row_alltoallv(comm, mesh, row=0)
+        row_alltoallv(comm, mesh, row=1)
         assert registry.counter_total("retries") == inj.retries_total == 4
         # Every commit — wasted attempts and backoff waits included — is a
         # first-class comm_event in the registry.
@@ -117,14 +118,14 @@ class TestStragglerScoping:
     def test_straggler_inflates_only_its_row(self):
         # Rank 3 sits in row 1 of a 2x2 mesh.
         clean_comm, clean_mesh, clean_ledger = make_comm()
-        row_allgather(clean_comm, clean_mesh, row=0)
-        row_allgather(clean_comm, clean_mesh, row=1)
+        row_alltoallv(clean_comm, clean_mesh, row=0)
+        row_alltoallv(clean_comm, clean_mesh, row=1)
         clean = [e.seconds for e in clean_ledger.comm_events]
 
         inj = FaultInjector("straggler:rank=3,factor=4,phase=EH2EH")
         comm, mesh, ledger = make_comm(faults=inj)
-        row_allgather(comm, mesh, row=0)
-        row_allgather(comm, mesh, row=1)
+        row_alltoallv(comm, mesh, row=0)
+        row_alltoallv(comm, mesh, row=1)
         seconds = [e.seconds for e in ledger.comm_events]
         assert seconds[0] == clean[0]  # row 0: rank 3 not a participant
         assert seconds[1] == pytest.approx(4.0 * clean[1])  # row 1: inflated
@@ -132,8 +133,8 @@ class TestStragglerScoping:
     def test_straggler_counted_once(self):
         inj = FaultInjector("straggler:rank=3,factor=4,phase=EH2EH")
         comm, mesh, _ = make_comm(faults=inj)
-        row_allgather(comm, mesh, row=1)
-        row_allgather(comm, mesh, row=1)
+        row_alltoallv(comm, mesh, row=1)
+        row_alltoallv(comm, mesh, row=1)
         assert inj.faults_fired == 1  # one fault, many inflated events
 
     def test_column_group_scoping(self):

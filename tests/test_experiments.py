@@ -24,7 +24,7 @@ class TestSetup:
 
     def test_supernode_rows(self):
         s = build_setup(10, 4, 4)
-        assert s.mesh.row_is_intra_supernode(0)
+        assert s.mesh.group_traffic_split(s.mesh.row_ranks(0)) == (1.0, 0.0)
 
     def test_root_kinds(self):
         hub = build_setup(10, 2, 2, root_kind="hub")

@@ -87,11 +87,6 @@ class TestQueries:
         ledger.merge(other)
         assert len(ledger.compute_events) == 1
 
-    def test_reset(self, ledger):
-        ledger.charge_compute("A", "k", [1], 1.0)
-        ledger.reset()
-        assert ledger.total_seconds == 0.0
-
     def test_bytes_by_kind(self, ledger):
         ledger.charge_collective("A", CollectiveKind.ALLTOALLV, 4, 10.0, 5.0)
         assert ledger.bytes_by_kind()[CollectiveKind.ALLTOALLV] == pytest.approx(15.0)

@@ -79,7 +79,8 @@ class TestSupernodeMapping:
         machine = MachineSpec(num_nodes=256, nodes_per_supernode=16)
         mesh = ProcessMesh(16, 16, machine=machine)
         for row in range(16):
-            assert mesh.row_is_intra_supernode(row)
+            sn = mesh.supernode_of_rank(mesh.row_ranks(row))
+            assert len(set(sn.tolist())) == 1
 
     def test_columns_cross_supernodes(self):
         machine = MachineSpec(num_nodes=256, nodes_per_supernode=16)

@@ -126,12 +126,6 @@ class TestInstruments:
         assert s["spread"] == pytest.approx((5.0 - 2.0) / (10.0 / 3))
         assert s["max_over_avg"] == pytest.approx(5.0 / (10.0 / 3) - 1.0)
 
-    def test_rank_vector_to_histogram(self):
-        v = RankVector()
-        v.add(np.array([1.0, 3.0, 1000.0]))
-        h = v.to_histogram()
-        assert h.count == 3 and h.max == 1000.0
-
     def test_empty_digests(self):
         assert Histogram().summary()["count"] == 0
         assert RankVector().summary()["ranks"] == 0
@@ -148,7 +142,6 @@ class TestRegistry:
         c.inc(3)
         assert reg.counter_total("x") == 5.0
         assert reg.counter_total("x", phase="E2L") == 2.0
-        assert reg.labels_of("x", "phase") == {"E2L", "L2L"}
 
     def test_kind_clash_raises(self):
         reg = MetricsRegistry()

@@ -62,14 +62,6 @@ def engines():
 # ----------------------------------------------------------------------
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
 class TestResultCache:
     def _parent(self, tag):
         return np.arange(tag, tag + 4, dtype=np.int64)
@@ -80,42 +72,37 @@ class TestResultCache:
         assert cache.get("fp", 1) is None
         cache.put("fp", 1, self._parent(0))
         assert np.array_equal(cache.get("fp", 1), self._parent(0))
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
         assert metrics.counter_total("serve_cache_hits") == 1
         assert metrics.counter_total("serve_cache_misses") == 1
-        assert cache.stats.hit_rate == 0.5
 
     def test_lru_eviction_order(self):
-        cache = ResultCache(capacity=2)
+        metrics = MetricsRegistry()
+        cache = ResultCache(capacity=2, metrics=metrics)
         cache.put("fp", 1, self._parent(1))
         cache.put("fp", 2, self._parent(2))
         cache.get("fp", 1)  # 1 is now most-recently-used
         cache.put("fp", 3, self._parent(3))  # evicts 2
         assert cache.get("fp", 2) is None
         assert cache.get("fp", 1) is not None
-        assert cache.stats.evicted_lru == 1
-
-    def test_ttl_expiry_lazy(self):
-        clock = FakeClock()
-        cache = ResultCache(capacity=4, ttl_seconds=10.0, clock=clock)
-        cache.put("fp", 1, self._parent(1))
-        clock.now = 9.9
-        assert cache.get("fp", 1) is not None
-        clock.now = 20.0
-        assert cache.get("fp", 1) is None
-        assert cache.stats.evicted_ttl == 1
-        assert len(cache) == 0
+        assert metrics.counter_total("serve_cache_evictions", reason="lru") == 1
+        assert metrics.counter_total("serve_cache_size") == 2
 
     def test_invalidate_generation(self):
-        cache = ResultCache(capacity=8)
+        # A delta invalidates trees of the generation it repairs only;
+        # another graph's entries keep their key and their tree.
+        metrics = MetricsRegistry()
+        cache = ResultCache(capacity=8, metrics=metrics)
         cache.put("old", 1, self._parent(1))
         cache.put("old", 2, self._parent(2))
-        cache.put("new", 1, self._parent(3))
-        assert cache.invalidate("old") == 2
-        assert cache.get("old", 1) is None
-        assert cache.get("new", 1) is not None
-        assert cache.stats.evicted_invalidation == 2
-        assert cache.invalidate() == 1  # drop everything
+        cache.put("other", 1, self._parent(3))
+        touched = np.arange(8)
+        assert cache.apply_delta("old", "new", touched) == (2, 0)
+        assert cache.get("new", 1) is None and cache.get("old", 1) is None
+        assert np.array_equal(cache.get("other", 1), self._parent(3))
+        assert metrics.counter_total(
+            "serve_cache_evictions", reason="invalidation"
+        ) == 2
+        assert len(cache) == 1
 
     def test_cached_arrays_are_readonly(self):
         cache = ResultCache()
@@ -134,8 +121,18 @@ class TestResultCache:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             ResultCache(capacity=0)
-        with pytest.raises(ValueError):
-            ResultCache(ttl_seconds=0)
+
+    def test_cached_lane_does_not_pin_its_batch(self):
+        # A served tree is one lane's row of the batch's (lanes, n)
+        # parent matrix; the cache must hold a read-only copy of it, not
+        # a view that keeps the whole matrix alive (and writable).
+        matrix = np.arange(64 * 100, dtype=np.int64).reshape(64, 100)
+        cache = ResultCache()
+        cache.put("fp", 3, matrix[3])
+        got = cache.get("fp", 3)
+        assert np.array_equal(got, matrix[3])
+        assert not np.shares_memory(got, matrix)
+        assert got.base is None and not got.flags.writeable
 
 
 # ----------------------------------------------------------------------

@@ -76,32 +76,6 @@ class TestPartialInvalidation:
         parent[list(tree)] = 0
         return parent
 
-    def test_invalidate_roots_drops_only_those(self):
-        metrics = MetricsRegistry()
-        cache = ResultCache(metrics=metrics)
-        for root in (1, 2, 3):
-            cache.put("fp", root, self._parent([root]))
-        dropped = cache.invalidate("fp", roots=[2, 9])
-        assert dropped == 1
-        assert cache.get("fp", 1) is not None
-        assert cache.get("fp", 2) is None
-        assert cache.get("fp", 3) is not None
-        assert cache.stats.partial_invalidations == 1
-        assert metrics.counter_total("serve_cache_partial_invalidations") == 1
-
-    def test_invalidate_generation_still_works(self):
-        cache = ResultCache()
-        cache.put("old", 1, self._parent([1]))
-        cache.put("old", 2, self._parent([2]))
-        cache.put("new", 1, self._parent([1]))
-        assert cache.invalidate("old") == 2
-        assert cache.get("new", 1) is not None
-        assert cache.stats.partial_invalidations == 0
-
-    def test_invalidate_all_rejects_roots(self):
-        with pytest.raises(ValueError):
-            ResultCache().invalidate(roots=[1])
-
     def test_apply_delta_evicts_touched_rekeys_rest(self):
         metrics = MetricsRegistry()
         cache = ResultCache(metrics=metrics)
@@ -115,7 +89,9 @@ class TestPartialInvalidation:
         assert cache.get("new", 8) is not None
         assert cache.get("old", 8) is None
         assert cache.get("new", 0) is None
-        assert cache.stats.rekeyed == 1
+        assert metrics.counter_total(
+            "serve_cache_evictions", reason="invalidation"
+        ) == 1
         assert metrics.counter_total("serve_cache_partial_invalidations") == 1
 
     def test_apply_delta_explicit_touched_on_put(self):

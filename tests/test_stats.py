@@ -24,12 +24,6 @@ class TestDegreesFromEdges:
         deg = degrees_from_edges(np.array([1]), np.array([1]), 2)
         assert deg.tolist() == [0, 0]
 
-    def test_self_loops_counted_on_request(self):
-        deg = degrees_from_edges(
-            np.array([1]), np.array([1]), 2, count_self_loops=True
-        )
-        assert deg.tolist() == [0, 2]
-
     def test_duplicates_counted(self):
         deg = degrees_from_edges(np.array([0, 0]), np.array([1, 1]), 2)
         assert deg.tolist() == [2, 2]
