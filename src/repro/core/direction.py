@@ -88,9 +88,8 @@ def pull_wins(component: str, active_src, unvisited_dst, config: BFSConfig):
     """The §4.2 rule: does ``component`` pull, given its source class's
     active ratio and its destination class's unvisited ratio?
 
-    Floats for one traversal, per-lane arrays for a wave (the answer is
-    then a per-lane boolean array); the comparisons are the same either
-    way, so every lane decides exactly as its single-source run would.
+    A wave asks it once per live lane with that lane's floats, so every
+    lane decides exactly as its single-source run would.
     """
     if component in NODE_LOCAL_COMPONENTS:
         return active_src > config.local_pull_threshold

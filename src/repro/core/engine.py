@@ -72,10 +72,9 @@ from repro.core.direction import (
 )
 from repro.core.kernels.fifteend import FIFTEEND_KERNELS, FifteenDContext
 from repro.core.kernels.scheduler import SchedulerHost
-from repro.core.lanes import iter_lanes, lane_bit, lanes_word
+from repro.core.lanes import iter_lanes, lane_bit
 from repro.core.metrics import BFSRunResult, IterationRecord, MSBFSResult
 from repro.core.partition import (
-    CLASS_CODES,
     COMPONENT_CLASSES,
     PartitionedGraph,
     class_count,
@@ -84,12 +83,6 @@ from repro.machine.network import MachineSpec
 from repro.obs.tracer import Tracer
 
 __all__ = ["DistributedBFS"]
-
-
-def _class_counts(counts, cls) -> np.ndarray:
-    """Per-lane population of degree class ``cls`` in a ``LaneState``
-    ``[lane, class]`` count array."""
-    return counts[:, CLASS_CODES[cls]].sum(axis=1)
 
 
 class DistributedBFS(SchedulerHost):
@@ -245,28 +238,34 @@ class DistributedBFS(SchedulerHost):
 
     def batch_component_directions(self, name, lanes):
         # Fresh per-lane ratios (§4.2) from the run's running counts: the
-        # integers a popcount of each lane's class bits would give, so the
-        # floats fed to ``pull_wins`` are each lane's sequential ones (a
-        # class without members reads 0, as in ``ClassState.ratios``).
+        # integers a popcount of each lane's class bits would give, fed
+        # lane by lane to the single-source rule, so each live lane
+        # decides on its sequential floats (a class without members
+        # reads 0, as in ``ClassState.ratios``).
         src_cls, dst_cls = COMPONENT_CLASSES[name]
         sizes = self.ctx.class_state.sizes
-        active_src = _class_counts(lanes.active_counts, src_cls) / max(
-            sizes[src_cls], 1
-        )
-        unvisited_dst = (
-            sizes[dst_cls] - _class_counts(lanes.visited_counts, dst_cls)
-        ) / max(sizes[dst_cls], 1)
-        pull = pull_wins(name, active_src, unvisited_dst, self.config)
-        live = lanes.active_counts.any(axis=1)
-        return lanes_word(np.flatnonzero(live & ~pull)), lanes_word(
-            np.flatnonzero(live & pull)
-        )
+        src_size, dst_size = max(sizes[src_cls], 1), max(sizes[dst_cls], 1)
+        visited = lanes.visited_counts.tolist()
+        push_mask = pull_mask = 0
+        for lane, active in enumerate(lanes.active_counts.tolist()):
+            if not any(active):
+                continue
+            active_src = class_count(active, src_cls) / src_size
+            unvisited_dst = (
+                sizes[dst_cls] - class_count(visited[lane], dst_cls)
+            ) / dst_size
+            if pull_wins(name, active_src, unvisited_dst, self.config):
+                pull_mask |= 1 << lane
+            else:
+                push_mask |= 1 << lane
+        return np.uint64(push_mask), np.uint64(pull_mask)
 
     def record_batch_activation(self, record: IterationRecord, newly) -> None:
         # (vertex, lane) activation pairs per class — the batch analogue
         # of the sequential per-class counts.
+        totals = newly.sum(axis=0)
         for cls in ("E", "H", "L"):
-            record.newly_activated[cls] = int(_class_counts(newly, cls).sum())
+            record.newly_activated[cls] = class_count(totals, cls)
 
     def end_batch_iteration(self, ledger, record, lanes, newly) -> None:
         if not self.config.delayed_reduction:

@@ -14,9 +14,6 @@ family                      meaning
 ``serve_cache_evictions``   entries dropped, labeled ``reason=``
                             ``lru`` / ``invalidation``
 ``serve_cache_size``        current resident entries (gauge)
-``serve_cache_partial_invalidations``
-                            entries evicted by a delta's digest (the
-                            ``reason="invalidation"`` evictions)
 ==========================  ============================================
 
 Dynamic graphs don't need to drop the whole generation: every entry
@@ -62,13 +59,10 @@ def touched_digest(vertices) -> np.ndarray:
     — which makes digest intersection a *conservative* staleness test.
     """
     v = np.asarray(vertices, dtype=np.int64)
-    digest = np.zeros(_DIGEST_WORDS, dtype=np.uint64)
-    if v.size:
-        bits = mix64(v.astype(np.uint64)) % np.uint64(_DIGEST_BITS)
-        np.bitwise_or.at(
-            digest, bits >> np.uint64(6), np.uint64(1) << (bits & np.uint64(63))
-        )
-    return digest
+    mask = np.zeros(_DIGEST_BITS, dtype=bool)
+    mask[mix64(v) % np.uint64(_DIGEST_BITS)] = True
+    # Bit ``b`` of word ``w`` is mask entry ``64 w + b``.
+    return np.packbits(mask, bitorder="little").view("<u8")
 
 
 def _digests_intersect(a: np.ndarray, b: np.ndarray) -> bool:
@@ -194,9 +188,6 @@ class ResultCache:
             self._metrics.counter(
                 "serve_cache_evictions", reason="invalidation"
             ).inc(evicted)
-            self._metrics.counter("serve_cache_partial_invalidations").inc(
-                evicted
-            )
         self._sync_size()
         return evicted, rekeyed
 

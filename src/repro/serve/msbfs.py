@@ -14,11 +14,12 @@ single-source run from ``roots[l]`` under the same config.  Two
 properties make that hold:
 
 1. every component picks its direction *per lane* with exactly the
-   single-source §4.2 rule (:func:`~repro.core.direction.pull_wins` on
-   the same integer population counts, hence the same float
-   comparisons), and lanes are grouped by chosen direction — a
-   component executes at most one shared push pass and one shared pull
-   pass per wave, so no lane is ever traversed in a direction its
+   single-source §4.2 rule: one call of the scalar
+   :func:`~repro.core.direction.pull_wins` per live lane, on that lane's
+   integer population counts, hence the same float comparisons.  Lanes
+   are grouped by chosen direction — a component executes at most one
+   shared push pass and one shared pull pass per wave, so no lane is
+   ever traversed in a direction its
    single-source run would not have used (push and pull pick different
    parents when a destination's arcs span ranks);
 2. within a pass, lane ``l``'s arc subset is the single-source selection
@@ -29,7 +30,9 @@ properties make that hold:
 :class:`~repro.runtime.ledger.TrafficLedger` choke point.  With more
 than one lane a message is a 16-byte lane word (vertex ID + 64-bit lane
 mask, vs 8 bytes single-source); a batch of one is charged exactly what
-its root's single-source run is.  Overlapping frontiers collapse
+its root's single-source run is, and on the host it runs as one too
+(its state is a :class:`~repro.core.lanes.OneLaneState`, and each
+sub-iteration is the lane's single-source one).  Overlapping frontiers collapse
 per-arc messages, frontier syncs and parent reductions are priced per
 batch instead of per root, and the wave count is the *max* of the
 lanes' depths rather than their sum — which is why a 64-root batch
