@@ -47,10 +47,10 @@ class BaselineKernel(PushPullKernel):
 
     def push_seconds(self, per_rank, sel):
         ctx = self.ctx
-        return ctx.kernel_time(int(per_rank.max()), ctx.message_rate())
+        return ctx.kernel_time(int(per_rank.max()), ctx.message_rate)
 
     def pull_rate(self):
-        return self.ctx.rates.pull_rate_unsegmented()
+        return self.ctx.unsegmented_pull_rate
 
 
 class GlobalMessageKernel(BaselineKernel):

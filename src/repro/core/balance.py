@@ -14,6 +14,8 @@ ablation shows exactly the effect §5 describes.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["edge_aware_cuts", "vertex_cut_imbalance"]
@@ -38,17 +40,33 @@ def _degree_prefix(frontier_degrees: np.ndarray) -> np.ndarray:
     """``prefix[i]`` = degree sum of the first ``i`` frontier vertices."""
     prefix = np.empty(frontier_degrees.size + 1, dtype=np.int64)
     prefix[0] = 0
-    np.cumsum(frontier_degrees, out=prefix[1:])
+    prefix[1:] = frontier_degrees.cumsum()
     return prefix
 
 
+@lru_cache(maxsize=None)
+def _worker_bounds(num_workers: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(arange(W + 1), arange(W + 1) / W)``: the cut indices and the
+    cut fractions of ``W`` workers, built once per worker count."""
+    index = np.arange(num_workers + 1, dtype=np.int64)
+    fractions = np.arange(num_workers + 1, dtype=np.float64) / num_workers
+    index.setflags(write=False)
+    fractions.setflags(write=False)
+    return index, fractions
+
+
 def _cuts_from_prefix(prefix: np.ndarray, num_workers: int) -> np.ndarray:
-    """:func:`edge_aware_cuts` over a non-empty frontier's degree prefix."""
-    targets = (np.arange(num_workers + 1, dtype=np.float64) / num_workers) * prefix[-1]
-    cuts = np.searchsorted(prefix, targets, side="left")
+    """:func:`edge_aware_cuts` over a non-empty frontier's degree prefix.
+
+    The cuts come out non-decreasing with no further pass: the targets
+    are non-decreasing, so their ``searchsorted`` positions are; the
+    last target ``fl((W-1)/W) * total`` never exceeds ``total``, so the
+    pinned ends keep the order.
+    """
+    cuts = prefix.searchsorted(_worker_bounds(num_workers)[1] * prefix[-1])
     cuts[0] = 0
     cuts[-1] = prefix.size - 1
-    return np.maximum.accumulate(cuts).astype(np.int64)
+    return cuts
 
 
 def vertex_cut_imbalance(
@@ -67,13 +85,12 @@ def vertex_cut_imbalance(
         return 1.0
     prefix = _degree_prefix(frontier_degrees)
     total = int(prefix[-1])
-    if total == 0:
+    if total <= 0:
         return 1.0
     if edge_aware:
         cuts = _cuts_from_prefix(prefix, num_workers)
     else:
-        cuts = (np.arange(num_workers + 1, dtype=np.int64) * n) // num_workers
-    loads = prefix[cuts[1:]] - prefix[cuts[:-1]]
-    active_workers = min(num_workers, n)
-    mean = total / active_workers
-    return float(loads.max() / mean) if mean > 0 else 1.0
+        cuts = (_worker_bounds(num_workers)[0] * n) // num_workers
+    bounds = prefix[cuts]
+    mean = total / min(num_workers, n)
+    return int((bounds[1:] - bounds[:-1]).max()) / mean

@@ -26,11 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import BFSConfig
-from repro.core.partition import (
-    COMPONENT_CLASSES,
-    NODE_LOCAL_COMPONENTS,
-    class_count,
-)
+from repro.core.partition import COMPONENT_CLASSES, NODE_LOCAL_COMPONENTS
 
 __all__ = [
     "ClassState",
@@ -62,24 +58,6 @@ class ClassState:
             out[name] = (
                 float(np.count_nonzero(active & mask)) / size,
                 float(np.count_nonzero(~visited & mask)) / size,
-            )
-        return out
-
-    def ratios(
-        self, active_counts: np.ndarray, visited_counts: np.ndarray
-    ) -> dict[str, tuple[float, float]]:
-        """:meth:`measure` from the running ``[class]`` counts of a run's
-        frontier and visited :class:`~repro.core.vertexset.VertexSet`:
-        the same integers, so the same floats."""
-        active_counts, visited_counts = active_counts.tolist(), visited_counts.tolist()
-        out = {}
-        for name, size in self.sizes.items():
-            if size == 0:
-                out[name] = (0.0, 0.0)
-                continue
-            out[name] = (
-                float(class_count(active_counts, name)) / size,
-                float(size - class_count(visited_counts, name)) / size,
             )
         return out
 

@@ -65,11 +65,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import BFSConfig
-from repro.core.direction import (
-    choose_component_direction,
-    choose_whole_iteration_direction,
-    pull_wins,
-)
+from repro.core.direction import choose_whole_iteration_direction, pull_wins
 from repro.core.kernels.fifteend import FIFTEEND_KERNELS, FifteenDContext
 from repro.core.kernels.scheduler import SchedulerHost
 from repro.core.lanes import iter_lanes, lane_bit
@@ -184,8 +180,26 @@ class DistributedBFS(SchedulerHost):
         )
 
     def component_direction(self, name, active, visited) -> str:
-        ratios = self.ctx.class_state.ratios(active.counts, visited.counts)
-        return choose_component_direction(name, ratios, self.config)
+        # Fresh §4.2 ratios of the component's two classes only, from
+        # the run's running counts: the integers ``ClassState.measure``
+        # would popcount from the masks, so the same floats.
+        pull = pull_wins(
+            name,
+            *self._component_ratios(name, active.counts, visited.counts),
+            self.config,
+        )
+        return "pull" if pull else "push"
+
+    def _component_ratios(self, name, active_counts, visited_counts):
+        """``(active_src, unvisited_dst)`` of component ``name`` from
+        ``[class]`` counts; a class without members reads 0."""
+        src_cls, dst_cls = COMPONENT_CLASSES[name]
+        sizes = self.ctx.class_state.sizes
+        return (
+            class_count(active_counts, src_cls) / max(sizes[src_cls], 1),
+            (sizes[dst_cls] - class_count(visited_counts, dst_cls))
+            / max(sizes[dst_cls], 1),
+        )
 
     def record_activation(self, record: IterationRecord, next_active) -> None:
         for cls in ("E", "H", "L"):
@@ -240,21 +254,14 @@ class DistributedBFS(SchedulerHost):
         # Fresh per-lane ratios (§4.2) from the run's running counts: the
         # integers a popcount of each lane's class bits would give, fed
         # lane by lane to the single-source rule, so each live lane
-        # decides on its sequential floats (a class without members
-        # reads 0, as in ``ClassState.ratios``).
-        src_cls, dst_cls = COMPONENT_CLASSES[name]
-        sizes = self.ctx.class_state.sizes
-        src_size, dst_size = max(sizes[src_cls], 1), max(sizes[dst_cls], 1)
+        # decides on its sequential floats.
         visited = lanes.visited_counts.tolist()
         push_mask = pull_mask = 0
         for lane, active in enumerate(lanes.active_counts.tolist()):
             if not any(active):
                 continue
-            active_src = class_count(active, src_cls) / src_size
-            unvisited_dst = (
-                sizes[dst_cls] - class_count(visited[lane], dst_cls)
-            ) / dst_size
-            if pull_wins(name, active_src, unvisited_dst, self.config):
+            ratios = self._component_ratios(name, active, visited[lane])
+            if pull_wins(name, *ratios, self.config):
                 pull_mask |= 1 << lane
             else:
                 push_mask |= 1 << lane

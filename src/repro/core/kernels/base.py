@@ -229,7 +229,11 @@ class ComponentKernel(ABC):
 class MeshContext:
     """What pricing a sub-iteration needs to know about the machine and
     the mesh, shared by every kernel of an engine: the cost model, the
-    node kernel rates, and the collectives a kernel charges."""
+    node kernel rates, and the collectives a kernel charges.
+
+    Every machine and mesh constant a charge reads — the kernel rates,
+    the scopes' traffic splits, the CPE count — is computed here, once
+    per engine, so a charge costs only its own arithmetic."""
 
     def __init__(
         self,
@@ -242,8 +246,14 @@ class MeshContext:
         self.machine = machine
         self.config = config
         self.cost = CostModel(machine)
-        self.rates = NodeKernelRates(chip=machine.chip)
+        self.rates = rates = NodeKernelRates(chip=machine.chip)
         self.work_scale = machine.work_scale
+        # Items/second of the kernels a charge prices (NodeKernelRates).
+        self.message_rate = rates.message_rate(config.num_cgs)
+        self.local_push_rate = rates.local_push_rate()
+        self.segmented_pull_rate = rates.pull_rate_segmented()
+        self.unsegmented_pull_rate = rates.pull_rate_unsegmented()
+        self.total_cpes = machine.chip.total_cpes
         self.num_vertices = num_vertices
         self.num_ranks = mesh.num_ranks
 
@@ -266,9 +276,6 @@ class MeshContext:
 
     def kernel_time(self, max_items: int, rate: float) -> float:
         return self.rates.kernel_time(max_items, rate, self.work_scale)
-
-    def message_rate(self) -> float:
-        return self.rates.message_rate(self.config.num_cgs)
 
     def charge_alltoallv(
         self, name, send_msgs_per_rank, ledger, message_bytes, participants, split
@@ -300,7 +307,7 @@ class MeshContext:
         """The kernel that applies received messages, priced at the
         message rate on the busiest receiver."""
         counts = np.bincount(recv_rank_per_msg, minlength=self.num_ranks)
-        seconds = self.kernel_time(int(counts.max()), self.message_rate())
+        seconds = self.kernel_time(int(counts.max()), self.message_rate)
         ledger.charge_compute(name, f"{label}:{name}", counts, seconds)
 
 

@@ -93,7 +93,40 @@ class FifteenDContext(MeshContext):
         self.class_state = ClassState(self.masks)
         self.seg_plan = plan_segmenting(part, chip=machine.chip)
         self.use_segmenting = config.segmenting and self.seg_plan.feasible
-        self.block_bytes = -(-self.mesh.block_size(part.num_vertices) // 8)
+        self.eh_pull_rate = self.rates.pull_rate(self.use_segmenting)
+        # A row's unvisited-L bitmap, whole bytes per block (the H2L
+        # pull prerequisite).
+        block_bytes = -(-self.mesh.block_size(part.num_vertices) // 8)
+        self.row_block_bits = block_bytes * 8 * self.mesh.cols
+
+        # The scopes of the per-iteration charges, fixed by the
+        # partition; a charge supplies only its frontier counts.
+        mesh = self.mesh
+        #: Delegate sync: (bitmap bits, frontier class (0 = E, 1 = H),
+        #: ways its sparse entries split, participants, traffic split).
+        self.sync_scopes = []
+        #: Parent reduction: (bytes per lane, participants, traffic split).
+        self.reduction_scopes = []
+        if part.num_e:
+            self.sync_scopes.append(
+                (part.num_e, 0, 1, self.num_ranks, self.split_global)
+            )
+            self.reduction_scopes.append(
+                (float(part.num_e) * 8, self.num_ranks, self.split_global)
+            )
+        if part.num_h and mesh.rows > 1:
+            col_bits = int(part.col_eh_counts.max())
+            self.sync_scopes.append(
+                (col_bits, 1, mesh.cols, mesh.rows, self.split_col)
+            )
+            self.reduction_scopes.append(
+                (float(col_bits) * 8, mesh.rows, self.split_col)
+            )
+        if part.num_h and mesh.cols > 1:
+            self.sync_scopes.append((
+                int(part.row_eh_counts.max()), 1, mesh.rows, mesh.cols,
+                self.split_row,
+            ))
 
     def charge_l2l_alltoallv(
         self, sender_rank, dest_rank, ledger, message_bytes=MESSAGE_BYTES
@@ -126,52 +159,29 @@ class FifteenDContext(MeshContext):
         and row.  ``active_e`` / ``active_h`` are the frontier's E and H
         populations; a wave passes its union frontier's and ``num_lanes``
         (one exchange syncs every lane's delegated bits)."""
-        part, mesh = self.part, self.mesh
-        # (bitmap bits, sparse entries, participants, traffic split)
-        scopes = []
-        if part.num_e:
-            scopes.append(
-                (part.num_e, active_e, self.num_ranks, self.split_global)
-            )
-        if part.num_h and mesh.rows > 1:
-            scopes.append((
-                int(part.col_eh_counts.max()), -(-active_h // mesh.cols),
-                mesh.rows, self.split_col,
-            ))
-        if part.num_h and mesh.cols > 1:
-            scopes.append((
-                int(part.row_eh_counts.max()), -(-active_h // mesh.rows),
-                mesh.cols, self.split_row,
-            ))
-        for bits, sparse, participants, split in scopes:
+        active = (active_e, active_h)
+        for bits, cls, ways, participants, split in self.sync_scopes:
             ledger.charge_allreduce(
                 "other",
                 participants,
-                self.sync_bytes(bits, sparse, num_lanes),
+                self.sync_bytes(bits, -(-active[cls] // ways), num_lanes),
                 split,
             )
 
     def charge_parent_reduction(self, ledger, num_lanes: int = 1):
-        """Reduce delegated parent arrays to their owners (§5).
+        """Reduce delegated parent arrays to their owners (§5): E over
+        every rank, H down its EH-space column.
 
         A batched wave reduces one parent array per lane, so the bytes
         scale with ``num_lanes`` — but the collective launch overhead is
         paid once, which is part of the batch amortization.
         """
-        part, mesh = self.part, self.mesh
-        # (delegated parents per rank, participants, traffic split): E
-        # reduces over every rank, H down its EH-space column.
-        scopes = []
-        if part.num_e:
-            scopes.append((part.num_e, self.num_ranks, self.split_global))
-        if part.num_h and mesh.rows > 1:
-            scopes.append((part.col_eh_counts.max(), mesh.rows, self.split_col))
-        for count, participants, split in scopes:
+        for lane_bytes, participants, split in self.reduction_scopes:
             ledger.charge_scoped(
                 "reduce",
                 CollectiveKind.REDUCE_SCATTER,
                 participants,
-                float(count) * 8 * num_lanes,
+                lane_bytes * num_lanes,
                 split,
             )
 
@@ -295,15 +305,13 @@ class EH2EHKernel(_FifteenDKernel):
         # CPE load factor of the push vertex-cut (§5) over the selected
         # sources' run lengths.
         factor = vertex_cut_imbalance(
-            sel.lens,
-            ctx.machine.chip.total_cpes,
-            edge_aware=ctx.config.edge_aware_balance,
+            sel.lens, ctx.total_cpes, edge_aware=ctx.config.edge_aware_balance
         )
-        return ctx.kernel_time(int(per_rank.max()), ctx.rates.local_push_rate()) * factor
+        return ctx.kernel_time(int(per_rank.max()), ctx.local_push_rate) * factor
 
     def pull_rate(self):
         # Segmented rate when the §4.3 plan is feasible and enabled.
-        return self.ctx.rates.pull_rate(self.ctx.use_segmenting)
+        return self.ctx.eh_pull_rate
 
 
 class _LocalKernel(_FifteenDKernel):
@@ -311,10 +319,10 @@ class _LocalKernel(_FifteenDKernel):
 
     def push_seconds(self, per_rank, sel):
         ctx = self.ctx
-        return ctx.kernel_time(int(per_rank.max()), ctx.rates.local_push_rate())
+        return ctx.kernel_time(int(per_rank.max()), ctx.local_push_rate)
 
     def pull_rate(self):
-        return self.ctx.rates.pull_rate_segmented()
+        return self.ctx.segmented_pull_rate
 
 
 class _RowMessageKernel(_FifteenDKernel):
@@ -323,10 +331,10 @@ class _RowMessageKernel(_FifteenDKernel):
     def push_seconds(self, per_rank, sel):
         # Message generation priced at the OCS-RMA rate.
         ctx = self.ctx
-        return ctx.kernel_time(int(per_rank.max()), ctx.message_rate())
+        return ctx.kernel_time(int(per_rank.max()), ctx.message_rate)
 
     def pull_rate(self):
-        return self.ctx.rates.pull_rate_segmented()
+        return self.ctx.segmented_pull_rate
 
     def owner_of_dst(self, dst, sender_rank) -> np.ndarray:
         """Rank receiving each message, by component semantics."""
@@ -355,9 +363,8 @@ class H2LKernel(_RowMessageKernel):
         # (bitmap or sparse entries, whichever is cheaper on the wire;
         # a wave's one exchange ships every lane's unvisited-L bits).
         ctx = self.ctx
-        row_bits = ctx.block_bytes * 8 * ctx.mesh.cols
         recv = ctx.sync_bytes(
-            row_bits, -(-unvisited_l() // ctx.mesh.rows), num_lanes
+            ctx.row_block_bits, -(-unvisited_l() // ctx.mesh.rows), num_lanes
         )
         ledger.charge_scoped(
             self.name, CollectiveKind.ALLGATHER, ctx.mesh.cols, recv, ctx.split_row
@@ -378,7 +385,7 @@ class L2LKernel(_FifteenDKernel):
 
     def push_seconds(self, per_rank, sel):
         ctx = self.ctx
-        return ctx.kernel_time(int(per_rank.max()), ctx.message_rate())
+        return ctx.kernel_time(int(per_rank.max()), ctx.message_rate)
 
     def route(self, label, send_rank, dst, ledger, record, message_bytes):
         # Two-stage forwarding through the intersection rank of the
@@ -418,7 +425,7 @@ class L2LKernel(_FifteenDKernel):
         record.scanned_arcs["L2L"] = (
             record.scanned_arcs.get("L2L", 0) + int(per_rank.sum())
         )
-        seconds = ctx.kernel_time(int(per_rank.max()), ctx.message_rate())
+        seconds = ctx.kernel_time(int(per_rank.max()), ctx.message_rate)
         ledger.charge_compute("L2L", "pull:L2L", per_rank, seconds)
         if rank.size:
             record.messages["L2L"] = (

@@ -141,7 +141,8 @@ class SchedulerHost:
         """Iteration-end work: eager parent reduction, or (for the
         replay) routing buffered messages and committing activations
         (``parent[ids] = ...``, ``visited.add(ids)``,
-        ``next_active.add(ids)``)."""
+        ``next_active.add(ids, counts)`` with the counts the first
+        ``add`` returned)."""
 
     def end_run(self, ledger, tracer: Tracer, parent) -> None:
         """Run-end work (inside the ``bfs`` span): the §5 delayed parent
@@ -535,8 +536,7 @@ class _BFSMode(_LevelMode):
         )
         if newly.size:
             self.parent[newly] = parents
-            self.visited.add(newly)
-            self.next_active.add(newly)
+            self.next_active.add(newly, self.visited.add(newly))
         return newly.size
 
     def end_level(self, it, ledger, record) -> None:

@@ -442,8 +442,7 @@ class OneLaneState(LaneState):
         unvisited) are reached from ``parents``.  Returns their count."""
         if dsts.size:
             self.parent[0][dsts] = parents
-            self.seen.add(dsts)
-            self.reached.add(dsts)
+            self.reached.add(dsts, self.seen.add(dsts))
         return int(dsts.size)
 
     def advance(self) -> None:

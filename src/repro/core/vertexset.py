@@ -99,19 +99,26 @@ class VertexSet:
         out._grow(np.flatnonzero(mask))
         return out
 
-    def add(self, ids: np.ndarray) -> None:
+    def add(self, ids: np.ndarray, counts=None):
         """Insert ``ids``: distinct, ascending, none a member yet (what a
-        sub-iteration's ``newly`` is).  Costs O(len(ids))."""
-        self.mask[ids] = True
-        self._grow(ids)
+        sub-iteration's ``newly`` is).  Costs O(len(ids)).
 
-    def _grow(self, ids: np.ndarray) -> None:
-        if self.vclass is None:
+        Returns the ids' ``[class]`` counts; a second set over the same
+        classes takes them as ``counts`` and skips its own count."""
+        self.mask[ids] = True
+        return self._grow(ids, counts)
+
+    def _grow(self, ids: np.ndarray, counts=None):
+        if counts is not None:
+            self.counts += counts
+        elif self.vclass is None:
             self.counts[0] += ids.size
         else:
-            self.counts += np.bincount(self.vclass[ids], minlength=NUM_CLASSES)
+            counts = np.bincount(self.vclass[ids], minlength=NUM_CLASSES)
+            self.counts += counts
         self.size += int(ids.size)
         self._parts.append(ids)
+        return counts
 
     @property
     def ids(self) -> np.ndarray:

@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import cached_property
 
 from repro.machine.chip import ChipSpec, SW26010_PRO
 from repro.machine.network import MachineSpec
@@ -51,9 +50,19 @@ class CollectiveKind(enum.Enum):
 
 @dataclass(frozen=True)
 class CostModel:
-    """Converts communication volumes into modeled seconds."""
+    """Converts communication volumes into modeled seconds.
+
+    A collective's latency, link rates and ring factor depend only on
+    its kind and participant count, so each ``(kind, participants)``
+    pair is priced once (:meth:`_collective_terms`) and every later
+    charge of it costs only its bandwidth arithmetic.
+    """
 
     machine: MachineSpec
+    #: ``(kind, participants)`` -> :meth:`_collective_terms`.
+    _terms: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def collective_time(
         self,
@@ -77,11 +86,28 @@ class CostModel:
             / crosses supernodes.  The max rank bounds the completion time
             of a balanced collective implementation.
         """
-        m = self.machine
         if participants < 1:
             raise ValueError("participants must be >= 1")
+        key = (kind, participants)
+        terms = self._terms.get(key)
+        if terms is None:
+            terms = self._terms[key] = self._collective_terms(kind, participants)
+        latency, intra_rate, inter_rate, volume_factor = terms
+        if volume_factor is None:
+            return latency
+        return latency + (
+            max_bytes_per_rank_intra / intra_rate
+            + max_bytes_per_rank_inter / inter_rate
+        ) * volume_factor
+
+    def _collective_terms(self, kind: CollectiveKind, participants: int):
+        """``(latency, intra rate, inter rate, volume factor)`` of one
+        collective: seconds = latency + (intra bytes / intra rate + inter
+        bytes / inter rate) * volume factor, or the latency alone when
+        the factor is ``None`` (a barrier moves no data)."""
+        m = self.machine
         if kind is CollectiveKind.BARRIER:
-            return m.collective_latency(participants) / m.work_scale
+            return m.collective_latency(participants) / m.work_scale, None, None, None
         if kind in (CollectiveKind.ALLTOALLV, CollectiveKind.P2P):
             # Per-destination message setup dominates sparse alltoallv:
             # this is the low-parallelism latency floor the paper observes
@@ -92,20 +118,19 @@ class CostModel:
         # Fixed overheads shrink by the work scale (volume terms are
         # already expressed in counted units); see MachineSpec.work_scale.
         latency /= m.work_scale
-        bw_time = (
-            max_bytes_per_rank_intra / m.nic_bytes_per_s
-            + max_bytes_per_rank_inter / m.inter_supernode_bytes_per_s
-        )
+        volume_factor = 1.0
         if kind in (
             CollectiveKind.ALLGATHER,
             CollectiveKind.REDUCE_SCATTER,
             CollectiveKind.ALLREDUCE,
         ):
             # Ring-style collectives move (P-1)/P of the data volume.
-            bw_time *= (participants - 1) / max(participants, 1)
+            volume_factor = (participants - 1) / max(participants, 1)
             if kind is CollectiveKind.ALLREDUCE:
-                bw_time *= 2.0  # reduce-scatter + allgather
-        return latency + bw_time
+                # reduce-scatter + allgather; doubling is exact, so
+                # folding it into the factor leaves every product as is.
+                volume_factor *= 2.0
+        return latency, m.nic_bytes_per_s, m.inter_supernode_bytes_per_s, volume_factor
 
 
 @dataclass(frozen=True)
@@ -229,6 +254,11 @@ class NodeKernelRates:
         """Arcs/second of the sequential MPE fallback (latency bound)."""
         return 1.0 / (2.0 * self.chip.gld_latency_ns * 1e-9)
 
+    @cached_property
+    def _mpe_rate(self) -> float:
+        # The rates are frozen, so :meth:`kernel_time` reads it once.
+        return self.mpe_rate()
+
     def kernel_time(self, items: int, rate: float, work_scale: float = 1.0) -> float:
         """Seconds for a kernel over ``items``, with the MPE fallback.
 
@@ -245,7 +275,7 @@ class NodeKernelRates:
         if items <= 0:
             return 0.0
         effective = items * work_scale
-        mpe_time = effective / self.mpe_rate() / work_scale
+        mpe_time = effective / self._mpe_rate / work_scale
         cpe_time = (self.cpe_spawn_latency_s + effective / rate) / work_scale
         if effective < self.cpe_spawn_threshold:
             # Tiny kernels stay on the MPE...  unless spawning would still

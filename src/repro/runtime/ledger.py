@@ -35,7 +35,12 @@ makes this a no-op too.
 With both sinks disabled (``enabled = False``, as the two defaults are), a
 charge records only its event: it validates, prices, consults the fault
 injector and appends, and it calls neither sink.  The check reads
-``enabled`` on every charge, so a sink attached later is honoured.
+``enabled`` on every charge, so a sink attached later is honoured.  The
+events are :class:`~typing.NamedTuple` records (:class:`CommEvent`,
+:class:`ComputeEvent`): immutable, compared by value, and cheap to
+build, since every charge builds one.  Pricing reads constants: the
+:class:`~repro.machine.costmodel.CostModel` prices each collective kind
+and participant count once.
 
 When a :class:`~repro.resilience.faults.FaultInjector` is attached
 (``faults=``), the ledger is additionally the fault *consumption* choke
@@ -54,6 +59,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +70,7 @@ from repro.obs.tracer import NULL_TRACER
 __all__ = ["CommEvent", "ComputeEvent", "TrafficLedger"]
 
 
-@dataclass(frozen=True)
-class CommEvent:
+class CommEvent(NamedTuple):
     """One collective operation."""
 
     phase: str
@@ -77,8 +82,7 @@ class CommEvent:
     seconds: float
 
 
-@dataclass(frozen=True)
-class ComputeEvent:
+class ComputeEvent(NamedTuple):
     """One compute kernel invocation (time of the busiest node)."""
 
     phase: str
@@ -221,9 +225,12 @@ class TrafficLedger:
     ) -> None:
         """Allreduce of ``nbytes`` per rank over a scope, priced as the
         reduce-scatter + allgather pair of the same bytes a
-        bandwidth-optimal implementation runs."""
+        bandwidth-optimal implementation runs (each charged as
+        :meth:`charge_scoped` would)."""
+        intra, inter = nbytes * split[0], nbytes * split[1]
+        total = nbytes * participants
         for kind in (CollectiveKind.REDUCE_SCATTER, CollectiveKind.ALLGATHER):
-            self.charge_scoped(phase, kind, participants, nbytes, split)
+            self.charge_collective(phase, kind, participants, intra, inter, total)
 
     def charge_wait(self, phase: str, seconds: float) -> float:
         """Record pure waiting time (retry backoff, restore stalls).

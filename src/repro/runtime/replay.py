@@ -351,8 +351,7 @@ class ReplayBFS(SchedulerHost):
         if newly.size:
             parent[newly] = parents
             ascending = np.sort(newly)
-            visited.add(ascending)
-            next_active.add(ascending)
+            next_active.add(ascending, visited.add(ascending))
         self._seed_delegates(ranks, newly, parents, comm=comm)
 
     def end_run(self, ledger, tracer, parent) -> None:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,6 +63,26 @@ def touched_digest(vertices) -> np.ndarray:
     mask = np.zeros(_DIGEST_BITS, dtype=bool)
     mask[mix64(v) % np.uint64(_DIGEST_BITS)] = True
     # Bit ``b`` of word ``w`` is mask entry ``64 w + b``.
+    return np.packbits(mask, bitorder="little").view("<u8")
+
+
+@lru_cache(maxsize=8)
+def _digest_bit_of(num_vertices: int) -> np.ndarray:
+    """The digest bit of every vertex id below ``num_vertices`` (what
+    :func:`touched_digest` hashes each id to), built once per graph size
+    so a parent tree's digest is one gather."""
+    bits = (
+        mix64(np.arange(num_vertices, dtype=np.int64)) % np.uint64(_DIGEST_BITS)
+    ).astype(np.uint16)
+    bits.setflags(write=False)
+    return bits
+
+
+def _tree_digest(parent: np.ndarray) -> np.ndarray:
+    """:func:`touched_digest` of the vertices ``parent`` reaches (every
+    vertex with a parent)."""
+    bits = _digest_bit_of(parent.size)[parent >= 0]
+    mask = np.bincount(bits, minlength=_DIGEST_BITS) > 0
     return np.packbits(mask, bitorder="little").view("<u8")
 
 
@@ -148,11 +169,10 @@ class ResultCache:
         if not stored.flags.owndata:
             stored = stored.copy()
         stored.setflags(write=False)
-        if touched is None:
-            touched = np.flatnonzero(stored >= 0)
+        digest = _tree_digest(stored) if touched is None else touched_digest(touched)
         if key in self._entries:
             self._entries.move_to_end(key)
-        self._entries[key] = (stored, touched_digest(touched))
+        self._entries[key] = (stored, digest)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self._metrics.counter("serve_cache_evictions", reason="lru").inc()

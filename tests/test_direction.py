@@ -1,7 +1,11 @@
 """Tests for sub-iteration direction heuristics."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import BFSConfig
 from repro.core.direction import (
@@ -9,6 +13,12 @@ from repro.core.direction import (
     choose_component_direction,
     choose_whole_iteration_direction,
 )
+from repro.core.engine import DistributedBFS
+from repro.core.partition import COMPONENT_CLASSES, partition_graph
+from repro.core.vertexset import VertexSet
+from repro.graph500.rmat import generate_edges
+from repro.machine.network import MachineSpec
+from repro.runtime.mesh import ProcessMesh
 
 
 def make_ratios(**kwargs):
@@ -75,6 +85,55 @@ class TestClassState:
         state = ClassState({"E": np.zeros(4, dtype=bool)})
         ratios = state.measure(np.ones(4, bool), np.ones(4, bool))
         assert ratios["E"] == (0.0, 0.0)
+
+
+@lru_cache(maxsize=None)
+def small_partition(e_threshold: int, h_threshold: int):
+    src, dst = generate_edges(9, seed=7)
+    machine = MachineSpec(num_nodes=4, nodes_per_supernode=2)
+    mesh = ProcessMesh(2, 2, machine=machine)
+    part = partition_graph(
+        src, dst, 1 << 9, mesh, e_threshold=e_threshold, h_threshold=h_threshold
+    )
+    return part, machine
+
+
+class TestEngineDecision:
+    """The engine decides from the running counts of the component's
+    two classes; on any state it must pick what the stateless rule picks
+    over ``ClassState.measure`` of the masks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # (E, H) thresholds: every class populated, E empty, E and H empty.
+        thresholds=st.sampled_from([(64, 8), (1 << 20, 8), (1 << 20, 1 << 20)]),
+        seed=st.integers(0, 2**32 - 1),
+        visited_density=st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]),
+        active_density=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        local_pull_threshold=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        cross_pull_bias=st.sampled_from([0.5, 1.0, 4.0, 1e6]),
+    )
+    def test_counts_decide_as_the_masks(
+        self, thresholds, seed, visited_density, active_density,
+        local_pull_threshold, cross_pull_bias,
+    ):
+        part, machine = small_partition(*thresholds)
+        config = BFSConfig(
+            local_pull_threshold=local_pull_threshold,
+            cross_pull_bias=cross_pull_bias,
+        )
+        engine = DistributedBFS(part, machine=machine, config=config)
+        rng = np.random.default_rng(seed)
+        n = part.num_vertices
+        visited = rng.random(n) < visited_density
+        active = visited & (rng.random(n) < active_density)
+        active_set = VertexSet.from_mask(active, part.vclass)
+        visited_set = VertexSet.from_mask(visited, part.vclass)
+        measured = engine.ctx.class_state.measure(active, visited)
+        for name in COMPONENT_CLASSES:
+            assert engine.component_direction(
+                name, active_set, visited_set
+            ) == choose_component_direction(name, measured, config)
 
 
 class TestWholeIterationDirection:

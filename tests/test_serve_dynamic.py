@@ -117,6 +117,48 @@ class TestTouchedDigest:
             assert np.all(got == np.uint64(2**64 - 1))
 
 
+class TestTreeDigest:
+    """``ResultCache.put`` digests a parent tree by one gather of a
+    per-size bit-of-vertex table; it must be the digest of the reached
+    set, ``touched_digest(flatnonzero(parent >= 0))``."""
+
+    BIT_OF = TestTouchedDigest.BIT_OF
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["empty", "single", "colliding", "full", "drawn"]),
+        data=st.data(),
+    )
+    def test_put_digest_is_the_reached_set_digest(self, kind, data):
+        n = 1 << 14
+        parent = np.full(n, -1, dtype=np.int64)
+        if kind == "single":
+            parent[data.draw(st.integers(0, n - 1))] = 0
+        elif kind == "colliding":
+            bit = data.draw(st.integers(0, 1023))
+            parent[np.flatnonzero(self.BIT_OF == bit)] = 0
+        elif kind == "full":
+            parent[:] = 0
+        elif kind == "drawn":
+            reached = data.draw(st.lists(st.integers(0, n - 1), max_size=300))
+            parent[reached] = 0
+        cache = ResultCache()
+        cache.put("fp", 0, parent)
+        digest = cache._entries[("fp", 0)][1]
+        expected = touched_digest(np.flatnonzero(parent >= 0))
+        assert digest.dtype == np.uint64 and digest.shape == (16,)
+        assert digest.tobytes() == expected.tobytes()
+
+    def test_sizes_keep_their_own_tables(self):
+        cache = ResultCache()
+        for n in (1, 5, 1 << 10, 5):
+            parent = np.zeros(n, dtype=np.int64)
+            cache.put(str(n), 0, parent)
+            assert cache._entries[(str(n), 0)][1].tobytes() == (
+                touched_digest(np.arange(n)).tobytes()
+            )
+
+
 class TestPartialInvalidation:
     def _parent(self, tree):
         parent = np.full(16, -1, dtype=np.int64)

@@ -83,7 +83,6 @@ class CheckingBFS(Checking, DistributedBFS):
         chosen = super().component_direction(name, active, visited)
         state = self.ctx.class_state
         measured = state.measure(active.mask, visited.mask)
-        assert state.ratios(active.counts, visited.counts) == measured
         assert chosen == choose_component_direction(name, measured, self.config)
         self.decisions += 1
         return chosen
