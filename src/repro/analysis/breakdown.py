@@ -23,15 +23,13 @@ def normalize_shares(breakdown: Mapping[str, float]) -> dict[str, float]:
 
 def stack_series(
     points: Sequence[tuple[object, Mapping[str, float]]],
-    *,
-    normalize: bool = True,
 ) -> tuple[list[object], list[str], dict[str, list[float]]]:
     """Assemble per-point breakdowns into per-category series.
 
     ``points`` is ``[(x_label, {category: seconds}), ...]`` — e.g. one
     entry per node count in the scaling sweep.  Returns ``(x_labels,
-    categories, series)`` where ``series[cat][i]`` is the share (or
-    seconds) of ``cat`` at point ``i``; categories are ordered by their
+    categories, series)`` where ``series[cat][i]`` is the share of
+    ``cat`` at point ``i``; categories are ordered by their
     total contribution, largest first, and missing categories are 0.
     """
     x_labels = [x for x, _ in points]
@@ -42,7 +40,7 @@ def stack_series(
     categories = sorted(totals, key=lambda k: -totals[k])
     series: dict[str, list[float]] = {c: [] for c in categories}
     for _, bd in points:
-        row = normalize_shares(bd) if normalize else dict(bd)
+        row = normalize_shares(bd)
         for c in categories:
             series[c].append(float(row.get(c, 0.0)))
     return x_labels, categories, series

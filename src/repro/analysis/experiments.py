@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.baselines import DelegatedOneDimBFS, OneDimBFS, TwoDimBFS
-from repro.core import BFSConfig, DistributedBFS
+from repro.core import DistributedBFS
 from repro.core.metrics import BFSRunResult
 from repro.core.partition import PartitionedGraph
 from repro.core.setup import ExperimentSetup, build_setup, tuned_thresholds
@@ -187,7 +187,6 @@ def run_scaling_sweep(
     points: tuple[tuple[int, int, int], ...] = DEFAULT_LADDER,
     *,
     seed: int = 1,
-    num_roots: int = 1,
     trace: bool = False,
 ) -> list[ScalingPoint]:
     """Weak-scaling sweep of the full 1.5D engine (Fig. 9 data; the
@@ -205,21 +204,6 @@ def run_scaling_sweep(
         setup = build_setup(scale, rows, cols, seed=seed)
         part, res = run_15d(setup, tracer=tracer)
         seconds = res.total_seconds
-        if num_roots > 1:
-            rng = np.random.default_rng(seed + 7)
-            degrees = part.degrees
-            candidates = np.flatnonzero(degrees > 0)
-            engine = DistributedBFS(
-                part,
-                machine=setup.machine,
-                config=BFSConfig(
-                    e_threshold=part.e_threshold, h_threshold=part.h_threshold
-                ),
-            )
-            times = [seconds]
-            for root in rng.choice(candidates, num_roots - 1, replace=False):
-                times.append(engine.run(int(root)).total_seconds)
-            seconds = float(np.mean(times))
         out.append(
             ScalingPoint(
                 nodes=rows * cols,

@@ -55,17 +55,21 @@ def ascii_table(
     return "\n".join(out)
 
 
+#: Characters in the longest bar of an :func:`ascii_bar_chart`.
+BAR_WIDTH = 50
+
+
 def ascii_bar_chart(
     labels: Sequence[str],
     values: Sequence[float],
     *,
-    width: int = 50,
     title: str | None = None,
     log: bool = False,
     unit: str = "",
 ) -> str:
-    """Horizontal bar chart; ``log=True`` uses log10-scaled bar lengths
-    (Figure 14 spans three decades)."""
+    """Horizontal bar chart, the longest bar :data:`BAR_WIDTH` characters;
+    ``log=True`` uses log10-scaled bar lengths (Figure 14 spans three
+    decades)."""
     import math
 
     labels = list(labels)
@@ -89,7 +93,7 @@ def ascii_bar_chart(
         scaled = [v / peak for v in values]
     lw = max(len(x) for x in labels)
     for label, value, s in zip(labels, values, scaled):
-        bar = "#" * max(int(round(s * width)), 1 if value > 0 else 0)
+        bar = "#" * max(int(round(s * BAR_WIDTH)), 1 if value > 0 else 0)
         out.append(f"{label.rjust(lw)} | {bar} {value:.4g}{unit}")
     return "\n".join(out)
 

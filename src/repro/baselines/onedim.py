@@ -55,20 +55,12 @@ class DelegatedOneDimBFS(BaselineEngine):
 
     scheme = "1D+delegates"
 
-    def __init__(self, src, dst, num_vertices, mesh, machine=None, config=None,
-                 tracer=None, metrics=None, *,
-                 heavy_threshold: int | None = None):
-        self.heavy_threshold = heavy_threshold
-        super().__init__(src, dst, num_vertices, mesh, machine, config,
-                         tracer, metrics)
-
     def _build_kernels(self, src, dst):
-        if self.heavy_threshold is None:
-            # The literature's rule of thumb (§2.3): ~0.1% of vertices are
-            # delegated; pick the degree of the 0.1%-quantile vertex.
-            deg_sorted = np.sort(self.degrees)[::-1]
-            k = max(1, self.num_vertices // 1000)
-            self.heavy_threshold = max(int(deg_sorted[min(k, deg_sorted.size - 1)]), 2)
+        # The literature's rule of thumb (§2.3): ~0.1% of vertices are
+        # delegated; pick the degree of the 0.1%-quantile vertex.
+        deg_sorted = np.sort(self.degrees)[::-1]
+        k = max(1, self.num_vertices // 1000)
+        self.heavy_threshold = max(int(deg_sorted[min(k, deg_sorted.size - 1)]), 2)
         heavy = self.degrees >= self.heavy_threshold
         self.heavy_mask = heavy
         self.num_heavy = int(np.count_nonzero(heavy))

@@ -22,7 +22,8 @@ replica that takes a
 in-flight batch is re-queued at the **front** of the owning tenant's
 queue with submit times and trace ids intact, and a surviving replica
 re-runs it — the re-routed batch's parents are bit-identical to a
-crash-free run.  Requests that rode more than ``max_replays`` crashes
+crash-free run.  Requests that rode more than
+:data:`~repro.serve.core.MAX_REPLAYS` crashes
 fail with a typed :class:`~repro.serve.service.TraversalError`;
 when no live replica remains, queued and incoming requests fail with a
 typed :class:`ReplicaDown`.  Every transition is metered:
@@ -61,6 +62,9 @@ from .tenants import TenantRegistry
 
 __all__ = ["ClusterService", "ReplicaDown"]
 
+#: Recently served requests whose timeline is kept, across all tenants.
+TIMELINE_CAPACITY = 2048
+
 
 class _Replica:
     __slots__ = ("replica_id", "down", "kill_requested", "task", "batches")
@@ -86,11 +90,9 @@ class ClusterService:
         replicas: int = 2,
         batch_size: int = 64,
         batch_window: float = 0.002,
-        max_replays: int = 2,
         faults=None,
         metrics=NULL_METRICS,
         clock=time.monotonic,
-        timeline_capacity: int = 2048,
     ) -> None:
         from repro.serve.msbfs import MAX_BATCH_ROOTS
 
@@ -104,10 +106,9 @@ class ClusterService:
         self.router = ClusterRouter(registry, batch_size=batch_size)
         self.batch_size = int(batch_size)
         self.batch_window = float(batch_window)
-        self.max_replays = int(max_replays)
         self.metrics = metrics
         self._core = ServingCore(
-            clock=clock, timeline_capacity=timeline_capacity, faults=faults
+            clock=clock, timeline_capacity=TIMELINE_CAPACITY, faults=faults
         )
         self._replicas: dict[str, _Replica] = {
             f"r{i}": _Replica(f"r{i}") for i in range(int(replicas))
@@ -369,7 +370,6 @@ class ClusterService:
         survivors = self._core.charge_replay(
             scope,
             batch,
-            self.max_replays,
             f"replica {replica.replica_id} down",
         )
         if survivors:

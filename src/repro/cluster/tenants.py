@@ -216,14 +216,12 @@ def build_tenant(spec: TenantSpec, *, dynamic: bool = False) -> Tenant:
         spec.scale, spec.rows, spec.cols, seed=spec.seed, weak_scaled=False,
         e_threshold=spec.e_threshold, h_threshold=spec.h_threshold,
     )
-    tenant = Tenant(
+    return Tenant(
         spec=spec,
         batched=serving_engine(setup),
         cache=ResultCache(),
+        dynamic=setup.incremental() if dynamic else None,
     )
-    if dynamic:
-        tenant.dynamic = setup.incremental()
-    return tenant
 
 
 def build_registry(specs, *, dynamic: bool = False) -> TenantRegistry:

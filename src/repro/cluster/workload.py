@@ -28,7 +28,7 @@ import asyncio
 from dataclasses import replace
 
 from repro.serve.workload import (
-    SHED_BACKOFF,
+    SHED_RETRIES,
     ClusterWorkload,
     WorkloadReport,
     expected_parents,
@@ -69,7 +69,6 @@ async def run_cluster_workload(
     *,
     time_scale: float = 1.0,
     expected: dict | None = None,
-    shed_backoff: float = SHED_BACKOFF,
     max_shed_retries: int = 0,
     kill_at: tuple[str, int] | None = None,
 ) -> WorkloadReport:
@@ -96,7 +95,7 @@ async def run_cluster_workload(
 
     return await open_loop(
         cluster.submit, schedule(), check=parents_check(expected),
-        shed_backoff=shed_backoff, max_shed_retries=max_shed_retries,
+        max_shed_retries=max_shed_retries,
     )
 
 
@@ -212,7 +211,7 @@ def run_cluster_drill(
     report, cluster, telem = repro.cluster.run_cluster_session(
         registry, workload,
         replicas=replicas, expected=expected,
-        max_shed_retries=10_000, kill_at=kill_at, telemetry=telemetry,
+        max_shed_retries=SHED_RETRIES, kill_at=kill_at, telemetry=telemetry,
         batch_size=batch_size, batch_window=batch_window,
         faults=session_faults(faults, seed), metrics=MetricsRegistry(),
     )

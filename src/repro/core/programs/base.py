@@ -245,8 +245,7 @@ class ProgramRunResult:
     def total_bytes(self) -> float:
         return self.ledger.total_bytes
 
-    def gteps(self, num_edges: int | None = None) -> float:
-        edges = self.num_input_edges if num_edges is None else num_edges
+    def gteps(self) -> float:
         if self.total_seconds <= 0:
             return 0.0
-        return edges / self.total_seconds / 1e9
+        return self.num_input_edges / self.total_seconds / 1e9

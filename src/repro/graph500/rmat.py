@@ -20,7 +20,11 @@ import numpy as np
 
 from repro.graph500.spec import DEFAULT_EDGE_FACTOR, RMAT_A, RMAT_B, RMAT_C
 
-__all__ = ["rmat_edges", "scramble_vertices", "generate_edges"]
+__all__ = ["RMAT_CHUNK_EDGES", "rmat_edges", "scramble_vertices", "generate_edges"]
+
+#: Edges one vectorized draw generates; bounds its scratch at roughly
+#: ``2 * RMAT_CHUNK_EDGES * 8`` bytes per level.
+RMAT_CHUNK_EDGES = 1 << 22
 
 
 def rmat_edges(
@@ -32,7 +36,6 @@ def rmat_edges(
     c: float = RMAT_C,
     rng: np.random.Generator | None = None,
     seed: int | None = None,
-    chunk_size: int = 1 << 22,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Generate ``num_edges`` R-MAT edges over ``2**scale`` vertices.
 
@@ -47,9 +50,9 @@ def rmat_edges(
         Quadrant probabilities; ``d = 1 - a - b - c`` must be nonnegative.
     rng, seed:
         Randomness; pass exactly one (or neither for a fresh default rng).
-    chunk_size:
-        Edges generated per vectorized chunk, bounding peak memory at
-        roughly ``2 * chunk_size * 8`` bytes of scratch per level.
+
+    Edges are drawn :data:`RMAT_CHUNK_EDGES` at a time, which bounds the
+    scratch memory of one vectorized chunk.
 
     Returns
     -------
@@ -69,8 +72,8 @@ def rmat_edges(
 
     src = np.empty(num_edges, dtype=np.int64)
     dst = np.empty(num_edges, dtype=np.int64)
-    for start in range(0, num_edges, chunk_size):
-        stop = min(start + chunk_size, num_edges)
+    for start in range(0, num_edges, RMAT_CHUNK_EDGES):
+        stop = min(start + RMAT_CHUNK_EDGES, num_edges)
         s, t = _rmat_chunk(scale, stop - start, a, b, c, rng)
         src[start:stop] = s
         dst[start:stop] = t
@@ -128,20 +131,14 @@ def generate_edges(
     *,
     edge_factor: int = DEFAULT_EDGE_FACTOR,
     seed: int = 1,
-    scramble: bool = True,
-    a: float = RMAT_A,
-    b: float = RMAT_B,
-    c: float = RMAT_C,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Generate a Graph500-conforming edge list for ``scale``.
 
-    Convenience wrapper producing ``edge_factor * 2**scale`` scrambled R-MAT
-    edges with a single deterministic seed.  This is the entry point the
-    benchmark harness and examples use.
+    Convenience wrapper producing ``edge_factor * 2**scale`` R-MAT edges
+    with the Graph500 initiator, scrambled, from a single deterministic
+    seed.  This is the entry point the benchmark harness and examples use.
     """
     rng = np.random.default_rng(seed)
     n = 1 << scale
-    src, dst = rmat_edges(scale, edge_factor * n, a=a, b=b, c=c, rng=rng)
-    if scramble:
-        src, dst = scramble_vertices(src, dst, n, rng=rng)
-    return src, dst
+    src, dst = rmat_edges(scale, edge_factor * n, rng=rng)
+    return scramble_vertices(src, dst, n, rng=rng)

@@ -45,13 +45,10 @@ class Graph500Problem:
     """
 
     scale: int
-    edge_factor: int = DEFAULT_EDGE_FACTOR
 
     def __post_init__(self) -> None:
         if self.scale < 1:
             raise ValueError(f"scale must be >= 1, got {self.scale}")
-        if self.edge_factor < 1:
-            raise ValueError(f"edge_factor must be >= 1, got {self.edge_factor}")
 
     @property
     def num_vertices(self) -> int:
@@ -61,7 +58,7 @@ class Graph500Problem:
     @property
     def num_edges(self) -> int:
         """Undirected edge count edgefactor * 2**scale (before dedup)."""
-        return self.edge_factor << self.scale
+        return DEFAULT_EDGE_FACTOR << self.scale
 
     def gteps(self, seconds: float) -> float:
         """Giga-traversed-edges-per-second for a BFS time on this problem.

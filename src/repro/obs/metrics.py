@@ -425,17 +425,21 @@ def _fmt_labels(labels: dict[str, str], extra: dict[str, str] | None = None) -> 
     return "{" + body + "}"
 
 
-def to_prometheus_text(registry: MetricsRegistry, *, prefix: str = "repro_") -> str:
+#: Namespace every exported Prometheus metric name starts with.
+PROMETHEUS_PREFIX = "repro_"
+
+
+def to_prometheus_text(registry: MetricsRegistry) -> str:
     """Render the registry in the Prometheus text exposition format.
 
-    Counters get the conventional ``_total`` suffix; histograms emit
+    Metric names carry :data:`PROMETHEUS_PREFIX`.  Counters get the conventional ``_total`` suffix; histograms emit
     cumulative ``_bucket{le=...}`` series plus ``_sum``/``_count``;
     per-rank vectors emit one gauge sample per rank under a ``rank``
     label.  Ends with the format-required trailing newline.
     """
     lines: list[str] = []
     for name, kind in registry.families().items():
-        metric = prefix + name
+        metric = PROMETHEUS_PREFIX + name
         if kind == "counter":
             metric += "_total"
         prom_type = {"counter": "counter", "gauge": "gauge",

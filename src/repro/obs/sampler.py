@@ -4,7 +4,8 @@ A :class:`TelemetrySampler` periodically reduces a
 :class:`~repro.obs.metrics.MetricsRegistry` to one flat snapshot —
 per-family counter totals, gauge values, histogram count/sum — plus a
 small set of *derived* serving signals (queue depth, batch occupancy,
-cache hit rate) and keeps the last ``capacity`` snapshots in a deque.
+cache hit rate) and keeps the last :data:`SAMPLE_CAPACITY` snapshots in
+a deque.
 This is the substrate the ROADMAP's "online self-tuning from the metrics
 feedback loop" item needs: a mid-run time-series instead of a single
 end-of-run export.
@@ -26,11 +27,14 @@ import asyncio
 import time
 from collections import deque
 
-__all__ = ["TelemetrySampler", "DEFAULT_SAMPLE_INTERVAL"]
+__all__ = ["TelemetrySampler", "DEFAULT_SAMPLE_INTERVAL", "SAMPLE_CAPACITY"]
 
 #: Default sampling cadence (seconds) — coarse enough to be free next to
 #: millisecond-scale serving, fine enough to catch queue buildups.
 DEFAULT_SAMPLE_INTERVAL = 0.25
+
+#: Snapshots the ring keeps (two minutes at the default cadence).
+SAMPLE_CAPACITY = 512
 
 
 class TelemetrySampler:
@@ -40,19 +44,15 @@ class TelemetrySampler:
         self,
         registry,
         *,
-        capacity: int = 512,
         interval: float = DEFAULT_SAMPLE_INTERVAL,
         clock=time.monotonic,
     ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
         if interval <= 0:
             raise ValueError("interval must be > 0")
         self.registry = registry
-        self.capacity = int(capacity)
         self.interval = float(interval)
         self._clock = clock
-        self._ring: deque[dict] = deque(maxlen=self.capacity)
+        self._ring: deque[dict] = deque(maxlen=SAMPLE_CAPACITY)
         self._seq = 0
         self._task: asyncio.Task | None = None
 
@@ -125,7 +125,7 @@ class TelemetrySampler:
     def to_dict(self) -> dict:
         return {
             "interval_seconds": self.interval,
-            "capacity": self.capacity,
+            "capacity": SAMPLE_CAPACITY,
             "taken": self._seq,
             "samples": self.samples,
         }

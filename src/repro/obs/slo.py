@@ -14,8 +14,8 @@ The :class:`SLOMonitor` reads the cumulative
     burn_rate  = error_rate / (1 - objective)
 
 A burn rate of 1.0 spends the error budget exactly as fast as the
-objective allows; sustained burn above :attr:`SLOSpec.burn_warn` (or
-:attr:`SLOSpec.burn_page`) yields ``warn``/``page`` status and a typed
+objective allows; sustained burn above :data:`BURN_WARN` (or
+:data:`BURN_PAGE`) yields ``warn``/``page`` status and a typed
 :class:`SLOAlert` record.  Because the source is a bucketed histogram,
 the threshold is quantized to the largest bucket bound ``<=
 threshold_seconds`` — "good" is counted conservatively (never
@@ -37,7 +37,13 @@ __all__ = [
     "SLOMonitor",
     "parse_slo_spec",
     "DEFAULT_SLOS",
+    "BURN_WARN",
+    "BURN_PAGE",
 ]
+
+#: Burn rates at which an SLO's status degrades to ``warn`` / ``page``.
+BURN_WARN = 1.0
+BURN_PAGE = 10.0
 
 
 @dataclass(frozen=True)
@@ -52,9 +58,6 @@ class SLOSpec:
     objective: float
     #: Rolling evaluation window (seconds).
     window_seconds: float = 60.0
-    #: Burn rates at which the status degrades.
-    burn_warn: float = 1.0
-    burn_page: float = 10.0
 
     def __post_init__(self) -> None:
         if self.threshold_seconds <= 0:
@@ -63,8 +66,6 @@ class SLOSpec:
             raise ValueError("objective must be in (0, 1)")
         if self.window_seconds <= 0:
             raise ValueError("window_seconds must be > 0")
-        if self.burn_page < self.burn_warn:
-            raise ValueError("burn_page must be >= burn_warn")
 
     @property
     def name(self) -> str:
@@ -250,9 +251,9 @@ class SLOMonitor:
             error_rate = bad / observed if observed else 0.0
             burn = error_rate / (1.0 - spec.objective)
             severity = "ok"
-            if burn >= spec.burn_page:
+            if burn >= BURN_PAGE:
                 severity = "page"
-            elif burn >= spec.burn_warn:
+            elif burn >= BURN_WARN:
                 severity = "warn"
             if rank[severity] > rank[state.severity]:
                 self._fire(spec, severity, burn, error_rate, now)

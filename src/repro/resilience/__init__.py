@@ -19,7 +19,6 @@ from repro.resilience.faults import (
     FaultSpecError,
     NullFaultInjector,
     RankCrashError,
-    RetryBackoff,
     parse_fault_spec,
 )
 from repro.resilience.recovery import (
@@ -50,7 +49,6 @@ __all__ = [
     "RecoveryError",
     "RecoveryPolicy",
     "ResilientRunResult",
-    "RetryBackoff",
     "build_resilience",
     "parse_fault_spec",
     "recover",

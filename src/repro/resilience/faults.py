@@ -62,7 +62,6 @@ __all__ = [
     "NullFaultInjector",
     "NULL_FAULTS",
     "RankCrashError",
-    "RetryBackoff",
     "CollectiveOutcome",
     "parse_fault_spec",
 ]
@@ -252,17 +251,12 @@ def parse_fault_spec(spec: str) -> FaultPlan:
     return FaultPlan(faults=tuple(faults), spec=text)
 
 
-@dataclass(frozen=True)
-class RetryBackoff:
-    """Exponential backoff schedule for retried transfers (sim seconds)."""
-
-    base_seconds: float = 5e-5
-    growth: float = 2.0
-    max_seconds: float = 1e-2
-
-    def seconds(self, attempt: int) -> float:
-        """Wait before retry ``attempt`` (0-based)."""
-        return min(self.base_seconds * self.growth**attempt, self.max_seconds)
+#: Exponential backoff of a retried transfer (simulated seconds): the
+#: wait before retry ``a`` (0-based) is ``BACKOFF_BASE_SECONDS *
+#: BACKOFF_GROWTH**a``, capped at ``BACKOFF_MAX_SECONDS``.
+BACKOFF_BASE_SECONDS = 5e-5
+BACKOFF_GROWTH = 2.0
+BACKOFF_MAX_SECONDS = 1e-2
 
 
 @dataclass(frozen=True)
@@ -275,8 +269,11 @@ class CollectiveOutcome:
     straggle_factor: float = 1.0
     #: Whether a corruption fault fired (payload round-trip in comm).
     corrupted: bool = False
-    #: Backoff schedule for the retried attempts.
-    backoff: RetryBackoff = RetryBackoff()
+
+    @staticmethod
+    def backoff_seconds(attempt: int) -> float:
+        """Wait before retry ``attempt`` (0-based)."""
+        return min(BACKOFF_BASE_SECONDS * BACKOFF_GROWTH**attempt, BACKOFF_MAX_SECONDS)
 
 
 class FaultInjector:
@@ -296,12 +293,10 @@ class FaultInjector:
         *,
         rng: np.random.Generator | None = None,
         metrics=NULL_METRICS,
-        backoff: RetryBackoff | None = None,
     ) -> None:
         self.plan = parse_fault_spec(plan) if isinstance(plan, str) else plan
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.metrics = metrics
-        self.backoff = backoff if backoff is not None else RetryBackoff()
         #: Current BFS iteration (-1 outside a scheduler loop).
         self.iteration = -1
         self.dead_ranks: set[int] = set()
@@ -412,7 +407,6 @@ class FaultInjector:
             retries=retries,
             straggle_factor=factor,
             corrupted=corrupted,
-            backoff=self.backoff,
         )
 
     def compute_factor(self, phase: str, per_node_items=None) -> float:

@@ -140,8 +140,6 @@ class SimCommunicator:
         phase: str,
         group: np.ndarray,
         bitmaps: dict[int, np.ndarray],
-        *,
-        kind: CollectiveKind = CollectiveKind.ALLREDUCE,
     ) -> np.ndarray:
         """Bitwise-OR reduce boolean arrays over a group; all receive it.
 
@@ -166,7 +164,7 @@ class SimCommunicator:
         intra, inter = self._group_traffic_split(group, payload_bytes)
         self.ledger.charge_collective(
             phase,
-            kind,
+            CollectiveKind.ALLREDUCE,
             participants=group.size,
             max_bytes_intra=intra,
             max_bytes_inter=inter,

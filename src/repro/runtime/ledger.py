@@ -190,7 +190,7 @@ class TrafficLedger:
                         max_bytes_inter, total, seconds, wasted=True,
                     )
                     # ...and the sender backed off before retrying.
-                    self.charge_wait(phase, outcome.backoff.seconds(attempt))
+                    self.charge_wait(phase, outcome.backoff_seconds(attempt))
                 if outcome.straggle_factor != 1.0:
                     seconds = seconds * outcome.straggle_factor
         self._commit_collective(

@@ -3,7 +3,7 @@
 Keyed by ``(graph fingerprint, root)`` so an entry is only ever served
 for the graph it was computed on: a repaired or reloaded graph has a
 new fingerprint, and entries of the old one stop matching.  Eviction is
-LRU within a bounded capacity, with every outcome counted in the shared
+LRU within :data:`CACHE_CAPACITY` entries, with every outcome counted in the shared
 metric families:
 
 ==========================  ============================================
@@ -41,10 +41,14 @@ from repro.core.partition import mix64
 from repro.obs.metrics import NULL_METRICS
 
 __all__ = [
+    "CACHE_CAPACITY",
     "ResultCache",
     "fingerprint_graph",
     "touched_digest",
 ]
+
+#: Parent trees a :class:`ResultCache` holds before it evicts the LRU one.
+CACHE_CAPACITY = 1024
 
 #: Words in a touched-vertex digest (16 x 64 = 1024 bits).
 _DIGEST_WORDS = 16
@@ -120,10 +124,7 @@ class ResultCache:
     """Bounded LRU cache of parent trees, keyed by
     ``(graph fingerprint, root)``; each entry is ``(parent, digest)``."""
 
-    def __init__(self, capacity: int = 1024, *, metrics=NULL_METRICS) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = int(capacity)
+    def __init__(self, *, metrics=NULL_METRICS) -> None:
         self._metrics = metrics
         self._entries: OrderedDict[
             tuple[str, int], tuple[np.ndarray, np.ndarray]
@@ -173,7 +174,7 @@ class ResultCache:
         if key in self._entries:
             self._entries.move_to_end(key)
         self._entries[key] = (stored, digest)
-        while len(self._entries) > self.capacity:
+        while len(self._entries) > CACHE_CAPACITY:
             self._entries.popitem(last=False)
             self._metrics.counter("serve_cache_evictions", reason="lru").inc()
         self._sync_size()

@@ -45,12 +45,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from repro.core.engine import DistributedBFS
+from repro.core.lanes import distinct
 from repro.obs.metrics import exponential_buckets
 from repro.resilience.faults import RankCrashError
 from repro.serve.cache import fingerprint_graph
 
 __all__ = [
     "LATENCY_BUCKETS",
+    "MAX_REPLAYS",
+    "RESERVOIR_CAPACITY",
     "LatencyReservoir",
     "Overloaded",
     "TraversalError",
@@ -71,35 +74,41 @@ __all__ = [
 #: SLO threshold quantized down to a bound is judged within 19 % of it.
 LATENCY_BUCKETS = exponential_buckets(1e-6, 2 ** 0.25, 160)
 
+#: Crashes a request may ride before it fails with a
+#: :class:`TraversalError` (each replay re-runs its batch).
+MAX_REPLAYS = 2
+
+
+#: Values a :class:`LatencyReservoir` keeps, and the seed of its RNG.
+RESERVOIR_CAPACITY = 4096
+RESERVOIR_SEED = 0x5EED
+
 
 class LatencyReservoir:
     """Fixed-size uniform sample of an unbounded latency stream.
 
-    Vitter's Algorithm R: the first ``capacity`` values are kept, after
-    which each new value replaces a random slot with probability
-    ``capacity / seen`` — at any point the kept set is a uniform sample
-    of everything appended, so percentiles stay stable under sustained
-    traffic while memory stays O(capacity).  The RNG is seeded, so a
-    replayed request sequence samples identically.
+    Vitter's Algorithm R: the first :data:`RESERVOIR_CAPACITY` values are
+    kept, after which each new value replaces a random slot with
+    probability ``RESERVOIR_CAPACITY / seen`` — at any point the kept set
+    is a uniform sample of everything appended, so percentiles stay
+    stable under sustained traffic while memory stays bounded.  The RNG
+    is seeded, so a replayed request sequence samples identically.
     """
 
-    __slots__ = ("capacity", "_values", "_seen", "_rng")
+    __slots__ = ("_values", "_seen", "_rng")
 
-    def __init__(self, capacity: int = 4096, *, seed: int = 0x5EED) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = int(capacity)
+    def __init__(self) -> None:
         self._values: list[float] = []
         self._seen = 0
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(RESERVOIR_SEED)
 
     def append(self, value: float) -> None:
         self._seen += 1
-        if len(self._values) < self.capacity:
+        if len(self._values) < RESERVOIR_CAPACITY:
             self._values.append(float(value))
             return
         slot = int(self._rng.integers(0, self._seen))
-        if slot < self.capacity:
+        if slot < RESERVOIR_CAPACITY:
             self._values[slot] = float(value)
 
     @property
@@ -463,7 +472,7 @@ class ResidentGraph:
             None, sibling_engine, self.batched, part
         )
         touched = (
-            np.unique(np.concatenate([r.delta.touched for r in reports]))
+            distinct(np.concatenate([r.delta.touched for r in reports]))
             if reports
             else np.array([], dtype=np.int64)
         )
@@ -608,12 +617,10 @@ class ServingCore:
         if request.future is not None and not request.future.done():
             request.future.set_exception(error)
 
-    def charge_replay(
-        self, scope: ServeScope, batch, max_replays: int, cause: str
-    ) -> list:
+    def charge_replay(self, scope: ServeScope, batch, cause: str) -> list:
         """Charge a crashed batch one attempt *per request*.
 
-        Requests over ``max_replays`` fail with a typed
+        Requests over :data:`MAX_REPLAYS` fail with a typed
         :class:`TraversalError` each (so each carries its own trace id);
         the rest are returned for the caller to re-queue — a fresh
         request that joined a replayed batch keeps its own budget.
@@ -621,7 +628,7 @@ class ServingCore:
         survivors = []
         for request in batch:
             request.attempts += 1
-            if request.attempts <= max_replays:
+            if request.attempts <= MAX_REPLAYS:
                 survivors.append(request)
                 continue
             self.fail(
@@ -629,7 +636,7 @@ class ServingCore:
                 request,
                 TraversalError(
                     f"batch of {len(batch)} requests failed after "
-                    f"{max_replays} replays ({cause})",
+                    f"{MAX_REPLAYS} replays ({cause})",
                     tenant=scope.tenant,
                     trace_id=request.trace_id,
                 ),

@@ -22,7 +22,7 @@ run on executor threads) behind an asyncio front:
    batch: its requests are replayed from the front of the queue, each
    charged one attempt, and a request fails with a typed
    :class:`TraversalError` once *its own* attempts exceed
-   ``max_replays``.  Other batches are untouched.
+   :data:`~repro.serve.core.MAX_REPLAYS`.  Other batches are untouched.
 
 Everything after a batch is picked — the executor hop, staged latency
 observation into ``serve_latency_seconds``, cache fill, future
@@ -75,6 +75,9 @@ __all__ = [
 
 _DEFAULT_CACHE = object()
 
+#: Recently served requests whose :class:`RequestTimeline` is kept.
+TIMELINE_CAPACITY = 1024
+
 
 class TraversalService:
     """Batched BFS serving over one loaded graph."""
@@ -87,11 +90,9 @@ class TraversalService:
         queue_depth: int = 256,
         batch_size: int = 64,
         batch_window: float = 0.002,
-        max_replays: int = 2,
         faults=None,
         metrics=NULL_METRICS,
         clock=time.monotonic,
-        timeline_capacity: int = 1024,
         dynamic=None,
     ) -> None:
         from repro.serve.msbfs import MAX_BATCH_ROOTS
@@ -105,7 +106,6 @@ class TraversalService:
         self.queue_depth = int(queue_depth)
         self.batch_size = int(batch_size)
         self.batch_window = float(batch_window)
-        self.max_replays = int(max_replays)
         #: The served graph.  ``dynamic`` is an IncrementalGraph over
         #: the engine's edge set; batches applied through
         #: ingest_updates() repair it, swap in a rebuilt engine and
@@ -123,7 +123,7 @@ class TraversalService:
         self.metrics = metrics
         self._scope = ServeScope(metrics, "serve", (self.stats,))
         self._core = ServingCore(
-            clock=clock, timeline_capacity=timeline_capacity, faults=faults
+            clock=clock, timeline_capacity=TIMELINE_CAPACITY, faults=faults
         )
         self._queue: deque[Request] = deque()
         self._wake = asyncio.Event()
@@ -331,7 +331,6 @@ class TraversalService:
                     if core.charge_replay(
                         scope,
                         [request],
-                        self.max_replays,
                         f"program {program!r}, injected rank crash",
                     ):
                         continue
@@ -411,7 +410,7 @@ class TraversalService:
         budget go back to the *front* of the queue, original submit
         times intact; the rest have already failed typed."""
         survivors = self._core.charge_replay(
-            self._scope, batch, self.max_replays, "injected rank crash"
+            self._scope, batch, "injected rank crash"
         )
         if survivors:
             self._queue.extendleft(reversed(survivors))

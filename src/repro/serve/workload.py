@@ -111,21 +111,23 @@ def make_workload_roots(
     return roots.astype(np.int64)
 
 
-def pareto_popularity(tenants, *, alpha: float = 1.1, seed: int) -> dict:
+#: Shape of the tenant-popularity Pareto draw (smaller: heavier tail).
+PARETO_ALPHA = 1.1
+
+
+def pareto_popularity(tenants, *, seed: int) -> dict:
     """Seeded heavy-tail traffic shares: tenant -> fraction of queries.
 
-    One normalized ``Pareto(alpha) + 1`` draw per tenant, sorted
+    One normalized ``Pareto(PARETO_ALPHA) + 1`` draw per tenant, sorted
     descending before assignment so the *first* tenant in the given
     order is always the heaviest — callers can rely on ``tenants[0]``
-    being the hot tenant.  Smaller ``alpha`` means a heavier tail.
+    being the hot tenant.
     """
     tenants = list(tenants)
     if not tenants:
         raise ValueError("at least one tenant is required")
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
     rng = np.random.default_rng(seed)
-    draws = np.sort(rng.pareto(alpha, size=len(tenants)) + 1.0)[::-1]
+    draws = np.sort(rng.pareto(PARETO_ALPHA, size=len(tenants)) + 1.0)[::-1]
     shares = draws / draws.sum()
     return {t: float(s) for t, s in zip(tenants, shares)}
 
@@ -178,7 +180,6 @@ def make_diurnal_workload(
     *,
     seed: int,
     duration_seconds: float = 1.0,
-    alpha: float = 1.1,
     popularity: dict | None = None,
     hot_fraction: float = 0.5,
     hot_set_size: int = 16,
@@ -213,7 +214,7 @@ def make_diurnal_workload(
         raise ValueError("duration_seconds must be > 0")
     tenants = list(tenant_degrees)
     if popularity is None:
-        popularity = pareto_popularity(tenants, alpha=alpha, seed=seed)
+        popularity = pareto_popularity(tenants, seed=seed)
     else:
         missing = set(tenants) - set(popularity)
         if missing:
@@ -389,6 +390,8 @@ class WorkloadReport:
 
 #: Seconds a client waits before resending a query the service shed.
 SHED_BACKOFF = 0.0005
+#: Resends of one shed query a :func:`run_workload` client allows.
+SHED_RETRIES = 10_000
 #: What a :class:`QueryOutcome` keeps of a served response.
 _RESPONSE_SCALARS = (
     "cached", "batch_lanes", "queue_wait", "batch_wait",
@@ -397,13 +400,12 @@ _RESPONSE_SCALARS = (
 
 
 async def _answer(
-    submit, key: tuple, due: float, check, shed_backoff: float,
-    max_shed_retries: int,
+    submit, key: tuple, due: float, check, max_shed_retries: int,
 ) -> QueryOutcome:
     """Send ``submit(*key)`` and await a terminal, *accounted* outcome.
 
-    An :class:`Overloaded` rejection backs off ``shed_backoff`` seconds
-    and retries, up to ``max_shed_retries`` times, after which the shed
+    An :class:`Overloaded` rejection backs off :data:`SHED_BACKOFF`
+    seconds and retries, up to ``max_shed_retries`` times, after which the shed
     itself is the (typed) outcome; a :class:`TraversalError` or
     :class:`ReplicaDown` is a failed query.  ``check(key, response)``
     judges a served response (``True``/``False``, ``None`` for no
@@ -418,7 +420,7 @@ async def _answer(
         except Overloaded as exc:
             if outcome.shed_retries < max_shed_retries:
                 outcome.shed_retries += 1
-                await asyncio.sleep(shed_backoff)
+                await asyncio.sleep(SHED_BACKOFF)
                 continue
             outcome.shed, outcome.error = True, str(exc)
         except (TraversalError, ReplicaDown) as exc:
@@ -434,8 +436,7 @@ async def _answer(
 
 
 async def open_loop(
-    submit, schedule, *, check=None, shed_backoff: float = SHED_BACKOFF,
-    max_shed_retries: int = 0,
+    submit, schedule, *, check=None, max_shed_retries: int = 0,
 ) -> WorkloadReport:
     """Send each ``(offset, key)`` of ``schedule`` ``offset`` seconds
     after the start, whatever the service is doing, as ``submit(*key)``.
@@ -443,8 +444,8 @@ async def open_loop(
     ``schedule`` is consumed lazily, so a generator may act between
     sends.  A query's latency runs from its due time, so a sender that
     falls behind shows as latency (and as ``late``) on the queries
-    behind it.  ``check``, ``shed_backoff`` and ``max_shed_retries``
-    are as in :func:`_answer`.
+    behind it.  ``check`` and ``max_shed_retries`` are as in
+    :func:`_answer`.
     """
     loop = asyncio.get_running_loop()
     t0 = loop.time()
@@ -455,23 +456,21 @@ async def open_loop(
         if delay > 0:
             await asyncio.sleep(delay)
         tasks.append(asyncio.create_task(_answer(
-            submit, key, due, check, shed_backoff, max_shed_retries
+            submit, key, due, check, max_shed_retries
         )))
     return WorkloadReport(outcomes=list(await asyncio.gather(*tasks)))
 
 
 async def closed_loop(
-    submit, roots, clients: int, *, check=None,
-    shed_backoff: float = SHED_BACKOFF, max_shed_retries: int = 0,
+    submit, roots, clients: int, *, check=None, max_shed_retries: int = 0,
 ) -> WorkloadReport:
     """``clients`` clients, one query in flight each, send
     ``submit(root)`` for the next root of ``roots`` until it runs out.
 
     A query is due when its client takes its root.  ``roots`` is read
     as one shared iterator, so an endless one (a cycle cut off by a
-    deadline) runs the loop for a time instead of a count.  ``check``,
-    ``shed_backoff`` and ``max_shed_retries`` are as in
-    :func:`_answer`.
+    deadline) runs the loop for a time instead of a count.  ``check``
+    and ``max_shed_retries`` are as in :func:`_answer`.
     """
     if clients < 1:
         raise ValueError("clients must be >= 1")
@@ -482,8 +481,7 @@ async def closed_loop(
     async def client() -> None:
         for root in roots:
             outcome = await _answer(
-                submit, (int(root),), loop.time(), check, shed_backoff,
-                max_shed_retries,
+                submit, (int(root),), loop.time(), check, max_shed_retries,
             )
             outcomes.append(outcome)
             if outcome.cached:
@@ -516,20 +514,18 @@ async def run_workload(
     *,
     clients: int = 4,
     expected: dict | None = None,
-    shed_backoff: float = SHED_BACKOFF,
-    max_shed_retries: int = 10_000,
 ) -> WorkloadReport:
     """Drive ``service`` with a :func:`closed_loop` of ``clients``
     clients over ``roots``, each root once.
 
-    A shed query backs off ``shed_backoff`` seconds and retries the same
-    root, up to ``max_shed_retries`` times.  ``expected`` maps a query
+    A shed query backs off :data:`SHED_BACKOFF` seconds and retries the
+    same root, up to :data:`SHED_RETRIES` times.  ``expected`` maps a query
     key ``(root,)`` to its parent array (see :func:`expected_parents`);
     served responses for those keys are checked bit for bit.
     """
     return await closed_loop(
         service.submit, roots, clients, check=parents_check(expected),
-        shed_backoff=shed_backoff, max_shed_retries=max_shed_retries,
+        max_shed_retries=SHED_RETRIES,
     )
 
 

@@ -87,7 +87,7 @@ class TestSSSP:
         res = run_program("sssp", part, root=0)
         assert res.total_seconds > 0
         assert res.info["relaxations"] > 0
-        assert res.gteps(1000) > 0
+        assert res.gteps() > 0
 
     def test_invalid_root(self):
         part, _, _ = make_part()

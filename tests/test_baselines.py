@@ -81,13 +81,15 @@ class TestSchemeProperties:
         assert total == a_src.size
         assert engine.num_heavy > 0
 
-    def test_delegated_heavy_threshold_override(self):
+    def test_delegated_heavy_threshold_rule(self):
+        # The degree of the 0.1%-quantile vertex (at least 2) delegates.
         src, dst, n, mesh, machine, _ = setup()
-        engine = DelegatedOneDimBFS(
-            src, dst, n, mesh, machine=machine, heavy_threshold=50
-        )
-        assert engine.heavy_threshold == 50
-        assert np.all(engine.degrees[engine.heavy_mask] >= 50)
+        engine = DelegatedOneDimBFS(src, dst, n, mesh, machine=machine)
+        k = max(1, n // 1000)
+        want = max(int(np.sort(engine.degrees)[::-1][k]), 2)
+        assert engine.heavy_threshold == want
+        assert np.all(engine.degrees[engine.heavy_mask] >= want)
+        assert np.all(engine.degrees[~engine.heavy_mask] < want)
 
     def test_2d_placement(self):
         src, dst, n, mesh, machine, _ = setup()

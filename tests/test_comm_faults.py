@@ -13,7 +13,12 @@ import pytest
 from repro.machine.costmodel import CollectiveKind
 from repro.machine.network import MachineSpec
 from repro.obs.metrics import MetricsRegistry
-from repro.resilience import FaultInjector, RetryBackoff
+from repro.resilience import FaultInjector
+from repro.resilience.faults import (
+    BACKOFF_BASE_SECONDS,
+    BACKOFF_GROWTH,
+    BACKOFF_MAX_SECONDS,
+)
 from repro.runtime.comm import SimCommunicator
 from repro.runtime.ledger import TrafficLedger
 from repro.runtime.mesh import ProcessMesh
@@ -68,17 +73,17 @@ class TestDropRetryCharges:
         assert len({e.total_bytes for e in exchanges}) == 1
 
     def test_backoff_waits_match_schedule(self):
-        backoff = RetryBackoff(base_seconds=1e-4, growth=2.0)
-        inj = FaultInjector(
-            "drop:phase=EH2EH,count=1,retries=3", backoff=backoff
-        )
+        inj = FaultInjector("drop:phase=EH2EH,count=1,retries=3")
         comm, mesh, ledger = make_comm(faults=inj)
         row_alltoallv(comm, mesh)
         waits = [
             e.seconds for e in ledger.comm_events
             if e.kind is CollectiveKind.BARRIER and e.participants == 1
         ]
-        assert waits == [backoff.seconds(a) for a in range(3)]
+        assert waits == [
+            min(BACKOFF_BASE_SECONDS * BACKOFF_GROWTH**a, BACKOFF_MAX_SECONDS)
+            for a in range(3)
+        ]
 
     def test_drop_on_alltoallv_subgroup(self):
         inj = FaultInjector("drop:phase=L2L,count=2,retries=2")

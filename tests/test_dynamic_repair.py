@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.preprocessing import construction_ledger
-from repro.dynamic.gate import parts_bitwise_equal, run_equivalence_gate
+from repro.dynamic.gate import GATE_KINDS, parts_bitwise_equal, run_equivalence_gate
 from repro.dynamic.repair import IncrementalGraph
 from repro.dynamic.updates import (
     UpdateBatch,
@@ -140,11 +140,10 @@ class TestCostAndMetrics:
 class TestEquivalenceGate:
     def test_gate_passes_on_small_matrix(self):
         report = run_equivalence_gate(
-            scale=6, families=("rmat",), kinds=("insert", "delete"),
-            batches=2, batch_size=16,
+            scale=6, families=("rmat",), batches=2, batch_size=16,
         )
         assert report.ok, report.summary()
-        assert report.num_batches == 4
+        assert report.num_batches == 2 * len(GATE_KINDS)
 
     def test_gate_patched_path_on_long_diameter_family(self):
         report = run_equivalence_gate(

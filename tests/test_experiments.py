@@ -71,10 +71,6 @@ class TestDrivers:
             pts[0].seconds
         )
 
-    def test_scaling_sweep_multi_root(self):
-        pts = run_scaling_sweep(points=((10, 2, 2),), num_roots=3)
-        assert pts[0].gteps > 0
-
     def test_threshold_grid_invalid_cells_zero(self):
         rows = run_threshold_grid(
             scale=10,

@@ -16,11 +16,13 @@ from repro.obs.metrics import (
     to_prometheus_text,
 )
 from repro.obs.slo import (
+    BURN_PAGE,
+    BURN_WARN,
     SLOMonitor,
     SLOSpec,
     parse_slo_spec,
 )
-from repro.obs.sampler import TelemetrySampler
+from repro.obs.sampler import SAMPLE_CAPACITY, TelemetrySampler
 from repro.obs.tracer import Tracer
 from repro.serve.service import LATENCY_BUCKETS
 
@@ -96,21 +98,19 @@ class TestTelemetrySampler:
         reg.gauge("serve_queue_depth").set(5)
         reg.histogram("serve_batch_size").observe(4)
         reg.histogram("serve_batch_size").observe(8)
-        sampler = TelemetrySampler(reg, capacity=2, clock=clock)
+        sampler = TelemetrySampler(reg, clock=clock)
         snap = sampler.sample()
         assert snap["counters"]["serve_requests"] == 12.0
         assert snap["derived"]["queue_depth"] == 5.0
         assert snap["derived"]["cache_hit_rate"] == pytest.approx(0.25)
         assert snap["derived"]["batch_occupancy"] == pytest.approx(6.0)
-        for _ in range(3):
+        for _ in range(SAMPLE_CAPACITY + 1):
             sampler.sample()
-        assert len(sampler.samples) == 2  # ring capacity
-        assert sampler.taken == 4
-        assert sampler.to_dict()["taken"] == 4
+        assert len(sampler.samples) == SAMPLE_CAPACITY  # ring capacity
+        assert sampler.taken == SAMPLE_CAPACITY + 2
+        assert sampler.to_dict()["taken"] == SAMPLE_CAPACITY + 2
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TelemetrySampler(MetricsRegistry(), capacity=0)
         with pytest.raises(ValueError):
             TelemetrySampler(MetricsRegistry(), interval=0.0)
 
@@ -146,17 +146,14 @@ class TestSLOMonitor:
             SLOSpec("total", -1.0, 0.99)
         with pytest.raises(ValueError):
             SLOSpec("total", 0.1, 1.5)
-        with pytest.raises(ValueError):
-            SLOSpec("total", 0.1, 0.9, burn_warn=5.0, burn_page=1.0)
 
     def test_burn_rate_math_and_alerts(self):
         clock = FakeClock()
         reg = MetricsRegistry()
-        spec = SLOSpec("total", 0.1, 0.9, window_seconds=60.0,
-                       burn_warn=1.0, burn_page=5.0)
+        spec = SLOSpec("total", 0.1, 0.95, window_seconds=60.0)
         mon = SLOMonitor(reg, [spec], clock=clock)
         mon.observe()  # zero baseline
-        # 8 good, 2 bad of 10 -> error rate 0.2, burn 2.0 -> warn
+        # 8 good, 2 bad of 10 -> error rate 0.2, burn 4.0 -> warn
         _observe_latency(reg, "total", 0.001, n=8)
         _observe_latency(reg, "total", 5.0, n=2)
         clock.advance(1.0)
@@ -164,14 +161,15 @@ class TestSLOMonitor:
         row = doc["slos"][0]
         assert row["observed"] == 10 and row["bad"] == 2
         assert row["error_rate"] == pytest.approx(0.2)
-        assert row["burn_rate"] == pytest.approx(2.0)
+        assert row["burn_rate"] == pytest.approx(4.0)
+        assert BURN_WARN <= 4.0 < BURN_PAGE
         assert doc["status"] == "warn"
         assert len(mon.alerts) == 1 and mon.alerts[0].severity == "warn"
         # Same severity again: no duplicate alert.
         clock.advance(1.0)
         mon.evaluate()
         assert len(mon.alerts) == 1
-        # Escalation to page fires once more.
+        # Escalation to page (32 bad of 40: burn 16) fires once more.
         _observe_latency(reg, "total", 5.0, n=30)
         clock.advance(1.0)
         doc = mon.evaluate()

@@ -300,19 +300,19 @@ class TestServicePrograms:
         self, system, serving_engine
     ):
         """Served programs replay through ``ServingCore.charge_replay``:
-        one attempt per crash, typed failure past ``max_replays``."""
+        one attempt per crash, typed failure past ``MAX_REPLAYS``."""
         from repro.resilience import FaultInjector
         from repro.serve import TraversalError, TraversalService
+        from repro.serve.core import MAX_REPLAYS
 
         _, _, part, machine, _ = system
         direct = run_program("cc", part, machine=machine)
 
-        async def main_(spec, max_replays):
+        async def main_(spec):
             registry = MetricsRegistry()
             async with TraversalService(
                 serving_engine, batch_window=0.0, metrics=registry,
                 faults=FaultInjector(spec, rng=np.random.default_rng(0)),
-                max_replays=max_replays,
             ) as svc:
                 try:
                     outcome = await svc.submit(program="cc")
@@ -320,20 +320,20 @@ class TestServicePrograms:
                     outcome = exc
                 return svc, registry, outcome
 
-        svc, registry, ok = run_async(main_("crash:rank=1,iter=1", 2))
+        svc, registry, ok = run_async(main_("crash:rank=1,iter=1"))
         assert np.array_equal(ok.state["labels"], direct.state["labels"])
         assert (svc.stats.replays, svc.stats.failed) == (1, 0)
         assert svc.pending == 0
 
         svc, registry, err = run_async(
-            main_("crash:rank=1,iter=1;crash:rank=0,iter=1", 1)
+            main_("crash:rank=1,iter=1;crash:rank=0,iter=1;crash:rank=2,iter=1")
         )
         assert isinstance(err, TraversalError)
         assert err.trace_id == "req-000001" and "'cc'" in str(err)
-        assert (svc.stats.replays, svc.stats.failed) == (1, 1)
+        assert (svc.stats.replays, svc.stats.failed) == (MAX_REPLAYS, 1)
         assert svc.pending == 0
         assert svc.request_timeline(err.trace_id).status == "failed"
-        for outcome, count in (("crashed", 2), ("failed", 1)):
+        for outcome, count in (("crashed", MAX_REPLAYS + 1), ("failed", 1)):
             assert registry.counter_total(
                 "serve_programs", program="cc", outcome=outcome
             ) == count

@@ -95,10 +95,6 @@ class TestBreakdowns:
         assert cats[0] == "b"
         assert series["a"] == [pytest.approx(0.1), 0.0]
 
-    def test_stack_series_absolute(self):
-        _, _, series = stack_series([(1, {"a": 2.0})], normalize=False)
-        assert series["a"] == [2.0]
-
     def test_ablation_breakdown_canonical_order(self):
         labels, cats, series = ablation_breakdown(
             [

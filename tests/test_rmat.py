@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.graph500.rmat import generate_edges, rmat_edges, scramble_vertices
+from repro.graph500.rmat import (
+    RMAT_CHUNK_EDGES,
+    generate_edges,
+    rmat_edges,
+    scramble_vertices,
+)
 from repro.graph500.spec import Graph500Problem
 from repro.graphs.stats import degrees_from_edges
 
@@ -26,13 +31,13 @@ class TestRmatEdges:
         assert not np.array_equal(a[0], b[0])
 
     def test_chunking_matches_single_shot(self):
-        # Same rng sequence means chunked generation equals one-shot when
-        # chunk boundaries align with whole draws per level: verify just
-        # statistical equivalence (same marginal) instead of bit equality.
-        src_a, _ = rmat_edges(10, 4000, seed=7, chunk_size=1000)
-        src_b, _ = rmat_edges(10, 4000, seed=7, chunk_size=4000)
-        # both valid R-MAT streams over the same support
-        assert src_a.max() < 1024 and src_b.max() < 1024
+        # Chunks draw from one rng in order, so a stream one chunk longer
+        # starts with the one-chunk stream of the same seed.
+        src_a, dst_a = rmat_edges(10, RMAT_CHUNK_EDGES + 1000, seed=7)
+        src_b, dst_b = rmat_edges(10, RMAT_CHUNK_EDGES, seed=7)
+        assert np.array_equal(src_a[:RMAT_CHUNK_EDGES], src_b)
+        assert np.array_equal(dst_a[:RMAT_CHUNK_EDGES], dst_b)
+        assert src_a.max() < 1024 and dst_a.max() < 1024
 
     def test_zero_edges(self):
         src, dst = rmat_edges(5, 0, seed=0)
@@ -108,9 +113,14 @@ class TestGenerateEdges:
         assert np.array_equal(a[0], b[0])
 
     def test_scramble_changes_labels(self):
-        plain = generate_edges(8, seed=5, scramble=False)
-        mixed = generate_edges(8, seed=5, scramble=True)
+        # The unscrambled draws of the same seed, then generate_edges'.
+        plain = rmat_edges(8, 16 << 8, rng=np.random.default_rng(5))
+        mixed = generate_edges(8, seed=5)
         assert not np.array_equal(plain[0], mixed[0])
+        # A relabelling only: the degree multiset is kept.
+        assert sorted(np.bincount(plain[0], minlength=256)) == sorted(
+            np.bincount(mixed[0], minlength=256)
+        )
 
 
 class TestProblem:

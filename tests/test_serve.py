@@ -29,6 +29,7 @@ from repro.serve import (
     fingerprint_graph,
 )
 from repro.serve.bench import amortization_sweep, build_serving_engine
+from repro.serve.cache import CACHE_CAPACITY
 from repro.serve.msbfs import MultiSourceBFS
 from repro.serve.workload import (
     make_workload_roots,
@@ -68,7 +69,7 @@ class TestResultCache:
 
     def test_hit_miss_counters(self):
         metrics = MetricsRegistry()
-        cache = ResultCache(capacity=4, metrics=metrics)
+        cache = ResultCache(metrics=metrics)
         assert cache.get("fp", 1) is None
         cache.put("fp", 1, self._parent(0))
         assert np.array_equal(cache.get("fp", 1), self._parent(0))
@@ -77,21 +78,21 @@ class TestResultCache:
 
     def test_lru_eviction_order(self):
         metrics = MetricsRegistry()
-        cache = ResultCache(capacity=2, metrics=metrics)
-        cache.put("fp", 1, self._parent(1))
-        cache.put("fp", 2, self._parent(2))
+        cache = ResultCache(metrics=metrics)
+        for root in range(1, CACHE_CAPACITY + 1):
+            cache.put("fp", root, self._parent(root))
         cache.get("fp", 1)  # 1 is now most-recently-used
-        cache.put("fp", 3, self._parent(3))  # evicts 2
+        cache.put("fp", 0, self._parent(0))  # evicts 2
         assert cache.get("fp", 2) is None
         assert cache.get("fp", 1) is not None
         assert metrics.counter_total("serve_cache_evictions", reason="lru") == 1
-        assert metrics.counter_total("serve_cache_size") == 2
+        assert metrics.counter_total("serve_cache_size") == CACHE_CAPACITY
 
     def test_invalidate_generation(self):
         # A delta invalidates trees of the generation it repairs only;
         # another graph's entries keep their key and their tree.
         metrics = MetricsRegistry()
-        cache = ResultCache(capacity=8, metrics=metrics)
+        cache = ResultCache(metrics=metrics)
         cache.put("old", 1, self._parent(1))
         cache.put("old", 2, self._parent(2))
         cache.put("other", 1, self._parent(3))
@@ -117,10 +118,6 @@ class TestResultCache:
         assert fp1 == fingerprint_graph(batched.part)
         _, other, _ = build_engines(seed=8)
         assert fp1 != fingerprint_graph(other.part)
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            ResultCache(capacity=0)
 
     def test_cached_lane_does_not_pin_its_batch(self):
         # A served tree is one lane's row of the batch's (lanes, n)
@@ -293,9 +290,7 @@ class TestTraversalService:
         )
 
         async def main():
-            svc = TraversalService(
-                batched, batch_window=0.0, faults=injector, max_replays=2
-            )
+            svc = TraversalService(batched, batch_window=0.0, faults=injector)
             async with svc:
                 return svc, await svc.submit(root)
 
@@ -307,17 +302,15 @@ class TestTraversalService:
     def test_replay_budget_exhaustion_fails_only_that_batch(self, engines):
         _, batched, _ = engines
         roots = np.flatnonzero(batched.part.degrees > 0)
-        # One crash per attempt: first batch exhausts its budget, the
-        # follow-up query (a fresh batch) succeeds.
+        # One crash per attempt: first batch exhausts its MAX_REPLAYS
+        # budget, the follow-up query (a fresh batch) succeeds.
         injector = FaultInjector(
-            "crash:rank=1,iter=1;crash:rank=0,iter=1",
+            "crash:rank=1,iter=1;crash:rank=0,iter=1;crash:rank=2,iter=1",
             rng=np.random.default_rng(0),
         )
 
         async def main():
-            svc = TraversalService(
-                batched, batch_window=0.0, faults=injector, max_replays=1
-            )
+            svc = TraversalService(batched, batch_window=0.0, faults=injector)
             async with svc:
                 with pytest.raises(TraversalError):
                     await svc.submit(int(roots[0]))
@@ -336,21 +329,20 @@ class TestTraversalService:
         roots = np.flatnonzero(batched.part.degrees > 0)
         a, b = int(roots[0]), int(roots[1])
         injector = FaultInjector(
-            "crash:rank=1,iter=1;crash:rank=0,iter=1",
+            "crash:rank=1,iter=1;crash:rank=0,iter=1;crash:rank=2,iter=1",
             rng=np.random.default_rng(0),
         )
 
         async def main():
             svc = TraversalService(
-                batched, batch_window=0.05, faults=injector, max_replays=1,
-                cache=None,
+                batched, batch_window=0.05, faults=injector, cache=None,
             )
             async with svc:
                 first = asyncio.ensure_future(svc.submit(a))
                 while svc.stats.replays < 1:
                     await asyncio.sleep(0.001)
                 # A is back at the queue head (one attempt spent), its
-                # batch window open: B rides the second crash with it.
+                # batch window open: B rides the last two crashes with it.
                 second = asyncio.ensure_future(svc.submit(b))
                 done = await asyncio.wait_for(
                     asyncio.gather(first, second, return_exceptions=True),
@@ -363,7 +355,7 @@ class TestTraversalService:
         assert first.trace_id == "req-000001"
         assert np.array_equal(second.parent, sequential.run(b).parent)
         assert svc.stats.failed == 1 and svc.stats.completed == 1
-        assert svc.stats.replays == 2
+        assert svc.stats.replays == 3  # one per crash that left a survivor
         assert svc.request_timeline(first.trace_id).status == "failed"
 
     def test_non_crash_exception_fails_the_batch_typed(self, engines, monkeypatch):
@@ -529,9 +521,7 @@ class TestWorkload:
                 cache=None,
             )
             async with svc:
-                return svc, await run_workload(
-                    svc, roots, clients=16, shed_backoff=0.0005
-                )
+                return svc, await run_workload(svc, roots, clients=16)
 
         svc, report = run_async(main())
         assert report.served == report.num_queries

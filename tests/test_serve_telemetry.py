@@ -29,7 +29,8 @@ from repro.runtime.mesh import ProcessMesh
 from repro.serve import TelemetryServer, TraversalService
 from repro.serve.msbfs import MultiSourceBFS
 from repro.serve import workload
-from repro.serve.service import LatencyReservoir
+from repro.serve.core import RESERVOIR_CAPACITY
+from repro.serve.service import TIMELINE_CAPACITY, LatencyReservoir
 from repro.serve.workload import (
     http_get,
     make_workload_roots,
@@ -73,27 +74,27 @@ def run_async(coro):
 
 class TestLatencyReservoir:
     def test_bounded_under_sustained_traffic(self):
-        res = LatencyReservoir(capacity=64)
+        res = LatencyReservoir()
         for i in range(10_000):
             res.append(float(i))
-        assert len(res) == 64
-        assert np.asarray(res).shape == (64,)
+        assert len(res) == RESERVOIR_CAPACITY
+        assert np.asarray(res).shape == (RESERVOIR_CAPACITY,)
 
     def test_exact_below_capacity(self):
-        res = LatencyReservoir(capacity=16)
+        res = LatencyReservoir()
         for v in (3.0, 1.0, 2.0):
             res.append(v)
         assert sorted(res) == [1.0, 2.0, 3.0]
 
     def test_percentiles_drift_bounded_at_100k(self):
-        # ISSUE acceptance: 100k appends through the default-capacity
-        # reservoir keep p50/p99 close to the exact stream percentiles.
+        # 100k appends through the reservoir keep p50/p99 close to the
+        # exact stream percentiles.
         rng = np.random.default_rng(42)
         stream = rng.lognormal(mean=-4.0, sigma=1.0, size=100_000)
         res = LatencyReservoir()
         for v in stream:
             res.append(float(v))
-        assert len(res) == res.capacity
+        assert len(res) == RESERVOIR_CAPACITY
         sample = np.asarray(res)
         for q in (50.0, 99.0):
             exact = float(np.percentile(stream, q))
@@ -102,16 +103,12 @@ class TestLatencyReservoir:
 
     def test_deterministic_given_seed(self):
         def fill():
-            res = LatencyReservoir(capacity=8)
-            for i in range(1000):
+            res = LatencyReservoir()
+            for i in range(2 * RESERVOIR_CAPACITY):
                 res.append(float(i))
             return list(res)
 
         assert fill() == fill()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LatencyReservoir(capacity=0)
 
 
 # ----------------------------------------------------------------------
@@ -180,13 +177,13 @@ class TestRequestTracing:
 
     def test_timeline_ring_evicts_oldest(self, engines):
         _, batched = engines
-        roots = [int(r) for r in
-                 np.flatnonzero(batched.part.degrees > 0)[:6]]
+        distinct = [int(r) for r in
+                    np.flatnonzero(batched.part.degrees > 0)[:6]]
+        # Repeats of the last root are cache hits, timelined like the rest.
+        roots = distinct + distinct[-1:] * (TIMELINE_CAPACITY - 4)
 
         async def main():
-            async with TraversalService(
-                batched, batch_window=0.0, timeline_capacity=2
-            ) as svc:
+            async with TraversalService(batched, batch_window=0.0) as svc:
                 responses = [await svc.submit(r) for r in roots]
                 kept = [
                     svc.request_timeline(r.trace_id) is not None
@@ -195,7 +192,8 @@ class TestRequestTracing:
                 return kept
 
         kept = run_async(main())
-        assert kept.count(True) == 2
+        assert kept.count(True) == TIMELINE_CAPACITY
+        assert kept[:2] == [False, False]
         assert kept[-2:] == [True, True]
 
     def test_unknown_trace_id(self, engines):

@@ -44,3 +44,46 @@ def test_reexports_all_and_tests_are_not_uses(tmp_path):
     })
     names = [row[3] for row in unreached.unreached(root)]
     assert names == ["exported", "listed", "Box.unread"]
+
+
+def test_params_set_by_keyword_position_forwarding_or_cli_dest(tmp_path):
+    root = _tree(tmp_path, {
+        "src/pkg/__init__.py": "",
+        "src/pkg/cli.py": (
+            "import argparse\n"
+            "p = argparse.ArgumentParser()\n"
+            "p.add_argument('--batch-size', type=int)\n"
+        ),
+        "src/pkg/mod.py": (
+            "def by_keyword(x, *, knob=1, idle=2): pass\n"
+            "def by_position(x, first=1, second=2): pass\n"
+            "def forwarded(*, knob=1, other=2): pass\n"
+            "def from_cli(*, batch_size=64, idle=3): pass\n"
+            "def _private(*, idle=1): pass\n"
+            "class Box:\n"
+            "    def __init__(self, size=4, *, tested=0): pass\n"
+            "    def grow(self, by=1): pass\n"
+            "class Heir(Box):\n"
+            "    pass\n"
+        ),
+        "benchmarks/bench.py": (
+            "from pkg.mod import Heir, by_keyword, by_position, forwarded\n"
+            "by_keyword(0, knob=3)\n"
+            "by_position(0, 5)\n"
+            "opts = {}\n"
+            "forwarded(**opts)\n"
+            "Heir(8).grow(2)\n"
+        ),
+        "tests/test_mod.py": (
+            "from pkg.mod import Box, by_keyword\n"
+            "by_keyword(0, idle=9)\n"
+            "Box(tested=1)\n"
+        ),
+    })
+    params = [(row[2], row[3]) for row in unreached.unset_params(root)]
+    assert params == [
+        ("by_keyword", "idle"),
+        ("by_position", "second"),
+        ("from_cli", "idle"),
+        ("Box", "tested"),
+    ]
