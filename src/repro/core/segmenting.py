@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.partition import PartitionedGraph
 from repro.machine.chip import ChipSpec, SW26010_PRO
 from repro.machine.ldm import LDMLayout

@@ -29,7 +29,9 @@ every arc crosses the network once and is re-sorted — for *any* change.
    once.  :meth:`rebuild_cost_estimate` is the full-rebuild baseline,
    kernel 1's own price of the current generation
    (:func:`~repro.core.preprocessing.construction_ledger`);
-   ``benchmarks/bench_dynamic_repair.py`` reports the ratio.
+   ``benchmarks/bench_dynamic_repair.py`` reports the ratio.  Each
+   batch and each compaction publishes the events it charged to the
+   attached registry (:meth:`~repro.runtime.ledger.TrafficLedger.publish`).
 
 Metric families (all under the attached registry): ``dynamic_batches``,
 ``dynamic_updates_applied{kind}``, ``dynamic_class_migrations``,
@@ -456,6 +458,7 @@ class IncrementalGraph:
                 per_rank_items,
                 rates.kernel_time(max_items, rates.message_rate(), ws),
             )
+            self.ledger.publish()
         self._batches_since_compact = 0
 
     def _charge_batch(
@@ -494,6 +497,7 @@ class IncrementalGraph:
                 -(-batch_items // p), rates.message_rate(), ws
             ),
         )
+        self.ledger.publish()
 
 
 def _both_directions(lo: np.ndarray, hi: np.ndarray):

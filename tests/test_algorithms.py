@@ -9,7 +9,7 @@ from repro.graph500.rmat import generate_edges
 from repro.graphs.csr import build_csr, symmetrize_edges
 from repro.runtime.mesh import ProcessMesh
 
-from helpers import random_edge_list, run_program
+from helpers import run_program
 
 
 def make_part(scale=10, rows=2, cols=2, seed=1, e_thr=128, h_thr=16):
@@ -33,7 +33,6 @@ def nx_shortest_paths(n, src, dst, weights, root):
             g[u][v]["weight"] = min(g[u][v]["weight"], w)
         else:
             g.add_edge(u, v, weight=w)
-    import math
 
     out = np.full(n, np.inf)
     lengths = nx.single_source_dijkstra_path_length(g, root)

@@ -110,6 +110,7 @@ class TestDropRetryCharges:
         comm, mesh, ledger = make_comm(faults=inj, metrics=registry)
         row_alltoallv(comm, mesh, row=0)
         row_alltoallv(comm, mesh, row=1)
+        ledger.publish()
         assert registry.counter_total("retries") == inj.retries_total == 4
         # Every commit — wasted attempts and backoff waits included — is a
         # first-class comm_event in the registry.

@@ -6,7 +6,6 @@ import pytest
 from repro.core.preprocessing import construction_ledger
 from repro.core.setup import build_setup
 from repro.graph500.driver import (
-    Graph500Report,
     Graph500Stats,
     harmonic_mean_stats,
     run_graph500,

@@ -6,7 +6,6 @@ repair took, never what the answer is.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.config import BFSConfig
 from repro.core.engine import DistributedBFS

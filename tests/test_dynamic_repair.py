@@ -136,6 +136,27 @@ class TestCostAndMetrics:
         assert registry.counter_total("dynamic_updates_applied") > 0
         assert registry.counter_total("dynamic_compactions") > 0
 
+    def test_registry_counts_each_repair_charge_once(self):
+        registry = MetricsRegistry()
+        src, dst = generate_edges(8, seed=5)
+        inc = IncrementalGraph(
+            src, dst, N, ProcessMesh(2, 2),
+            e_threshold=24, h_threshold=6, compact_every=4,
+            metrics=registry,
+        )
+        lo, hi = inc.edges()
+        spec = UpdateSpec(kind="mixed", batches=2, size=24)
+        for batch in generate_update_stream(lo, hi, N, spec, seed=3):
+            inc.apply_batch(batch)
+        inc.graph()  # the compaction
+        assert registry.counter_total("dynamic_compactions") > 0
+        assert registry.counter_total("compute_events", phase="dynamic") == len(
+            inc.ledger.compute_events
+        )
+        assert registry.counter_total("comm_bytes", phase="dynamic") == (
+            inc.ledger.total_bytes
+        )
+
 
 class TestEquivalenceGate:
     def test_gate_passes_on_small_matrix(self):

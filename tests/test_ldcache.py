@@ -1,7 +1,5 @@
 """Tests for the LDCache pull-rate model (§3.1.2 / §3.3)."""
 
-import pytest
-
 from repro.machine.chip import ChipSpec
 from repro.machine.costmodel import NodeKernelRates
 

@@ -159,6 +159,7 @@ class TestSinksOff:
         )
         _charge_script(bare)
         _charge_script(seen)
+        seen.publish()
         assert bare.comm_events == seen.comm_events
         assert bare.compute_events == seen.compute_events
         assert registry.counter_total("comm_bytes") == seen.total_bytes

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core import BFSConfig, DistributedBFS, partition_graph
-from repro.core.metrics import BFSRunResult, IterationRecord
+from repro.core.metrics import BFSRunResult
 from repro.graph500.rmat import generate_edges
 from repro.graph500.spec import Graph500Problem
-from repro.machine.costmodel import CollectiveKind, CostModel
+from repro.machine.costmodel import CostModel
 from repro.machine.network import MachineSpec
 from repro.runtime.ledger import TrafficLedger
 from repro.runtime.mesh import ProcessMesh

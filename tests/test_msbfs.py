@@ -17,7 +17,6 @@ from repro.core import lanes as lanes_module
 from repro.core import subgraphs as subgraphs_module
 from repro.core.kernels.base import ComponentKernel
 from repro.core.lanes import (
-    MAX_LANES,
     LaneState,
     all_lanes_mask,
     iter_lanes,

@@ -20,7 +20,6 @@ from golden.generate import E_THR, H_THR, build_system
 from repro.baselines import DelegatedOneDimBFS, OneDimBFS, TwoDimBFS
 from repro.core import BFSConfig, DistributedBFS
 from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
     METRICS_SCHEMA,
     NULL_METRICS,
     Counter,

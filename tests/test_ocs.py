@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine.chip import SW26010_PRO, ChipSpec
 from repro.machine.costmodel import NodeKernelRates
 from repro.sort.bucket import bucket_partition, mpe_bucket_sort
 from repro.sort.ocs import OCSConfig, simulate_ocs_rma

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.partition import PartitionedGraph, VertexClass, partition_graph
-from repro.core.subgraphs import COMPONENT_ORDER
+from repro.core.partition import VertexClass, partition_graph
 from repro.graph500.rmat import generate_edges
 from repro.graphs.csr import symmetrize_edges
 from repro.runtime.mesh import ProcessMesh

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.machine.chip import SW26010_PRO, ChipSpec
+from repro.machine.chip import ChipSpec
 from repro.machine.costmodel import NodeKernelRates
 from repro.machine.pullsim import (
     simulate_segmented_pull,

@@ -1,6 +1,5 @@
 """Tests for ASCII reporting and breakdown assembly."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.breakdown import ablation_breakdown, normalize_shares, stack_series

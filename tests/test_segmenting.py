@@ -1,8 +1,5 @@
 """Tests for CG-aware core subgraph segmenting."""
 
-import numpy as np
-import pytest
-
 from repro.core.partition import partition_graph
 from repro.core.segmenting import plan_segmenting
 from repro.graph500.rmat import generate_edges
