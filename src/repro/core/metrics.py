@@ -43,6 +43,12 @@ class IterationRecord:
     scanned_arcs: dict[str, int] = field(default_factory=dict)
     #: Remote messages generated per component.
     messages: dict[str, int] = field(default_factory=dict)
+    #: Activations per component and sub-iteration direction (a wave
+    #: may run a component's push and pull lane groups in one level).
+    activated: dict[str, dict[str, int]] = field(default_factory=dict)
+    #: How the level chose directions: ``fresh`` per component,
+    #: ``whole`` iteration, or ``forced`` by a program.
+    direction_mode: str = ""
 
 
 @dataclass

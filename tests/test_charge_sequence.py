@@ -75,7 +75,10 @@ BASELINE_CASES = [f"baselines/{graph}" for graph in GRAPHS]
 
 
 def digest(ledger) -> dict:
-    """One hash over every field of every event, comm first, in order."""
+    """One hash over every priced field of every event, comm first, in
+    order.  A compute event's per-node ``items`` vector is not hashed
+    (the golden predates it); it must add up to the ``total_items`` and
+    peak at the ``max_items`` that are."""
     h = hashlib.sha256()
     for e in ledger.comm_events:
         row = (
@@ -85,6 +88,7 @@ def digest(ledger) -> dict:
         )
         h.update(repr(row).encode())
     for c in ledger.compute_events:
+        assert (sum(c.items), max(c.items, default=0)) == (c.total_items, c.max_items)
         row = (
             c.phase, c.kernel, int(c.max_items), int(c.total_items),
             float(c.seconds), float(c.imbalance_seconds),
