@@ -402,7 +402,7 @@ class PushPullKernel(ComponentKernel):
 
     def pull_body(self, active, visited):
         """The pure bottom-up body: the early-exit grouped scan."""
-        return self.comp.pull_scan(~visited.mask, active.mask)
+        return self.comp.pull_scan(~visited.mask, active.mask, visited.scratch)
 
     def commit_push(self, sel, active, visited, ledger, record):
         self._charge_push(sel, ledger, record)

@@ -61,8 +61,9 @@ from repro.core.kernels.base import (
     wire_bytes,
 )
 from repro.core.lanes import first_writer_lanes
-from repro.core.partition import PartitionedGraph, class_count
+from repro.core.partition import COMPONENT_CLASSES, PartitionedGraph, class_count
 from repro.core.segmenting import plan_segmenting
+from repro.core.subgraphs import PullScan
 from repro.core.vertexset import first_writers
 from repro.machine.costmodel import CollectiveKind
 from repro.machine.network import MachineSpec
@@ -211,10 +212,18 @@ class _FifteenDKernel(PushPullKernel):
             ledger, lambda: sizes["L"] - class_count(visited.counts, "L")
         )
 
+    def pull_body(self, active, visited):
+        # With every vertex of the destination class visited no group is
+        # a candidate: skip gathering the unvisited mask over them.
+        cls = COMPONENT_CLASSES[self.comp.name][1]
+        if class_count(visited.counts, cls) == self.ctx.class_state.sizes[cls]:
+            return PullScan.empty(self.ctx.num_ranks)
+        return super().pull_body(active, visited)
+
     def lanes_pull_body(self, group_lanes, lanes):
         group = np.uint64(group_lanes)
         return self.comp.pull_scan_lanes(
-            ~lanes.visited & group, lanes.active & group, group
+            ~lanes.visited & group, lanes.active & group, group, lanes.scratch
         )
 
     def commit_push_lanes(self, sel, group_lanes, lanes, ledger, record):
@@ -442,12 +451,15 @@ class L2LKernel(_FifteenDKernel):
 
     def pull_body(self, active, visited):
         # Scanning unvisited local sources is the destination-side pull
-        # view (see :meth:`_charge_query_pull`); no early exit.
-        return self.comp.push_select(~visited.mask)
+        # view (see :meth:`_charge_query_pull`); no early exit.  The walk
+        # reads the component's own sources, not every vertex.
+        ids = self.comp.src_ids
+        return self.comp.push_select(ids[~visited.mask[ids]])
 
     def lanes_pull_body(self, group_lanes, lanes):
         group = np.uint64(group_lanes)
-        return self.comp.push_select((~lanes.visited & group) != 0)
+        ids = self.comp.src_ids
+        return self.comp.push_select(ids[(~lanes.visited[ids] & group) != 0])
 
     def commit_pull(self, sel, active, visited, ledger, record):
         self._charge_query_pull(

@@ -367,8 +367,8 @@ class LaneState:
 
     @property
     def scratch(self) -> np.ndarray:
-        """The :func:`first_writer_lanes` scratch of one-lane groups,
-        allocated on first use."""
+        """The scratch of one-lane groups (:func:`first_writer_lanes`
+        and the one-lane pull scan), allocated on first use."""
         if self._scratch is None:
             self._scratch = writer_scratch(self.num_vertices)
         return self._scratch

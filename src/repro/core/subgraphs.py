@@ -40,7 +40,7 @@ from repro.core.lanes import (
     key_order,
     one_lane,
 )
-from repro.core.vertexset import member_ids
+from repro.core.vertexset import least_values, member_ids
 
 __all__ = [
     "SubgraphComponent",
@@ -49,7 +49,6 @@ __all__ = [
     "PullSelection",
     "LanePullScan",
     "COMPONENT_ORDER",
-    "dedup_pull_hits",
     "arc_keys",
     "check_edge_ids",
     "check_key_width",
@@ -93,6 +92,12 @@ class PullScan:
     hit_rank: np.ndarray
     #: Arcs scanned by each rank, counting early exit.
     scanned_per_rank: np.ndarray
+
+    @classmethod
+    def empty(cls, num_ranks: int) -> "PullScan":
+        """The scan of no candidate group: no hit, nothing scanned."""
+        empty = np.array([], dtype=np.int64)
+        return cls(empty, empty, empty, np.zeros(num_ranks, dtype=np.int64))
 
     @property
     def num_hits(self) -> int:
@@ -156,7 +161,10 @@ class LanePullScan:
 
 # ----------------------------------------------------------------------
 # Helpers of the traversal bodies (the :class:`SubgraphComponent` methods
-# below): run expansion, the first-hit scan and the cross-rank dedup.
+# below): run expansion and the two first-hit walks, one per lane width.
+# The one-lane scan picks each destination's cross-rank winner on the
+# run's :func:`~repro.core.vertexset.first_writers` scratch
+# (:func:`~repro.core.vertexset.least_values`), the lane scan by a claim.
 # ----------------------------------------------------------------------
 
 
@@ -176,20 +184,65 @@ def _expand_runs(starts, lens):
     return idx
 
 
+def _first_hits(starts, lens, pull_src, active):
+    """One lane: the arc of each group's first source in ``active`` (a
+    boolean mask over vertices).
+
+    The groups still looking walk by cursor — ``cur`` the next arc each
+    reads, ``left`` the arcs from it to the end of its run — so a round
+    gathers nothing through the groups' ``starts`` and ``lens``.  The
+    first ``_ROUNDS`` positions are read one per round; what is left in
+    windows that double in width from ``_ROUNDS``, of which a group
+    keeps its first hit.  A group leaves at its hit or the end of its
+    run.
+
+    Returns ``(grp, at)``: the groups that hit and the index in
+    ``pull_src`` of each one's hit, by round or window and then
+    ascending group.  A group missing from ``grp`` ran dry.
+    """
+    pend = np.arange(starts.size, dtype=np.int64)
+    cur, left = starts, lens
+    rec_grp, rec_at = [pend[:0]], [pend[:0]]
+    pos = 0
+    while pend.size:
+        if pos < _ROUNDS:
+            hit = active[pull_src[cur]]
+            at = np.flatnonzero(hit)
+            rec_grp.append(pend[at])
+            rec_at.append(cur[at])
+            keep = np.flatnonzero(~hit & (left > 1))
+            width = 1
+        else:
+            width = pos
+            rest = np.minimum(left, width)
+            idx = _expand_runs(cur, rest)
+            run = np.repeat(np.arange(pend.size, dtype=np.int64), rest)
+            at = np.flatnonzero(active[pull_src[idx]])
+            at = at[first_of_run(run[at])]
+            won = run[at]
+            rec_grp.append(pend[won])
+            rec_at.append(idx[at])
+            more = left > width
+            more[won] = False
+            keep = np.flatnonzero(more)
+        pend, cur, left = pend[keep], cur[keep] + width, left[keep] - width
+        pos += width
+    return np.concatenate(rec_grp), np.concatenate(rec_at)
+
+
 def _first_hit_records(starts, lens, pull_src, active, need):
     """Scan each group's arc run in order until every needed lane has hit.
 
     ``need[i]`` holds the lanes group ``i`` is looking for and ``active``
-    the lanes each vertex offers — ``uint64`` lane words, or plain
-    booleans for the one-lane scan.  The first ``_ROUNDS`` positions are
+    the lanes each vertex offers, both ``uint64`` lane words (one lane
+    walks :func:`_first_hits`).  The first ``_ROUNDS`` positions are
     read one per round over the groups still looking (work ∝ pending
     groups, and a group leaves as soon as its last lane hits).  What is
     left is read in position windows that double in width from
     ``_ROUNDS`` (positions 4–7, 8–15, 16–31, …): a window keeps each
-    group's first hit of each lane it still needs (the sorted claim for
-    lane words, the first of the group's run for booleans), and those
-    lanes leave its ``need`` before the next window, so a group whose
-    lanes have all hit reads no further window.
+    group's first hit of each lane it still needs (the sorted claim),
+    and those lanes leave its ``need`` before the next window, so a
+    group whose lanes have all hit reads no further window.
 
     Returns ``(grp, pos, bits, dry)``: one record per first hit — the
     arc at ``pos`` of group ``grp`` and the lanes ``bits`` that hit
@@ -214,14 +267,9 @@ def _first_hit_records(starts, lens, pull_src, active, need):
             run = np.repeat(np.arange(pend.size, dtype=np.int64), rest)
             hit = active[pull_src[idx]] & need[run]
             at = np.flatnonzero(hit)
-            if need.dtype == bool:
-                at = at[first_of_run(run[at])]
-                bits = hit[at]
-                need[run[at]] = False
-            else:
-                win, bits, uniq, got = claim_lanes(run[at], hit[at])
-                at = at[win]
-                need[uniq] ^= got
+            win, bits, uniq, got = claim_lanes(run[at], hit[at])
+            at = at[win]
+            need[uniq] ^= got
             grp = pend[run[at]]
             pos = idx[at] - starts[grp]
         rec_grp.append(grp)
@@ -251,21 +299,6 @@ def _runs(*keys):
         first |= first_of_run(k)
     starts = np.flatnonzero(first)
     return starts, np.append(starts, first.size)
-
-
-def dedup_pull_hits(g_dst, g_src, g_rank):
-    """Deterministic cross-rank winner per destination.
-
-    Precondition: the hits are in ascending group (= ``(rank, dst)``)
-    order, as :meth:`SubgraphComponent.pull_scan` finds them.  A stable
-    sort by destination (:func:`~repro.core.lanes.key_order`) then leaves
-    each destination's hits in rank order, and the first of each run is
-    the lowest-rank winner.
-    """
-    dst, order = key_order(g_dst)
-    first = first_of_run(dst)
-    order = order[first]
-    return dst[first], g_src[order], g_rank[order]
 
 
 class SubgraphComponent:
@@ -368,7 +401,7 @@ class SubgraphComponent:
     # ------------------------------------------------------------------
 
     def pull_scan(
-        self, candidate_dst: np.ndarray, active_src: np.ndarray
+        self, candidate_dst: np.ndarray, active_src: np.ndarray, scratch: np.ndarray
     ) -> PullScan:
         """Bottom-up scan with early exit.
 
@@ -379,33 +412,38 @@ class SubgraphComponent:
         exit, available because these arcs are rank-local).
 
         When several ranks hit the same destination, the winner is the
-        lowest (rank, position) — deterministic.
+        lowest (rank, position) — deterministic.  It is picked on
+        ``scratch``, the run's
+        :func:`~repro.core.vertexset.writer_scratch`, which comes back
+        as it went in.
         """
         cand_groups = np.flatnonzero(candidate_dst[self.grp_dst])
         if cand_groups.size == 0:
-            empty = np.array([], dtype=np.int64)
-            no_scan = np.zeros(self.num_ranks, dtype=np.int64)
-            return PullScan(empty, empty, empty, no_scan)
+            return PullScan.empty(self.num_ranks)
         pull_src = self._pull_src
         starts = self.grp_ptr[cand_groups]
         lens = self.grp_ptr[cand_groups + 1] - starts
-        grp, pos, _, dry = _first_hit_records(
-            starts, lens, pull_src, active_src, np.ones(starts.size, dtype=bool)
+        grp, at = _first_hits(starts, lens, pull_src, active_src)
+        # Arcs each group scanned: to its hit, or its whole run.
+        scanned = lens
+        scanned[grp] = at - starts[grp] + 1
+        # Candidate groups are rank-major: rank r's are the candidates
+        # cut[r]:cut[r + 1].
+        cut = np.searchsorted(
+            cand_groups,
+            np.searchsorted(self.grp_rank, np.arange(self.num_ranks + 1)),
         )
-        # One lane: a group's one record is its hit.
-        scanned = lens.copy()
-        scanned[grp] = pos + 1
-        scanned_per_rank = np.bincount(
-            self.grp_rank[cand_groups], weights=scanned, minlength=self.num_ranks
-        ).astype(np.int64)
-        hit_groups = np.flatnonzero(~dry)
-        hit_cand = cand_groups[hit_groups]
-        hit_dst, hit_src, hit_rank = dedup_pull_hits(
-            self.grp_dst[hit_cand],
-            pull_src[starts[hit_groups] + scanned[hit_groups] - 1],
-            self.grp_rank[hit_cand],
+        total = np.zeros(scanned.size + 1, dtype=np.int64)
+        np.cumsum(scanned, out=total[1:])
+        # Candidates ascend in (rank, dst) order, so a destination's
+        # least candidate index among its hits is its lowest-rank hit.
+        hit_dst, win = least_values(self.grp_dst[cand_groups[grp]], grp, scratch)
+        return PullScan(
+            hit_dst,
+            pull_src[starts[win] + scanned[win] - 1],
+            self.grp_rank[cand_groups[win]],
+            np.diff(total[cut]),
         )
-        return PullScan(hit_dst, hit_src, hit_rank, scanned_per_rank)
 
     def pull_select(
         self, candidate_dst: np.ndarray, active_src: np.ndarray
@@ -441,7 +479,7 @@ class SubgraphComponent:
         )
 
     def pull_scan_lanes(
-        self, candidate_bits: np.ndarray, active_bits: np.ndarray, group_lanes
+        self, candidate_bits: np.ndarray, active_bits: np.ndarray, group_lanes, scratch
     ) -> LanePullScan:
         """Bottom-up scan shared by the lanes of ``group_lanes``.
 
@@ -451,13 +489,13 @@ class SubgraphComponent:
         produce for that lane's boolean masks; a group's *charged* scan
         depth is the max over its participating lanes (the batched
         kernel scans once and every lane reads the shared stream).  A
-        group of one lane is that :meth:`pull_scan`.
+        group of one lane is that :meth:`pull_scan`, on ``scratch``.
         """
         if one_lane(group_lanes):
             # Kept: a two-root batch (scale 14, 4×4) ran ≈ 3 % slower in
             # 10 of 12 in-process pairs with its one-lane groups on the
             # word scan below.
-            scan = self.pull_scan(candidate_bits != 0, active_bits != 0)
+            scan = self.pull_scan(candidate_bits != 0, active_bits != 0, scratch)
             return LanePullScan(
                 LaneActivations.of_one_lane(group_lanes, scan.hit_dst, scan.hit_src),
                 scan.scanned_per_rank,

@@ -14,8 +14,10 @@ the graph holds.  The simulated clock prices the same choice —
 bitmap or sparse ids, whichever is smaller.
 
 :func:`first_writers` is the sort-free first-writer-per-destination
-primitive of the single-source commits; its scratch lives on the run's
-visited set, so nothing per-run is ever written on an engine.
+primitive of the single-source commits, and :func:`least_values` picks
+each destination's lowest-rank winner of a one-lane pull scan on the
+same scratch.  The scratch lives on the run's visited set (or a wave's
+lane state), so nothing per-run is ever written on an engine.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "NUM_CLASSES", "VertexSet", "first_writers", "member_ids", "writer_scratch",
+    "NUM_CLASSES", "VertexSet", "first_writers", "least_values", "member_ids",
+    "writer_scratch",
 ]
 
 #: Vertex classes the running counts are kept by: the L, H, E codes of
@@ -56,6 +59,22 @@ def first_writers(keys: np.ndarray, scratch: np.ndarray):
     scratch[uniq] = _UNCLAIMED
     order = np.argsort(uniq)
     return uniq[order], first[order]
+
+
+def least_values(keys: np.ndarray, values: np.ndarray, scratch: np.ndarray):
+    """Distinct ``keys`` ascending and the least of the ``values`` each
+    one comes with — a scatter-min into ``scratch`` and one pass over
+    it, so nothing is sorted.
+
+    ``values`` are ``int64`` below :data:`_UNCLAIMED`; ``scratch`` is as
+    :func:`first_writers` takes it.  The pass is O(``scratch.size``), for
+    callers that already pay as much (a pull reads every group).
+    """
+    np.minimum.at(scratch, keys, values)
+    uniq = np.flatnonzero(scratch != _UNCLAIMED)
+    least = scratch[uniq]
+    scratch[uniq] = _UNCLAIMED
+    return uniq, least
 
 
 def member_ids(members) -> np.ndarray:
@@ -135,8 +154,8 @@ class VertexSet:
 
     @property
     def scratch(self) -> np.ndarray:
-        """The :func:`first_writers` scratch of the run this set belongs
-        to, allocated on first use."""
+        """The :func:`first_writers` / :func:`least_values` scratch of
+        the run this set belongs to, allocated on first use."""
         if self._scratch is None:
             self._scratch = writer_scratch(self.mask.size)
         return self._scratch

@@ -116,13 +116,15 @@ class Histogram:
     rank — an upper bound on the true percentile, stable across runs.
     """
 
-    __slots__ = ("bounds", "bucket_counts", "count", "sum", "min", "max")
+    __slots__ = ("bounds", "_edges", "bucket_counts", "count", "sum", "min", "max")
     kind = "histogram"
 
     def __init__(self, bounds: tuple[float, ...] = DEFAULT_BUCKETS) -> None:
         self.bounds = tuple(float(b) for b in bounds)
         if list(self.bounds) != sorted(set(self.bounds)):
             raise ValueError("bucket bounds must be strictly increasing")
+        # The bounds as the array ``observe_many`` searches, made once.
+        self._edges = np.array(self.bounds)
         self.bucket_counts = np.zeros(len(self.bounds) + 1, dtype=np.int64)
         self.count = 0
         self.sum = 0.0
@@ -149,7 +151,7 @@ class Histogram:
         v = np.asarray(values, dtype=np.float64).ravel()
         if v.size == 0:
             return
-        idx = np.searchsorted(self.bounds, v, side="left")
+        idx = np.searchsorted(self._edges, v, side="left")
         self.bucket_counts += np.bincount(idx, minlength=self.bucket_counts.size)
         self.count += int(v.size)
         self.sum += float(v.sum())

@@ -100,6 +100,28 @@ def lane_updates(acts) -> list[tuple[int, list[int], list[int]]]:
     ]
 
 
+def pull_scan(comp, candidate, active):
+    """``comp.pull_scan`` on a fresh scratch, which must come back as it
+    went in: every slot unclaimed."""
+    from repro.core.vertexset import writer_scratch
+
+    scratch = writer_scratch(candidate.size)
+    scan = comp.pull_scan(candidate, active, scratch)
+    assert np.array_equal(scratch, writer_scratch(candidate.size))
+    return scan
+
+
+def pull_scan_lanes(comp, cand_bits, act_bits, group):
+    """``comp.pull_scan_lanes`` on a fresh scratch, checked as in
+    :func:`pull_scan`."""
+    from repro.core.vertexset import writer_scratch
+
+    scratch = writer_scratch(cand_bits.size)
+    scan = comp.pull_scan_lanes(cand_bits, act_bits, group, scratch)
+    assert np.array_equal(scratch, writer_scratch(cand_bits.size))
+    return scan
+
+
 def per_lane_claims(keys, words):
     """:func:`repro.core.lanes.claim_lanes`'s result, one lane at a time:
     per lane, a stable sort of the entries carrying it and the first of

@@ -36,8 +36,11 @@ if __name__ == "__main__":
 from repro.baselines import DelegatedOneDimBFS, OneDimBFS, TwoDimBFS
 from repro.core.config import BFSConfig
 from repro.core.engine import DistributedBFS
+from repro.core.kernels.base import PushPullKernel
+from repro.core.kernels.fifteend import _FifteenDKernel
 from repro.core.partition import partition_graph
 from repro.core.programs import build_program, generate_weights
+from repro.core.subgraphs import SubgraphComponent
 from repro.graph500.rmat import generate_edges
 from repro.machine.network import MachineSpec
 from repro.runtime.mesh import ProcessMesh
@@ -172,6 +175,36 @@ def test_baseline_charge_sequence_matches_golden(case):
     golden = json.loads(GOLDEN.read_text())[case]
     assert len(golden) == 4 * len(BASELINES)
     assert baseline_charge_sequences(case) == golden
+
+
+def test_empty_pull_skip_keeps_the_charges(monkeypatch):
+    """A pull whose destination class is all visited returns the empty
+    scan without reading a group; the ledger is charged exactly what
+    the scan it skips would charge.  Under ``pull_biased`` L2H pulls at
+    every level, so also after every H vertex is visited."""
+    _, _, part, machine, config, roots, _ = build_case("s11_4x4/pull_biased")
+    engine = DistributedBFS(part, machine=machine, config=config)
+    calls = {"bodies": 0, "scans": 0}
+    body, scan = _FifteenDKernel.pull_body, SubgraphComponent.pull_scan
+
+    def counted_body(kernel, active, visited):
+        calls["bodies"] += kernel.name == "L2H"
+        return body(kernel, active, visited)
+
+    def counted_scan(comp, candidate, active, scratch):
+        calls["scans"] += comp.name == "L2H"
+        return scan(comp, candidate, active, scratch)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_FifteenDKernel, "pull_body", counted_body)
+        patch.setattr(SubgraphComponent, "pull_scan", counted_scan)
+        skipping = [engine.run(root) for root in roots]
+    assert calls["bodies"] > calls["scans"]  # some L2H pull was skipped
+    monkeypatch.setattr(_FifteenDKernel, "pull_body", PushPullKernel.pull_body)
+    for got in skipping:
+        want = engine.run(got.root)
+        assert digest(got.ledger) == digest(want.ledger)
+        assert np.array_equal(got.parent, want.parent)
 
 
 if __name__ == "__main__":

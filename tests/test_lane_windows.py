@@ -3,10 +3,11 @@
 :func:`repro.core.lanes.claim_lanes` claims a call with more entries than
 its key range in chunks of that range, each chunk first dropping the
 lanes earlier chunks claimed; ``helpers.per_lane_claims`` (one stable
-sort per lane) is the oracle.  ``_first_hit_records`` scans what its
-single-position rounds leave in position windows doubling in width from
-``_ROUNDS``, and returns each lane's first hit per group only; the oracle
-walks every group lane by lane.
+sort per lane) is the oracle.  ``_first_hit_records`` (lane words) and
+``_first_hits`` (one lane, by cursor) scan what their single-position
+rounds leave in position windows doubling in width from ``_ROUNDS``, and
+return each lane's first hit per group only; the oracle walks every
+group lane by lane.
 """
 
 import numpy as np
@@ -15,9 +16,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.lanes import MAX_LANES, all_lanes_mask, claim_lanes, iter_lanes
-from repro.core.subgraphs import _ROUNDS, SubgraphComponent, _first_hit_records
+from repro.core.subgraphs import (
+    _ROUNDS,
+    SubgraphComponent,
+    _first_hit_records,
+    _first_hits,
+)
 
-from helpers import per_lane_claims
+from helpers import per_lane_claims, pull_scan, pull_scan_lanes
 
 ALL = int(all_lanes_mask(MAX_LANES))
 TOP = 1 << 63  # lane 63: the uint64 sign bit
@@ -95,7 +101,7 @@ def test_covered_entries_win_nothing():
 
 
 # ----------------------------------------------------------------------
-# _first_hit_records in doubling windows
+# _first_hit_records and _first_hits in doubling windows
 # ----------------------------------------------------------------------
 
 
@@ -121,9 +127,18 @@ def oracle_first_hits(starts, lens, pull_src, active, need):
 
 
 def assert_first_hits_match(starts, lens, pull_src, active, need):
-    grp, pos, bits, dry = _first_hit_records(
-        starts, lens, pull_src, active, need.copy()
-    )
+    """Booleans (``need`` all true: one lane, every group looking) take
+    the one-lane walk, lane words ``_first_hit_records``."""
+    if need.dtype == bool:
+        grp, at = _first_hits(starts, lens, pull_src, active)
+        pos = at - starts[grp]
+        bits = np.ones(grp.size, dtype=bool)
+        dry = np.ones(starts.size, dtype=bool)
+        dry[grp] = False
+    else:
+        grp, pos, bits, dry = _first_hit_records(
+            starts, lens, pull_src, active, need.copy()
+        )
     want, want_dry = oracle_first_hits(starts, lens, pull_src, active, need)
     got = {}
     for g, p, b in zip(grp.tolist(), pos.tolist(), bits.tolist()):
@@ -143,7 +158,8 @@ def assert_first_hits_match(starts, lens, pull_src, active, need):
 @st.composite
 def window_cases(draw):
     """Groups as long as 70 arcs — the rounds and three or more windows —
-    over sparse sources, with lane words (to all 64) or booleans."""
+    over sparse sources, with lane words (to all 64) or booleans (one
+    lane)."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     num_groups = draw(st.integers(1, 30))
@@ -155,7 +171,7 @@ def window_cases(draw):
     num_lanes = draw(st.sampled_from([0, 2, 7, 64]))  # 0: booleans
     if num_lanes == 0:
         active = rng.random(n) < p
-        need = rng.random(num_groups) < 0.9
+        need = np.ones(num_groups, dtype=bool)
     else:
         bits = rng.random((n, num_lanes)) < p
         active = (bits.astype(np.uint64) << np.arange(num_lanes, dtype=np.uint64)).sum(
@@ -249,8 +265,8 @@ def test_scan_depths_match_oracle(seed, num_lanes):
     cand_bits[n - groups :] = int(all_lanes_mask(num_lanes))
     want = oracle_depths(comp, cand_bits, act_bits)
     assert max(comp.grp_ptr[1:] - comp.grp_ptr[:-1]) > 4 * _ROUNDS
-    scan = comp.pull_scan_lanes(cand_bits, act_bits, all_lanes_mask(num_lanes))
+    scan = pull_scan_lanes(comp, cand_bits, act_bits, all_lanes_mask(num_lanes))
     assert scan.scanned_per_rank.tolist() == want
     if num_lanes == 1:
-        single = comp.pull_scan(cand_bits != 0, act_bits != 0)
+        single = pull_scan(comp, cand_bits != 0, act_bits != 0)
         assert single.scanned_per_rank.tolist() == want

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.partition import PLACEMENT_MODES, partition_graph
 from repro.core.subgraphs import _ROUNDS, SubgraphComponent, _expand_runs
 from repro.core.vertexset import VertexSet, first_writers
+from repro.runtime.mesh import ProcessMesh
 
-from helpers import lane_updates
+from helpers import lane_updates, pull_scan, pull_scan_lanes
 
 
 def make_component(arcs, num_ranks=4, name="test", num_vertices=2048):
@@ -154,7 +156,7 @@ class TestPull:
         candidate = np.ones(8, dtype=bool)
         active = np.zeros(8, dtype=bool)
         active[1] = True
-        scan = comp.pull_scan(candidate, active)
+        scan = pull_scan(comp, candidate, active)
         assert scan.hit_dst.tolist() == [5]
         assert scan.hit_src.tolist() == [1]
 
@@ -162,7 +164,7 @@ class TestPull:
         comp = make_component([(1, 5, 0)], num_ranks=2)
         candidate = np.zeros(8, dtype=bool)  # 5 not a candidate
         active = np.ones(8, dtype=bool)
-        scan = comp.pull_scan(candidate, active)
+        scan = pull_scan(comp, candidate, active)
         assert scan.num_hits == 0
         assert scan.scanned_arcs == 0
 
@@ -174,14 +176,14 @@ class TestPull:
         candidate = np.ones(8, dtype=bool)
         active = np.zeros(8, dtype=bool)
         active[2] = True
-        scan = comp.pull_scan(candidate, active)
+        scan = pull_scan(comp, candidate, active)
         # arcs are scanned in (dst-group) order: sources sorted 1,2,3,4 -> 2 scanned
         assert scan.scanned_arcs == 2
         assert scan.hit_src.tolist() == [2]
 
     def test_no_hit_scans_whole_group(self):
         comp = make_component([(1, 5, 0), (2, 5, 0)], num_ranks=1)
-        scan = comp.pull_scan(np.ones(8, bool), np.zeros(8, bool))
+        scan = pull_scan(comp, np.ones(8, bool), np.zeros(8, bool))
         assert scan.num_hits == 0
         assert scan.scanned_arcs == 2
 
@@ -189,7 +191,7 @@ class TestPull:
         comp = make_component([(1, 5, 1), (2, 5, 0)], num_ranks=2)
         active = np.zeros(8, dtype=bool)
         active[1] = active[2] = True
-        scan = comp.pull_scan(np.ones(8, bool), active)
+        scan = pull_scan(comp, np.ones(8, bool), active)
         assert scan.num_hits == 1
         assert scan.hit_src.tolist() == [2]  # rank 0's hit wins
         assert scan.hit_rank.tolist() == [0]
@@ -200,12 +202,12 @@ class TestPull:
         )
         active = np.zeros(8, dtype=bool)
         active[2] = True
-        scan = comp.pull_scan(np.ones(8, bool), active)
+        scan = pull_scan(comp, np.ones(8, bool), active)
         assert scan.scanned_per_rank.tolist() == [2, 2]
 
     def test_empty_component(self):
         comp = make_component([])
-        scan = comp.pull_scan(np.ones(4, bool), np.ones(4, bool))
+        scan = pull_scan(comp, np.ones(4, bool), np.ones(4, bool))
         assert scan.num_hits == 0
 
 
@@ -228,7 +230,7 @@ def test_property_push_pull_equivalence(seed, n, m, ranks):
 
     sel = comp.push_select(active)
     push_found = set(sel.dst[~visited[sel.dst]].tolist())
-    scan = comp.pull_scan(~visited, active)
+    scan = pull_scan(comp, ~visited, active)
     pull_found = set(scan.hit_dst.tolist())
     assert push_found == pull_found
     # pull parents are always active sources with a real arc
@@ -380,7 +382,7 @@ def oracle_dedup(g_dst, g_src, g_rank):
 
 
 def assert_scan_matches(comp, candidate, active):
-    scan = comp.pull_scan(candidate, active)
+    scan = pull_scan(comp, candidate, active)
     g_dst, g_src, g_rank, want_scanned = oracle_pull_scan(comp, candidate, active)
     got = (scan.hit_dst, scan.hit_src, scan.hit_rank)
     for g, w in zip(got, oracle_dedup(g_dst, g_src, g_rank)):
@@ -393,7 +395,7 @@ def assert_scan_matches(comp, candidate, active):
 
 def assert_lane_scan_matches(comp, cand_bits, act_bits, lanes):
     mask = sum(1 << lane for lane in lanes)
-    scan = comp.pull_scan_lanes(cand_bits, act_bits, np.uint64(mask))
+    scan = pull_scan_lanes(comp, cand_bits, act_bits, np.uint64(mask))
     want_hits, want_scanned = oracle_pull_scan_lanes(
         comp, cand_bits, act_bits, lanes
     )
@@ -504,6 +506,40 @@ def test_property_pull_scan_lanes_matches_oracle(case, num_lanes):
     assert_lane_scan_matches(comp, cand_bits, act_bits, lanes)
 
 
+@given(
+    seed=st.integers(0, 10_000),
+    placement=st.sampled_from(PLACEMENT_MODES),
+    active_p=st.sampled_from([0.05, 0.3, 1.0]),
+    cand_p=st.sampled_from([0.5, 1.0]),
+)
+@settings(max_examples=40, deadline=None)
+def test_property_pull_scan_on_2x3_meshes(seed, placement, active_p, cand_p):
+    """Partitions of a 2×3 mesh, where the 2D-placed components keep a
+    destination's arcs on several ranks: the winner is the lowest-rank
+    hit, and the scratch comes back unclaimed (``helpers.pull_scan``),
+    also for the scan of no candidate and the scan that runs dry."""
+    rng = np.random.default_rng(seed)
+    n = 48
+    src = rng.integers(0, n, size=320)
+    dst = rng.integers(0, n, size=320)
+    part = partition_graph(
+        src, dst, n, ProcessMesh(2, 3), e_threshold=16, h_threshold=8,
+        placement=placement,
+    )
+    eh = part.components["EH2EH"]
+    spread = np.bincount(eh.grp_dst, minlength=n)
+    assert spread.max() >= 2  # some destination has groups on two ranks
+    active = rng.random(n) < active_p
+    candidate = rng.random(n) < cand_p
+    everything, nothing = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    for comp in part.components.values():
+        assert_scan_matches(comp, candidate, active)
+        assert_scan_matches(comp, nothing, active)
+        dry = assert_scan_matches(comp, everything, nothing)
+        assert dry.num_hits == 0
+        assert dry.scanned_per_rank.tolist() == comp.arcs_per_rank.tolist()
+
+
 # ----------------------------------------------------------------------
 # the early exit is real: count what the scan reads, not how long it takes
 # ----------------------------------------------------------------------
@@ -542,7 +578,7 @@ def test_scan_reads_only_what_it_charges(long_groups):
     active = np.zeros(n, dtype=bool)
     active[0] = True
     gathered = count_gathers(comp)
-    scan = comp.pull_scan(np.ones(n, dtype=bool), active)
+    scan = pull_scan(comp, np.ones(n, dtype=bool), active)
     assert scan.num_hits == groups and not scan.hit_src.any()
     assert scan.scanned_arcs == groups
     assert gathered[0] <= groups * (_ROUNDS + 1) < comp.num_arcs
@@ -550,8 +586,8 @@ def test_scan_reads_only_what_it_charges(long_groups):
     act_bits = np.zeros(n, dtype=np.uint64)
     act_bits[0] = 0b11
     gathered[0] = 0
-    scan = comp.pull_scan_lanes(
-        np.full(n, 0b11, dtype=np.uint64), act_bits, np.uint64(0b11)
+    scan = pull_scan_lanes(
+        comp, np.full(n, 0b11, dtype=np.uint64), act_bits, np.uint64(0b11)
     )
     assert [len(dst) for _, dst, _ in lane_updates(scan.updates)] == [
         groups, groups,
@@ -564,14 +600,14 @@ def test_dry_scan_reads_every_arc_once(long_groups):
     comp, groups = long_groups
     n = 1000 + groups
     gathered = count_gathers(comp)
-    scan = comp.pull_scan(np.ones(n, dtype=bool), np.zeros(n, dtype=bool))
+    scan = pull_scan(comp, np.ones(n, dtype=bool), np.zeros(n, dtype=bool))
     assert scan.num_hits == 0
     assert gathered[0] == comp.num_arcs
     assert scan.scanned_per_rank.tolist() == comp.arcs_per_rank.tolist()
 
     gathered[0] = 0
-    scan = comp.pull_scan_lanes(
-        np.full(n, 0b11, dtype=np.uint64), np.zeros(n, dtype=np.uint64),
+    scan = pull_scan_lanes(
+        comp, np.full(n, 0b11, dtype=np.uint64), np.zeros(n, dtype=np.uint64),
         np.uint64(0b11),
     )
     assert len(scan.updates) == 0
