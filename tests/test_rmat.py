@@ -1,8 +1,11 @@
 """Tests for the Graph500 R-MAT generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.graph500 import rmat
 from repro.graph500.rmat import (
     RMAT_CHUNK_EDGES,
     generate_edges,
@@ -78,6 +81,85 @@ class TestRmatEdges:
         p_dst1 = np.mean(dst == 1)
         assert p_src1 == pytest.approx(1 - (a + b), abs=0.01)
         assert p_dst1 == pytest.approx(b + (1 - a - b - c), abs=0.01)
+
+
+def _digest(src, dst) -> str:
+    assert src.dtype == dst.dtype == np.int64
+    h = hashlib.sha256()
+    h.update(src.tobytes())
+    h.update(dst.tobytes())
+    return h.hexdigest()
+
+
+class TestGolden:
+    """The generator's stream, pinned: the sha256 of ``src || dst`` and the
+    rng's next ``random()`` after the call.  Whatever draws after the
+    edges (the vertex scramble, the dynamic gate's update stream, each
+    tenant's graph) reads the stream from that position, so a faster
+    generator must consume exactly the same draws."""
+
+    @pytest.mark.parametrize(
+        "scale, edge_factor, seed, digest, following",
+        [
+            # The layer bench's instance.
+            (16, 16, 20220402,
+             "d3a77be9bb42626b5117b695498af66fb103c11006803eee0f69ebc83a14349a",
+             0.49531788284150646),
+            (13, 16, 20220403,
+             "532b73c082dc26e9ed09317a3c24648d519593466312b644198adc173c30f755",
+             0.5284024329600776),
+            (10, 16, 1,
+             "6c8c45521bda71d7a469d6f0275a2ca04abb8a4e16160f704926823d02c8a9d0",
+             0.633533046412677),
+            (5, 3, 9,
+             "1cb1c9a5ed36e90133c63d2d7aa7b228aa21207c2369ce5a6877e4356cc295e9",
+             0.8542255641573051),
+        ],
+    )
+    def test_generate_edges(
+        self, monkeypatch, scale, edge_factor, seed, digest, following
+    ):
+        made = []
+        real = np.random.default_rng
+
+        def spy(seed=None):
+            made.append(real(seed))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        src, dst = generate_edges(scale, edge_factor=edge_factor, seed=seed)
+        assert src.size == edge_factor << scale
+        assert _digest(src, dst) == digest
+        assert len(made) == 1 and made[0].random() == following
+
+    @pytest.mark.parametrize(
+        "a, b, c, digest",
+        [
+            (0.25, 0.25, 0.25,
+             "eb13c2278271eb86afaf1d86bd22d4e5f7c146a5d5fc85b569a6e9aee36d591b"),
+            # a + b = 1: every row bit is 0.
+            (0.6, 0.4, 0.0,
+             "0dd9bcbec838e63fd0b5453d269a8d4332edcfe3ce74e6ace0e55fc39b05fe46"),
+            # a = b = 0: every row bit is 1.
+            (0.0, 0.0, 0.5,
+             "67fac0c0c3412dc9b83c33cf71d6364e41a159642850d557f4f658943fb87a54"),
+        ],
+    )
+    def test_quadrant_corners(self, a, b, c, digest):
+        rng = np.random.default_rng(3)
+        src, dst = rmat_edges(7, 5000, a=a, b=b, c=c, rng=rng)
+        assert _digest(src, dst) == digest
+        assert rng.random() == 0.031041858818187218
+
+    def test_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(rmat, "RMAT_CHUNK_EDGES", 1000)
+        rng = np.random.default_rng(11)
+        src, dst = rmat_edges(9, 2500, rng=rng)
+        assert (
+            _digest(src, dst)
+            == "0cace0fc55f0885a53ffec4af08649c18efbd39ab94da4b8e6e40c491b7b39a5"
+        )
+        assert rng.random() == 0.13511226029974777
 
 
 class TestScramble:
