@@ -325,19 +325,21 @@ class SubgraphComponent:
             raise ValueError("arc rank out of range")
         self.num_arcs = int(src.size)
 
-        # Both paths sort key values and decode the arrays from the
-        # sorted keys; only the push path's rank is gathered.
         n = np.int64(num_vertices)
 
         # --- by-source CSR (push path) --------------------------------
         # Equal (src, dst) pairs may sit on different ranks; the stable
-        # order keeps them in input order.
-        keys, order = key_order(arc_keys(src, dst, num_vertices))
-        s_sorted = keys // n
-        self._push_dst = keys % n
-        self._push_rank = rank[order]
-        starts, self.src_indptr = _runs(s_sorted)
-        self.src_ids = s_sorted[starts]
+        # order keeps them in input order.  Arcs that arrive in that order
+        # (partition_graph sorts every component in one pass) are kept as
+        # given; others are sorted by key value and decoded.
+        keys = arc_keys(src, dst, num_vertices)
+        if bool((keys[1:] < keys[:-1]).any()):
+            keys, order = key_order(keys)
+            src, dst, rank = keys // n, keys % n, rank[order]
+        self._push_dst = dst
+        self._push_rank = rank
+        starts, self.src_indptr = _runs(src)
+        self.src_ids = src[starts]
         # vertex -> source slot (-1: not a source here), so a frontier
         # finds its slots by gathering its own ids.
         self._slot_of = np.full(num_vertices, -1, dtype=np.int64)
@@ -345,16 +347,23 @@ class SubgraphComponent:
 
         # --- (rank, dst) groups (pull path) ----------------------------
         # Equal keys are indistinguishable arcs, so a plain value sort.
-        keys = (rank * n + dst) * n + src
+        keys = rank * n
+        keys += dst
+        keys *= n
+        keys += src
         keys.sort()
-        self._pull_src = keys % n
         rank_dst = keys // n
+        keys -= rank_dst * n
+        self._pull_src = keys
         starts, self.grp_ptr = _runs(rank_dst)
         self.grp_dst = rank_dst[starts] % n
         self.grp_rank = rank_dst[starts] // n
 
-        #: Exact arcs stored per rank (Fig. 13's load-balance data).
-        self.arcs_per_rank = np.bincount(rank, minlength=num_ranks)
+        #: Exact arcs stored per rank (Fig. 13's load-balance data); the
+        #: groups run rank by rank.
+        self.arcs_per_rank = np.diff(
+            self.grp_ptr[np.searchsorted(self.grp_rank, np.arange(num_ranks + 1))]
+        )
 
     # ------------------------------------------------------------------
 

@@ -11,10 +11,11 @@ traversals of this checkout's ``src/`` and, with ``--against DIR``, of
 ``DIR/src`` in a second worker process, alternating which side goes
 first in each pair.  A sample is one pass of ``--reps`` traversals (of
 every root, on R-MAT) and reads its mean microseconds per ring level or
-milliseconds per R-MAT traversal.  Prints each side's median and
-quartiles and the ratio of the medians (against / head), and whether
-both sides priced the traversals to the same simulated seconds and
-bytes.
+milliseconds per R-MAT traversal; on R-MAT it also times one set-up,
+``generate_edges`` and then ``partition_graph`` of that graph, in
+seconds.  Prints each side's median and quartiles and the ratio of the
+medians (against / head), and whether both sides priced the traversals
+to the same simulated seconds and bytes.
 
     python tools/level_cost.py --log2 12 --mesh 4x4 --pairs 10 --against ../base
     python tools/level_cost.py --rmat 14 --mesh 4x4 --pairs 10 --against ../base
@@ -102,7 +103,19 @@ def worker(args, rows: int, cols: int) -> None:
         for _ in range(args.reps):
             for root in roots:
                 engine.run(root)
-        print((time.perf_counter() - start) * unit / args.reps, flush=True)
+        sample = {"traversal": (time.perf_counter() - start) * unit / args.reps}
+        if args.rmat is not None:
+            start = time.perf_counter()
+            src, dst, n, _ = graph(args)
+            generated = time.perf_counter()
+            partition_graph(
+                src, dst, n, mesh, e_threshold=E_THRESHOLD, h_threshold=H_THRESHOLD
+            )
+            done = time.perf_counter()
+            sample["generate"] = generated - start
+            sample["partition"] = done - generated
+            sample["set-up"] = done - start
+        print(json.dumps(sample), flush=True)
 
 
 class Side:
@@ -125,12 +138,15 @@ class Side:
         if not line:
             raise RuntimeError(f"{name}: the worker for {tree} did not start")
         self.info = json.loads(line)
-        self.samples: list[float] = []
+        #: Per timing (traversal; on R-MAT also generate, partition and
+        #: set-up), one value per sample.
+        self.samples: dict[str, list[float]] = {}
 
     def sample(self) -> None:
         self.proc.stdin.write("\n")
         self.proc.stdin.flush()
-        self.samples.append(float(self.proc.stdout.readline()))
+        for key, value in json.loads(self.proc.stdout.readline()).items():
+            self.samples.setdefault(key, []).append(value)
 
     def close(self) -> None:
         self.proc.stdin.close()
@@ -181,21 +197,25 @@ def main(argv=None) -> int:
     if args.rmat is None:
         unit, roots = "us per level", ""
     else:
-        unit, roots = "ms per traversal", f"{info['roots']} roots, "
+        unit, roots = "ms per traversal; set-up in s", f"{info['roots']} roots, "
     print(
         f"{info['label']}, mesh {rows}x{cols}: {roots}{info['levels']} levels; "
         f"{args.pairs} pairs of {args.reps}-rep passes ({unit})"
     )
-    for side in sides:
-        q1, med, q3 = quartiles(side.samples)
-        print(
-            f"  {side.name:8s} median {med:8.2f}  q1 {q1:8.2f}  q3 {q3:8.2f}"
-            f"  ({side.info['package']})"
-        )
+    for timing in sides[0].samples:
+        if len(sides[0].samples) > 1:
+            print(f" {timing}")
+        for side in sides:
+            q1, med, q3 = quartiles(side.samples[timing])
+            print(
+                f"  {side.name:8s} median {med:8.3f}  q1 {q1:8.3f}  q3 {q3:8.3f}"
+                f"  ({side.info['package']})"
+            )
+        if len(sides) == 2:
+            head, against = (statistics.median(side.samples[timing]) for side in sides)
+            print(f"  ratio    {against / head:.3f}x (against / head)")
     if len(sides) == 2:
         head, against = sides
-        ratio = statistics.median(against.samples) / statistics.median(head.samples)
-        print(f"  ratio    {ratio:.3f}x (against / head)")
         keys = ("levels", "sim_seconds", "sim_bytes")
         same = all(head.info[k] == against.info[k] for k in keys)
         print(
