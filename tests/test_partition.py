@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.partition import VertexClass, partition_graph
+from repro.core.partition import VertexClass, mix64, partition_graph, place_arcs
 from repro.graph500.rmat import generate_edges
+from repro.core.subgraphs import COMPONENT_ORDER
 from repro.graphs.csr import symmetrize_edges
 from repro.runtime.mesh import ProcessMesh
 
@@ -213,3 +214,65 @@ def test_property_partition_is_exact_cover(seed, n_exp, rows, cols, h_thr, e_ext
         if comp.num_arcs:
             _, _, r = comp.arcs()
             assert r.min() >= 0 and r.max() < mesh.num_ranks
+
+
+def rule_placement(a_src, a_dst, part):
+    """The placement table, arc by arc: ``(component, rank)`` from the
+    block owners and the EH coordinates."""
+    mesh, n = part.mesh, part.num_vertices
+    cols, ranks = mesh.cols, mesh.num_ranks
+    owner = [int(mesh.owner_of(v, n)) for v in range(n)]
+    L, H = VertexClass.L, VertexClass.H
+    comps, out = [], []
+    for pos, (s, d) in enumerate(zip(a_src.tolist(), a_dst.tolist())):
+        sc, dc = part.vclass[s], part.vclass[d]
+        if sc == L:
+            name = {L: "L2L", H: "L2H"}.get(dc, "L2E")
+            rank = owner[s]
+        elif dc == L:
+            name = "E2L" if sc == VertexClass.E else "H2L"
+            rank = owner[d]
+            if sc == H:
+                rank = rank // cols * cols + int(part.eh_col[s])
+        else:
+            name = "EH2EH"
+            if part.placement == "stable":
+                h = mix64(mix64(np.array([s])) + np.uint64(d))[0]
+                deal = int(h % np.uint64(ranks))
+            else:
+                deal = pos % ranks
+            col = int(part.eh_col[s]) if sc == H else deal % cols
+            row = int(part.eh_row[d]) if dc == H else deal // cols
+            rank = row * cols + col
+        comps.append(COMPONENT_ORDER.index(name))
+        out.append(rank)
+    return np.array(comps, dtype=np.int8), np.array(out, dtype=np.int64)
+
+
+@given(
+    seed=st.integers(0, 1000),
+    n=st.integers(1, 90),
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    h_thr=st.integers(1, 10),
+    e_extra=st.integers(0, 6),
+    placement=st.sampled_from(["cyclic", "stable"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_property_place_arcs_matches_rule_oracle(
+    seed, n, rows, cols, h_thr, e_extra, placement
+):
+    """``place_arcs`` reads each endpoint's pins from per-vertex words;
+    it must give every arc, in any order, the rank the placement rules
+    give it, on any mesh shape and class mix."""
+    src, dst = random_edge_list(n, 4 * n, seed=seed)
+    part = partition_graph(
+        src, dst, n, ProcessMesh(rows, cols),
+        e_threshold=h_thr + e_extra, h_threshold=h_thr, placement=placement,
+    )
+    a_src, a_dst = random_edge_list(n, 200, seed=seed + 1)
+    comp_of, rank = place_arcs(a_src, a_dst, part)
+    want_comp, want_rank = rule_placement(a_src, a_dst, part)
+    assert comp_of.dtype == np.int8 and rank.dtype == np.int64
+    assert comp_of.tolist() == want_comp.tolist()
+    assert rank.tolist() == want_rank.tolist()

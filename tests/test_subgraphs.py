@@ -115,11 +115,16 @@ def duplicate_arcs(draw):
 @settings(max_examples=200, deadline=None)
 def test_property_construction_matches_lexsort_oracle(case):
     src, dst, rank, ranks, n = case
-    comp = SubgraphComponent("t", src, dst, rank, ranks, n)
-    for name, want in lexsort_kernel1(src, dst, rank, ranks, n).items():
-        got = getattr(comp, name)
-        assert got.dtype == np.int64, name
-        assert got.tolist() == want.tolist(), name
+    want = lexsort_kernel1(src, dst, rank, ranks, n)
+    # The arcs as given, and already in push order (as partition_graph
+    # hands them over, kept without a sort).
+    push = np.lexsort((dst, src))
+    for args in ((src, dst, rank), (src[push], dst[push], rank[push])):
+        comp = SubgraphComponent("t", *args, ranks, n)
+        for name, value in want.items():
+            got = getattr(comp, name)
+            assert got.dtype == np.int64, name
+            assert got.tolist() == value.tolist(), name
 
 
 class TestPush:
