@@ -48,7 +48,6 @@ import time
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.slo import SLOMonitor
 from repro.serve.core import (
-    IngestReport,
     ReplicaDown,
     RequestTimeline,
     ServeScope,
@@ -129,7 +128,6 @@ class ClusterService:
             for tenant in registry
         }
         self._inflight = 0
-        self._ingest_lock = asyncio.Lock()
         #: One burn-rate monitor per tenant, narrowed to that tenant's
         #: label on the shared latency family.
         self.slo_monitors: dict[str, SLOMonitor] = {
@@ -386,21 +384,3 @@ class ClusterService:
         )
         self._core.fail(scope, request, error)
         return error
-
-    # ------------------------------------------------------------------
-    # streaming ingestion (per tenant)
-    # ------------------------------------------------------------------
-
-    async def ingest_updates(self, tenant_id: str, batches) -> IngestReport:
-        """Apply edge-update batches to one tenant's resident graph.
-
-        Requires the tenant to have been built with ``dynamic=True``.
-        See :meth:`~repro.serve.core.ResidentGraph.ingest`: the repair
-        runs on the executor; the engine swap, fingerprint bump, and
-        partial cache invalidation are atomic between query batches.
-        Other tenants are completely unaffected — their fingerprints
-        and caches don't move.
-        """
-        tenant = self.registry[tenant_id]
-        async with self._ingest_lock:
-            return await tenant.ingest(batches, self._scopes[tenant_id])

@@ -2,11 +2,10 @@
 
 A *tenant* is one resident graph behind the cluster serving plane: its
 own partition, its own engine, its own
-:class:`~repro.serve.cache.ResultCache` and graph fingerprint, its own
-admission quota and fair-share weight, and (optionally) its own
-:class:`~repro.dynamic.repair.IncrementalGraph` for streaming ingest.
-Tenants never share lanes: an MSBFS batch is packed from exactly one
-tenant's queue, so a lane word always refers to one graph.
+:class:`~repro.serve.cache.ResultCache` and graph fingerprint, and its
+own admission quota and fair-share weight.  Tenants never share lanes:
+an MSBFS batch is packed from exactly one tenant's queue, so a lane
+word always refers to one graph.
 
 Service classes bundle the per-tenant serving policy.  The defaults —
 ``gold`` / ``silver`` / ``bronze`` — trade admission quota and
@@ -126,9 +125,9 @@ class TenantSpec:
 class Tenant(ResidentGraph):
     """One resident graph, its serving state, and its :class:`TenantSpec`.
 
-    ``batched`` is the one engine replicas run query batches, programs
-    and single roots on; its partition's fingerprint keys both the cache
-    and result attribution.  ``sequential=`` is accepted and ignored,
+    ``batched`` is the one engine replicas run the tenant's query
+    batches on; its partition's fingerprint keys both the cache and
+    result attribution.  ``sequential=`` is accepted and ignored,
     only because the layer bench (``benchmarks/layers/serving.py``)
     still passes it.
     """
@@ -140,14 +139,8 @@ class Tenant(ResidentGraph):
         batched=None,
         cache: ResultCache | None = None,
         fingerprint: str = "",
-        dynamic=None,
     ) -> None:
-        super().__init__(
-            batched,
-            cache=cache,
-            fingerprint=fingerprint,
-            dynamic=dynamic,
-        )
+        super().__init__(batched, cache=cache, fingerprint=fingerprint)
         self.spec = spec
 
     @property
@@ -205,28 +198,18 @@ class TenantRegistry:
 # ----------------------------------------------------------------------
 
 
-def build_tenant(spec: TenantSpec, *, dynamic: bool = False) -> Tenant:
-    """Build one tenant's engine and cache from its spec.
-
-    ``dynamic=True`` additionally wraps the tenant's edge set in an
-    :class:`~repro.dynamic.repair.IncrementalGraph` so update batches
-    can be ingested while the tenant serves.
-    """
+def build_tenant(spec: TenantSpec) -> Tenant:
+    """Build one tenant's engine and cache from its spec."""
     setup = build_setup(
         spec.scale, spec.rows, spec.cols, seed=spec.seed, weak_scaled=False,
         e_threshold=spec.e_threshold, h_threshold=spec.h_threshold,
     )
-    return Tenant(
-        spec=spec,
-        batched=serving_engine(setup),
-        cache=ResultCache(),
-        dynamic=setup.incremental() if dynamic else None,
-    )
+    return Tenant(spec=spec, batched=serving_engine(setup), cache=ResultCache())
 
 
-def build_registry(specs, *, dynamic: bool = False) -> TenantRegistry:
+def build_registry(specs) -> TenantRegistry:
     """Build a registry of tenants from an iterable of specs."""
-    return TenantRegistry(build_tenant(spec, dynamic=dynamic) for spec in specs)
+    return TenantRegistry(build_tenant(spec) for spec in specs)
 
 
 # ----------------------------------------------------------------------

@@ -55,9 +55,9 @@ def build_serving_engine(
 
 
 def serving_engine(setup, *, tracer=None, metrics=None) -> DistributedBFS:
-    """The one engine that serves ``setup``'s graph: batches, programs
-    and single roots all run on it.  ``tracer``/``metrics`` (optional)
-    attach to it, so scheduler spans land in the caller's sinks."""
+    """The one engine that serves ``setup``'s graph: every query batch
+    runs on it.  ``tracer``/``metrics`` (optional) attach to it, so
+    scheduler spans land in the caller's sinks."""
     return DistributedBFS(
         setup.partition(), machine=setup.machine, config=setup.config(),
         tracer=tracer, metrics=metrics,

@@ -6,7 +6,7 @@ deficit round-robin, N replicas) differ in *tenancy* and *crash policy*
 only.  The three decisions they share live here, once:
 
 - **What a resident graph is** — :class:`ResidentGraph`: the one
-  engine that serves batches, programs and single roots, the
+  engine its batches run on, the
   :class:`~repro.serve.cache.ResultCache`, the graph fingerprint keying
   it, the :class:`ServeStats` counters and the optional
   :class:`~repro.dynamic.repair.IncrementalGraph`.  A generation changes
@@ -206,7 +206,6 @@ class RequestTimeline:
 
     trace_id: str
     root: int
-    program: str = "bfs"
     #: ``completed`` | ``cached`` | ``failed``
     status: str = "completed"
     batch_lanes: int = 0
@@ -239,13 +238,6 @@ class TraversalResponse:
     total_seconds: float = 0.0
     #: Amortized *simulated* machine cost of the query (0 for cache hits).
     sim_seconds: float = 0.0
-    #: Which registered program served the query ("bfs" for traversals).
-    program: str = "bfs"
-    #: Non-BFS programs: the program's state arrays and info scalars.
-    state: dict | None = field(repr=False, default=None)
-    info: dict | None = None
-    iterations: int = 0
-    converged: bool = True
 
 
 @dataclass
@@ -261,8 +253,6 @@ class ServeStats:
     replays: int = 0
     batches: int = 0
     batched_lanes: int = 0
-    #: Non-BFS vertex-program queries served (subset of ``completed``).
-    program_runs: int = 0
     sim_seconds_total: float = 0.0
     #: Bounded uniform sample of per-request total latencies — the
     #: percentile source.  Appends like a list; never grows past its
@@ -305,10 +295,8 @@ class ServeStats:
 
 @dataclass
 class IngestReport:
-    """Outcome of one ``ingest_updates`` call on either service."""
+    """Outcome of one :meth:`ResidentGraph.ingest` call."""
 
-    #: Owning tenant ("" for a single-graph service).
-    tenant: str = ""
     #: Per-batch :class:`~repro.dynamic.repair.RepairReport` objects.
     reports: list = field(repr=False, default_factory=list)
     num_batches: int = 0
@@ -328,7 +316,6 @@ class Request:
     root: int
     submitted_at: float
     trace_id: str
-    program: str = "bfs"
     future: asyncio.Future | None = field(repr=False, default=None)
     popped_at: float = 0.0
     attempts: int = 0
@@ -398,8 +385,7 @@ class ResidentGraph:
     """One served graph: engine, cache, fingerprint, counters.
 
     ``batched`` is the :class:`~repro.core.engine.DistributedBFS` that
-    query batches, vertex programs and single roots all run on.  Its
-    partition's fingerprint keys the cache.
+    query batches run on.  Its partition's fingerprint keys the cache.
     ``dynamic`` is the optional
     :class:`~repro.dynamic.repair.IncrementalGraph` over the same edge
     set that :meth:`ingest` repairs.
@@ -452,7 +438,6 @@ class ResidentGraph:
             raise RuntimeError(
                 "resident graph was not built with a dynamic graph "
                 "(pass dynamic=IncrementalGraph(...))"
-                + attribution(scope.tenant, "")
             )
         loop = asyncio.get_running_loop()
         reports = []
@@ -479,7 +464,6 @@ class ResidentGraph:
         old_fingerprint = self.fingerprint
         evicted, rekeyed = self.swap(engine, touched)
         return IngestReport(
-            tenant=scope.tenant,
             reports=reports,
             num_batches=len(reports),
             num_updates=num_updates,
@@ -533,10 +517,7 @@ class ServingCore:
 
     def record(self, request: Request, **stages) -> None:
         self._timelines[request.trace_id] = RequestTimeline(
-            trace_id=request.trace_id,
-            root=request.root,
-            program=request.program,
-            **stages,
+            trace_id=request.trace_id, root=request.root, **stages
         )
         while len(self._timelines) > self._timeline_capacity:
             self._timelines.popitem(last=False)
@@ -545,7 +526,7 @@ class ServingCore:
     # admission
     # ------------------------------------------------------------------
 
-    def begin(self, scope: ServeScope, root: int, program: str = "bfs") -> Request:
+    def begin(self, scope: ServeScope, root: int) -> Request:
         """Stamp the submit time, mint the trace id, count the request."""
         submitted_at = self.clock()
         self._trace_seq += 1
@@ -554,13 +535,17 @@ class ServingCore:
             root=root,
             submitted_at=submitted_at,
             trace_id=f"req-{self._trace_seq:06d}",
-            program=program,
         )
 
-    def cached(
-        self, scope: ServeScope, request: Request, **payload
-    ) -> TraversalResponse:
-        """Finish ``request`` as a cache hit carrying ``payload``."""
+    def lookup(
+        self, graph: ResidentGraph, scope: ServeScope, request: Request
+    ) -> TraversalResponse | None:
+        """Answer a request from the result cache when it can."""
+        if graph.cache is None:
+            return None
+        parent = graph.cache.get(graph.fingerprint, request.root)
+        if parent is None:
+            return None
         total = self.clock() - request.submitted_at
         scope.bump("cache_hits")
         scope.latency(total)
@@ -571,22 +556,10 @@ class ServingCore:
             root=request.root,
             trace_id=request.trace_id,
             tenant=scope.tenant,
+            parent=parent,
             cached=True,
             total_seconds=total,
-            program=request.program,
-            **payload,
         )
-
-    def lookup(
-        self, graph: ResidentGraph, scope: ServeScope, request: Request
-    ) -> TraversalResponse | None:
-        """Answer a BFS request from the result cache when it can."""
-        if graph.cache is None:
-            return None
-        parent = graph.cache.get(graph.fingerprint, request.root)
-        if parent is None:
-            return None
-        return self.cached(scope, request, parent=parent)
 
     def shed(
         self, scope: ServeScope, request: Request, depth: int, limit: int
@@ -697,42 +670,17 @@ class ServingCore:
             return None
         return ",".join(sorted(r.trace_id for r in requests))
 
-    async def execute(self, scope: ServeScope, requests, fn):
-        """Run ``fn`` on the executor on behalf of ``requests``.
-
-        Returns ``(result, crashed)``.  An injected rank crash is
-        ``(None, True)`` — the owning service's crash policy decides.
-        Any other exception fails every request with a typed
-        :class:`TraversalError` and returns ``(None, False)``: a bug in
-        one traversal must not kill the serving loop and strand every
-        queued future.
-        """
-        try:
-            result = await asyncio.get_running_loop().run_in_executor(None, fn)
-            return result, False
-        except RankCrashError:
-            return None, True
-        except Exception as exc:
-            for request in requests:
-                self.fail(
-                    scope,
-                    request,
-                    TraversalError(
-                        f"traversal raised {type(exc).__name__}: {exc}",
-                        tenant=scope.tenant,
-                        trace_id=request.trace_id,
-                    ),
-                )
-            return None, False
-
     async def run(
         self, graph: ResidentGraph, scope: ServeScope, batch
     ) -> BatchRun | None:
         """Traverse ``batch`` on the executor; ``None`` if a rank crashed.
 
-        A batch that failed for any other reason comes back with
-        ``result=None``: its requests already failed typed (see
-        :meth:`execute`) and :meth:`resolve` ignores it.
+        An injected rank crash is the owning service's to handle (its
+        crash policy decides).  Any other exception fails every request
+        with a typed :class:`TraversalError` and the batch comes back
+        with ``result=None``, which :meth:`resolve` ignores: a bug in
+        one traversal must not kill the serving loop and strand every
+        queued future.
         """
         started_at = self.clock()
         # Captured before the executor hop: if an ingestion swaps the
@@ -748,10 +696,25 @@ class ServingCore:
             engine.run_batch, roots, faults=self.faults,
             trace_id=self.trace_id(engine, batch),
         )
-        result, crashed = await self.execute(scope, batch, traverse)
-        if crashed:
+        try:
+            result = await asyncio.get_running_loop().run_in_executor(
+                None, traverse
+            )
+        except RankCrashError:
             scope.counter("batches", outcome="crashed").inc()
             return None
+        except Exception as exc:
+            for request in batch:
+                self.fail(
+                    scope,
+                    request,
+                    TraversalError(
+                        f"traversal raised {type(exc).__name__}: {exc}",
+                        tenant=scope.tenant,
+                        trace_id=request.trace_id,
+                    ),
+                )
+            result = None
         return BatchRun(by_root, result, fingerprint, started_at, self.clock())
 
     def resolve(

@@ -3,13 +3,12 @@
 A synchronous core (one :class:`~repro.core.engine.DistributedBFS`,
 run on executor threads) behind an asyncio front:
 
-1. **Admission.**  :meth:`TraversalService.submit` answers from the
-   :class:`~repro.serve.cache.ResultCache` when it can; otherwise the
-   request enters a *bounded* queue.  Queued requests and in-flight
-   program runs share ``queue_depth``; at that bound the request is
-   shed with a typed :class:`Overloaded` — the queue can never grow
-   without bound, and shedding is an exception the client handles, not
-   a dropped future.
+1. **Admission.**  :meth:`TraversalService.submit` takes one BFS root
+   and answers from the :class:`~repro.serve.cache.ResultCache` when it
+   can; otherwise the request enters a *bounded* queue.  At
+   ``queue_depth`` queued requests the request is shed with a typed
+   :class:`Overloaded` — the queue can never grow without bound, and
+   shedding is an exception the client handles, not a dropped future.
 2. **Batching.**  A single flusher coroutine pops the oldest request
    and fills its batch with
    :meth:`~repro.serve.core.ServingCore.fill`: the batch leaves when it
@@ -17,7 +16,9 @@ run on executor threads) behind an asyncio front:
    it opened.  Duplicate roots share one lane.
 3. **Traversal.**  The batch runs as one multi-source wave sequence on
    the executor; every lane's parent tree is bit-identical to a
-   sequential run, so serving batched is *not* an approximation.
+   sequential run, so serving batched is *not* an approximation.  The
+   flusher awaits each batch, so the engine runs one traversal at a
+   time.
 4. **Resilience.**  A mid-batch injected rank crash affects only that
    batch: its requests are replayed from the front of the queue, each
    charged one attempt, and a request fails with a typed
@@ -29,20 +30,17 @@ observation into ``serve_latency_seconds``, cache fill, future
 resolution, the per-request trace ids and :class:`RequestTimeline` ring
 — is :mod:`repro.serve.core`, shared with the multi-tenant
 :class:`~repro.cluster.service.ClusterService`.  What this module owns
-is the tenancy (one graph, one FIFO), the crash policy (replay in
-place) and vertex-program serving.  The service holds no tracer: when
-the served engine is traced (its ``tracer=``), each batch's request ids
-label its ``msbfs`` span and a served program's id its ``program``
-span, so the Chrome trace renders each served request on its own
-track.
+is the tenancy (one graph, one FIFO) and the crash policy (replay in
+place).  The service holds no tracer: when the served engine is traced
+(its ``tracer=``), each batch's request ids label its ``msbfs`` span,
+so the Chrome trace renders each served batch on its own track.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
 import time
-from collections import OrderedDict, deque
+from collections import deque
 
 from repro.obs.metrics import NULL_METRICS
 from repro.serve.cache import ResultCache
@@ -129,13 +127,6 @@ class TraversalService:
         self._wake = asyncio.Event()
         self._flusher: asyncio.Task | None = None
         self._closed = True
-        # Non-BFS program serving: single executions on the served
-        # engine bypass the MSBFS batcher but share the
-        # admission bound (queue + in-flight) and get their own result
-        # cache (program outputs are state dicts, not parent arrays).
-        self._inflight_programs = 0
-        self._program_cache: "OrderedDict[tuple, dict]" = OrderedDict()
-        self._program_cache_capacity = 256
         self._ingest_lock = asyncio.Lock()
 
     @property
@@ -154,7 +145,7 @@ class TraversalService:
 
     @property
     def pending(self) -> int:
-        return len(self._queue) + self._inflight_programs
+        return len(self._queue)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -203,25 +194,14 @@ class TraversalService:
         blocked by it.
         """
         async with self._ingest_lock:
-            report = await self.graph.ingest(batches, self._scope)
-            self._program_cache.clear()
-            return report
+            return await self.graph.ingest(batches, self._scope)
 
     # ------------------------------------------------------------------
     # request path
     # ------------------------------------------------------------------
 
-    async def submit(
-        self, root: int | None = None, *, program: str = "bfs", **params
-    ) -> TraversalResponse:
-        """Serve one query.
-
-        ``program="bfs"`` (the default) is the batched traversal path
-        and requires ``root``.  Any other registered program name runs
-        as a single execution on the executor — see
-        :meth:`_submit_program` — with ``params`` forwarded to
-        :func:`~repro.core.programs.build_program` (SSSP programs are
-        served with unit weights; the service holds no weight table).
+    async def submit(self, root: int) -> TraversalResponse:
+        """Serve one BFS query from ``root``.
 
         Raises :class:`Overloaded` when the queue is full (admission
         control) and :class:`TraversalError` when the query exhausted
@@ -229,14 +209,6 @@ class TraversalService:
         """
         if self._closed:
             raise RuntimeError("service is not running")
-        if program != "bfs":
-            return await self._submit_program(program, root, params)
-        if params:
-            raise ValueError(
-                f"bfs queries take no parameters (got {sorted(params)})"
-            )
-        if root is None:
-            raise ValueError("bfs queries require a root")
         root = int(root)
         if not 0 <= root < self.graph.num_vertices:
             raise ValueError(f"root {root} out of range")
@@ -253,127 +225,6 @@ class TraversalService:
         self._scope.gauge("queue_depth").set(len(self._queue))
         self._wake.set()
         return await future
-
-    # ------------------------------------------------------------------
-    # vertex-program serving (single execution, no batching)
-    # ------------------------------------------------------------------
-
-    def _count_program(self, program: str, outcome: str) -> None:
-        self._scope.counter("programs", program=program, outcome=outcome).inc()
-
-    async def _submit_program(
-        self, program: str, root: int | None, params: dict
-    ) -> TraversalResponse:
-        """Serve one non-BFS program query.
-
-        Single execution on the executor (multi-source lane batching is
-        visited-bit machinery; value programs run whole-graph sweeps),
-        bounded by the same ``queue_depth`` admission control as BFS
-        queries — queued batch requests and in-flight program runs share
-        the budget.  Default-parameter queries are answered from a
-        bounded per-``(program, root)`` cache keyed alongside the graph
-        fingerprint; parameterized queries always execute.
-        """
-        from repro.core.programs import PROGRAM_REGISTRY, build_program
-
-        spec = PROGRAM_REGISTRY.get(program)
-        if spec is None:
-            names = ", ".join(sorted(PROGRAM_REGISTRY))
-            raise ValueError(
-                f"unknown program {program!r} (available: {names})"
-            )
-        run_params = dict(params)
-        if "root" in spec.params:
-            if root is None:
-                raise ValueError(f"program {program!r} requires a root")
-            root = int(root)
-            if not 0 <= root < self.graph.num_vertices:
-                raise ValueError(f"root {root} out of range")
-            run_params["root"] = root
-        elif root is not None:
-            raise ValueError(f"program {program!r} does not take a root")
-        # Built before admission: a rejected name or value is the
-        # caller's ValueError, never an admitted request.  Every replay
-        # reuses it (run_program re-binds the program's state).
-        engine = self.graph.batched
-        prog = build_program(program, engine.part, **run_params)
-
-        core, scope = self._core, self._scope
-        request = core.begin(scope, -1 if root is None else root, program)
-        cacheable = not params
-        key = (self.graph.fingerprint, program, request.root)
-        if cacheable:
-            hit = self._program_cache.get(key)
-            if hit is not None:
-                self._program_cache.move_to_end(key)
-                self._count_program(program, "cached")
-                return core.cached(
-                    scope, request, parent=hit["state"].get("parent"), **hit
-                )
-        if self.pending >= self.queue_depth:
-            self._count_program(program, "shed")
-            raise core.shed(scope, request, self.pending, self.queue_depth)
-
-        self._inflight_programs += 1
-        future = core.admit(scope, request)
-        traverse = functools.partial(
-            engine.run_program, prog, faults=core.faults,
-            trace_id=core.trace_id(engine, [request]),
-        )
-        try:
-            while True:
-                t_exec = core.clock()
-                result, crashed = await core.execute(scope, [request], traverse)
-                if result is not None:
-                    break
-                if crashed:
-                    self._count_program(program, "crashed")
-                    if core.charge_replay(
-                        scope,
-                        [request],
-                        f"program {program!r}, injected rank crash",
-                    ):
-                        continue
-                # Failed typed (replay budget, or the program raised):
-                # the request's future carries the error.
-                self._count_program(program, "failed")
-                return await future
-        finally:
-            self._inflight_programs -= 1
-
-        t_done = self._core.clock()
-        traversal = t_done - t_exec
-        total = t_done - request.submitted_at
-        payload = {
-            "state": result.state,
-            "info": result.info,
-            "iterations": result.num_iterations,
-            "converged": result.converged,
-        }
-        if cacheable:
-            self._program_cache[key] = payload
-            self._program_cache.move_to_end(key)
-            while len(self._program_cache) > self._program_cache_capacity:
-                self._program_cache.popitem(last=False)
-        scope.bump("completed")
-        scope.bump("program_runs")
-        scope.bump("sim_seconds_total", result.total_seconds)
-        scope.latency(total)
-        scope.counter("requests", outcome="completed").inc()
-        self._count_program(program, "completed")
-        scope.observe("traversal", traversal)
-        scope.observe("total", total)
-        core.record(request, traversal_seconds=traversal, total_seconds=total)
-        return TraversalResponse(
-            root=request.root,
-            trace_id=request.trace_id,
-            parent=result.state.get("parent"),
-            traversal_seconds=traversal,
-            total_seconds=total,
-            sim_seconds=result.total_seconds,
-            program=program,
-            **payload,
-        )
 
     # ------------------------------------------------------------------
     # tenancy: one FIFO

@@ -5,8 +5,7 @@ test_serve.py; here we test the sharded layer on top — the tenant spec
 grammar and service classes, the deficit-round-robin router as a pure
 data structure, per-tenant admission and typed shedding, replica
 failover with bit-identical re-routing, weighted fairness under a hot
-tenant, per-tenant SLO monitors, streaming-ingest isolation, and the
-multi-tenant telemetry views.
+tenant, per-tenant SLO monitors, and the multi-tenant telemetry views.
 """
 
 import asyncio
@@ -28,13 +27,11 @@ from repro.cluster import (
     parse_tenant_spec,
 )
 from repro.cluster.tenants import SLO_CLASSES
-from repro.dynamic.updates import UpdateBatch
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SLOMonitor, SLOSpec
 from repro.resilience.faults import FaultInjector
 from repro.serve.service import (
     LATENCY_BUCKETS,
-    IngestReport,
     Overloaded,
     ServeStats,
     TraversalError,
@@ -605,49 +602,6 @@ class TestPerTenantSLO:
         )
         for tid, doc in cluster.slo_status().items():
             assert all(row["observed"] > 0 for row in doc["slos"]), tid
-
-
-# ----------------------------------------------------------------------
-# streaming-ingest isolation
-# ----------------------------------------------------------------------
-
-
-class TestIngestIsolation:
-    def test_ingest_moves_only_the_target_tenant(self):
-        registry = build_registry(specs(2, scale=7), dynamic=True)
-        before = {t.tenant_id: t.fingerprint for t in registry}
-        batch = UpdateBatch(
-            src=np.array([1, 2, 3], dtype=np.int64),
-            dst=np.array([100, 101, 102], dtype=np.int64),
-            op=np.ones(3, dtype=np.int8),
-        )
-
-        async def scenario():
-            async with ClusterService(registry, replicas=1) as cluster:
-                report = await cluster.ingest_updates("t0", [batch])
-                resp = await cluster.submit("t0", 1)
-                return report, resp
-
-        report, resp = run_async(scenario())
-        assert isinstance(report, IngestReport) and report.tenant == "t0"
-        assert report.num_updates == 3
-        assert report.old_fingerprint == before["t0"]
-        assert report.new_fingerprint == registry["t0"].fingerprint
-        assert registry["t0"].fingerprint != before["t0"]
-        # The other tenant's generation never moved.
-        assert registry["t1"].fingerprint == before["t1"]
-        # Post-ingest serving matches a single-root run on the repaired
-        # graph (the tenant's one engine is the swapped generation).
-        want = registry["t0"].batched.run(1).parent
-        np.testing.assert_array_equal(resp.parent, want)
-
-    def test_ingest_requires_dynamic_tenant(self, registry_pair):
-        async def scenario():
-            async with ClusterService(registry_pair, replicas=1) as cluster:
-                with pytest.raises(RuntimeError, match="dynamic"):
-                    await cluster.ingest_updates("t0", [])
-
-        run_async(scenario())
 
 
 # ----------------------------------------------------------------------

@@ -7,12 +7,10 @@
   the three 1.5D configs of ``golden/engine_golden.json``.
 - The serving name is the class: ``MultiSourceBFS is DistributedBFS``.
 - One engine serves concurrently: a 64-root batch, a vertex program and
-  a single root run on one object from three threads, and a
-  ``TraversalService`` runs a program query and a BFS batch at once,
-  each with its serial result.
+  a single root run on one object from three threads, each with its
+  serial result.
 """
 
-import asyncio
 import threading
 
 import numpy as np
@@ -22,7 +20,6 @@ from golden.generate import ENGINE_CONFIGS, build_system
 from repro.core.engine import DistributedBFS
 from repro.core.programs import build_program
 from repro.graph500.driver import sample_roots
-from repro.serve import TraversalService
 from repro.serve import msbfs
 from test_charge_sequence import CASES, build_case
 
@@ -116,44 +113,3 @@ def test_threads_share_one_engine(served):
     for result in got["root"]:
         assert np.array_equal(result.parent, serial["root"].parent)
         assert same_ledger(result.ledger, serial["root"].ledger)
-
-
-def test_service_runs_a_program_and_a_batch_at_once(served, monkeypatch):
-    engine, part, roots, _ = served
-    roots = [int(r) for r in roots[:8]]
-    want_parents = {r: engine.run(r).parent for r in roots}
-    want_state = engine.run_program(build_program("pagerank", part)).state
-
-    # Each run holds its executor thread until the other has started,
-    # so both are in flight on the one engine together.
-    program_started, batch_started = threading.Event(), threading.Event()
-    real_program, real_batch = engine.run_program, engine.run_batch
-
-    def run_program(*args, **kwargs):
-        program_started.set()
-        assert batch_started.wait(timeout=30)
-        return real_program(*args, **kwargs)
-
-    def run_batch(*args, **kwargs):
-        batch_started.set()
-        assert program_started.wait(timeout=30)
-        return real_batch(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "run_program", run_program)
-    monkeypatch.setattr(engine, "run_batch", run_batch)
-
-    async def main():
-        svc = TraversalService(engine, batch_window=0.05)
-        async with svc:
-            return await asyncio.gather(
-                svc.submit(program="pagerank"),
-                *(svc.submit(r) for r in roots),
-            )
-
-    program, *responses = asyncio.run(main())
-    assert program_started.is_set() and batch_started.is_set()
-    for key, value in want_state.items():
-        assert np.array_equal(program.state[key], value)
-    assert all(r.batch_lanes == len(roots) for r in responses)
-    for response in responses:
-        assert np.array_equal(response.parent, want_parents[response.root])

@@ -8,14 +8,12 @@ Four contracts are pinned here:
 2. **External exactness** — CC/TC/SSSP agree with scipy's independent
    implementations on the same graph.
 3. **Engine-feature inheritance** — programs emit the documented
-   spans/metrics and are servable through ``TraversalService``
-   (checkpointing and crash recovery are pinned for every traversal
-   mode at once in ``test_level_loop.py``).
+   spans/metrics (checkpointing and crash recovery are pinned for
+   every traversal mode at once in ``test_level_loop.py``).
 4. **The documentation runs** — the ``docs/programs.md`` tutorial block
    executes verbatim, and the CLI error contract holds end to end.
 """
 
-import asyncio
 import json
 import re
 from pathlib import Path
@@ -232,133 +230,6 @@ class TestObservability:
             res.info["num_components"]
         )
         assert report.metrics["total_bytes"] == res.ledger.total_bytes
-
-
-# ----------------------------------------------------------------------
-# 3c. serving
-# ----------------------------------------------------------------------
-
-
-def run_async(coro):
-    return asyncio.run(coro)
-
-
-@pytest.fixture(scope="module")
-def serving_engine(system):
-    from repro.serve.msbfs import MultiSourceBFS
-
-    _, _, part, machine, _ = system
-    return MultiSourceBFS(part, machine=machine)
-
-
-class TestServicePrograms:
-    def test_pagerank_served_and_cached(self, system, serving_engine):
-        from repro.serve import TraversalService
-
-        registry = MetricsRegistry()
-
-        async def main_():
-            async with TraversalService(
-                serving_engine, batch_window=0.0, metrics=registry
-            ) as svc:
-                first = await svc.submit(program="pagerank")
-                second = await svc.submit(program="pagerank")
-                return svc, first, second
-
-        svc, first, second = run_async(main_())
-        assert first.program == "pagerank" and not first.cached
-        assert first.converged and first.info["delta"] < 1e-6
-        assert second.cached
-        assert np.array_equal(first.state["ranks"], second.state["ranks"])
-        assert svc.stats.program_runs == 1
-        assert registry.counter_total(
-            "serve_programs", program="pagerank", outcome="completed"
-        ) == 1
-        assert registry.counter_total(
-            "serve_programs", program="pagerank", outcome="cached"
-        ) == 1
-
-    def test_cc_served_matches_direct_run(self, system, serving_engine):
-        from repro.serve import TraversalService
-
-        _, _, part, machine, _ = system
-        direct = run_program("cc", part, machine=machine)
-
-        async def main_():
-            async with TraversalService(
-                serving_engine, batch_window=0.0
-            ) as svc:
-                return await svc.submit(program="cc")
-
-        response = run_async(main_())
-        assert np.array_equal(
-            response.state["labels"], direct.state["labels"]
-        )
-        assert response.info == direct.info
-
-    def test_program_crash_replay_shares_the_batch_budget_rule(
-        self, system, serving_engine
-    ):
-        """Served programs replay through ``ServingCore.charge_replay``:
-        one attempt per crash, typed failure past ``MAX_REPLAYS``."""
-        from repro.resilience import FaultInjector
-        from repro.serve import TraversalError, TraversalService
-        from repro.serve.core import MAX_REPLAYS
-
-        _, _, part, machine, _ = system
-        direct = run_program("cc", part, machine=machine)
-
-        async def main_(spec):
-            registry = MetricsRegistry()
-            async with TraversalService(
-                serving_engine, batch_window=0.0, metrics=registry,
-                faults=FaultInjector(spec, rng=np.random.default_rng(0)),
-            ) as svc:
-                try:
-                    outcome = await svc.submit(program="cc")
-                except TraversalError as exc:
-                    outcome = exc
-                return svc, registry, outcome
-
-        svc, registry, ok = run_async(main_("crash:rank=1,iter=1"))
-        assert np.array_equal(ok.state["labels"], direct.state["labels"])
-        assert (svc.stats.replays, svc.stats.failed) == (1, 0)
-        assert svc.pending == 0
-
-        svc, registry, err = run_async(
-            main_("crash:rank=1,iter=1;crash:rank=0,iter=1;crash:rank=2,iter=1")
-        )
-        assert isinstance(err, TraversalError)
-        assert err.trace_id == "req-000001" and "'cc'" in str(err)
-        assert (svc.stats.replays, svc.stats.failed) == (MAX_REPLAYS, 1)
-        assert svc.pending == 0
-        assert svc.request_timeline(err.trace_id).status == "failed"
-        for outcome, count in (("crashed", MAX_REPLAYS + 1), ("failed", 1)):
-            assert registry.counter_total(
-                "serve_programs", program="cc", outcome=outcome
-            ) == count
-
-    def test_root_contract_per_program(self, serving_engine):
-        from repro.serve import TraversalService
-
-        async def main_():
-            async with TraversalService(
-                serving_engine, batch_window=0.0
-            ) as svc:
-                with pytest.raises(ValueError, match="requires a root"):
-                    await svc.submit(program="sssp")
-                with pytest.raises(ValueError, match="does not take a root"):
-                    await svc.submit(3, program="pagerank")
-                with pytest.raises(ValueError, match="unknown program"):
-                    await svc.submit(3, program="nope")
-                with pytest.raises(ValueError, match="root 1000000"):
-                    await svc.submit(1_000_000, program="sssp")
-                # And a well-formed rooted query works (unit weights).
-                return await svc.submit(3, program="sssp")
-
-        response = run_async(main_())
-        assert response.root == 3
-        assert response.state["distance"][3] == 0.0
 
 
 # ----------------------------------------------------------------------

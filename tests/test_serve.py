@@ -241,31 +241,6 @@ class TestTraversalService:
             for e in done
         )
 
-    def test_bfs_admission_counts_inflight_programs(self, engines):
-        """Queued requests and in-flight program runs share the one
-        ``queue_depth`` budget, for BFS queries as for programs."""
-        _, batched, _ = engines
-        root = int(np.flatnonzero(batched.part.degrees > 0)[0])
-
-        async def main():
-            svc = TraversalService(batched, queue_depth=1, cache=None)
-            async with svc:
-                program = asyncio.ensure_future(svc.submit(program="pagerank"))
-                while svc.pending < 1:
-                    await asyncio.sleep(0)
-                with pytest.raises(Overloaded) as bfs:
-                    await svc.submit(root)
-                with pytest.raises(Overloaded):
-                    await svc.submit(program="cc")
-                await program
-                served = await svc.submit(root)
-            return svc, bfs.value, served
-
-        svc, shed, served = run_async(main())
-        assert (shed.queue_depth, shed.limit) == (1, 1)
-        assert svc.stats.shed == 2
-        assert served.parent is not None
-
     def test_cache_hit_path(self, engines):
         _, batched, _ = engines
         root = int(np.flatnonzero(batched.part.degrees > 0)[0])
@@ -438,21 +413,6 @@ class TestTraversalService:
                     await svc.submit(batched.num_vertices)
 
         run_async(main())
-
-    def test_program_parameter_errors_are_never_admitted(self, engines):
-        _, batched, _ = engines
-
-        async def main():
-            async with TraversalService(batched) as svc:
-                with pytest.raises(ValueError, match="damping"):
-                    await svc.submit(program="cc", damping=0.5)
-                with pytest.raises(ValueError, match="delta"):
-                    await svc.submit(3, program="sssp-delta", delta=-1.0)
-                return svc
-
-        svc = run_async(main())
-        assert svc.stats.requests == 0
-        assert svc.stats.failed == 0
 
     def test_constructor_validation(self, engines):
         _, batched, _ = engines

@@ -5,8 +5,8 @@ differ in tenancy and crash policy only: one resident-graph type, one
 batch former and one batch executor, so the same root stream over the
 same partition must come out the same: bit-identical parents, the same
 batches and cache/lane bookkeeping, the same timeline-vs-histogram
-reconciliation, the same ingest report.  Both are driven by one load
-driver (``repro.serve.workload``), whose outcomes must agree too.
+reconciliation.  Both are driven by one load driver
+(``repro.serve.workload``), whose outcomes must agree too.
 """
 
 import asyncio
@@ -32,7 +32,7 @@ from repro.obs import Tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.mesh import ProcessMesh
 from repro.serve import ResultCache, TraversalService
-from repro.serve.core import IngestReport, sibling_engine
+from repro.serve.core import sibling_engine
 from repro.serve.msbfs import MultiSourceBFS
 from repro.serve.workload import (
     ClusterQuery,
@@ -64,23 +64,21 @@ def build_graph(**engine_kwargs):
     return inc, engine
 
 
-def one_tenant(inc, engine) -> TenantRegistry:
+def one_tenant(engine) -> TenantRegistry:
     return TenantRegistry([
         Tenant(
             spec=TenantSpec("t0", scale=SCALE),
-            batched=engine, cache=ResultCache(), dynamic=inc,
+            batched=engine, cache=ResultCache(),
         )
     ])
 
 
-async def drive(submit, request_timeline, ingest, roots, batch):
-    """Duplicates in one concurrent wave, then a warm-cache repeat, then
-    one ingest."""
+async def drive(submit, request_timeline, roots):
+    """Duplicates in one concurrent wave, then a warm-cache repeat."""
     wave = await asyncio.gather(*(submit(r) for r in roots))
     repeat = await submit(roots[0])
     responses = [*wave, repeat]
-    timelines = [request_timeline(r.trace_id) for r in responses]
-    return responses, timelines, await ingest([batch])
+    return responses, [request_timeline(r.trace_id) for r in responses]
 
 
 def total_histogram(metrics, family):
@@ -114,23 +112,20 @@ class TestCrossServiceParity:
                 batch_window=0.01, metrics=metrics,
             )
             async with svc:
-                out = await drive(
-                    svc.submit, svc.request_timeline, svc.ingest_updates,
-                    roots, batch,
-                )
+                out = await drive(svc.submit, svc.request_timeline, roots)
+                # An ingest observes no request latency.
+                await svc.ingest_updates([batch])
             return (*out, total_histogram(metrics, "serve_latency_seconds"))
 
         async def cluster():
             metrics = MetricsRegistry()
             svc = ClusterService(
-                one_tenant(*build_graph()), replicas=1,
+                one_tenant(build_graph()[1]), replicas=1,
                 batch_window=0.01, metrics=metrics,
             )
             async with svc:
                 out = await drive(
-                    lambda r: svc.submit("t0", r), svc.request_timeline,
-                    lambda batches: svc.ingest_updates("t0", batches),
-                    roots, batch,
+                    lambda r: svc.submit("t0", r), svc.request_timeline, roots
                 )
             return (*out, total_histogram(metrics, "cluster_latency_seconds"))
 
@@ -159,7 +154,7 @@ class TestCrossServiceParity:
 
     def test_timeline_totals_are_the_observed_floats(self, runs):
         _, serve, cluster = runs
-        for responses, timelines, _, histogram in (serve, cluster):
+        for responses, timelines, histogram in (serve, cluster):
             totals = [t.total_seconds for t in timelines]
             assert totals == [r.total_seconds for r in responses]
             assert [t.status for t in timelines] == (
@@ -169,20 +164,6 @@ class TestCrossServiceParity:
             assert histogram.min == min(totals)
             assert histogram.max == max(totals)
             assert histogram.sum == pytest.approx(sum(totals), rel=1e-12)
-
-    def test_ingest_reports_match(self, runs):
-        _, serve, cluster = runs
-        ours, theirs = serve[2], cluster[2]
-        assert type(ours) is type(theirs) is IngestReport
-        assert (ours.tenant, theirs.tenant) == ("", "t0")
-        for name in (
-            "num_batches", "num_updates", "cache_evicted", "cache_rekeyed",
-            "old_fingerprint", "new_fingerprint",
-        ):
-            assert getattr(ours, name) == getattr(theirs, name), name
-        assert ours.num_updates == 1
-        assert ours.cache_evicted + ours.cache_rekeyed == 3
-        assert ours.new_fingerprint != ours.old_fingerprint
 
 
 def make_plane(plane, **kwargs):
@@ -342,41 +323,6 @@ class TestSiblingEngines:
         assert sibling.tracer is tracer and sibling.metrics is metrics
         assert sibling.scheduler.backend is engine.scheduler.backend
 
-    def test_served_program_is_traced_under_its_request(self):
-        tracer = Tracer()
-        _, engine = build_graph(tracer=tracer)
-
-        async def main():
-            svc = TraversalService(engine)
-            async with svc:
-                return svc, await svc.submit(program="cc")
-
-        svc, response = asyncio.run(main())
-        assert svc.graph.batched.config == engine.config
-        spans = [sp for sp in tracer.spans if sp.name == "program"]
-        assert [sp.attrs["trace_id"] for sp in spans] == [response.trace_id]
-
-    def test_tenant_engines_stay_instrumented_across_ingest(self):
-        tracer, metrics = Tracer(), MetricsRegistry()
-        inc, engine = build_graph(tracer=tracer, metrics=metrics)
-        registry = one_tenant(inc, engine)
-        batch = UpdateBatch(
-            src=np.array([1], dtype=np.int64),
-            dst=np.array([100], dtype=np.int64),
-            op=np.ones(1, dtype=np.int8),
-        )
-
-        async def main():
-            async with ClusterService(registry, replicas=1) as svc:
-                await svc.ingest_updates("t0", [batch])
-
-        asyncio.run(main())
-        tenant = registry["t0"]
-        assert tenant.batched is not engine
-        rebuilt = tenant.batched
-        assert rebuilt.tracer is tracer and rebuilt.metrics is metrics
-        assert rebuilt.config == engine.config
-
 
 class TestRequestIdsReachTheEngineSpans:
     """Neither service holds a tracer: a request's trace id lands on the
@@ -384,7 +330,7 @@ class TestRequestIdsReachTheEngineSpans:
 
     def test_cluster_tenant_batch_span_carries_the_request_ids(self):
         tracer = Tracer()
-        registry = one_tenant(*build_graph(tracer=tracer))
+        registry = one_tenant(build_graph(tracer=tracer)[1])
         a, b = (int(r) for r in np.flatnonzero(registry["t0"].degrees > 0)[:2])
 
         async def main():
@@ -408,13 +354,11 @@ class TestRequestIdsReachTheEngineSpans:
 
         async def main():
             async with TraversalService(engine, batch_window=0.0) as svc:
-                return await svc.submit(root), await svc.submit(program="cc")
+                return await svc.submit(root)
 
-        bfs, program = asyncio.run(main())
+        bfs = asyncio.run(main())
         batches = [sp for sp in tracer.spans if sp.name == "msbfs"]
         assert [sp.attrs.get("trace_id") for sp in batches] == [bfs.trace_id]
-        served = [sp for sp in tracer.spans if sp.name == "program"]
-        assert [sp.attrs.get("trace_id") for sp in served] == [program.trace_id]
 
     def test_untraced_engine_costs_the_batch_path_nothing(self):
         from repro.serve.core import ServingCore

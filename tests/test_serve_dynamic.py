@@ -4,11 +4,14 @@ The cache tests exercise the touched-vertex digest machinery directly;
 the service tests run edge-update batches through
 :meth:`TraversalService.ingest_updates` on a two-component graph, where
 an update confined to one component must evict only that component's
-cached trees and carry the other component's across the generation.
+cached trees and carry the other component's across the generation,
+and where the served engine runs one traversal at a time across a
+swap.
 """
 
 import asyncio
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import BFSConfig
+from repro.core.engine import DistributedBFS
 from repro.core.partition import mix64
 from repro.dynamic.repair import IncrementalGraph
 from repro.dynamic.updates import UpdateBatch
@@ -353,3 +357,63 @@ def test_ingest_during_inflight_batch(dynamic_service, monkeypatch):
         inc.rebuild_reference(), machine=machine, config=config
     ).run_batch(np.array([8], dtype=np.int64))
     assert np.array_equal(after.parent, fresh.lane_parent(0))
+
+
+def test_one_traversal_at_a_time_across_an_ingest(dynamic_service, monkeypatch):
+    """The flusher awaits each batch, so the served engine runs one
+    traversal at a time, before and after an ingest swaps it.
+
+    The first batch is held on the executor until the ingest has
+    swapped in generation 1; a second batch entering meanwhile would
+    show as two in flight.  Every response must be its root's
+    sequential run on the generation whose engine served it.
+    """
+    fixture_service, inc, _, _ = dynamic_service
+    service = TraversalService(
+        fixture_service.engine, cache=None, dynamic=inc,
+        batch_size=4, batch_window=0.0,
+    )
+    bridge = _insert_batch([(5, 40)])  # joins the two rings
+    roots = list(range(0, 64, 2))
+    lock = threading.Lock()
+    entered, ingested = threading.Event(), threading.Event()
+    in_flight, peak, served = 0, 0, {}
+    real_run_batch = DistributedBFS.run_batch
+
+    def counted(self, batch_roots, **kwargs):
+        nonlocal in_flight, peak
+        with lock:
+            in_flight += 1
+            peak = max(peak, in_flight)
+            first = not served
+            served.update((int(r), self) for r in batch_roots)
+        try:
+            if first:
+                entered.set()
+                assert ingested.wait(10)
+            time.sleep(0.005)  # long enough for an overlapping run to show
+            return real_run_batch(self, batch_roots, **kwargs)
+        finally:
+            with lock:
+                in_flight -= 1
+
+    monkeypatch.setattr(DistributedBFS, "run_batch", counted)
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        async with service as svc:
+            queries = [asyncio.create_task(svc.submit(r)) for r in roots]
+            assert await loop.run_in_executor(None, entered.wait, 10)
+            await svc.ingest_updates([bridge])
+            ingested.set()
+            return await asyncio.gather(*queries)
+
+    responses = run_async(main())
+    assert peak == 1
+    generations = {id(engine) for engine in served.values()}
+    assert len(generations) == 2 and id(service.engine) in generations
+    assert [r.root for r in responses] == roots
+    for response in responses:
+        engine = served[response.root]
+        assert response.batch_lanes <= 4
+        assert np.array_equal(response.parent, engine.run(response.root).parent)

@@ -87,3 +87,21 @@ def test_params_set_by_keyword_position_forwarding_or_cli_dest(tmp_path):
         ("from_cli", "idle"),
         ("Box", "tested"),
     ]
+
+
+def test_star_args_forward_sets_positional_parameters_only(tmp_path):
+    root = _tree(tmp_path, {
+        "src/pkg/__init__.py": "",
+        "src/pkg/mod.py": (
+            "def spread(x, first=1, *, knob=2): pass\n"
+            "def splat(x, first=1, *, knob=2): pass\n"
+        ),
+        "benchmarks/bench.py": (
+            "from pkg.mod import splat, spread\n"
+            "args, opts = (0, 1), {}\n"
+            "spread(*args)\n"
+            "splat(0, **opts)\n"
+        ),
+    })
+    params = [(row[2], row[3]) for row in unreached.unset_params(root)]
+    assert params == [("spread", "knob")]

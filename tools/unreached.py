@@ -21,10 +21,10 @@ With ``--params`` it lists keyword parameters instead: every defaulted
 public (not ``_``-prefixed) parameter of a public function, method or
 constructor, and every defaulted field of a public dataclass, that no
 non-test call sets.  A call sets a parameter by keyword, by position,
-or through ``*args`` / ``**kwargs`` forwarding (which sets every
-parameter of the callee); ``dataclasses.replace`` sets fields by
-keyword and ``functools.partial`` counts as a call of its first
-argument.  A dataclass field that some non-test code assigns as an
+or by forwarding: ``*args`` sets every positional parameter of the
+callee and ``**kwargs`` every parameter.  ``dataclasses.replace`` sets
+fields by keyword and ``functools.partial`` counts as a call of its
+first argument.  A dataclass field that some non-test code assigns as an
 attribute (``stats.shed += 1``) is state the producer fills in, not an
 option, and counts as set.  A parameter named like one of ``cli.py``'s
 argparse dests counts as set too, since the CLI hands a command's flags
@@ -210,8 +210,9 @@ def keyword_params(tree: ast.AST):
 
 class _Calls(ast.NodeVisitor):
     """What each callee name is called with across the caller files:
-    the most positional arguments, the keywords, and whether some call
-    forwards ``*args`` / ``**kwargs`` (``everything``)."""
+    the most positional arguments (unbounded behind ``*args``), the
+    keywords, and whether some call forwards ``**kwargs``
+    (``everything``)."""
 
     def __init__(self):
         self.positional: dict[str, int] = {}
@@ -248,12 +249,12 @@ class _Calls(ast.NodeVisitor):
             names = self._bases[-1]
         else:
             names = [name] if name else []
+        # ``*args`` can fill positional parameters only; ``**kwargs`` any.
+        reach = sys.maxsize if any(isinstance(a, ast.Starred) for a in args) else len(args)
         for name in names:
-            if any(isinstance(a, ast.Starred) for a in args) or any(
-                k.arg is None for k in keywords
-            ):
+            if any(k.arg is None for k in keywords):
                 self.everything.add(name)
-            self.positional[name] = max(self.positional.get(name, 0), len(args))
+            self.positional[name] = max(self.positional.get(name, 0), reach)
             self.keywords.setdefault(name, set()).update(k.arg for k in keywords if k.arg)
 
 
